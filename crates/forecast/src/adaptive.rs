@@ -1,14 +1,15 @@
 //! Adaptive predictors: self-tuning members of the NWS panel.
 
+use crate::kernels::{sgd_predict, sgd_step, trigg_leach_gain, trigg_leach_step, AdjustedWindow};
 use crate::methods::Forecaster;
 use nws_timeseries::SlidingWindow;
 
 /// A sliding-window mean whose window length adapts to the series.
 ///
-/// Every `review_every` observations the predictor compares the recent
-/// one-step error that a half-length and a double-length window *would*
-/// have incurred (both are maintained as shadow windows) against the
-/// current window's error, and moves to whichever was best. This is the
+/// Every eight observations the predictor compares the recent one-step
+/// error that a half-length and a double-length window *would* have
+/// incurred (both are maintained as shadow sums) against the current
+/// window's error, and moves to whichever was best. This is the
 /// "adjusted" window scheme from the NWS forecaster family: long windows
 /// win on slowly varying series, short ones after regime changes.
 ///
@@ -19,28 +20,11 @@ use nws_timeseries::SlidingWindow;
 /// in between to bound floating-point drift.
 #[derive(Debug)]
 pub struct AdaptiveWindowMean {
-    min_len: usize,
-    max_len: usize,
-    len: usize,
     /// One shared buffer sized to `max_len`; each candidate length reads a
     /// suffix of it.
     window: SlidingWindow,
-    /// Rolling suffix sums for the half/current/double candidate lengths.
-    sum_half: f64,
-    sum_current: f64,
-    sum_double: f64,
-    err_current: f64,
-    err_half: f64,
-    err_double: f64,
-    since_review: usize,
-    review_every: usize,
-    pushes_since_refresh: usize,
-    count: u64,
+    state: AdjustedWindow,
 }
-
-/// How many observations between exact recomputations of the rolling
-/// candidate sums.
-const SUM_REFRESH_INTERVAL: usize = 4096;
 
 impl AdaptiveWindowMean {
     /// Creates an adaptive window constrained to `[min_len, max_len]`.
@@ -49,148 +33,48 @@ impl AdaptiveWindowMean {
     ///
     /// Panics unless `0 < min_len <= max_len`.
     pub fn new(min_len: usize, max_len: usize) -> Self {
-        assert!(min_len > 0 && min_len <= max_len, "bad window bounds");
+        let state = AdjustedWindow::new(min_len, max_len);
         Self {
-            min_len,
-            max_len,
-            len: min_len.max((min_len + max_len) / 4),
             window: SlidingWindow::new(max_len),
-            sum_half: 0.0,
-            sum_current: 0.0,
-            sum_double: 0.0,
-            err_current: 0.0,
-            err_half: 0.0,
-            err_double: 0.0,
-            since_review: 0,
-            review_every: 8,
-            pushes_since_refresh: 0,
-            count: 0,
+            state,
         }
     }
 
     /// The window length currently in use.
     pub fn current_len(&self) -> usize {
-        self.len
-    }
-
-    /// The half-length candidate for the current window length.
-    fn half_len(&self) -> usize {
-        (self.len / 2).max(self.min_len)
-    }
-
-    /// The double-length candidate for the current window length.
-    fn double_len(&self) -> usize {
-        (self.len * 2).min(self.max_len)
-    }
-
-    /// Exact sum of the last `min(len, have)` window values, by rescan.
-    fn exact_suffix_sum(&self, len: usize) -> f64 {
-        let have = self.window.len();
-        let skip = have - len.min(have);
-        self.window.iter().skip(skip).sum()
-    }
-
-    /// Recomputes all three candidate sums exactly from the buffer.
-    fn refresh_sums(&mut self) {
-        self.sum_half = self.exact_suffix_sum(self.half_len());
-        self.sum_current = self.exact_suffix_sum(self.len);
-        self.sum_double = self.exact_suffix_sum(self.double_len());
-        self.pushes_since_refresh = 0;
-    }
-
-    fn suffix_mean(&self, len: usize, sum: f64) -> Option<f64> {
-        let have = self.window.len();
-        if have == 0 {
-            return None;
-        }
-        Some(sum / len.min(have) as f64)
+        self.state.current_len()
     }
 }
 
 impl Forecaster for AdaptiveWindowMean {
     fn name(&self) -> String {
-        format!("adj_mean({}-{})", self.min_len, self.max_len)
+        format!(
+            "adj_mean({}-{})",
+            self.state.min_len(),
+            self.state.max_len()
+        )
     }
 
     fn observe(&mut self, value: f64) {
-        // Score the three candidate lengths on this observation before
-        // absorbing it (exponentially faded absolute error).
-        const FADE: f64 = 0.9;
-        let half = self.half_len();
-        let double = self.double_len();
-        if let Some(p) = self.suffix_mean(self.len, self.sum_current) {
-            self.err_current = FADE * self.err_current + (p - value).abs();
-        }
-        if let Some(p) = self.suffix_mean(half, self.sum_half) {
-            self.err_half = FADE * self.err_half + (p - value).abs();
-        }
-        if let Some(p) = self.suffix_mean(double, self.sum_double) {
-            self.err_double = FADE * self.err_double + (p - value).abs();
-        }
-        // Roll each candidate sum forward: the new value enters every
-        // suffix; a suffix already at its target length sheds its oldest
-        // member (indexed before the push shifts positions).
-        let have = self.window.len();
-        for (target_len, sum) in [
-            (half, &mut self.sum_half),
-            (self.len, &mut self.sum_current),
-            (double, &mut self.sum_double),
-        ] {
-            *sum += value;
-            if have >= target_len {
-                *sum -= self
-                    .window
-                    .get(have - target_len)
-                    .expect("suffix start is in range");
-            }
-        }
+        let at = |window: &SlidingWindow, i| window.get(i).expect("suffix index is in range");
+        self.state
+            .roll(value, self.window.len(), |i| at(&self.window, i));
         self.window.push(value);
-        self.pushes_since_refresh += 1;
-        self.count += 1;
-        self.since_review += 1;
-        if self.since_review >= self.review_every {
-            self.since_review = 0;
-            let old_len = self.len;
-            if self.err_half < self.err_current && self.err_half <= self.err_double {
-                self.len = half;
-            } else if self.err_double < self.err_current {
-                self.len = double;
-            }
-            self.err_current = 0.0;
-            self.err_half = 0.0;
-            self.err_double = 0.0;
-            if self.len != old_len {
-                // The candidate lengths changed; rebase the sums exactly.
-                self.refresh_sums();
-            }
-        }
-        if self.pushes_since_refresh >= SUM_REFRESH_INTERVAL {
-            self.refresh_sums();
-        }
+        self.state
+            .review(self.window.len(), |i| at(&self.window, i));
     }
 
     fn predict(&self) -> Option<f64> {
-        self.suffix_mean(self.len, self.sum_current)
+        self.state.predict(self.window.len())
     }
 
     fn reset(&mut self) {
-        let (min_len, max_len) = (self.min_len, self.max_len);
-        *self = AdaptiveWindowMean::new(min_len, max_len);
+        *self = AdaptiveWindowMean::new(self.state.min_len(), self.state.max_len());
     }
 
     fn note_gap(&mut self) {
-        // Age out the pre-gap history but keep the learned window length:
-        // the series' timescale is a property of the workload mix, which
-        // usually survives an outage even though the level may not.
         self.window.clear();
-        self.sum_half = 0.0;
-        self.sum_current = 0.0;
-        self.sum_double = 0.0;
-        self.err_current = 0.0;
-        self.err_half = 0.0;
-        self.err_double = 0.0;
-        self.since_review = 0;
-        self.pushes_since_refresh = 0;
+        self.state.note_gap();
     }
 }
 
@@ -223,11 +107,7 @@ impl AdaptiveExpSmoothing {
 
     /// The current adaptive gain in `[0, 1]`.
     pub fn gain(&self) -> f64 {
-        if self.smoothed_abs_err <= f64::EPSILON {
-            0.5 // no signal yet: a neutral gain
-        } else {
-            (self.smoothed_err.abs() / self.smoothed_abs_err).clamp(0.0, 1.0)
-        }
+        trigg_leach_gain(self.smoothed_err, self.smoothed_abs_err)
     }
 }
 
@@ -237,17 +117,16 @@ impl Forecaster for AdaptiveExpSmoothing {
     }
 
     fn observe(&mut self, value: f64) {
-        match self.state {
-            None => self.state = Some(value),
-            Some(s) => {
-                let err = value - s;
-                self.smoothed_err = self.phi * err + (1.0 - self.phi) * self.smoothed_err;
-                self.smoothed_abs_err =
-                    self.phi * err.abs() + (1.0 - self.phi) * self.smoothed_abs_err;
-                let g = self.gain();
-                self.state = Some(s + g * err);
-            }
-        }
+        self.state = Some(match self.state {
+            None => value,
+            Some(s) => trigg_leach_step(
+                self.phi,
+                s,
+                &mut self.smoothed_err,
+                &mut self.smoothed_abs_err,
+                value,
+            ),
+        });
     }
 
     fn predict(&self) -> Option<f64> {
@@ -301,20 +180,13 @@ impl Forecaster for StochasticGradient {
 
     fn observe(&mut self, value: f64) {
         if let Some(prev) = self.last {
-            let pred = self.w * prev + self.b;
-            let err = pred - value;
-            // Gradient of (pred - value)^2 wrt w and b.
-            self.w -= self.eta * err * prev;
-            self.b -= self.eta * err;
-            // Keep the model sane on wild inputs.
-            self.w = self.w.clamp(-2.0, 2.0);
-            self.b = self.b.clamp(-2.0, 2.0);
+            sgd_step(self.eta, &mut self.w, &mut self.b, prev, value);
         }
         self.last = Some(value);
     }
 
     fn predict(&self) -> Option<f64> {
-        self.last.map(|x| self.w * x + self.b)
+        self.last.map(|x| sgd_predict(self.w, self.b, x))
     }
 
     fn reset(&mut self) {

@@ -12,6 +12,7 @@
 //! observations from the window's sample autocovariances, and predicts
 //! `x̂_{t+1} = μ + Σ a_i (x_{t+1−i} − μ)`.
 
+use crate::kernels::{fit_ar, model_horizon, model_step, newest_first};
 use crate::methods::Forecaster;
 use nws_timeseries::SlidingWindow;
 
@@ -123,21 +124,12 @@ impl ArPredictor {
         if n < 4 * self.order {
             return;
         }
-        let mean = self.window.iter().sum::<f64>() / n as f64;
-        // Biased autocovariances up to lag `order`, straight off the ring
-        // buffer — no window copy.
-        for k in 0..=self.order {
-            let mut acc = 0.0;
-            for t in 0..n - k {
-                let xt = self.window.get(t).expect("t in range");
-                let xtk = self.window.get(t + k).expect("t + k in range");
-                acc += (xt - mean) * (xtk - mean);
-            }
-            self.autocov[k] = acc / n as f64;
-        }
-        if levinson_durbin_into(
-            &self.autocov,
+        let window = &self.window;
+        if let Some(mean) = fit_ar(
+            n,
+            |t| window.get(t).expect("t in range"),
             self.order,
+            &mut self.autocov,
             &mut self.lev_a,
             &mut self.lev_prev,
         ) {
@@ -172,12 +164,13 @@ impl Forecaster for ArPredictor {
         if n < self.order {
             return self.window.mean();
         }
-        let mut pred = self.mean;
-        for (i, &a) in self.coefficients.iter().enumerate() {
-            let lag = self.window.get(n - 1 - i).expect("lag in range");
-            pred += a * (lag - self.mean);
-        }
-        Some(pred)
+        Some(model_step(
+            self.mean,
+            &self.coefficients,
+            newest_first(&self.window),
+            &[],
+            &[],
+        ))
     }
 
     fn reset(&mut self) {
@@ -204,21 +197,15 @@ impl Forecaster for ArPredictor {
         }
         // Iterated forecasting: most-recent-first lag buffer seeded from
         // the window; each step's prediction becomes the next step's lag.
-        let n = self.window.len();
-        let mut lags: Vec<f64> = (0..self.order)
-            .map(|i| self.window.get(n - 1 - i).expect("lag in range"))
-            .collect();
-        let mut out = Vec::with_capacity(k);
-        for _ in 0..k {
-            let mut pred = self.mean;
-            for (i, &a) in self.coefficients.iter().enumerate() {
-                pred += a * (lags[i] - self.mean);
-            }
-            out.push(pred);
-            lags.rotate_right(1);
-            lags[0] = pred;
-        }
-        Some(out)
+        Some(model_horizon(
+            self.mean,
+            &self.coefficients,
+            newest_first(&self.window).take(self.order).collect(),
+            &[],
+            Vec::new(),
+            0,
+            k,
+        ))
     }
 }
 

@@ -29,18 +29,9 @@
 //! span a gap), keeps the fitted model, and resumes once enough fresh
 //! values accumulate.
 
-use crate::ar::levinson_durbin_into;
+use crate::kernels::{absorb_innovation, fit_ar, model_horizon, model_step, newest_first};
 use crate::methods::Predictor;
 use nws_timeseries::SlidingWindow;
-
-/// Normalized-LMS step size for the θ updates.
-const THETA_STEP: f64 = 0.05;
-/// Regularizer keeping the normalized step finite on dead-quiet series.
-const THETA_EPS: f64 = 1e-6;
-/// Forgetting factor of the innovation-power estimate.
-const POWER_DECAY: f64 = 0.99;
-/// θ coefficients are clamped to this magnitude (invertibility guard).
-const THETA_CAP: f64 = 0.98;
 
 /// A sliding-window ARMA(p, q) one-step predictor with online parameter
 /// refresh.
@@ -122,17 +113,15 @@ impl Arma {
         if n < 4 * self.p {
             return;
         }
-        let mean = self.window.iter().sum::<f64>() / n as f64;
-        for k in 0..=self.p {
-            let mut acc = 0.0;
-            for t in 0..n - k {
-                let xt = self.window.get(t).expect("t in range");
-                let xtk = self.window.get(t + k).expect("t + k in range");
-                acc += (xt - mean) * (xtk - mean);
-            }
-            self.autocov[k] = acc / n as f64;
-        }
-        if levinson_durbin_into(&self.autocov, self.p, &mut self.lev_a, &mut self.lev_prev) {
+        let window = &self.window;
+        if let Some(mean) = fit_ar(
+            n,
+            |t| window.get(t).expect("t in range"),
+            self.p,
+            &mut self.autocov,
+            &mut self.lev_a,
+            &mut self.lev_prev,
+        ) {
             self.ar.clear();
             self.ar.extend_from_slice(&self.lev_a);
             self.mean = mean;
@@ -150,15 +139,13 @@ impl Arma {
         if n < self.p {
             return None;
         }
-        let mut pred = self.mean;
-        for (i, &a) in self.ar.iter().enumerate() {
-            let lag = self.window.get(n - 1 - i).expect("lag in range");
-            pred += a * (lag - self.mean);
-        }
-        for j in 0..self.resid_len {
-            pred += self.theta[j] * self.resid[j];
-        }
-        Some(pred)
+        Some(model_step(
+            self.mean,
+            &self.ar,
+            newest_first(&self.window),
+            &self.theta,
+            &self.resid[..self.resid_len],
+        ))
     }
 }
 
@@ -171,17 +158,13 @@ impl Predictor for Arma {
         // Score the standing model forecast first: its innovation drives
         // the θ gradient and enters the residual ring.
         if let Some(pred) = self.model_predict() {
-            let e = value - pred;
-            // Normalized LMS against the residuals the forecast used.
-            let step = THETA_STEP * e / (THETA_EPS + self.power);
-            for j in 0..self.resid_len {
-                self.theta[j] = (self.theta[j] + step * self.resid[j]).clamp(-THETA_CAP, THETA_CAP);
-            }
-            self.power = POWER_DECAY * self.power + (1.0 - POWER_DECAY) * e * e;
-            // Push the innovation, most recent first.
-            self.resid.rotate_right(1);
-            self.resid[0] = e;
-            self.resid_len = (self.resid_len + 1).min(self.q);
+            absorb_innovation(
+                value - pred,
+                &mut self.theta,
+                &mut self.resid,
+                &mut self.resid_len,
+                &mut self.power,
+            );
         }
         self.window.push(value);
         self.since_refit += 1;
@@ -222,31 +205,17 @@ impl Predictor for Arma {
             let v = self.predict()?;
             return Some(vec![v; k]);
         }
-        let n = self.window.len();
-        let mut lags: Vec<f64> = (0..self.p)
-            .map(|i| self.window.get(n - 1 - i).expect("lag in range"))
-            .collect();
         // Future innovations are zero in expectation: the residual ring
         // shifts zeros in as the horizon advances.
-        let mut resid = self.resid.clone();
-        let mut resid_len = self.resid_len;
-        let mut out = Vec::with_capacity(k);
-        for _ in 0..k {
-            let mut pred = self.mean;
-            for (i, &a) in self.ar.iter().enumerate() {
-                pred += a * (lags[i] - self.mean);
-            }
-            for (&t, &r) in self.theta.iter().zip(&resid).take(resid_len) {
-                pred += t * r;
-            }
-            out.push(pred);
-            lags.rotate_right(1);
-            lags[0] = pred;
-            resid.rotate_right(1);
-            resid[0] = 0.0;
-            resid_len = (resid_len + 1).min(self.q);
-        }
-        Some(out)
+        Some(model_horizon(
+            self.mean,
+            &self.ar,
+            newest_first(&self.window).take(self.p).collect(),
+            &self.theta,
+            self.resid.clone(),
+            self.resid_len,
+            k,
+        ))
     }
 }
 

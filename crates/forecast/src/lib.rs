@@ -14,24 +14,39 @@
 //!   means and medians over several windows, α-trimmed means, exponential
 //!   smoothing over a bank of gains, an adaptive-gain smoother, an
 //!   adaptive-length window, and a stochastic-gradient predictor;
-//! - per-predictor **error tracking** ([`tracker`]) over both the full
-//!   history and a recent window;
-//! - **dynamic selection** ([`nws`]): each time a measurement arrives, all
-//!   predictors are scored on it, updated, and the one with the lowest
-//!   tracked error issues the next forecast;
+//! - per-predictor **error tracking** over both the full history and a
+//!   recent window;
+//! - **dynamic selection** ([`panel`], historically [`nws`]): each time a
+//!   measurement arrives, all predictors are scored on it, updated, and
+//!   the one with the lowest tracked error issues the next forecast;
 //! - an **offline evaluator** ([`eval`]) that replays a recorded series
 //!   through the panel and reports the paper's error metrics (Eq. 4 true
 //!   forecasting error against an oracle, Eq. 5 one-step-ahead prediction
 //!   error against the next measurement).
 //!
-//! All predictors are O(1) or O(window) per update — "to be efficient,
-//! each of the techniques must be relatively cheap to compute".
+//! "To be efficient, each of the techniques must be relatively cheap to
+//! compute" — and the whole panel runs on every series at every
+//! measurement, so the panel as a whole must be. Each member formula is
+//! written once, in [`kernels`]; it is used in two shapes:
+//!
+//! - the standalone [`Predictor`] structs own their history (one
+//!   `SlidingWindow` each) — the single-series API;
+//! - [`PredictorBank`] holds a member *list* ([`Member`]) in one flat
+//!   layout: one history ring every window member reads, one rolling sum
+//!   per distinct window length (the sliding means, the AR/ARMA fallback
+//!   mean), one sorted block per distinct length (medians and trimmed
+//!   means), one slot-major matrix of recent errors, and each member's
+//!   standing prediction computed once per measurement. Level members
+//!   are O(1) per update, window sums O(1), sorted blocks O(k) moves,
+//!   trimmed means an O(k) sum, AR refits O(window·order) every
+//!   `refit_every` measurements.
 
 pub mod adaptive;
 pub mod ar;
 pub mod arma;
 pub mod eval;
 pub mod interval;
+pub mod kernels;
 pub mod methods;
 pub mod nws;
 pub mod panel;
@@ -47,5 +62,5 @@ pub use methods::{
     SlidingMedian, TrimmedMean,
 };
 pub use nws::NwsForecaster;
-pub use panel::{ErrorRow, Forecast, PanelSpec, PredictorBank, Selection};
+pub use panel::{ErrorRow, Forecast, Member, PanelSpec, PredictorBank, Selection};
 pub use tracker::ErrorTracker;

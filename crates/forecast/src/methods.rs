@@ -6,6 +6,8 @@
 //! measurements to compute a one-step-ahead forecast based either on some
 //! estimate of the mean or median of those measurements."
 
+pub use crate::kernels::ewma_step;
+use crate::kernels::{median_of_sorted, sorted_slide, trimmed_mean_of_sorted};
 use nws_timeseries::SlidingWindow;
 
 /// A streaming predictor: one-step-ahead by contract, multi-step by
@@ -51,17 +53,6 @@ pub trait Predictor: std::fmt::Debug + Send {
 /// The original trait name; kept as an alias so existing panels,
 /// impls, and tests read either way.
 pub use self::Predictor as Forecaster;
-
-/// One exponential-smoothing step: `state + gain·(value − state)`.
-///
-/// The single canonical EWMA kernel — [`ExpSmoothing::observe`] and the
-/// fleet tier's dense per-host forecasts
-/// (`nws_grid::fleet::FleetMonitor`) both evaluate exactly this
-/// expression, so the two paths stay bit-identical by construction.
-#[inline]
-pub fn ewma_step(state: f64, gain: f64, value: f64) -> f64 {
-    state + gain * (value - state)
-}
 
 /// Predicts that the next value equals the most recent one.
 #[derive(Debug, Clone, Default)]
@@ -175,18 +166,48 @@ impl Forecaster for SlidingMean {
     }
 }
 
+/// The last `k` measurements twice over: in arrival order (to know what
+/// leaves) and in ascending order, slid by one evict and one insert on
+/// every observation (O(k) compares and moves, no comparison sort).
+#[derive(Debug, Clone)]
+struct SortedWindow {
+    window: SlidingWindow,
+    /// `k` slots; the first `window.len()` hold the window's values in
+    /// ascending order.
+    sorted: Vec<f64>,
+}
+
+impl SortedWindow {
+    fn new(k: usize) -> Self {
+        Self {
+            window: SlidingWindow::new(k),
+            sorted: vec![0.0; k],
+        }
+    }
+
+    fn push(&mut self, value: f64) {
+        let len = self.window.len();
+        let evicted = self.window.push(value);
+        sorted_slide(&mut self.sorted, len, evicted, value);
+    }
+
+    fn ascending(&self) -> &[f64] {
+        &self.sorted[..self.window.len()]
+    }
+
+    fn clear(&mut self) {
+        self.window.clear();
+    }
+}
+
 /// Predicts the median of the last `k` measurements — robust to the
 /// spikes a run-queue series is full of.
 ///
-/// Alongside the FIFO window it keeps the same `k` values in a sorted
-/// `Vec`, updated by binary-search insert and evict on every observation
-/// (O(k) moves, no comparison sort), so a prediction is an O(1) index into
-/// the middle instead of an O(k log k) copy-and-sort per call.
+/// The window is kept sorted as it slides, so a prediction is an O(1)
+/// index into the middle instead of an O(k log k) copy-and-sort per call.
 #[derive(Debug, Clone)]
 pub struct SlidingMedian {
-    window: SlidingWindow,
-    /// The window's values in ascending order.
-    sorted: Vec<f64>,
+    window: SortedWindow,
     k: usize,
 }
 
@@ -198,8 +219,7 @@ impl SlidingMedian {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         Self {
-            window: SlidingWindow::new(k),
-            sorted: Vec::with_capacity(k),
+            window: SortedWindow::new(k),
             k,
         }
     }
@@ -211,51 +231,31 @@ impl Forecaster for SlidingMedian {
     }
 
     fn observe(&mut self, value: f64) {
-        debug_assert!(value.is_finite(), "median window values must be finite");
-        if let Some(evicted) = self.window.push(value) {
-            let at = self.sorted.partition_point(|&x| x < evicted);
-            debug_assert!(self.sorted[at] == evicted, "evicted value not found");
-            self.sorted.remove(at);
-        }
-        let at = self.sorted.partition_point(|&x| x < value);
-        self.sorted.insert(at, value);
+        self.window.push(value);
     }
 
     fn predict(&self) -> Option<f64> {
-        let n = self.sorted.len();
-        if n == 0 {
-            return None;
-        }
-        Some(if n % 2 == 1 {
-            self.sorted[n / 2]
-        } else {
-            (self.sorted[n / 2 - 1] + self.sorted[n / 2]) / 2.0
-        })
+        median_of_sorted(self.window.ascending())
     }
 
     fn reset(&mut self) {
         self.window.clear();
-        self.sorted.clear();
     }
 
     fn note_gap(&mut self) {
         self.window.clear();
-        self.sorted.clear();
     }
 }
 
 /// Predicts the α-trimmed mean of the last `k` measurements (a compromise
 /// between the mean's efficiency and the median's robustness).
 ///
-/// Like [`SlidingMedian`] it mirrors the window into a sorted `Vec`
-/// maintained by binary-search insert and evict, so a prediction is an
-/// O(k) sum over the kept middle slice instead of an O(k log k)
-/// copy-and-sort per call — and allocates nothing once warm.
+/// Like [`SlidingMedian`] it keeps the window sorted as it slides, so a
+/// prediction is an O(k) sum over the kept middle slice instead of an
+/// O(k log k) copy-and-sort per call — and allocates nothing once warm.
 #[derive(Debug, Clone)]
 pub struct TrimmedMean {
-    window: SlidingWindow,
-    /// The window's values in ascending order.
-    sorted: Vec<f64>,
+    window: SortedWindow,
     k: usize,
     alpha: f64,
 }
@@ -269,8 +269,7 @@ impl TrimmedMean {
     pub fn new(k: usize, alpha: f64) -> Self {
         assert!((0.0..0.5).contains(&alpha), "alpha must be in [0, 0.5)");
         Self {
-            window: SlidingWindow::new(k),
-            sorted: Vec::with_capacity(k),
+            window: SortedWindow::new(k),
             k,
             alpha,
         }
@@ -283,43 +282,19 @@ impl Forecaster for TrimmedMean {
     }
 
     fn observe(&mut self, value: f64) {
-        debug_assert!(value.is_finite(), "trimmed window values must be finite");
-        if let Some(evicted) = self.window.push(value) {
-            let at = self.sorted.partition_point(|&x| x < evicted);
-            debug_assert!(self.sorted[at] == evicted, "evicted value not found");
-            self.sorted.remove(at);
-        }
-        let at = self.sorted.partition_point(|&x| x < value);
-        self.sorted.insert(at, value);
+        self.window.push(value);
     }
 
     fn predict(&self) -> Option<f64> {
-        let n = self.sorted.len();
-        if n == 0 {
-            return None;
-        }
-        let k = (self.alpha * n as f64).floor() as usize;
-        let kept = &self.sorted[k..n - k];
-        if kept.is_empty() {
-            // Everything trimmed away: fall back to the median, exactly as
-            // `SlidingWindow::trimmed_mean` does.
-            return Some(if n % 2 == 1 {
-                self.sorted[n / 2]
-            } else {
-                (self.sorted[n / 2 - 1] + self.sorted[n / 2]) / 2.0
-            });
-        }
-        Some(kept.iter().sum::<f64>() / kept.len() as f64)
+        trimmed_mean_of_sorted(self.window.ascending(), self.alpha)
     }
 
     fn reset(&mut self) {
         self.window.clear();
-        self.sorted.clear();
     }
 
     fn note_gap(&mut self) {
         self.window.clear();
-        self.sorted.clear();
     }
 }
 
@@ -345,12 +320,12 @@ impl ExpSmoothing {
         Self { gain, state: None }
     }
 
+    /// The gains of the standard NWS smoothing bank.
+    pub const BANK_GAINS: [f64; 7] = [0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 0.9];
+
     /// The standard NWS gain bank.
     pub fn bank() -> Vec<ExpSmoothing> {
-        [0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 0.9]
-            .iter()
-            .map(|&g| ExpSmoothing::new(g))
-            .collect()
+        Self::BANK_GAINS.map(ExpSmoothing::new).into()
     }
 }
 

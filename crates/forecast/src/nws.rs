@@ -15,7 +15,7 @@ pub type NwsForecaster = PredictorBank;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::{LastValue, RunningMean, SlidingMean, SlidingMedian};
+    use crate::panel::Member;
 
     #[test]
     fn first_update_already_forecasts() {
@@ -117,11 +117,7 @@ mod tests {
             Selection::CumulativeMae,
             Selection::CumulativeMse,
         ] {
-            let mut nws = NwsForecaster::new(
-                vec![Box::new(LastValue::new()), Box::new(RunningMean::new())],
-                sel,
-                10,
-            );
+            let mut nws = NwsForecaster::new(&[Member::LastValue, Member::RunningMean], sel, 10);
             for i in 0..50 {
                 nws.update((i as f64 * 0.7).sin().abs());
             }
@@ -145,7 +141,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "panel")]
     fn empty_panel_panics() {
-        NwsForecaster::new(Vec::new(), Selection::default(), 10);
+        NwsForecaster::new(&[], Selection::default(), 10);
     }
 
     #[test]
@@ -174,10 +170,7 @@ mod tests {
         // goes dark instead of serving stale values; the next measurement
         // revives it.
         let mut nws = NwsForecaster::new(
-            vec![
-                Box::new(SlidingMean::new(4)),
-                Box::new(SlidingMedian::new(4)),
-            ],
+            &[Member::SlidingMean(4), Member::SlidingMedian(4)],
             Selection::default(),
             10,
         );

@@ -1,22 +1,50 @@
-//! The unified predictor panel: a bank of [`Predictor`]s under dynamic
-//! best-predictor selection.
+//! The unified predictor panel: a flat bank of panel members under
+//! dynamic best-predictor selection.
 //!
 //! [`PredictorBank`] is the one forecasting engine every tier consumes:
 //! the per-host `ForecastService` path runs the paper's full 1999 panel
 //! per series, the fleet tier runs a configurable subset per shard, and
 //! the quality benchmarks run the extended panel v2. Which members a
-//! bank holds is a [`PanelSpec`] — a `Copy` selector cheap enough to
-//! live in fleet configs — and everything else (scoring, selection, gap
-//! semantics, horizons, error tables) is shared.
+//! bank holds is a list of [`Member`]s — usually named by a
+//! [`PanelSpec`], a `Copy` selector cheap enough to live in fleet
+//! configs — and everything else (scoring, selection, gap semantics,
+//! horizons, error tables) is shared.
+//!
+//! # Layout
+//!
+//! The paper runs the whole panel on every series at every measurement,
+//! so the bank is built for that loop rather than as a collection of
+//! independent predictors:
+//!
+//! - **one history ring** holds the values since the last gap; every
+//!   window member (sliding means and medians, trimmed means, the
+//!   adaptive window, the gradient AR(1), AR and ARMA) reads it instead
+//!   of owning a copy. Members over the same window length share one
+//!   rolling sum or one sorted block;
+//! - **one slot-major error matrix** holds every member's recent
+//!   absolute errors (`recent[slot·n + member]`), so members advancing
+//!   in lock-step write one contiguous row;
+//! - each member's **standing prediction is computed once** per
+//!   observation and reused for scoring, eligibility and serving;
+//! - members are dispatched by `match` over a resolved layout shared by
+//!   every bank built from the same member list, together with the
+//!   method-name table.
+//!
+//! The member formulas themselves live in [`kernels`](crate::kernels),
+//! where the standalone [`Predictor`] structs call them too.
 
 use crate::adaptive::{AdaptiveExpSmoothing, AdaptiveWindowMean, StochasticGradient};
 use crate::ar::ArPredictor;
 use crate::arma::Arma;
+use crate::kernels::{
+    absorb_innovation, error_terms, ewma_step, fit_ar, median_of_sorted, model_horizon, model_step,
+    rolling_sum_step, sgd_predict, sgd_step, sorted_slide, trigg_leach_step,
+    trimmed_mean_of_sorted, AdjustedWindow, SUM_REFRESH_INTERVAL,
+};
 use crate::methods::{
     ExpSmoothing, LastValue, Predictor, RunningMean, SlidingMean, SlidingMedian, TrimmedMean,
 };
-use crate::tracker::ErrorTracker;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which error statistic drives predictor selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,8 +59,90 @@ pub enum Selection {
     CumulativeMse,
 }
 
-/// A named panel composition: which predictors a [`PredictorBank`]
-/// holds. `Copy`, so it can ride in fleet configs and sweep tables.
+/// One panel member, by description: which technique and its parameters.
+/// `Copy`, so member lists are plain data; [`Member::standalone`] builds
+/// the matching single-series [`Predictor`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Member {
+    /// [`LastValue`].
+    LastValue,
+    /// [`RunningMean`].
+    RunningMean,
+    /// [`SlidingMean`] over the last `k` values.
+    SlidingMean(usize),
+    /// [`SlidingMedian`] over the last `k` values.
+    SlidingMedian(usize),
+    /// [`TrimmedMean`] over the last `k` values, trimming fraction α.
+    TrimmedMean(usize, f64),
+    /// [`ExpSmoothing`] with a fixed gain.
+    ExpSmoothing(f64),
+    /// [`AdaptiveExpSmoothing`] with gain-adaptation rate φ.
+    AdaptiveExpSmoothing(f64),
+    /// [`AdaptiveWindowMean`] over `[min_len, max_len]`.
+    AdaptiveWindowMean(usize, usize),
+    /// [`StochasticGradient`] AR(1) with learning rate η.
+    StochasticGradient(f64),
+    /// [`ArPredictor`].
+    Ar {
+        /// AR order.
+        order: usize,
+        /// Fit window length.
+        window: usize,
+        /// Observations between refits.
+        refit_every: usize,
+    },
+    /// [`Arma`].
+    Arma {
+        /// AR order.
+        p: usize,
+        /// MA order.
+        q: usize,
+        /// Fit window length.
+        window: usize,
+        /// Observations between AR-side refits.
+        refit_every: usize,
+    },
+}
+
+impl Member {
+    /// The standalone single-series predictor this member describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on parameters the predictor's constructor rejects.
+    pub fn standalone(self) -> Box<dyn Predictor> {
+        match self {
+            Member::LastValue => Box::new(LastValue::new()),
+            Member::RunningMean => Box::new(RunningMean::new()),
+            Member::SlidingMean(k) => Box::new(SlidingMean::new(k)),
+            Member::SlidingMedian(k) => Box::new(SlidingMedian::new(k)),
+            Member::TrimmedMean(k, alpha) => Box::new(TrimmedMean::new(k, alpha)),
+            Member::ExpSmoothing(gain) => Box::new(ExpSmoothing::new(gain)),
+            Member::AdaptiveExpSmoothing(phi) => Box::new(AdaptiveExpSmoothing::new(phi)),
+            Member::AdaptiveWindowMean(min, max) => Box::new(AdaptiveWindowMean::new(min, max)),
+            Member::StochasticGradient(eta) => Box::new(StochasticGradient::new(eta)),
+            Member::Ar {
+                order,
+                window,
+                refit_every,
+            } => Box::new(ArPredictor::new(order, window, refit_every)),
+            Member::Arma {
+                p,
+                q,
+                window,
+                refit_every,
+            } => Box::new(Arma::new(p, q, window, refit_every)),
+        }
+    }
+
+    /// Display name, e.g. `"sw_mean(20)"` — the standalone predictor's.
+    pub fn name(self) -> String {
+        self.standalone().name()
+    }
+}
+
+/// A named panel composition: which members a [`PredictorBank`] holds.
+/// `Copy`, so it can ride in fleet configs and sweep tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PanelSpec {
     /// A single exponential smoother — the fleet tier's zero-cost
@@ -52,51 +162,69 @@ pub enum PanelSpec {
     Extended,
 }
 
+/// The recent-error window of the NWS defaults.
+const DEFAULT_RECENT_WINDOW: usize = 30;
+
 impl PanelSpec {
-    /// Builds the panel members, in their canonical order.
-    pub fn members(self) -> Vec<Box<dyn Predictor>> {
+    /// The panel members, in their canonical order.
+    pub fn members(self) -> Vec<Member> {
+        let smoothers = ExpSmoothing::BANK_GAINS.map(Member::ExpSmoothing);
         match self {
-            PanelSpec::EwmaOnly { gain } => vec![Box::new(ExpSmoothing::new(gain))],
+            PanelSpec::EwmaOnly { gain } => vec![Member::ExpSmoothing(gain)],
             PanelSpec::Cheap => {
-                let mut panel: Vec<Box<dyn Predictor>> =
-                    vec![Box::new(LastValue::new()), Box::new(RunningMean::new())];
-                for s in ExpSmoothing::bank() {
-                    panel.push(Box::new(s));
-                }
+                let mut panel = vec![Member::LastValue, Member::RunningMean];
+                panel.extend(smoothers);
                 panel
             }
             PanelSpec::Nws1999 | PanelSpec::Extended => {
-                let mut panel: Vec<Box<dyn Predictor>> =
-                    vec![Box::new(LastValue::new()), Box::new(RunningMean::new())];
-                for k in [5, 10, 20, 50, 100] {
-                    panel.push(Box::new(SlidingMean::new(k)));
-                }
-                for k in [5, 11, 21, 51] {
-                    panel.push(Box::new(SlidingMedian::new(k)));
-                }
-                for k in [11, 31] {
-                    panel.push(Box::new(TrimmedMean::new(k, 0.2)));
-                }
-                for s in ExpSmoothing::bank() {
-                    panel.push(Box::new(s));
-                }
-                panel.push(Box::new(AdaptiveExpSmoothing::new(0.2)));
-                panel.push(Box::new(AdaptiveWindowMean::new(3, 100)));
-                panel.push(Box::new(StochasticGradient::new(0.05)));
-                panel.push(Box::new(ArPredictor::new(3, 120, 25)));
+                let mut panel = vec![Member::LastValue, Member::RunningMean];
+                panel.extend([5, 10, 20, 50, 100].map(Member::SlidingMean));
+                panel.extend([5, 11, 21, 51].map(Member::SlidingMedian));
+                panel.extend([11, 31].map(|k| Member::TrimmedMean(k, 0.2)));
+                panel.extend(smoothers);
+                panel.push(Member::AdaptiveExpSmoothing(0.2));
+                panel.push(Member::AdaptiveWindowMean(3, 100));
+                panel.push(Member::StochasticGradient(0.05));
+                panel.push(Member::Ar {
+                    order: 3,
+                    window: 120,
+                    refit_every: 25,
+                });
                 if matches!(self, PanelSpec::Extended) {
-                    panel.push(Box::new(Arma::new(1, 1, 120, 25)));
-                    panel.push(Box::new(Arma::new(2, 1, 120, 25)));
+                    for p in [1, 2] {
+                        panel.push(Member::Arma {
+                            p,
+                            q: 1,
+                            window: 120,
+                            refit_every: 25,
+                        });
+                    }
                 }
                 panel
             }
         }
     }
 
+    /// The resolved layout for this spec under the NWS defaults. The
+    /// three fixed compositions resolve once per process; every bank
+    /// built from them shares that layout and its name table.
+    fn plan(self) -> Arc<Plan> {
+        static FIXED: [OnceLock<Arc<Plan>>; 3] =
+            [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        let resolve = || Arc::new(Plan::new(&self.members(), DEFAULT_RECENT_WINDOW));
+        let cell = match self {
+            PanelSpec::EwmaOnly { .. } => return resolve(),
+            PanelSpec::Cheap => &FIXED[0],
+            PanelSpec::Nws1999 => &FIXED[1],
+            PanelSpec::Extended => &FIXED[2],
+        };
+        Arc::clone(cell.get_or_init(resolve))
+    }
+
     /// Builds a bank over this spec with the NWS defaults (recent-MAE
     /// selection over a 30-measurement window).
     pub fn build(self) -> PredictorBank {
-        PredictorBank::new(self.members(), Selection::default(), 30)
+        PredictorBank::from_plan(self.plan(), Selection::default())
     }
 }
 
@@ -162,6 +290,331 @@ impl ErrorRow {
     }
 }
 
+/// Where one member's state lives in a bank built from a [`Plan`]: the
+/// member's parameters plus offsets into the bank's `state` block and
+/// model counters.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Standing prediction is the state.
+    Last,
+    /// `state[sum]` is the sum of everything observed.
+    RunMean { sum: usize },
+    /// `state[sum]` is the shared rolling sum over the last `k`.
+    SwMean { k: usize, sum: usize },
+    /// `state[sorted..sorted + k]` is the shared ascending block.
+    SwMedian { k: usize, sorted: usize },
+    /// As [`Slot::SwMedian`].
+    Trim { k: usize, alpha: f64, sorted: usize },
+    /// Standing prediction is the state.
+    Exp { gain: f64 },
+    /// Standing prediction is the level; `state[at..at + 2]` are the
+    /// smoothed error and smoothed absolute error.
+    AdaptExp { phi: f64, at: usize },
+    /// `adj[idx]`.
+    Adj { idx: usize },
+    /// `state[at..at + 2]` are `(w, b)`; the anchor is the ring's newest.
+    Sgd { eta: f64, at: usize },
+    /// AR (`q == 0`) and ARMA. `state[sum]` is the shared rolling sum of
+    /// the fit window (the fallback mean); `state[at..]` holds mean,
+    /// power, `ar[p]`, `theta[q]`, `resid[q]`, `autocov[p + 1]` and the
+    /// two Levinson buffers; counters `iat..iat + 3` are observations
+    /// since the last refit, whether a model is fitted, and live residuals.
+    Model {
+        p: usize,
+        q: usize,
+        window: usize,
+        refit_every: usize,
+        sum: usize,
+        at: usize,
+        iat: usize,
+    },
+}
+
+impl Slot {
+    /// Whether the member's forecast depends on the history ring, and so
+    /// goes dark across a gap until a fresh value arrives. The others
+    /// (level trackers) predict from their first observation on.
+    fn reads_ring(&self) -> bool {
+        !matches!(
+            self,
+            Slot::Last | Slot::RunMean { .. } | Slot::Exp { .. } | Slot::AdaptExp { .. }
+        )
+    }
+}
+
+/// A model slot's `state` block, split into its parts.
+struct ModelState<'a> {
+    mean: &'a mut f64,
+    power: &'a mut f64,
+    ar: &'a mut [f64],
+    theta: &'a mut [f64],
+    resid: &'a mut [f64],
+    autocov: &'a mut [f64],
+    lev_a: &'a mut [f64],
+    lev_prev: &'a mut [f64],
+}
+
+impl<'a> ModelState<'a> {
+    const fn len(p: usize, q: usize) -> usize {
+        2 + p + 2 * q + (p + 1) + 2 * p
+    }
+
+    /// The model block at `state[at..]`.
+    fn at(state: &'a mut [f64], at: usize, p: usize, q: usize) -> Self {
+        let (scalars, rest) = state[at..at + Self::len(p, q)].split_at_mut(2);
+        let (mean, power) = scalars.split_at_mut(1);
+        let (ar, rest) = rest.split_at_mut(p);
+        let (theta, rest) = rest.split_at_mut(q);
+        let (resid, rest) = rest.split_at_mut(q);
+        let (autocov, rest) = rest.split_at_mut(p + 1);
+        let (lev_a, lev_prev) = rest.split_at_mut(p);
+        Self {
+            mean: &mut mean[0],
+            power: &mut power[0],
+            ar,
+            theta,
+            resid,
+            autocov,
+            lev_a,
+            lev_prev,
+        }
+    }
+}
+
+/// A window length some members share, and where its shared state (a
+/// rolling sum, or a `k`-slot sorted block) sits in `state`.
+#[derive(Debug, Clone, Copy)]
+struct Shared {
+    k: usize,
+    at: usize,
+}
+
+/// Finds or appends the shared entry for window `k`, taking `width`
+/// slots at `*cursor`.
+fn share(list: &mut Vec<Shared>, cursor: &mut usize, k: usize, width: usize) -> usize {
+    if let Some(found) = list.iter().find(|s| s.k == k) {
+        return found.at;
+    }
+    let at = *cursor;
+    *cursor += width;
+    list.push(Shared { k, at });
+    at
+}
+
+/// A member list resolved into a bank layout: the name table and every
+/// offset a bank needs, computed once and shared (behind an `Arc`) by
+/// all banks built from it.
+///
+/// A bank's `vals` block is the ring (`ring_cap` slots), four
+/// per-member rows (standing predictions and the three error sums), then
+/// the `state` block the offsets here index: the shared rolling sums,
+/// member state in panel order (scalars, sorted blocks, model blocks),
+/// and the error matrix last. Its `ints` block is two per-member rows
+/// (forecasts scored, matrix head) and the model counters `iat` indexes.
+#[derive(Debug)]
+struct Plan {
+    names: Box<[Arc<str>]>,
+    slots: Box<[Slot]>,
+    /// Recent-error window (rows of the matrix).
+    recent: usize,
+    /// Ring capacity: a power of two above the longest member window, so
+    /// a value written this step never lands on one a member still has
+    /// to read as evicted.
+    ring_cap: usize,
+    sums: Box<[Shared]>,
+    sorted: Box<[Shared]>,
+    /// `(min_len, max_len)` of each adaptive-window member.
+    adj: Box<[(usize, usize)]>,
+    /// [`Slot::reads_ring`], per member.
+    reads_ring: Box<[bool]>,
+    matrix: usize,
+    state_len: usize,
+    ints_len: usize,
+}
+
+impl Plan {
+    fn new(members: &[Member], recent: usize) -> Self {
+        assert!(
+            !members.is_empty(),
+            "panel must contain at least one predictor"
+        );
+        assert!(recent > 0, "recent window must be positive");
+        let n = members.len();
+        // Constructing the standalone form validates the parameters.
+        let names = members.iter().map(|m| Arc::from(m.name())).collect();
+        let mut cursor = 0;
+        let mut icursor = 0;
+        let take = |cursor: &mut usize, width: usize| {
+            let at = *cursor;
+            *cursor += width;
+            at
+        };
+        // Rolling sums first, so they sit beside the per-member rows.
+        let mut sums = Vec::new();
+        for m in members {
+            match *m {
+                Member::SlidingMean(k)
+                | Member::Ar { window: k, .. }
+                | Member::Arma { window: k, .. } => {
+                    share(&mut sums, &mut cursor, k, 1);
+                }
+                _ => {}
+            }
+        }
+        let mut sorted = Vec::new();
+        let mut adj = Vec::new();
+        // The furthest back any member reads the ring.
+        let longest = members
+            .iter()
+            .map(|m| match *m {
+                Member::SlidingMean(k) | Member::SlidingMedian(k) | Member::TrimmedMean(k, _) => k,
+                Member::AdaptiveWindowMean(_, max_len) => max_len,
+                Member::StochasticGradient(_) => 1,
+                Member::Ar { window, .. } | Member::Arma { window, .. } => window,
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        let slots: Box<[Slot]> = members
+            .iter()
+            .map(|m| match *m {
+                Member::LastValue => Slot::Last,
+                Member::RunningMean => Slot::RunMean {
+                    sum: take(&mut cursor, 1),
+                },
+                Member::SlidingMean(k) => Slot::SwMean {
+                    k,
+                    sum: share(&mut sums, &mut cursor, k, 1),
+                },
+                Member::SlidingMedian(k) => Slot::SwMedian {
+                    k,
+                    sorted: share(&mut sorted, &mut cursor, k, k),
+                },
+                Member::TrimmedMean(k, alpha) => Slot::Trim {
+                    k,
+                    alpha,
+                    sorted: share(&mut sorted, &mut cursor, k, k),
+                },
+                Member::ExpSmoothing(gain) => Slot::Exp { gain },
+                Member::AdaptiveExpSmoothing(phi) => Slot::AdaptExp {
+                    phi,
+                    at: take(&mut cursor, 2),
+                },
+                Member::AdaptiveWindowMean(min_len, max_len) => {
+                    adj.push((min_len, max_len));
+                    Slot::Adj { idx: adj.len() - 1 }
+                }
+                Member::StochasticGradient(eta) => Slot::Sgd {
+                    eta,
+                    at: take(&mut cursor, 2),
+                },
+                Member::Ar {
+                    order: p,
+                    window,
+                    refit_every,
+                } => Slot::Model {
+                    p,
+                    q: 0,
+                    window,
+                    refit_every,
+                    sum: share(&mut sums, &mut cursor, window, 1),
+                    at: take(&mut cursor, ModelState::len(p, 0)),
+                    iat: take(&mut icursor, 3),
+                },
+                Member::Arma {
+                    p,
+                    q,
+                    window,
+                    refit_every,
+                } => Slot::Model {
+                    p,
+                    q,
+                    window,
+                    refit_every,
+                    sum: share(&mut sums, &mut cursor, window, 1),
+                    at: take(&mut cursor, ModelState::len(p, q)),
+                    iat: take(&mut icursor, 3),
+                },
+            })
+            .collect();
+        let matrix = take(&mut cursor, recent * n);
+        Self {
+            names,
+            recent,
+            ring_cap: (longest + 1).next_power_of_two(),
+            sums: sums.into(),
+            sorted: sorted.into(),
+            adj: adj.into(),
+            reads_ring: slots.iter().map(Slot::reads_ring).collect(),
+            matrix,
+            state_len: cursor,
+            ints_len: icursor,
+            slots,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether member `m` has a standing prediction: a ring reader once
+    /// the ring holds a value, a level tracker once it has seen one.
+    #[inline]
+    fn live(&self, m: usize, ring_live: bool, level_live: bool) -> bool {
+        // The steady state needs no per-member lookup.
+        (ring_live && level_live)
+            || if self.reads_ring[m] {
+                ring_live
+            } else {
+                level_live
+            }
+    }
+}
+
+/// The per-member rows after the ring in `vals`, in order.
+const PREDS: usize = 0;
+const ABS_SUM: usize = 1;
+const SQ_SUM: usize = 2;
+const RECENT_SUM: usize = 3;
+const ROWS: usize = 4;
+
+/// A bank's blocks, split apart for one mutating pass (see [`Plan`]).
+struct Parts<'a> {
+    ring: &'a mut [f64],
+    preds: &'a mut [f64],
+    abs_sum: &'a mut [f64],
+    sq_sum: &'a mut [f64],
+    recent_sum: &'a mut [f64],
+    state: &'a mut [f64],
+    scored: &'a mut [u64],
+    heads: &'a mut [u64],
+    counters: &'a mut [u64],
+}
+
+impl<'a> Parts<'a> {
+    fn split(plan: &Plan, vals: &'a mut [f64], ints: &'a mut [u64]) -> Self {
+        let n = plan.len();
+        let (ring, rest) = vals.split_at_mut(plan.ring_cap);
+        let (preds, rest) = rest.split_at_mut(n);
+        let (abs_sum, rest) = rest.split_at_mut(n);
+        let (sq_sum, rest) = rest.split_at_mut(n);
+        let (recent_sum, state) = rest.split_at_mut(n);
+        let (scored, rest) = ints.split_at_mut(n);
+        let (heads, counters) = rest.split_at_mut(n);
+        Self {
+            ring,
+            preds,
+            abs_sum,
+            sq_sum,
+            recent_sum,
+            state,
+            scored,
+            heads,
+            counters,
+        }
+    }
+}
+
 /// The forecasting engine: a predictor panel with dynamic selection.
 ///
 /// Feed measurements with [`PredictorBank::update`]; each call scores
@@ -182,41 +635,58 @@ impl ErrorRow {
 /// assert!((f.value - 0.8).abs() < 0.05);
 /// println!("next 10s: {:.0}% available (chosen: {})", f.value * 100.0, f.method);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PredictorBank {
-    panel: Vec<Box<dyn Predictor>>,
-    trackers: Vec<ErrorTracker>,
-    /// Panel member names, cached once so the per-measurement paths never
-    /// re-run the `format!`-based [`Predictor::name`].
-    names: Vec<Arc<str>>,
+    plan: Arc<Plan>,
     selection: Selection,
     observations: u64,
     selected: usize,
+    /// Values in the ring since the last gap (its write cursor).
+    pushed: usize,
+    /// The ring, the per-member rows, the `state` block (see [`Plan`]).
+    vals: Box<[f64]>,
+    /// The per-member count rows, the model counters.
+    ints: Box<[u64]>,
+    adj: Box<[AdjustedWindow]>,
 }
 
 impl PredictorBank {
-    /// Builds a bank around a custom panel.
+    /// Builds a bank around a custom member list.
     ///
     /// # Panics
     ///
-    /// Panics if the panel is empty or `recent_window == 0`.
-    pub fn new(panel: Vec<Box<dyn Predictor>>, selection: Selection, recent_window: usize) -> Self {
-        assert!(
-            !panel.is_empty(),
-            "panel must contain at least one predictor"
-        );
-        let trackers = panel
-            .iter()
-            .map(|_| ErrorTracker::new(recent_window))
-            .collect();
-        let names = panel.iter().map(|f| Arc::from(f.name())).collect();
+    /// Panics if the list is empty, `recent_window == 0`, or a member's
+    /// parameters are out of range.
+    pub fn new(members: &[Member], selection: Selection, recent_window: usize) -> Self {
+        Self::from_plan(Arc::new(Plan::new(members, recent_window)), selection)
+    }
+
+    fn from_plan(plan: Arc<Plan>, selection: Selection) -> Self {
+        let n = plan.len();
+        let mut vals = vec![0.0; plan.ring_cap + ROWS * n + plan.state_len].into_boxed_slice();
+        let mut ints = vec![0; 2 * n + plan.ints_len].into_boxed_slice();
+        let state = Parts::split(&plan, &mut vals, &mut ints).state;
+        for slot in plan.slots.iter() {
+            match *slot {
+                // Starts as the last-value predictor.
+                Slot::Sgd { at, .. } => state[at] = 1.0,
+                Slot::Model { p, q, at, .. } => *ModelState::at(state, at, p, q).power = 1.0,
+                _ => {}
+            }
+        }
         Self {
-            panel,
-            trackers,
-            names,
             selection,
             observations: 0,
             selected: 0,
+            pushed: 0,
+            vals,
+            ints,
+            adj: plan
+                .adj
+                .iter()
+                .map(|&(min_len, max_len)| AdjustedWindow::new(min_len, max_len))
+                .collect(),
+            plan,
         }
     }
 
@@ -235,12 +705,12 @@ impl PredictorBank {
 
     /// Panel size.
     pub fn panel_len(&self) -> usize {
-        self.panel.len()
+        self.plan.slots.len()
     }
 
     /// Names of the panel members, in index order.
     pub fn method_names(&self) -> Vec<String> {
-        self.panel.iter().map(|f| f.name()).collect()
+        self.plan.names.iter().map(|n| n.to_string()).collect()
     }
 
     /// Number of measurements consumed.
@@ -255,31 +725,51 @@ impl PredictorBank {
 
     /// Name of the currently selected predictor.
     pub fn selected_name(&self) -> Arc<str> {
-        Arc::clone(&self.names[self.selected])
+        Arc::clone(&self.plan.names[self.selected])
+    }
+
+    /// One of the per-member rows of `vals`.
+    fn row(&self, row: usize) -> &[f64] {
+        let n = self.panel_len();
+        let at = self.plan.ring_cap + row * n;
+        &self.vals[at..at + n]
+    }
+
+    /// The `state` block and the model counters, for reading.
+    fn state(&self) -> (&[f64], &[u64]) {
+        let n = self.panel_len();
+        (
+            &self.vals[self.plan.ring_cap + ROWS * n..],
+            &self.ints[2 * n..],
+        )
+    }
+
+    /// Member `m`'s raw error sums: `(abs_sum, sq_sum, scored)`.
+    fn totals(&self, m: usize) -> (f64, f64, u64) {
+        (self.row(ABS_SUM)[m], self.row(SQ_SUM)[m], self.ints[m])
     }
 
     /// Per-method `(name, cumulative MAE)` for every method that has been
     /// scored at least once.
     pub fn error_summary(&self) -> Vec<(String, f64)> {
-        self.panel
-            .iter()
-            .zip(&self.trackers)
-            .filter_map(|(f, t)| t.mae().map(|m| (f.name(), m)))
+        (0..self.panel_len())
+            .filter_map(|m| {
+                let (abs_sum, _, scored) = self.totals(m);
+                (scored > 0).then(|| (self.plan.names[m].to_string(), abs_sum / scored as f64))
+            })
             .collect()
     }
 
     /// The full per-predictor error table, one row per panel member in
     /// index order (unscored members report zero sums). Rows carry raw
     /// sums, so tables from many banks merge exactly via
-    /// [`ErrorRow::merge`].
+    /// [`ErrorRow::merge`] or [`PredictorBank::merge_errors_into`].
     pub fn error_table(&self) -> Vec<ErrorRow> {
-        self.names
-            .iter()
-            .zip(&self.trackers)
-            .map(|(name, t)| {
-                let (abs_sum, sq_sum, scored) = t.totals();
+        (0..self.panel_len())
+            .map(|m| {
+                let (abs_sum, sq_sum, scored) = self.totals(m);
                 ErrorRow {
-                    name: Arc::clone(name),
+                    name: Arc::clone(&self.plan.names[m]),
                     scored,
                     abs_sum,
                     sq_sum,
@@ -288,65 +778,296 @@ impl PredictorBank {
             .collect()
     }
 
-    fn score_of(&self, i: usize) -> Option<f64> {
-        let t = &self.trackers[i];
-        match self.selection {
-            Selection::RecentMae => t.recent_mae(),
-            Selection::CumulativeMae => t.mae(),
-            Selection::CumulativeMse => t.mse(),
+    /// Folds this bank's error sums into `rows` — what merging
+    /// [`PredictorBank::error_table`] row by row does, without building
+    /// the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rows` is an error table of the same panel.
+    pub fn merge_errors_into(&self, rows: &mut [ErrorRow]) {
+        assert_eq!(
+            rows.len(),
+            self.panel_len(),
+            "merging tables of different panels"
+        );
+        for (m, row) in rows.iter_mut().enumerate() {
+            // (`Arc<str>` equality looks at the pointers first.)
+            assert_eq!(
+                row.name, self.plan.names[m],
+                "merging rows of different members"
+            );
+            let (abs_sum, sq_sum, scored) = self.totals(m);
+            row.scored += scored;
+            row.abs_sum += abs_sum;
+            row.sq_sum += sq_sum;
         }
     }
 
+    fn live(&self, m: usize) -> bool {
+        self.plan.live(m, self.pushed > 0, self.observations > 0)
+    }
+
+    fn standing(&self, m: usize) -> Option<f64> {
+        self.live(m).then(|| self.row(PREDS)[m])
+    }
+
     fn reselect(&mut self) {
+        let plan = &*self.plan;
+        let n = plan.len();
+        let (ring_live, level_live) = (self.pushed > 0, self.observations > 0);
+        // Every criterion is an error sum over the count it covers; the
+        // recent one covers at most the matrix's rows.
+        let (sums, covers) = match self.selection {
+            Selection::RecentMae => (self.row(RECENT_SUM), plan.recent as u64),
+            Selection::CumulativeMae => (self.row(ABS_SUM), u64::MAX),
+            Selection::CumulativeMse => (self.row(SQ_SUM), u64::MAX),
+        };
+        let scored = &self.ints[..n];
         let mut best = self.selected;
         let mut best_score = f64::INFINITY;
-        for i in 0..self.panel.len() {
-            // Methods that cannot predict yet are not eligible.
-            if self.panel[i].predict().is_none() {
+        for m in 0..n {
+            // Members that cannot predict yet are not eligible, and one
+            // never scored cannot beat one that was.
+            if scored[m] == 0 || !plan.live(m, ring_live, level_live) {
                 continue;
             }
-            let score = self.score_of(i).unwrap_or(f64::INFINITY);
+            let score = sums[m] / scored[m].min(covers) as f64;
             if score < best_score {
                 best_score = score;
-                best = i;
+                best = m;
             }
         }
-        // With no scores yet, prefer the first method able to predict.
+        // With no scores yet, prefer the first member able to predict.
         if best_score.is_infinite() {
-            if let Some(i) = self.panel.iter().position(|f| f.predict().is_some()) {
-                best = i;
+            if let Some(m) = (0..n).find(|&m| plan.live(m, ring_live, level_live)) {
+                best = m;
             }
         }
         self.selected = best;
     }
 
-    /// Feeds one measurement. Every predictor that had a live forecast is
-    /// scored against `value`; all predictors then absorb `value`; the best
-    /// predictor (under the selection criterion) issues the forecast for
-    /// the next measurement.
-    ///
-    /// Returns `None` only before any predictor has enough history (i.e.
-    /// never after the first call, since the last-value predictor needs a
-    /// single point).
-    pub fn update(&mut self, value: f64) -> Option<Forecast> {
-        for (f, t) in self.panel.iter_mut().zip(&mut self.trackers) {
-            if let Some(pred) = f.predict() {
-                t.record(pred, value);
+    /// Scores every standing prediction against `value`: cumulative sums,
+    /// and one cell of the recent-error matrix per live member.
+    fn score(&mut self, value: f64) {
+        let (ring_live, level_live) = (self.pushed > 0, self.observations > 0);
+        let plan = &*self.plan;
+        let (n, recent) = (plan.len(), plan.recent);
+        let parts = Parts::split(plan, &mut self.vals, &mut self.ints);
+        let matrix = &mut parts.state[plan.matrix..plan.matrix + recent * n];
+        for m in 0..n {
+            if !plan.live(m, ring_live, level_live) {
+                continue;
             }
-            f.observe(value);
+            let (abs, sq) = error_terms(parts.preds[m], value);
+            parts.abs_sum[m] += abs;
+            parts.sq_sum[m] += sq;
+            let head = parts.heads[m] as usize;
+            let cell = &mut matrix[head * n + m];
+            let evicted = (parts.scored[m] >= recent as u64).then_some(*cell);
+            *cell = abs;
+            parts.recent_sum[m] = rolling_sum_step(parts.recent_sum[m], abs, evicted);
+            parts.scored[m] += 1;
+            parts.heads[m] = if head + 1 == recent {
+                0
+            } else {
+                head as u64 + 1
+            };
+            if parts.scored[m].is_multiple_of(SUM_REFRESH_INTERVAL as u64) {
+                // Oldest first: from the head once the column is full,
+                // from row 0 while it fills.
+                let len = parts.scored[m].min(recent as u64) as usize;
+                let oldest = if len == recent {
+                    parts.heads[m] as usize
+                } else {
+                    0
+                };
+                parts.recent_sum[m] = (0..len)
+                    .map(|i| matrix[(oldest + i) % recent * n + m])
+                    .sum();
+            }
         }
+    }
+
+    /// Feeds one measurement without issuing a forecast: every member
+    /// with a standing prediction is scored against `value`, all members
+    /// absorb it, and the best member (under the selection criterion) is
+    /// selected for the next measurement.
+    ///
+    /// A non-finite `value` carries no measurement: it is treated exactly
+    /// as [`PredictorBank::note_gap`].
+    pub fn observe(&mut self, value: f64) {
+        if !value.is_finite() {
+            self.note_gap();
+            return;
+        }
+        self.score(value);
+        self.absorb(value);
         self.observations += 1;
         self.reselect();
+    }
+
+    /// The value enters the ring, the shared sums and sorted blocks slide
+    /// once each, and every member recomputes its standing prediction.
+    fn absorb(&mut self, value: f64) {
+        let plan = &*self.plan;
+        let first = self.observations == 0;
+        let seen = self.observations + 1;
+        // `old` values were in the ring before this one; `now` with it.
+        let old = self.pushed;
+        let now = old + 1;
+        self.pushed = now;
+        let Parts {
+            ring,
+            preds,
+            state,
+            counters,
+            ..
+        } = Parts::split(plan, &mut self.vals, &mut self.ints);
+        let adj = &mut self.adj;
+        let mask = plan.ring_cap - 1;
+        ring[old & mask] = value;
+        let ring = &*ring;
+        // Push index `i` (0 = first since the gap) still in the ring.
+        let at = |i: usize| ring[i & mask];
+        let refresh = now.is_multiple_of(SUM_REFRESH_INTERVAL);
+
+        for &Shared { k, at: sum } in plan.sums.iter() {
+            let evicted = (old >= k).then(|| at(old - k));
+            state[sum] = rolling_sum_step(state[sum], value, evicted);
+            if refresh {
+                state[sum] = (now - now.min(k)..now).map(at).sum();
+            }
+        }
+        for &Shared { k, at: block } in plan.sorted.iter() {
+            let evicted = (old >= k).then(|| at(old - k));
+            sorted_slide(&mut state[block..block + k], old.min(k), evicted, value);
+        }
+
+        for (slot, pred) in plan.slots.iter().zip(preds) {
+            let standing = *pred;
+            *pred = match *slot {
+                Slot::Last => value,
+                Slot::RunMean { sum } => {
+                    state[sum] += value;
+                    state[sum] / seen as f64
+                }
+                Slot::SwMean { k, sum } => state[sum] / now.min(k) as f64,
+                Slot::SwMedian { k, sorted } => {
+                    median_of_sorted(&state[sorted..sorted + now.min(k)])
+                        .expect("the block holds the value just observed")
+                }
+                Slot::Trim { k, alpha, sorted } => {
+                    trimmed_mean_of_sorted(&state[sorted..sorted + now.min(k)], alpha)
+                        .expect("the block holds the value just observed")
+                }
+                Slot::Exp { .. } | Slot::AdaptExp { .. } if first => value,
+                Slot::Exp { gain } => ewma_step(standing, gain, value),
+                Slot::AdaptExp { phi, at } => {
+                    let (err, abs_err) = state[at..at + 2].split_at_mut(1);
+                    trigg_leach_step(phi, standing, &mut err[0], &mut abs_err[0], value)
+                }
+                Slot::Adj { idx } => {
+                    let window = &mut adj[idx];
+                    let max_len = window.max_len();
+                    let have = old.min(max_len);
+                    window.roll(value, have, |i| at(old - have + i));
+                    let have = now.min(max_len);
+                    window.review(have, |i| at(now - have + i));
+                    window
+                        .predict(have)
+                        .expect("the window holds the value just observed")
+                }
+                Slot::Sgd { eta, at: wb } => {
+                    let (w, b) = state[wb..wb + 2].split_at_mut(1);
+                    if old > 0 {
+                        sgd_step(eta, &mut w[0], &mut b[0], at(old - 1), value);
+                    }
+                    sgd_predict(w[0], b[0], value)
+                }
+                Slot::Model {
+                    p,
+                    q,
+                    window,
+                    refit_every,
+                    sum,
+                    at: block,
+                    iat,
+                } => {
+                    let fallback = state[sum] / now.min(window) as f64;
+                    let model = ModelState::at(state, block, p, q);
+                    let [since_refit, fitted, resid_len] = &mut counters[iat..iat + 3] else {
+                        unreachable!("a model slot owns three counters")
+                    };
+                    // The standing forecast was the model's (not the
+                    // fallback mean) exactly when a model was fitted and
+                    // `p` lags were in the window; its innovation then
+                    // drives the MA side.
+                    if q > 0 && *fitted == 1 && old.min(window) >= p {
+                        let mut live = *resid_len as usize;
+                        absorb_innovation(
+                            value - standing,
+                            model.theta,
+                            model.resid,
+                            &mut live,
+                            model.power,
+                        );
+                        *resid_len = live as u64;
+                    }
+                    let have = now.min(window);
+                    *since_refit += 1;
+                    if *since_refit >= refit_every as u64 && have >= 4 * p {
+                        *since_refit = 0;
+                        // On a degenerate fit the previous model (or
+                        // none) is kept.
+                        if let Some(mean) = fit_ar(
+                            have,
+                            |t| at(now - have + t),
+                            p,
+                            model.autocov,
+                            model.lev_a,
+                            model.lev_prev,
+                        ) {
+                            model.ar.copy_from_slice(model.lev_a);
+                            *model.mean = mean;
+                            *fitted = 1;
+                        }
+                    }
+                    if *fitted == 1 && have >= p {
+                        model_step(
+                            *model.mean,
+                            model.ar,
+                            (0..).map(|i| at(old - i)),
+                            model.theta,
+                            &model.resid[..*resid_len as usize],
+                        )
+                    } else {
+                        fallback
+                    }
+                }
+            };
+        }
+    }
+
+    /// Feeds one measurement and returns the forecast of the best
+    /// predictor for the next one: [`PredictorBank::observe`], then
+    /// [`PredictorBank::forecast`].
+    ///
+    /// Returns `None` only before any predictor has enough history (i.e.
+    /// never after the first finite value, since the last-value predictor
+    /// needs a single point).
+    pub fn update(&mut self, value: f64) -> Option<Forecast> {
+        self.observe(value);
         self.forecast()
     }
 
     /// The current forecast for the next measurement without feeding data.
     pub fn forecast(&self) -> Option<Forecast> {
         let i = self.selected;
-        self.panel[i].predict().map(|value| Forecast {
+        self.standing(i).map(|value| Forecast {
             value,
             method_index: i,
-            method: Arc::clone(&self.names[i]),
+            method: Arc::clone(&self.plan.names[i]),
         })
     }
 
@@ -354,14 +1075,50 @@ impl PredictorBank {
     /// path for callers that score or track the value and do not need the
     /// method attribution a full [`Forecast`] carries.
     pub fn predicted_value(&self) -> Option<f64> {
-        self.panel[self.selected].predict()
+        self.standing(self.selected)
     }
 
     /// The selected predictor's `k`-step horizon forecast — step 1 is the
     /// one-step forecast, later steps follow the member's dynamics (flat
     /// for level/window members, mean-reverting for AR/ARMA).
     pub fn predict_horizon(&self, k: usize) -> Option<Vec<f64>> {
-        self.panel[self.selected].predict_horizon(k)
+        let standing = self.standing(self.selected)?;
+        let Slot::Model {
+            p,
+            q,
+            window,
+            at: block,
+            iat,
+            ..
+        } = self.plan.slots[self.selected]
+        else {
+            return Some(vec![standing; k]);
+        };
+        let (state, counters) = self.state();
+        let [_, fitted, resid_len] = counters[iat..iat + 3] else {
+            unreachable!("a model slot owns three counters")
+        };
+        if fitted == 0 || self.pushed.min(window) < p {
+            // No model (or not enough fresh lags): the fallback mean,
+            // held flat.
+            return Some(vec![standing; k]);
+        }
+        let mean = state[block];
+        let (ar, rest) = state[block + 2..].split_at(p);
+        let (theta, rest) = rest.split_at(q);
+        let mask = self.plan.ring_cap - 1;
+        let lags = (1..=p)
+            .map(|i| self.vals[(self.pushed - i) & mask])
+            .collect();
+        Some(model_horizon(
+            mean,
+            ar,
+            lags,
+            theta,
+            rest[..q].to_vec(),
+            resid_len as usize,
+            k,
+        ))
     }
 
     /// Notes a gap in the measurement stream (a slot with no reading).
@@ -374,26 +1131,38 @@ impl PredictorBank {
     /// [`PredictorBank::forecast`] returns what the selected member can
     /// still predict, and the next real measurement reselects.
     pub fn note_gap(&mut self) {
-        for f in &mut self.panel {
-            f.note_gap();
+        // The ring empties; sorted blocks and lag anchors are read by
+        // its length, so only the running state needs clearing. Learned
+        // parameters (window length, AR/θ coefficients, the gradient
+        // pair) survive: they describe the workload, not the level.
+        self.pushed = 0;
+        let plan = &*self.plan;
+        let Parts {
+            state, counters, ..
+        } = Parts::split(plan, &mut self.vals, &mut self.ints);
+        for shared in plan.sums.iter() {
+            state[shared.at] = 0.0;
+        }
+        for window in self.adj.iter_mut() {
+            window.note_gap();
+        }
+        for slot in plan.slots.iter() {
+            if let Slot::Model { p, q, at, iat, .. } = *slot {
+                ModelState::at(state, at, p, q).resid.fill(0.0);
+                counters[iat] = 0;
+                counters[iat + 2] = 0;
+            }
         }
         // If the selected member lost its forecast to the gap, fall back
         // to any member that can still predict (a level smoother).
-        if self.panel[self.selected].predict().is_none() {
+        if !self.live(self.selected) {
             self.reselect();
         }
     }
 
     /// Resets every predictor and tracker.
     pub fn reset(&mut self) {
-        for f in &mut self.panel {
-            f.reset();
-        }
-        for t in &mut self.trackers {
-            t.reset();
-        }
-        self.observations = 0;
-        self.selected = 0;
+        *self = Self::from_plan(Arc::clone(&self.plan), self.selection);
     }
 }
 
@@ -487,5 +1256,62 @@ mod tests {
         let h = bank.predict_horizon(16).expect("warm bank");
         assert_eq!(h.len(), 16);
         assert_eq!(h[0], bank.predicted_value().unwrap());
+    }
+
+    #[test]
+    fn a_non_finite_value_is_a_gap_and_reaches_no_member() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut fed = PanelSpec::Extended.build();
+            let mut gapped = PanelSpec::Extended.build();
+            for i in 0..150 {
+                let v = 0.5 + 0.3 * (i as f64 * 0.4).sin();
+                fed.update(v);
+                gapped.update(v);
+                if i % 40 == 17 {
+                    assert!(fed.update(bad).is_some(), "level members still serve");
+                    gapped.note_gap();
+                }
+                assert_eq!(fed.selected_index(), gapped.selected_index());
+                assert_eq!(
+                    fed.predicted_value().map(f64::to_bits),
+                    gapped.predicted_value().map(f64::to_bits),
+                    "step {i}"
+                );
+            }
+            assert_eq!(fed.observations(), 150, "{bad} was counted");
+            assert_eq!(fed.error_table(), gapped.error_table());
+            for row in fed.error_table() {
+                assert!(row.mae().is_finite(), "{} scored against {bad}", row.name);
+            }
+        }
+        // Before anything finite arrived there is still nothing to serve.
+        let mut cold = PanelSpec::Nws1999.build();
+        assert!(cold.update(f64::NAN).is_none());
+        assert_eq!(cold.observations(), 0);
+        assert_eq!(cold.update(0.4).map(|f| f.value), Some(0.4));
+    }
+
+    #[test]
+    fn banks_of_one_spec_share_their_name_table() {
+        let a = PanelSpec::Nws1999.build();
+        let b = PanelSpec::Nws1999.build();
+        assert!(Arc::ptr_eq(&a.selected_name(), &b.selected_name()));
+    }
+
+    #[test]
+    fn merge_errors_into_matches_merging_the_tables() {
+        let mut a = PanelSpec::Nws1999.build();
+        let mut b = PanelSpec::Nws1999.build();
+        for i in 0..200 {
+            a.observe((i % 5) as f64 / 5.0);
+            b.observe((i % 7) as f64 / 7.0);
+        }
+        let mut by_rows = a.error_table();
+        for (m, r) in by_rows.iter_mut().zip(b.error_table()) {
+            m.merge(&r);
+        }
+        let mut folded = a.error_table();
+        b.merge_errors_into(&mut folded);
+        assert_eq!(folded, by_rows);
     }
 }

@@ -1,10 +1,16 @@
 //! Per-predictor forecasting-error bookkeeping.
 //!
 //! The NWS "dynamically chooses the \[method\] that has been most accurate
-//! over the recent set of measurements" — so each panel member carries a
-//! tracker recording its one-step errors both cumulatively and over a
-//! recent window.
+//! over the recent set of measurements" — so each forecaster's one-step
+//! errors are recorded both cumulatively and over a recent window.
+//!
+//! [`ErrorTracker`] is that record for one standalone forecaster (the
+//! transfer-time panel in `nws-net` keeps one per member). The
+//! [`PredictorBank`](crate::PredictorBank) keeps the same sums for all its
+//! members in one slot-major matrix instead; both score through the same
+//! kernel.
 
+use crate::kernels::error_terms;
 use nws_timeseries::SlidingWindow;
 
 /// Accumulates one-step forecasting errors for a single predictor.
@@ -34,11 +40,11 @@ impl ErrorTracker {
 
     /// Records one scored forecast against the measurement that arrived.
     pub fn record(&mut self, forecast: f64, actual: f64) {
-        let err = forecast - actual;
-        self.abs_sum += err.abs();
-        self.sq_sum += err * err;
+        let (abs, sq) = error_terms(forecast, actual);
+        self.abs_sum += abs;
+        self.sq_sum += sq;
         self.count += 1;
-        self.recent_abs.push(err.abs());
+        self.recent_abs.push(abs);
     }
 
     /// Number of forecasts scored.

@@ -248,12 +248,14 @@ impl Source for FleetShard {
 
     fn produce(&mut self, slot: u64) -> FleetSample {
         // The host's clock advances whether or not the measurement
-        // survives; a faulted slot loses the reading, not the time.
+        // survives; a faulted slot loses the reading, not the time. A
+        // non-finite reading (a recorded trace can carry one) is no
+        // measurement either.
         let value = self.host.step();
         let sf = self.faults.slot(slot, false);
         FleetSample {
             value,
-            gap: sf.outage || sf.drop_load,
+            gap: sf.outage || sf.drop_load || !value.is_finite(),
         }
     }
 }
@@ -312,7 +314,7 @@ impl Stage<FleetShard> for FleetStage<'_> {
             }
             ForecastLane::Bank(banks) => {
                 let bank = &mut banks[shard];
-                bank.update(availability);
+                bank.observe(availability);
                 *forecast = bank
                     .predicted_value()
                     .expect("a bank that just observed can predict");
@@ -419,9 +421,7 @@ impl FleetMonitor {
             .collect();
         let lane = match config.panel {
             FleetPanel::Ewma => ForecastLane::Ewma,
-            FleetPanel::Bank(spec) => {
-                ForecastLane::Bank((0..config.hosts).map(|_| spec.build()).collect())
-            }
+            FleetPanel::Bank(spec) => ForecastLane::Bank(vec![spec.build(); config.hosts]),
         };
         Self {
             config,
@@ -512,16 +512,10 @@ impl FleetMonitor {
         let ForecastLane::Bank(banks) = &self.lane else {
             return Vec::new();
         };
-        let mut merged: Vec<ErrorRow> = Vec::new();
-        for bank in banks {
-            let table = bank.error_table();
-            if merged.is_empty() {
-                merged = table;
-            } else {
-                for (m, row) in merged.iter_mut().zip(&table) {
-                    m.merge(row);
-                }
-            }
+        let (first, rest) = banks.split_first().expect("a fleet has at least one host");
+        let mut merged = first.error_table();
+        for bank in rest {
+            bank.merge_errors_into(&mut merged);
         }
         merged
     }
@@ -769,6 +763,41 @@ mod tests {
         let (best, key) = fleet.best_host().unwrap();
         assert_eq!(best, 1, "first odd host wins on the low-index tie-break");
         assert!((key - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_trace_samples_are_gaps_on_both_lanes() {
+        // A recorded trace with holes, one of them leading.
+        let mut trace: Vec<f64> = (0..40).map(|i| 0.3 + 0.01 * (i % 7) as f64).collect();
+        trace[0] = f64::NAN;
+        trace[13] = f64::INFINITY;
+        trace[14] = f64::NEG_INFINITY;
+        for panel in [FleetPanel::Ewma, FleetPanel::Bank(PanelSpec::Nws1999)] {
+            let mut fleet = FleetMonitor::with_roster(
+                FleetConfig {
+                    hosts: 6,
+                    rack_size: 4,
+                    panel,
+                    ..FleetConfig::default()
+                },
+                FleetRoster::TraceMixture(vec![trace.clone()]),
+                &FaultPlan::none(),
+            );
+            fleet.run_steps(80);
+            assert_eq!(
+                fleet.gaps(),
+                6 * 6,
+                "three holes a lap, two laps, six hosts"
+            );
+            assert_eq!(fleet.events() + fleet.gaps(), 6 * 80);
+            for h in 0..6 {
+                assert!(fleet.forecast(h).is_finite(), "{panel:?} host {h}");
+                assert_eq!(fleet.memory().len(ResourceId(h as u64)), 64);
+            }
+            for row in fleet.quality_table() {
+                assert!(row.mae().is_finite(), "{} was poisoned", row.name);
+            }
+        }
     }
 
     #[test]

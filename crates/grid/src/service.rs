@@ -95,7 +95,7 @@ impl ForecastService {
         if let Some(predicted) = st.nws.predicted_value() {
             st.intervals.record(predicted, value);
         }
-        st.nws.update(value);
+        st.nws.observe(value);
         st.last_obs = Some(time);
         st.gap_ewma *= 1.0 - GAP_EWMA_GAIN;
         st.revision += 1;

@@ -74,12 +74,18 @@ impl Stage<LinkMonitor> for NetStage<'_> {
         for ((bw_id, lat_id, _, capacity), sample) in self.link_ids.iter().zip(event) {
             match sample {
                 Some(s) => {
-                    self.memory.store(*bw_id, s.time, s.bandwidth);
-                    // Forecast the capacity-normalized series.
-                    self.forecasts
-                        .observe(*bw_id, s.time, s.bandwidth / capacity);
-                    self.memory.store(*lat_id, s.time, s.latency);
-                    self.forecasts.observe(*lat_id, s.time, s.latency);
+                    // A sample the memory refuses (non-finite, or not
+                    // after the series' latest point) does not reach the
+                    // forecaster either: what is forecast is what is
+                    // stored.
+                    if self.memory.store(*bw_id, s.time, s.bandwidth) {
+                        // Forecast the capacity-normalized series.
+                        self.forecasts
+                            .observe(*bw_id, s.time, s.bandwidth / capacity);
+                    }
+                    if self.memory.store(*lat_id, s.time, s.latency) {
+                        self.forecasts.observe(*lat_id, s.time, s.latency);
+                    }
                 }
                 None => {
                     // A dropped probe cycle is an explicit gap on both
@@ -277,6 +283,39 @@ mod tests {
         assert_ne!(r0, r1, "measurements must invalidate cached answers");
         // No time passed: no change, a cache may keep serving.
         assert_eq!(ws.revision(), r1);
+    }
+
+    #[test]
+    fn a_sample_the_memory_refuses_does_not_reach_the_forecaster() {
+        let (bw, lat) = (ResourceId(0), ResourceId(1));
+        let link_ids = [(bw, lat, "l".to_string(), 1.0e6)];
+        let mut memory = Memory::new(MemoryConfig { retain: 16 });
+        let mut forecasts = ForecastService::new(0.9);
+        let mut stage = NetStage {
+            memory: &mut memory,
+            forecasts: &mut forecasts,
+            link_ids: &link_ids,
+            probe_period: 120.0,
+        };
+        let mut source = LinkMonitor::demo_grid(1);
+        let sample = |time, bandwidth, latency| {
+            vec![Some(LinkSample {
+                time,
+                bandwidth,
+                latency,
+            })]
+        };
+        stage.commit(0, &mut source, 0, &sample(120.0, 5.0e5, 0.04));
+        // A replayed timestamp, then a non-finite bandwidth beside a good
+        // latency: the memory takes only the last latency.
+        stage.commit(0, &mut source, 1, &sample(120.0, 9.0e5, 0.09));
+        stage.commit(0, &mut source, 2, &sample(240.0, f64::NAN, 0.05));
+        assert_eq!((memory.len(bw), memory.len(lat)), (1, 2));
+        let observed = |id| forecasts.forecast(id).expect("live").observations;
+        assert_eq!(observed(bw), 1, "memory and forecaster diverged");
+        assert_eq!(observed(lat), 2, "memory and forecaster diverged");
+        let standing = forecasts.forecast(bw).expect("live").forecast.value;
+        assert_eq!(standing, 0.5, "the refused 9e5 moved the forecast");
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl LinkMonitor {
             ml.bandwidth.push(t, bw).expect("time advances");
             // Feed the forecaster the capacity-normalized series so
             // its panel (tuned for [0,1] data) behaves.
-            ml.forecaster.update(bw / ml.link.config().capacity);
+            ml.forecaster.observe(bw / ml.link.config().capacity);
             ml.link.advance(self.config.probe_period);
             samples.push(Some(LinkSample {
                 time: t,

@@ -20,7 +20,7 @@ pub mod window;
 pub use aggregate::{aggregate_mean, aggregate_series, hourly_block_means, resample};
 pub use series::{Series, SeriesError, TimePoint};
 pub use summary::{summarize, Summary};
-pub use window::{SlidingWindow, WindowIter};
+pub use window::{rolling_sum_step, SlidingWindow, WindowIter, SUM_REFRESH_INTERVAL};
 
 /// Seconds, the time unit used throughout the workspace.
 ///

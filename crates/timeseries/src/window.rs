@@ -35,8 +35,23 @@ pub struct SlidingWindow {
     pushes_since_refresh: usize,
 }
 
-/// How many pushes between exact sum recomputations.
-const REFRESH_INTERVAL: usize = 4096;
+/// How many pushes between exact recomputations of a rolling sum (a
+/// power of two, so a push counter can test it with a mask).
+pub const SUM_REFRESH_INTERVAL: usize = 4096;
+
+/// One step of a rolling window sum: the arriving value enters, the value
+/// it evicts (if the window was full) leaves.
+///
+/// The single rolling-sum expression — [`SlidingWindow::push`] and the
+/// forecaster bank's shared history ring both evaluate exactly this, so a
+/// window mean read from either is the same bits.
+#[inline]
+pub fn rolling_sum_step(sum: f64, value: f64, evicted: Option<f64>) -> f64 {
+    match evicted {
+        Some(old) => sum + (value - old),
+        None => sum + value,
+    }
+}
 
 impl SlidingWindow {
     /// Creates a window holding at most `capacity` values.
@@ -83,17 +98,16 @@ impl SlidingWindow {
             let old = self.buf[self.head];
             self.buf[self.head] = value;
             self.head = (self.head + 1) % cap;
-            self.sum += value - old;
             Some(old)
         } else {
             let idx = (self.head + self.len) % cap;
             self.buf[idx] = value;
             self.len += 1;
-            self.sum += value;
             None
         };
+        self.sum = rolling_sum_step(self.sum, value, evicted);
         self.pushes_since_refresh += 1;
-        if self.pushes_since_refresh >= REFRESH_INTERVAL {
+        if self.pushes_since_refresh >= SUM_REFRESH_INTERVAL {
             self.sum = self.iter().sum();
             self.pushes_since_refresh = 0;
         }
