@@ -1299,8 +1299,9 @@ fn fleet_quality(seed: u64, quick: bool, smoke: bool) -> (Vec<String>, String) {
 /// availability phase.
 ///
 /// Phase 1 grows a journaled reference run, then kills it at fixed
-/// fractions and at every cut a seeded [`CrashPlan`] produces — clean
-/// kills, torn final records, truncated snapshots — and proves each
+/// fractions and at every cut a seeded [`nws_faults::CrashPlan`]
+/// produces — clean kills, torn final records, truncated snapshots — and
+/// proves each
 /// recovery (replay the valid prefix, resume over the rest of the
 /// journal) lands on the live run's exact memory fingerprint. The
 /// deterministic columns (cut offsets, bytes kept, records replayed,
@@ -1308,8 +1309,9 @@ fn fleet_quality(seed: u64, quick: bool, smoke: bool) -> (Vec<String>, String) {
 /// byte-diffs across thread counts; recovery wall-clock is printed only.
 ///
 /// Phase 2 spins up a TCP primary, replicates its journal into a
-/// [`ReplicaState`] over the wire protocol, serves the replica on a
-/// second socket, and drives a [`FailoverClient`] through a mid-stream
+/// [`nws_server::ReplicaState`] over the wire protocol, serves the
+/// replica on a second socket, and drives a
+/// [`nws_server::FailoverClient`] through a mid-stream
 /// primary kill: every request must be answered, and the failover count
 /// and post-kill latency are reported.
 fn run_durability(cfg: &ExperimentConfig, quick: bool, smoke: bool) {
@@ -1574,7 +1576,8 @@ fn run_durability(cfg: &ExperimentConfig, quick: bool, smoke: bool) {
 /// quaint, recording p99 versus connection count. Phase 7 turns the
 /// adversarial personas loose on a tight-deadline server and asserts
 /// every defense trips; phase 8 replays the mix through a
-/// [`FailoverClient`] while a seeded [`CrashPlan`] picks the moment the
+/// [`nws_server::FailoverClient`] while a seeded
+/// [`nws_faults::CrashPlan`] picks the moment the
 /// primary dies, reporting availability and post-kill latency. All
 /// wall-clock numbers go to the JSON (and stdout) only.
 ///

@@ -2,7 +2,7 @@
 //!
 //! The monitor is a client of the deterministic event engine
 //! ([`nws_runtime::Engine`]): each host is one engine shard — a
-//! [`Source`] producing one [`SlotRecord`] per measurement slot — and
+//! [`Source`] producing one `SlotRecord` per measurement slot — and
 //! the [`Memory`] + [`ForecastService`] pair registers as the commit
 //! [`Stage`] absorbing those events slot-major in host-registration
 //! order. Timing comes from the shared [`Cadence`]; batching, ordering,
@@ -565,21 +565,33 @@ impl GridMonitor {
         self.engine.run(n, &mut stage);
     }
 
+    /// Every monitored host with the id of its hybrid-availability
+    /// series, in registration order — the rows of a snapshot.
+    pub fn hosts(&self) -> impl ExactSizeIterator<Item = (&str, ResourceId)> {
+        self.engine
+            .sources()
+            .iter()
+            .map(|mh| (mh.host.name(), mh.ids[2]))
+    }
+
+    /// Forecasts staler than this mark their host degraded — see
+    /// [`GridMonitorConfig::staleness_bound`].
+    pub fn staleness_bound(&self) -> Seconds {
+        self.config.staleness_bound
+    }
+
     /// A snapshot of every host's latest hybrid measurement and forecast,
     /// with staleness judged against the snapshot time.
     pub fn snapshot(&self) -> GridSnapshot {
         let time = self.now();
         let bound = self.config.staleness_bound;
         let hosts = self
-            .engine
-            .sources()
-            .iter()
-            .map(|mh| {
-                let hybrid_id = mh.ids[2];
+            .hosts()
+            .map(|(host, hybrid_id)| {
                 let forecast = self.service.forecast_at(hybrid_id, time);
                 let degraded = forecast.as_ref().is_none_or(|a| a.staleness > bound);
                 HostReport {
-                    host: mh.host.name().to_string(),
+                    host: host.to_string(),
                     latest_hybrid: self.memory.latest(hybrid_id).map(|p| p.value),
                     forecast,
                     degraded,

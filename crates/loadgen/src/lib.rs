@@ -22,10 +22,10 @@
 //!   with bounded relative error, mergeable across workers.
 //! - [`runner`] drives any [`nws_server::Transport`] open-loop or
 //!   closed-loop and binary-searches the max sustainable request rate.
-//! - [`soak`] runs the open-loop schedule with latencies bucketed into
+//! - [`mod@soak`] runs the open-loop schedule with latencies bucketed into
 //!   fixed time windows keyed by virtual arrival — a p50/p99 series
 //!   over time that exposes trends a whole-run histogram averages away.
-//! - [`churn`] sweeps the *connection-arrival* rate: connections come
+//! - [`mod@churn`] sweeps the *connection-arrival* rate: connections come
 //!   and go open-loop on their own schedule, each issuing a short
 //!   burst, so the accept path is measured per connection the way the
 //!   request path is measured per request.

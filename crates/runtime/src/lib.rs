@@ -11,7 +11,7 @@
 //! through exclusive per-index access and allocate nothing.
 //!
 //! The layer is dependency-free. Worker threads are spawned once, on the
-//! first parallel dispatch, into a process-wide [`pool`]; subsequent
+//! first parallel dispatch, into a process-wide `pool`; subsequent
 //! dispatches hand a borrowed job to the resident workers through a
 //! condvar handshake, so steady-state fan-outs allocate no thread stacks
 //! and no queue nodes. The effective worker count is resolved, in

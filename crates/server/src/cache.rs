@@ -40,29 +40,28 @@ impl QueryCache {
 
     /// Looks up the cached forecast for a resource if it is still
     /// current at `revision`; stale entries are discarded (and counted
-    /// as invalidations).
-    pub fn forecast(&mut self, id: ResourceId, revision: u64) -> Option<ForecastReply> {
-        self.forecast_ref(id, revision).cloned()
+    /// as invalidations). Hands back a reference, so a cached answer is
+    /// encoded without cloning its strings.
+    pub fn forecast_ref(&mut self, id: ResourceId, revision: u64) -> Option<&ForecastReply> {
+        if self
+            .forecasts
+            .get(&id)
+            .is_some_and(|c| c.revision == revision)
+        {
+            self.hits += 1;
+            return self.stored_forecast(id);
+        }
+        if self.forecasts.remove(&id).is_some() {
+            self.invalidations += 1;
+        }
+        self.misses += 1;
+        None
     }
 
-    /// Borrowing form of [`QueryCache::forecast`]: validates and counts
-    /// exactly the same way but hands back a reference, so the
-    /// zero-copy reply path encodes a cached answer without cloning
-    /// its strings.
-    pub fn forecast_ref(&mut self, id: ResourceId, revision: u64) -> Option<&ForecastReply> {
-        match self.forecasts.get(&id) {
-            Some(c) if c.revision == revision => self.hits += 1,
-            Some(_) => {
-                self.forecasts.remove(&id);
-                self.invalidations += 1;
-                self.misses += 1;
-                return None;
-            }
-            None => {
-                self.misses += 1;
-                return None;
-            }
-        }
+    /// The stored forecast for a resource, if any, without revision
+    /// validation or hit/miss accounting. For servers that have just
+    /// probed (or just stored) and need the reference back.
+    pub fn stored_forecast(&self, id: ResourceId) -> Option<&ForecastReply> {
         self.forecasts.get(&id).map(|c| &c.reply)
     }
 
@@ -72,30 +71,23 @@ impl QueryCache {
             .insert(id, CachedForecast { revision, reply });
     }
 
-    /// Looks up the cached snapshot if it is still current.
-    pub fn snapshot(&mut self, revision: u64) -> Option<SnapshotReply> {
-        self.snapshot_ref(revision).cloned()
-    }
-
-    /// Borrowing form of [`QueryCache::snapshot`]: validates and counts
-    /// exactly the same way but hands back a reference, so read paths
-    /// that only inspect the rows (best-host selection) never clone the
-    /// whole reply.
+    /// Looks up the cached snapshot if it is still current, by
+    /// reference, so read paths that only inspect the rows (best-host
+    /// selection) never clone the whole reply.
     pub fn snapshot_ref(&mut self, revision: u64) -> Option<&SnapshotReply> {
-        match &self.snapshot {
-            Some((rev, _)) if *rev == revision => self.hits += 1,
-            Some(_) => {
-                self.snapshot = None;
-                self.invalidations += 1;
-                self.misses += 1;
-                return None;
-            }
-            None => {
-                self.misses += 1;
-                return None;
-            }
+        if self
+            .snapshot
+            .as_ref()
+            .is_some_and(|(rev, _)| *rev == revision)
+        {
+            self.hits += 1;
+            return self.stored_snapshot();
         }
-        self.snapshot.as_ref().map(|(_, reply)| reply)
+        if self.snapshot.take().is_some() {
+            self.invalidations += 1;
+        }
+        self.misses += 1;
+        None
     }
 
     /// The stored snapshot, if any, without revision validation or
@@ -146,17 +138,18 @@ mod tests {
     fn hit_while_revision_holds_then_invalidate() {
         let mut c = QueryCache::new();
         let id = ResourceId(3);
-        assert!(c.forecast(id, 5).is_none(), "cold cache misses");
+        assert!(c.forecast_ref(id, 5).is_none(), "cold cache misses");
         c.store_forecast(id, 5, reply("kongo", 0.5));
-        assert_eq!(c.forecast(id, 5).expect("hit").value, 0.5);
-        assert_eq!(c.forecast(id, 5).expect("hit").value, 0.5);
+        assert_eq!(c.forecast_ref(id, 5).expect("hit").value, 0.5);
+        assert_eq!(c.forecast_ref(id, 5).expect("hit").value, 0.5);
         assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 1, 0));
         // Revision moved: the entry is discarded, not served.
-        assert!(c.forecast(id, 6).is_none());
+        assert!(c.forecast_ref(id, 6).is_none());
         assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 2, 1));
+        assert!(c.stored_forecast(id).is_none());
         // And it stays gone (no double-invalidation accounting).
-        assert!(c.forecast(id, 6).is_none());
-        assert_eq!(c.invalidations(), 1);
+        assert!(c.forecast_ref(id, 6).is_none());
+        assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 3, 1));
     }
 
     #[test]
@@ -166,11 +159,11 @@ mod tests {
             time: 120.0,
             hosts: Vec::new(),
         };
-        assert!(c.snapshot(1).is_none());
+        assert!(c.snapshot_ref(1).is_none());
         c.store_snapshot(1, snap.clone());
-        assert_eq!(c.snapshot(1).expect("hit"), snap);
-        assert!(c.snapshot(2).is_none(), "stale snapshot invalidated");
-        assert_eq!(c.invalidations(), 1);
+        assert_eq!(c.snapshot_ref(1).expect("hit"), &snap);
+        assert!(c.snapshot_ref(2).is_none(), "stale snapshot invalidated");
+        assert_eq!((c.hits(), c.misses(), c.invalidations()), (1, 2, 1));
     }
 
     #[test]
@@ -178,11 +171,14 @@ mod tests {
         let mut c = QueryCache::new();
         c.store_forecast(ResourceId(1), 10, reply("a", 0.1));
         c.store_forecast(ResourceId(2), 20, reply("b", 0.2));
-        assert_eq!(c.forecast(ResourceId(1), 10).expect("hit").value, 0.1);
-        assert!(c.forecast(ResourceId(2), 21).is_none(), "b moved on");
+        assert_eq!(c.forecast_ref(ResourceId(1), 10).expect("hit").value, 0.1);
+        assert!(c.forecast_ref(ResourceId(2), 21).is_none(), "b moved on");
         assert_eq!(
-            c.forecast(ResourceId(1), 10).expect("still valid").value,
+            c.forecast_ref(ResourceId(1), 10)
+                .expect("still valid")
+                .value,
             0.1
         );
+        assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 1, 1));
     }
 }

@@ -5,11 +5,19 @@
 //! processes that clients query over the network. This crate puts that
 //! query path in front of the reproduction's [`GridMonitor`]:
 //!
-//! - [`GridState`] — the server-side state: a grid monitor plus a
-//!   [`QueryCache`] of per-resource forecast answers, invalidated by the
-//!   revision counters the grid's memory and forecast service bump on
-//!   every measurement append. Repeated queries between 10-second
-//!   sensor ticks are O(1) cache hits.
+//! - [`GridState`] — the primary's server-side state: a grid monitor
+//!   behind a [`QueryCache`] of per-resource forecast answers,
+//!   invalidated by the revision counters the grid's memory and
+//!   forecast service bump on every measurement append. Repeated
+//!   queries between 10-second sensor ticks are O(1) cache hits.
+//! - [`Dispatch`] — what every transport serves through. Behind it the
+//!   request *policy* (lookups, cache protocol, accounting, bounds,
+//!   error codes) is written once, answering in borrowed
+//!   [`nws_wire::ReplyRef`]s; a reply is then rendered either straight
+//!   to frame bytes ([`Dispatch::dispatch_frame`]) or to an owned
+//!   [`nws_wire::Response`] ([`Dispatch::dispatch`], the reference the
+//!   byte path is diffed against). A reply that would not fit one frame
+//!   is refused whole with a typed error.
 //! - [`NwsServer`] — a threaded `std::net::TcpListener` server speaking
 //!   the [`nws_wire`] protocol, with per-connection read/write deadlines
 //!   and an in-flight connection bound derived from [`nws_runtime`].
@@ -25,8 +33,9 @@
 //!   can compare answers bit for bit against the TCP path.
 //! - [`ReplicaState`] — a read replica rebuilt byte-for-byte from the
 //!   primary's write-ahead log, streamed over the wire protocol's
-//!   `WalSince`/`WalChunk` frames and served through the same
-//!   [`Dispatch`] machinery as the primary.
+//!   `WalSince`/`WalChunk` frames. It answers through the same request
+//!   policy as the primary, over its own view of the replayed state,
+//!   so the two cannot drift apart.
 //! - [`FailoverClient`] — a typed client over an ordered replica set
 //!   with per-endpoint health tracking: transport failures rotate to
 //!   the next endpoint, typed server errors do not.
@@ -37,6 +46,7 @@ mod cache;
 mod client;
 mod driver;
 mod failover;
+mod policy;
 mod reactor;
 mod replica;
 mod state;

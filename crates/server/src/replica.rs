@@ -18,17 +18,14 @@
 //! at.
 
 use crate::cache::QueryCache;
+use crate::policy::{Core, Served, View};
 use crate::state::Dispatch;
 use crate::transport::{ServeError, Transport};
 use nws_grid::wal::replay;
 use nws_grid::{
     ForecastService, GridMonitorConfig, Memory, Metric, Registry, ResourceId, WalError, WalRecord,
 };
-use nws_wire::{
-    ErrorCode, ErrorReply, ForecastReply, HorizonReply, HostRow, Request, Response, SeriesPoint,
-    SeriesTailReply, SnapshotReply, StatsReply, WalChunkReply, MAX_BATCH, MAX_HORIZON, MAX_POINTS,
-    MAX_WAL_CHUNK,
-};
+use nws_wire::{Request, Response, WalChunkReply, MAX_WAL_CHUNK};
 
 /// Everything that can go wrong applying the replication stream.
 #[derive(Debug)]
@@ -85,16 +82,14 @@ impl From<ServeError> for ReplicaError {
     }
 }
 
-/// The state a read replica serves: journal-rebuilt memory and
-/// forecasts plus its own revision-validated query cache.
-pub struct ReplicaState {
-    hosts: Vec<String>,
+/// What a replica holds of the primary: the journal-rebuilt memory and
+/// forecasts, and how far replication has come.
+struct Replicated {
+    hosts: Vec<(String, ResourceId)>,
     registry: Registry,
     memory: Memory,
     service: ForecastService,
-    cache: QueryCache,
     config: GridMonitorConfig,
-    requests: u64,
     /// Journal bytes applied so far — the offset of the next pull.
     applied: u64,
     /// Journal length the primary last reported.
@@ -106,72 +101,107 @@ pub struct ReplicaState {
     primary_now: f64,
 }
 
+/// The replica: replayed state, judged against the primary's clock as
+/// of the last chunk.
+impl Served for Replicated {
+    fn view(&self) -> View<'_, impl ExactSizeIterator<Item = (&str, ResourceId)>> {
+        View {
+            cold: "has no replicated measurements yet",
+            registry: &self.registry,
+            hosts: self.hosts.iter().map(|(host, id)| (host.as_str(), *id)),
+            memory: &self.memory,
+            forecasts: &self.service,
+            now: self.primary_now,
+            // Any replicated measurement or gap moves it, and so does a
+            // primary clock advance (new chunk, same bytes).
+            revision: (self.memory.global_revision())
+                .wrapping_add(self.service.global_revision())
+                .wrapping_add(self.primary_now.to_bits()),
+            // The replica's view of the primary clock, in slots.
+            slots: (self.primary_now / self.config.cadence.measurement_period).round() as u64,
+            staleness_bound: self.config.staleness_bound,
+            journal: Err("replicas do not serve the journal; pull from the primary"),
+        }
+    }
+}
+
+/// The state a read replica serves: journal-rebuilt memory and
+/// forecasts plus its own revision-validated query cache.
+pub struct ReplicaState {
+    core: Core<Replicated>,
+}
+
 impl ReplicaState {
     /// Creates an empty replica of a primary monitoring `hosts`,
     /// registering the same four metrics per host in the same order so
     /// resource ids in the journal resolve identically.
     pub fn new(hosts: &[&str], config: GridMonitorConfig) -> Self {
         let mut registry = Registry::new();
-        for host in hosts {
-            registry.register(*host, Metric::CpuAvailabilityLoad);
-            registry.register(*host, Metric::CpuAvailabilityVmstat);
-            registry.register(*host, Metric::CpuAvailabilityHybrid);
-            registry.register(*host, Metric::LoadAverage);
-        }
+        let hosts = hosts
+            .iter()
+            .map(|host| {
+                registry.register(*host, Metric::CpuAvailabilityLoad);
+                registry.register(*host, Metric::CpuAvailabilityVmstat);
+                let hybrid = registry.register(*host, Metric::CpuAvailabilityHybrid);
+                registry.register(*host, Metric::LoadAverage);
+                (host.to_string(), hybrid)
+            })
+            .collect();
         Self {
-            hosts: hosts.iter().map(|h| h.to_string()).collect(),
-            registry,
-            memory: Memory::new(config.memory),
-            service: ForecastService::new(config.interval_coverage),
-            cache: QueryCache::new(),
-            config,
-            requests: 0,
-            applied: 0,
-            primary_total: 0,
-            primary_revision: 0,
-            primary_now: 0.0,
+            core: Core::new(Replicated {
+                hosts,
+                registry,
+                memory: Memory::new(config.memory),
+                service: ForecastService::new(config.interval_coverage),
+                config,
+                applied: 0,
+                primary_total: 0,
+                primary_revision: 0,
+                primary_now: 0.0,
+            }),
         }
     }
 
     /// The replicated memory (for fingerprint comparisons).
     pub fn memory(&self) -> &Memory {
-        &self.memory
+        &self.core.state.memory
     }
 
     /// The replicated forecast service.
     pub fn forecasts(&self) -> &ForecastService {
-        &self.service
+        &self.core.state.service
     }
 
     /// The replica's query cache (for hit/miss accounting).
     pub fn cache(&self) -> &QueryCache {
-        &self.cache
+        &self.core.cache
     }
 
     /// Journal bytes applied so far.
     pub fn applied(&self) -> u64 {
-        self.applied
+        self.core.state.applied
     }
 
     /// Whether the replica has applied every journal byte the primary
     /// last reported. A `true` here is a point-in-time fact: the
     /// primary may have moved on since the last pull.
     pub fn synced(&self) -> bool {
-        self.applied == self.primary_total
+        self.core.state.applied == self.core.state.primary_total
     }
 
     /// Applies one replication chunk. Chunks must arrive in order and
     /// decode cleanly; anything else is a typed error and the replica
     /// state is left at the last good record.
     pub fn apply_chunk(&mut self, chunk: &WalChunkReply) -> Result<u64, ReplicaError> {
-        if chunk.offset != self.applied {
+        let rep = &mut self.core.state;
+        if chunk.offset != rep.applied {
             return Err(ReplicaError::OffsetGap {
-                expected: self.applied,
+                expected: rep.applied,
                 got: chunk.offset,
             });
         }
-        let memory = &mut self.memory;
-        let service = &mut self.service;
+        let memory = &mut rep.memory;
+        let service = &mut rep.service;
         let outcome = replay(&chunk.bytes, 0, |rec| {
             memory.apply(rec);
             match *rec {
@@ -180,14 +210,14 @@ impl ReplicaState {
                 WalRecord::Drop { .. } => {}
             }
         });
-        self.applied += outcome.end as u64;
+        rep.applied += outcome.end as u64;
         if let Some(e) = outcome.error {
             return Err(ReplicaError::Corrupt(e));
         }
         debug_assert_eq!(outcome.end, chunk.bytes.len(), "chunks end on boundaries");
-        self.primary_total = chunk.total;
-        self.primary_revision = chunk.revision;
-        self.primary_now = chunk.now;
+        rep.primary_total = chunk.total;
+        rep.primary_revision = chunk.revision;
+        rep.primary_now = chunk.now;
         Ok(outcome.records)
     }
 
@@ -197,210 +227,35 @@ impl ReplicaState {
     pub fn sync<T: Transport>(&mut self, primary: &mut T) -> Result<u64, ReplicaError> {
         let mut records = 0;
         loop {
-            let chunk = primary.wal_since(self.applied, MAX_WAL_CHUNK as u32)?;
+            let chunk = primary.wal_since(self.applied(), MAX_WAL_CHUNK as u32)?;
             let got = chunk.bytes.len();
             records += self.apply_chunk(&chunk)?;
-            if self.applied >= self.primary_total {
-                if self.memory.global_revision() != self.primary_revision {
+            let rep = &self.core.state;
+            if rep.applied >= rep.primary_total {
+                if rep.memory.global_revision() != rep.primary_revision {
                     return Err(ReplicaError::RevisionMismatch {
-                        ours: self.memory.global_revision(),
-                        primary: self.primary_revision,
+                        ours: rep.memory.global_revision(),
+                        primary: rep.primary_revision,
                     });
                 }
                 return Ok(records);
             }
             if got == 0 {
                 return Err(ReplicaError::Stalled {
-                    offset: self.applied,
+                    offset: rep.applied,
                 });
             }
-        }
-    }
-
-    fn error(code: ErrorCode, message: impl Into<String>) -> Response {
-        Response::Error(ErrorReply {
-            code,
-            message: message.into(),
-        })
-    }
-
-    fn hybrid_id(&self, host: &str) -> Option<ResourceId> {
-        self.registry.lookup(host, Metric::CpuAvailabilityHybrid)
-    }
-
-    fn dispatch_one(&mut self, req: &Request) -> Response {
-        self.requests += 1;
-        match req {
-            Request::Forecast { host } => self.forecast(host),
-            Request::Snapshot => Response::Snapshot(self.snapshot_reply()),
-            Request::BestHost => self.best_host(),
-            Request::SeriesTail { host, n } => self.series_tail(host, *n),
-            Request::Stats => Response::Stats(self.stats_reply()),
-            Request::WalSince { .. } => Self::error(
-                ErrorCode::BadRequest,
-                "replicas do not serve the journal; pull from the primary",
-            ),
-            Request::ForecastHorizon { host, k } => self.forecast_horizon(host, *k),
-            Request::Batch(_) => Self::error(ErrorCode::BadRequest, "batches cannot nest"),
-        }
-    }
-
-    /// Multi-step forecasts from the replica's replayed forecasters —
-    /// the same panel state the primary holds once synced, so a failed-
-    /// over client keeps getting horizons.
-    fn forecast_horizon(&mut self, host: &str, k: u32) -> Response {
-        let Some(id) = self.hybrid_id(host) else {
-            return Self::error(ErrorCode::UnknownHost, format!("no such host: {host}"));
-        };
-        if k == 0 {
-            return Self::error(ErrorCode::BadRequest, "horizon must be at least one step");
-        }
-        let k = (k as usize).min(MAX_HORIZON);
-        let Some(steps) = self.service.forecast_horizon(id, k) else {
-            return Self::error(
-                ErrorCode::ColdForecast,
-                format!("{host} has no replicated measurements yet"),
-            );
-        };
-        let method = self
-            .service
-            .forecast(id)
-            .map(|a| a.forecast.method.to_string())
-            .unwrap_or_default();
-        Response::ForecastHorizon(HorizonReply {
-            host: host.to_string(),
-            method,
-            steps,
-        })
-    }
-
-    fn forecast(&mut self, host: &str) -> Response {
-        let Some(id) = self.hybrid_id(host) else {
-            return Self::error(ErrorCode::UnknownHost, format!("no such host: {host}"));
-        };
-        let revision = self.service.revision(id);
-        if let Some(reply) = self.cache.forecast(id, revision) {
-            return Response::Forecast(reply);
-        }
-        let Some(answer) = self.service.forecast_at(id, self.primary_now) else {
-            return Self::error(
-                ErrorCode::ColdForecast,
-                format!("{host} has no replicated measurements yet"),
-            );
-        };
-        let reply = ForecastReply {
-            host: host.to_string(),
-            value: answer.forecast.value,
-            method: answer.forecast.method.to_string(),
-            interval: answer.interval.as_ref().map(|iv| (iv.lo, iv.hi)),
-            observations: answer.observations,
-            staleness: answer.staleness,
-            confidence: answer.confidence,
-        };
-        self.cache.store_forecast(id, revision, reply.clone());
-        Response::Forecast(reply)
-    }
-
-    /// The replica-wide revision cached snapshots validate against:
-    /// any replicated measurement or gap moves it, and so does a
-    /// primary clock advance (new chunk, same bytes).
-    fn snapshot_revision(&self) -> u64 {
-        self.memory
-            .global_revision()
-            .wrapping_add(self.service.global_revision())
-            .wrapping_add(self.primary_now.to_bits())
-    }
-
-    fn current_snapshot(&mut self) -> &SnapshotReply {
-        let revision = self.snapshot_revision();
-        if self.cache.snapshot_ref(revision).is_none() {
-            let time = self.primary_now;
-            let bound = self.config.staleness_bound;
-            let hosts = self
-                .hosts
-                .iter()
-                .map(|host| {
-                    let id = self
-                        .registry
-                        .lookup(host, Metric::CpuAvailabilityHybrid)
-                        .expect("registered in new()");
-                    let answer = self.service.forecast_at(id, time);
-                    let degraded = answer.as_ref().is_none_or(|a| a.staleness > bound);
-                    HostRow {
-                        host: host.clone(),
-                        latest: self.memory.latest(id).map(|p| p.value),
-                        forecast: answer.map(|a| a.forecast.value),
-                        degraded,
-                    }
-                })
-                .collect();
-            self.cache
-                .store_snapshot(revision, SnapshotReply { time, hosts });
-        }
-        self.cache.stored_snapshot().expect("just stored")
-    }
-
-    fn snapshot_reply(&mut self) -> SnapshotReply {
-        self.current_snapshot().clone()
-    }
-
-    fn best_host(&mut self) -> Response {
-        let best = self
-            .current_snapshot()
-            .hosts
-            .iter()
-            .filter(|h| !h.degraded)
-            .filter(|h| h.forecast.is_some_and(f64::is_finite))
-            .max_by(|a, b| {
-                let fa = a.forecast.expect("filtered");
-                let fb = b.forecast.expect("filtered");
-                fa.total_cmp(&fb)
-            })
-            .cloned();
-        Response::BestHost(best)
-    }
-
-    fn series_tail(&mut self, host: &str, n: u32) -> Response {
-        let Some(id) = self.hybrid_id(host) else {
-            return Self::error(ErrorCode::UnknownHost, format!("no such host: {host}"));
-        };
-        let n = (n as usize).min(MAX_POINTS);
-        let (times, values) = self.memory.tail(id, n);
-        let points = times
-            .iter()
-            .zip(values)
-            .map(|(&time, &value)| SeriesPoint { time, value })
-            .collect();
-        Response::SeriesTail(SeriesTailReply {
-            host: host.to_string(),
-            points,
-        })
-    }
-
-    fn stats_reply(&self) -> StatsReply {
-        StatsReply {
-            requests: self.requests,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            invalidations: self.cache.invalidations(),
-            // The replica's view of the primary clock, in slots.
-            slots: (self.primary_now / self.config.cadence.measurement_period).round() as u64,
-            hosts: self.hosts.len() as u32,
         }
     }
 }
 
 impl Dispatch for ReplicaState {
     fn dispatch(&mut self, req: &Request) -> Response {
-        match req {
-            Request::Batch(items) => {
-                if items.len() > MAX_BATCH {
-                    return Self::error(ErrorCode::BadRequest, "batch too large");
-                }
-                Response::Batch(items.iter().map(|r| self.dispatch_one(r)).collect())
-            }
-            other => self.dispatch_one(other),
-        }
+        self.core.dispatch(req)
+    }
+
+    fn dispatch_frame(&mut self, req: &Request, out: &mut Vec<u8>) {
+        self.core.dispatch_frame(req, out);
     }
 }
 
@@ -411,6 +266,7 @@ mod tests {
     use crate::transport::InMemoryTransport;
     use nws_grid::{GridMonitor, GridMonitorConfig, Wal};
     use nws_sim::HostProfile;
+    use nws_wire::ErrorCode;
     use std::sync::{Arc, Mutex};
 
     const HOSTS: [&str; 2] = ["thing1", "gremlin"];

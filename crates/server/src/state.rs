@@ -1,21 +1,17 @@
 //! Server-side state and request dispatch.
 //!
-//! [`GridState`] owns the grid monitor and the [`QueryCache`] and turns
-//! each decoded [`Request`] into a [`Response`]. Dispatch is pure with
+//! [`GridState`] puts a [`QueryCache`] and the request accounting in
+//! front of a grid monitor and answers each decoded [`Request`] through
+//! the one request policy in [`crate::policy`]. Dispatch is pure with
 //! respect to the grid's seed and the request sequence: the same
 //! requests against the same grid state produce byte-identical
 //! responses on every transport and at every thread count (the grid's
 //! parallel advance is itself bit-deterministic).
 
 use crate::cache::QueryCache;
-use nws_grid::wal::MAX_RECORD_FRAME;
-use nws_grid::{GridMonitor, Metric};
-use nws_wire::{
-    append_response_frame, begin_response_frame, end_response_frame, ErrorCode, ErrorReply,
-    ForecastReply, HorizonReply, HostRow, Request, Response, SeriesPoint, SeriesTailReply,
-    SnapshotReply, StatsReply, WalChunkReply, Writer, MAX_BATCH, MAX_HORIZON, MAX_POINTS,
-    MAX_WAL_CHUNK,
-};
+use crate::policy::{Core, Served, View};
+use nws_grid::{GridMonitor, ResourceId};
+use nws_wire::{append_response_frame, Request, Response};
 
 /// Anything that can answer a decoded request — the primary
 /// ([`GridState`]) and read replicas
@@ -30,51 +26,52 @@ pub trait Dispatch: Send {
     /// `req` to `out` without clearing it — the write-queue form every
     /// transport serves through, so replies to pipelined requests
     /// stack up in request order. The default builds the [`Response`]
-    /// and encodes it; implementations may override with zero-copy
-    /// fast paths, but the appended bytes *and* every observable state
-    /// change must be identical to the default — the equivalence tests
-    /// pin both.
+    /// and encodes it; [`GridState`] and
+    /// [`ReplicaState`](crate::ReplicaState) encode straight from
+    /// borrowed state instead. The appended bytes *and* every
+    /// observable state change must be identical to the default — the
+    /// equivalence tests pin both.
     fn dispatch_frame(&mut self, req: &Request, out: &mut Vec<u8>) {
         let resp = self.dispatch(req);
         append_response_frame(out, &resp);
     }
 }
 
+/// The primary: the live monitor, judged against its own clock.
+impl Served for GridMonitor {
+    fn view(&self) -> View<'_, impl ExactSizeIterator<Item = (&str, ResourceId)>> {
+        View {
+            cold: "has no measurements yet",
+            registry: self.registry(),
+            hosts: self.hosts(),
+            memory: self.memory(),
+            forecasts: self.forecasts(),
+            now: self.now(),
+            revision: self.revision(),
+            slots: self.slots(),
+            staleness_bound: self.staleness_bound(),
+            journal: self.journal().ok_or("no journal attached to this server"),
+        }
+    }
+}
+
 /// The state a forecast server fronts: the grid, the cache, and the
 /// request accounting.
 pub struct GridState {
-    grid: GridMonitor,
-    cache: QueryCache,
-    requests: u64,
-    hosts: u32,
-}
-
-fn error(code: ErrorCode, message: impl Into<String>) -> Response {
-    Response::Error(ErrorReply {
-        code,
-        message: message.into(),
-    })
-}
-
-fn encode_error(w: &mut Writer, code: ErrorCode, message: impl Into<String>) {
-    error(code, message).encode_into(w);
+    core: Core<GridMonitor>,
 }
 
 impl GridState {
     /// Wraps a grid monitor for serving.
     pub fn new(grid: GridMonitor) -> Self {
-        let hosts = grid.snapshot().hosts.len() as u32;
         Self {
-            grid,
-            cache: QueryCache::new(),
-            requests: 0,
-            hosts,
+            core: Core::new(grid),
         }
     }
 
     /// The grid being served.
     pub fn grid(&self) -> &GridMonitor {
-        &self.grid
+        &self.core.state
     }
 
     /// Advances the simulated grid by `steps` measurement slots. Every
@@ -82,413 +79,38 @@ impl GridState {
     /// before the tick stop validating — the measurement-append
     /// invalidation the cache is built around.
     pub fn tick(&mut self, steps: u64) {
-        self.grid.run_steps(steps);
+        self.core.state.run_steps(steps);
     }
 
     /// The cache (for tests and reporting).
     pub fn cache(&self) -> &QueryCache {
-        &self.cache
+        &self.core.cache
     }
 
     /// Answers one request. Batches are answered element-wise in
     /// order; everything else is a single reply.
     pub fn dispatch(&mut self, req: &Request) -> Response {
-        match req {
-            Request::Batch(items) => {
-                if items.len() > MAX_BATCH {
-                    // Decode already bounds this; guard anyway for
-                    // requests constructed in-process.
-                    return error(ErrorCode::BadRequest, "batch too large");
-                }
-                Response::Batch(items.iter().map(|r| self.dispatch_one(r)).collect())
-            }
-            other => self.dispatch_one(other),
-        }
-    }
-
-    fn dispatch_one(&mut self, req: &Request) -> Response {
-        self.requests += 1;
-        match req {
-            Request::Forecast { host } => self.forecast(host),
-            Request::Snapshot => Response::Snapshot(self.snapshot_reply()),
-            Request::BestHost => self.best_host(),
-            Request::SeriesTail { host, n } => self.series_tail(host, *n),
-            Request::Stats => Response::Stats(self.stats_reply()),
-            Request::WalSince { offset, max } => self.wal_since(*offset, *max),
-            Request::ForecastHorizon { host, k } => self.forecast_horizon(host, *k),
-            Request::Batch(_) => error(ErrorCode::BadRequest, "batches cannot nest"),
-        }
-    }
-
-    /// Serves a multi-step forecast from the currently selected panel
-    /// predictor. Horizons are recomputed per request (no cache row):
-    /// iterating a fitted AR/ARMA model `k` steps is cheaper than the
-    /// bookkeeping a revision-checked cache entry would add.
-    fn forecast_horizon(&mut self, host: &str, k: u32) -> Response {
-        let Some(id) = self
-            .grid
-            .registry()
-            .lookup(host, Metric::CpuAvailabilityHybrid)
-        else {
-            return error(ErrorCode::UnknownHost, format!("no such host: {host}"));
-        };
-        if k == 0 {
-            return error(ErrorCode::BadRequest, "horizon must be at least one step");
-        }
-        let k = (k as usize).min(MAX_HORIZON);
-        let Some(steps) = self.grid.forecasts().forecast_horizon(id, k) else {
-            return error(
-                ErrorCode::ColdForecast,
-                format!("{host} has no measurements yet"),
-            );
-        };
-        let method = self
-            .grid
-            .forecasts()
-            .forecast(id)
-            .map(|a| a.forecast.method.to_string())
-            .unwrap_or_default();
-        Response::ForecastHorizon(HorizonReply {
-            host: host.to_string(),
-            method,
-            steps,
-        })
-    }
-
-    /// Serves one bounded chunk of the journal for replication. The
-    /// chunk always ends on a record boundary, so a replica can apply
-    /// it without buffering partial frames across replies.
-    fn wal_since(&mut self, offset: u64, max: u32) -> Response {
-        let Some(wal) = self.grid.journal() else {
-            return error(ErrorCode::BadRequest, "no journal attached to this server");
-        };
-        let total = wal.len() as u64;
-        let start = wal.start_offset() as u64;
-        if offset < start {
-            return error(
-                ErrorCode::BadRequest,
-                format!("wal offset {offset} was rotated away; journal starts at {start}"),
-            );
-        }
-        if offset > total {
-            return error(
-                ErrorCode::BadRequest,
-                format!("wal offset {offset} is past the journal end {total}"),
-            );
-        }
-        let max = (max as usize).clamp(MAX_RECORD_FRAME, MAX_WAL_CHUNK);
-        let bytes = wal.chunk(offset as usize, max).to_vec();
-        Response::WalChunk(WalChunkReply {
-            offset,
-            total,
-            revision: self.grid.memory().global_revision(),
-            now: self.grid.now(),
-            bytes,
-        })
-    }
-
-    fn forecast(&mut self, host: &str) -> Response {
-        let Some(id) = self
-            .grid
-            .registry()
-            .lookup(host, Metric::CpuAvailabilityHybrid)
-        else {
-            return error(ErrorCode::UnknownHost, format!("no such host: {host}"));
-        };
-        let revision = self.grid.forecasts().revision(id);
-        if let Some(reply) = self.cache.forecast(id, revision) {
-            return Response::Forecast(reply);
-        }
-        let now = self.grid.now();
-        let Some(answer) = self.grid.forecasts().forecast_at(id, now) else {
-            return error(
-                ErrorCode::ColdForecast,
-                format!("{host} has no measurements yet"),
-            );
-        };
-        let reply = ForecastReply {
-            host: host.to_string(),
-            value: answer.forecast.value,
-            method: answer.forecast.method.to_string(),
-            interval: answer.interval.as_ref().map(|iv| (iv.lo, iv.hi)),
-            observations: answer.observations,
-            staleness: answer.staleness,
-            confidence: answer.confidence,
-        };
-        self.cache.store_forecast(id, revision, reply.clone());
-        Response::Forecast(reply)
-    }
-
-    /// The current snapshot reply, by reference: one cache probe (with
-    /// the usual hit/miss accounting), recomputed and stored only when
-    /// the grid revision moved. Callers clone what they actually need —
-    /// the whole reply for a `Snapshot` answer, a single row for
-    /// best-host selection.
-    fn current_snapshot(&mut self) -> &SnapshotReply {
-        let revision = self.grid.revision();
-        if self.cache.snapshot_ref(revision).is_none() {
-            let snap = self.grid.snapshot();
-            let reply = SnapshotReply {
-                time: snap.time,
-                hosts: snap
-                    .hosts
-                    .iter()
-                    .map(|h| HostRow {
-                        host: h.host.clone(),
-                        latest: h.latest_hybrid,
-                        forecast: h.forecast.as_ref().map(|a| a.forecast.value),
-                        degraded: h.degraded,
-                    })
-                    .collect(),
-            };
-            self.cache.store_snapshot(revision, reply);
-        }
-        self.cache.stored_snapshot().expect("just stored")
-    }
-
-    fn snapshot_reply(&mut self) -> SnapshotReply {
-        self.current_snapshot().clone()
-    }
-
-    fn best_host(&mut self) -> Response {
-        // Same placement rule as `GridSnapshot::best_host`, computed
-        // over the (cached) snapshot rows: non-degraded hosts with a
-        // finite forecast, highest availability wins. Only the winning
-        // row is cloned out of the cache.
-        let best = self
-            .current_snapshot()
-            .hosts
-            .iter()
-            .filter(|h| !h.degraded)
-            .filter(|h| h.forecast.is_some_and(f64::is_finite))
-            .max_by(|a, b| {
-                let fa = a.forecast.expect("filtered");
-                let fb = b.forecast.expect("filtered");
-                fa.total_cmp(&fb)
-            })
-            .cloned();
-        Response::BestHost(best)
-    }
-
-    fn series_tail(&mut self, host: &str, n: u32) -> Response {
-        let Some(id) = self
-            .grid
-            .registry()
-            .lookup(host, Metric::CpuAvailabilityHybrid)
-        else {
-            return error(ErrorCode::UnknownHost, format!("no such host: {host}"));
-        };
-        let n = (n as usize).min(MAX_POINTS);
-        // Borrowed column slices straight out of the ring — the reply's
-        // points are built without an intermediate Vec<TimePoint>.
-        let (times, values) = self.grid.memory().tail(id, n);
-        let points = times
-            .iter()
-            .zip(values)
-            .map(|(&time, &value)| SeriesPoint { time, value })
-            .collect();
-        Response::SeriesTail(SeriesTailReply {
-            host: host.to_string(),
-            points,
-        })
-    }
-
-    fn stats_reply(&self) -> StatsReply {
-        StatsReply {
-            requests: self.requests,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            invalidations: self.cache.invalidations(),
-            slots: self.grid.slots(),
-            hosts: self.hosts,
-        }
-    }
-
-    /// Zero-copy reply encoder: appends the *payload* bytes of `req`'s
-    /// reply to `w`, straight from cache and memory borrows — no
-    /// intermediate `Response`, no cloned strings, no per-reply `Vec`.
-    /// Mirrors [`GridState::dispatch`] exactly: same bytes, same
-    /// request counting, same cache accounting. The `dispatch_frame`
-    /// equivalence tests diff the two paths over the full vocabulary.
-    fn encode_reply(&mut self, req: &Request, allow_batch: bool, w: &mut Writer) {
-        if let Request::Batch(items) = req {
-            if !allow_batch {
-                self.requests += 1;
-                return encode_error(w, ErrorCode::BadRequest, "batches cannot nest");
-            }
-            if items.len() > MAX_BATCH {
-                return encode_error(w, ErrorCode::BadRequest, "batch too large");
-            }
-            w.put_u8(5);
-            w.put_u32(items.len() as u32);
-            for item in items {
-                self.encode_reply(item, false, w);
-            }
-            return;
-        }
-        self.requests += 1;
-        match req {
-            Request::Forecast { host } => self.encode_forecast(host, w),
-            Request::Snapshot => {
-                // The whole reply is encoded from the cache borrow —
-                // the reference path clones every host row instead.
-                let snap = self.current_snapshot();
-                w.put_u8(1);
-                w.put_f64(snap.time);
-                w.put_u32(snap.hosts.len() as u32);
-                for row in &snap.hosts {
-                    row.encode_into(w);
-                }
-            }
-            Request::BestHost => {
-                // Same placement rule as `best_host`, but the winning
-                // row is encoded in place, not cloned out of the cache.
-                let best = self
-                    .current_snapshot()
-                    .hosts
-                    .iter()
-                    .filter(|h| !h.degraded)
-                    .filter(|h| h.forecast.is_some_and(f64::is_finite))
-                    .max_by(|a, b| {
-                        let fa = a.forecast.expect("filtered");
-                        let fb = b.forecast.expect("filtered");
-                        fa.total_cmp(&fb)
-                    });
-                w.put_u8(2);
-                match best {
-                    None => w.put_bool(false),
-                    Some(row) => {
-                        w.put_bool(true);
-                        row.encode_into(w);
-                    }
-                }
-            }
-            Request::SeriesTail { host, n } => self.encode_series_tail(host, *n, w),
-            Request::Stats => Response::Stats(self.stats_reply()).encode_into(w),
-            Request::WalSince { offset, max } => self.encode_wal_since(*offset, *max, w),
-            Request::ForecastHorizon { host, k } => {
-                // Horizons are recomputed per request on both paths, so
-                // encoding the built reply is already the fast path.
-                self.forecast_horizon(host, *k).encode_into(w)
-            }
-            Request::Batch(_) => unreachable!("batches handled above"),
-        }
-    }
-
-    fn encode_forecast(&mut self, host: &str, w: &mut Writer) {
-        let Some(id) = self
-            .grid
-            .registry()
-            .lookup(host, Metric::CpuAvailabilityHybrid)
-        else {
-            return encode_error(w, ErrorCode::UnknownHost, format!("no such host: {host}"));
-        };
-        let revision = self.grid.forecasts().revision(id);
-        if let Some(reply) = self.cache.forecast_ref(id, revision) {
-            w.put_u8(0);
-            reply.encode_into(w);
-            return;
-        }
-        let now = self.grid.now();
-        let Some(answer) = self.grid.forecasts().forecast_at(id, now) else {
-            return encode_error(
-                w,
-                ErrorCode::ColdForecast,
-                format!("{host} has no measurements yet"),
-            );
-        };
-        let reply = ForecastReply {
-            host: host.to_string(),
-            value: answer.forecast.value,
-            method: answer.forecast.method.to_string(),
-            interval: answer.interval.as_ref().map(|iv| (iv.lo, iv.hi)),
-            observations: answer.observations,
-            staleness: answer.staleness,
-            confidence: answer.confidence,
-        };
-        w.put_u8(0);
-        reply.encode_into(w);
-        self.cache.store_forecast(id, revision, reply);
-    }
-
-    fn encode_series_tail(&mut self, host: &str, n: u32, w: &mut Writer) {
-        let Some(id) = self
-            .grid
-            .registry()
-            .lookup(host, Metric::CpuAvailabilityHybrid)
-        else {
-            return encode_error(w, ErrorCode::UnknownHost, format!("no such host: {host}"));
-        };
-        let n = (n as usize).min(MAX_POINTS);
-        // Borrowed column slices straight out of the ring, encoded
-        // pair by pair — no Vec<SeriesPoint>, no cloned host string.
-        let (times, values) = self.grid.memory().tail(id, n);
-        w.put_u8(3);
-        w.put_str(host);
-        w.put_u32(times.len() as u32);
-        for (&time, &value) in times.iter().zip(values) {
-            w.put_f64(time);
-            w.put_f64(value);
-        }
-    }
-
-    fn encode_wal_since(&mut self, offset: u64, max: u32, w: &mut Writer) {
-        let Some(wal) = self.grid.journal() else {
-            return encode_error(
-                w,
-                ErrorCode::BadRequest,
-                "no journal attached to this server",
-            );
-        };
-        let total = wal.len() as u64;
-        let start = wal.start_offset() as u64;
-        if offset < start {
-            return encode_error(
-                w,
-                ErrorCode::BadRequest,
-                format!("wal offset {offset} was rotated away; journal starts at {start}"),
-            );
-        }
-        if offset > total {
-            return encode_error(
-                w,
-                ErrorCode::BadRequest,
-                format!("wal offset {offset} is past the journal end {total}"),
-            );
-        }
-        let max = (max as usize).clamp(MAX_RECORD_FRAME, MAX_WAL_CHUNK);
-        let revision = self.grid.memory().global_revision();
-        let now = self.grid.now();
-        // The chunk bytes flow from the journal to the write queue
-        // without the reference path's intermediate copy.
-        let bytes = wal.chunk(offset as usize, max);
-        w.put_u8(7);
-        w.put_u64(offset);
-        w.put_u64(total);
-        w.put_u64(revision);
-        w.put_f64(now);
-        w.put_bytes(bytes);
+        self.core.dispatch(req)
     }
 }
 
 impl Dispatch for GridState {
     fn dispatch(&mut self, req: &Request) -> Response {
-        GridState::dispatch(self, req)
+        self.core.dispatch(req)
     }
 
     fn dispatch_frame(&mut self, req: &Request, out: &mut Vec<u8>) {
-        let start = begin_response_frame(out);
-        let mut w = Writer::with_buf(std::mem::take(out));
-        self.encode_reply(req, true, &mut w);
-        *out = w.finish();
-        end_response_frame(out, start);
+        self.core.dispatch_frame(req, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{InMemoryTransport, ReplicaState};
     use nws_sim::HostProfile;
+    use nws_wire::{ErrorCode, MAX_BATCH, MAX_HORIZON};
+    use std::sync::{Arc, Mutex};
 
     fn warm_state() -> GridState {
         let mut grid = GridMonitor::new(
@@ -624,7 +246,8 @@ mod tests {
         // zero-copy frame path, one through the Response reference
         // path. Every reply must be byte-identical AND the two states
         // must agree on all observable accounting afterwards (the
-        // final Stats reply carries the counters).
+        // final Stats reply carries the counters). The same for two
+        // replicas synced from a third primary, which refuse `WalSince`.
         let build = || {
             let mut grid = GridMonitor::new(
                 &[HostProfile::Thing1, HostProfile::Gremlin],
@@ -637,6 +260,9 @@ mod tests {
         };
         let mut fast = build();
         let mut slow = build();
+        let mut feed = InMemoryTransport::new(Arc::new(Mutex::new(build())));
+        let replica = || ReplicaState::new(&["thing1", "gremlin"], Default::default());
+        let (mut fast_replica, mut slow_replica) = (replica(), replica());
         let wal_end = slow.grid().journal().expect("attached").len() as u64;
         let vocabulary = vec![
             Request::Forecast {
@@ -690,19 +316,27 @@ mod tests {
             Request::Batch(vec![Request::Stats; MAX_BATCH + 1]), // oversized
             Request::Stats,                               // final accounting pin
         ];
-        for pass in 0..2 {
-            for req in &vocabulary {
+        fn diff<D: Dispatch>(fast: &mut D, slow: &mut D, vocabulary: &[Request], pass: usize) {
+            for req in vocabulary {
                 let mut fast_bytes = vec![0xA5]; // dirty prefix: append semantics
                 fast.dispatch_frame(req, &mut fast_bytes);
-                let resp = Dispatch::dispatch(&mut slow, req);
+                let resp = slow.dispatch(req);
                 let mut slow_bytes = vec![0xA5];
                 append_response_frame(&mut slow_bytes, &resp);
                 assert_eq!(fast_bytes, slow_bytes, "pass {pass}: {req:?}");
             }
+        }
+        for pass in 0..2 {
+            for replica in [&mut fast_replica, &mut slow_replica] {
+                replica.sync(&mut feed).expect("sync");
+            }
+            diff(&mut fast, &mut slow, &vocabulary, pass);
+            diff(&mut fast_replica, &mut slow_replica, &vocabulary, pass);
             // Tick between passes so invalidation/recompute paths are
             // compared too, not just the warm-cache ones.
             fast.tick(1);
             slow.tick(1);
+            feed.state().lock().unwrap().tick(1);
         }
     }
 

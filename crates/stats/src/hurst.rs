@@ -15,7 +15,7 @@
 //! periodogram (`I(λ) ~ λ^{1−2H}`).
 //!
 //! The pox-plot and aggregated-variance sweeps share one O(n)
-//! prefix-sum/prefix-square-sum pass ([`SeriesPrefix`]): every segment's
+//! prefix-sum/prefix-square-sum pass (`SeriesPrefix`): every segment's
 //! mean and standard deviation then costs O(1) instead of a fresh O(d)
 //! scan per moment, and the ladder lengths fan out over
 //! [`nws_runtime::parallel_map`] in input order, so results stay

@@ -37,6 +37,12 @@ impl Writer {
         self.buf
     }
 
+    /// Cuts the buffer back to its first `len` bytes — how a server
+    /// withdraws a partly encoded reply it has to refuse.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -10,7 +10,10 @@
 //!   `SeriesTail(host, n)`, `Stats`, and a bounded `Batch` for
 //!   pipelined round trips;
 //! - [`Response`] — the matching replies plus a typed [`ErrorReply`]
-//!   frame.
+//!   frame;
+//! - [`ReplyRef`] — one reply still borrowed from the server state that
+//!   produced it, encoding to the bytes of the [`Response`] it stands
+//!   for.
 //!
 //! Everything is hand-rolled over explicit little-endian primitives
 //! (no serde, no external crates) so the byte layout is fully specified
@@ -37,9 +40,9 @@ pub use frame::{
     read_response, write_request, write_response, FrameKind, HEADER_LEN,
 };
 pub use message::{
-    ErrorCode, ErrorReply, ForecastReply, HorizonReply, HostRow, Request, Response, SeriesPoint,
-    SeriesTailReply, SnapshotReply, StatsReply, WalChunkReply, MAX_BATCH, MAX_HORIZON, MAX_HOSTS,
-    MAX_POINTS, MAX_WAL_CHUNK,
+    ErrorCode, ErrorReply, ForecastReply, HorizonReply, HostRow, ReplyRef, Request, Response,
+    SeriesPoint, SeriesTailReply, SnapshotReply, StatsReply, WalChunkReply, BATCH_HEADER_LEN,
+    MAX_BATCH, MAX_HORIZON, MAX_HOSTS, MAX_POINTS, MAX_WAL_CHUNK,
 };
 
 /// Frame magic: `"NW"` in big-endian byte order on the wire.
@@ -49,7 +52,11 @@ pub const MAGIC: u16 = 0x4E57;
 pub const VERSION: u8 = 1;
 
 /// Maximum payload length a frame may carry (1 MiB). Frames declaring
-/// more are rejected before the payload is read.
+/// more are rejected before the payload is read, so a server must not
+/// send one: the per-type bounds ([`MAX_POINTS`], [`MAX_HOSTS`],
+/// [`MAX_BATCH`]) do not add up to a frame, and a reply that would pass
+/// this bound ([`ReplyRef::encoded_len`] tells) is answered with an
+/// [`ErrorCode::BadRequest`] instead.
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Everything that can go wrong encoding, decoding, or framing a

@@ -221,6 +221,15 @@ pub struct ErrorReply {
     pub message: String,
 }
 
+impl ErrorReply {
+    /// Appends the reply, response tag first, to `w`.
+    fn encode_into(&self, w: &mut Writer) {
+        w.put_u8(6);
+        w.put_u8(self.code.tag());
+        w.put_str(&self.message);
+    }
+}
+
 /// The standing forecast for one host, NWS-extract style.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForecastReply {
@@ -242,10 +251,9 @@ pub struct ForecastReply {
 }
 
 impl ForecastReply {
-    /// Appends the reply body (no response tag) to `w`. Public so a
-    /// server can encode a cached reply straight out of a borrow — the
-    /// same bytes `Response::Forecast` would produce after its tag.
-    pub fn encode_into(&self, w: &mut Writer) {
+    /// Appends the reply, response tag first, to `w`.
+    fn encode_into(&self, w: &mut Writer) {
+        w.put_u8(0);
         w.put_str(&self.host);
         w.put_f64(self.value);
         w.put_str(&self.method);
@@ -294,13 +302,21 @@ pub struct HostRow {
 }
 
 impl HostRow {
-    /// Appends the row body to `w`. Public so snapshot and best-host
-    /// replies can be encoded row by row from cache borrows.
-    pub fn encode_into(&self, w: &mut Writer) {
+    /// Appends the row body to `w`.
+    fn encode_into(&self, w: &mut Writer) {
         w.put_str(&self.host);
         w.put_opt_f64(self.latest);
         w.put_opt_f64(self.forecast);
         w.put_bool(self.degraded);
+    }
+
+    /// Appends a best-host reply, response tag first, to `w`.
+    fn encode_best(best: Option<&Self>, w: &mut Writer) {
+        w.put_u8(2);
+        w.put_bool(best.is_some());
+        if let Some(row) = best {
+            row.encode_into(w);
+        }
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -320,6 +336,18 @@ pub struct SnapshotReply {
     pub time: f64,
     /// One row per host, in registration order.
     pub hosts: Vec<HostRow>,
+}
+
+impl SnapshotReply {
+    /// Appends the reply, response tag first, to `w`.
+    fn encode_into(&self, w: &mut Writer) {
+        w.put_u8(1);
+        w.put_f64(self.time);
+        w.put_u32(self.hosts.len() as u32);
+        for row in &self.hosts {
+            row.encode_into(w);
+        }
+    }
 }
 
 /// One timestamped measurement.
@@ -357,6 +385,19 @@ pub struct StatsReply {
     pub hosts: u32,
 }
 
+impl StatsReply {
+    /// Appends the reply, response tag first, to `w`.
+    fn encode_into(&self, w: &mut Writer) {
+        w.put_u8(4);
+        w.put_u64(self.requests);
+        w.put_u64(self.cache_hits);
+        w.put_u64(self.cache_misses);
+        w.put_u64(self.invalidations);
+        w.put_u64(self.slots);
+        w.put_u32(self.hosts);
+    }
+}
+
 /// One replication chunk of the primary's WAL.
 ///
 /// `bytes` always ends on a record boundary, so the replica can apply
@@ -364,8 +405,11 @@ pub struct StatsReply {
 /// fully caught up exactly when `offset + bytes.len() == total`; at
 /// that point its memory's global revision must equal `revision` (the
 /// byte-identity the replication tests pin).
+///
+/// A decoded chunk owns its bytes; a server answers with
+/// `WalChunkReply<&[u8]>`, the bytes still in its journal.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WalChunkReply {
+pub struct WalChunkReply<B = Vec<u8>> {
     /// Byte offset this chunk starts at (echoes the request).
     pub offset: u64,
     /// Total WAL length on the primary when the chunk was cut.
@@ -377,7 +421,21 @@ pub struct WalChunkReply {
     /// primary's.
     pub now: f64,
     /// Raw WAL record frames.
-    pub bytes: Vec<u8>,
+    pub bytes: B,
+}
+
+impl<B: AsRef<[u8]>> WalChunkReply<B> {
+    /// Appends the reply, response tag first, to `w`.
+    fn encode_into(&self, w: &mut Writer) {
+        let bytes = self.bytes.as_ref();
+        debug_assert!(bytes.len() <= MAX_WAL_CHUNK, "chunk exceeds protocol bound");
+        w.put_u8(7);
+        w.put_u64(self.offset);
+        w.put_u64(self.total);
+        w.put_u64(self.revision);
+        w.put_f64(self.now);
+        w.put_bytes(bytes);
+    }
 }
 
 /// A multi-step forecast for one host.
@@ -394,13 +452,13 @@ pub struct HorizonReply {
 }
 
 impl HorizonReply {
-    /// Appends the reply body (no response tag) to `w`. Public so the
-    /// zero-copy dispatch path can encode it straight out of a borrow.
-    pub fn encode_into(&self, w: &mut Writer) {
+    /// Appends the reply, response tag first, to `w`.
+    fn encode_into(&self, w: &mut Writer) {
         debug_assert!(
             self.steps.len() <= MAX_HORIZON,
             "horizon exceeds protocol bound"
         );
+        w.put_u8(8);
         w.put_str(&self.host);
         w.put_str(&self.method);
         w.put_u32(self.steps.len() as u32);
@@ -467,32 +525,13 @@ impl Response {
     }
 
     /// Appends the encoded payload through an existing [`Writer`] —
-    /// the building block the zero-copy dispatch path composes with
-    /// hand-encoded fast paths (both must produce identical bytes).
+    /// the reference encoding [`ReplyRef::encode_into`] must reproduce
+    /// byte for byte.
     pub fn encode_into(&self, w: &mut Writer) {
         match self {
-            Response::Forecast(reply) => {
-                w.put_u8(0);
-                reply.encode_into(w);
-            }
-            Response::Snapshot(reply) => {
-                w.put_u8(1);
-                w.put_f64(reply.time);
-                w.put_u32(reply.hosts.len() as u32);
-                for row in &reply.hosts {
-                    row.encode_into(w);
-                }
-            }
-            Response::BestHost(row) => {
-                w.put_u8(2);
-                match row {
-                    None => w.put_bool(false),
-                    Some(row) => {
-                        w.put_bool(true);
-                        row.encode_into(w);
-                    }
-                }
-            }
+            Response::Forecast(reply) => reply.encode_into(w),
+            Response::Snapshot(reply) => reply.encode_into(w),
+            Response::BestHost(row) => HostRow::encode_best(row.as_ref(), w),
             Response::SeriesTail(reply) => {
                 w.put_u8(3);
                 w.put_str(&reply.host);
@@ -502,45 +541,17 @@ impl Response {
                     w.put_f64(p.value);
                 }
             }
-            Response::Stats(s) => {
-                w.put_u8(4);
-                w.put_u64(s.requests);
-                w.put_u64(s.cache_hits);
-                w.put_u64(s.cache_misses);
-                w.put_u64(s.invalidations);
-                w.put_u64(s.slots);
-                w.put_u32(s.hosts);
-            }
+            Response::Stats(s) => s.encode_into(w),
             Response::Batch(items) => {
-                debug_assert!(items.len() <= MAX_BATCH, "batch exceeds protocol bound");
-                w.put_u8(5);
-                w.put_u32(items.len() as u32);
+                ReplyRef::encode_batch_header(w, items.len());
                 for item in items {
                     debug_assert!(!matches!(item, Response::Batch(_)), "batches cannot nest");
                     item.encode_into(w);
                 }
             }
-            Response::Error(e) => {
-                w.put_u8(6);
-                w.put_u8(e.code.tag());
-                w.put_str(&e.message);
-            }
-            Response::WalChunk(c) => {
-                debug_assert!(
-                    c.bytes.len() <= MAX_WAL_CHUNK,
-                    "chunk exceeds protocol bound"
-                );
-                w.put_u8(7);
-                w.put_u64(c.offset);
-                w.put_u64(c.total);
-                w.put_u64(c.revision);
-                w.put_f64(c.now);
-                w.put_bytes(&c.bytes);
-            }
-            Response::ForecastHorizon(reply) => {
-                w.put_u8(8);
-                reply.encode_into(w);
-            }
+            Response::Error(e) => e.encode_into(w),
+            Response::WalChunk(chunk) => chunk.encode_into(w),
+            Response::ForecastHorizon(reply) => reply.encode_into(w),
         }
     }
 
@@ -616,6 +627,144 @@ impl Response {
                 what: "response",
                 tag,
             }),
+        }
+    }
+}
+
+/// Encoded size of a batch reply's tag and item count — what precedes
+/// the items [`ReplyRef::encode_batch_header`] announces.
+pub const BATCH_HEADER_LEN: usize = 5;
+
+/// One non-batch reply *borrowed* from the state that produced it: the
+/// form a server answers in, so a cached forecast, a snapshot, a series
+/// tail or a journal chunk reaches the write queue without being cloned
+/// into a [`Response`] first. [`ReplyRef::encode_into`] writes exactly
+/// the bytes [`Response::encode_into`] writes for
+/// [`ReplyRef::into_response`] (the wire property tests pin that), so
+/// the two can be diffed against each other.
+#[derive(Debug, Clone)]
+pub enum ReplyRef<'a> {
+    /// [`Response::Forecast`], out of a cache.
+    Forecast(&'a ForecastReply),
+    /// [`Response::Snapshot`], out of a cache.
+    Snapshot(&'a SnapshotReply),
+    /// [`Response::BestHost`]: one row of a snapshot.
+    BestHost(Option<&'a HostRow>),
+    /// [`Response::SeriesTail`] as the memory stores it: a time column
+    /// and a value column of equal length, oldest first.
+    SeriesTail {
+        /// Host name.
+        host: &'a str,
+        /// Measurement times in seconds.
+        times: &'a [f64],
+        /// Measured values.
+        values: &'a [f64],
+    },
+    /// [`Response::Stats`].
+    Stats(StatsReply),
+    /// [`Response::Error`].
+    Error(ErrorReply),
+    /// [`Response::WalChunk`] with the bytes still in the journal.
+    WalChunk(WalChunkReply<&'a [u8]>),
+    /// [`Response::ForecastHorizon`].
+    ForecastHorizon(HorizonReply),
+}
+
+fn str_len(s: &str) -> usize {
+    4 + s.len()
+}
+
+impl ReplyRef<'_> {
+    /// Appends the tag and item count of a batch reply of `items`
+    /// replies; the caller appends each item with
+    /// [`ReplyRef::encode_into`] — together the bytes of
+    /// [`Response::Batch`].
+    pub fn encode_batch_header(w: &mut Writer, items: usize) {
+        debug_assert!(items <= MAX_BATCH, "batch exceeds protocol bound");
+        w.put_u8(5);
+        w.put_u32(items as u32);
+    }
+
+    /// Appends the encoded payload to `w`.
+    pub fn encode_into(&self, w: &mut Writer) {
+        match self {
+            ReplyRef::Forecast(reply) => reply.encode_into(w),
+            ReplyRef::Snapshot(reply) => reply.encode_into(w),
+            ReplyRef::BestHost(row) => HostRow::encode_best(*row, w),
+            ReplyRef::SeriesTail {
+                host,
+                times,
+                values,
+            } => {
+                debug_assert_eq!(times.len(), values.len(), "columns of one series");
+                w.put_u8(3);
+                w.put_str(host);
+                w.put_u32(times.len() as u32);
+                for (&time, &value) in times.iter().zip(*values) {
+                    w.put_f64(time);
+                    w.put_f64(value);
+                }
+            }
+            ReplyRef::Stats(s) => s.encode_into(w),
+            ReplyRef::Error(e) => e.encode_into(w),
+            ReplyRef::WalChunk(chunk) => chunk.encode_into(w),
+            ReplyRef::ForecastHorizon(reply) => reply.encode_into(w),
+        }
+    }
+
+    /// Exactly how many bytes [`ReplyRef::encode_into`] appends — what
+    /// a server checks against [`crate::MAX_FRAME`] before it encodes.
+    pub fn encoded_len(&self) -> usize {
+        let row_len = |row: &HostRow| {
+            let opt = |v: Option<f64>| 1 + 8 * usize::from(v.is_some());
+            str_len(&row.host) + opt(row.latest) + opt(row.forecast) + 1
+        };
+        1 + match self {
+            ReplyRef::Forecast(r) => {
+                let interval = 1 + 16 * usize::from(r.interval.is_some());
+                str_len(&r.host) + str_len(&r.method) + interval + 32
+            }
+            ReplyRef::Snapshot(r) => 12 + r.hosts.iter().map(row_len).sum::<usize>(),
+            ReplyRef::BestHost(row) => 1 + row.map_or(0, row_len),
+            ReplyRef::SeriesTail { host, times, .. } => str_len(host) + 4 + 16 * times.len(),
+            ReplyRef::Stats(_) => 44,
+            ReplyRef::Error(e) => 1 + str_len(&e.message),
+            ReplyRef::WalChunk(chunk) => 36 + chunk.bytes.len(),
+            ReplyRef::ForecastHorizon(r) => {
+                str_len(&r.host) + str_len(&r.method) + 4 + 8 * r.steps.len()
+            }
+        }
+    }
+
+    /// The owned [`Response`] with the same encoding — the cloning a
+    /// borrowed reply otherwise avoids.
+    pub fn into_response(self) -> Response {
+        match self {
+            ReplyRef::Forecast(reply) => Response::Forecast(reply.clone()),
+            ReplyRef::Snapshot(reply) => Response::Snapshot(reply.clone()),
+            ReplyRef::BestHost(row) => Response::BestHost(row.cloned()),
+            ReplyRef::SeriesTail {
+                host,
+                times,
+                values,
+            } => Response::SeriesTail(SeriesTailReply {
+                host: host.to_string(),
+                points: times
+                    .iter()
+                    .zip(values)
+                    .map(|(&time, &value)| SeriesPoint { time, value })
+                    .collect(),
+            }),
+            ReplyRef::Stats(s) => Response::Stats(s),
+            ReplyRef::Error(e) => Response::Error(e),
+            ReplyRef::WalChunk(chunk) => Response::WalChunk(WalChunkReply {
+                offset: chunk.offset,
+                total: chunk.total,
+                revision: chunk.revision,
+                now: chunk.now,
+                bytes: chunk.bytes.to_vec(),
+            }),
+            ReplyRef::ForecastHorizon(reply) => Response::ForecastHorizon(reply),
         }
     }
 }

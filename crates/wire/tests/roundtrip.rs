@@ -1,10 +1,12 @@
 //! Property tests for the wire protocol: every request/response variant
-//! round-trips bit-exactly, and arbitrary garbage is rejected with a
-//! typed error — never a panic.
+//! round-trips bit-exactly, a borrowed reply encodes as the response
+//! built from it, and arbitrary garbage is rejected with a typed error
+//! — never a panic.
 
 use nws_wire::{
-    read_frame, write_request, write_response, ErrorCode, ErrorReply, ForecastReply, HostRow,
-    Request, Response, SeriesPoint, SeriesTailReply, SnapshotReply, StatsReply, MAX_BATCH,
+    read_frame, write_request, write_response, ErrorCode, ErrorReply, ForecastReply, HorizonReply,
+    HostRow, ReplyRef, Request, Response, SeriesPoint, SeriesTailReply, SnapshotReply, StatsReply,
+    WalChunkReply, Writer, BATCH_HEADER_LEN, MAX_BATCH, MAX_HORIZON, MAX_WAL_CHUNK,
 };
 use proptest::prelude::*;
 
@@ -24,9 +26,14 @@ fn host_name() -> impl Strategy<Value = String> {
     })
 }
 
-/// Any f64 bit pattern, including NaNs, infinities, and signed zeros.
+/// Any f64 bit pattern, including NaNs, infinities, and signed zeros
+/// (NaN and -0.0 on purpose, not just by luck).
 fn any_f64() -> impl Strategy<Value = f64> {
-    any::<u64>().prop_map(f64::from_bits)
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        Just(f64::NAN),
+        Just(-0.0),
+    ]
 }
 
 fn leaf_request() -> BoxedStrategy<Request> {
@@ -129,8 +136,67 @@ fn leaf_response() -> BoxedStrategy<Response> {
             };
             Response::Error(ErrorReply { code, message })
         }),
+        (
+            (any::<u64>(), any::<u64>(), any::<u64>(), any_f64()),
+            prop_oneof![Just(0), Just(MAX_WAL_CHUNK), 0usize..256],
+            any::<u8>()
+        )
+            .prop_map(|((offset, total, revision, now), len, fill)| {
+                Response::WalChunk(WalChunkReply {
+                    offset,
+                    total,
+                    revision,
+                    now,
+                    bytes: vec![fill; len],
+                })
+            }),
+        (
+            host_name(),
+            host_name(),
+            proptest::collection::vec(any_f64(), 0..MAX_HORIZON)
+        )
+            .prop_map(|(host, method, steps)| {
+                Response::ForecastHorizon(HorizonReply {
+                    host,
+                    method,
+                    steps,
+                })
+            }),
     ]
     .boxed()
+}
+
+/// The time and value columns a server would answer a series tail from.
+fn columns(resp: &Response) -> (Vec<f64>, Vec<f64>) {
+    match resp {
+        Response::SeriesTail(tail) => tail.points.iter().map(|p| (p.time, p.value)).unzip(),
+        _ => Default::default(),
+    }
+}
+
+/// A non-batch response as a server holds it before answering.
+fn borrowed<'a>(resp: &'a Response, (times, values): &'a (Vec<f64>, Vec<f64>)) -> ReplyRef<'a> {
+    match resp {
+        Response::Forecast(reply) => ReplyRef::Forecast(reply),
+        Response::Snapshot(reply) => ReplyRef::Snapshot(reply),
+        Response::BestHost(row) => ReplyRef::BestHost(row.as_ref()),
+        Response::SeriesTail(tail) => ReplyRef::SeriesTail {
+            host: &tail.host,
+            times,
+            values,
+        },
+        Response::Stats(stats) => ReplyRef::Stats(*stats),
+        Response::Error(e) => ReplyRef::Error(e.clone()),
+        Response::WalChunk(chunk) => ReplyRef::WalChunk(WalChunkReply {
+            offset: chunk.offset,
+            total: chunk.total,
+            revision: chunk.revision,
+            now: chunk.now,
+            bytes: &chunk.bytes,
+        }),
+        Response::ForecastHorizon(reply) => ReplyRef::ForecastHorizon(reply.clone()),
+        Response::Batch(_) => unreachable!("batches are encoded item by item"),
+    }
 }
 
 fn any_response() -> BoxedStrategy<Response> {
@@ -164,6 +230,36 @@ proptest! {
     fn responses_round_trip(resp in any_response()) {
         let decoded = Response::decode(&resp.encode()).expect("decode own encoding");
         prop_assert!(same_bytes_response(&decoded, &resp), "{resp:?} != {decoded:?}");
+    }
+
+    #[test]
+    fn borrowed_replies_encode_as_the_responses_built_from_them(
+        items in proptest::collection::vec(leaf_response(), 0..8)
+    ) {
+        let stores: Vec<_> = items.iter().map(columns).collect();
+        let replies = || items.iter().zip(&stores).map(|(item, store)| borrowed(item, store));
+        let mut batch = Writer::new();
+        ReplyRef::encode_batch_header(&mut batch, items.len());
+        let mut batch_len = BATCH_HEADER_LEN;
+        for (reply, item) in replies().zip(&items) {
+            let mut w = Writer::new();
+            reply.encode_into(&mut w);
+            let bytes = w.finish();
+            prop_assert!(bytes.len() == reply.encoded_len(), "{reply:?}");
+            let owned = reply.clone().into_response();
+            prop_assert!(same_bytes_response(&owned, item), "{owned:?} != {item:?}");
+            prop_assert!(bytes == owned.encode(), "{reply:?}");
+            let decoded = Response::decode(&bytes).expect("decode a borrowed encoding");
+            prop_assert!(same_bytes_response(&decoded, &owned), "{decoded:?} != {owned:?}");
+            reply.encode_into(&mut batch);
+            batch_len += bytes.len();
+        }
+        let bytes = batch.finish();
+        let owned = Response::Batch(replies().map(ReplyRef::into_response).collect());
+        prop_assert_eq!(bytes.len(), batch_len);
+        prop_assert_eq!(&bytes, &owned.encode());
+        let decoded = Response::decode(&bytes).expect("decode a borrowed batch");
+        prop_assert!(same_bytes_response(&decoded, &owned));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use nws::server::{
     ServerConfig, Transport,
 };
 use nws::sim::HostProfile;
-use nws::wire::{Request, Response};
+use nws::wire::{ErrorCode, Request, Response};
 use std::sync::{Arc, Mutex};
 
 /// Memory fingerprints of the reference scenario with a journal
@@ -194,37 +194,58 @@ fn replica_matches_the_primary_at_every_revision() {
         gm.attach_journal(Wal::new());
         let state = Arc::new(Mutex::new(GridState::new(gm)));
         let mut primary = InMemoryTransport::new(Arc::clone(&state));
-        let mut replica = ReplicaState::new(&hosts, GridMonitorConfig::default());
+        let replica = ReplicaState::new(&hosts, GridMonitorConfig::default());
+        let replica = Arc::new(Mutex::new(replica));
+        let mut served = InMemoryTransport::new(Arc::clone(&replica));
+        // Everything a failed-over client may ask both nodes (`Stats`
+        // counts each node's own requests, `WalSince` is the primary's).
+        let mut asked = vec![Request::Snapshot, Request::BestHost];
+        for host in &hosts {
+            let host = host.to_string();
+            asked.push(Request::Forecast { host: host.clone() });
+            asked.push(Request::SeriesTail {
+                host: host.clone(),
+                n: 8,
+            });
+            asked.push(Request::ForecastHorizon { host, k: 6 });
+        }
         for step in 0..STEPS {
             state.lock().unwrap().tick(1);
-            replica.sync(&mut primary).expect("sync");
-            let st = state.lock().unwrap();
-            assert_eq!(
-                replica.memory().fingerprint(),
-                st.grid().memory().fingerprint(),
-                "threads={threads} step={step}"
-            );
-            assert_eq!(
-                replica.forecasts().global_revision(),
-                st.grid().forecasts().global_revision(),
-                "threads={threads} step={step}"
-            );
+            replica.lock().unwrap().sync(&mut primary).expect("sync");
+            {
+                let (st, replica) = (state.lock().unwrap(), replica.lock().unwrap());
+                assert_eq!(
+                    replica.memory().fingerprint(),
+                    st.grid().memory().fingerprint(),
+                    "threads={threads} step={step}"
+                );
+                assert_eq!(
+                    replica.forecasts().global_revision(),
+                    st.grid().forecasts().global_revision(),
+                    "threads={threads} step={step}"
+                );
+            }
+            // The replica serves the primary's exact bytes — except for
+            // a host without data yet, which the two word differently.
+            for req in &asked {
+                let (p, from_primary) = primary.call_raw(req).expect("primary serves");
+                let (r, from_replica) = served.call_raw(req).expect("replica serves");
+                match (p, r) {
+                    (Response::Error(p), Response::Error(r))
+                        if p.code == ErrorCode::ColdForecast =>
+                    {
+                        assert_eq!(r.code, ErrorCode::ColdForecast, "step={step} {req:?}")
+                    }
+                    _ => assert_eq!(
+                        from_primary, from_replica,
+                        "threads={threads} step={step} {req:?}"
+                    ),
+                }
+            }
         }
         nws::runtime::set_threads(None);
-        assert_eq!(replica.memory().fingerprint(), GOLDEN_FAULT_MEMORY);
-        // The replica serves the primary's exact answers.
-        use nws::server::Dispatch;
-        for host in &hosts {
-            let req = Request::Forecast {
-                host: host.to_string(),
-            };
-            let from_primary = state.lock().unwrap().dispatch(&req);
-            let from_replica = replica.dispatch(&req);
-            assert_eq!(from_primary, from_replica, "host {host}");
-        }
-        let snap_p = state.lock().unwrap().dispatch(&Request::Snapshot);
-        let snap_r = replica.dispatch(&Request::Snapshot);
-        assert_eq!(snap_p, snap_r);
+        let fingerprint = replica.lock().unwrap().memory().fingerprint();
+        assert_eq!(fingerprint, GOLDEN_FAULT_MEMORY);
     }
 }
 

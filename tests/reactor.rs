@@ -12,7 +12,8 @@ use nws::server::{
 };
 use nws::sim::HostProfile;
 use nws::wire::{
-    append_request_frame, encode_request_frame, parse_frame_header, Request, HEADER_LEN,
+    append_request_frame, encode_request_frame, parse_frame_header, ErrorCode, Request, Response,
+    HEADER_LEN,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -183,6 +184,28 @@ fn replica_syncs_over_the_reactor() {
     let mut replica = ReplicaState::new(&host_refs, GridMonitorConfig::default());
     replica.sync(&mut feed).expect("replicate over the reactor");
     assert!(replica.synced(), "replica caught up through the reactor");
+}
+
+#[test]
+fn a_reply_past_the_frame_bound_is_a_typed_error_on_the_same_connection() {
+    let _guard = lock();
+    // A day-warm host holds 8,640 points per series: eight full tails
+    // in one batch are ~1.1 MB, more than a frame may carry.
+    let mut grid = GridMonitor::new(&[HostProfile::Thing1], SEED, GridMonitorConfig::default());
+    grid.run_steps(8_640);
+    let reactor = ReactorServer::spawn(GridState::new(grid), reactor_config(1)).expect("bind");
+    let mut client = NwsClient::connect(reactor.addr(), ClientConfig::default()).expect("connect");
+    let tail = Request::SeriesTail {
+        host: "thing1".into(),
+        n: 8_640,
+    };
+    match client.call(&Request::Batch(vec![tail; 8])) {
+        Ok(Response::Error(e)) => assert_eq!(e.code, ErrorCode::BadRequest),
+        other => panic!("wrong reply: {other:?}"),
+    }
+    let tail = client.series_tail("thing1", 8_640).expect("next request");
+    assert_eq!(tail.points.len(), 8_640);
+    assert_eq!(client.reconnects(), 0, "the refusal was a readable frame");
 }
 
 #[test]

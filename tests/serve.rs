@@ -3,11 +3,12 @@
 //! request sequence — independent of transport (TCP vs in-memory) and
 //! of the runtime thread count the grid was advanced with.
 
-use nws::grid::GridMonitor;
+use nws::grid::{GridMonitor, GridMonitorConfig};
 use nws::server::{
     ClientConfig, GridState, InMemoryTransport, NwsClient, NwsServer, ServerConfig, Transport,
 };
-use nws::wire::Request;
+use nws::sim::HostProfile;
+use nws::wire::{ErrorCode, Request, Response};
 use std::sync::{Arc, Mutex};
 
 const SEED: u64 = 424242;
@@ -202,4 +203,40 @@ fn cache_hits_accumulate_between_ticks_and_reset_on_append() {
     let st = t.state().lock().expect("state");
     assert_eq!(st.cache().invalidations(), 1);
     nws::runtime::set_threads(None);
+}
+
+/// A batch of `tails` full-series tails of a day-warm host (8,640
+/// points, ~138 kB each): seven fit one frame, eight do not.
+fn full_tails(tails: usize) -> Request {
+    let tail = Request::SeriesTail {
+        host: "thing1".into(),
+        n: 8_640,
+    };
+    Request::Batch(vec![tail; tails])
+}
+
+#[test]
+fn a_reply_past_the_frame_bound_is_refused_whole_and_the_next_request_is_served() {
+    let mut grid = GridMonitor::new(&[HostProfile::Thing1], SEED, GridMonitorConfig::default());
+    grid.run_steps(8_640);
+    let mut t = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(grid))));
+    match t.call(&full_tails(7)).expect("fits one frame") {
+        Response::Batch(items) => assert_eq!(items.len(), 7),
+        other => panic!("wrong reply: {other:?}"),
+    }
+    let (refusal, bytes) = t
+        .call_raw(&full_tails(8))
+        .expect("a typed error, not a wire error");
+    match refusal {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest),
+        other => panic!("wrong reply: {other:?}"),
+    }
+    assert!(bytes.len() < 128, "nothing of the withdrawn batch is sent");
+    // The reference renderer refuses with the same bytes.
+    let reference = t.state().lock().expect("state").dispatch(&full_tails(8));
+    assert_eq!(reference.encode(), bytes);
+    // The state lock is not poisoned and the accounting went on: every
+    // tail answered before the bound tripped was counted.
+    let stats = t.stats().expect("served after the refusal");
+    assert_eq!(stats.requests, 7 + 8 + 8 + 1);
 }
