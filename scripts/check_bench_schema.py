@@ -20,18 +20,7 @@ import sys
 # Sections every BENCH_perf.json must carry, whatever the tier. The
 # structural diff below catches drift between two artifacts; this list
 # catches the case where *both* sides lost a section.
-REQUIRED_PERF_SECTIONS = (
-    "acf",
-    "hurst",
-    "ingest",
-    "memory_read",
-    "drivers",
-    "engine",
-    "fleet",
-    "forecast_quality",
-    "durability",
-    "serve",
-)
+REQUIRED_PERF_SECTIONS = ("acf", "hurst", "forecast_quality")
 
 # Sections every BENCH_serve.json (the `repro load` artifact) must
 # carry. Keyed on the presence of "open_loop" so the perf artifact and
@@ -83,7 +72,7 @@ def main():
         candidate_doc = json.load(f)
 
     for name, doc in ((baseline_path, baseline_doc), (candidate_path, candidate_doc)):
-        if isinstance(doc, dict) and "engine" in doc:
+        if isinstance(doc, dict) and "acf" in doc:
             absent = [s for s in REQUIRED_PERF_SECTIONS if s not in doc]
             if absent:
                 sys.exit(f"{name}: missing required sections: {', '.join(absent)}")

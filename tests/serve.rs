@@ -5,7 +5,8 @@
 
 use nws::grid::{GridMonitor, GridMonitorConfig};
 use nws::server::{
-    ClientConfig, GridState, InMemoryTransport, NwsClient, NwsServer, ServerConfig, Transport,
+    ClientConfig, GridState, InMemoryTransport, NwsClient, NwsServer, ServerConfig, TickDriver,
+    Transport,
 };
 use nws::sim::HostProfile;
 use nws::wire::{ErrorCode, Request, Response};
@@ -103,11 +104,30 @@ fn tcp_responses_match_the_in_memory_transport_byte_for_byte() {
         NwsServer::spawn(GridState::new(grid_a), ServerConfig::default()).expect("bind localhost");
     let mut tcp = NwsClient::connect(server.addr(), ClientConfig::default()).expect("connect");
     let mut mem = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(grid_b))));
+    let mut tcp_driver = TickDriver::virtual_time(Arc::clone(server.state()));
+    let mut mem_driver = TickDriver::virtual_time(Arc::clone(mem.state()));
+    let slot_seconds = server
+        .state()
+        .lock()
+        .expect("state")
+        .grid()
+        .cadence()
+        .measurement_period;
 
-    for req in fixed_sequence(&hosts) {
-        let (_, tcp_bytes) = tcp.call_raw(&req).expect("tcp");
-        let (_, mem_bytes) = mem.call_raw(&req).expect("in-memory");
-        assert_eq!(tcp_bytes, mem_bytes, "transports diverged on {req:?}");
+    // Two passes with one measurement period between them on both
+    // clocks, so the invalidate-and-recompute path is also compared
+    // over a real socket.
+    for pass in 0..2 {
+        for req in fixed_sequence(&hosts) {
+            let (_, tcp_bytes) = tcp.call_raw(&req).expect("tcp");
+            let (_, mem_bytes) = mem.call_raw(&req).expect("in-memory");
+            assert_eq!(
+                tcp_bytes, mem_bytes,
+                "transports diverged on {req:?} (pass {pass})"
+            );
+        }
+        assert_eq!(tcp_driver.advance(slot_seconds), 1);
+        assert_eq!(mem_driver.advance(slot_seconds), 1);
     }
     nws::runtime::set_threads(None);
 }
