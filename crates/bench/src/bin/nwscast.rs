@@ -17,7 +17,7 @@
 //! `--trace` interprets the file as a *run-queue* trace (`time,level`) and
 //! converts it to availability via the paper's Eq. 1 before forecasting.
 
-use nws_forecast::{IntervalTracker, NwsForecaster};
+use nws_forecast::{IntervalTracker, PredictorBank};
 use nws_sensors::availability_from_load;
 use nws_stats::{aggregated_variance_hurst, autocorrelation, hurst_rs};
 use nws_timeseries::csv::read_series;
@@ -115,7 +115,7 @@ fn main() {
     );
 
     // Replay through the panel, scoring forecasts and intervals.
-    let mut nws = NwsForecaster::nws_default();
+    let mut nws = PredictorBank::nws_default();
     let mut intervals = IntervalTracker::new(args.coverage).without_unit_clamp();
     let mut abs_sum = 0.0;
     let mut sq_sum = 0.0;

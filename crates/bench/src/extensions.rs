@@ -85,7 +85,7 @@ fn run_loadstats(cfg: &ExperimentConfig) {
 /// run (matched by timestamp), and degraded-mode reporting at the end.
 fn run_faults(cfg: &ExperimentConfig, tier: Tier) {
     use nws_faults::{FaultPlan, FaultRates};
-    use nws_forecast::{evaluate_one_step, NwsForecaster};
+    use nws_forecast::{evaluate_one_step, PredictorBank};
     use nws_grid::{GridMonitor, Metric};
     use std::collections::BTreeMap;
 
@@ -153,7 +153,7 @@ fn run_faults(cfg: &ExperimentConfig, tier: Tier) {
                             .collect(),
                     )
                 });
-            if let Some(r) = evaluate_one_step(&mut NwsForecaster::nws_default(), &values) {
+            if let Some(r) = evaluate_one_step(&mut PredictorBank::nws_default(), &values) {
                 mae_sum += r.mae;
                 mae_n += 1;
             }

@@ -680,7 +680,6 @@ fn idle_capacity(seed: u64, sizes: &Sizes) -> Json {
                 // idle cut well past the phase's runtime.
                 read_timeout: Duration::from_secs(60),
                 request_deadline: Duration::from_secs(120),
-                ..ServerConfig::default()
             },
             ..ReactorConfig::default()
         },
@@ -748,7 +747,6 @@ fn adversarial_personas(seed: u64, csv: &mut String) -> Json {
             read_timeout: Duration::from_millis(250),
             request_deadline: Duration::from_millis(450),
             max_connections: 8,
-            ..ServerConfig::default()
         },
     )
     .expect("bind persona server");

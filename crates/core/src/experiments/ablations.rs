@@ -2,7 +2,7 @@
 
 use crate::experiments::dataset::ExperimentConfig;
 use crate::monitor::{Monitor, MonitorConfig};
-use nws_forecast::{evaluate_one_step, NwsForecaster};
+use nws_forecast::{evaluate_one_step, PredictorBank};
 use nws_runtime::parallel_map;
 use nws_sensors::HybridConfig;
 use nws_sim::HostProfile;
@@ -34,7 +34,7 @@ pub fn forecaster_ablation(cfg: &ExperimentConfig, host: HostProfile) -> Forecas
     let mut h = host.build(cfg.seed ^ 0xAB1A);
     let out = monitor.run(&mut h);
     let values = out.series.load.values();
-    let mut nws = NwsForecaster::nws_default();
+    let mut nws = PredictorBank::nws_default();
     let report = evaluate_one_step(&mut nws, values).expect("series long enough");
     ForecasterAblation {
         host: out.host,

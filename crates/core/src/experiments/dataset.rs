@@ -5,7 +5,7 @@
 //! the outputs are bit-identical to a sequential run at any thread count.
 
 use crate::monitor::{Monitor, MonitorConfig, MonitorOutput};
-use nws_runtime::parallel_map;
+use nws_runtime::{host_seed, parallel_map};
 use nws_sim::{HostProfile, Seconds};
 use nws_timeseries::Series;
 
@@ -73,15 +73,6 @@ impl ExperimentConfig {
             ..MonitorConfig::default()
         }
     }
-
-    fn per_host_seed(&self, name: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^ self.seed
-    }
 }
 
 /// Runs the short-test (10 s) monitor over all six hosts — the dataset
@@ -89,7 +80,7 @@ impl ExperimentConfig {
 pub fn short_dataset(cfg: &ExperimentConfig) -> Vec<MonitorOutput> {
     let monitor = Monitor::new(cfg.short_monitor());
     parallel_map(HostProfile::all().to_vec(), |p| {
-        let mut host = p.build(cfg.per_host_seed(p.name()));
+        let mut host = p.build(host_seed(cfg.seed, p.name()));
         monitor.run(&mut host)
     })
 }
@@ -101,7 +92,7 @@ pub fn medium_dataset(cfg: &ExperimentConfig) -> Vec<MonitorOutput> {
     parallel_map(HostProfile::all().to_vec(), |p| {
         // Distinct sub-seed so the medium traces are not the identical
         // realization as the short ones (a different day of monitoring).
-        let mut host = p.build(cfg.per_host_seed(p.name()).wrapping_add(0x5EED));
+        let mut host = p.build(host_seed(cfg.seed, p.name()).wrapping_add(0x5EED));
         monitor.run(&mut host)
     })
 }
@@ -117,7 +108,7 @@ pub fn weekly_load_series(cfg: &ExperimentConfig) -> Vec<Series> {
         ..MonitorConfig::default()
     });
     parallel_map(HostProfile::all().to_vec(), |p| {
-        let mut host = p.build(cfg.per_host_seed(p.name()).wrapping_add(0x7DA));
+        let mut host = p.build(host_seed(cfg.seed, p.name()).wrapping_add(0x7DA));
         monitor.run(&mut host).series.load
     })
 }
@@ -159,15 +150,15 @@ pub fn all_datasets(
 
     let outs = parallel_map(jobs, |job| match job {
         Job::Short(p) => {
-            let mut host = p.build(cfg.per_host_seed(p.name()));
+            let mut host = p.build(host_seed(cfg.seed, p.name()));
             Out::Monitor(Box::new(short_monitor.run(&mut host)))
         }
         Job::Medium(p) => {
-            let mut host = p.build(cfg.per_host_seed(p.name()).wrapping_add(0x5EED));
+            let mut host = p.build(host_seed(cfg.seed, p.name()).wrapping_add(0x5EED));
             Out::Monitor(Box::new(medium_monitor.run(&mut host)))
         }
         Job::Weekly(p) => {
-            let mut host = p.build(cfg.per_host_seed(p.name()).wrapping_add(0x7DA));
+            let mut host = p.build(host_seed(cfg.seed, p.name()).wrapping_add(0x7DA));
             Out::Load(weekly_monitor.run(&mut host).series.load)
         }
     });

@@ -18,7 +18,7 @@
 use crate::experiments::dataset::{short_dataset, ExperimentConfig};
 use crate::experiments::tables::table1_from;
 use crate::monitor::{Monitor, MonitorConfig, MonitorOutput};
-use nws_forecast::{evaluate_one_step, NwsForecaster};
+use nws_forecast::{evaluate_one_step, PredictorBank};
 use nws_runtime::parallel_map;
 use nws_sim::HostProfile;
 use nws_timeseries::aggregate_mean;
@@ -49,7 +49,7 @@ pub fn aggregation_sweep(output: &MonitorOutput, levels: &[usize]) -> Vec<Aggreg
         ]
         .map(|s| {
             let agg = aggregate_mean(s.values(), m);
-            let mut nws = NwsForecaster::nws_default();
+            let mut nws = PredictorBank::nws_default();
             evaluate_one_step(&mut nws, &agg)
                 .map(|r| r.mae)
                 .unwrap_or(f64::NAN)
@@ -85,7 +85,7 @@ pub fn horizon_sweep(output: &MonitorOutput, ks: &[usize]) -> Vec<HorizonPoint> 
         &output.series.hybrid,
     ];
     let forecast_streams: Vec<Vec<Option<f64>>> = parallel_map(methods.to_vec(), |s| {
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         s.values()
             .iter()
             .map(|&v| {
@@ -228,7 +228,7 @@ mod tests {
     fn horizon_one_matches_one_step_eval() {
         let out = quick_output();
         let sweep = horizon_sweep(&out, &[1]);
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         let direct = evaluate_one_step(&mut nws, out.series.load.values())
             .expect("long series")
             .mae;

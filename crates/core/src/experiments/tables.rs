@@ -4,7 +4,7 @@ use crate::experiments::dataset::{
     medium_dataset, short_dataset, weekly_load_series, ExperimentConfig,
 };
 use crate::monitor::MonitorOutput;
-use nws_forecast::{evaluate_one_step, NwsForecaster};
+use nws_forecast::{evaluate_one_step, PredictorBank};
 use nws_stats::{hurst_rs, mean_absolute_pair_error, population_variance};
 use nws_timeseries::{aggregate_mean, aggregate_series, Series};
 
@@ -90,7 +90,7 @@ pub fn table1(cfg: &ExperimentConfig) -> MethodTable {
 /// measurement at or before the test start) is scored against the test
 /// process's observation.
 pub fn true_forecast_error(series: &Series, tests: &[(f64, f64)]) -> Option<f64> {
-    let mut nws = NwsForecaster::nws_default();
+    let mut nws = PredictorBank::nws_default();
     let mut errors = Vec::with_capacity(tests.len());
     let mut test_iter = tests.iter().peekable();
     for point in series.iter() {
@@ -156,7 +156,7 @@ pub fn table2(cfg: &ExperimentConfig) -> MethodTable {
 // ---------------------------------------------------------------------------
 
 fn one_step_mae(values: &[f64]) -> f64 {
-    let mut nws = NwsForecaster::nws_default();
+    let mut nws = PredictorBank::nws_default();
     evaluate_one_step(&mut nws, values)
         .map(|r| r.mae)
         .unwrap_or(0.0)

@@ -12,23 +12,12 @@
 //! The inert plan, [`FaultPlan::none()`], draws nothing from any RNG, so
 //! a fault-free run is bit-identical to a build without this crate.
 
-use nws_stats::Rng;
+use nws_stats::{host_seed, Rng};
 
 /// Salt XOR-ed into per-host fault seeds so the fault stream is
 /// independent of the host's workload stream even though both are
 /// derived from the host name and a base seed.
 const FAULT_SALT: u64 = 0xFA17_5EED_0BAD_CAFE;
-
-/// FNV-1a hash of a host name; mirrors the seeding scheme used by the
-/// experiment drivers so per-host streams are stable under reordering.
-fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Per-slot fault probabilities and duration ranges.
 ///
@@ -146,7 +135,7 @@ impl FaultPlan {
             return HostFaults::inert();
         }
         HostFaults {
-            rng: Some(Rng::new(fnv1a(host_name) ^ self.seed ^ FAULT_SALT)),
+            rng: Some(Rng::new(host_seed(self.seed, host_name) ^ FAULT_SALT)),
             rates: self.rates,
             down_until: None,
         }

@@ -1,7 +1,7 @@
 //! Adaptive predictors: self-tuning members of the NWS panel.
 
 use crate::kernels::{sgd_predict, sgd_step, trigg_leach_gain, trigg_leach_step, AdjustedWindow};
-use crate::methods::Forecaster;
+use crate::methods::Predictor;
 use nws_timeseries::SlidingWindow;
 
 /// A sliding-window mean whose window length adapts to the series.
@@ -46,7 +46,7 @@ impl AdaptiveWindowMean {
     }
 }
 
-impl Forecaster for AdaptiveWindowMean {
+impl Predictor for AdaptiveWindowMean {
     fn name(&self) -> String {
         format!(
             "adj_mean({}-{})",
@@ -111,7 +111,7 @@ impl AdaptiveExpSmoothing {
     }
 }
 
-impl Forecaster for AdaptiveExpSmoothing {
+impl Predictor for AdaptiveExpSmoothing {
     fn name(&self) -> String {
         format!("adapt_exp({})", self.phi)
     }
@@ -173,7 +173,7 @@ impl StochasticGradient {
     }
 }
 
-impl Forecaster for StochasticGradient {
+impl Predictor for StochasticGradient {
     fn name(&self) -> String {
         format!("sgd_ar1({})", self.eta)
     }

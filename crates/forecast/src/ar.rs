@@ -13,7 +13,7 @@
 //! `x̂_{t+1} = μ + Σ a_i (x_{t+1−i} − μ)`.
 
 use crate::kernels::{fit_ar, model_horizon, model_step, newest_first};
-use crate::methods::Forecaster;
+use crate::methods::Predictor;
 use nws_timeseries::SlidingWindow;
 
 /// Solves the Yule–Walker equations for AR coefficients using the
@@ -141,7 +141,7 @@ impl ArPredictor {
     }
 }
 
-impl Forecaster for ArPredictor {
+impl Predictor for ArPredictor {
     fn name(&self) -> String {
         format!("ar({})", self.order)
     }

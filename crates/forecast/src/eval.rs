@@ -14,7 +14,7 @@
 //! reports both metrics; the true-error variant needs the caller to supply
 //! the paired oracle observations since they come from a separate process.
 
-use crate::nws::NwsForecaster;
+use crate::panel::PredictorBank;
 
 /// Result of replaying a series through a forecaster.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +34,7 @@ pub struct EvalReport {
 /// Replays `values` through `forecaster`, scoring each live forecast
 /// against the measurement that follows it. Returns `None` if fewer than
 /// two values are supplied (no forecast can be scored).
-pub fn evaluate_one_step(forecaster: &mut NwsForecaster, values: &[f64]) -> Option<EvalReport> {
+pub fn evaluate_one_step(forecaster: &mut PredictorBank, values: &[f64]) -> Option<EvalReport> {
     let mut abs_sum = 0.0;
     let mut sq_sum = 0.0;
     let mut err_sum = 0.0;
@@ -76,7 +76,7 @@ pub fn evaluate_one_step(forecaster: &mut NwsForecaster, values: &[f64]) -> Opti
 ///
 /// Panics if the slices have different lengths.
 pub fn evaluate_true_error(
-    forecaster: &mut NwsForecaster,
+    forecaster: &mut PredictorBank,
     measurements: &[f64],
     oracle: &[f64],
 ) -> Option<EvalReport> {
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn constant_series_has_zero_error() {
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         let r = evaluate_one_step(&mut nws, &[0.5; 100]).unwrap();
         assert_eq!(r.n, 99); // first value cannot be scored
         assert!(r.mae < 1e-9);
@@ -130,15 +130,15 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         assert!(evaluate_one_step(&mut nws, &[]).is_none());
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         assert!(evaluate_one_step(&mut nws, &[1.0]).is_none());
     }
 
     #[test]
     fn rmse_dominates_mae() {
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         let vals: Vec<f64> = (0..200).map(|i| ((i * 17) % 13) as f64 / 13.0).collect();
         let r = evaluate_one_step(&mut nws, &vals).unwrap();
         assert!(r.rmse >= r.mae);
@@ -151,11 +151,11 @@ mod tests {
         // error converges to the 0.3 offset while one-step error is ~0.
         let measurements = vec![0.5; 200];
         let oracle = vec![0.8; 200];
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         let r = evaluate_true_error(&mut nws, &measurements, &oracle).unwrap();
         assert!((r.mae - 0.3).abs() < 1e-6, "true MAE = {}", r.mae);
         assert!((r.bias + 0.3).abs() < 1e-6, "bias = {}", r.bias);
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         let one_step = evaluate_one_step(&mut nws, &measurements).unwrap();
         assert!(one_step.mae < 1e-9);
     }
@@ -163,7 +163,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "align")]
     fn mismatched_pairs_panic() {
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         evaluate_true_error(&mut nws, &[0.1], &[0.1, 0.2]);
     }
 }

@@ -16,9 +16,9 @@
 //!   adaptive-length window, and a stochastic-gradient predictor;
 //! - per-predictor **error tracking** over both the full history and a
 //!   recent window;
-//! - **dynamic selection** ([`panel`], historically [`nws`]): each time a
-//!   measurement arrives, all predictors are scored on it, updated, and
-//!   the one with the lowest tracked error issues the next forecast;
+//! - **dynamic selection** ([`panel`]): each time a measurement arrives,
+//!   all predictors are scored on it, updated, and the one with the
+//!   lowest tracked error issues the next forecast;
 //! - an **offline evaluator** ([`eval`]) that replays a recorded series
 //!   through the panel and reports the paper's error metrics (Eq. 4 true
 //!   forecasting error against an oracle, Eq. 5 one-step-ahead prediction
@@ -48,7 +48,6 @@ pub mod eval;
 pub mod interval;
 pub mod kernels;
 pub mod methods;
-pub mod nws;
 pub mod panel;
 pub mod tracker;
 
@@ -58,9 +57,8 @@ pub use arma::Arma;
 pub use eval::{evaluate_one_step, EvalReport};
 pub use interval::{IntervalTracker, P2Quantile, PredictionInterval};
 pub use methods::{
-    ewma_step, ExpSmoothing, Forecaster, LastValue, Predictor, RunningMean, SlidingMean,
-    SlidingMedian, TrimmedMean,
+    ewma_step, ExpSmoothing, LastValue, Predictor, RunningMean, SlidingMean, SlidingMedian,
+    TrimmedMean,
 };
-pub use nws::NwsForecaster;
 pub use panel::{ErrorRow, Forecast, Member, PanelSpec, PredictorBank, Selection};
 pub use tracker::ErrorTracker;

@@ -1,7 +1,7 @@
 //! The basic one-step-ahead predictors of the NWS panel.
 //!
-//! Each predictor consumes measurements one at a time ([`Forecaster::observe`])
-//! and offers a forecast of the *next* measurement ([`Forecaster::predict`]).
+//! Each predictor consumes measurements one at a time ([`Predictor::observe`])
+//! and offers a forecast of the *next* measurement ([`Predictor::predict`]).
 //! "Briefly summarized, each method uses a 'sliding window' over previous
 //! measurements to compute a one-step-ahead forecast based either on some
 //! estimate of the mean or median of those measurements."
@@ -50,10 +50,6 @@ pub trait Predictor: std::fmt::Debug + Send {
     }
 }
 
-/// The original trait name; kept as an alias so existing panels,
-/// impls, and tests read either way.
-pub use self::Predictor as Forecaster;
-
 /// Predicts that the next value equals the most recent one.
 #[derive(Debug, Clone, Default)]
 pub struct LastValue {
@@ -67,7 +63,7 @@ impl LastValue {
     }
 }
 
-impl Forecaster for LastValue {
+impl Predictor for LastValue {
     fn name(&self) -> String {
         "last".into()
     }
@@ -99,7 +95,7 @@ impl RunningMean {
     }
 }
 
-impl Forecaster for RunningMean {
+impl Predictor for RunningMean {
     fn name(&self) -> String {
         "run_mean".into()
     }
@@ -144,7 +140,7 @@ impl SlidingMean {
     }
 }
 
-impl Forecaster for SlidingMean {
+impl Predictor for SlidingMean {
     fn name(&self) -> String {
         format!("sw_mean({})", self.k)
     }
@@ -225,7 +221,7 @@ impl SlidingMedian {
     }
 }
 
-impl Forecaster for SlidingMedian {
+impl Predictor for SlidingMedian {
     fn name(&self) -> String {
         format!("sw_median({})", self.k)
     }
@@ -276,7 +272,7 @@ impl TrimmedMean {
     }
 }
 
-impl Forecaster for TrimmedMean {
+impl Predictor for TrimmedMean {
     fn name(&self) -> String {
         format!("trim_mean({},{})", self.k, self.alpha)
     }
@@ -329,7 +325,7 @@ impl ExpSmoothing {
     }
 }
 
-impl Forecaster for ExpSmoothing {
+impl Predictor for ExpSmoothing {
     fn name(&self) -> String {
         format!("exp_smooth({})", self.gain)
     }
@@ -354,7 +350,7 @@ impl Forecaster for ExpSmoothing {
 mod tests {
     use super::*;
 
-    fn feed(f: &mut dyn Forecaster, values: &[f64]) {
+    fn feed(f: &mut dyn Predictor, values: &[f64]) {
         for &v in values {
             f.observe(v);
         }
@@ -362,7 +358,7 @@ mod tests {
 
     #[test]
     fn all_start_with_no_prediction() {
-        let fs: Vec<Box<dyn Forecaster>> = vec![
+        let fs: Vec<Box<dyn Predictor>> = vec![
             Box::new(LastValue::new()),
             Box::new(RunningMean::new()),
             Box::new(SlidingMean::new(3)),
@@ -441,7 +437,7 @@ mod tests {
 
     #[test]
     fn constant_series_predicted_exactly_by_all() {
-        let mut fs: Vec<Box<dyn Forecaster>> = vec![
+        let mut fs: Vec<Box<dyn Predictor>> = vec![
             Box::new(LastValue::new()),
             Box::new(RunningMean::new()),
             Box::new(SlidingMean::new(4)),
@@ -487,7 +483,7 @@ mod tests {
         let mut sw = SlidingMean::new(5);
         let mut med = SlidingMedian::new(5);
         let mut trim = TrimmedMean::new(5, 0.2);
-        for f in [&mut sw as &mut dyn Forecaster, &mut med, &mut trim] {
+        for f in [&mut sw as &mut dyn Predictor, &mut med, &mut trim] {
             feed(f, &[0.9, 0.9, 0.9]);
             f.note_gap();
             assert_eq!(f.predict(), None, "{} bridged the gap", f.name());
@@ -499,7 +495,7 @@ mod tests {
         let mut last = LastValue::new();
         let mut run = RunningMean::new();
         let mut exp = ExpSmoothing::new(0.3);
-        for f in [&mut last as &mut dyn Forecaster, &mut run, &mut exp] {
+        for f in [&mut last as &mut dyn Predictor, &mut run, &mut exp] {
             feed(f, &[0.6, 0.6]);
             f.note_gap();
             assert_eq!(f.predict(), Some(0.6), "{} lost its level", f.name());

@@ -10,7 +10,7 @@
 //! rounding — verified here against reference implementations kept in
 //! this file, over fixed streams and proptest-generated ones.
 
-use nws_forecast::{AdaptiveWindowMean, Forecaster, SlidingMedian};
+use nws_forecast::{AdaptiveWindowMean, Predictor, SlidingMedian};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------

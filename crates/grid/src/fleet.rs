@@ -63,7 +63,7 @@ use crate::memory::{Memory, MemoryConfig};
 use crate::registry::ResourceId;
 use nws_faults::{FaultPlan, HostFaults};
 use nws_forecast::{ewma_step, ErrorRow, PanelSpec, PredictorBank};
-use nws_runtime::{Cadence, Engine, EngineConfig, Source, Stage};
+use nws_runtime::{Cadence, Engine, EngineConfig, Fnv1a, Source, Stage};
 use nws_sim::{synthetic_host_name, SyntheticHost};
 use std::sync::Arc;
 
@@ -78,6 +78,10 @@ pub enum FleetPanel {
     /// best-predictor selection and per-predictor error tracking.
     Bank(PanelSpec),
 }
+
+/// EWMA gain of the dense per-host availability forecaster (the
+/// [`FleetPanel::Ewma`] lane).
+const EWMA_GAIN: f64 = 0.25;
 
 /// Fleet sizing and tuning.
 #[derive(Debug, Clone, Copy)]
@@ -94,9 +98,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Engine batch window (slots produced per commit barrier).
     pub batch_slots: usize,
-    /// EWMA gain of the per-host availability forecaster (the
-    /// [`FleetPanel::Ewma`] path).
-    pub ewma_gain: f64,
     /// Per-host forecaster selection.
     pub panel: FleetPanel,
 }
@@ -109,7 +110,6 @@ impl Default for FleetConfig {
             retain: 64,
             seed: 4242,
             batch_slots: 64,
-            ewma_gain: 0.25,
             panel: FleetPanel::Ewma,
         }
     }
@@ -276,7 +276,6 @@ struct FleetStage<'a> {
     region: &'a mut Tournament,
     cadence: Cadence,
     rack_size: usize,
-    ewma_gain: f64,
     events: &'a mut u64,
     gaps: &'a mut u64,
 }
@@ -309,7 +308,7 @@ impl Stage<FleetShard> for FleetStage<'_> {
                 *forecast = if slot == 0 {
                     availability
                 } else {
-                    ewma_step(*forecast, self.ewma_gain, availability)
+                    ewma_step(*forecast, EWMA_GAIN, availability)
                 };
             }
             ForecastLane::Bank(banks) => {
@@ -388,15 +387,10 @@ impl FleetMonitor {
                     HostModel::Synthetic(SyntheticHost::new(i, config.seed))
                 } else {
                     let levels = Arc::clone(&traces[(i as usize) % traces.len()]);
-                    // Seeded phase offset (FNV-1a over the index, xor'd
-                    // with the seed — the SyntheticHost derivation), so
-                    // hosts sharing a trace don't move in lockstep.
-                    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                    for b in i.to_le_bytes() {
-                        h ^= u64::from(b);
-                        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                    }
-                    let pos = ((h ^ config.seed) % levels.len() as u64) as usize;
+                    // Seeded phase offset, so hosts sharing a trace
+                    // don't move in lockstep.
+                    let seed = SyntheticHost::index_seed(i, config.seed);
+                    let pos = (seed % levels.len() as u64) as usize;
                     HostModel::Trace { levels, pos }
                 };
                 FleetShard {
@@ -448,7 +442,6 @@ impl FleetMonitor {
             region: &mut self.region,
             cadence: *self.engine.cadence(),
             rack_size: self.config.rack_size,
-            ewma_gain: self.config.ewma_gain,
             events: &mut self.events,
             gaps: &mut self.gaps,
         };
@@ -525,25 +518,19 @@ impl FleetMonitor {
     /// Fault-plan runs additionally mix the gap count; fault-free runs
     /// hash exactly the PR 6 stream.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| {
-            for b in word.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fnv1a::new();
         for f in &self.forecasts {
-            mix(f.to_bits());
+            h.word(f.to_bits());
         }
-        mix(self.events);
+        h.word(self.events);
         if self.gaps > 0 {
-            mix(self.gaps);
+            h.word(self.gaps);
         }
         if let Some((host, key)) = self.best_host() {
-            mix(host as u64);
-            mix(key.to_bits());
+            h.word(host as u64);
+            h.word(key.to_bits());
         }
-        h
+        h.finish()
     }
 }
 
@@ -660,9 +647,7 @@ mod tests {
         };
         let mut dense = FleetMonitor::new(base);
         let mut bank = FleetMonitor::new(FleetConfig {
-            panel: FleetPanel::Bank(PanelSpec::EwmaOnly {
-                gain: base.ewma_gain,
-            }),
+            panel: FleetPanel::Bank(PanelSpec::EwmaOnly { gain: EWMA_GAIN }),
             ..base
         });
         dense.run_steps(60);

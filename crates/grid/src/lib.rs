@@ -18,17 +18,28 @@
 //!
 //! - [`registry`] — resource naming and discovery;
 //! - [`memory`] — bounded ring-buffer series storage with the NWS
-//!   `extract`-style query API;
-//! - [`service`] — the forecaster service: per-series [`NwsForecaster`]
+//!   `extract`-style query API, journaled by [`wal`];
+//! - [`service`] — the forecaster service: per-series [`PredictorBank`]
 //!   instances (with prediction intervals) updated as measurements arrive;
+//! - [`archive`] — [`Archive`], the unit those three form: what sensors
+//!   publish into, a primary journals from, a replica replays into and
+//!   the serving layer reads. It is the only code that touches memory
+//!   and forecaster together, so the rule that ties them — a reading
+//!   reaches the forecaster iff the memory stored it, a gap reaches
+//!   both — the four-series registration order, the change counter, the
+//!   degraded/staleness test and the placement rule are each written
+//!   once, there;
 //! - [`monitor`] — `GridMonitor`, which drives a fleet of simulated hosts
-//!   in lockstep on the 10-second NWS cadence, publishing every sensor's
-//!   measurements into the memory and keeping the forecasts warm — the
-//!   "computational grid weather map" a scheduler like
-//!   [`nws_sched`](https://docs.rs/nws-sched) consumes.
+//!   through the event engine on the 10-second NWS cadence, committing
+//!   every sensor's measurements into its archive — the "computational
+//!   grid weather map" a scheduler like
+//!   [`nws_sched`](https://docs.rs/nws-sched) consumes;
+//! - [`weather`] — `WeatherService`, the CPU monitor beside a second
+//!   archive for the network links; [`fleet`] — the 10⁵-host engine.
 //!
-//! [`NwsForecaster`]: nws_forecast::NwsForecaster
+//! [`PredictorBank`]: nws_forecast::PredictorBank
 
+pub mod archive;
 pub mod fleet;
 pub mod memory;
 pub mod monitor;
@@ -37,6 +48,7 @@ pub mod service;
 pub mod wal;
 pub mod weather;
 
+pub use archive::{best_row, Archive, HostStatus, STALENESS_BOUND};
 pub use fleet::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster};
 pub use memory::{Memory, MemoryConfig, StoreOutcome};
 pub use monitor::{GridMonitor, GridMonitorConfig, GridSnapshot, HostReport};

@@ -31,10 +31,9 @@
 
 use crate::registry::ResourceId;
 use crate::wal::{crc32, Wal, WalError, WalRecord, SNAPSHOT_MAGIC};
-use nws_timeseries::csv::{read_series, write_series, CsvError};
+use nws_runtime::Fnv1a;
 use nws_timeseries::{Seconds, Series, TimePoint};
 use std::collections::VecDeque;
-use std::path::Path;
 
 /// Memory sizing.
 #[derive(Debug, Clone, Copy)]
@@ -127,7 +126,7 @@ struct SeriesMeta {
     /// Timestamps of slots that resolved to no measurement at all,
     /// bounded like the measurement ring.
     gaps: VecDeque<Seconds>,
-    /// Bumped on every accepted append, recorded gap, or reload —
+    /// Bumped on every accepted append or recorded gap —
     /// anything that changes what an extract of this series returns.
     /// Serving-layer caches compare revisions to decide whether a
     /// cached answer is still current.
@@ -173,26 +172,14 @@ impl Memory {
     /// Attaches a write-ahead log. From here on, every state change
     /// ([`StoreOutcome::Stored`] appends, recorded gaps, counted
     /// out-of-order drops) is journaled in commit order. Attach before
-    /// the first measurement for a complete log; the legacy CSV
-    /// [`Memory::load`] path is *not* journaled.
+    /// the first measurement for a complete log.
     pub fn attach_journal(&mut self, wal: Wal) {
         self.journal = Some(wal);
-    }
-
-    /// Detaches and returns the journal, leaving the memory unlogged.
-    pub fn detach_journal(&mut self) -> Option<Wal> {
-        self.journal.take()
     }
 
     /// The attached journal, if any.
     pub fn journal(&self) -> Option<&Wal> {
         self.journal.as_ref()
-    }
-
-    /// Mutable access to the attached journal (flush/sync the file
-    /// mirror).
-    pub fn journal_mut(&mut self) -> Option<&mut Wal> {
-        self.journal.as_mut()
     }
 
     /// Checkpoints the memory: writes snapshot `seq` to `store`
@@ -329,23 +316,32 @@ impl Memory {
     /// bit: same column bytes, same revision counters, same
     /// [`Memory::fingerprint`].
     pub fn apply(&mut self, rec: &WalRecord) {
+        self.replay(rec);
+    }
+
+    /// [`Memory::apply`], reporting whether the record changed what an
+    /// extract returns (a stored measurement, a gap) — exactly the
+    /// records the [`Archive`](crate::Archive) shows its forecaster.
+    pub(crate) fn replay(&mut self, rec: &WalRecord) -> bool {
         match *rec {
-            WalRecord::Append { id, time, value } => {
-                let _ = self.apply_append(id, time, value);
+            WalRecord::Append { id, time, value } => self.apply_append(id, time, value).is_stored(),
+            WalRecord::Gap { id, time } => {
+                self.apply_gap(id, time);
+                true
             }
-            WalRecord::Gap { id, time } => self.apply_gap(id, time),
             WalRecord::Drop { id } => {
                 // Mirrors the RejectedOutOfOrder branch: the drop
                 // counter moves, revisions do not.
                 let idx = self.ensure(id);
                 self.meta[idx].dropped += 1;
+                false
             }
         }
     }
 
-    /// Change counter for one series: any append, gap, or reload bumps
-    /// it. Equal revisions guarantee an identical extract, so a serving
-    /// cache can answer without touching the ring.
+    /// Change counter for one series: any append or gap bumps it. Equal
+    /// revisions guarantee an identical extract, so a serving cache can
+    /// answer without touching the ring.
     pub fn revision(&self, id: ResourceId) -> u64 {
         self.meta_of(id).map_or(0, |m| m.revision)
     }
@@ -444,37 +440,6 @@ impl Memory {
         s
     }
 
-    /// Persists one series to a CSV file (the NWS memory's disk format,
-    /// simplified): `time,value` rows under the given path.
-    pub fn save(&self, id: ResourceId, path: impl AsRef<Path>) -> Result<(), CsvError> {
-        let series = self.series(id, format!("resource-{}", id.0));
-        write_series(&series, path)
-    }
-
-    /// Restores a series from a CSV file into the given resource id,
-    /// replacing whatever that id currently holds. Only the most recent
-    /// `retain` points are kept.
-    pub fn load(&mut self, id: ResourceId, path: impl AsRef<Path>) -> Result<usize, CsvError> {
-        let series = read_series(path)?;
-        let keep = self.config.retain.min(series.len());
-        let skip = series.len() - keep;
-        let mut buf = ColumnSeries {
-            times: Vec::with_capacity(keep),
-            values: Vec::with_capacity(keep),
-            start: 0,
-        };
-        for p in series.iter().skip(skip) {
-            buf.times.push(p.time);
-            buf.values.push(p.value);
-        }
-        let n = buf.len();
-        let idx = self.ensure(id);
-        self.store[idx] = buf;
-        self.meta[idx].revision += 1;
-        self.global_revision += 1;
-        Ok(n)
-    }
-
     /// Series ids with at least one stored measurement.
     pub fn resource_ids(&self) -> Vec<ResourceId> {
         self.store
@@ -491,36 +456,28 @@ impl Memory {
     /// equal fingerprints answer every query identically — the
     /// crash-recovery and replication tests pin exactly this.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.config.retain as u64);
-        mix(self.store.len() as u64);
+        let mut h = Fnv1a::new();
+        h.word(self.config.retain as u64);
+        h.word(self.store.len() as u64);
         for idx in 0..self.store.len() {
             let buf = &self.store[idx];
             let meta = &self.meta[idx];
-            mix(buf.len() as u64);
+            h.word(buf.len() as u64);
             for &t in buf.times() {
-                mix(t.to_bits());
+                h.word(t.to_bits());
             }
             for &v in buf.values() {
-                mix(v.to_bits());
+                h.word(v.to_bits());
             }
-            mix(meta.dropped);
-            mix(meta.gaps.len() as u64);
+            h.word(meta.dropped);
+            h.word(meta.gaps.len() as u64);
             for &g in &meta.gaps {
-                mix(g.to_bits());
+                h.word(g.to_bits());
             }
-            mix(meta.revision);
+            h.word(meta.revision);
         }
-        mix(self.global_revision);
-        h
+        h.word(self.global_revision);
+        h.finish()
     }
 
     /// Serializes the full columnar state — live windows, gap rings,
@@ -785,39 +742,6 @@ mod tests {
         assert_eq!(s.name(), "r2");
         assert_eq!(s.len(), 5);
         assert_eq!(s.values()[4], 0.4);
-    }
-
-    #[test]
-    fn save_and_load_round_trip() {
-        let dir = std::env::temp_dir().join("nws-memory-test");
-        let path = dir.join("r1.csv");
-        let mut m = Memory::new(MemoryConfig::default());
-        for i in 0..20 {
-            m.store(rid(1), i as f64 * 10.0, (i as f64 / 20.0).min(1.0));
-        }
-        m.save(rid(1), &path).expect("writable temp dir");
-        let mut m2 = Memory::new(MemoryConfig::default());
-        let n = m2.load(rid(5), &path).expect("readable");
-        assert_eq!(n, 20);
-        assert_eq!(extract(&m2, rid(5), 100), extract(&m, rid(1), 100));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_truncates_to_retention() {
-        let dir = std::env::temp_dir().join("nws-memory-trunc-test");
-        let path = dir.join("r.csv");
-        let mut big = Memory::new(MemoryConfig::default());
-        for i in 0..50 {
-            big.store(rid(1), i as f64, 0.5);
-        }
-        big.save(rid(1), &path).expect("writable");
-        let mut small = Memory::new(MemoryConfig { retain: 7 });
-        let n = small.load(rid(1), &path).expect("readable");
-        assert_eq!(n, 7);
-        // The RETAINED points are the most recent ones.
-        assert_eq!(extract(&small, rid(1), 1)[0].time, 49.0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

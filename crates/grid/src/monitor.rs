@@ -3,7 +3,7 @@
 //! The monitor is a client of the deterministic event engine
 //! ([`nws_runtime::Engine`]): each host is one engine shard — a
 //! [`Source`] producing one `SlotRecord` per measurement slot — and
-//! the [`Memory`] + [`ForecastService`] pair registers as the commit
+//! the [`Archive`] (registry + memory + forecast service) is the commit
 //! [`Stage`] absorbing those events slot-major in host-registration
 //! order. Timing comes from the shared [`Cadence`]; batching, ordering,
 //! and backpressure live in the engine, not here.
@@ -14,17 +14,19 @@
 //! deadline), outages with reboots, and delayed deliveries (a
 //! [`DelayLine`] event transform redelivers held-back measurements at
 //! commit time) — and every slot still resolves to either a stored
-//! reading or an explicit gap in the [`Memory`] and [`ForecastService`].
+//! reading or an explicit gap in the [`Archive`].
 //! Because each host's fault stream is a pure function of the plan seed
 //! and the host name, and the engine commits slot-major in registration
 //! order, runs are bit-identical at any `--threads` setting, any batch
 //! window, and under any engine clock.
 
-use crate::memory::{Memory, MemoryConfig, StoreOutcome};
-use crate::registry::{Metric, Registry, ResourceId};
+use crate::archive::{best_row, Archive};
+use crate::memory::{Memory, MemoryConfig};
+use crate::registry::{Registry, ResourceId};
 use crate::service::{ForecastAnswer, ForecastService};
+use crate::wal::{CheckpointReport, SnapshotStore, Wal, WalError};
 use nws_faults::{DelayLine, FaultPlan, FaultStats, HostFaults, SlotFaults};
-use nws_runtime::{Cadence, Clock, Engine, EngineConfig, Source, Stage};
+use nws_runtime::{host_seed, Cadence, Clock, Engine, EngineConfig, Source, Stage};
 use nws_sensors::{HybridSensor, LoadAvgSensor, ProbeOutcome, VmstatSensor};
 use nws_sim::{Host, HostProfile, Seconds};
 
@@ -39,12 +41,6 @@ pub struct GridMonitorConfig {
     pub batch_slots: usize,
     /// Memory retention per series.
     pub memory: MemoryConfig,
-    /// Two-sided coverage of forecast intervals.
-    pub interval_coverage: f64,
-    /// Forecasts staler than this (seconds since the last absorbed
-    /// measurement) mark their host *degraded*: still reported, but
-    /// excluded from [`GridSnapshot::best_host`] placement decisions.
-    pub staleness_bound: Seconds,
 }
 
 impl Default for GridMonitorConfig {
@@ -53,8 +49,6 @@ impl Default for GridMonitorConfig {
             cadence: Cadence::PAPER,
             batch_slots: EngineConfig::default().batch_slots,
             memory: MemoryConfig::default(),
-            interval_coverage: 0.9,
-            staleness_bound: 120.0,
         }
     }
 }
@@ -190,99 +184,67 @@ fn measure_host(
     }
 }
 
-/// The engine's commit stage: the memory and forecast service absorbing
-/// each host's slot events in canonical order.
-struct GridStage<'a> {
-    memory: &'a mut Memory,
-    service: &'a mut ForecastService,
-}
-
-impl Stage<MonitoredHost> for GridStage<'_> {
+/// The engine's commit stage: the archive absorbing each host's slot
+/// events in canonical order.
+impl Stage<MonitoredHost> for Archive {
+    /// Commits one host's slot: releases delay-line deliveries that are
+    /// now due, then stores this slot's readings or records explicit
+    /// gaps. The engine calls this slot-major in host-registration
+    /// order — from `step()` and `run_steps()` alike — so the shared
+    /// state evolves identically at any thread count.
     fn commit(&mut self, _shard: usize, mh: &mut MonitoredHost, slot: u64, rec: &SlotRecord) {
-        commit_slot(self.memory, self.service, mh, slot, rec);
-    }
-}
-
-/// Commits one host's slot to the memory and forecast service: releases
-/// delay-line deliveries that are now due, then stores this slot's
-/// readings or records explicit gaps. The engine calls this slot-major
-/// in host-registration order — from `step()` and `run_steps()` alike —
-/// so the shared state evolves identically at any thread count.
-fn commit_slot(
-    memory: &mut Memory,
-    service: &mut ForecastService,
-    mh: &mut MonitoredHost,
-    slot: u64,
-    rec: &SlotRecord,
-) {
-    mh.stats.slots += 1;
-    // Late deliveries land before the current slot's readings; whether
-    // the memory still accepts them depends on what arrived in between.
-    let stats = &mut mh.stats;
-    mh.pending
-        .release(slot, |p| match memory.append(p.id, p.t, p.value) {
-            StoreOutcome::Stored => {
-                service.observe(p.id, p.t, p.value);
+        mh.stats.slots += 1;
+        // Late deliveries land before the current slot's readings; whether
+        // the memory still accepts them depends on what arrived in between.
+        let stats = &mut mh.stats;
+        mh.pending.release(slot, |p| {
+            if self.reading(p.id, p.t, p.value).is_stored() {
                 stats.late_delivered += 1;
+            } else {
+                stats.late_dropped += 1;
             }
-            _ => stats.late_dropped += 1,
         });
-    let f = &rec.faults;
-    if f.reboot {
-        mh.stats.reboots += 1;
-    }
-    if f.outage && !f.reboot {
-        mh.stats.outage_slots += 1;
-        for id in mh.ids {
-            memory.record_gap(id, rec.t);
-            service.note_gap(id, rec.t);
-            mh.stats.gaps += 1;
+        let f = &rec.faults;
+        if f.reboot {
+            mh.stats.reboots += 1;
         }
-        return;
-    }
-    if let Some(p) = rec.probe {
-        mh.stats.probe_attempts_failed += u64::from(p.failed_attempts);
-        if !p.succeeded {
-            mh.stats.probes_abandoned += 1;
+        // A powered-off slot's record is empty — no readings, no probe —
+        // so below it resolves to four gaps like any other lost reading.
+        if f.outage && !f.reboot {
+            mh.stats.outage_slots += 1;
+        } else if f.delay_slots > 0 {
+            mh.stats.delayed += 1;
         }
-    }
-    if rec.cross_fallback {
-        mh.stats.fallback_cross += 1;
-    }
-    if f.delay_slots > 0 {
-        // The readings exist but are in flight: the slot resolves to a
-        // gap *now*, and the delay line redelivers the values when their
-        // due slot commits.
-        mh.stats.delayed += 1;
-        for (id, v) in mh.ids.iter().zip(rec.values) {
-            memory.record_gap(*id, rec.t);
-            service.note_gap(*id, rec.t);
-            mh.stats.gaps += 1;
-            if let Some(value) = v {
-                mh.pending.admit(
-                    slot + f.delay_slots,
-                    PendingDelivery {
-                        id: *id,
-                        t: rec.t,
-                        value,
-                    },
-                );
+        if let Some(p) = rec.probe {
+            mh.stats.probe_attempts_failed += u64::from(p.failed_attempts);
+            if !p.succeeded {
+                mh.stats.probes_abandoned += 1;
             }
         }
-        return;
-    }
-    for (id, v) in mh.ids.iter().zip(rec.values) {
-        match v {
-            Some(value) => {
-                if memory.append(*id, rec.t, value).is_stored() {
-                    service.observe(*id, rec.t, value);
-                    mh.stats.delivered += 1;
+        if rec.cross_fallback {
+            mh.stats.fallback_cross += 1;
+        }
+        for (&id, v) in mh.ids.iter().zip(rec.values) {
+            match v {
+                // On time: stored, or refused because a late delivery
+                // overtook it — never a gap.
+                Some(value) if f.delay_slots == 0 => {
+                    if self.reading(id, rec.t, value).is_stored() {
+                        mh.stats.delivered += 1;
+                    }
                 }
-            }
-            None => {
-                memory.record_gap(*id, rec.t);
-                service.note_gap(*id, rec.t);
-                mh.stats.gaps += 1;
+                // Lost or in flight: the slot resolves to a gap *now*; a
+                // reading in flight is redelivered by the delay line when
+                // its due slot commits.
+                _ => {
+                    self.gap(id, rec.t);
+                    mh.stats.gaps += 1;
+                    if let Some(value) = v {
+                        let t = rec.t;
+                        mh.pending
+                            .admit(slot + f.delay_slots, PendingDelivery { id, t, value });
+                    }
+                }
             }
         }
     }
@@ -298,8 +260,9 @@ pub struct HostReport {
     /// Standing hybrid availability forecast (with staleness relative to
     /// the snapshot time).
     pub forecast: Option<ForecastAnswer>,
-    /// The forecast is missing or staler than the configured bound:
-    /// the host is excluded from placement decisions.
+    /// The forecast is missing or staler than
+    /// [`STALENESS_BOUND`](crate::STALENESS_BOUND): the host is excluded
+    /// from placement decisions.
     pub degraded: bool,
 }
 
@@ -313,20 +276,13 @@ pub struct GridSnapshot {
 }
 
 impl GridSnapshot {
-    /// The non-degraded host with the highest finite forecast
-    /// availability, if any — where a scheduler would send the next task.
-    /// Hosts whose forecasts are stale (degraded) or non-finite are
-    /// skipped rather than trusted or panicked over.
+    /// Where a scheduler would send the next task: the host the
+    /// placement rule ([`best_row`]) picks, if any.
     pub fn best_host(&self) -> Option<&HostReport> {
-        self.hosts
-            .iter()
-            .filter(|h| !h.degraded)
-            .filter_map(|h| {
-                let f = h.forecast.as_ref()?.forecast.value;
-                f.is_finite().then_some((h, f))
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(h, _)| h)
+        best_row(self.hosts.iter().map(|h| {
+            let forecast = h.forecast.as_ref().map(|a| a.forecast.value);
+            (h, h.degraded, forecast)
+        }))
     }
 
     /// Hosts currently excluded from placement (no forecast, or one
@@ -355,9 +311,7 @@ impl GridSnapshot {
 /// ```
 pub struct GridMonitor {
     config: GridMonitorConfig,
-    registry: Registry,
-    memory: Memory,
-    service: ForecastService,
+    archive: Archive,
     /// The event engine owning the per-host shards and the slot clock.
     engine: Engine<MonitoredHost>,
     plan: FaultPlan,
@@ -402,34 +356,19 @@ impl GridMonitor {
         plan: FaultPlan,
         clock: Option<Box<dyn Clock>>,
     ) -> Self {
-        let mut registry = Registry::new();
+        let mut archive = Archive::new(config.memory);
         let hosts: Vec<MonitoredHost> = profiles
             .iter()
-            .map(|p| {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in p.name().as_bytes() {
-                    h ^= u64::from(*b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                let host = p.build(h ^ base_seed);
-                let ids = [
-                    registry.register(p.name(), Metric::CpuAvailabilityLoad),
-                    registry.register(p.name(), Metric::CpuAvailabilityVmstat),
-                    registry.register(p.name(), Metric::CpuAvailabilityHybrid),
-                    registry.register(p.name(), Metric::LoadAverage),
-                ];
-                let faults = plan.host_faults(p.name());
-                MonitoredHost {
-                    host,
-                    load_sensor: LoadAvgSensor::new(),
-                    vmstat_sensor: VmstatSensor::new(),
-                    hybrid_sensor: HybridSensor::default(),
-                    ids,
-                    cadence: config.cadence,
-                    faults,
-                    pending: DelayLine::new(),
-                    stats: FaultStats::default(),
-                }
+            .map(|p| MonitoredHost {
+                host: p.build(host_seed(base_seed, p.name())),
+                load_sensor: LoadAvgSensor::new(),
+                vmstat_sensor: VmstatSensor::new(),
+                hybrid_sensor: HybridSensor::default(),
+                ids: archive.register_host(p.name()),
+                cadence: config.cadence,
+                faults: plan.host_faults(p.name()),
+                pending: DelayLine::new(),
+                stats: FaultStats::default(),
             })
             .collect();
         let engine_config = EngineConfig {
@@ -442,9 +381,7 @@ impl GridMonitor {
         };
         Self {
             config,
-            registry,
-            memory: Memory::new(config.memory),
-            service: ForecastService::new(config.interval_coverage),
+            archive,
             engine,
             plan,
         }
@@ -455,48 +392,48 @@ impl GridMonitor {
         Self::new(&HostProfile::all(), base_seed, GridMonitorConfig::default())
     }
 
+    /// Everything the sensors have published: registry, memory and
+    /// forecasts as the one unit the serving layer reads.
+    pub fn archive(&self) -> &Archive {
+        &self.archive
+    }
+
     /// The name service.
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.archive.registry()
     }
 
     /// The measurement memory.
     pub fn memory(&self) -> &Memory {
-        &self.memory
-    }
-
-    /// Attaches a write-ahead log to the memory: every accepted
-    /// measurement, gap, and counted drop from here on is journaled in
-    /// commit order (see [`crate::wal`]). Attach before the first step
-    /// for a log that rebuilds the full state from genesis.
-    pub fn attach_journal(&mut self, wal: crate::wal::Wal) {
-        self.memory.attach_journal(wal);
-    }
-
-    /// The attached journal, if any — what the serving layer streams to
-    /// replicas.
-    pub fn journal(&self) -> Option<&crate::wal::Wal> {
-        self.memory.journal()
-    }
-
-    /// Checkpoints the memory into `store` and rotates the journal up
-    /// to the snapshot's covered offset — see [`Memory::checkpoint`].
-    pub fn checkpoint(
-        &mut self,
-        store: &crate::wal::SnapshotStore,
-        seq: u64,
-    ) -> Result<crate::wal::CheckpointReport, crate::wal::WalError> {
-        self.memory.checkpoint(store, seq)
+        self.archive.memory()
     }
 
     /// The forecast service.
     pub fn forecasts(&self) -> &ForecastService {
-        &self.service
+        self.archive.forecasts()
     }
 
-    /// The fault plan this monitor runs under.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
+    /// Attaches a write-ahead log — see [`Archive::attach_journal`].
+    /// Attach before the first step for a log that rebuilds the full
+    /// state from genesis.
+    pub fn attach_journal(&mut self, wal: Wal) {
+        self.archive.attach_journal(wal);
+    }
+
+    /// The attached journal, if any — what the serving layer streams to
+    /// replicas.
+    pub fn journal(&self) -> Option<&Wal> {
+        self.archive.journal()
+    }
+
+    /// Checkpoints the memory into `store` and rotates the journal up
+    /// to the snapshot's covered offset — see [`Archive::checkpoint`].
+    pub fn checkpoint(
+        &mut self,
+        store: &SnapshotStore,
+        seq: u64,
+    ) -> Result<CheckpointReport, WalError> {
+        self.archive.checkpoint(store, seq)
     }
 
     /// Aggregate fault/survival statistics across the fleet.
@@ -537,9 +474,7 @@ impl GridMonitor {
     /// cache that captured this value can keep answering until it
     /// moves.
     pub fn revision(&self) -> u64 {
-        self.slots()
-            .wrapping_add(self.memory.global_revision())
-            .wrapping_add(self.service.global_revision())
+        self.slots().wrapping_add(self.archive.revision())
     }
 
     /// Advances every host by one measurement period and publishes one
@@ -553,49 +488,32 @@ impl GridMonitor {
     /// The engine fans production out host-by-host across worker threads
     /// in bounded batches (host simulators, sensors, and fault streams
     /// share no state) and commits the buffered slot records to the
-    /// memory and forecast service slot-major in host-registration order
-    /// — the canonical event order — so memory contents, gap records,
-    /// and forecast state are bit-identical at any thread count and any
-    /// batch window.
+    /// archive slot-major in host-registration order — the canonical
+    /// event order — so memory contents, gap records, and forecast
+    /// state are bit-identical at any thread count and any batch
+    /// window.
     pub fn run_steps(&mut self, n: u64) {
-        let mut stage = GridStage {
-            memory: &mut self.memory,
-            service: &mut self.service,
-        };
-        self.engine.run(n, &mut stage);
+        self.engine.run(n, &mut self.archive);
     }
 
     /// Every monitored host with the id of its hybrid-availability
     /// series, in registration order — the rows of a snapshot.
     pub fn hosts(&self) -> impl ExactSizeIterator<Item = (&str, ResourceId)> {
-        self.engine
-            .sources()
-            .iter()
-            .map(|mh| (mh.host.name(), mh.ids[2]))
-    }
-
-    /// Forecasts staler than this mark their host degraded — see
-    /// [`GridMonitorConfig::staleness_bound`].
-    pub fn staleness_bound(&self) -> Seconds {
-        self.config.staleness_bound
+        self.archive.hosts()
     }
 
     /// A snapshot of every host's latest hybrid measurement and forecast,
     /// with staleness judged against the snapshot time.
     pub fn snapshot(&self) -> GridSnapshot {
         let time = self.now();
-        let bound = self.config.staleness_bound;
         let hosts = self
-            .hosts()
-            .map(|(host, hybrid_id)| {
-                let forecast = self.service.forecast_at(hybrid_id, time);
-                let degraded = forecast.as_ref().is_none_or(|a| a.staleness > bound);
-                HostReport {
-                    host: host.to_string(),
-                    latest_hybrid: self.memory.latest(hybrid_id).map(|p| p.value),
-                    forecast,
-                    degraded,
-                }
+            .archive
+            .host_rows(time)
+            .map(|row| HostReport {
+                host: row.host.to_string(),
+                latest_hybrid: row.latest,
+                forecast: row.forecast,
+                degraded: row.degraded,
             })
             .collect();
         GridSnapshot { time, hosts }
@@ -607,7 +525,7 @@ impl std::fmt::Debug for GridMonitor {
         f.debug_struct("GridMonitor")
             .field("hosts", &self.engine.sources().len())
             .field("slots", &self.slots())
-            .field("resources", &self.registry.len())
+            .field("resources", &self.registry().len())
             .field("faults", &!self.plan.is_none())
             .finish()
     }
@@ -616,6 +534,7 @@ impl std::fmt::Debug for GridMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Metric;
     use nws_faults::FaultRates;
 
     #[test]
@@ -700,10 +619,10 @@ mod tests {
             let mut all = Vec::new();
             for mh in gm.engine.sources() {
                 for id in mh.ids {
-                    let points: Vec<(f64, f64)> = gm.memory.with_series(id, |times, values| {
+                    let points: Vec<(f64, f64)> = gm.memory().with_series(id, |times, values| {
                         times.iter().copied().zip(values.iter().copied()).collect()
                     });
-                    let forecast = gm.service.forecast(id).map(|a| a.forecast.value);
+                    let forecast = gm.forecasts().forecast(id).map(|a| a.forecast.value);
                     all.push((points, forecast));
                 }
             }
@@ -748,10 +667,10 @@ mod tests {
             let mut all = Vec::new();
             for mh in gm.engine.sources() {
                 for id in mh.ids {
-                    let pts: Vec<(f64, f64)> = gm.memory.with_series(id, |times, values| {
+                    let pts: Vec<(f64, f64)> = gm.memory().with_series(id, |times, values| {
                         times.iter().copied().zip(values.iter().copied()).collect()
                     });
-                    all.push((pts, gm.service.forecast(id).map(|a| a.forecast.value)));
+                    all.push((pts, gm.forecasts().forecast(id).map(|a| a.forecast.value)));
                 }
             }
             all
@@ -787,10 +706,10 @@ mod tests {
             let mut series = Vec::new();
             for mh in gm.engine.sources() {
                 for id in mh.ids {
-                    let pts: Vec<(f64, f64)> = gm.memory.with_series(id, |times, values| {
+                    let pts: Vec<(f64, f64)> = gm.memory().with_series(id, |times, values| {
                         times.iter().copied().zip(values.iter().copied()).collect()
                     });
-                    series.push((pts, gm.memory.gaps(id), gm.memory.dropped(id)));
+                    series.push((pts, gm.memory().gaps(id), gm.memory().dropped(id)));
                 }
             }
             (series, gm.fault_stats())
@@ -827,7 +746,7 @@ mod tests {
         for mh in gm.engine.sources() {
             for id in mh.ids {
                 assert!(
-                    gm.memory.len(id) + gm.memory.gap_count(id) > 0,
+                    gm.memory().len(id) + gm.memory().gap_count(id) > 0,
                     "series must not be empty"
                 );
             }
@@ -889,6 +808,6 @@ mod tests {
         // A delayed reading only survives if nothing newer was stored
         // first; with on-time neighbors almost always present, most drop.
         assert!(st.late_delivered + st.late_dropped > 0);
-        assert!(gm.memory.total_dropped() >= st.late_dropped);
+        assert!(gm.memory().total_dropped() >= st.late_dropped);
     }
 }

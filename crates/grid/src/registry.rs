@@ -75,11 +75,15 @@ impl ResourceInfo {
 }
 
 /// The name service: registers `(host, metric)` pairs and answers lookups.
+///
+/// Handles are dense and sequential in registration order — the id *is*
+/// the index into the resource table, which is what lets the
+/// [`Memory`](crate::Memory) address its segments by id directly.
 #[derive(Debug, Default)]
 pub struct Registry {
-    next: u64,
-    by_id: BTreeMap<ResourceId, ResourceInfo>,
-    by_name: BTreeMap<(String, Metric), ResourceId>,
+    resources: Vec<ResourceInfo>,
+    /// Host, then metric: a `&str` lookup borrows, no key is built.
+    by_name: BTreeMap<String, BTreeMap<Metric, ResourceId>>,
 }
 
 impl Registry {
@@ -93,44 +97,46 @@ impl Registry {
     /// NWS name server).
     pub fn register(&mut self, host: impl Into<String>, metric: Metric) -> ResourceId {
         let host = host.into();
-        if let Some(&id) = self.by_name.get(&(host.clone(), metric)) {
+        if let Some(id) = self.lookup(&host, metric) {
             return id;
         }
-        let id = ResourceId(self.next);
-        self.next += 1;
-        self.by_name.insert((host.clone(), metric), id);
-        self.by_id.insert(id, ResourceInfo { id, host, metric });
+        let id = ResourceId(self.resources.len() as u64);
+        self.by_name
+            .entry(host.clone())
+            .or_default()
+            .insert(metric, id);
+        self.resources.push(ResourceInfo { id, host, metric });
         id
     }
 
     /// Looks a resource up by `(host, metric)`.
     pub fn lookup(&self, host: &str, metric: Metric) -> Option<ResourceId> {
-        self.by_name.get(&(host.to_string(), metric)).copied()
+        self.by_name.get(host)?.get(&metric).copied()
     }
 
     /// Metadata for a handle.
     pub fn info(&self, id: ResourceId) -> Option<&ResourceInfo> {
-        self.by_id.get(&id)
+        self.resources.get(id.0 as usize)
     }
 
     /// All registered resources, ordered by id.
     pub fn resources(&self) -> impl Iterator<Item = &ResourceInfo> {
-        self.by_id.values()
+        self.resources.iter()
     }
 
     /// All resources on one host.
     pub fn resources_on(&self, host: &str) -> Vec<&ResourceInfo> {
-        self.by_id.values().filter(|r| r.host == host).collect()
+        self.resources.iter().filter(|r| r.host == host).collect()
     }
 
     /// Number of registered resources.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.resources.len()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.resources.is_empty()
     }
 }
 
@@ -147,6 +153,35 @@ mod tests {
         assert_eq!(r.lookup("thing2", Metric::CpuAvailabilityHybrid), None);
         let info = r.info(id).expect("registered");
         assert_eq!(info.full_name(), "thing1/cpu.avail.hybrid");
+    }
+
+    #[test]
+    fn unregistered_names_are_none_and_ids_are_dense_in_registration_order() {
+        let mut r = Registry::new();
+        let ids: Vec<ResourceId> = [
+            ("b", Metric::LoadAverage),
+            ("a", Metric::NetworkLatency),
+            ("b", Metric::CpuAvailabilityLoad),
+            ("a", Metric::NetworkLatency), // again: no new id
+            ("c", Metric::CpuAvailabilityHybrid),
+        ]
+        .into_iter()
+        .map(|(host, metric)| r.register(host, metric))
+        .collect();
+        let dense = [0, 1, 2, 1, 3].map(ResourceId);
+        assert_eq!(ids, dense, "ids follow registration, not name, order");
+        assert_eq!(r.lookup("zardoz", Metric::LoadAverage), None);
+        assert_eq!(r.lookup("", Metric::LoadAverage), None);
+        assert_eq!(
+            r.lookup("a", Metric::LoadAverage),
+            None,
+            "host yes, metric no"
+        );
+        assert_eq!(r.lookup("c", Metric::CpuAvailabilityLoad), None);
+        let listed: Vec<ResourceId> = r.resources().map(|info| info.id).collect();
+        assert_eq!(listed, [0, 1, 2, 3].map(ResourceId));
+        assert_eq!(r.info(ResourceId(3)).expect("registered").host, "c");
+        assert!(r.info(ResourceId(4)).is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The forecaster service: on-demand predictions per registered resource.
 
 use crate::registry::ResourceId;
-use nws_forecast::{Forecast, IntervalTracker, NwsForecaster, PredictionInterval};
+use nws_forecast::{Forecast, IntervalTracker, PredictionInterval, PredictorBank};
 use nws_timeseries::Seconds;
 use std::collections::BTreeMap;
 
@@ -34,7 +34,7 @@ pub struct ForecastAnswer {
 /// Per-resource forecasting state.
 #[derive(Debug)]
 struct ResourceState {
-    nws: NwsForecaster,
+    nws: PredictorBank,
     intervals: IntervalTracker,
     /// Time of the last real measurement absorbed.
     last_obs: Option<Seconds>,
@@ -78,7 +78,7 @@ impl ForecastService {
     fn entry(&mut self, id: ResourceId) -> &mut ResourceState {
         let coverage = self.coverage;
         self.state.entry(id).or_insert_with(|| ResourceState {
-            nws: NwsForecaster::nws_default(),
+            nws: PredictorBank::nws_default(),
             intervals: IntervalTracker::new(coverage),
             last_obs: None,
             gap_ewma: 0.0,

@@ -4,9 +4,10 @@
 //! from which compute cycles can be obtained in the way electrical power is
 //! obtained from an electrical power utility" — in one object: host CPU
 //! availability (via [`GridMonitor`]) and inter-site network performance
-//! (via [`nws_net::LinkMonitor`]) measured on their own cadences, published
-//! into one registry/memory, and forecast per series.
+//! (via [`nws_net::LinkMonitor`]) measured on their own cadences, each
+//! published into its own [`Archive`], and forecast per series.
 
+use crate::archive::Archive;
 use crate::memory::{Memory, MemoryConfig};
 use crate::monitor::{GridMonitor, GridMonitorConfig};
 use crate::registry::{Metric, Registry, ResourceId};
@@ -44,19 +45,16 @@ pub struct WeatherService {
     /// one shard (its probe-drop RNG spans links), one slot = one probe
     /// cycle on the link cadence.
     net: Engine<LinkMonitor>,
-    net_registry: Registry,
-    net_memory: Memory,
-    net_forecasts: ForecastService,
+    net_archive: Archive,
     /// `(bandwidth id, latency id, link name, capacity)` per link.
     link_ids: Vec<(ResourceId, ResourceId, String, f64)>,
     config: WeatherServiceConfig,
 }
 
 /// The commit side of the network engine: publishes each cycle's samples
-/// (or explicit gaps) into the shared memory and forecast service.
+/// (or explicit gaps) into the network archive.
 struct NetStage<'a> {
-    memory: &'a mut Memory,
-    forecasts: &'a mut ForecastService,
+    archive: &'a mut Archive,
     link_ids: &'a [(ResourceId, ResourceId, String, f64)],
     probe_period: f64,
 }
@@ -74,26 +72,18 @@ impl Stage<LinkMonitor> for NetStage<'_> {
         for ((bw_id, lat_id, _, capacity), sample) in self.link_ids.iter().zip(event) {
             match sample {
                 Some(s) => {
-                    // A sample the memory refuses (non-finite, or not
-                    // after the series' latest point) does not reach the
-                    // forecaster either: what is forecast is what is
-                    // stored.
-                    if self.memory.store(*bw_id, s.time, s.bandwidth) {
-                        // Forecast the capacity-normalized series.
-                        self.forecasts
-                            .observe(*bw_id, s.time, s.bandwidth / capacity);
-                    }
-                    if self.memory.store(*lat_id, s.time, s.latency) {
-                        self.forecasts.observe(*lat_id, s.time, s.latency);
-                    }
+                    // Bandwidth is stored in bytes/second and forecast
+                    // capacity-normalized.
+                    let normalized = s.bandwidth / capacity;
+                    self.archive
+                        .reading_as(*bw_id, s.time, s.bandwidth, normalized);
+                    self.archive.reading(*lat_id, s.time, s.latency);
                 }
                 None => {
                     // A dropped probe cycle is an explicit gap on both
                     // series at the cycle's nominal completion time.
-                    for id in [bw_id, lat_id] {
-                        self.memory.record_gap(*id, now);
-                        self.forecasts.note_gap(*id, now);
-                    }
+                    self.archive.gap(*bw_id, now);
+                    self.archive.gap(*lat_id, now);
                 }
             }
         }
@@ -123,13 +113,13 @@ impl WeatherService {
         config: WeatherServiceConfig,
         plan: FaultPlan,
     ) -> Self {
-        let mut net_registry = Registry::new();
+        let mut net_archive = Archive::new(config.net_memory);
         let link_ids = links
             .iter()
             .map(|(name, cfg)| {
                 (
-                    net_registry.register(name.clone(), Metric::NetworkBandwidth),
-                    net_registry.register(name.clone(), Metric::NetworkLatency),
+                    net_archive.register(name.clone(), Metric::NetworkBandwidth),
+                    net_archive.register(name.clone(), Metric::NetworkLatency),
                     name.clone(),
                     cfg.capacity,
                 )
@@ -155,9 +145,7 @@ impl WeatherService {
                     batch_slots: config.grid.batch_slots,
                 },
             ),
-            net_registry,
-            net_memory: Memory::new(config.net_memory),
-            net_forecasts: ForecastService::new(config.grid.interval_coverage),
+            net_archive,
             link_ids,
             config,
         }
@@ -184,17 +172,17 @@ impl WeatherService {
 
     /// The network registry (link series).
     pub fn net_registry(&self) -> &Registry {
-        &self.net_registry
+        self.net_archive.registry()
     }
 
     /// The network measurement memory.
     pub fn net_memory(&self) -> &Memory {
-        &self.net_memory
+        self.net_archive.memory()
     }
 
     /// Network forecasts (normalized to link capacity for bandwidth).
     pub fn net_forecasts(&self) -> &ForecastService {
-        &self.net_forecasts
+        self.net_archive.forecasts()
     }
 
     /// Advances both halves by `seconds` of simulated time: the CPU side on
@@ -206,8 +194,7 @@ impl WeatherService {
         self.cpu.run_steps(cpu_steps);
         let net_probes = (seconds / self.config.links.probe_period).round() as u64;
         let mut stage = NetStage {
-            memory: &mut self.net_memory,
-            forecasts: &mut self.net_forecasts,
+            archive: &mut self.net_archive,
             link_ids: &self.link_ids,
             probe_period: self.config.links.probe_period,
         };
@@ -221,14 +208,13 @@ impl WeatherService {
     pub fn revision(&self) -> u64 {
         self.cpu
             .revision()
-            .wrapping_add(self.net_memory.global_revision())
-            .wrapping_add(self.net_forecasts.global_revision())
+            .wrapping_add(self.net_archive.revision())
     }
 
     /// The standing bandwidth forecast for a link, in bytes/second.
     pub fn bandwidth_forecast(&self, link: &str) -> Option<ForecastAnswer> {
         let (bw_id, _, _, capacity) = self.link_ids.iter().find(|(_, _, name, _)| name == link)?;
-        let mut answer = self.net_forecasts.forecast(*bw_id)?;
+        let mut answer = self.net_forecasts().forecast(*bw_id)?;
         answer.forecast.value *= capacity;
         if let Some(iv) = &mut answer.interval {
             iv.forecast *= capacity;
@@ -289,11 +275,9 @@ mod tests {
     fn a_sample_the_memory_refuses_does_not_reach_the_forecaster() {
         let (bw, lat) = (ResourceId(0), ResourceId(1));
         let link_ids = [(bw, lat, "l".to_string(), 1.0e6)];
-        let mut memory = Memory::new(MemoryConfig { retain: 16 });
-        let mut forecasts = ForecastService::new(0.9);
+        let mut archive = Archive::new(MemoryConfig { retain: 16 });
         let mut stage = NetStage {
-            memory: &mut memory,
-            forecasts: &mut forecasts,
+            archive: &mut archive,
             link_ids: &link_ids,
             probe_period: 120.0,
         };
@@ -310,6 +294,7 @@ mod tests {
         // latency: the memory takes only the last latency.
         stage.commit(0, &mut source, 1, &sample(120.0, 9.0e5, 0.09));
         stage.commit(0, &mut source, 2, &sample(240.0, f64::NAN, 0.05));
+        let (memory, forecasts) = (archive.memory(), archive.forecasts());
         assert_eq!((memory.len(bw), memory.len(lat)), (1, 2));
         let observed = |id| forecasts.forecast(id).expect("live").observations;
         assert_eq!(observed(bw), 1, "memory and forecaster diverged");

@@ -289,39 +289,4 @@ proptest! {
         }
         assert_series_agrees(&mem, &model, 9)?;
     }
-
-    #[test]
-    fn csv_round_trip_restores_the_retained_window(
-        retain in 1usize..6,
-        total in 1usize..40,
-        seed in any::<u64>(),
-    ) {
-        // save() then load() into a fresh memory reproduces the retained
-        // window exactly (CSV carries full f64 precision).
-        let mut mem = Memory::new(MemoryConfig { retain });
-        let mut state = seed | 1;
-        for i in 0..total {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let v = (state >> 11) as f64 / (1u64 << 53) as f64;
-            prop_assert!(mem.store(ResourceId(4), i as f64, v));
-        }
-        let path = std::env::temp_dir().join(format!(
-            "nws-memory-model-{}-{seed:x}-{retain}-{total}.csv",
-            std::process::id()
-        ));
-        mem.save(ResourceId(4), &path).expect("save");
-        let mut restored = Memory::new(MemoryConfig { retain });
-        let loaded = restored.load(ResourceId(4), &path).expect("load");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(loaded, mem.len(ResourceId(4)));
-        prop_assert_eq!(restored.len(ResourceId(4)), mem.len(ResourceId(4)));
-        let want = extract(&mem, ResourceId(4), usize::MAX);
-        let got = extract(&restored, ResourceId(4), usize::MAX);
-        for (a, b) in want.iter().zip(&got) {
-            prop_assert_eq!(a.time.to_bits(), b.time.to_bits());
-            prop_assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
-        // Loading replaces: revision moved, and a reload is idempotent.
-        prop_assert_eq!(restored.revision(ResourceId(4)), 1);
-    }
 }

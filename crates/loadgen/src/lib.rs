@@ -51,11 +51,4 @@ pub use soak::{soak, SoakOutcome, SoakWindow};
 
 /// FNV-1a over a byte slice: the repo's standard order-sensitive
 /// fingerprint for determinism checks in committed artifacts.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+pub use nws_stats::fnv1a;

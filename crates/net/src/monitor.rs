@@ -3,8 +3,8 @@
 use crate::link::{Link, LinkConfig};
 use crate::sensors::{BandwidthSensor, LatencySensor};
 use crate::Seconds;
-use nws_forecast::{evaluate_one_step, NwsForecaster};
-use nws_runtime::Source;
+use nws_forecast::{evaluate_one_step, PredictorBank};
+use nws_runtime::{host_seed, Source};
 use nws_stats::Rng;
 use nws_timeseries::Series;
 
@@ -36,7 +36,7 @@ pub struct MonitoredLink {
     pub bandwidth: Series,
     /// Round-trip latency (seconds).
     pub latency: Series,
-    forecaster: NwsForecaster,
+    forecaster: PredictorBank,
 }
 
 /// What one probe cycle yielded on one link: the samples a consumer
@@ -88,20 +88,13 @@ impl LinkMonitor {
     ) -> Self {
         let links = links
             .into_iter()
-            .map(|(name, cfg)| {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in name.as_bytes() {
-                    h ^= u64::from(*b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                MonitoredLink {
-                    link: Link::new(name.clone(), cfg, h ^ base_seed),
-                    bandwidth_sensor: BandwidthSensor::new(config.probe_bytes),
-                    latency_sensor: LatencySensor::new(),
-                    bandwidth: Series::new(format!("{name}/bandwidth")),
-                    latency: Series::new(format!("{name}/latency")),
-                    forecaster: NwsForecaster::nws_default(),
-                }
+            .map(|(name, cfg)| MonitoredLink {
+                link: Link::new(name.clone(), cfg, host_seed(base_seed, &name)),
+                bandwidth_sensor: BandwidthSensor::new(config.probe_bytes),
+                latency_sensor: LatencySensor::new(),
+                bandwidth: Series::new(format!("{name}/bandwidth")),
+                latency: Series::new(format!("{name}/latency")),
+                forecaster: PredictorBank::nws_default(),
             })
             .collect();
         Self {
@@ -227,7 +220,7 @@ impl LinkMonitor {
                     .map(|&b| b / capacity)
                     .collect();
                 let mae = {
-                    let mut nws = NwsForecaster::nws_default();
+                    let mut nws = PredictorBank::nws_default();
                     evaluate_one_step(&mut nws, &normalized)
                         .map(|r| r.mae)
                         .unwrap_or(f64::NAN)

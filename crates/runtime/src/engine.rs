@@ -90,7 +90,7 @@ impl Cadence {
     /// EWMA gain spreading a probe-bias correction across
     /// [`Cadence::bias_window`] probes (the paper cadence yields 0.3:
     /// ~83% of a correction's weight lands inside the window).
-    pub fn bias_gain(&self) -> f64 {
+    pub const fn bias_gain(&self) -> f64 {
         1.5 / self.bias_window as f64
     }
 }
@@ -200,12 +200,6 @@ impl<S: Source> Engine<S> {
     /// Registered shards, in commit order.
     pub fn sources(&self) -> &[S] {
         &self.sources
-    }
-
-    /// Mutable access to the shards (snapshotting, reconfiguration
-    /// between runs).
-    pub fn sources_mut(&mut self) -> &mut [S] {
-        &mut self.sources
     }
 
     /// Changes the batch window for subsequent runs.

@@ -36,9 +36,11 @@
 
 pub mod clock;
 pub mod engine;
+pub mod hash;
 
 pub use clock::{Clock, StepClock, VirtualClock, WallClock};
 pub use engine::{Cadence, Engine, EngineConfig, Source, Stage};
+pub use hash::{fnv1a, host_seed, Fnv1a};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

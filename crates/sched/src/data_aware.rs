@@ -15,6 +15,7 @@
 
 use crate::expansion::predicted_runtime;
 use nws_net::{Link, LinkConfig};
+use nws_runtime::host_seed;
 use nws_sim::{Host, HostProfile, ProcessSpec, Seconds};
 use nws_stats::Rng;
 
@@ -138,12 +139,7 @@ pub struct DataSchedOutcome {
 }
 
 fn site_seed(base: u64, idx: usize, what: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in what.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^ base ^ (idx as u64).wrapping_mul(0x9E37_79B9)
+    host_seed(base, what) ^ (idx as u64).wrapping_mul(0x9E37_79B9)
 }
 
 /// Measures availability (mean of recent Eq. 1 readings) and achievable

@@ -4,7 +4,7 @@
 //!
 //! 1. **Measurement phase** — each host is monitored by the NWS for a
 //!    configurable span (hybrid sensor + probes, no test processes); an
-//!    [`NwsForecaster`] is fed the hybrid measurement series and asked for
+//!    [`PredictorBank`] is fed the hybrid measurement series and asked for
 //!    a one-step-ahead availability forecast. The load-average policy
 //!    instead keeps the *instantaneous* Eq. 1 reading at scheduling time.
 //! 2. **Placement** — the policy assigns a bag of CPU-bound tasks to hosts
@@ -21,8 +21,8 @@
 
 use crate::policy::{place, Placement, Policy};
 use nws_core::monitor::{Monitor, MonitorConfig};
-use nws_forecast::NwsForecaster;
-use nws_runtime::parallel_map;
+use nws_forecast::PredictorBank;
+use nws_runtime::{host_seed, parallel_map};
 use nws_sensors::LoadAvgSensor;
 use nws_sim::{Host, HostProfile, ProcessSpec, Seconds};
 use nws_stats::Rng;
@@ -104,15 +104,6 @@ pub struct SchedulingOutcome {
     pub availabilities: Vec<f64>,
 }
 
-fn per_host_seed(base: u64, name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^ base
-}
-
 /// Runs the measurement phase on every host and returns
 /// `(hybrid_forecasts, load_forecasts, instantaneous_load_availabilities)`.
 fn gather_estimates(cfg: &SchedConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -123,7 +114,7 @@ fn gather_estimates(cfg: &SchedConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         ..MonitorConfig::default()
     });
     let forecast_of = |values: &[f64]| {
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         let mut forecast = 1.0;
         for &v in values {
             if let Some(f) = nws.update(v) {
@@ -135,7 +126,7 @@ fn gather_estimates(cfg: &SchedConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     // Each host's measurement phase is seed-isolated; fan out and unzip in
     // host order.
     let rows = parallel_map(HostProfile::all().to_vec(), |p| {
-        let mut host = p.build(per_host_seed(cfg.seed, p.name()));
+        let mut host = p.build(host_seed(cfg.seed, p.name()));
         let out = monitor.run(&mut host);
         (
             forecast_of(out.series.hybrid.values()),
@@ -162,7 +153,7 @@ fn execute_placement(cfg: &SchedConfig, bag: &TaskBag, placement: &Placement) ->
     // and the per-host simulations fan out across worker threads.
     let jobs: Vec<(usize, HostProfile)> = HostProfile::all().iter().copied().enumerate().collect();
     let completions = parallel_map(jobs, |(h, p)| {
-        let mut host: Host = p.build(per_host_seed(cfg.seed, p.name()));
+        let mut host: Host = p.build(host_seed(cfg.seed, p.name()));
         // Fast-forward to the scheduling instant (warmup + measurement).
         host.advance_to(600.0 + cfg.monitor_span);
         let start = host.now();

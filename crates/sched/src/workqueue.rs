@@ -17,18 +17,10 @@
 use crate::experiment::{SchedConfig, TaskBag};
 use crate::policy::{place, Policy};
 use nws_core::monitor::{Monitor, MonitorConfig};
-use nws_forecast::NwsForecaster;
+use nws_forecast::PredictorBank;
+use nws_runtime::host_seed;
 use nws_sim::{Host, HostProfile, Pid, ProcessSpec, Seconds};
 use nws_stats::Rng;
-
-fn per_host_seed(base: u64, name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^ base
-}
 
 /// How tasks are ordered in the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +50,7 @@ pub fn run_workqueue(cfg: &SchedConfig, bag: &TaskBag, order: QueueOrder) -> Wor
     let mut hosts: Vec<Host> = profiles
         .iter()
         .map(|p| {
-            let mut h = p.build(per_host_seed(cfg.seed, p.name()));
+            let mut h = p.build(host_seed(cfg.seed, p.name()));
             h.advance_to(600.0 + cfg.monitor_span);
             h
         })
@@ -141,9 +133,9 @@ pub fn compare_static_vs_dynamic(cfg: &SchedConfig) -> StaticVsDynamic {
     let forecasts: Vec<f64> = HostProfile::all()
         .iter()
         .map(|p| {
-            let mut host = p.build(per_host_seed(cfg.seed, p.name()));
+            let mut host = p.build(host_seed(cfg.seed, p.name()));
             let out = monitor.run(&mut host);
-            let mut nws = NwsForecaster::nws_default();
+            let mut nws = PredictorBank::nws_default();
             let mut f = 1.0;
             for &v in out.series.hybrid.values() {
                 if let Some(fc) = nws.update(v) {
@@ -168,7 +160,7 @@ pub fn compare_static_vs_dynamic(cfg: &SchedConfig) -> StaticVsDynamic {
 fn execute_static(cfg: &SchedConfig, bag: &TaskBag, assignment: &[usize]) -> Seconds {
     let mut makespan: Seconds = 0.0;
     for (h, p) in HostProfile::all().iter().enumerate() {
-        let mut host = p.build(per_host_seed(cfg.seed, p.name()));
+        let mut host = p.build(host_seed(cfg.seed, p.name()));
         host.advance_to(600.0 + cfg.monitor_span);
         let start = host.now();
         let pids: Vec<Pid> = bag

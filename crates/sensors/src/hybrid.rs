@@ -42,6 +42,26 @@ impl Method {
     }
 }
 
+/// EWMA gain for bias updates. A single 1.5 s probe is a noisy sample of
+/// availability; smoothing the bias across probes damps that noise while
+/// still converging on persistent skews (the `nice`-load correction)
+/// within a few minutes — spread across the paper cadence's 5-probe bias
+/// window.
+const BIAS_GAIN: f64 = nws_runtime::Cadence::PAPER.bias_gain();
+
+/// Wall-clock cap on one probe run, in seconds (the probe spins for
+/// `probe_duration` seconds of *CPU*; under contention its wall time
+/// stretches up to this cap).
+const PROBE_MAX_WALL: f64 = 8.0;
+
+/// How many times a failed probe attempt is retried before the cycle is
+/// abandoned and the sensor falls back to its passive reading.
+const PROBE_RETRIES: u32 = 2;
+
+/// Wall-clock pause between probe retries (seconds, on the simulator's
+/// 100 ms tick grid).
+const PROBE_BACKOFF: f64 = 0.5;
+
 /// Tunables for the hybrid sensor.
 #[derive(Debug, Clone, Copy)]
 pub struct HybridConfig {
@@ -51,21 +71,6 @@ pub struct HybridConfig {
     /// is the ablation that shows bias rescuing conundrum and sinking
     /// kongo.
     pub apply_bias: bool,
-    /// EWMA gain for bias updates in `(0, 1]`. A single 1.5 s probe is a
-    /// noisy sample of availability; smoothing the bias across probes damps
-    /// that noise while still converging on persistent skews (the
-    /// `nice`-load correction) within a few minutes.
-    pub bias_gain: f64,
-    /// Wall-clock cap on one probe run (the probe spins for
-    /// `probe_duration` seconds of *CPU*; under contention its wall time
-    /// stretches up to this cap).
-    pub probe_max_wall: f64,
-    /// How many times a failed probe attempt is retried before the cycle
-    /// is abandoned and the sensor falls back to its passive reading.
-    pub probe_retries: u32,
-    /// Wall-clock pause between probe retries (seconds, on the simulator's
-    /// 100 ms tick grid).
-    pub probe_backoff: f64,
 }
 
 impl Default for HybridConfig {
@@ -73,11 +78,6 @@ impl Default for HybridConfig {
         Self {
             probe_duration: crate::PROBE_DURATION,
             apply_bias: true,
-            // Spread across the paper cadence's 5-probe bias window.
-            bias_gain: nws_runtime::Cadence::PAPER.bias_gain(),
-            probe_max_wall: 8.0,
-            probe_retries: 2,
-            probe_backoff: 0.5,
         }
     }
 }
@@ -118,10 +118,6 @@ impl HybridSensor {
         assert!(
             config.probe_duration > 0.0,
             "probe duration must be positive"
-        );
-        assert!(
-            config.bias_gain > 0.0 && config.bias_gain <= 1.0,
-            "bias gain must be in (0, 1]"
         );
         Self {
             config,
@@ -224,7 +220,7 @@ impl HybridSensor {
         let probe = host.run_cpu_limited_probe(
             Arc::clone(&self.probe_name),
             self.config.probe_duration,
-            self.config.probe_max_wall.max(self.config.probe_duration),
+            PROBE_MAX_WALL.max(self.config.probe_duration),
         );
         self.probes_run += 1;
         self.last_probe_value = Some(probe);
@@ -240,7 +236,7 @@ impl HybridSensor {
         if self.probes_run == 1 || method != self.chosen {
             self.bias = probe - raw;
         } else {
-            self.bias += self.config.bias_gain * ((probe - raw) - self.bias);
+            self.bias += BIAS_GAIN * ((probe - raw) - self.bias);
         }
         self.chosen = method;
         self.combine(l, v)
@@ -248,9 +244,9 @@ impl HybridSensor {
 
     /// Runs one probe cycle under fault injection: the first
     /// `failing_attempts` probe attempts fail (each consuming
-    /// `probe_duration` of wall-clock, followed by `probe_backoff` before
-    /// the retry), bounded by the retry budget and by `deadline`
-    /// (absolute simulation time). When the cycle is abandoned — retries
+    /// `probe_duration` of wall-clock, followed by a half-second backoff
+    /// before the retry), bounded by a budget of two retries and by
+    /// `deadline` (absolute simulation time). When the cycle is abandoned — retries
     /// exhausted or no room left before the deadline — the sensor falls
     /// back to its passive measurement.
     ///
@@ -290,7 +286,7 @@ impl HybridSensor {
             // nominal duration before the failure is detected.
             host.advance(self.config.probe_duration);
             failed += 1;
-            if failed > self.config.probe_retries {
+            if failed > PROBE_RETRIES {
                 // Retry budget exhausted — abandon the cycle.
                 let value = self.measure(host);
                 return (
@@ -301,7 +297,7 @@ impl HybridSensor {
                     },
                 );
             }
-            host.advance(self.config.probe_backoff);
+            host.advance(PROBE_BACKOFF);
         }
     }
 
@@ -485,11 +481,8 @@ mod tests {
         let deadline = h.now() + 60.0;
         let (value, outcome) = s.measure_with_probe_retries(&mut h, 10, deadline);
         assert!(!outcome.succeeded);
-        // Budget: initial attempt + probe_retries retries, all failed.
-        assert_eq!(
-            outcome.failed_attempts,
-            1 + HybridConfig::default().probe_retries
-        );
+        // Budget: initial attempt + PROBE_RETRIES retries, all failed.
+        assert_eq!(outcome.failed_attempts, 1 + PROBE_RETRIES);
         assert_eq!(s.probes_run(), 0, "no probe ever ran");
         assert!((0.0..=1.0).contains(&value));
     }

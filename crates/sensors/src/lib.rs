@@ -19,9 +19,11 @@
 //!    difference forward as a **bias** — the only way to see through
 //!    `nice`-level background load.
 //!
-//! [`TestProcess`] is the ground-truth oracle: a 10-second (or 5-minute)
-//! full-priority CPU-bound process whose `cpu_time / wall_time` ratio
-//! defines measurement error (Eq. 3).
+//! The ground-truth oracle all three are scored against is the paper's
+//! *test process*: a 10-second (or 5-minute) full-priority CPU-bound
+//! process whose `cpu_time / wall_time` ratio defines measurement error
+//! (Eq. 3) — [`nws_sim::Host::run_occupancy_process`] run for
+//! [`TEST_DURATION_SHORT`] or [`TEST_DURATION_MEDIUM`].
 //!
 //! The [`proc`] module applies the same two passive formulas to a live
 //! Linux host via `/proc/loadavg` and `/proc/stat`, so the library is
@@ -30,58 +32,10 @@
 pub mod hybrid;
 pub mod loadavg_sensor;
 pub mod proc;
-pub mod source;
-pub mod test_process;
 pub mod vmstat_sensor;
-
-/// A passive CPU availability sensor over a simulated host.
-///
-/// Implemented by the two non-intrusive methods ([`LoadAvgSensor`],
-/// [`VmstatSensor`]) and by the hybrid's passive path. The hybrid's probe
-/// cycle needs `&mut Host` (it runs a process) and therefore lives outside
-/// this trait, on [`HybridSensor::measure_with_probe`].
-pub trait AvailabilitySensor {
-    /// The method's display name.
-    fn method_name(&self) -> &'static str;
-
-    /// Takes one availability measurement in `[0, 1]`.
-    fn measure_availability(&mut self, host: &nws_sim::Host) -> f64;
-}
-
-impl AvailabilitySensor for LoadAvgSensor {
-    fn method_name(&self) -> &'static str {
-        self.name()
-    }
-
-    fn measure_availability(&mut self, host: &nws_sim::Host) -> f64 {
-        self.measure(host)
-    }
-}
-
-impl AvailabilitySensor for VmstatSensor {
-    fn method_name(&self) -> &'static str {
-        self.name()
-    }
-
-    fn measure_availability(&mut self, host: &nws_sim::Host) -> f64 {
-        self.measure(host)
-    }
-}
-
-impl AvailabilitySensor for HybridSensor {
-    fn method_name(&self) -> &'static str {
-        self.name()
-    }
-
-    fn measure_availability(&mut self, host: &nws_sim::Host) -> f64 {
-        self.measure(host)
-    }
-}
 
 pub use hybrid::{HybridConfig, HybridSensor, Method, ProbeOutcome};
 pub use loadavg_sensor::{availability_from_load, LoadAvgSensor};
-pub use source::SensorSource;
-pub use test_process::TestProcess;
 pub use vmstat_sensor::{availability_from_vmstat, VmstatReading, VmstatSensor};
 
 use nws_runtime::Cadence;
@@ -103,28 +57,3 @@ pub const TEST_DURATION_SHORT: f64 = 10.0;
 
 /// Duration of the medium-term test process (Table 6): 5 minutes.
 pub const TEST_DURATION_MEDIUM: f64 = 300.0;
-
-#[cfg(test)]
-mod trait_tests {
-    use super::*;
-
-    #[test]
-    fn sensors_compose_behind_the_trait() {
-        let mut host = nws_sim::Host::new("box", 4);
-        host.advance(120.0);
-        let mut sensors: Vec<Box<dyn AvailabilitySensor>> = vec![
-            Box::new(LoadAvgSensor::new()),
-            Box::new(VmstatSensor::new()),
-            Box::new(HybridSensor::default()),
-        ];
-        let mut names = Vec::new();
-        for s in sensors.iter_mut() {
-            let a = s.measure_availability(&host);
-            assert!((0.0..=1.0).contains(&a), "{}: {a}", s.method_name());
-            names.push(s.method_name());
-        }
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 3, "method names must be distinct");
-    }
-}

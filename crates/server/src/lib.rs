@@ -13,7 +13,12 @@
 //! - [`Dispatch`] — what every transport serves through. Behind it the
 //!   request *policy* (lookups, cache protocol, accounting, bounds,
 //!   error codes) is written once, answering in borrowed
-//!   [`nws_wire::ReplyRef`]s; a reply is then rendered either straight
+//!   [`nws_wire::ReplyRef`]s out of an [`nws_grid::Archive`] — the one
+//!   the primary's monitor commits into or the one a replica replays
+//!   into — plus the three things the two answer differently (the
+//!   clock, the journal, the cold-host wording). Snapshot rows and the
+//!   best host are the archive's own rows and placement rule, mapped
+//!   into wire rows; a reply is then rendered either straight
 //!   to frame bytes ([`Dispatch::dispatch_frame`]) or to an owned
 //!   [`nws_wire::Response`] ([`Dispatch::dispatch`], the reference the
 //!   byte path is diffed against). A reply that would not fit one frame
@@ -31,11 +36,11 @@
 //! - [`Transport`] / [`InMemoryTransport`] — the same codec and
 //!   dispatch path without sockets, so tests and the determinism suite
 //!   can compare answers bit for bit against the TCP path.
-//! - [`ReplicaState`] — a read replica rebuilt byte-for-byte from the
-//!   primary's write-ahead log, streamed over the wire protocol's
-//!   `WalSince`/`WalChunk` frames. It answers through the same request
-//!   policy as the primary, over its own view of the replayed state,
-//!   so the two cannot drift apart.
+//! - [`ReplicaState`] — a read replica: an archive rebuilt byte-for-byte
+//!   by [`nws_grid::Archive::apply`] over the primary's write-ahead log,
+//!   streamed over the wire protocol's `WalSince`/`WalChunk` frames,
+//!   plus the replication cursor. It answers through the same request
+//!   policy as the primary, so the two cannot drift apart.
 //! - [`FailoverClient`] — a typed client over an ordered replica set
 //!   with per-endpoint health tracking: transport failures rotate to
 //!   the next endpoint, typed server errors do not.

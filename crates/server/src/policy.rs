@@ -6,9 +6,9 @@
 //! clamps, journal-offset validation, and every error code and message.
 //! [`Core::answer`] adds what spans a whole request — batch and nesting
 //! rules and the bound of one reply frame. Both read the node's state
-//! through a [`View`], the few things a primary and a replica answer
-//! *from* and the fewer they answer differently, so the two cannot drift
-//! apart.
+//! through a [`View`]: the [`Archive`] a primary commits into and a
+//! replica replays into, and the three things the two answer
+//! differently, so they cannot drift apart.
 //!
 //! What is left per caller is how a borrowed reply is rendered: as bytes
 //! appended to a write queue ([`Core::dispatch_frame`], what every
@@ -17,7 +17,7 @@
 
 use crate::cache::QueryCache;
 use nws_grid::wal::MAX_RECORD_FRAME;
-use nws_grid::{ForecastService, Memory, Metric, Registry, ResourceId, Wal};
+use nws_grid::{best_row, Archive, Metric, Wal};
 use nws_wire::{
     begin_response_frame, end_response_frame, ErrorCode, ErrorReply, ForecastReply, HorizonReply,
     HostRow, ReplyRef, Request, Response, SnapshotReply, StatsReply, WalChunkReply, Writer,
@@ -25,26 +25,15 @@ use nws_wire::{
 };
 
 /// What the policy reads of a node's state, as of one request.
-pub(crate) struct View<'a, H> {
+pub(crate) struct View<'a> {
+    /// Registry, memory and forecasts: everything answered *from*.
+    pub archive: &'a Archive,
     /// How a `ColdForecast` error describes a host without data.
     pub cold: &'static str,
-    /// The name service requests resolve hosts through.
-    pub registry: &'a Registry,
-    /// Every served host with the id of its hybrid-availability series,
-    /// in registration order.
-    pub hosts: H,
-    /// The measurement memory.
-    pub memory: &'a Memory,
-    /// The forecast service.
-    pub forecasts: &'a ForecastService,
     /// The clock staleness is judged against, in seconds.
     pub now: f64,
-    /// The counter a cached snapshot validates against.
-    pub revision: u64,
-    /// Measurement slots taken so far.
+    /// Measurement slots taken so far, by that clock.
     pub slots: u64,
-    /// Forecasts staler than this degrade their host's snapshot row.
-    pub staleness_bound: f64,
     /// The journal `WalSince` streams, or why there is none to stream.
     pub journal: Result<&'a Wal, &'static str>,
 }
@@ -53,7 +42,7 @@ pub(crate) struct View<'a, H> {
 /// replayed copy.
 pub(crate) trait Served {
     /// The state as the policy reads it.
-    fn view(&self) -> View<'_, impl ExactSizeIterator<Item = (&str, ResourceId)>>;
+    fn view(&self) -> View<'_>;
 }
 
 /// Served state with the cache and the request count in front of it:
@@ -86,43 +75,29 @@ fn bad_request(message: impl Into<String>) -> ErrorReply {
 }
 
 /// The current snapshot out of the cache: one probe (with the usual
-/// hit/miss accounting), rebuilt from the memory and the forecast
-/// service only when the view's revision moved.
-fn snapshot<'v, 'c>(
-    view: View<'v, impl Iterator<Item = (&'v str, ResourceId)>>,
-    cache: &'c mut QueryCache,
-) -> &'c SnapshotReply {
-    if cache.snapshot_ref(view.revision).is_none() {
-        let hosts = view
-            .hosts
-            .map(|(host, id)| {
-                let answer = view.forecasts.forecast_at(id, view.now);
-                HostRow {
-                    host: host.to_string(),
-                    latest: view.memory.latest(id).map(|p| p.value),
-                    degraded: answer
-                        .as_ref()
-                        .is_none_or(|a| a.staleness > view.staleness_bound),
-                    forecast: answer.map(|a| a.forecast.value),
-                }
+/// hit/miss accounting), rebuilt from the archive's host rows only when
+/// something a row shows moved — the archive, or the clock its
+/// staleness is judged against.
+fn snapshot<'c>(view: &View<'_>, cache: &'c mut QueryCache) -> &'c SnapshotReply {
+    let revision = (view.archive.revision()).wrapping_add(view.now.to_bits());
+    if cache.snapshot_ref(revision).is_none() {
+        let hosts = (view.archive.host_rows(view.now))
+            .map(|row| HostRow {
+                host: row.host.to_string(),
+                latest: row.latest,
+                degraded: row.degraded,
+                forecast: row.forecast.map(|a| a.forecast.value),
             })
             .collect();
         let time = view.now;
-        cache.store_snapshot(view.revision, SnapshotReply { time, hosts });
+        cache.store_snapshot(revision, SnapshotReply { time, hosts });
     }
     cache.stored_snapshot().expect("probed or just stored")
 }
 
-/// The placement rule: among non-degraded rows with a finite forecast,
-/// the highest availability wins.
+/// Where the next task should go, by the archive's placement rule.
 fn best_host(snapshot: &SnapshotReply) -> Option<&HostRow> {
-    snapshot
-        .hosts
-        .iter()
-        .filter(|h| !h.degraded)
-        .filter_map(|h| h.forecast.filter(|f| f.is_finite()).map(|f| (h, f)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(h, _)| h)
+    best_row(snapshot.hosts.iter().map(|h| (h, h.degraded, h.forecast)))
 }
 
 impl<S: Served> Core<S> {
@@ -138,8 +113,9 @@ impl<S: Served> Core<S> {
     fn reply<'a>(&'a mut self, req: &'a Request) -> Result<ReplyRef<'a>, ErrorReply> {
         self.requests += 1;
         let (view, cache) = (self.state.view(), &mut self.cache);
+        let (memory, forecasts) = (view.archive.memory(), view.archive.forecasts());
         let hybrid = |host: &str| {
-            view.registry
+            (view.archive.registry())
                 .lookup(host, Metric::CpuAvailabilityHybrid)
                 .ok_or_else(|| error(ErrorCode::UnknownHost, format!("no such host: {host}")))
         };
@@ -147,10 +123,9 @@ impl<S: Served> Core<S> {
         Ok(match req {
             Request::Forecast { host } => {
                 let id = hybrid(host)?;
-                let revision = view.forecasts.revision(id);
+                let revision = forecasts.revision(id);
                 if cache.forecast_ref(id, revision).is_none() {
-                    let answer = view
-                        .forecasts
+                    let answer = forecasts
                         .forecast_at(id, view.now)
                         .ok_or_else(|| cold(host))?;
                     let reply = ForecastReply {
@@ -166,11 +141,11 @@ impl<S: Served> Core<S> {
                 }
                 ReplyRef::Forecast(cache.stored_forecast(id).expect("probed or just stored"))
             }
-            Request::Snapshot => ReplyRef::Snapshot(snapshot(view, cache)),
-            Request::BestHost => ReplyRef::BestHost(best_host(snapshot(view, cache))),
+            Request::Snapshot => ReplyRef::Snapshot(snapshot(&view, cache)),
+            Request::BestHost => ReplyRef::BestHost(best_host(snapshot(&view, cache))),
             Request::SeriesTail { host, n } => {
                 let n = (*n as usize).min(MAX_POINTS);
-                let (times, values) = view.memory.tail(hybrid(host)?, n);
+                let (times, values) = memory.tail(hybrid(host)?, n);
                 ReplyRef::SeriesTail {
                     host,
                     times,
@@ -183,7 +158,7 @@ impl<S: Served> Core<S> {
                 cache_misses: cache.misses(),
                 invalidations: cache.invalidations(),
                 slots: view.slots,
-                hosts: view.hosts.len() as u32,
+                hosts: view.archive.hosts().len() as u32,
             }),
             // One bounded chunk of the journal, always ending on a
             // record boundary, so a replica applies it without buffering
@@ -205,7 +180,7 @@ impl<S: Served> Core<S> {
                 ReplyRef::WalChunk(WalChunkReply {
                     offset: *offset,
                     total,
-                    revision: view.memory.global_revision(),
+                    revision: memory.global_revision(),
                     now: view.now,
                     bytes: wal.chunk(*offset as usize, max),
                 })
@@ -218,12 +193,10 @@ impl<S: Served> Core<S> {
                 if *k == 0 {
                     return Err(bad_request("horizon must be at least one step"));
                 }
-                let steps = view
-                    .forecasts
+                let steps = forecasts
                     .forecast_horizon(id, (*k as usize).min(MAX_HORIZON))
                     .ok_or_else(|| cold(host))?;
-                let method = view
-                    .forecasts
+                let method = forecasts
                     .forecast(id)
                     .map(|a| a.forecast.method.to_string())
                     .unwrap_or_default();

@@ -40,7 +40,7 @@
 //! undrained queue tail.
 
 use crate::state::{Dispatch, GridState};
-use crate::tcp::{overload_response, ServeCounters, ServerConfig};
+use crate::tcp::{overload_response, ServeCounters, ServerConfig, WRITE_TIMEOUT};
 use nws_wire::{
     append_response_frame, parse_frame_header, ErrorCode, ErrorReply, FrameKind, Request, Response,
     WireError, HEADER_LEN,
@@ -224,24 +224,25 @@ const COMPACT_THRESHOLD: usize = 8 * 1024;
 /// server's 250 ms refusal write timeout.
 const REFUSAL_DEADLINE: Duration = Duration::from_millis(250);
 
+/// Timer-wheel granularity, and the longest an event loop sleeps in
+/// `epoll_wait`: deadlines fire within one tick of their due time.
+const TIMER_TICK: Duration = Duration::from_millis(10);
+
 /// Tunables for [`ReactorServer`]: the threaded server's knobs plus
 /// the reactor's own shape.
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorConfig {
     /// Deadlines and the connection cap, with the same meanings as on
     /// the threaded server (`read_timeout` is the idle cut,
-    /// `request_deadline` the whole-frame budget, `write_timeout` the
-    /// stalled-writer cut). `max_connections` defaults to the threaded
-    /// value; raise it into the thousands for reactor-scale serving.
+    /// `request_deadline` the whole-frame budget). `max_connections`
+    /// defaults to the threaded value; raise it into the thousands for
+    /// reactor-scale serving.
     pub server: ServerConfig,
     /// Event-loop threads. Connections are sharded across them by
     /// file descriptor. Defaults to the runtime thread count, clamped
     /// to at most 4 — event loops are I/O-bound and a handful covers
     /// tens of thousands of connections.
     pub event_loops: usize,
-    /// Timer-wheel granularity: deadlines fire within one tick of
-    /// their due time.
-    pub timer_tick: Duration,
 }
 
 impl Default for ReactorConfig {
@@ -249,7 +250,6 @@ impl Default for ReactorConfig {
         Self {
             server: ServerConfig::default(),
             event_loops: nws_runtime::threads().clamp(1, 4),
-            timer_tick: Duration::from_millis(10),
         }
     }
 }
@@ -484,7 +484,7 @@ impl<D: Dispatch> EventLoop<D> {
     fn run(mut self) {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
         let mut due: Vec<(usize, u64, u64)> = Vec::new();
-        let tick_ms = self.config.timer_tick.as_millis().clamp(1, 1000) as i32;
+        let tick_ms = TIMER_TICK.as_millis() as i32;
         while let Ok(n) = self.poller.wait(&mut events, Some(tick_ms)) {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -797,7 +797,7 @@ impl<D: Dispatch> EventLoop<D> {
             }
             Ok(false) => {
                 if conn.write_at.is_none() {
-                    conn.write_at = Some(Instant::now() + self.config.server.write_timeout);
+                    conn.write_at = Some(Instant::now() + WRITE_TIMEOUT);
                 }
             }
             Err(_) => return Some(Close::Silent),
@@ -984,7 +984,7 @@ impl<D: Dispatch + 'static> ReactorServer<D> {
                 counters: Arc::clone(&counters),
                 shutdown: Arc::clone(&shutdown),
                 config,
-                wheel: TimerWheel::new(config.timer_tick, 512, epoch),
+                wheel: TimerWheel::new(TIMER_TICK, 512, epoch),
                 conns: Vec::new(),
                 free: Vec::new(),
                 freed: Vec::new(),

@@ -4,12 +4,13 @@
 //! A replica never runs host simulators or sensors. It pulls the
 //! primary's write-ahead log over the wire ([`Request::WalSince`] →
 //! [`Response::WalChunk`]) and applies each record in commit order —
-//! the exact order the primary mutated its own [`Memory`] and
-//! [`ForecastService`] — so after draining the log the replica's
-//! column bytes, revision counters, and fingerprint are identical to
-//! the primary's. That makes "a replica serves the same answers as the
-//! primary" a byte-level property, checked here by fingerprint and in
-//! `tests/durability.rs` at every revision of a seeded run.
+//! through [`Archive::apply`], the very transitions the primary
+//! committed, in the order it committed them — so after draining the
+//! log the replica's column bytes, revision counters, fingerprint and
+//! forecasts are identical to the primary's. That makes "a replica
+//! serves the same answers as the primary" a byte-level property,
+//! checked here by fingerprint and in `tests/durability.rs` at every
+//! revision of a seeded run.
 //!
 //! Staleness stays explicit end to end: the primary stamps every chunk
 //! with its simulation clock, the replica judges forecast staleness
@@ -22,9 +23,8 @@ use crate::policy::{Core, Served, View};
 use crate::state::Dispatch;
 use crate::transport::{ServeError, Transport};
 use nws_grid::wal::replay;
-use nws_grid::{
-    ForecastService, GridMonitorConfig, Memory, Metric, Registry, ResourceId, WalError, WalRecord,
-};
+use nws_grid::{Archive, ForecastService, GridMonitorConfig, Memory, WalError};
+use nws_runtime::Cadence;
 use nws_wire::{Request, Response, WalChunkReply, MAX_WAL_CHUNK};
 
 /// Everything that can go wrong applying the replication stream.
@@ -82,14 +82,12 @@ impl From<ServeError> for ReplicaError {
     }
 }
 
-/// What a replica holds of the primary: the journal-rebuilt memory and
-/// forecasts, and how far replication has come.
+/// What a replica holds of the primary: the journal-rebuilt archive
+/// and how far replication has come.
 struct Replicated {
-    hosts: Vec<(String, ResourceId)>,
-    registry: Registry,
-    memory: Memory,
-    service: ForecastService,
-    config: GridMonitorConfig,
+    archive: Archive,
+    /// The primary's slot grid, to count its clock in slots.
+    cadence: Cadence,
     /// Journal bytes applied so far — the offset of the next pull.
     applied: u64,
     /// Journal length the primary last reported.
@@ -104,22 +102,12 @@ struct Replicated {
 /// The replica: replayed state, judged against the primary's clock as
 /// of the last chunk.
 impl Served for Replicated {
-    fn view(&self) -> View<'_, impl ExactSizeIterator<Item = (&str, ResourceId)>> {
+    fn view(&self) -> View<'_> {
         View {
+            archive: &self.archive,
             cold: "has no replicated measurements yet",
-            registry: &self.registry,
-            hosts: self.hosts.iter().map(|(host, id)| (host.as_str(), *id)),
-            memory: &self.memory,
-            forecasts: &self.service,
             now: self.primary_now,
-            // Any replicated measurement or gap moves it, and so does a
-            // primary clock advance (new chunk, same bytes).
-            revision: (self.memory.global_revision())
-                .wrapping_add(self.service.global_revision())
-                .wrapping_add(self.primary_now.to_bits()),
-            // The replica's view of the primary clock, in slots.
-            slots: (self.primary_now / self.config.cadence.measurement_period).round() as u64,
-            staleness_bound: self.config.staleness_bound,
+            slots: (self.primary_now / self.cadence.measurement_period).round() as u64,
             journal: Err("replicas do not serve the journal; pull from the primary"),
         }
     }
@@ -133,27 +121,17 @@ pub struct ReplicaState {
 
 impl ReplicaState {
     /// Creates an empty replica of a primary monitoring `hosts`,
-    /// registering the same four metrics per host in the same order so
-    /// resource ids in the journal resolve identically.
+    /// registered in the primary's order so resource ids in the journal
+    /// resolve identically.
     pub fn new(hosts: &[&str], config: GridMonitorConfig) -> Self {
-        let mut registry = Registry::new();
-        let hosts = hosts
-            .iter()
-            .map(|host| {
-                registry.register(*host, Metric::CpuAvailabilityLoad);
-                registry.register(*host, Metric::CpuAvailabilityVmstat);
-                let hybrid = registry.register(*host, Metric::CpuAvailabilityHybrid);
-                registry.register(*host, Metric::LoadAverage);
-                (host.to_string(), hybrid)
-            })
-            .collect();
+        let mut archive = Archive::new(config.memory);
+        for host in hosts {
+            archive.register_host(host);
+        }
         Self {
             core: Core::new(Replicated {
-                hosts,
-                registry,
-                memory: Memory::new(config.memory),
-                service: ForecastService::new(config.interval_coverage),
-                config,
+                archive,
+                cadence: config.cadence,
                 applied: 0,
                 primary_total: 0,
                 primary_revision: 0,
@@ -164,12 +142,12 @@ impl ReplicaState {
 
     /// The replicated memory (for fingerprint comparisons).
     pub fn memory(&self) -> &Memory {
-        &self.core.state.memory
+        self.core.state.archive.memory()
     }
 
     /// The replicated forecast service.
     pub fn forecasts(&self) -> &ForecastService {
-        &self.core.state.service
+        self.core.state.archive.forecasts()
     }
 
     /// The replica's query cache (for hit/miss accounting).
@@ -200,16 +178,7 @@ impl ReplicaState {
                 got: chunk.offset,
             });
         }
-        let memory = &mut rep.memory;
-        let service = &mut rep.service;
-        let outcome = replay(&chunk.bytes, 0, |rec| {
-            memory.apply(rec);
-            match *rec {
-                WalRecord::Append { id, time, value } => service.observe(id, time, value),
-                WalRecord::Gap { id, time } => service.note_gap(id, time),
-                WalRecord::Drop { .. } => {}
-            }
-        });
+        let outcome = replay(&chunk.bytes, 0, |rec| rep.archive.apply(rec));
         rep.applied += outcome.end as u64;
         if let Some(e) = outcome.error {
             return Err(ReplicaError::Corrupt(e));
@@ -232,9 +201,10 @@ impl ReplicaState {
             records += self.apply_chunk(&chunk)?;
             let rep = &self.core.state;
             if rep.applied >= rep.primary_total {
-                if rep.memory.global_revision() != rep.primary_revision {
+                let ours = rep.archive.memory().global_revision();
+                if ours != rep.primary_revision {
                     return Err(ReplicaError::RevisionMismatch {
-                        ours: rep.memory.global_revision(),
+                        ours,
                         primary: rep.primary_revision,
                     });
                 }

@@ -10,7 +10,7 @@
 
 use crate::cache::QueryCache;
 use crate::policy::{Core, Served, View};
-use nws_grid::{GridMonitor, ResourceId};
+use nws_grid::GridMonitor;
 use nws_wire::{append_response_frame, Request, Response};
 
 /// Anything that can answer a decoded request — the primary
@@ -39,17 +39,12 @@ pub trait Dispatch: Send {
 
 /// The primary: the live monitor, judged against its own clock.
 impl Served for GridMonitor {
-    fn view(&self) -> View<'_, impl ExactSizeIterator<Item = (&str, ResourceId)>> {
+    fn view(&self) -> View<'_> {
         View {
+            archive: self.archive(),
             cold: "has no measurements yet",
-            registry: self.registry(),
-            hosts: self.hosts(),
-            memory: self.memory(),
-            forecasts: self.forecasts(),
             now: self.now(),
-            revision: self.revision(),
             slots: self.slots(),
-            staleness_bound: self.staleness_bound(),
             journal: self.journal().ok_or("no journal attached to this server"),
         }
     }

@@ -19,14 +19,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// How long a single response write may take before the server gives
+/// the connection up — on the threaded server a socket write timeout,
+/// on the reactor the stalled-writer deadline.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tunables for [`NwsServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// How long a connection may sit idle between requests before the
     /// server hangs up.
     pub read_timeout: Duration,
-    /// How long a single response write may take.
-    pub write_timeout: Duration,
     /// Wall-clock budget for receiving one complete request frame.
     /// `read_timeout` bounds each read(2), so a peer trickling one
     /// byte per timeout window could pin a handler thread forever;
@@ -42,7 +45,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(10),
             // Bound in-flight work by the runtime's configured
             // parallelism (never below two, so one slow client can't
@@ -261,10 +263,7 @@ fn handle_conn<D: Dispatch>(
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
 ) {
-    if stream
-        .set_write_timeout(Some(config.write_timeout))
-        .is_err()
-    {
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
         return;
     }
     let reader_stream = match stream.try_clone() {

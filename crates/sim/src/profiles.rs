@@ -235,15 +235,7 @@ impl HostProfile {
 pub fn ucsd_hosts(base_seed: u64) -> Vec<Host> {
     HostProfile::all()
         .iter()
-        .map(|p| {
-            // Per-host seed: FNV-1a of the name, xor'd with the base.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in p.name().as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            p.build(h ^ base_seed)
-        })
+        .map(|p| p.build(nws_stats::host_seed(base_seed, p.name())))
         .collect()
 }
 
@@ -281,16 +273,18 @@ impl SyntheticHost {
     /// Expected slots between regime shifts (~1 h at the paper cadence).
     const SHIFT_EVERY: f64 = 360.0;
 
+    /// The seed of roster position `index` under `base_seed`: FNV-1a
+    /// over the index word, XOR the base, so every position walks an
+    /// independent trajectory.
+    pub fn index_seed(index: u64, base_seed: u64) -> u64 {
+        let mut h = nws_stats::Fnv1a::new();
+        h.word(index);
+        h.finish() ^ base_seed
+    }
+
     /// The host at `index` in the roster seeded by `base_seed`.
     pub fn new(index: u64, base_seed: u64) -> Self {
-        // FNV-1a over the index bytes, xor'd with the base seed, so
-        // every host walks an independent trajectory.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in index.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        let rng = (h ^ base_seed).max(1);
+        let rng = Self::index_seed(index, base_seed).max(1);
         let level = SYNTHETIC_LEVELS[(index % 6) as usize];
         Self {
             rng,

@@ -48,3 +48,7 @@ pub use hurst::{
 };
 pub use regress::{linear_fit, linear_fit2, LinearFit, LinearFit2};
 pub use rng::Rng;
+
+/// The workspace's FNV-1a hash and host-seed derivation, re-exported for
+/// crates that reach `nws-runtime` only through this one.
+pub use nws_runtime::{fnv1a, host_seed, Fnv1a};

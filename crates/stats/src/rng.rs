@@ -47,12 +47,7 @@ impl Rng {
     /// Used to give each simulated host / workload source its own stream so
     /// that adding a source to one host does not perturb another.
     pub fn fork(&mut self, label: &str) -> Rng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        Rng::new(h ^ self.next_u64())
+        Rng::new(nws_runtime::host_seed(self.next_u64(), label))
     }
 
     /// Next raw 64-bit output.

@@ -12,7 +12,7 @@
 //! fractional Gaussian noise with H = 0.8), scores every fixed panel member
 //! and the dynamic selection on each, and prints the leaderboard.
 
-use nws::forecast::{evaluate_one_step, NwsForecaster};
+use nws::forecast::{evaluate_one_step, PredictorBank};
 use nws::stats::{DaviesHarte, Rng};
 
 fn series_zoo() -> Vec<(&'static str, Vec<f64>)> {
@@ -59,7 +59,7 @@ fn series_zoo() -> Vec<(&'static str, Vec<f64>)> {
 
 fn main() {
     for (name, series) in series_zoo() {
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         let report = evaluate_one_step(&mut nws, &series).expect("long series");
         let mut fixed = nws.error_summary();
         fixed.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite MAE"));

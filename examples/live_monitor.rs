@@ -12,7 +12,7 @@
 //!
 //! On non-Linux platforms the example explains itself and exits cleanly.
 
-use nws::forecast::NwsForecaster;
+use nws::forecast::PredictorBank;
 use nws::sensors::proc::{ProcLoadAvgSensor, ProcVmstatSensor};
 use std::thread::sleep;
 use std::time::Duration;
@@ -39,7 +39,7 @@ fn main() {
     // Prime the jiffy counters so the first reported interval is real.
     let _ = vmstat_sensor.measure();
 
-    let mut nws = NwsForecaster::nws_default();
+    let mut nws = PredictorBank::nws_default();
     println!(
         "{:>4} {:>12} {:>10} {:>18}",
         "#", "load-avail", "vm-avail", "forecast (method)"

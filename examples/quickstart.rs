@@ -11,7 +11,7 @@
 //! metrics for this run.
 
 use nws::core::monitor::{Monitor, MonitorConfig};
-use nws::forecast::{evaluate_one_step, NwsForecaster};
+use nws::forecast::{evaluate_one_step, PredictorBank};
 use nws::sim::HostProfile;
 use nws::stats::mean_absolute_pair_error;
 
@@ -56,7 +56,7 @@ fn main() {
 
     // 4. One-step-ahead prediction error (paper Eq. 5): how well the NWS
     //    forecaster predicts the next hybrid measurement.
-    let mut nws = NwsForecaster::nws_default();
+    let mut nws = PredictorBank::nws_default();
     let report = evaluate_one_step(&mut nws, out.series.hybrid.values())
         .expect("series long enough to score");
     println!(

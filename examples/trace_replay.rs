@@ -12,7 +12,7 @@
 //! the source host closely.
 
 use nws::core::plot::ascii_series;
-use nws::forecast::{evaluate_one_step, NwsForecaster};
+use nws::forecast::{evaluate_one_step, PredictorBank};
 use nws::sensors::LoadAvgSensor;
 use nws::sim::{record_load_trace, Host, HostProfile, LoadTrace, TraceReplay};
 use nws::timeseries::Series;
@@ -76,7 +76,7 @@ fn main() {
         mean(&sink_series)
     );
     let mae = |s: &Series| {
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         evaluate_one_step(&mut nws, s.values())
             .expect("long series")
             .mae

@@ -1,42 +1,17 @@
-//! Shared fixtures for the integration suites: the FNV fingerprint
-//! accumulator, the seeded reference scenario, and the golden
-//! fingerprints recorded from the pre-refactor pipeline (commit
-//! d1793fb). `tests/engine.rs` pins engine configurations to these
-//! bits; `tests/durability.rs` pins crash recovery and replication to
-//! the same run.
+//! Shared fixtures for the integration suites: the seeded reference
+//! scenario and the golden fingerprints recorded from the pre-refactor
+//! pipeline (commit d1793fb). `tests/engine.rs` pins engine
+//! configurations to these bits; `tests/durability.rs` pins crash
+//! recovery and replication to the same run.
 #![allow(dead_code)]
 
 use nws::faults::{FaultPlan, FaultRates};
 use nws::grid::{GridMonitor, GridMonitorConfig, Metric};
-use nws::runtime::StepClock;
+use nws::runtime::{Fnv1a, StepClock};
 use nws::server::{GridState, InMemoryTransport, Transport};
 use nws::sim::HostProfile;
 use nws::wire::Request;
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a over an explicit byte stream: the fingerprint accumulator.
-pub struct Fnv(pub u64);
-
-impl Fnv {
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    pub fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    pub fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-}
 
 pub const METRICS: [Metric; 4] = [
     Metric::CpuAvailabilityLoad,
@@ -61,23 +36,23 @@ pub const GOLDEN_WEATHER: u64 = 0x139c_5275_9273_0875;
 /// Hashes every retained measurement bit, gap timestamp, drop count, and
 /// a forecast-CSV line per series, plus the fleet fault stats.
 pub fn grid_fingerprint(gm: &GridMonitor) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     let now = gm.now();
-    h.f64(now);
+    h.word(now.to_bits());
     for p in HostProfile::all() {
         for metric in METRICS {
             let id = gm.registry().lookup(p.name(), metric).expect("registered");
-            h.u64(gm.memory().len(id) as u64);
+            h.word(gm.memory().len(id) as u64);
             gm.memory().with_series(id, |times, values| {
                 for (&t, &v) in times.iter().zip(values) {
-                    h.f64(t);
-                    h.f64(v);
+                    h.word(t.to_bits());
+                    h.word(v.to_bits());
                 }
             });
             for g in gm.memory().gaps(id) {
-                h.f64(g);
+                h.word(g.to_bits());
             }
-            h.u64(gm.memory().dropped(id));
+            h.word(gm.memory().dropped(id));
             // One forecast-CSV line per series, hashed bit-for-bit.
             let line = match gm.forecasts().forecast_at(id, now) {
                 None => format!("{},{:?},cold\n", p.name(), metric),
@@ -99,7 +74,7 @@ pub fn grid_fingerprint(gm: &GridMonitor) -> u64 {
                     )
                 }
             };
-            h.str(&line);
+            h.bytes(line.as_bytes());
         }
     }
     let st = gm.fault_stats();
@@ -116,9 +91,9 @@ pub fn grid_fingerprint(gm: &GridMonitor) -> u64 {
         st.late_delivered,
         st.late_dropped,
     ] {
-        h.u64(v);
+        h.word(v);
     }
-    h.0
+    h.finish()
 }
 
 /// The fixed request script served against every scenario.
@@ -148,13 +123,13 @@ pub fn request_script() -> Vec<Request> {
 /// Hashes the exact wire bytes the serving layer emits for the script.
 pub fn served_fingerprint(gm: GridMonitor) -> u64 {
     let mut t = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(gm))));
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     for req in request_script() {
         let (_, bytes) = t.call_raw(&req).expect("dispatch");
-        h.u64(bytes.len() as u64);
+        h.word(bytes.len() as u64);
         h.bytes(&bytes);
     }
-    h.0
+    h.finish()
 }
 
 /// How one scenario paces and batches the engine.

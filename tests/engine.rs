@@ -12,35 +12,36 @@ mod common;
 
 use common::*;
 use nws::grid::{Metric, WeatherService};
+use nws::runtime::Fnv1a;
 
 /// Hashes both halves of the combined weather service: the CPU grid plus
 /// the network memories and bandwidth forecasts.
 fn weather_fingerprint(ws: &WeatherService) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(grid_fingerprint(ws.cpu()));
+    let mut h = Fnv1a::new();
+    h.word(grid_fingerprint(ws.cpu()));
     for link in ["ucsd->utk", "ucsd->uva", "ucsd-lan"] {
         for metric in [Metric::NetworkBandwidth, Metric::NetworkLatency] {
             let id = ws.net_registry().lookup(link, metric).expect("registered");
-            h.u64(ws.net_memory().len(id) as u64);
+            h.word(ws.net_memory().len(id) as u64);
             ws.net_memory().with_series(id, |times, values| {
                 for (&t, &v) in times.iter().zip(values) {
-                    h.f64(t);
-                    h.f64(v);
+                    h.word(t.to_bits());
+                    h.word(v.to_bits());
                 }
             });
             for g in ws.net_memory().gaps(id) {
-                h.f64(g);
+                h.word(g.to_bits());
             }
         }
         match ws.bandwidth_forecast(link) {
-            None => h.str("cold"),
+            None => h.bytes(b"cold"),
             Some(a) => {
-                h.f64(a.forecast.value);
-                h.str(&a.forecast.method);
+                h.word(a.forecast.value.to_bits());
+                h.bytes(a.forecast.method.as_bytes());
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 fn weather_scenario(threads: usize) -> u64 {

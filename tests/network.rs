@@ -1,7 +1,7 @@
 //! Cross-crate network integration: links + sensors + forecasting + the
 //! combined weather service, exercised through the facade.
 
-use nws::forecast::NwsForecaster;
+use nws::forecast::PredictorBank;
 use nws::grid::{Metric, WeatherService};
 use nws::net::{BandwidthSensor, LatencySensor, Link, LinkConfig, LinkMonitor};
 
@@ -11,7 +11,7 @@ fn manual_probe_loop_feeds_the_forecaster() {
     link.advance(600.0);
     let mut bw_sensor = BandwidthSensor::nws_default();
     let mut lat_sensor = LatencySensor::new();
-    let mut nws = NwsForecaster::nws_default();
+    let mut nws = PredictorBank::nws_default();
     let capacity = link.config().capacity;
     for _ in 0..60 {
         let rtt = lat_sensor.measure(&link);

@@ -3,8 +3,8 @@
 //! user would.
 
 use nws::core::monitor::{Monitor, MonitorConfig};
-use nws::forecast::NwsForecaster;
-use nws::sensors::{HybridSensor, LoadAvgSensor, TestProcess, VmstatSensor};
+use nws::forecast::PredictorBank;
+use nws::sensors::{HybridSensor, LoadAvgSensor, VmstatSensor, TEST_DURATION_SHORT};
 use nws::sim::{Host, HostProfile};
 use nws::timeseries::csv::{parse_series, series_to_csv};
 use nws::timeseries::Series;
@@ -32,8 +32,7 @@ fn manual_monitoring_loop_with_public_api() {
     assert_eq!(series.len(), 60);
     assert!(hybrid.probes_run() >= 10);
     // Ground truth against the last readings.
-    let mut tp = TestProcess::short();
-    let truth = tp.run(&mut host);
+    let truth = host.run_occupancy_process("test-process", TEST_DURATION_SHORT);
     let last = series.last().expect("non-empty").value;
     assert!(
         (truth - last).abs() < 0.35,
@@ -57,7 +56,7 @@ fn monitored_series_roundtrips_through_csv() {
 fn forecaster_consumes_monitor_output_directly() {
     let mut host = HostProfile::Beowulf.build(35);
     let out = Monitor::new(MonitorConfig::test_scale()).run(&mut host);
-    let mut nws = NwsForecaster::nws_default();
+    let mut nws = PredictorBank::nws_default();
     let mut last_forecast = None;
     for point in out.series.vmstat.iter() {
         last_forecast = nws.update(point.value);

@@ -2,8 +2,8 @@
 //! reproduction relies on.
 
 use nws::forecast::{
-    evaluate_one_step, ExpSmoothing, Forecaster, LastValue, NwsForecaster, RunningMean,
-    SlidingMean, SlidingMedian, TrimmedMean,
+    evaluate_one_step, ExpSmoothing, LastValue, Predictor, PredictorBank, RunningMean, SlidingMean,
+    SlidingMedian, TrimmedMean,
 };
 use nws::sensors::{availability_from_load, availability_from_vmstat, VmstatReading};
 use nws::stats::{autocorrelation, rs_statistic};
@@ -21,7 +21,7 @@ proptest! {
         // forecast can never leave the [min, max] of the history.
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut members: Vec<Box<dyn Forecaster>> = vec![
+        let mut members: Vec<Box<dyn Predictor>> = vec![
             Box::new(LastValue::new()),
             Box::new(RunningMean::new()),
             Box::new(SlidingMean::new(7)),
@@ -47,7 +47,7 @@ proptest! {
         // inputs in [0, 1] a prediction lies in [-4, 4] and any single
         // error is at most 5. The aggregate metrics must also obey
         // MAE <= RMSE <= max error.
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         if let Some(report) = evaluate_one_step(&mut nws, &values) {
             prop_assert!(report.mae.is_finite() && report.rmse.is_finite());
             prop_assert!(report.max_abs <= 5.0 + 1e-9);

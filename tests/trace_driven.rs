@@ -1,6 +1,6 @@
 //! Trace-driven simulation: replay preserves sensor-visible behaviour.
 
-use nws::forecast::{evaluate_one_step, NwsForecaster};
+use nws::forecast::{evaluate_one_step, PredictorBank};
 use nws::sensors::LoadAvgSensor;
 use nws::sim::{record_load_trace, Host, HostProfile, LoadTrace, TraceReplay};
 use nws::timeseries::Series;
@@ -42,7 +42,7 @@ fn replayed_trace_matches_source_statistics() {
         mean(&rep)
     );
     let mae = |s: &Series| {
-        let mut nws = NwsForecaster::nws_default();
+        let mut nws = PredictorBank::nws_default();
         evaluate_one_step(&mut nws, s.values())
             .expect("long series")
             .mae
