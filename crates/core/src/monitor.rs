@@ -79,7 +79,8 @@ pub struct MonitorOutput {
     pub probes: Vec<(Seconds, f64)>,
 }
 
-/// Monitor schedule and sensor configuration.
+/// Monitor schedule and sensor configuration. Measurements and probes run
+/// on the paper's cadence ([`MEASUREMENT_PERIOD`], [`PROBE_PERIOD`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
     /// Total monitored span (seconds of simulation after warm-up).
@@ -87,10 +88,6 @@ pub struct MonitorConfig {
     /// Warm-up before recording starts (lets load averages and workloads
     /// reach steady state).
     pub warmup: Seconds,
-    /// Measurement cadence (paper: 10 s).
-    pub measurement_period: Seconds,
-    /// Hybrid probe cadence (paper: 60 s).
-    pub probe_period: Seconds,
     /// Test-process cadence; `None` disables ground-truth runs.
     pub test_period: Option<Seconds>,
     /// Test-process duration (paper: 10 s short, 300 s medium).
@@ -104,8 +101,6 @@ impl Default for MonitorConfig {
         Self {
             duration: 24.0 * 3600.0,
             warmup: 1800.0,
-            measurement_period: MEASUREMENT_PERIOD,
-            probe_period: PROBE_PERIOD,
             test_period: Some(600.0),
             test_duration: nws_sensors::TEST_DURATION_SHORT,
             hybrid: HybridConfig::default(),
@@ -138,14 +133,6 @@ impl MonitorConfig {
     fn validate(&self) {
         assert!(self.duration > 0.0, "duration must be positive");
         assert!(self.warmup >= 0.0, "warmup must be non-negative");
-        assert!(
-            self.measurement_period > 0.0,
-            "measurement period must be positive"
-        );
-        assert!(
-            self.probe_period >= self.measurement_period,
-            "probe period must be at least the measurement period"
-        );
         if let Some(tp) = self.test_period {
             assert!(
                 tp >= self.test_duration,
@@ -188,11 +175,11 @@ impl Monitor {
 
         host.advance_to(cfg.warmup);
         let t0 = host.now();
-        let slots = (cfg.duration / cfg.measurement_period).floor() as u64;
-        let probe_every = (cfg.probe_period / cfg.measurement_period).round().max(1.0) as u64;
+        let slots = (cfg.duration / MEASUREMENT_PERIOD).floor() as u64;
+        let probe_every = (PROBE_PERIOD / MEASUREMENT_PERIOD).round().max(1.0) as u64;
         let test_every = cfg
             .test_period
-            .map(|tp| (tp / cfg.measurement_period).round().max(1.0) as u64);
+            .map(|tp| (tp / MEASUREMENT_PERIOD).round().max(1.0) as u64);
 
         let mut out = MonitorOutput {
             host: host.name().to_string(),
@@ -225,7 +212,7 @@ impl Monitor {
         };
 
         for k in 0..slots {
-            let slot_time = t0 + k as f64 * cfg.measurement_period;
+            let slot_time = t0 + k as f64 * MEASUREMENT_PERIOD;
             // Finish a test whose deadline falls at or before this slot:
             // advance to exactly the deadline so the observed wall time is
             // exactly the test duration.

@@ -428,18 +428,6 @@ impl CrashPlan {
         };
         CrashEvent { fraction, kind }
     }
-
-    /// Flips one seeded bit in `bytes` (bit-rot drills), returning the
-    /// `(byte, bit)` flipped, or `None` on an empty slice.
-    pub fn flip_bit(&mut self, bytes: &mut [u8]) -> Option<(usize, u8)> {
-        if bytes.is_empty() {
-            return None;
-        }
-        let byte = self.rng.below(bytes.len() as u64) as usize;
-        let bit = self.rng.below(8) as u8;
-        bytes[byte] ^= 1 << bit;
-        Some((byte, bit))
-    }
 }
 
 #[cfg(test)]
@@ -623,16 +611,5 @@ mod tests {
         // cut_at maps fractions into the image.
         assert_eq!(a[0].cut_at(0), 0);
         assert!(a[0].cut_at(1000) <= 950);
-    }
-
-    #[test]
-    fn flip_bit_is_seeded_and_reversible() {
-        let mut plan = CrashPlan::seeded(3);
-        let mut bytes = vec![0u8; 64];
-        let (byte, bit) = plan.flip_bit(&mut bytes).expect("non-empty");
-        assert_eq!(bytes[byte], 1 << bit);
-        bytes[byte] ^= 1 << bit;
-        assert!(bytes.iter().all(|&b| b == 0));
-        assert_eq!(CrashPlan::seeded(1).flip_bit(&mut []), None);
     }
 }

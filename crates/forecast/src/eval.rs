@@ -11,8 +11,8 @@
 //!   measurement error.
 //!
 //! [`evaluate_one_step`] replays a recorded series through a forecaster and
-//! reports both metrics; the true-error variant needs the caller to supply
-//! the paired oracle observations since they come from a separate process.
+//! scores the first form; the second needs the paired test-process
+//! observations, which the experiment tables collect and score themselves.
 
 use crate::panel::PredictorBank;
 
@@ -64,56 +64,6 @@ pub fn evaluate_one_step(forecaster: &mut PredictorBank, values: &[f64]) -> Opti
     })
 }
 
-/// Scores forecasts against a *separate* paired oracle: at each index `i`,
-/// the forecaster (already fed `history[..i]` measurements via this
-/// function) forecasts, the forecast is compared with `oracle[i]`, and the
-/// measurement `measurements[i]` is then absorbed.
-///
-/// This is the paper's Eq. 4 protocol: forecasts come from the measurement
-/// series, errors are taken against the test-process observations.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn evaluate_true_error(
-    forecaster: &mut PredictorBank,
-    measurements: &[f64],
-    oracle: &[f64],
-) -> Option<EvalReport> {
-    assert_eq!(
-        measurements.len(),
-        oracle.len(),
-        "measurement/oracle pairs must align"
-    );
-    let mut abs_sum = 0.0;
-    let mut sq_sum = 0.0;
-    let mut err_sum = 0.0;
-    let mut max_abs: f64 = 0.0;
-    let mut n = 0usize;
-    for (&m, &o) in measurements.iter().zip(oracle) {
-        if let Some(f) = forecaster.forecast() {
-            let e = f.value - o;
-            abs_sum += e.abs();
-            sq_sum += e * e;
-            err_sum += e;
-            max_abs = max_abs.max(e.abs());
-            n += 1;
-        }
-        forecaster.update(m);
-    }
-    if n == 0 {
-        return None;
-    }
-    let nf = n as f64;
-    Some(EvalReport {
-        n,
-        mae: abs_sum / nf,
-        rmse: (sq_sum / nf).sqrt(),
-        bias: err_sum / nf,
-        max_abs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,27 +93,5 @@ mod tests {
         let r = evaluate_one_step(&mut nws, &vals).unwrap();
         assert!(r.rmse >= r.mae);
         assert!(r.max_abs >= r.rmse);
-    }
-
-    #[test]
-    fn true_error_reflects_oracle_offset() {
-        // Measurements are constant 0.5; the oracle sits at 0.8: the true
-        // error converges to the 0.3 offset while one-step error is ~0.
-        let measurements = vec![0.5; 200];
-        let oracle = vec![0.8; 200];
-        let mut nws = PredictorBank::nws_default();
-        let r = evaluate_true_error(&mut nws, &measurements, &oracle).unwrap();
-        assert!((r.mae - 0.3).abs() < 1e-6, "true MAE = {}", r.mae);
-        assert!((r.bias + 0.3).abs() < 1e-6, "bias = {}", r.bias);
-        let mut nws = PredictorBank::nws_default();
-        let one_step = evaluate_one_step(&mut nws, &measurements).unwrap();
-        assert!(one_step.mae < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "align")]
-    fn mismatched_pairs_panic() {
-        let mut nws = PredictorBank::nws_default();
-        evaluate_true_error(&mut nws, &[0.1], &[0.1, 0.2]);
     }
 }

@@ -294,18 +294,19 @@ impl Stage<FleetShard> for FleetStage<'_> {
             return;
         }
         let availability = event.value;
-        self.memory.append(
-            ResourceId(shard as u64),
-            self.cadence.slot_time(slot),
-            availability,
-        );
+        let id = ResourceId(shard as u64);
+        let first_reading = self.memory.is_empty(id);
+        self.memory
+            .append(id, self.cadence.slot_time(slot), availability);
         let forecast = &mut self.forecasts[shard];
         match self.lane {
             ForecastLane::Ewma => {
-                // Slot 0 initializes; later slots step the shared EWMA
-                // kernel (the exact PR 6 arithmetic — `ewma_step` is the
-                // expression the old inline kernel evaluated).
-                *forecast = if slot == 0 {
+                // The host's first reading initializes (slot 0, or later
+                // when a fault plan took its early slots); the rest step
+                // the shared EWMA kernel (the exact PR 6 arithmetic —
+                // `ewma_step` is the expression the old inline kernel
+                // evaluated).
+                *forecast = if first_reading {
                     availability
                 } else {
                     ewma_step(*forecast, EWMA_GAIN, availability)
@@ -645,21 +646,29 @@ mod tests {
             rack_size: 8,
             ..FleetConfig::default()
         };
-        let mut dense = FleetMonitor::new(base);
-        let mut bank = FleetMonitor::new(FleetConfig {
-            panel: FleetPanel::Bank(PanelSpec::EwmaOnly { gain: EWMA_GAIN }),
-            ..base
-        });
-        dense.run_steps(60);
-        bank.run_steps(60);
-        for h in 0..40 {
-            assert_eq!(
-                dense.forecast(h).to_bits(),
-                bank.forecast(h).to_bits(),
-                "host {h}"
-            );
+        // Fault-free, and under a plan that takes slot 0 from some hosts:
+        // their first reading arrives later and must still initialize.
+        let faulted = FaultPlan::seeded(3, FaultRates::uniform(0.3));
+        for faults in [FaultPlan::none(), faulted] {
+            let run = |panel| {
+                let config = FleetConfig { panel, ..base };
+                let mut fleet = FleetMonitor::with_roster(config, FleetRoster::Synthetic, &faults);
+                fleet.run_steps(1);
+                assert_eq!(fleet.gaps() > 0, !faults.is_none());
+                fleet.run_steps(59);
+                fleet
+            };
+            let dense = run(FleetPanel::Ewma);
+            let bank = run(FleetPanel::Bank(PanelSpec::EwmaOnly { gain: EWMA_GAIN }));
+            for h in 0..40 {
+                assert_eq!(
+                    dense.forecast(h).to_bits(),
+                    bank.forecast(h).to_bits(),
+                    "host {h}"
+                );
+            }
+            assert_eq!(dense.best_host(), bank.best_host());
         }
-        assert_eq!(dense.best_host(), bank.best_host());
     }
 
     #[test]

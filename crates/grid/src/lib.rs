@@ -58,4 +58,4 @@ pub use wal::{
     recover_memory, recover_memory_rotated, CheckpointReport, RecoveryReport, RecoverySource,
     Replay, SnapshotStore, Wal, WalError, WalRecord,
 };
-pub use weather::{WeatherService, WeatherServiceConfig};
+pub use weather::WeatherService;

@@ -33,9 +33,6 @@ use nws_sim::{Host, HostProfile, Seconds};
 /// Grid monitor configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct GridMonitorConfig {
-    /// The measurement/probe schedule (paper: 10 s measurements, 60 s
-    /// probes) — the one shared [`Cadence`] the engine runs on.
-    pub cadence: Cadence,
     /// Most slots the engine buffers per host before committing (the
     /// bounded event-queue window; output-invariant).
     pub batch_slots: usize,
@@ -46,7 +43,6 @@ pub struct GridMonitorConfig {
 impl Default for GridMonitorConfig {
     fn default() -> Self {
         Self {
-            cadence: Cadence::PAPER,
             batch_slots: EngineConfig::default().batch_slots,
             memory: MemoryConfig::default(),
         }
@@ -69,9 +65,6 @@ struct MonitoredHost {
     vmstat_sensor: VmstatSensor,
     hybrid_sensor: HybridSensor,
     ids: [ResourceId; 4], // load, vmstat, hybrid, load1 (registry order)
-    /// The slot grid (copied from the monitor config; the source needs
-    /// it to place measurements in time).
-    cadence: Cadence,
     /// This host's deterministic fault stream.
     faults: HostFaults,
     /// Measurements delayed in flight, redelivered at commit time.
@@ -88,9 +81,7 @@ impl Source for MonitoredHost {
     /// sensors, fault stream) — never the delivery state (`pending`,
     /// `stats`) the commit stage mutates.
     fn produce(&mut self, slot: u64) -> SlotRecord {
-        let probe_every = self.cadence.probe_every();
-        let period = self.cadence.measurement_period;
-        measure_host(self, slot, probe_every, period)
+        measure_host(self, slot)
     }
 }
 
@@ -113,13 +104,9 @@ struct SlotRecord {
 /// this host's state, so batches of slots can run on different hosts
 /// concurrently. With an inert fault stream every branch below reduces to
 /// the fault-free measurement path, bit for bit.
-fn measure_host(
-    mh: &mut MonitoredHost,
-    slot: u64,
-    probe_every: u64,
-    period: Seconds,
-) -> SlotRecord {
-    let probe_slot = slot.is_multiple_of(probe_every);
+fn measure_host(mh: &mut MonitoredHost, slot: u64) -> SlotRecord {
+    let period = Cadence::PAPER.measurement_period;
+    let probe_slot = slot.is_multiple_of(Cadence::PAPER.probe_every());
     let target = (slot + 1) as f64 * period;
     let f = mh.faults.slot(slot, probe_slot);
     if f.outage && !f.reboot {
@@ -365,14 +352,13 @@ impl GridMonitor {
                 vmstat_sensor: VmstatSensor::new(),
                 hybrid_sensor: HybridSensor::default(),
                 ids: archive.register_host(p.name()),
-                cadence: config.cadence,
                 faults: plan.host_faults(p.name()),
                 pending: DelayLine::new(),
                 stats: FaultStats::default(),
             })
             .collect();
         let engine_config = EngineConfig {
-            cadence: config.cadence,
+            cadence: Cadence::PAPER,
             batch_slots: config.batch_slots,
         };
         let engine = match clock {
@@ -450,9 +436,10 @@ impl GridMonitor {
         self.engine.slot()
     }
 
-    /// The shared tick schedule this monitor's engine runs on.
+    /// The shared tick schedule this monitor's engine runs on: the
+    /// paper's 10 s measurements and 60 s probes.
     pub fn cadence(&self) -> Cadence {
-        self.config.cadence
+        Cadence::PAPER
     }
 
     /// Changes the engine's batch window (slots buffered per host before
@@ -465,7 +452,7 @@ impl GridMonitor {
     /// Current simulation time in seconds (slots × measurement period);
     /// the "now" a serving layer judges staleness against.
     pub fn now(&self) -> Seconds {
-        self.config.cadence.slot_time(self.slots())
+        Cadence::PAPER.slot_time(self.slots())
     }
 
     /// Change counter over the whole monitor: any stored measurement or

@@ -124,11 +124,6 @@ impl Registry {
         self.resources.iter()
     }
 
-    /// All resources on one host.
-    pub fn resources_on(&self, host: &str) -> Vec<&ResourceInfo> {
-        self.resources.iter().filter(|r| r.host == host).collect()
-    }
-
     /// Number of registered resources.
     pub fn len(&self) -> usize {
         self.resources.len()
@@ -200,8 +195,6 @@ mod tests {
             r.register("a", m);
         }
         r.register("b", Metric::LoadAverage);
-        assert_eq!(r.resources_on("a").len(), Metric::all().len());
-        assert_eq!(r.resources_on("b").len(), 1);
         assert_eq!(r.len(), Metric::all().len() + 1);
         assert!(!r.is_empty());
     }

@@ -13,30 +13,12 @@ use crate::monitor::{GridMonitor, GridMonitorConfig};
 use crate::registry::{Metric, Registry, ResourceId};
 use crate::service::{ForecastAnswer, ForecastService};
 use nws_faults::FaultPlan;
-use nws_net::{LinkConfig, LinkMonitor, LinkMonitorConfig, LinkSample};
+use nws_net::{LinkConfig, LinkMonitor, LinkSample, PROBE_PERIOD};
 use nws_runtime::{Cadence, Engine, EngineConfig, Stage};
 use nws_sim::HostProfile;
 
-/// Configuration for the combined service.
-#[derive(Debug, Clone, Copy)]
-pub struct WeatherServiceConfig {
-    /// CPU-side configuration.
-    pub grid: GridMonitorConfig,
-    /// Network-side configuration.
-    pub links: LinkMonitorConfig,
-    /// Memory retention for the network series.
-    pub net_memory: MemoryConfig,
-}
-
-impl Default for WeatherServiceConfig {
-    fn default() -> Self {
-        Self {
-            grid: GridMonitorConfig::default(),
-            links: LinkMonitorConfig::default(),
-            net_memory: MemoryConfig { retain: 4096 },
-        }
-    }
-}
+/// Memory retention for the network series.
+const NET_MEMORY: MemoryConfig = MemoryConfig { retain: 4096 };
 
 /// CPU + network weather under one roof.
 pub struct WeatherService {
@@ -48,7 +30,6 @@ pub struct WeatherService {
     net_archive: Archive,
     /// `(bandwidth id, latency id, link name, capacity)` per link.
     link_ids: Vec<(ResourceId, ResourceId, String, f64)>,
-    config: WeatherServiceConfig,
 }
 
 /// The commit side of the network engine: publishes each cycle's samples
@@ -56,7 +37,6 @@ pub struct WeatherService {
 struct NetStage<'a> {
     archive: &'a mut Archive,
     link_ids: &'a [(ResourceId, ResourceId, String, f64)],
-    probe_period: f64,
 }
 
 impl Stage<LinkMonitor> for NetStage<'_> {
@@ -68,7 +48,7 @@ impl Stage<LinkMonitor> for NetStage<'_> {
         event: &Vec<Option<LinkSample>>,
     ) {
         // The cycle completes at the *end* of its probe period.
-        let now = (slot + 1) as f64 * self.probe_period;
+        let now = (slot + 1) as f64 * PROBE_PERIOD;
         for ((bw_id, lat_id, _, capacity), sample) in self.link_ids.iter().zip(event) {
             match sample {
                 Some(s) => {
@@ -92,13 +72,8 @@ impl Stage<LinkMonitor> for NetStage<'_> {
 
 impl WeatherService {
     /// Builds the service over host profiles and named links.
-    pub fn new(
-        profiles: &[HostProfile],
-        links: Vec<(String, LinkConfig)>,
-        base_seed: u64,
-        config: WeatherServiceConfig,
-    ) -> Self {
-        Self::with_faults(profiles, links, base_seed, config, FaultPlan::none())
+    pub fn new(profiles: &[HostProfile], links: Vec<(String, LinkConfig)>, base_seed: u64) -> Self {
+        Self::with_faults(profiles, links, base_seed, FaultPlan::none())
     }
 
     /// Builds the service with fault injection on both halves: the CPU
@@ -110,10 +85,9 @@ impl WeatherService {
         profiles: &[HostProfile],
         links: Vec<(String, LinkConfig)>,
         base_seed: u64,
-        config: WeatherServiceConfig,
         plan: FaultPlan,
     ) -> Self {
-        let mut net_archive = Archive::new(config.net_memory);
+        let mut net_archive = Archive::new(NET_MEMORY);
         let link_ids = links
             .iter()
             .map(|(name, cfg)| {
@@ -125,29 +99,28 @@ impl WeatherService {
                 )
             })
             .collect();
-        let mut net = LinkMonitor::new(links, base_seed ^ 0x4E45_54FE, config.links);
+        let mut net = LinkMonitor::new(links, base_seed ^ 0x4E45_54FE);
         if !plan.is_none() {
             net.inject_faults(base_seed ^ 0x4E45_54FA, plan.rates().sensor_dropout);
         }
         // The network engine ticks on the link probe cadence: one slot =
         // one probe cycle.
         let net_cadence = Cadence {
-            measurement_period: config.links.probe_period,
-            probe_period: config.links.probe_period,
+            measurement_period: PROBE_PERIOD,
+            probe_period: PROBE_PERIOD,
             ..Cadence::PAPER
         };
         Self {
-            cpu: GridMonitor::with_faults(profiles, base_seed, config.grid, plan),
+            cpu: GridMonitor::with_faults(profiles, base_seed, GridMonitorConfig::default(), plan),
             net: Engine::new(
                 vec![net],
                 EngineConfig {
                     cadence: net_cadence,
-                    batch_slots: config.grid.batch_slots,
+                    ..EngineConfig::default()
                 },
             ),
             net_archive,
             link_ids,
-            config,
         }
     }
 
@@ -161,7 +134,6 @@ impl WeatherService {
                 ("ucsd-lan".to_string(), LinkConfig::lan_100mbit()),
             ],
             base_seed,
-            WeatherServiceConfig::default(),
         )
     }
 
@@ -190,13 +162,12 @@ impl WeatherService {
     /// cadence, both driven through the event engine and published into
     /// the memories and forecasters.
     pub fn advance(&mut self, seconds: f64) {
-        let cpu_steps = (seconds / self.config.grid.cadence.measurement_period).round() as u64;
+        let cpu_steps = (seconds / self.cpu.cadence().measurement_period).round() as u64;
         self.cpu.run_steps(cpu_steps);
-        let net_probes = (seconds / self.config.links.probe_period).round() as u64;
+        let net_probes = (seconds / PROBE_PERIOD).round() as u64;
         let mut stage = NetStage {
             archive: &mut self.net_archive,
             link_ids: &self.link_ids,
-            probe_period: self.config.links.probe_period,
         };
         self.net.run(net_probes, &mut stage);
     }
@@ -279,7 +250,6 @@ mod tests {
         let mut stage = NetStage {
             archive: &mut archive,
             link_ids: &link_ids,
-            probe_period: 120.0,
         };
         let mut source = LinkMonitor::demo_grid(1);
         let sample = |time, bandwidth, latency| {
@@ -317,7 +287,6 @@ mod tests {
                     &HostProfile::all(),
                     vec![("ucsd->utk".to_string(), LinkConfig::wan_10mbit())],
                     3,
-                    WeatherServiceConfig::default(),
                     nws_faults::FaultPlan::none(),
                 )
             } else {
@@ -325,7 +294,6 @@ mod tests {
                     &HostProfile::all(),
                     vec![("ucsd->utk".to_string(), LinkConfig::wan_10mbit())],
                     3,
-                    WeatherServiceConfig::default(),
                 )
             };
             ws.advance(600.0);
@@ -348,7 +316,6 @@ mod tests {
             &HostProfile::all(),
             vec![("ucsd->utk".to_string(), LinkConfig::wan_10mbit())],
             11,
-            WeatherServiceConfig::default(),
             nws_faults::FaultPlan::seeded(6, nws_faults::FaultRates::uniform(0.25)),
         );
         ws.advance(7200.0); // two hours: 60 net cycles, 720 CPU slots

@@ -25,7 +25,7 @@ pub mod sensors;
 pub mod transfer;
 
 pub use link::{Link, LinkConfig};
-pub use monitor::{LinkMonitor, LinkMonitorConfig, LinkReport, LinkSample};
+pub use monitor::{LinkMonitor, LinkReport, LinkSample, PROBE_BYTES, PROBE_PERIOD};
 pub use sensors::{BandwidthSensor, LatencySensor};
 pub use transfer::{TransferScenario, TRANSFER_METHODS};
 

@@ -8,24 +8,12 @@ use nws_runtime::{host_seed, Source};
 use nws_stats::Rng;
 use nws_timeseries::Series;
 
-/// Monitor schedule.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkMonitorConfig {
-    /// Seconds between bandwidth probes. The NWS probed network paths far
-    /// less often than CPUs (probes are expensive); default two minutes.
-    pub probe_period: Seconds,
-    /// Bandwidth probe payload (bytes).
-    pub probe_bytes: f64,
-}
+/// Seconds between bandwidth probes. The NWS probed network paths far
+/// less often than CPUs (probes are expensive): every two minutes.
+pub const PROBE_PERIOD: Seconds = 120.0;
 
-impl Default for LinkMonitorConfig {
-    fn default() -> Self {
-        Self {
-            probe_period: 120.0,
-            probe_bytes: 64.0 * 1024.0,
-        }
-    }
-}
+/// Bandwidth probe payload (bytes).
+pub const PROBE_BYTES: f64 = 64.0 * 1024.0;
 
 /// One monitored link: its measurement series and forecast state.
 pub struct MonitoredLink {
@@ -70,7 +58,6 @@ pub struct LinkReport {
 
 /// Drives NWS-style monitoring over a set of links.
 pub struct LinkMonitor {
-    config: LinkMonitorConfig,
     links: Vec<MonitoredLink>,
     /// Probe-drop fault injection: seeded RNG + per-cycle drop rate.
     faults: Option<(Rng, f64)>,
@@ -81,16 +68,12 @@ pub struct LinkMonitor {
 impl LinkMonitor {
     /// Creates a monitor over named link configurations; each link's
     /// stochastic traffic derives from `base_seed` and its name.
-    pub fn new(
-        links: Vec<(String, LinkConfig)>,
-        base_seed: u64,
-        config: LinkMonitorConfig,
-    ) -> Self {
+    pub fn new(links: Vec<(String, LinkConfig)>, base_seed: u64) -> Self {
         let links = links
             .into_iter()
             .map(|(name, cfg)| MonitoredLink {
                 link: Link::new(name.clone(), cfg, host_seed(base_seed, &name)),
-                bandwidth_sensor: BandwidthSensor::new(config.probe_bytes),
+                bandwidth_sensor: BandwidthSensor::new(PROBE_BYTES),
                 latency_sensor: LatencySensor::new(),
                 bandwidth: Series::new(format!("{name}/bandwidth")),
                 latency: Series::new(format!("{name}/latency")),
@@ -98,7 +81,6 @@ impl LinkMonitor {
             })
             .collect();
         Self {
-            config,
             links,
             faults: None,
             dropped: 0,
@@ -136,7 +118,6 @@ impl LinkMonitor {
                 ("ucsd-lan".to_string(), LinkConfig::lan_100mbit()),
             ],
             base_seed,
-            LinkMonitorConfig::default(),
         )
     }
 
@@ -172,7 +153,7 @@ impl LinkMonitor {
                     // cycle, the forecaster ages out its windows, and
                     // the link's clock (and traffic) move on.
                     ml.forecaster.note_gap();
-                    ml.link.advance(self.config.probe_period);
+                    ml.link.advance(PROBE_PERIOD);
                     self.dropped += 1;
                     samples.push(None);
                     continue;
@@ -188,7 +169,7 @@ impl LinkMonitor {
             // Feed the forecaster the capacity-normalized series so
             // its panel (tuned for [0,1] data) behaves.
             ml.forecaster.observe(bw / ml.link.config().capacity);
-            ml.link.advance(self.config.probe_period);
+            ml.link.advance(PROBE_PERIOD);
             samples.push(Some(LinkSample {
                 time: t,
                 bandwidth: bw,

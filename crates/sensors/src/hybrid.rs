@@ -32,16 +32,6 @@ pub enum Method {
     Vmstat,
 }
 
-impl Method {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Method::LoadAverage => "load-average",
-            Method::Vmstat => "vmstat",
-        }
-    }
-}
-
 /// EWMA gain for bias updates. A single 1.5 s probe is a noisy sample of
 /// availability; smoothing the bias across probes damps that noise while
 /// still converging on persistent skews (the `nice`-load correction)
@@ -129,11 +119,6 @@ impl HybridSensor {
             last_probe_value: None,
             probe_name: Arc::from("nws-probe"),
         }
-    }
-
-    /// The method's display name.
-    pub fn name(&self) -> &'static str {
-        "nws-hybrid"
     }
 
     /// The currently selected passive method.
@@ -414,13 +399,6 @@ mod tests {
         h.advance(10.0);
         let m = s.measure(&h);
         assert!((0.0..=1.0).contains(&m));
-    }
-
-    #[test]
-    fn method_names() {
-        assert_eq!(Method::LoadAverage.name(), "load-average");
-        assert_eq!(Method::Vmstat.name(), "vmstat");
-        assert_eq!(HybridSensor::default().name(), "nws-hybrid");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The Unix load average sensor (the paper's Eq. 1).
+//! The Unix load average sensor (the paper's Eq. 1), for the one-CPU
+//! hosts the paper measured: `load` competitors share a single processor.
 
 use nws_sim::Host;
 
@@ -25,18 +26,6 @@ pub fn availability_from_load(load: f64) -> f64 {
     (1.0 / (load + 1.0)).clamp(0.0, 1.0)
 }
 
-/// Eq. 1 generalized to a shared-memory multiprocessor: a machine with
-/// `cpus` processors and run-queue length `load` can still give a newly
-/// created process a full CPU while `load < cpus − 1`; beyond that the
-/// fair share is `cpus / (load + 1)`.
-pub fn availability_from_load_smp(load: f64, cpus: usize) -> f64 {
-    assert!(cpus > 0, "a host needs at least one CPU");
-    if !load.is_finite() || load < 0.0 {
-        return 0.0;
-    }
-    (cpus as f64 / (load + 1.0)).clamp(0.0, 1.0)
-}
-
 /// The `uptime`-based sensor: reads the kernel's 1-minute load average.
 ///
 /// Stateless and non-intrusive — "almost all Unix systems gather and report
@@ -50,15 +39,9 @@ impl LoadAvgSensor {
         Self
     }
 
-    /// The method's display name.
-    pub fn name(&self) -> &'static str {
-        "load-average"
-    }
-
-    /// Takes one availability measurement from a simulated host
-    /// (multiprocessor-aware).
+    /// Takes one availability measurement from a simulated host.
     pub fn measure(&mut self, host: &Host) -> f64 {
-        availability_from_load_smp(host.load_average().one_minute(), host.kernel().n_cpus())
+        availability_from_load(host.load_average().one_minute())
     }
 }
 
@@ -111,34 +94,6 @@ mod tests {
         let mut s = LoadAvgSensor::new();
         let a = s.measure(&host);
         assert!(a < 0.65, "sensor forgot the load too quickly: {a}");
-    }
-
-    #[test]
-    fn smp_availability_formula() {
-        // 4 CPUs, 2 runnable jobs: a new process still gets a whole CPU.
-        assert_eq!(availability_from_load_smp(2.0, 4), 1.0);
-        // 4 CPUs, 7 runnable jobs: fair share is 4/8.
-        assert_eq!(availability_from_load_smp(7.0, 4), 0.5);
-        // Degenerates to Eq. 1 on a uniprocessor.
-        assert_eq!(
-            availability_from_load_smp(1.0, 1),
-            availability_from_load(1.0)
-        );
-        assert_eq!(availability_from_load_smp(f64::NAN, 2), 0.0);
-    }
-
-    #[test]
-    fn smp_host_reads_full_availability_under_light_load() {
-        let mut host = nws_sim::Host::with_cpus("smp", 1, 4);
-        host.kernel_mut().spawn(ProcessSpec::cpu_bound("a"));
-        host.kernel_mut().spawn(ProcessSpec::cpu_bound("b"));
-        host.advance(900.0);
-        let mut s = LoadAvgSensor::new();
-        // Two jobs on four CPUs: a newcomer gets a full CPU.
-        assert!((s.measure(&host) - 1.0).abs() < 0.05);
-        // And a probe confirms it.
-        let occ = host.run_occupancy_process("probe", 5.0);
-        assert!(occ > 0.95, "occ = {occ}");
     }
 
     #[test]

@@ -267,70 +267,6 @@ impl ProcVmstatSensor {
     }
 }
 
-/// Parses the `utime`/`stime` jiffy counters of this process out of
-/// `/proc/self/stat` content (fields 14 and 15, counting from 1; the comm
-/// field may contain spaces and parentheses, so parsing anchors on the
-/// *last* `)`).
-pub fn parse_self_stat_cpu_jiffies(text: &str) -> Result<u64, ProcError> {
-    let after = text
-        .rfind(')')
-        .map(|i| &text[i + 1..])
-        .ok_or_else(|| ProcError::Parse("no comm field in self stat".into()))?;
-    let fields: Vec<&str> = after.split_whitespace().collect();
-    // After the comm field, utime is field index 11 and stime 12
-    // (state is index 0).
-    let utime: u64 = fields
-        .get(11)
-        .ok_or_else(|| ProcError::Parse("stat too short for utime".into()))?
-        .parse()
-        .map_err(|e| ProcError::Parse(format!("bad utime: {e}")))?;
-    let stime: u64 = fields
-        .get(12)
-        .ok_or_else(|| ProcError::Parse("stat too short for stime".into()))?
-        .parse()
-        .map_err(|e| ProcError::Parse(format!("bad stime: {e}")))?;
-    Ok(utime + stime)
-}
-
-/// Runs a real spinning CPU probe on the live host: busy-loops for
-/// `cpu_seconds` of *CPU time* (measured via `/proc/self/stat`) and
-/// reports the ratio of CPU time consumed to wall-clock time elapsed —
-/// the NWS probe, for real.
-///
-/// `max_wall` bounds the spin on a saturated machine. Jiffy granularity is
-/// typically 10 ms, so probes shorter than ~0.2 s are noisy.
-///
-/// # Errors
-///
-/// Fails when `/proc/self/stat` is unreadable (non-Linux platforms).
-pub fn spin_probe(cpu_seconds: f64, max_wall: f64) -> Result<f64, ProcError> {
-    assert!(
-        cpu_seconds > 0.0 && cpu_seconds <= max_wall,
-        "bad probe budget"
-    );
-    let hz = 100.0; // USER_HZ is 100 on every mainstream Linux
-    let read_jiffies = || -> Result<u64, ProcError> {
-        parse_self_stat_cpu_jiffies(&fs::read_to_string("/proc/self/stat")?)
-    };
-    let start_jiffies = read_jiffies()?;
-    let start = std::time::Instant::now();
-    let target = (cpu_seconds * hz).round() as u64;
-    let mut spin: f64 = 1.000001;
-    loop {
-        // A page of arithmetic per poll keeps the syscall rate low.
-        for _ in 0..100_000 {
-            spin = spin.mul_add(1.000000001, 1e-12);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let used = read_jiffies()? - start_jiffies;
-        if used >= target || elapsed >= max_wall {
-            std::hint::black_box(spin);
-            let cpu = used as f64 / hz;
-            return Ok((cpu / elapsed.max(1e-9)).clamp(0.0, 1.0));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,31 +353,6 @@ mod tests {
         let v2 = vm.measure().unwrap();
         assert!(v2 > 0.95, "v2 = {v2}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn parse_self_stat_handles_spacey_comm() {
-        // comm contains spaces and a parenthesis: parsing must anchor on
-        // the LAST ')'.
-        let line = "1234 (weird (name) x) S 1 1 1 0 -1 4194560 100 0 0 0                     250 50 0 0 20 0 1 0 12345 1000000 100 18446744073709551615";
-        let j = parse_self_stat_cpu_jiffies(line).unwrap();
-        assert_eq!(j, 300); // utime 250 + stime 50
-    }
-
-    #[test]
-    fn parse_self_stat_rejects_garbage() {
-        assert!(parse_self_stat_cpu_jiffies("no parens here").is_err());
-        assert!(parse_self_stat_cpu_jiffies("1 (x) S 1 2").is_err());
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn live_spin_probe_measures_occupancy() {
-        // A short real probe on this machine: occupancy must be a sane
-        // fraction (the machine may be busy, so only a loose lower bound).
-        let occ = spin_probe(0.2, 3.0).expect("linux /proc available");
-        assert!((0.0..=1.0).contains(&occ));
-        assert!(occ > 0.02, "probe starved: {occ}");
     }
 
     #[test]

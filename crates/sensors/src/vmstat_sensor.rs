@@ -65,12 +65,6 @@ impl VmstatSensor {
         Self::with_gains(0.3, 0.25)
     }
 
-    /// Creates the sensor with an explicit run-queue EWMA gain in `(0, 1]`
-    /// (compatibility constructor; occupancy smoothing uses the default).
-    pub fn with_alpha(alpha: f64) -> Self {
-        Self::with_gains(alpha, 0.25)
-    }
-
     /// Creates the sensor with explicit run-queue (`alpha`) and occupancy
     /// (`beta`) EWMA gains, both in `(0, 1]`.
     pub fn with_gains(alpha: f64, beta: f64) -> Self {
@@ -84,11 +78,6 @@ impl VmstatSensor {
             smoothed: None,
             last_reading: None,
         }
-    }
-
-    /// The method's display name.
-    pub fn name(&self) -> &'static str {
-        "vmstat"
     }
 
     /// Forgets all differencing and smoothing state, as after a host
@@ -276,6 +265,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha")]
     fn bad_alpha_panics() {
-        VmstatSensor::with_alpha(0.0);
+        VmstatSensor::with_gains(0.0, 0.25);
     }
 }

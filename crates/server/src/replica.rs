@@ -86,8 +86,6 @@ impl From<ServeError> for ReplicaError {
 /// and how far replication has come.
 struct Replicated {
     archive: Archive,
-    /// The primary's slot grid, to count its clock in slots.
-    cadence: Cadence,
     /// Journal bytes applied so far — the offset of the next pull.
     applied: u64,
     /// Journal length the primary last reported.
@@ -107,7 +105,7 @@ impl Served for Replicated {
             archive: &self.archive,
             cold: "has no replicated measurements yet",
             now: self.primary_now,
-            slots: (self.primary_now / self.cadence.measurement_period).round() as u64,
+            slots: (self.primary_now / Cadence::PAPER.measurement_period).round() as u64,
             journal: Err("replicas do not serve the journal; pull from the primary"),
         }
     }
@@ -131,7 +129,6 @@ impl ReplicaState {
         Self {
             core: Core::new(Replicated {
                 archive,
-                cadence: config.cadence,
                 applied: 0,
                 primary_total: 0,
                 primary_revision: 0,

@@ -45,21 +45,11 @@ impl Host {
     /// Creates an idle host. All randomness (kernel interrupts and any
     /// workloads added later via [`Host::fork_rng`]) derives from `seed`.
     pub fn new(name: impl Into<String>, seed: u64) -> Self {
-        Self::with_cpus(name, seed, 1)
-    }
-
-    /// Creates an idle host with `n_cpus` processors (the paper's future
-    /// work: shared-memory multiprocessors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_cpus == 0`.
-    pub fn with_cpus(name: impl Into<String>, seed: u64, n_cpus: usize) -> Self {
         let mut rng = Rng::new(seed);
         let kernel_seed = rng.fork("kernel").next_u64();
         Self {
             name: name.into(),
-            kernel: Kernel::with_cpus(kernel_seed, n_cpus),
+            kernel: Kernel::new(kernel_seed),
             workloads: Vec::new(),
             rng,
         }

@@ -23,7 +23,9 @@
 //!   sensor (Eq. 2) sees realistic occupancy fractions, including kernel
 //!   interrupt (system) time that is not attributable to any process.
 //!
-//! The simulation advances in fixed 100 ms scheduling quanta ([`TICK`]).
+//! The simulation advances in fixed 100 ms scheduling quanta ([`TICK`]),
+//! each going whole to one process, to interrupt work, or to idle: every
+//! host has one CPU, like the machines the paper measured.
 //! Workload generators ([`workload`]) spawn and control processes; the six
 //! UCSD host profiles are in [`profiles`].
 

@@ -85,16 +85,14 @@ proptest! {
     #[test]
     fn accounting_always_totals_elapsed_cpu_time(
         script in proptest::collection::vec(op_strategy(), 1..40),
-        n_cpus in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let mut k = Kernel::with_cpus(seed, n_cpus);
+        let mut k = Kernel::new(seed);
         run_script(&mut k, &script);
         let elapsed = k.now();
         let a = k.accounting();
-        let expected = elapsed * n_cpus as f64;
-        prop_assert!((a.total() - expected).abs() < 1e-6,
-            "total {} != {} (elapsed {elapsed} x {n_cpus})", a.total(), expected);
+        prop_assert!((a.total() - elapsed).abs() < 1e-6,
+            "total {} != elapsed {elapsed}", a.total());
         prop_assert!(a.user >= -1e-12 && a.sys >= -1e-12 && a.idle >= -1e-12);
     }
 
