@@ -6,7 +6,7 @@
 //! seed-determined CSVs; every file it writes under `results/` is a pure
 //! function of `(seed, tier)`. The only wall-clock numbers it records are
 //! the two tracked artifacts nothing else produces (`BENCH_perf.json`'s
-//! ACF/Hurst cells, `BENCH_serve.json`); timing the system itself is
+//! ACF cells, `BENCH_serve.json`); timing the system itself is
 //! `benchmark/`'s job.
 
 use std::fs;

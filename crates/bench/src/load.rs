@@ -4,8 +4,7 @@
 //! Phase 0 fingerprints the seeded inputs (arrival schedules, request
 //! mix, a serialized in-memory replay) into `results/load_sweep.csv` —
 //! deterministic columns only, so CI can byte-diff the file across
-//! thread counts (measured `soak_series` rows are the one exception; CI
-//! filters them by prefix). Phases 1–3 then measure: an open-loop rate
+//! thread counts. Phases 1–3 then measure: an open-loop rate
 //! sweep over the threaded TCP server, the epoll reactor and the
 //! in-memory transport (latency charged from each request's precomputed
 //! virtual arrival, so server backlog cannot hide), a closed-loop
@@ -455,8 +454,7 @@ pub fn run(cfg: &ExperimentConfig, tier: Tier, transport_axis: &str) {
     // arrival, producing a p50/p99 series over time. Window populations
     // are a pure function of the schedule, so the partition row is
     // deterministic and lands in the cross-thread CSV diff; the
-    // measured per-window `soak_series` rows are the one CSV exception
-    // and CI filters them by prefix.
+    // measured per-window series goes to the JSON only.
     let soak_n = sizes.n_open * 2;
     let soak_window = Duration::from_millis(sizes.soak_window_ms);
     let mut soak_entries = Vec::new();
@@ -493,15 +491,6 @@ pub fn run(cfg: &ExperimentConfig, tier: Tier, transport_axis: &str) {
         );
         let mut windows = Vec::new();
         for w in &outcome.windows {
-            let _ = writeln!(
-                csv,
-                "soak_series,{label}_w{},{},p50_us={:.1};p99_us={:.1};errors={},-",
-                w.index,
-                w.completed,
-                us(w.hist.p50()),
-                us(w.hist.p99()),
-                w.errors
-            );
             windows.push(obj([
                 ("index", w.index.into()),
                 ("completed", w.completed.into()),

@@ -1,18 +1,15 @@
-//! The `perf` experiment and its tracked `BENCH_perf.json`: the two
-//! kernel timings nothing else measures — naive-vs-fast ACF and Hurst —
+//! The `perf` experiment and its tracked `BENCH_perf.json`: the one
+//! kernel timing nothing else measures — the naive-vs-FFT ACF cells —
 //! and the deterministic forecast-quality tables. Every other layer's
 //! cost is read from `benchmark --trace 1` (see `benchmark/README.md`).
 
 use crate::cli::Tier;
 use crate::json::{fixed, obj};
 use crate::{fleet, write_tracked};
-use nws_stats::{
-    aggregated_variance_hurst, aggregated_variance_hurst_naive, autocovariance_fft,
-    autocovariance_naive, pox_plot, pox_plot_naive,
-};
+use nws_stats::{autocovariance_fft, autocovariance_naive};
 
 /// Deterministic AR(1) series with LCG noise: cheap to generate and
-/// autocorrelated enough that the ACF/Hurst kernels do representative work.
+/// autocorrelated enough that the ACF kernels do representative work.
 fn synth_series(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = nws_stats::Rng::new(seed);
     let mut x = 0.5f64;
@@ -40,9 +37,9 @@ fn speedup(naive_ms: f64, fast_ms: f64) -> f64 {
     naive_ms / fast_ms.max(1e-9)
 }
 
-/// Times the kernels, runs the quality sweep, and writes the artifact.
+/// Times the ACF pair, runs the quality sweep, and writes the artifact.
 ///
-/// Each kernel cell pairs the production path against the retained naive
+/// Each ACF cell pairs the FFT path against the retained naive
 /// reference on identical inputs, so the artifact records the speedup
 /// and the numerical agreement. The schema (key set and nesting) is the
 /// same at every tier — smaller tiers only shrink the problem sizes —
@@ -81,58 +78,16 @@ pub fn run(seed: u64, tier: Tier) {
         ]));
     }
 
-    // --- Hurst: per-segment rescans vs the shared prefix-sum pass.
-    let n: usize = tier.pick(8192, 16384, 131_072);
-    let x = synth_series(n, seed ^ 0x4852);
-    let pox_naive_ms = best_ms(|| pox_plot_naive(&x, 10));
-    let pox_fast_ms = best_ms(|| pox_plot(&x, 10));
-    let pox_points = pox_plot(&x, 10).len();
-    let av_naive_ms = best_ms(|| aggregated_variance_hurst_naive(&x));
-    let av_fast_ms = best_ms(|| aggregated_variance_hurst(&x));
-    println!(
-        "  pox    n={n:<7} naive {pox_naive_ms:>9.3} ms  fast {pox_fast_ms:>8.3} ms  \
-         speedup {:>6.2}x  ({pox_points} points)",
-        speedup(pox_naive_ms, pox_fast_ms)
-    );
-    println!(
-        "  aggvar n={n:<7} naive {av_naive_ms:>9.3} ms  fast {av_fast_ms:>8.3} ms  \
-         speedup {:>6.2}x",
-        speedup(av_naive_ms, av_fast_ms)
-    );
-    let hurst = obj([
-        (
-            "pox_plot",
-            obj([
-                ("n", n.into()),
-                ("min_d", 10usize.into()),
-                ("naive_ms", fixed(pox_naive_ms, 4)),
-                ("fast_ms", fixed(pox_fast_ms, 4)),
-                ("speedup", fixed(speedup(pox_naive_ms, pox_fast_ms), 3)),
-                ("points", pox_points.into()),
-            ]),
-        ),
-        (
-            "aggregated_variance",
-            obj([
-                ("n", n.into()),
-                ("naive_ms", fixed(av_naive_ms, 4)),
-                ("fast_ms", fixed(av_fast_ms, 4)),
-                ("speedup", fixed(speedup(av_naive_ms, av_fast_ms), 3)),
-            ]),
-        ),
-    ]);
-
     // --- Forecast quality: per-predictor MAE/MSE over the three
     // prediction scenarios. Deterministic, not timing — the artifact
     // tracks accuracy next to speed.
     let (quality, _csv) = fleet::quality_sweep(seed, tier);
 
     let doc = obj([
-        ("schema_version", 2usize.into()),
+        ("schema_version", 3usize.into()),
         ("tier", tier.name().into()),
         ("threads", nws_runtime::threads().into()),
         ("acf", acf.into()),
-        ("hurst", hurst),
         ("forecast_quality", quality.into()),
     ]);
     write_tracked(tier, "BENCH_perf.json", &doc.render());

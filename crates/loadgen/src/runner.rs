@@ -10,6 +10,7 @@
 
 use crate::arrivals::{ArrivalSchedule, InterArrival};
 use crate::histogram::LatencyHistogram;
+use crate::soak::{soak, SoakOutcome};
 use nws_server::Transport;
 use nws_wire::{Request, Response};
 use std::time::{Duration, Instant};
@@ -53,65 +54,15 @@ pub fn open_loop<T: Transport + Send>(
     schedule: &ArrivalSchedule,
     requests: &[Request],
 ) -> LoadOutcome {
-    assert!(!transports.is_empty(), "need at least one worker");
-    assert!(
-        requests.len() >= schedule.len(),
-        "fewer requests than arrivals"
-    );
-    let workers = transports.len();
-    let start = Instant::now();
-    let results: Vec<(LatencyHistogram, u64, u64, Duration)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = transports
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut t)| {
-                scope.spawn(move || {
-                    let mut hist = LatencyHistogram::new();
-                    let mut completed = 0u64;
-                    let mut errors = 0u64;
-                    let mut last_done = Duration::ZERO;
-                    for i in (w..schedule.len()).step_by(workers) {
-                        let due = Duration::from_secs_f64(schedule.offsets()[i]);
-                        let now = start.elapsed();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                        match t.call(&requests[i]) {
-                            Ok(resp) => {
-                                completed += 1;
-                                if matches!(resp, Response::Error(_)) {
-                                    errors += 1;
-                                }
-                            }
-                            Err(_) => {
-                                // The connection is broken; this worker
-                                // can contribute nothing further.
-                                errors += 1;
-                                break;
-                            }
-                        }
-                        last_done = start.elapsed();
-                        hist.record(last_done.saturating_sub(due));
-                    }
-                    (hist, completed, errors, last_done)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load worker panicked"))
-            .collect()
-    });
-    let mut hist = LatencyHistogram::new();
-    let mut completed = 0;
-    let mut errors = 0;
-    let mut elapsed = Duration::ZERO;
-    for (h, c, e, last) in results {
-        hist.merge(&h);
-        completed += c;
-        errors += e;
-        elapsed = elapsed.max(last);
-    }
+    // One window as wide as time itself: the soak runner's worker loop
+    // is this runner's, and its whole-run totals are the outcome.
+    let SoakOutcome {
+        completed,
+        errors,
+        elapsed,
+        hist,
+        ..
+    } = soak(transports, schedule, requests, Duration::MAX);
     LoadOutcome {
         completed,
         errors,

@@ -58,8 +58,9 @@ pub struct SoakOutcome {
 }
 
 /// Runs the schedule open-loop (same charging rules as
-/// [`crate::runner::open_loop`]) and buckets latencies into
-/// fixed-width windows by virtual arrival time.
+/// [`crate::runner::open_loop`], which is this with a single window)
+/// and buckets latencies into fixed-width windows by virtual arrival
+/// time.
 pub fn soak<T: Transport + Send>(
     transports: Vec<T>,
     schedule: &ArrivalSchedule,
@@ -106,6 +107,8 @@ pub fn soak<T: Transport + Send>(
                                 }
                             }
                             Err(_) => {
+                                // The connection is broken; this worker
+                                // can contribute nothing further.
                                 cell.2 += 1;
                                 break;
                             }
@@ -119,7 +122,7 @@ pub fn soak<T: Transport + Send>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("soak worker panicked"))
+            .map(|h| h.join().expect("open-loop worker panicked"))
             .collect()
     });
     let mut windows: Vec<SoakWindow> = (0..n_windows)

@@ -43,8 +43,8 @@ pub use dist::{Distribution, Exponential, LogNormal, Normal, Pareto, Uniform};
 pub use fft::{fft_inplace, fft_real, ifft_inplace, next_pow2, periodogram, Complex};
 pub use fgn::{fgn_autocovariance, DaviesHarte, FgnError, Hosking};
 pub use hurst::{
-    aggregated_variance_hurst, aggregated_variance_hurst_naive, hurst_rs, periodogram_hurst,
-    pox_plot, pox_plot_naive, rs_statistic, HurstEstimate, PoxPoint,
+    aggregated_variance_hurst, hurst_rs, periodogram_hurst, pox_plot, rs_statistic, HurstEstimate,
+    PoxPoint,
 };
 pub use regress::{linear_fit, linear_fit2, LinearFit, LinearFit2};
 pub use rng::Rng;

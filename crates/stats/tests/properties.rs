@@ -1,11 +1,57 @@
 //! Property-based tests for the statistics substrate.
 
 use nws_stats::{
-    autocorrelation, autocovariance, autocovariance_fft, autocovariance_naive,
-    clamped_autocorrelation, fft_inplace, fgn_autocovariance, ifft_inplace, linear_fit,
-    periodogram, Complex, DaviesHarte, Distribution, Exponential, LogNormal, Pareto, Rng, Uniform,
+    aggregated_variance_hurst, autocorrelation, autocovariance, autocovariance_fft,
+    autocovariance_naive, clamped_autocorrelation, fft_inplace, fgn_autocovariance, hurst_rs,
+    ifft_inplace, linear_fit, periodogram, pox_plot, Complex, DaviesHarte, Distribution,
+    Exponential, LogNormal, Pareto, Rng, Uniform,
 };
 use proptest::prelude::*;
+
+/// Availability on a near-idle host is `1 − ε`: the same noise squeezed
+/// against 1 must give the same pox plot, the same `H` and the same ACF.
+/// Moments taken from whole-series running sums fail this from a = 1e-6
+/// down (segments cancel to zero variance and drop out, `H` climbs).
+#[test]
+fn squeezing_a_series_against_one_changes_no_estimate() {
+    let mut rng = Rng::new(7);
+    let u: Vec<f64> = (0..8192).map(|_| rng.next_f64()).collect();
+    let squeezed = |a: f64| -> Vec<f64> { u.iter().map(|&v| 1.0 - a * v).collect() };
+
+    let wide = squeezed(1e-2);
+    let pox = pox_plot(&wide, 10);
+    let h_rs = hurst_rs(&wide, 10).expect("long enough").h;
+    let h_av = aggregated_variance_hurst(&wide).expect("long enough").h;
+    // n·(max_lag + 1) lands on the direct-sum side of the ACF dispatch at
+    // lag 10 and on the FFT side at lag 20.
+    let rho_direct = autocorrelation(&wide, 10).expect("varies");
+    let rho_fft = autocorrelation(&wide, 20).expect("varies");
+
+    for a in [1e-4, 1e-6, 1e-7] {
+        let x = squeezed(a);
+        let p = pox_plot(&x, 10);
+        assert_eq!(p.len(), pox.len(), "a = {a}: segments dropped");
+        for (got, want) in p.iter().zip(&pox) {
+            assert_eq!(got.log10_d, want.log10_d);
+            assert!(
+                (got.log10_rs - want.log10_rs).abs() < 1e-6,
+                "a = {a}: log10 R/S {} vs {}",
+                got.log10_rs,
+                want.log10_rs
+            );
+        }
+        let rs = hurst_rs(&x, 10).expect("long enough").h;
+        assert!((rs - h_rs).abs() < 1e-6, "a = {a}: H_rs {rs} vs {h_rs}");
+        let av = aggregated_variance_hurst(&x).expect("long enough").h;
+        assert!((av - h_av).abs() < 1e-6, "a = {a}: H_av {av} vs {h_av}");
+        for (lag, want) in [(10, &rho_direct), (20, &rho_fft)] {
+            let got = autocorrelation(&x, lag).expect("varies");
+            for (k, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!((g - w).abs() < 1e-9, "a = {a}, lag {k}: rho {g} vs {w}");
+            }
+        }
+    }
+}
 
 proptest! {
     #[test]

@@ -20,7 +20,7 @@ import sys
 # Sections every BENCH_perf.json must carry, whatever the tier. The
 # structural diff below catches drift between two artifacts; this list
 # catches the case where *both* sides lost a section.
-REQUIRED_PERF_SECTIONS = ("acf", "hurst", "forecast_quality")
+REQUIRED_PERF_SECTIONS = ("acf", "forecast_quality")
 
 # Sections every BENCH_serve.json (the `repro load` artifact) must
 # carry. Keyed on the presence of "open_loop" so the perf artifact and

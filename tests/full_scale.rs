@@ -66,6 +66,22 @@ fn table3_one_step_errors_stay_below_six_percent() {
 fn table4_hurst_and_variances_at_week_scale() {
     let c = cfg();
     let rows = table4_from(&short_dataset(&c), &weekly_load_series(&c));
+    // The Est. H column of EXPERIMENTS.md Table 4, as `repro table4`
+    // prints it: a change to the estimator or its inputs has to change
+    // the documented table in the same commit.
+    let documented = [
+        ("thing2", "0.90"),
+        ("thing1", "0.87"),
+        ("conundrum", "0.85"),
+        ("beowulf", "0.88"),
+        ("gremlin", "0.83"),
+        ("kongo", "0.87"),
+    ];
+    assert_eq!(rows.len(), documented.len());
+    for (r, (host, h)) in rows.iter().zip(documented) {
+        assert_eq!(r.host, host);
+        assert_eq!(format!("{:.2}", r.hurst), h, "{host}: H = {}", r.hurst);
+    }
     for r in &rows {
         assert!(
             (0.65..0.95).contains(&r.hurst),
