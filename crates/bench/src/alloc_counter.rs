@@ -29,17 +29,23 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: the caller's `GlobalAlloc::alloc` contract, forwarded
+        // unchanged.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr` came from `System` through this wrapper with
+        // this `layout`, as the caller's `dealloc` contract requires.
+        unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        // SAFETY: the caller's `alloc_zeroed` contract, forwarded
+        // unchanged.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -47,7 +53,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // one allocator round trip like the others.
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: `ptr` came from `System` through this wrapper with
+        // this `layout`; the caller's `realloc` contract covers the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 

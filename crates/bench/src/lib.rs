@@ -9,6 +9,8 @@
 //! ACF cells, `BENCH_serve.json`); timing the system itself is
 //! `benchmark/`'s job.
 
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 

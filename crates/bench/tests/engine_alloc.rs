@@ -12,7 +12,7 @@
 //! parallel test runner would otherwise interleave configurations.
 
 use nws_bench::alloc_counter::{self, CountingAllocator};
-use nws_runtime::engine::{Cadence, Engine, EngineConfig, Source, Stage};
+use nws_runtime::engine::{Engine, EngineConfig, Source, Stage};
 use nws_runtime::StepClock;
 
 #[global_allocator]
@@ -62,10 +62,7 @@ const MEASURE_SLOTS: u64 = 256;
 fn run_cell(threads: usize, batch_slots: usize) -> (u64, u64) {
     nws_runtime::set_threads(Some(threads));
     let sources: Vec<Lcg> = (0..SHARDS).map(|i| Lcg { seed: i, state: i }).collect();
-    let config = EngineConfig {
-        cadence: Cadence::PAPER,
-        batch_slots,
-    };
+    let config = EngineConfig { batch_slots };
     let mut engine = Engine::with_clock(sources, config, Box::new(StepClock::new(10.0)));
     let mut stage = Fold { hash: 0, events: 0 };
     engine.run(WARMUP_SLOTS, &mut stage);

@@ -55,62 +55,72 @@ impl ExperimentConfig {
         }
     }
 
-    fn short_monitor(&self) -> MonitorConfig {
-        MonitorConfig {
+    /// One host's monitoring run of one kind — the one place each kind's
+    /// monitor schedule and seed salt are written.
+    fn collect(&self, kind: Kind, p: HostProfile) -> MonitorOutput {
+        let mut config = MonitorConfig {
             duration: self.duration,
             warmup: self.warmup,
-            test_period: Some(self.short_test_period),
             ..MonitorConfig::default()
-        }
+        };
+        // Distinct sub-seeds so the medium and weekly traces are not the
+        // identical realization as the short ones (a different day of
+        // monitoring).
+        let salt = match kind {
+            Kind::Short => {
+                config.test_period = Some(self.short_test_period);
+                0
+            }
+            Kind::Medium => {
+                config.test_period = Some(3600.0_f64.min(self.duration / 2.0));
+                config.test_duration = nws_sensors::TEST_DURATION_MEDIUM.min(self.duration / 12.0);
+                0x5EED
+            }
+            Kind::Weekly => {
+                config.duration = self.hurst_duration;
+                config.test_period = None;
+                0x7DA
+            }
+        };
+        let mut host = p.build(host_seed(self.seed, p.name()).wrapping_add(salt));
+        Monitor::new(config).run(&mut host)
     }
 
-    fn medium_monitor(&self) -> MonitorConfig {
-        MonitorConfig {
-            duration: self.duration,
-            warmup: self.warmup,
-            test_period: Some(3600.0_f64.min(self.duration / 2.0)),
-            test_duration: nws_sensors::TEST_DURATION_MEDIUM.min(self.duration / 12.0),
-            ..MonitorConfig::default()
-        }
+    /// One kind of run over all six hosts, in host order.
+    fn dataset(&self, kind: Kind) -> Vec<MonitorOutput> {
+        parallel_map(HostProfile::all().to_vec(), |p| self.collect(kind, p))
     }
+}
+
+/// The three monitoring runs every host gets.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// 10 s test process: Tables 1–5, Figures 1–2.
+    Short,
+    /// 5-minute test process hourly: Table 6, Figure 4.
+    Medium,
+    /// Week-long trace, test process disabled: the pox plots.
+    Weekly,
 }
 
 /// Runs the short-test (10 s) monitor over all six hosts — the dataset
 /// behind Tables 1–5 and Figures 1–2.
 pub fn short_dataset(cfg: &ExperimentConfig) -> Vec<MonitorOutput> {
-    let monitor = Monitor::new(cfg.short_monitor());
-    parallel_map(HostProfile::all().to_vec(), |p| {
-        let mut host = p.build(host_seed(cfg.seed, p.name()));
-        monitor.run(&mut host)
-    })
+    cfg.dataset(Kind::Short)
 }
 
 /// Runs the medium-term monitor (5-minute test process hourly) over all six
 /// hosts — the dataset behind Table 6 and Figure 4.
 pub fn medium_dataset(cfg: &ExperimentConfig) -> Vec<MonitorOutput> {
-    let monitor = Monitor::new(cfg.medium_monitor());
-    parallel_map(HostProfile::all().to_vec(), |p| {
-        // Distinct sub-seed so the medium traces are not the identical
-        // realization as the short ones (a different day of monitoring).
-        let mut host = p.build(host_seed(cfg.seed, p.name()).wrapping_add(0x5EED));
-        monitor.run(&mut host)
-    })
+    cfg.dataset(Kind::Medium)
 }
 
 /// Collects week-long load-average availability series for every host, with
 /// the test process disabled (the paper's pox plots come from plain
 /// measurement traces).
 pub fn weekly_load_series(cfg: &ExperimentConfig) -> Vec<Series> {
-    let monitor = Monitor::new(MonitorConfig {
-        duration: cfg.hurst_duration,
-        warmup: cfg.warmup,
-        test_period: None,
-        ..MonitorConfig::default()
-    });
-    parallel_map(HostProfile::all().to_vec(), |p| {
-        let mut host = p.build(host_seed(cfg.seed, p.name()).wrapping_add(0x7DA));
-        monitor.run(&mut host).series.load
-    })
+    let runs = cfg.dataset(Kind::Weekly);
+    runs.into_iter().map(|run| run.series.load).collect()
 }
 
 /// All three datasets collected concurrently: the 18 monitoring runs
@@ -123,58 +133,16 @@ pub fn weekly_load_series(cfg: &ExperimentConfig) -> Vec<Series> {
 pub fn all_datasets(
     cfg: &ExperimentConfig,
 ) -> (Vec<MonitorOutput>, Vec<MonitorOutput>, Vec<Series>) {
-    enum Job {
-        Short(HostProfile),
-        Medium(HostProfile),
-        Weekly(HostProfile),
-    }
-    enum Out {
-        Monitor(Box<MonitorOutput>),
-        Load(Series),
-    }
-
-    let short_monitor = Monitor::new(cfg.short_monitor());
-    let medium_monitor = Monitor::new(cfg.medium_monitor());
-    let weekly_monitor = Monitor::new(MonitorConfig {
-        duration: cfg.hurst_duration,
-        warmup: cfg.warmup,
-        test_period: None,
-        ..MonitorConfig::default()
-    });
-
     let profiles = HostProfile::all();
-    let mut jobs: Vec<Job> = Vec::with_capacity(3 * profiles.len());
-    jobs.extend(profiles.iter().map(|p| Job::Weekly(*p)));
-    jobs.extend(profiles.iter().map(|p| Job::Short(*p)));
-    jobs.extend(profiles.iter().map(|p| Job::Medium(*p)));
-
-    let outs = parallel_map(jobs, |job| match job {
-        Job::Short(p) => {
-            let mut host = p.build(host_seed(cfg.seed, p.name()));
-            Out::Monitor(Box::new(short_monitor.run(&mut host)))
-        }
-        Job::Medium(p) => {
-            let mut host = p.build(host_seed(cfg.seed, p.name()).wrapping_add(0x5EED));
-            Out::Monitor(Box::new(medium_monitor.run(&mut host)))
-        }
-        Job::Weekly(p) => {
-            let mut host = p.build(host_seed(cfg.seed, p.name()).wrapping_add(0x7DA));
-            Out::Load(weekly_monitor.run(&mut host).series.load)
-        }
-    });
-
+    let jobs: Vec<(Kind, HostProfile)> = [Kind::Weekly, Kind::Short, Kind::Medium]
+        .iter()
+        .flat_map(|kind| profiles.iter().map(move |p| (*kind, *p)))
+        .collect();
+    let mut runs = parallel_map(jobs, |(kind, p)| cfg.collect(kind, p)).into_iter();
     let n = profiles.len();
-    let mut weekly = Vec::with_capacity(n);
-    let mut short = Vec::with_capacity(n);
-    let mut medium = Vec::with_capacity(n);
-    for out in outs {
-        match out {
-            Out::Load(s) => weekly.push(s),
-            Out::Monitor(m) if short.len() < n => short.push(*m),
-            Out::Monitor(m) => medium.push(*m),
-        }
-    }
-    (short, medium, weekly)
+    let weekly = runs.by_ref().take(n).map(|run| run.series.load).collect();
+    let short = runs.by_ref().take(n).collect();
+    (short, runs.collect(), weekly)
 }
 
 #[cfg(test)]

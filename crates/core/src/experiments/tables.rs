@@ -3,7 +3,7 @@
 use crate::experiments::dataset::{
     medium_dataset, short_dataset, weekly_load_series, ExperimentConfig,
 };
-use crate::monitor::MonitorOutput;
+use crate::monitor::{MonitorOutput, TestObservation};
 use nws_forecast::{evaluate_one_step, PredictorBank};
 use nws_stats::{hurst_rs, mean_absolute_pair_error, population_variance};
 use nws_timeseries::{aggregate_mean, aggregate_series, Series};
@@ -44,6 +44,41 @@ impl MethodTable {
     }
 }
 
+/// A host × method table: `cells` yields one host's values in load /
+/// vmstat / hybrid order (the order of `MethodSeries::columns`).
+fn method_table(
+    title: &str,
+    outputs: &[MonitorOutput],
+    cells: impl Fn(&MonitorOutput) -> [f64; 3],
+) -> MethodTable {
+    let rows = outputs
+        .iter()
+        .map(|out| {
+            let [load, vmstat, hybrid] = cells(out);
+            MethodRow {
+                host: out.host.clone(),
+                load,
+                vmstat,
+                hybrid,
+            }
+        })
+        .collect();
+    MethodTable {
+        title: title.into(),
+        rows,
+    }
+}
+
+/// A run's test observations as `(start, value)` pairs for
+/// [`true_forecast_error`]. Tests start strictly after the slot
+/// measurement they follow, so compare with `start + ε` to include that
+/// measurement.
+fn test_instants(out: &MonitorOutput) -> Vec<(f64, f64)> {
+    (out.tests.iter())
+        .map(|t| (t.start + 1e-6, t.value))
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // Table 1 — measurement error
 // ---------------------------------------------------------------------------
@@ -52,25 +87,19 @@ impl MethodTable {
 /// `mean |measurement_t − test observation_t|` (Eq. 3), pairing each test
 /// run with "the measurement taken most immediately before" it.
 pub fn table1_from(outputs: &[MonitorOutput]) -> MethodTable {
-    let rows = outputs
-        .iter()
-        .map(|out| {
+    let priors: [fn(&TestObservation) -> f64; 3] =
+        [|t| t.prior.load, |t| t.prior.vmstat, |t| t.prior.hybrid];
+    method_table(
+        "Table 1: Mean Absolute Measurement Errors",
+        outputs,
+        |out| {
             let obs: Vec<f64> = out.tests.iter().map(|t| t.value).collect();
-            let prior = |f: fn(&crate::monitor::TestObservation) -> f64| -> Vec<f64> {
-                out.tests.iter().map(f).collect()
-            };
-            MethodRow {
-                host: out.host.clone(),
-                load: mean_absolute_pair_error(&prior(|t| t.prior.load), &obs).unwrap_or(0.0),
-                vmstat: mean_absolute_pair_error(&prior(|t| t.prior.vmstat), &obs).unwrap_or(0.0),
-                hybrid: mean_absolute_pair_error(&prior(|t| t.prior.hybrid), &obs).unwrap_or(0.0),
-            }
-        })
-        .collect();
-    MethodTable {
-        title: "Table 1: Mean Absolute Measurement Errors".into(),
-        rows,
-    }
+            priors.map(|prior| {
+                let prior: Vec<f64> = out.tests.iter().map(prior).collect();
+                mean_absolute_pair_error(&prior, &obs).unwrap_or(0.0)
+            })
+        },
+    )
 }
 
 /// Convenience wrapper: collects the short dataset and computes Table 1.
@@ -122,28 +151,10 @@ pub fn true_forecast_error(series: &Series, tests: &[(f64, f64)]) -> Option<f64>
 
 /// Table 2: mean true forecasting errors per host and method.
 pub fn table2_from(outputs: &[MonitorOutput]) -> MethodTable {
-    let rows = outputs
-        .iter()
-        .map(|out| {
-            // Tests start strictly after the slot measurement they follow,
-            // so compare with `start + ε` to include that measurement.
-            let tests: Vec<(f64, f64)> = out
-                .tests
-                .iter()
-                .map(|t| (t.start + 1e-6, t.value))
-                .collect();
-            MethodRow {
-                host: out.host.clone(),
-                load: true_forecast_error(&out.series.load, &tests).unwrap_or(0.0),
-                vmstat: true_forecast_error(&out.series.vmstat, &tests).unwrap_or(0.0),
-                hybrid: true_forecast_error(&out.series.hybrid, &tests).unwrap_or(0.0),
-            }
-        })
-        .collect();
-    MethodTable {
-        title: "Table 2: Mean True Forecasting Errors".into(),
-        rows,
-    }
+    method_table("Table 2: Mean True Forecasting Errors", outputs, |out| {
+        let tests = test_instants(out);
+        (out.series.columns()).map(|(_, s)| true_forecast_error(s, &tests).unwrap_or(0.0))
+    })
 }
 
 /// Convenience wrapper for Table 2.
@@ -165,19 +176,10 @@ fn one_step_mae(values: &[f64]) -> f64 {
 /// Table 3: mean absolute one-step-ahead prediction error (Eq. 5) — how
 /// well the NWS predicts each series' *next measurement*.
 pub fn table3_from(outputs: &[MonitorOutput]) -> MethodTable {
-    let rows = outputs
-        .iter()
-        .map(|out| MethodRow {
-            host: out.host.clone(),
-            load: one_step_mae(out.series.load.values()),
-            vmstat: one_step_mae(out.series.vmstat.values()),
-            hybrid: one_step_mae(out.series.hybrid.values()),
-        })
-        .collect();
-    MethodTable {
-        title: "Table 3: Mean Absolute One-step-ahead Prediction Errors".into(),
-        rows,
-    }
+    let title = "Table 3: Mean Absolute One-step-ahead Prediction Errors";
+    method_table(title, outputs, |out| {
+        (out.series.columns()).map(|(_, s)| one_step_mae(s.values()))
+    })
 }
 
 /// Convenience wrapper for Table 3.
@@ -222,11 +224,7 @@ pub fn table4_from(outputs: &[MonitorOutput], weekly_load: &[Series]) -> Vec<Tab
             Table4Row {
                 host: out.host.clone(),
                 hurst,
-                variances: [
-                    var_pair(&out.series.load),
-                    var_pair(&out.series.vmstat),
-                    var_pair(&out.series.hybrid),
-                ],
+                variances: out.series.columns().map(|(_, s)| var_pair(s)),
             }
         })
         .collect()
@@ -244,22 +242,10 @@ pub fn table4(cfg: &ExperimentConfig) -> Vec<Table4Row> {
 /// Table 5: mean absolute one-step-ahead prediction error on the `m = 30`
 /// aggregated (5-minute mean) series.
 pub fn table5_from(outputs: &[MonitorOutput]) -> MethodTable {
-    let rows = outputs
-        .iter()
-        .map(|out| {
-            let agg_mae = |s: &Series| one_step_mae(aggregate_series(s, 30).values());
-            MethodRow {
-                host: out.host.clone(),
-                load: agg_mae(&out.series.load),
-                vmstat: agg_mae(&out.series.vmstat),
-                hybrid: agg_mae(&out.series.hybrid),
-            }
-        })
-        .collect();
-    MethodTable {
-        title: "Table 5: One-step-ahead Prediction Errors, 5 Minute Aggregates".into(),
-        rows,
-    }
+    let title = "Table 5: One-step-ahead Prediction Errors, 5 Minute Aggregates";
+    method_table(title, outputs, |out| {
+        (out.series.columns()).map(|(_, s)| one_step_mae(aggregate_series(s, 30).values()))
+    })
 }
 
 /// Convenience wrapper for Table 5.
@@ -277,30 +263,12 @@ pub fn table5(cfg: &ExperimentConfig) -> MethodTable {
 /// and forecast one step ahead; each forecast standing when a 5-minute test
 /// process begins is scored against what that test process observed.
 pub fn table6_from(outputs: &[MonitorOutput]) -> MethodTable {
-    let rows = outputs
-        .iter()
-        .map(|out| {
-            let tests: Vec<(f64, f64)> = out
-                .tests
-                .iter()
-                .map(|t| (t.start + 1e-6, t.value))
-                .collect();
-            let agg_err = |s: &Series| {
-                let agg = aggregate_series(s, 30);
-                true_forecast_error(&agg, &tests).unwrap_or(0.0)
-            };
-            MethodRow {
-                host: out.host.clone(),
-                load: agg_err(&out.series.load),
-                vmstat: agg_err(&out.series.vmstat),
-                hybrid: agg_err(&out.series.hybrid),
-            }
-        })
-        .collect();
-    MethodTable {
-        title: "Table 6: Mean True Forecasting Errors, 5 Minute Averages".into(),
-        rows,
-    }
+    let title = "Table 6: Mean True Forecasting Errors, 5 Minute Averages";
+    method_table(title, outputs, |out| {
+        let tests = test_instants(out);
+        (out.series.columns())
+            .map(|(_, s)| true_forecast_error(&aggregate_series(s, 30), &tests).unwrap_or(0.0))
+    })
 }
 
 /// Convenience wrapper for Table 6 (uses the medium-term dataset).

@@ -16,6 +16,8 @@
 //! - [`paper`] records the paper's published numbers so reports can print
 //!   paper-vs-measured side by side.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod monitor;
 pub mod paper;

@@ -12,6 +12,8 @@
 //! The inert plan, [`FaultPlan::none()`], draws nothing from any RNG, so
 //! a fault-free run is bit-identical to a build without this crate.
 
+#![forbid(unsafe_code)]
+
 use nws_stats::{host_seed, Rng};
 
 /// Salt XOR-ed into per-host fault seeds so the fault stream is

@@ -41,6 +41,8 @@
 //!   trimmed means an O(k) sum, AR refits O(window·order) every
 //!   `refit_every` measurements.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod ar;
 pub mod arma;

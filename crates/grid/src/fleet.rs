@@ -274,7 +274,6 @@ struct FleetStage<'a> {
     lane: &'a mut ForecastLane,
     racks: &'a mut [Tournament],
     region: &'a mut Tournament,
-    cadence: Cadence,
     rack_size: usize,
     events: &'a mut u64,
     gaps: &'a mut u64,
@@ -297,7 +296,7 @@ impl Stage<FleetShard> for FleetStage<'_> {
         let id = ResourceId(shard as u64);
         let first_reading = self.memory.is_empty(id);
         self.memory
-            .append(id, self.cadence.slot_time(slot), availability);
+            .append(id, Cadence::PAPER.slot_time(slot), availability);
         let forecast = &mut self.forecasts[shard];
         match self.lane {
             ForecastLane::Ewma => {
@@ -403,7 +402,6 @@ impl FleetMonitor {
         let engine = Engine::new(
             shards,
             EngineConfig {
-                cadence: Cadence::PAPER,
                 batch_slots: config.batch_slots,
             },
         );
@@ -441,7 +439,6 @@ impl FleetMonitor {
             lane: &mut self.lane,
             racks: &mut self.racks,
             region: &mut self.region,
-            cadence: *self.engine.cadence(),
             rack_size: self.config.rack_size,
             events: &mut self.events,
             gaps: &mut self.gaps,

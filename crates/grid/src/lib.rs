@@ -39,6 +39,8 @@
 //!
 //! [`PredictorBank`]: nws_forecast::PredictorBank
 
+#![forbid(unsafe_code)]
+
 pub mod archive;
 pub mod fleet;
 pub mod memory;

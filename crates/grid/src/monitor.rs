@@ -297,7 +297,6 @@ impl GridSnapshot {
 /// assert!((0.0..=1.0).contains(&answer.forecast.value));
 /// ```
 pub struct GridMonitor {
-    config: GridMonitorConfig,
     archive: Archive,
     /// The event engine owning the per-host shards and the slot clock.
     engine: Engine<MonitoredHost>,
@@ -324,8 +323,8 @@ impl GridMonitor {
     }
 
     /// Creates a monitor paced by an explicit engine clock. The clock
-    /// changes pacing only: virtual-time, step-quantized, and wall
-    /// clocks all produce bit-identical measurements and forecasts.
+    /// changes pacing only: virtual-time and step-quantized clocks
+    /// produce bit-identical measurements and forecasts.
     pub fn with_clock(
         profiles: &[HostProfile],
         base_seed: u64,
@@ -358,7 +357,6 @@ impl GridMonitor {
             })
             .collect();
         let engine_config = EngineConfig {
-            cadence: Cadence::PAPER,
             batch_slots: config.batch_slots,
         };
         let engine = match clock {
@@ -366,7 +364,6 @@ impl GridMonitor {
             Some(clock) => Engine::with_clock(hosts, engine_config, clock),
         };
         Self {
-            config,
             archive,
             engine,
             plan,
@@ -445,7 +442,6 @@ impl GridMonitor {
     /// Changes the engine's batch window (slots buffered per host before
     /// the commit barrier). Output-invariant; exposed for benchmarks.
     pub fn set_batch_slots(&mut self, batch_slots: usize) {
-        self.config.batch_slots = batch_slots;
         self.engine.set_batch_slots(batch_slots);
     }
 

@@ -4,8 +4,9 @@
 //! from which compute cycles can be obtained in the way electrical power is
 //! obtained from an electrical power utility" — in one object: host CPU
 //! availability (via [`GridMonitor`]) and inter-site network performance
-//! (via [`nws_net::LinkMonitor`]) measured on their own cadences, each
-//! published into its own [`Archive`], and forecast per series.
+//! (via [`nws_net::LinkMonitor`]) measured on their own periods against
+//! one clock — the time [`WeatherService::advance`] has been asked for —
+//! each published into its own [`Archive`], and forecast per series.
 
 use crate::archive::Archive;
 use crate::memory::{Memory, MemoryConfig};
@@ -14,7 +15,7 @@ use crate::registry::{Metric, Registry, ResourceId};
 use crate::service::{ForecastAnswer, ForecastService};
 use nws_faults::FaultPlan;
 use nws_net::{LinkConfig, LinkMonitor, LinkSample, PROBE_PERIOD};
-use nws_runtime::{Cadence, Engine, EngineConfig, Stage};
+use nws_runtime::Cadence;
 use nws_sim::HostProfile;
 
 /// Memory retention for the network series.
@@ -23,48 +24,41 @@ const NET_MEMORY: MemoryConfig = MemoryConfig { retain: 4096 };
 /// CPU + network weather under one roof.
 pub struct WeatherService {
     cpu: GridMonitor,
-    /// The network half as its own engine: the whole [`LinkMonitor`] is
-    /// one shard (its probe-drop RNG spans links), one slot = one probe
-    /// cycle on the link cadence.
-    net: Engine<LinkMonitor>,
+    net: LinkMonitor,
     net_archive: Archive,
     /// `(bandwidth id, latency id, link name, capacity)` per link.
     link_ids: Vec<(ResourceId, ResourceId, String, f64)>,
+    /// Simulated seconds [`WeatherService::advance`] has been asked for:
+    /// the one clock both halves run against.
+    elapsed: f64,
+    /// Probe cycles run so far.
+    net_cycles: u64,
 }
 
-/// The commit side of the network engine: publishes each cycle's samples
-/// (or explicit gaps) into the network archive.
-struct NetStage<'a> {
-    archive: &'a mut Archive,
-    link_ids: &'a [(ResourceId, ResourceId, String, f64)],
-}
-
-impl Stage<LinkMonitor> for NetStage<'_> {
-    fn commit(
-        &mut self,
-        _shard: usize,
-        _source: &mut LinkMonitor,
-        slot: u64,
-        event: &Vec<Option<LinkSample>>,
-    ) {
-        // The cycle completes at the *end* of its probe period.
-        let now = (slot + 1) as f64 * PROBE_PERIOD;
-        for ((bw_id, lat_id, _, capacity), sample) in self.link_ids.iter().zip(event) {
-            match sample {
-                Some(s) => {
-                    // Bandwidth is stored in bytes/second and forecast
-                    // capacity-normalized.
-                    let normalized = s.bandwidth / capacity;
-                    self.archive
-                        .reading_as(*bw_id, s.time, s.bandwidth, normalized);
-                    self.archive.reading(*lat_id, s.time, s.latency);
-                }
-                None => {
-                    // A dropped probe cycle is an explicit gap on both
-                    // series at the cycle's nominal completion time.
-                    self.archive.gap(*bw_id, now);
-                    self.archive.gap(*lat_id, now);
-                }
+/// Publishes one probe cycle's samples (or explicit gaps) into the
+/// network archive; `cycle` counts from 1.
+fn publish_cycle(
+    archive: &mut Archive,
+    link_ids: &[(ResourceId, ResourceId, String, f64)],
+    cycle: u64,
+    samples: &[Option<LinkSample>],
+) {
+    // The cycle completes at the *end* of its probe period.
+    let now = cycle as f64 * PROBE_PERIOD;
+    for ((bw_id, lat_id, _, capacity), sample) in link_ids.iter().zip(samples) {
+        match sample {
+            Some(s) => {
+                // Bandwidth is stored in bytes/second and forecast
+                // capacity-normalized.
+                let normalized = s.bandwidth / capacity;
+                archive.reading_as(*bw_id, s.time, s.bandwidth, normalized);
+                archive.reading(*lat_id, s.time, s.latency);
+            }
+            None => {
+                // A dropped probe cycle is an explicit gap on both
+                // series at the cycle's nominal completion time.
+                archive.gap(*bw_id, now);
+                archive.gap(*lat_id, now);
             }
         }
     }
@@ -103,24 +97,13 @@ impl WeatherService {
         if !plan.is_none() {
             net.inject_faults(base_seed ^ 0x4E45_54FA, plan.rates().sensor_dropout);
         }
-        // The network engine ticks on the link probe cadence: one slot =
-        // one probe cycle.
-        let net_cadence = Cadence {
-            measurement_period: PROBE_PERIOD,
-            probe_period: PROBE_PERIOD,
-            ..Cadence::PAPER
-        };
         Self {
             cpu: GridMonitor::with_faults(profiles, base_seed, GridMonitorConfig::default(), plan),
-            net: Engine::new(
-                vec![net],
-                EngineConfig {
-                    cadence: net_cadence,
-                    ..EngineConfig::default()
-                },
-            ),
+            net,
             net_archive,
             link_ids,
+            elapsed: 0.0,
+            net_cycles: 0,
         }
     }
 
@@ -157,19 +140,26 @@ impl WeatherService {
         self.net_archive.forecasts()
     }
 
-    /// Advances both halves by `seconds` of simulated time: the CPU side on
-    /// its 10-second measurement cadence, the network side on its probe
-    /// cadence, both driven through the event engine and published into
-    /// the memories and forecasters.
+    /// Advances both halves by `seconds` of simulated time: each runs
+    /// every period of its own — the CPU side's 10-second measurement
+    /// slot, the network side's probe cycle — that has come due in the
+    /// total time asked for so far and has not run yet, so however the
+    /// time is split across calls the halves stay on one clock.
     pub fn advance(&mut self, seconds: f64) {
-        let cpu_steps = (seconds / self.cpu.cadence().measurement_period).round() as u64;
-        self.cpu.run_steps(cpu_steps);
-        let net_probes = (seconds / PROBE_PERIOD).round() as u64;
-        let mut stage = NetStage {
-            archive: &mut self.net_archive,
-            link_ids: &self.link_ids,
-        };
-        self.net.run(net_probes, &mut stage);
+        self.elapsed += seconds;
+        let cpu_due = (self.elapsed / Cadence::PAPER.measurement_period).floor() as u64;
+        self.cpu.run_steps(cpu_due.saturating_sub(self.cpu.slots()));
+        let net_due = (self.elapsed / PROBE_PERIOD).floor() as u64;
+        while self.net_cycles < net_due {
+            let samples = self.net.probe_cycle();
+            self.net_cycles += 1;
+            publish_cycle(
+                &mut self.net_archive,
+                &self.link_ids,
+                self.net_cycles,
+                &samples,
+            );
+        }
     }
 
     /// Change counter over both halves of the weather service: CPU
@@ -243,27 +233,49 @@ mod tests {
     }
 
     #[test]
+    fn however_the_time_is_split_the_halves_stay_on_one_clock() {
+        let state = |ws: &WeatherService| {
+            let samples: Vec<usize> = (ws.link_ids.iter())
+                .flat_map(|(bw, lat, ..)| [ws.net_memory().len(*bw), ws.net_memory().len(*lat)])
+                .collect();
+            (ws.cpu().slots(), samples, ws.revision())
+        };
+        for (step, calls) in [(60.0, 2), (50.0, 12)] {
+            let mut split = WeatherService::ucsd(9);
+            for _ in 0..calls {
+                split.advance(step);
+            }
+            let mut whole = WeatherService::ucsd(9);
+            whole.advance(step * calls as f64);
+            let (slots, samples, revision) = state(&whole);
+            let cycles = (step * calls as f64 / PROBE_PERIOD) as usize;
+            assert!(samples.iter().all(|&n| n == cycles), "{samples:?}");
+            assert_eq!(
+                state(&split),
+                (slots, samples, revision),
+                "{calls} x {step} s"
+            );
+        }
+    }
+
+    #[test]
     fn a_sample_the_memory_refuses_does_not_reach_the_forecaster() {
         let (bw, lat) = (ResourceId(0), ResourceId(1));
         let link_ids = [(bw, lat, "l".to_string(), 1.0e6)];
         let mut archive = Archive::new(MemoryConfig { retain: 16 });
-        let mut stage = NetStage {
-            archive: &mut archive,
-            link_ids: &link_ids,
-        };
-        let mut source = LinkMonitor::demo_grid(1);
-        let sample = |time, bandwidth, latency| {
-            vec![Some(LinkSample {
+        let mut publish = |cycle, time, bandwidth, latency| {
+            let sample = LinkSample {
                 time,
                 bandwidth,
                 latency,
-            })]
+            };
+            publish_cycle(&mut archive, &link_ids, cycle, &[Some(sample)]);
         };
-        stage.commit(0, &mut source, 0, &sample(120.0, 5.0e5, 0.04));
+        publish(1, 120.0, 5.0e5, 0.04);
         // A replayed timestamp, then a non-finite bandwidth beside a good
         // latency: the memory takes only the last latency.
-        stage.commit(0, &mut source, 1, &sample(120.0, 9.0e5, 0.09));
-        stage.commit(0, &mut source, 2, &sample(240.0, f64::NAN, 0.05));
+        publish(2, 120.0, 9.0e5, 0.09);
+        publish(3, 240.0, f64::NAN, 0.05);
         let (memory, forecasts) = (archive.memory(), archive.forecasts());
         assert_eq!((memory.len(bw), memory.len(lat)), (1, 2));
         let observed = |id| forecasts.forecast(id).expect("live").observations;

@@ -33,6 +33,8 @@
 //!   length claims, byte-trickling slow writers — that must trip the
 //!   server's deadline and cap handling without hurting healthy peers.
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod churn;
 pub mod histogram;

@@ -19,6 +19,8 @@
 //!   forecasting over a set of links — the network counterpart of the CPU
 //!   `GridMonitor`.
 
+#![forbid(unsafe_code)]
+
 pub mod link;
 pub mod monitor;
 pub mod sensors;

@@ -4,7 +4,7 @@ use crate::link::{Link, LinkConfig};
 use crate::sensors::{BandwidthSensor, LatencySensor};
 use crate::Seconds;
 use nws_forecast::{evaluate_one_step, PredictorBank};
-use nws_runtime::{host_seed, Source};
+use nws_runtime::host_seed;
 use nws_stats::Rng;
 use nws_timeseries::Series;
 
@@ -141,9 +141,7 @@ impl LinkMonitor {
     /// Runs one probe cycle across every link, in registration order, and
     /// returns what each link yielded (`None` = the probe was lost to an
     /// injected drop). The fault RNG is shared across links and drawn in
-    /// link order, so one cycle is the atomic unit of determinism — this
-    /// is why the whole link set is a single engine shard rather than one
-    /// shard per link.
+    /// link order, so one cycle is the atomic unit of determinism.
     pub fn probe_cycle(&mut self) -> Vec<Option<LinkSample>> {
         let mut samples = Vec::with_capacity(self.links.len());
         for ml in &mut self.links {
@@ -222,18 +220,6 @@ impl LinkMonitor {
                 }
             })
             .collect()
-    }
-}
-
-/// The whole link set as ONE engine shard: the probe-drop RNG is shared
-/// across links and drawn in link order each cycle, so splitting links
-/// into separate shards would reorder its draws. One event = one probe
-/// cycle = one `Option<LinkSample>` per link, in registration order.
-impl Source for LinkMonitor {
-    type Event = Vec<Option<LinkSample>>;
-
-    fn produce(&mut self, _slot: u64) -> Self::Event {
-        self.probe_cycle()
     }
 }
 

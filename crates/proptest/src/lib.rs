@@ -17,6 +17,8 @@
 //! - tuple strategies up to arity 6, `Strategy::prop_map`, `any::<T>()`;
 //! - `proptest::collection::vec` and `proptest::option::of`.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// Per-test configuration (case count only).

@@ -3,19 +3,15 @@
 //! The engine computes every slot's timestamp from the [`Cadence`] — the
 //! clock never feeds values into the measurement path, so two runs under
 //! different clocks produce bit-identical events. What a clock controls
-//! is *pacing*: how much wall time passes between slots.
+//! is *pacing*: how `now` gets from one requested time to the next. Both
+//! clocks here are virtual and never sleep.
 //!
 //! - [`VirtualClock`] jumps instantly — simulation, tests, benchmarks.
-//! - [`StepClock`] also never sleeps but moves in fixed quanta, modeling
-//!   a discrete scheduler tick; with a quantum dividing the measurement
-//!   period it lands on exactly the same slot times as the virtual
-//!   clock.
-//! - [`WallClock`] sleeps until each slot's real-time due point — live
-//!   serving, where sensor ticks must track actual elapsed time.
+//! - [`StepClock`] moves in fixed quanta, modeling a discrete scheduler
+//!   tick; with a quantum dividing the measurement period it lands on
+//!   exactly the same slot times as the virtual clock.
 //!
 //! [`Cadence`]: crate::engine::Cadence
-
-use std::time::Instant;
 
 /// A monotonic time source the engine advances slot by slot.
 ///
@@ -26,8 +22,7 @@ pub trait Clock: Send {
     /// Current position in simulated seconds.
     fn now(&self) -> f64;
 
-    /// Advances to (at least) `t` simulated seconds, sleeping if this
-    /// clock paces against wall time.
+    /// Advances to (at least) `t` simulated seconds.
     fn advance_to(&mut self, t: f64);
 }
 
@@ -59,7 +54,6 @@ impl Clock for VirtualClock {
 
 /// Quantized virtual time: advances in fixed `quantum`-second ticks to
 /// the first tick at or past the target, like a discrete scheduler.
-/// Never sleeps.
 #[derive(Debug, Clone, Copy)]
 pub struct StepClock {
     now: f64,
@@ -104,66 +98,6 @@ impl Clock for StepClock {
     }
 }
 
-/// Wall-clock pacing: each simulated second maps to `1 / rate` real
-/// seconds from the clock's creation, and `advance_to` sleeps until the
-/// target's real due point. For live serving loops.
-#[derive(Debug)]
-pub struct WallClock {
-    origin: Instant,
-    /// Simulated seconds per wall-clock second.
-    rate: f64,
-    now: f64,
-}
-
-impl WallClock {
-    /// A real-time clock: one simulated second per wall second.
-    pub fn new() -> Self {
-        Self::with_rate(1.0)
-    }
-
-    /// A scaled clock — `rate` simulated seconds per wall second (e.g.
-    /// 10.0 runs the 10 s cadence on 1 s wall ticks).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate` is positive and finite.
-    pub fn with_rate(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "wall-clock rate must be positive and finite: {rate}"
-        );
-        Self {
-            origin: Instant::now(),
-            rate,
-            now: 0.0,
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> f64 {
-        self.now
-    }
-
-    fn advance_to(&mut self, t: f64) {
-        if t <= self.now {
-            return;
-        }
-        let due = std::time::Duration::from_secs_f64((t / self.rate).max(0.0));
-        let elapsed = self.origin.elapsed();
-        if due > elapsed {
-            std::thread::sleep(due - elapsed);
-        }
-        self.now = t;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,18 +135,6 @@ mod tests {
             v.advance_to(t);
             assert_eq!(s.now().to_bits(), v.now().to_bits());
         }
-    }
-
-    #[test]
-    fn wall_clock_sleeps_to_the_due_point() {
-        // 1000 simulated seconds per wall second: 50 sim-seconds is a
-        // 50 ms sleep — fast enough for a unit test, long enough to
-        // measure.
-        let mut c = WallClock::with_rate(1000.0);
-        let t0 = Instant::now();
-        c.advance_to(50.0);
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(45));
-        assert_eq!(c.now(), 50.0);
     }
 
     #[test]

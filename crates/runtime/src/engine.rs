@@ -3,12 +3,11 @@
 //! One dataflow drives the whole reproduction — periodic sensor readings
 //! feed a memory, forecasters, and consumers — and this module is the
 //! single place its timing, batching, and ordering live. An [`Engine`]
-//! owns a set of per-shard [`Source`]s (one per monitored host or link),
-//! a [`Cadence`] defining the slot grid, and a swappable [`Clock`] that
-//! paces the run (virtual time for simulation and tests, wall time for
-//! live serving). Each measurement slot, every source produces one event;
-//! a [`Stage`] commits the events into shared state (memory, forecast
-//! service, serving caches).
+//! owns a set of per-shard [`Source`]s (one per monitored host) and a
+//! swappable [`Clock`] that paces the run; the slot grid is the paper's
+//! ([`Cadence::PAPER`]) for every engine. Each measurement slot, every
+//! source produces one event; a [`Stage`] commits the events into shared
+//! state (memory, forecast service, serving caches).
 //!
 //! # Event ordering and tie-breaking
 //!
@@ -27,12 +26,13 @@
 //! round provides backpressure: no source can run further ahead than one
 //! batch window.
 //!
-//! The buffers themselves are engine-owned, per-shard event arenas,
-//! double-buffered as a front/back pair: each round the producers fill
-//! the back arenas in place (via [`parallel_zip_mut`]), the banks swap,
-//! and the commit loop drains the front slot-major. Arenas are cleared —
-//! never dropped — between rounds, so once warmed to `batch_slots`
-//! capacity a steady-state round performs no allocation at all.
+//! The buffers themselves are one bank of engine-owned, per-shard event
+//! arenas: each round the producers fill them in place (via
+//! [`parallel_zip_mut`]) and, past that barrier, the commit loop reads
+//! them slot-major — the two halves of a round are never live at once,
+//! so one bank serves both. Arenas are cleared — never dropped — between
+//! rounds, so once warmed to `batch_slots` capacity a steady-state round
+//! performs no allocation at all.
 //!
 //! # The determinism contract
 //!
@@ -101,8 +101,8 @@ impl Default for Cadence {
     }
 }
 
-/// A per-shard event producer: one monitored host, one link set — any
-/// unit whose measurement state is independent of every other shard's.
+/// A per-shard event producer: one monitored host — any unit whose
+/// measurement state is independent of every other shard's.
 ///
 /// `produce` is called once per slot, in slot order, and must depend
 /// only on this shard's own state (see the module-level determinism
@@ -130,8 +130,6 @@ pub trait Stage<S: Source> {
 /// Engine tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// The slot grid.
-    pub cadence: Cadence,
     /// Most slots a source may be produced ahead of the commit stage;
     /// bounds the event queues at `batch_slots × shards` events.
     pub batch_slots: usize,
@@ -139,26 +137,21 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        Self {
-            cadence: Cadence::PAPER,
-            batch_slots: 64,
-        }
+        Self { batch_slots: 64 }
     }
 }
 
-/// The deterministic event engine: sources + cadence + clock.
+/// The deterministic event engine: sources + clock, on the
+/// [`Cadence::PAPER`] slot grid.
 pub struct Engine<S: Source> {
     config: EngineConfig,
     clock: Box<dyn Clock>,
     sources: Vec<S>,
     slot: u64,
-    /// Front bank of the double-buffered slot ring: the arenas the
-    /// commit loop is draining (one arena of up to `batch_slots` events
-    /// per shard). Persistent across rounds; cleared, never dropped.
-    front: Vec<Vec<S::Event>>,
-    /// Back bank: the arenas the producers fill. Swapped with `front`
-    /// at the round's produce→commit handoff.
-    back: Vec<Vec<S::Event>>,
+    /// One arena of up to `batch_slots` events per shard: the producers
+    /// fill them, then the commit loop reads them. Persistent across
+    /// rounds; cleared, never dropped.
+    arenas: Vec<Vec<S::Event>>,
 }
 
 impl<S: Source> Engine<S> {
@@ -177,14 +170,8 @@ impl<S: Source> Engine<S> {
             clock,
             sources,
             slot: 0,
-            front: Vec::new(),
-            back: Vec::new(),
+            arenas: Vec::new(),
         }
-    }
-
-    /// The slot grid.
-    pub fn cadence(&self) -> &Cadence {
-        &self.config.cadence
     }
 
     /// Slots completed so far.
@@ -235,30 +222,28 @@ impl<S: Source> Engine<S> {
                     stage.commit(shard, src, slot, &ev);
                 }
                 self.slot = slot + 1;
-                self.clock
-                    .advance_to(self.config.cadence.slot_time(self.slot));
+                self.clock.advance_to(Cadence::PAPER.slot_time(self.slot));
             }
             return;
         }
         // Parallel: each shard produces its whole batch into its own
-        // back arena on a worker thread (shard state is independent by
-        // contract), the banks swap, then the buffered events commit in
-        // exactly the sequential order. The arenas are persistent, so a
-        // warmed round allocates nothing.
-        if self.back.len() < self.sources.len() {
-            self.back.resize_with(self.sources.len(), Vec::new);
+        // arena on a worker thread (shard state is independent by
+        // contract), then the buffered events commit in exactly the
+        // sequential order. The arenas are persistent, so a warmed round
+        // allocates nothing.
+        if self.arenas.len() < self.sources.len() {
+            self.arenas.resize_with(self.sources.len(), Vec::new);
         }
-        crate::parallel_zip_mut(&mut self.sources, &mut self.back, |_, src, arena| {
+        crate::parallel_zip_mut(&mut self.sources, &mut self.arenas, |_, src, arena| {
             arena.clear();
             arena.extend((0..take).map(|i| src.produce(start + i)));
         });
-        std::mem::swap(&mut self.front, &mut self.back);
         for i in 0..take {
             for (shard, src) in self.sources.iter_mut().enumerate() {
-                stage.commit(shard, src, start + i, &self.front[shard][i as usize]);
+                stage.commit(shard, src, start + i, &self.arenas[shard][i as usize]);
             }
             self.clock
-                .advance_to(self.config.cadence.slot_time(start + i + 1));
+                .advance_to(Cadence::PAPER.slot_time(start + i + 1));
         }
         self.slot = start + take;
     }
@@ -318,10 +303,7 @@ mod tests {
     ) -> (Vec<(u64, usize)>, u64) {
         crate::set_threads(Some(threads));
         let sources: Vec<Counter> = (0..5).map(|i| Counter { seed: i, state: i }).collect();
-        let config = EngineConfig {
-            batch_slots,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig { batch_slots };
         let mut engine = if step_clock {
             Engine::with_clock(sources, config, Box::new(StepClock::new(10.0)))
         } else {
@@ -331,7 +313,7 @@ mod tests {
         engine.run(100, &mut stage);
         crate::set_threads(None);
         assert_eq!(engine.slot(), 100);
-        assert_eq!(engine.clock_now(), engine.cadence().slot_time(100));
+        assert_eq!(engine.clock_now(), Cadence::PAPER.slot_time(100));
         (stage.order, stage.hash)
     }
 
@@ -381,12 +363,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch window")]
     fn zero_batch_window_is_rejected() {
-        let _ = Engine::new(
-            Vec::<Counter>::new(),
-            EngineConfig {
-                batch_slots: 0,
-                ..EngineConfig::default()
-            },
-        );
+        let _ = Engine::new(Vec::<Counter>::new(), EngineConfig { batch_slots: 0 });
     }
 }

@@ -6,9 +6,11 @@
 //! closure over a batch of items on a bounded pool of worker threads and
 //! returns the results **in input order**, so the output is bit-identical
 //! to a sequential `map` regardless of the thread count or OS scheduling.
-//! [`parallel_zip_mut`] and [`parallel_for_each_mut`] are the in-place
-//! variants the event engine uses: they mutate caller-owned slices
-//! through exclusive per-index access and allocate nothing.
+//! [`parallel_zip_mut`] is the in-place variant the event engine uses
+//! every round: it mutates two caller-owned slices through exclusive
+//! per-index access and allocates nothing. It is the one function here
+//! that turns a shared pointer into a `&mut`; [`parallel_map`] is safe
+//! code on top of it.
 //!
 //! The layer is dependency-free. Worker threads are spawned once, on the
 //! first parallel dispatch, into a process-wide `pool`; subsequent
@@ -31,14 +33,15 @@
 //!
 //! On top of the parallel primitives sits the [`engine`] module: the
 //! deterministic discrete-event engine the sensing → storage → forecast →
-//! serve pipeline runs on, with swappable [`clock`]s (virtual time for
-//! simulation and tests, wall time for live serving).
+//! serve pipeline runs on, with swappable virtual [`clock`]s.
+
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 pub mod clock;
 pub mod engine;
 pub mod hash;
 
-pub use clock::{Clock, StepClock, VirtualClock, WallClock};
+pub use clock::{Clock, StepClock, VirtualClock};
 pub use engine::{Cadence, Engine, EngineConfig, Source, Stage};
 pub use hash::{fnv1a, host_seed, Fnv1a};
 
@@ -76,7 +79,7 @@ pub fn threads() -> usize {
 }
 
 /// Detected hardware parallelism (cached; 1 if detection fails).
-pub fn hardware_threads() -> usize {
+fn hardware_threads() -> usize {
     static CACHED: AtomicUsize = AtomicUsize::new(0);
     let cached = CACHED.load(Ordering::Relaxed);
     if cached > 0 {
@@ -120,8 +123,10 @@ mod pool {
         data: *const (),
         call: unsafe fn(*const ()),
     }
-    // SAFETY: the pointee is `Sync` (enforced by `run`'s bound) and the
-    // caller blocks until all workers are done with it.
+    // SAFETY: `data` points at a closure that is `Sync` (enforced by
+    // `run`'s bound), so calling it from another thread is sound, and
+    // the caller blocks until all workers are done with it; `call` is a
+    // plain function pointer.
     unsafe impl Send for Job {}
 
     struct Shared {
@@ -162,10 +167,13 @@ mod pool {
                     s = pool.work_cv.wait(s).expect("pool state poisoned");
                 }
             };
-            // SAFETY: the dispatching caller blocks until `done` reaches
-            // the worker count, so the pointee is alive for this call.
-            let outcome =
-                std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data) }));
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                // SAFETY: `run` built `job` from one `&F` — `data` is that
+                // reference and `call` is `call_impl::<F>` — and blocks
+                // until `done` reaches the worker count, so the closure
+                // is alive for this call.
+                unsafe { (job.call)(job.data) }
+            }));
             let mut s = pool.shared.lock().expect("pool state poisoned");
             if let Err(payload) = outcome {
                 s.panic.get_or_insert(payload);
@@ -219,7 +227,11 @@ mod pool {
                 return;
             }
         };
+        /// # Safety
+        ///
+        /// `data` must be a `&F` that is live for the whole call.
         unsafe fn call_impl<F: Fn()>(data: *const ()) {
+            // SAFETY: the caller passes a live `&F` (see above).
             unsafe { (*(data as *const F))() }
         }
         {
@@ -250,13 +262,14 @@ mod pool {
     }
 }
 
-/// A raw pointer the dispatch closures may share across threads.
-///
-/// Soundness rests on the index protocol: the atomic cursor hands each
-/// index to exactly one worker, so derived `&mut` accesses are disjoint.
+/// A raw pointer the dispatch closure shares across threads; only
+/// [`parallel_zip_mut`] dereferences one.
 struct SyncPtr<T>(*mut T);
-unsafe impl<T> Send for SyncPtr<T> {}
-unsafe impl<T> Sync for SyncPtr<T> {}
+// SAFETY: the one field is a pointer into a slice `parallel_zip_mut` holds
+// exclusively for the whole dispatch, and the atomic cursor hands each
+// index to exactly one worker, so the `&mut T` derived from it are
+// disjoint; they mutate `T` on other threads, hence `T: Send`.
+unsafe impl<T: Send> Sync for SyncPtr<T> {}
 
 impl<T> SyncPtr<T> {
     /// Accessor (rather than field access) so closures capture the
@@ -313,76 +326,29 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_with(threads(), items, f)
-}
-
-/// [`parallel_map`] with an explicit thread count, bypassing the global
-/// resolution. Mostly useful for tests pinning both sides of an
-/// equivalence check.
-pub fn parallel_map_with<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = effective_workers(threads, n);
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let slot_ptr = SyncPtr(slots.as_mut_ptr());
-    let result_ptr = SyncPtr(results.as_mut_ptr());
-    dispatch(workers, n, |i| {
-        // SAFETY: `dispatch` hands out each index exactly once, so the
-        // slot and result cells at `i` are exclusively ours; both
-        // vectors outlive the dispatch (the caller blocks in it).
-        let item = unsafe { (*slot_ptr.get().add(i)).take() }.expect("work item claimed twice");
-        let out = f(item);
-        unsafe { *result_ptr.get().add(i) = Some(out) };
+    // Each item is taken out of its cell and its result put into the
+    // cell beside it, in place.
+    let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    parallel_zip_mut(&mut items, &mut results, |_, item, result| {
+        *result = item.take().map(&f);
     });
-
     results
         .into_iter()
-        .map(|slot| slot.expect("worker left result slot empty"))
+        .map(|result| result.expect("every index is dispatched once"))
         .collect()
 }
 
-/// Runs `f(index, &mut item)` over a caller-owned slice in place, fanned
-/// over up to [`threads`]`()` pool workers. Exclusive access per index is
-/// guaranteed by the dispatch protocol; completion order is unspecified,
-/// so `f` must not depend on cross-index ordering.
+/// Runs `f(index, &mut a[index], &mut b[index])` over two equal-length
+/// caller-owned slices in place, fanned over up to [`threads`]`()` pool
+/// workers. Exclusive access per index is guaranteed by the dispatch
+/// protocol; completion order is unspecified, so `f` must not depend on
+/// cross-index ordering.
 ///
-/// Allocates nothing: the engine calls this every round with its
-/// persistent shard and arena storage.
-pub fn parallel_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let workers = effective_workers(threads(), n);
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let ptr = SyncPtr(items.as_mut_ptr());
-    dispatch(workers, n, |i| {
-        // SAFETY: each index is claimed exactly once (disjoint `&mut`),
-        // and the slice outlives the dispatch.
-        f(i, unsafe { &mut *ptr.get().add(i) });
-    });
-}
-
-/// [`parallel_for_each_mut`] over two equal-length slices advanced in
-/// lockstep: `f(index, &mut a[index], &mut b[index])`. The engine uses
-/// this to pair each shard with its event arena without interleaving
-/// their storage.
+/// Allocates nothing: the engine calls this every round to pair each
+/// shard with its event arena without interleaving their storage. It is
+/// the one function in the crate that derives a `&mut` from a shared
+/// pointer; [`parallel_map`] is safe code on top of it.
 ///
 /// # Panics
 ///
@@ -402,14 +368,15 @@ where
         }
         return;
     }
-    let pa = SyncPtr(a.as_mut_ptr());
-    let pb = SyncPtr(b.as_mut_ptr());
+    let (pa, pb) = (SyncPtr(a.as_mut_ptr()), SyncPtr(b.as_mut_ptr()));
     dispatch(workers, n, |i| {
-        // SAFETY: as in `parallel_for_each_mut`, per-index exclusivity
-        // comes from the dispatch protocol; both slices outlive it.
-        f(i, unsafe { &mut *pa.get().add(i) }, unsafe {
-            &mut *pb.get().add(i)
-        });
+        // SAFETY: `i < n`, the length of both slices, so both offsets are
+        // in bounds; `dispatch` hands out each index exactly once, so the
+        // two `&mut` at `i` alias nothing another worker holds; and the
+        // caller's exclusive borrows of `a` and `b` outlive the dispatch,
+        // which returns only after every worker is done.
+        let (x, y) = unsafe { (&mut *pa.get().add(i), &mut *pb.get().add(i)) };
+        f(i, x, y);
     });
 }
 
@@ -417,53 +384,9 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn maps_in_input_order() {
-        for workers in [1, 2, 3, 8, 64] {
-            let items: Vec<u64> = (0..97).collect();
-            let out = parallel_map_with(workers, items.clone(), |x| x * x);
-            let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-            assert_eq!(out, expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs() {
-        let empty: Vec<i32> = Vec::new();
-        assert_eq!(parallel_map_with(4, empty, |x| x + 1), Vec::<i32>::new());
-        assert_eq!(parallel_map_with(4, vec![41], |x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn handles_non_clone_items_and_results() {
-        // T and R only need Send; exercise with heap-owning values.
-        let items: Vec<String> = (0..20).map(|i| format!("host-{i}")).collect();
-        let out = parallel_map_with(4, items, |s| s.into_bytes());
-        assert_eq!(out.len(), 20);
-        assert_eq!(out[7], b"host-7".to_vec());
-    }
-
-    #[test]
-    fn uneven_work_is_still_ordered() {
-        // Early items sleep longer, so later items finish first.
-        let items: Vec<u64> = (0..16).collect();
-        let out = parallel_map_with(8, items, |i| {
-            std::thread::sleep(std::time::Duration::from_millis(16 - i));
-            i
-        });
-        assert_eq!(out, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn worker_panic_propagates() {
-        parallel_map_with(4, vec![0, 1, 2, 3], |i| {
-            if i == 2 {
-                panic!("boom");
-            }
-            i
-        });
-    }
+    // The fan-out itself is stressed through the public functions in
+    // `tests/fanout.rs`, a process of its own: it sets the global thread
+    // count, which tests sharing this binary would race on.
 
     #[test]
     fn override_beats_env_and_detection() {
@@ -474,67 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_fallback_runs_on_caller_thread() {
-        let caller = std::thread::current().id();
-        let out = parallel_map_with(1, vec![(), (), ()], |()| std::thread::current().id());
-        assert!(out.iter().all(|id| *id == caller));
-    }
-
-    #[test]
-    fn for_each_mut_touches_each_index_exactly_once() {
-        for threads in [1, 4] {
-            set_threads(Some(threads));
-            let mut items: Vec<u64> = vec![0; 257];
-            parallel_for_each_mut(&mut items, |i, slot| *slot += i as u64 + 1);
-            set_threads(None);
-            let expect: Vec<u64> = (0..257).map(|i| i + 1).collect();
-            assert_eq!(items, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn zip_mut_pairs_by_index() {
-        for threads in [1, 4] {
-            set_threads(Some(threads));
-            let mut a: Vec<u64> = (0..100).collect();
-            let mut b: Vec<u64> = vec![0; 100];
-            parallel_zip_mut(&mut a, &mut b, |i, x, y| {
-                *x *= 2;
-                *y = *x + i as u64;
-            });
-            set_threads(None);
-            for i in 0..100u64 {
-                assert_eq!(a[i as usize], i * 2);
-                assert_eq!(b[i as usize], i * 3);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "zipped slices must match")]
     fn zip_mut_rejects_mismatched_lengths() {
         let mut a = [1, 2, 3];
         let mut b = [1, 2];
         parallel_zip_mut(&mut a, &mut b, |_, _, _| {});
-    }
-
-    #[test]
-    fn for_each_mut_handles_empty_slice() {
-        let mut items: Vec<u8> = Vec::new();
-        parallel_for_each_mut(&mut items, |_, _| unreachable!());
-    }
-
-    #[test]
-    fn nested_dispatch_falls_back_inline() {
-        // A parallel map whose closure itself fans out must not deadlock
-        // on the single dispatch gate.
-        let items: Vec<u64> = (0..8).collect();
-        let out = parallel_map_with(4, items, |i| {
-            let mut inner: Vec<u64> = (0..16).collect();
-            parallel_for_each_mut(&mut inner, |_, v| *v += i);
-            inner.iter().sum::<u64>()
-        });
-        let expect: Vec<u64> = (0..8).map(|i| (0..16).map(|v| v + i).sum()).collect();
-        assert_eq!(out, expect);
     }
 }

@@ -106,7 +106,7 @@ pub struct SchedulingOutcome {
 
 /// Runs the measurement phase on every host and returns
 /// `(hybrid_forecasts, load_forecasts, instantaneous_load_availabilities)`.
-fn gather_estimates(cfg: &SchedConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+pub(crate) fn gather_estimates(cfg: &SchedConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let monitor = Monitor::new(MonitorConfig {
         duration: cfg.monitor_span,
         warmup: 600.0,
@@ -147,7 +147,11 @@ fn gather_estimates(cfg: &SchedConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 
 /// Executes a placement against freshly rebuilt hosts and returns the
 /// observed makespan.
-fn execute_placement(cfg: &SchedConfig, bag: &TaskBag, placement: &Placement) -> Seconds {
+pub(crate) fn execute_placement(
+    cfg: &SchedConfig,
+    bag: &TaskBag,
+    placement: &Placement,
+) -> Seconds {
     // Hosts execute their task shares independently; the makespan is a
     // max-reduction over per-host completion times, so order is irrelevant
     // and the per-host simulations fan out across worker threads.

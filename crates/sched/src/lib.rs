@@ -19,6 +19,8 @@
 //!   reproducing the qualitative claim that forecast-driven scheduling
 //!   beats static and naive-dynamic policies.
 
+#![forbid(unsafe_code)]
+
 pub mod data_aware;
 pub mod expansion;
 pub mod experiment;

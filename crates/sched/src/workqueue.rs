@@ -14,10 +14,8 @@
 //! pits it against the static forecast placement of
 //! [`crate::experiment`] on identical workload realizations.
 
-use crate::experiment::{SchedConfig, TaskBag};
+use crate::experiment::{execute_placement, gather_estimates, SchedConfig, TaskBag};
 use crate::policy::{place, Policy};
-use nws_core::monitor::{Monitor, MonitorConfig};
-use nws_forecast::PredictorBank;
 use nws_runtime::host_seed;
 use nws_sim::{Host, HostProfile, Pid, ProcessSpec, Seconds};
 use nws_stats::Rng;
@@ -123,31 +121,12 @@ pub fn compare_static_vs_dynamic(cfg: &SchedConfig) -> StaticVsDynamic {
     let mut rng = Rng::new(cfg.seed ^ 0x5CED);
     let bag = TaskBag::generate(cfg.n_tasks, cfg.work_range.0, cfg.work_range.1, &mut rng);
 
-    // Static: hybrid-forecast LPT, exactly as in the main experiment.
-    let monitor = Monitor::new(MonitorConfig {
-        duration: cfg.monitor_span,
-        warmup: 600.0,
-        test_period: None,
-        ..MonitorConfig::default()
-    });
-    let forecasts: Vec<f64> = HostProfile::all()
-        .iter()
-        .map(|p| {
-            let mut host = p.build(host_seed(cfg.seed, p.name()));
-            let out = monitor.run(&mut host);
-            let mut nws = PredictorBank::nws_default();
-            let mut f = 1.0;
-            for &v in out.series.hybrid.values() {
-                if let Some(fc) = nws.update(v) {
-                    f = fc.value;
-                }
-            }
-            f.clamp(0.0, 1.0)
-        })
-        .collect();
+    // Static: hybrid-forecast LPT — the main experiment's own estimator
+    // and executor, so this is its `NwsForecast` row by construction.
+    let (forecasts, _, _) = gather_estimates(cfg);
     let mut policy_rng = Rng::new(cfg.seed ^ 0xD1CE);
     let placement = place(Policy::NwsForecast, &bag.works, &forecasts, &mut policy_rng);
-    let static_makespan = execute_static(cfg, &bag, &placement.assignment);
+    let static_makespan = execute_placement(cfg, &bag, &placement);
 
     let dynamic = run_workqueue(cfg, &bag, QueueOrder::LongestFirst);
     StaticVsDynamic {
@@ -155,31 +134,6 @@ pub fn compare_static_vs_dynamic(cfg: &SchedConfig) -> StaticVsDynamic {
         dynamic_makespan: dynamic.makespan,
         dynamic_tasks_per_host: dynamic.tasks_per_host,
     }
-}
-
-fn execute_static(cfg: &SchedConfig, bag: &TaskBag, assignment: &[usize]) -> Seconds {
-    let mut makespan: Seconds = 0.0;
-    for (h, p) in HostProfile::all().iter().enumerate() {
-        let mut host = p.build(host_seed(cfg.seed, p.name()));
-        host.advance_to(600.0 + cfg.monitor_span);
-        let start = host.now();
-        let pids: Vec<Pid> = bag
-            .works
-            .iter()
-            .zip(assignment)
-            .filter(|(_, &a)| a == h)
-            .map(|(&w, _)| host.spawn(ProcessSpec::cpu_bound("static-task").with_cpu_limit(w)))
-            .collect();
-        if pids.is_empty() {
-            continue;
-        }
-        let deadline = start + cfg.max_execution;
-        while pids.iter().any(|&pid| host.kernel().is_alive(pid)) && host.now() < deadline {
-            host.advance(1.0);
-        }
-        makespan = makespan.max(host.now() - start);
-    }
-    makespan
 }
 
 #[cfg(test)]
@@ -260,5 +214,8 @@ mod tests {
             r.dynamic_tasks_per_host.iter().sum::<usize>(),
             quick().n_tasks
         );
+        let experiment = crate::experiment::run_scheduling_experiment(&quick());
+        let nws = experiment.iter().find(|o| o.policy == Policy::NwsForecast);
+        assert_eq!(r.static_makespan, nws.expect("policy present").makespan);
     }
 }

@@ -29,6 +29,8 @@
 //! Linux host via `/proc/loadavg` and `/proc/stat`, so the library is
 //! usable as a real monitor, not only against the simulator.
 
+#![forbid(unsafe_code)]
+
 pub mod hybrid;
 pub mod loadavg_sensor;
 pub mod proc;

@@ -10,7 +10,7 @@
 
 use nws_grid::ResourceId;
 use nws_wire::{ForecastReply, SnapshotReply};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// One cached per-resource forecast answer.
 #[derive(Debug, Clone)]
@@ -38,68 +38,64 @@ impl QueryCache {
         Self::default()
     }
 
-    /// Looks up the cached forecast for a resource if it is still
-    /// current at `revision`; stale entries are discarded (and counted
-    /// as invalidations). Hands back a reference, so a cached answer is
-    /// encoded without cloning its strings.
-    pub fn forecast_ref(&mut self, id: ResourceId, revision: u64) -> Option<&ForecastReply> {
-        if self
-            .forecasts
-            .get(&id)
-            .is_some_and(|c| c.revision == revision)
-        {
-            self.hits += 1;
-            return self.stored_forecast(id);
+    /// The forecast for a resource as of `revision`: the cached answer
+    /// if it is still current (a hit), otherwise whatever `build`
+    /// computes, stored for the next query (a miss; a stale entry is
+    /// discarded first and counted as an invalidation). A failed build
+    /// is still a miss and leaves nothing cached. Hands back a
+    /// reference, so an answer is encoded without cloning its strings.
+    pub fn forecast_or_insert_with<E>(
+        &mut self,
+        id: ResourceId,
+        revision: u64,
+        build: impl FnOnce() -> Result<ForecastReply, E>,
+    ) -> Result<&ForecastReply, E> {
+        match self.forecasts.entry(id) {
+            Entry::Occupied(current) if current.get().revision == revision => {
+                self.hits += 1;
+                Ok(&current.into_mut().reply)
+            }
+            Entry::Occupied(stale) => {
+                self.invalidations += 1;
+                self.misses += 1;
+                match build() {
+                    Ok(reply) => {
+                        let cached = stale.into_mut();
+                        *cached = CachedForecast { revision, reply };
+                        Ok(&cached.reply)
+                    }
+                    Err(e) => {
+                        stale.remove();
+                        Err(e)
+                    }
+                }
+            }
+            Entry::Vacant(vacant) => {
+                self.misses += 1;
+                let reply = build()?;
+                Ok(&vacant.insert(CachedForecast { revision, reply }).reply)
+            }
         }
-        if self.forecasts.remove(&id).is_some() {
-            self.invalidations += 1;
-        }
-        self.misses += 1;
-        None
     }
 
-    /// The stored forecast for a resource, if any, without revision
-    /// validation or hit/miss accounting. For servers that have just
-    /// probed (or just stored) and need the reference back.
-    pub fn stored_forecast(&self, id: ResourceId) -> Option<&ForecastReply> {
-        self.forecasts.get(&id).map(|c| &c.reply)
-    }
-
-    /// Stores a freshly computed forecast answer.
-    pub fn store_forecast(&mut self, id: ResourceId, revision: u64, reply: ForecastReply) {
-        self.forecasts
-            .insert(id, CachedForecast { revision, reply });
-    }
-
-    /// Looks up the cached snapshot if it is still current, by
-    /// reference, so read paths that only inspect the rows (best-host
+    /// The whole-grid snapshot as of `revision`, by the same protocol,
+    /// by reference, so read paths that only inspect the rows (best-host
     /// selection) never clone the whole reply.
-    pub fn snapshot_ref(&mut self, revision: u64) -> Option<&SnapshotReply> {
-        if self
-            .snapshot
-            .as_ref()
-            .is_some_and(|(rev, _)| *rev == revision)
-        {
+    pub fn snapshot_or_insert_with(
+        &mut self,
+        revision: u64,
+        build: impl FnOnce() -> SnapshotReply,
+    ) -> &SnapshotReply {
+        if (self.snapshot.as_ref()).is_some_and(|(rev, _)| *rev == revision) {
             self.hits += 1;
-            return self.stored_snapshot();
+        } else {
+            if self.snapshot.take().is_some() {
+                self.invalidations += 1;
+            }
+            self.misses += 1;
         }
-        if self.snapshot.take().is_some() {
-            self.invalidations += 1;
-        }
-        self.misses += 1;
-        None
-    }
-
-    /// The stored snapshot, if any, without revision validation or
-    /// hit/miss accounting. For servers that have just probed (or just
-    /// stored) and need the reference back.
-    pub fn stored_snapshot(&self) -> Option<&SnapshotReply> {
-        self.snapshot.as_ref().map(|(_, reply)| reply)
-    }
-
-    /// Stores a freshly computed snapshot.
-    pub fn store_snapshot(&mut self, revision: u64, reply: SnapshotReply) {
-        self.snapshot = Some((revision, reply));
+        // Current or empty by now, so `build` runs on a miss only.
+        &self.snapshot.get_or_insert_with(|| (revision, build())).1
     }
 
     /// Answers served from cache.
@@ -134,51 +130,57 @@ mod tests {
         }
     }
 
+    /// One query: the value served, building `value` on a miss.
+    fn forecast(c: &mut QueryCache, id: u64, revision: u64, value: f64) -> f64 {
+        let build = || Ok::<_, ()>(reply("kongo", value));
+        let served = c.forecast_or_insert_with(ResourceId(id), revision, build);
+        served.expect("built").value
+    }
+
     #[test]
     fn hit_while_revision_holds_then_invalidate() {
         let mut c = QueryCache::new();
-        let id = ResourceId(3);
-        assert!(c.forecast_ref(id, 5).is_none(), "cold cache misses");
-        c.store_forecast(id, 5, reply("kongo", 0.5));
-        assert_eq!(c.forecast_ref(id, 5).expect("hit").value, 0.5);
-        assert_eq!(c.forecast_ref(id, 5).expect("hit").value, 0.5);
-        assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 1, 0));
+        let cold = c.forecast_or_insert_with(ResourceId(3), 5, || Err("cold"));
+        assert_eq!(cold.err(), Some("cold"), "cold cache misses");
+        assert_eq!(
+            forecast(&mut c, 3, 5, 0.5),
+            0.5,
+            "a failed build stores nothing"
+        );
+        assert_eq!(forecast(&mut c, 3, 5, 0.9), 0.5);
+        assert_eq!(forecast(&mut c, 3, 5, 0.9), 0.5);
+        assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 2, 0));
         // Revision moved: the entry is discarded, not served.
-        assert!(c.forecast_ref(id, 6).is_none());
-        assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 2, 1));
-        assert!(c.stored_forecast(id).is_none());
-        // And it stays gone (no double-invalidation accounting).
-        assert!(c.forecast_ref(id, 6).is_none());
+        let moved = c.forecast_or_insert_with(ResourceId(3), 6, || Err("cold"));
+        assert_eq!(moved.err(), Some("cold"));
         assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 3, 1));
+        // And it stays gone (no double-invalidation accounting).
+        assert_eq!(forecast(&mut c, 3, 6, 0.7), 0.7);
+        assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 4, 1));
     }
 
     #[test]
     fn snapshot_cache_follows_the_same_protocol() {
         let mut c = QueryCache::new();
-        let snap = SnapshotReply {
-            time: 120.0,
+        let snap = |time| SnapshotReply {
+            time,
             hosts: Vec::new(),
         };
-        assert!(c.snapshot_ref(1).is_none());
-        c.store_snapshot(1, snap.clone());
-        assert_eq!(c.snapshot_ref(1).expect("hit"), &snap);
-        assert!(c.snapshot_ref(2).is_none(), "stale snapshot invalidated");
+        assert_eq!(c.snapshot_or_insert_with(1, || snap(120.0)), &snap(120.0));
+        assert_eq!(c.snapshot_or_insert_with(1, || snap(0.0)), &snap(120.0));
+        let rebuilt = c.snapshot_or_insert_with(2, || snap(130.0));
+        assert_eq!(rebuilt, &snap(130.0), "stale snapshot invalidated");
         assert_eq!((c.hits(), c.misses(), c.invalidations()), (1, 2, 1));
     }
 
     #[test]
     fn resources_are_cached_independently() {
         let mut c = QueryCache::new();
-        c.store_forecast(ResourceId(1), 10, reply("a", 0.1));
-        c.store_forecast(ResourceId(2), 20, reply("b", 0.2));
-        assert_eq!(c.forecast_ref(ResourceId(1), 10).expect("hit").value, 0.1);
-        assert!(c.forecast_ref(ResourceId(2), 21).is_none(), "b moved on");
-        assert_eq!(
-            c.forecast_ref(ResourceId(1), 10)
-                .expect("still valid")
-                .value,
-            0.1
-        );
-        assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 1, 1));
+        assert_eq!(forecast(&mut c, 1, 10, 0.1), 0.1);
+        assert_eq!(forecast(&mut c, 2, 20, 0.2), 0.2);
+        assert_eq!(forecast(&mut c, 1, 10, 0.0), 0.1);
+        assert_eq!(forecast(&mut c, 2, 21, 0.3), 0.3, "b moved on");
+        assert_eq!(forecast(&mut c, 1, 10, 0.0), 0.1, "still valid");
+        assert_eq!((c.hits(), c.misses(), c.invalidations()), (2, 3, 1));
     }
 }

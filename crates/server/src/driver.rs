@@ -2,15 +2,13 @@
 //!
 //! Before this module, callers interleaved `state.tick(1)` with request
 //! dispatch by hand — the serving loop owned the measurement schedule.
-//! [`TickDriver`] moves that schedule onto the engine's [`Clock`] +
-//! [`Cadence`] pair: the driver watches clock time, computes how many
-//! measurement slots have come due on the shared cadence grid, and runs
+//! [`TickDriver`] moves that schedule onto the engine's [`Clock`] and
+//! the paper's [`Cadence`]: the driver watches clock time, computes how
+//! many measurement slots have come due on the 10 s grid, and runs
 //! exactly those through the grid (each tick bumps the revision counters,
 //! so the [`QueryCache`](crate::QueryCache) invalidates precisely at
 //! slot boundaries). Under a [`VirtualClock`] this reproduces the manual
-//! `tick(1)`-per-round loops bit for bit; under a
-//! [`WallClock`](nws_runtime::WallClock) the same driver paces a live
-//! server in real time.
+//! `tick(1)`-per-round loops bit for bit.
 
 use crate::state::GridState;
 use nws_runtime::{Cadence, Clock, VirtualClock};
@@ -20,30 +18,27 @@ use std::sync::{Arc, Mutex};
 pub struct TickDriver {
     state: Arc<Mutex<GridState>>,
     clock: Box<dyn Clock>,
-    cadence: Cadence,
     /// Slots already delivered to the grid.
     ticked: u64,
 }
 
 impl TickDriver {
-    /// A driver over shared state, paced by the given clock on the given
-    /// slot grid. The clock starts at its own origin; slots before its
-    /// current position are considered already delivered.
-    pub fn new(state: Arc<Mutex<GridState>>, clock: Box<dyn Clock>, cadence: Cadence) -> Self {
-        let ticked = (clock.now() / cadence.measurement_period).floor() as u64;
+    /// A driver over shared state, paced by the given clock on the
+    /// paper's slot grid. The clock starts at its own origin; slots
+    /// before its current position are considered already delivered.
+    pub fn new(state: Arc<Mutex<GridState>>, clock: Box<dyn Clock>) -> Self {
+        let ticked = (clock.now() / Cadence::PAPER.measurement_period).floor() as u64;
         Self {
             state,
             clock,
-            cadence,
             ticked,
         }
     }
 
-    /// A virtual-time driver on the grid's own cadence — the common
-    /// simulation/test/bench configuration.
+    /// A virtual-time driver — the common simulation/test/bench
+    /// configuration.
     pub fn virtual_time(state: Arc<Mutex<GridState>>) -> Self {
-        let cadence = state.lock().expect("state").grid().cadence();
-        Self::new(state, Box::new(VirtualClock::new()), cadence)
+        Self::new(state, Box::new(VirtualClock::new()))
     }
 
     /// The shared state this driver ticks.
@@ -61,7 +56,7 @@ impl TickDriver {
     /// Returns how many slots were delivered.
     pub fn advance_to(&mut self, t: f64) -> u64 {
         self.clock.advance_to(t);
-        let due = (self.clock.now() / self.cadence.measurement_period).floor() as u64;
+        let due = (self.clock.now() / Cadence::PAPER.measurement_period).floor() as u64;
         let steps = due.saturating_sub(self.ticked);
         if steps > 0 {
             self.state.lock().expect("state").tick(steps);
@@ -133,8 +128,7 @@ mod tests {
     #[test]
     fn step_clock_quantizes_but_lands_on_the_same_slots() {
         let state = shared_state();
-        let cadence = state.lock().expect("state").grid().cadence();
-        let mut d = TickDriver::new(Arc::clone(&state), Box::new(StepClock::new(2.0)), cadence);
+        let mut d = TickDriver::new(Arc::clone(&state), Box::new(StepClock::new(2.0)));
         d.advance_to(60.0);
         assert_eq!(d.ticked(), 6);
         assert_eq!(state.lock().expect("state").grid().slots(), 6);

@@ -47,6 +47,8 @@
 //!
 //! [`GridMonitor`]: nws_grid::GridMonitor
 
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 mod cache;
 mod client;
 mod driver;

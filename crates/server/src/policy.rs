@@ -74,13 +74,13 @@ fn bad_request(message: impl Into<String>) -> ErrorReply {
     error(ErrorCode::BadRequest, message)
 }
 
-/// The current snapshot out of the cache: one probe (with the usual
+/// The current snapshot out of the cache: one query (with the usual
 /// hit/miss accounting), rebuilt from the archive's host rows only when
 /// something a row shows moved — the archive, or the clock its
 /// staleness is judged against.
 fn snapshot<'c>(view: &View<'_>, cache: &'c mut QueryCache) -> &'c SnapshotReply {
     let revision = (view.archive.revision()).wrapping_add(view.now.to_bits());
-    if cache.snapshot_ref(revision).is_none() {
+    cache.snapshot_or_insert_with(revision, || {
         let hosts = (view.archive.host_rows(view.now))
             .map(|row| HostRow {
                 host: row.host.to_string(),
@@ -90,9 +90,8 @@ fn snapshot<'c>(view: &View<'_>, cache: &'c mut QueryCache) -> &'c SnapshotReply
             })
             .collect();
         let time = view.now;
-        cache.store_snapshot(revision, SnapshotReply { time, hosts });
-    }
-    cache.stored_snapshot().expect("probed or just stored")
+        SnapshotReply { time, hosts }
+    })
 }
 
 /// Where the next task should go, by the archive's placement rule.
@@ -123,12 +122,11 @@ impl<S: Served> Core<S> {
         Ok(match req {
             Request::Forecast { host } => {
                 let id = hybrid(host)?;
-                let revision = forecasts.revision(id);
-                if cache.forecast_ref(id, revision).is_none() {
+                let build = || {
                     let answer = forecasts
                         .forecast_at(id, view.now)
                         .ok_or_else(|| cold(host))?;
-                    let reply = ForecastReply {
+                    Ok(ForecastReply {
                         host: host.clone(),
                         value: answer.forecast.value,
                         method: answer.forecast.method.to_string(),
@@ -136,10 +134,10 @@ impl<S: Served> Core<S> {
                         observations: answer.observations,
                         staleness: answer.staleness,
                         confidence: answer.confidence,
-                    };
-                    cache.store_forecast(id, revision, reply);
-                }
-                ReplyRef::Forecast(cache.stored_forecast(id).expect("probed or just stored"))
+                    })
+                };
+                let revision = forecasts.revision(id);
+                ReplyRef::Forecast(cache.forecast_or_insert_with(id, revision, build)?)
             }
             Request::Snapshot => ReplyRef::Snapshot(snapshot(&view, cache)),
             Request::BestHost => ReplyRef::BestHost(best_host(snapshot(&view, cache))),

@@ -112,9 +112,9 @@ mod sys {
             // SAFETY: epoll_create1 takes no pointers; a negative
             // return is mapped to errno.
             let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-            // SAFETY: fd was just returned by the kernel and is owned
-            // by nothing else.
             Ok(Self {
+                // SAFETY: fd was just returned by the kernel and is
+                // owned by nothing else.
                 ep: unsafe { OwnedFd::from_raw_fd(fd) },
             })
         }

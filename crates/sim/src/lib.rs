@@ -29,6 +29,8 @@
 //! Workload generators ([`workload`]) spawn and control processes; the six
 //! UCSD host profiles are in [`profiles`].
 
+#![forbid(unsafe_code)]
+
 pub mod host;
 pub mod kernel;
 pub mod loadavg;

@@ -23,6 +23,8 @@
 //!   (rescaled range, aggregated variance, periodogram) reproducing the
 //!   paper's Section 3.1 methodology.
 
+#![forbid(unsafe_code)]
+
 pub mod acf;
 pub mod descriptive;
 pub mod dist;

@@ -11,6 +11,8 @@
 //! ([`summary`]) and a small CSV reader/writer ([`csv`]) used by every other
 //! crate in the workspace.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod csv;
 pub mod series;

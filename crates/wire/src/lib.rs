@@ -29,6 +29,8 @@
 //! [`MAX_FRAME`] is refused before its payload is read, so a malicious
 //! peer cannot make the server allocate unboundedly.
 
+#![forbid(unsafe_code)]
+
 mod codec;
 mod frame;
 mod message;

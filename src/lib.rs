@@ -36,6 +36,8 @@
 //!   latency harness: open-loop arrival schedules, mixed query
 //!   streams, log-bucketed histograms, and adversarial personas.
 
+#![forbid(unsafe_code)]
+
 pub use nws_core as core;
 pub use nws_faults as faults;
 pub use nws_forecast as forecast;
