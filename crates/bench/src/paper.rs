@@ -5,9 +5,8 @@ use crate::write_artifact;
 use nws_core::experiments::{
     all_datasets, fig1_from, fig2_from, fig3_from, fig4_from, medium_dataset, short_dataset,
     table1_from, table2_from, table3_from, table4_from, table5_from, table6_from,
-    weekly_load_series, ExperimentConfig, FigSeries, MethodTable,
+    weekly_load_series, ExperimentConfig, FigSeries, HostRun, MethodTable,
 };
-use nws_core::monitor::MonitorOutput;
 use nws_core::paper;
 use nws_core::plot::{ascii_scatter, ascii_series};
 use nws_core::report::{method_table_to_csv, render_method_table, render_table4, table4_to_csv};
@@ -18,8 +17,8 @@ use std::fmt::Write as _;
 /// The monitoring runs behind the tables, each collected at most once.
 #[derive(Default)]
 pub struct Datasets {
-    short: Option<Vec<MonitorOutput>>,
-    medium: Option<Vec<MonitorOutput>>,
+    short: Option<Vec<HostRun>>,
+    medium: Option<Vec<HostRun>>,
     weekly: Option<Vec<Series>>,
 }
 
@@ -37,14 +36,14 @@ impl Datasets {
         self.weekly = Some(weekly);
     }
 
-    fn short(&mut self, cfg: &ExperimentConfig) -> &[MonitorOutput] {
+    fn short(&mut self, cfg: &ExperimentConfig) -> &[HostRun] {
         self.short.get_or_insert_with(|| {
             eprintln!("collecting 24h short-test dataset (6 hosts)...");
             short_dataset(cfg)
         })
     }
 
-    fn medium(&mut self, cfg: &ExperimentConfig) -> &[MonitorOutput] {
+    fn medium(&mut self, cfg: &ExperimentConfig) -> &[HostRun] {
         self.medium.get_or_insert_with(|| {
             eprintln!("collecting 24h medium-term dataset (6 hosts)...");
             medium_dataset(cfg)

@@ -1,8 +1,8 @@
 //! Ablations of the design choices `DESIGN.md` calls out.
 
 use crate::experiments::dataset::ExperimentConfig;
-use crate::monitor::{Monitor, MonitorConfig};
 use nws_forecast::{evaluate_one_step, PredictorBank};
+use nws_grid::GridMonitorConfig;
 use nws_runtime::parallel_map;
 use nws_sensors::HybridConfig;
 use nws_sim::HostProfile;
@@ -25,14 +25,8 @@ pub struct ForecasterAblation {
 /// the NWS claim is that dynamic selection is "equivalent to, or slightly
 /// better than, the best forecaster in the set".
 pub fn forecaster_ablation(cfg: &ExperimentConfig, host: HostProfile) -> ForecasterAblation {
-    let monitor = Monitor::new(MonitorConfig {
-        duration: cfg.duration,
-        warmup: cfg.warmup,
-        test_period: None,
-        ..MonitorConfig::default()
-    });
-    let mut h = host.build(cfg.seed ^ 0xAB1A);
-    let out = monitor.run(&mut h);
+    let config = GridMonitorConfig::default();
+    let out = cfg.run(host, cfg.seed ^ 0xAB1A, cfg.duration, config);
     let values = out.series.load.values();
     let mut nws = PredictorBank::nws_default();
     let report = evaluate_one_step(&mut nws, values).expect("series long enough");
@@ -60,17 +54,15 @@ fn hybrid_measurement_error(
     host: HostProfile,
     hybrid: HybridConfig,
 ) -> f64 {
-    let monitor = Monitor::new(MonitorConfig {
-        duration: cfg.duration,
-        warmup: cfg.warmup,
-        test_period: Some(cfg.short_test_period),
+    let config = GridMonitorConfig {
         hybrid,
-        ..MonitorConfig::default()
-    });
-    let mut h = host.build(cfg.seed ^ 0xB1A5);
-    let out = monitor.run(&mut h);
-    let obs: Vec<f64> = out.tests.iter().map(|t| t.value).collect();
-    let hyb: Vec<f64> = out.tests.iter().map(|t| t.prior.hybrid).collect();
+        ground_truth: Some(cfg.short_tests()),
+        ..GridMonitorConfig::default()
+    };
+    let out = cfg.run(host, cfg.seed ^ 0xB1A5, cfg.duration, config);
+    let (hyb, obs): (Vec<f64>, Vec<f64>) = (out.tests.iter())
+        .filter_map(|t| t.prior[2].map(|hybrid| (hybrid, t.value)))
+        .unzip();
     mean_absolute_pair_error(&hyb, &obs).unwrap_or(0.0)
 }
 

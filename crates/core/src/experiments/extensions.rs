@@ -15,10 +15,10 @@
 //!   per-cell means and standard deviations — evidence that the reproduced
 //!   shape is a property of the model, not of one lucky realization.
 
-use crate::experiments::dataset::{short_dataset, ExperimentConfig};
+use crate::experiments::dataset::{short_dataset, ExperimentConfig, HostRun};
 use crate::experiments::tables::table1_from;
-use crate::monitor::{Monitor, MonitorConfig, MonitorOutput};
 use nws_forecast::{evaluate_one_step, PredictorBank};
+use nws_grid::GridMonitorConfig;
 use nws_runtime::parallel_map;
 use nws_sim::HostProfile;
 use nws_timeseries::aggregate_mean;
@@ -38,23 +38,18 @@ pub struct AggregationPoint {
 }
 
 /// Sweeps aggregation levels on one host's 24-hour series.
-pub fn aggregation_sweep(output: &MonitorOutput, levels: &[usize]) -> Vec<AggregationPoint> {
+pub fn aggregation_sweep(run: &HostRun, levels: &[usize]) -> Vec<AggregationPoint> {
     // Each level replays three forecaster streams from scratch; the levels
     // are independent, so they fan out across worker threads.
     parallel_map(levels.to_vec(), |m| {
-        let mae = [
-            &output.series.load,
-            &output.series.vmstat,
-            &output.series.hybrid,
-        ]
-        .map(|s| {
+        let mae = run.series.columns().map(|(_, s)| {
             let agg = aggregate_mean(s.values(), m);
             let mut nws = PredictorBank::nws_default();
             evaluate_one_step(&mut nws, &agg)
                 .map(|r| r.mae)
                 .unwrap_or(f64::NAN)
         });
-        let n = output.series.load.len() / m;
+        let n = run.series.load.len() / m;
         AggregationPoint {
             m,
             span: m as f64 * 10.0,
@@ -77,13 +72,9 @@ pub struct HorizonPoint {
 }
 
 /// Scores the standing NWS forecast at horizons `ks` on one host's series.
-pub fn horizon_sweep(output: &MonitorOutput, ks: &[usize]) -> Vec<HorizonPoint> {
+pub fn horizon_sweep(run: &HostRun, ks: &[usize]) -> Vec<HorizonPoint> {
     // Precompute each method's forecast-at-time-t stream once.
-    let methods = [
-        &output.series.load,
-        &output.series.vmstat,
-        &output.series.hybrid,
-    ];
+    let methods = run.series.columns().map(|(_, s)| s);
     let forecast_streams: Vec<Vec<Option<f64>>> = parallel_map(methods.to_vec(), |s| {
         let mut nws = PredictorBank::nws_default();
         s.values()
@@ -167,24 +158,18 @@ pub fn seed_robustness(base: &ExperimentConfig, seeds: &[u64]) -> Vec<Robustness
         .collect()
 }
 
-/// Collects one host's 24-hour monitor output without test processes
-/// (shared by the sweeps, which only need the measurement series).
-pub fn sweep_dataset(cfg: &ExperimentConfig, host: HostProfile) -> MonitorOutput {
-    let monitor = Monitor::new(MonitorConfig {
-        duration: cfg.duration,
-        warmup: cfg.warmup,
-        test_period: None,
-        ..MonitorConfig::default()
-    });
-    let mut h = host.build(cfg.seed ^ 0x51ee9);
-    monitor.run(&mut h)
+/// Collects one host's 24-hour run without test processes (shared by the
+/// sweeps, which only need the measurement series).
+pub fn sweep_dataset(cfg: &ExperimentConfig, host: HostProfile) -> HostRun {
+    let config = GridMonitorConfig::default();
+    cfg.run(host, cfg.seed ^ 0x51ee9, cfg.duration, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick_output() -> MonitorOutput {
+    fn quick_output() -> HostRun {
         sweep_dataset(&ExperimentConfig::quick(), HostProfile::Thing2)
     }
 

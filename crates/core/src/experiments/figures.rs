@@ -1,10 +1,7 @@
 //! Figures 1–4 of the paper (as data series; rendering lives in
 //! [`crate::plot`] and the repro harness writes CSV for external plotting).
 
-use crate::experiments::dataset::{
-    medium_dataset, short_dataset, weekly_load_series, ExperimentConfig,
-};
-use crate::monitor::MonitorOutput;
+use crate::experiments::dataset::HostRun;
 use nws_stats::{clamped_autocorrelation, hurst_rs, pox_plot, HurstEstimate, PoxPoint};
 use nws_timeseries::{aggregate_series, Series};
 
@@ -32,36 +29,31 @@ pub struct PoxFigure {
 /// The two hosts the paper's figures feature.
 const FEATURED: [&str; 2] = ["thing1", "thing2"];
 
-fn featured(outputs: &[MonitorOutput]) -> Vec<&MonitorOutput> {
+fn featured(runs: &[HostRun]) -> Vec<&HostRun> {
     FEATURED
         .iter()
-        .filter_map(|name| outputs.iter().find(|o| o.host == *name))
+        .filter_map(|name| runs.iter().find(|o| o.host == *name))
         .collect()
 }
 
 /// Figure 1: 24-hour CPU availability traces (load-average method) for
 /// thing1 and thing2.
-pub fn fig1_from(outputs: &[MonitorOutput]) -> FigSeries {
+pub fn fig1_from(runs: &[HostRun]) -> FigSeries {
     FigSeries {
         title: "Figure 1: CPU Availability Measurements (Unix Load Average)".into(),
-        series: featured(outputs)
+        series: featured(runs)
             .into_iter()
             .map(|o| (o.host.clone(), o.series.load.clone()))
             .collect(),
     }
 }
 
-/// Convenience wrapper for Figure 1.
-pub fn fig1(cfg: &ExperimentConfig) -> FigSeries {
-    fig1_from(&short_dataset(cfg))
-}
-
 /// Figure 2: the first 360 autocorrelations of the Figure 1 series.
 ///
 /// Each output series is indexed by lag (1 lag = one 10 s measurement), so
 /// lag 360 is one hour of history.
-pub fn fig2_from(outputs: &[MonitorOutput]) -> FigSeries {
-    let series = featured(outputs)
+pub fn fig2_from(runs: &[HostRun]) -> FigSeries {
+    let series = featured(runs)
         .into_iter()
         .map(|o| {
             // Short smoke-tier series degrade to fewer lags rather than
@@ -76,11 +68,6 @@ pub fn fig2_from(outputs: &[MonitorOutput]) -> FigSeries {
         title: "Figure 2: CPU Availability Autocorrelations (Unix Load Average)".into(),
         series,
     }
-}
-
-/// Convenience wrapper for Figure 2.
-pub fn fig2(cfg: &ExperimentConfig) -> FigSeries {
-    fig2_from(&short_dataset(cfg))
 }
 
 /// Figure 3: R/S pox plots with the least-squares Hurst fit, from the
@@ -101,34 +88,25 @@ pub fn fig3_from(weekly_load: &[Series], host_names: &[&str]) -> Vec<PoxFigure> 
         .collect()
 }
 
-/// Convenience wrapper for Figure 3.
-pub fn fig3(cfg: &ExperimentConfig) -> Vec<PoxFigure> {
-    let weekly = weekly_load_series(cfg);
-    fig3_from(&weekly, &nws_sim::UCSD_HOST_NAMES)
-}
-
 /// Figure 4: 5-minute aggregated availability (load-average method) from
 /// the medium-term runs — the periodic signature of the hourly 5-minute
 /// test process is visible in these series.
-pub fn fig4_from(outputs: &[MonitorOutput]) -> FigSeries {
+pub fn fig4_from(runs: &[HostRun]) -> FigSeries {
     FigSeries {
         title: "Figure 4: 5 Minute Aggregated CPU Availability (Unix Load Average)".into(),
-        series: featured(outputs)
+        series: featured(runs)
             .into_iter()
             .map(|o| (o.host.clone(), aggregate_series(&o.series.load, 30)))
             .collect(),
     }
 }
 
-/// Convenience wrapper for Figure 4.
-pub fn fig4(cfg: &ExperimentConfig) -> FigSeries {
-    fig4_from(&medium_dataset(cfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::dataset::short_dataset;
+    use crate::experiments::dataset::{
+        medium_dataset, short_dataset, weekly_load_series, ExperimentConfig,
+    };
 
     #[test]
     fn fig1_features_thing1_and_thing2() {
@@ -145,7 +123,7 @@ mod tests {
     fn fig2_acf_starts_at_one_and_is_bounded() {
         // At quick scale (1 simulated hour) only the short-lag structure is
         // statistically stable; the slow-decay claim is asserted at full
-        // scale below.
+        // scale in `tests/full_scale.rs`.
         let cfg = ExperimentConfig::quick();
         let f = fig2_from(&short_dataset(&cfg));
         for (host, s) in &f.series {
@@ -153,18 +131,6 @@ mod tests {
             assert!((rho[0] - 1.0).abs() < 1e-9, "{host}: rho(0) != 1");
             assert!(rho[1] > 0.5, "{host}: rho(1) = {}", rho[1]);
             assert!(rho.iter().all(|r| r.abs() <= 1.0 + 1e-9));
-        }
-    }
-
-    #[test]
-    #[ignore = "full-scale (24 h) run; exercised by the repro harness"]
-    fn fig2_acf_decays_slowly_at_full_scale() {
-        let cfg = ExperimentConfig::default();
-        let f = fig2_from(&short_dataset(&cfg));
-        for (host, s) in &f.series {
-            let rho = s.values();
-            // Long-range dependence: correlation persists at lag 30 (5 min).
-            assert!(rho[30] > 0.15, "{host}: rho(30) = {}", rho[30]);
         }
     }
 

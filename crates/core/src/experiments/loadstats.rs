@@ -10,7 +10,7 @@
 //! three Hurst estimators.
 
 use crate::experiments::dataset::ExperimentConfig;
-use crate::monitor::{Monitor, MonitorConfig};
+use nws_grid::GridMonitorConfig;
 use nws_runtime::parallel_map;
 use nws_sim::HostProfile;
 use nws_stats::{aggregated_variance_hurst, clamped_autocorrelation, hurst_rs, periodogram_hurst};
@@ -42,21 +42,16 @@ pub struct LoadStatsRow {
 /// Uses the raw load series recovered from the availability measurements
 /// (`load = 1/avail − 1`), which is exact because Eq. 1 is invertible.
 pub fn load_statistics(cfg: &ExperimentConfig) -> Vec<LoadStatsRow> {
-    let monitor = Monitor::new(MonitorConfig {
-        duration: cfg.duration,
-        warmup: cfg.warmup,
-        test_period: None,
-        ..MonitorConfig::default()
-    });
     // Per-host monitoring plus the three Hurst estimators is embarrassingly
     // parallel; host order is preserved by parallel_map.
     parallel_map(HostProfile::all().to_vec(), |p| {
-        let mut host = p.build(cfg.seed ^ 0x10AD);
-        let out = monitor.run(&mut host);
-        let load_series: Series = out
-            .series
-            .load
-            .map_values(|avail| (1.0 / avail.max(1e-6) - 1.0).max(0.0));
+        let out = cfg.run(
+            p,
+            cfg.seed ^ 0x10AD,
+            cfg.duration,
+            GridMonitorConfig::default(),
+        );
+        let load_series: Series = out.series.load.map_values(load_from_availability);
         let values = load_series.values();
         let summary = summarize(values).expect("non-empty trace");
         let rho = clamped_autocorrelation(values, 360).unwrap_or_default();

@@ -1,9 +1,8 @@
 //! Drivers that regenerate every table and figure in the paper.
 //!
-//! Each experiment has a `*_from(dataset)` form (pure computation over
-//! already-collected monitor outputs, so the repro harness collects each
-//! dataset once) and a convenience form that builds its own dataset from an
-//! [`ExperimentConfig`].
+//! Each experiment is a `*_from(dataset)` function: pure computation over
+//! already-collected [`HostRun`]s, so the repro harness collects each
+//! dataset once (see [`dataset`]).
 //!
 //! | Paper artifact | Function |
 //! |---|---|
@@ -34,7 +33,8 @@ pub mod tables;
 
 pub use ablations::{bias_ablation, forecaster_ablation, probe_duration_sweep};
 pub use dataset::{
-    all_datasets, medium_dataset, short_dataset, weekly_load_series, ExperimentConfig,
+    all_datasets, medium_dataset, short_dataset, weekly_load_series, ExperimentConfig, HostRun,
+    MethodSeries,
 };
 pub use extensions::{
     aggregation_sweep, horizon_sweep, seed_robustness, sweep_dataset, AggregationPoint,

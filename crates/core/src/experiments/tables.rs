@@ -1,10 +1,8 @@
 //! Tables 1–6 of the paper.
 
-use crate::experiments::dataset::{
-    medium_dataset, short_dataset, weekly_load_series, ExperimentConfig,
-};
-use crate::monitor::{MonitorOutput, TestObservation};
+use crate::experiments::dataset::HostRun;
 use nws_forecast::{evaluate_one_step, PredictorBank};
+use nws_grid::TestObservation;
 use nws_stats::{hurst_rs, mean_absolute_pair_error, population_variance};
 use nws_timeseries::{aggregate_mean, aggregate_series, Series};
 
@@ -48,15 +46,15 @@ impl MethodTable {
 /// vmstat / hybrid order (the order of `MethodSeries::columns`).
 fn method_table(
     title: &str,
-    outputs: &[MonitorOutput],
-    cells: impl Fn(&MonitorOutput) -> [f64; 3],
+    runs: &[HostRun],
+    cells: impl Fn(&HostRun) -> [f64; 3],
 ) -> MethodTable {
-    let rows = outputs
+    let rows = runs
         .iter()
-        .map(|out| {
-            let [load, vmstat, hybrid] = cells(out);
+        .map(|run| {
+            let [load, vmstat, hybrid] = cells(run);
             MethodRow {
-                host: out.host.clone(),
+                host: run.host.clone(),
                 load,
                 vmstat,
                 hybrid,
@@ -69,14 +67,20 @@ fn method_table(
     }
 }
 
-/// A run's test observations as `(start, value)` pairs for
-/// [`true_forecast_error`]. Tests start strictly after the slot
-/// measurement they follow, so compare with `start + ε` to include that
-/// measurement.
-fn test_instants(out: &MonitorOutput) -> Vec<(f64, f64)> {
-    (out.tests.iter())
-        .map(|t| (t.start + 1e-6, t.value))
-        .collect()
+/// Per method, the mean absolute difference between what `said` reports
+/// at each launch and what the test process then observed — over the
+/// launches where it reported anything.
+fn test_error(
+    tests: &[TestObservation],
+    said: fn(&TestObservation) -> [Option<f64>; 3],
+) -> [f64; 3] {
+    [0, 1, 2].map(|m| {
+        let (said, observed): (Vec<f64>, Vec<f64>) = tests
+            .iter()
+            .filter_map(|t| said(t)[m].map(|v| (v, t.value)))
+            .unzip();
+        mean_absolute_pair_error(&said, &observed).unwrap_or(0.0)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -86,25 +90,10 @@ fn test_instants(out: &MonitorOutput) -> Vec<(f64, f64)> {
 /// Table 1: mean absolute measurement error per host and method —
 /// `mean |measurement_t − test observation_t|` (Eq. 3), pairing each test
 /// run with "the measurement taken most immediately before" it.
-pub fn table1_from(outputs: &[MonitorOutput]) -> MethodTable {
-    let priors: [fn(&TestObservation) -> f64; 3] =
-        [|t| t.prior.load, |t| t.prior.vmstat, |t| t.prior.hybrid];
-    method_table(
-        "Table 1: Mean Absolute Measurement Errors",
-        outputs,
-        |out| {
-            let obs: Vec<f64> = out.tests.iter().map(|t| t.value).collect();
-            priors.map(|prior| {
-                let prior: Vec<f64> = out.tests.iter().map(prior).collect();
-                mean_absolute_pair_error(&prior, &obs).unwrap_or(0.0)
-            })
-        },
-    )
-}
-
-/// Convenience wrapper: collects the short dataset and computes Table 1.
-pub fn table1(cfg: &ExperimentConfig) -> MethodTable {
-    table1_from(&short_dataset(cfg))
+pub fn table1_from(runs: &[HostRun]) -> MethodTable {
+    method_table("Table 1: Mean Absolute Measurement Errors", runs, |run| {
+        test_error(&run.tests, |t| t.prior)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -112,7 +101,8 @@ pub fn table1(cfg: &ExperimentConfig) -> MethodTable {
 // ---------------------------------------------------------------------------
 
 /// Mean absolute error of NWS forecasts taken at each test instant against
-/// the test observation (the paper's Eq. 4).
+/// the test observation (the paper's Eq. 4), replayed offline — Table 6's
+/// 5-minute aggregates are a series the archive does not forecast.
 ///
 /// The forecaster consumes the measurement series in time order; at each
 /// test start, the forecast standing at that moment (built from every
@@ -149,17 +139,13 @@ pub fn true_forecast_error(series: &Series, tests: &[(f64, f64)]) -> Option<f64>
     }
 }
 
-/// Table 2: mean true forecasting errors per host and method.
-pub fn table2_from(outputs: &[MonitorOutput]) -> MethodTable {
-    method_table("Table 2: Mean True Forecasting Errors", outputs, |out| {
-        let tests = test_instants(out);
-        (out.series.columns()).map(|(_, s)| true_forecast_error(s, &tests).unwrap_or(0.0))
+/// Table 2: mean true forecasting errors per host and method — the
+/// standing forecast the archive would have answered a client with at
+/// each launch, against what the test process then observed (Eq. 4).
+pub fn table2_from(runs: &[HostRun]) -> MethodTable {
+    method_table("Table 2: Mean True Forecasting Errors", runs, |run| {
+        test_error(&run.tests, |t| t.forecast)
     })
-}
-
-/// Convenience wrapper for Table 2.
-pub fn table2(cfg: &ExperimentConfig) -> MethodTable {
-    table2_from(&short_dataset(cfg))
 }
 
 // ---------------------------------------------------------------------------
@@ -175,16 +161,11 @@ fn one_step_mae(values: &[f64]) -> f64 {
 
 /// Table 3: mean absolute one-step-ahead prediction error (Eq. 5) — how
 /// well the NWS predicts each series' *next measurement*.
-pub fn table3_from(outputs: &[MonitorOutput]) -> MethodTable {
+pub fn table3_from(runs: &[HostRun]) -> MethodTable {
     let title = "Table 3: Mean Absolute One-step-ahead Prediction Errors";
-    method_table(title, outputs, |out| {
-        (out.series.columns()).map(|(_, s)| one_step_mae(s.values()))
+    method_table(title, runs, |run| {
+        (run.series.columns()).map(|(_, s)| one_step_mae(s.values()))
     })
-}
-
-/// Convenience wrapper for Table 3.
-pub fn table3(cfg: &ExperimentConfig) -> MethodTable {
-    table3_from(&short_dataset(cfg))
 }
 
 // ---------------------------------------------------------------------------
@@ -206,15 +187,14 @@ pub struct Table4Row {
 
 /// Table 4 from already-collected datasets.
 ///
-/// `weekly_load` supplies the Hurst column; `outputs` (the 24-hour runs)
+/// `weekly_load` supplies the Hurst column; `runs` (the 24-hour runs)
 /// supply the variance columns, with aggregation level `m = 30` (5 minutes
 /// of 10-second measurements).
-pub fn table4_from(outputs: &[MonitorOutput], weekly_load: &[Series]) -> Vec<Table4Row> {
-    assert_eq!(outputs.len(), weekly_load.len(), "datasets must align");
-    outputs
-        .iter()
+pub fn table4_from(runs: &[HostRun], weekly_load: &[Series]) -> Vec<Table4Row> {
+    assert_eq!(runs.len(), weekly_load.len(), "datasets must align");
+    runs.iter()
         .zip(weekly_load)
-        .map(|(out, week)| {
+        .map(|(run, week)| {
             let hurst = hurst_rs(week.values(), 10).map(|e| e.h).unwrap_or(f64::NAN);
             let var_pair = |s: &Series| {
                 let orig = population_variance(s.values()).unwrap_or(0.0);
@@ -222,17 +202,12 @@ pub fn table4_from(outputs: &[MonitorOutput], weekly_load: &[Series]) -> Vec<Tab
                 (orig, agg)
             };
             Table4Row {
-                host: out.host.clone(),
+                host: run.host.clone(),
                 hurst,
-                variances: out.series.columns().map(|(_, s)| var_pair(s)),
+                variances: run.series.columns().map(|(_, s)| var_pair(s)),
             }
         })
         .collect()
-}
-
-/// Convenience wrapper for Table 4 (collects both datasets).
-pub fn table4(cfg: &ExperimentConfig) -> Vec<Table4Row> {
-    table4_from(&short_dataset(cfg), &weekly_load_series(cfg))
 }
 
 // ---------------------------------------------------------------------------
@@ -241,16 +216,11 @@ pub fn table4(cfg: &ExperimentConfig) -> Vec<Table4Row> {
 
 /// Table 5: mean absolute one-step-ahead prediction error on the `m = 30`
 /// aggregated (5-minute mean) series.
-pub fn table5_from(outputs: &[MonitorOutput]) -> MethodTable {
+pub fn table5_from(runs: &[HostRun]) -> MethodTable {
     let title = "Table 5: One-step-ahead Prediction Errors, 5 Minute Aggregates";
-    method_table(title, outputs, |out| {
-        (out.series.columns()).map(|(_, s)| one_step_mae(aggregate_series(s, 30).values()))
+    method_table(title, runs, |run| {
+        (run.series.columns()).map(|(_, s)| one_step_mae(aggregate_series(s, 30).values()))
     })
-}
-
-/// Convenience wrapper for Table 5.
-pub fn table5(cfg: &ExperimentConfig) -> MethodTable {
-    table5_from(&short_dataset(cfg))
 }
 
 // ---------------------------------------------------------------------------
@@ -262,32 +232,35 @@ pub fn table5(cfg: &ExperimentConfig) -> MethodTable {
 /// The measurement series is aggregated into 5-minute block means (`m = 30`)
 /// and forecast one step ahead; each forecast standing when a 5-minute test
 /// process begins is scored against what that test process observed.
-pub fn table6_from(outputs: &[MonitorOutput]) -> MethodTable {
+pub fn table6_from(runs: &[HostRun]) -> MethodTable {
     let title = "Table 6: Mean True Forecasting Errors, 5 Minute Averages";
-    method_table(title, outputs, |out| {
-        let tests = test_instants(out);
-        (out.series.columns())
+    method_table(title, runs, |run| {
+        // A test starts no earlier than the slot reading it follows; `+ ε`
+        // counts that reading as standing.
+        let tests: Vec<_> = run
+            .tests
+            .iter()
+            .map(|t| (t.start + 1e-6, t.value))
+            .collect();
+        (run.series.columns())
             .map(|(_, s)| true_forecast_error(&aggregate_series(s, 30), &tests).unwrap_or(0.0))
     })
-}
-
-/// Convenience wrapper for Table 6 (uses the medium-term dataset).
-pub fn table6(cfg: &ExperimentConfig) -> MethodTable {
-    table6_from(&medium_dataset(cfg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::dataset::short_dataset;
+    use crate::experiments::dataset::{
+        medium_dataset, short_dataset, weekly_load_series, ExperimentConfig,
+    };
 
-    fn quick_outputs() -> Vec<MonitorOutput> {
+    fn quick_runs() -> Vec<HostRun> {
         short_dataset(&ExperimentConfig::quick())
     }
 
     #[test]
     fn table1_rows_cover_hosts_and_are_fractions() {
-        let t = table1_from(&quick_outputs());
+        let t = table1_from(&quick_runs());
         assert_eq!(t.rows.len(), 6);
         for r in &t.rows {
             for v in r.values() {
@@ -301,7 +274,7 @@ mod tests {
         // Even at quick scale: conundrum's passive methods err far more
         // than its hybrid; kongo's hybrid errs far more than its passive
         // methods.
-        let t = table1_from(&quick_outputs());
+        let t = table1_from(&quick_runs());
         let con = t.row("conundrum").unwrap();
         assert!(
             con.load > con.hybrid + 0.1,
@@ -319,24 +292,9 @@ mod tests {
     }
 
     #[test]
-    fn table2_close_to_table1() {
-        // "Measurement and forecasting accuracy are approximately the
-        // same" — true errors should be in the same ballpark as
-        // measurement errors.
-        let outputs = quick_outputs();
-        let t1 = table1_from(&outputs);
-        let t2 = table2_from(&outputs);
-        for (r1, r2) in t1.rows.iter().zip(&t2.rows) {
-            for (a, b) in r1.values().iter().zip(r2.values()) {
-                assert!((a - b).abs() < 0.2, "{}: {a} vs {b}", r1.host);
-            }
-        }
-    }
-
-    #[test]
     fn table3_prediction_errors_are_small() {
         // The paper's headline: one-step prediction error < 5% everywhere.
-        let t = table3_from(&quick_outputs());
+        let t = table3_from(&quick_runs());
         for r in &t.rows {
             for v in r.values() {
                 assert!(v < 0.10, "{}: one-step error {v}", r.host);
@@ -382,8 +340,8 @@ mod tests {
     #[test]
     fn table5_and_table6_compute() {
         let cfg = ExperimentConfig::quick();
-        let outputs = short_dataset(&cfg);
-        let t5 = table5_from(&outputs);
+        let runs = short_dataset(&cfg);
+        let t5 = table5_from(&runs);
         for r in &t5.rows {
             for v in r.values() {
                 assert!((0.0..=1.0).contains(&v));

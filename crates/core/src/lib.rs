@@ -3,13 +3,13 @@
 //! This crate glues the substrates together into the system the paper
 //! describes:
 //!
-//! - [`monitor`] runs the NWS CPU monitor against a simulated host: the
-//!   three sensors on their 10-second cadence, the hybrid's 1.5 s probe
-//!   once a minute, and the ground-truth test process on its own schedule —
-//!   producing the measurement series and paired test observations that
-//!   every table in the paper is computed from.
 //! - [`experiments`] regenerates **every table and figure**: Tables 1–6
-//!   and Figures 1–4, plus the ablations described in `DESIGN.md`.
+//!   and Figures 1–4, plus the ablations described in `DESIGN.md`. Its
+//!   datasets are [`nws_grid::GridMonitor`] runs — the three sensors on
+//!   their 10-second cadence, the hybrid's 1.5 s probe once a minute, and
+//!   the ground-truth test process on the monitor's lane — so the series
+//!   and forecasts the tables score are the ones the archive stores and
+//!   serves.
 //! - [`report`] renders results as aligned text tables and CSV.
 //! - [`plot`] renders quick ASCII time-series/scatter plots for the
 //!   figures.
@@ -19,10 +19,8 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod monitor;
 pub mod paper;
 pub mod plot;
 pub mod report;
 
-pub use experiments::ExperimentConfig;
-pub use monitor::{MethodSeries, Monitor, MonitorConfig, MonitorOutput, TestObservation};
+pub use experiments::{ExperimentConfig, HostRun, MethodSeries};

@@ -33,7 +33,9 @@
 //!   through the event engine on the 10-second NWS cadence, committing
 //!   every sensor's measurements into its archive — the "computational
 //!   grid weather map" a scheduler like
-//!   [`nws_sched`](https://docs.rs/nws-sched) consumes;
+//!   [`nws_sched`](https://docs.rs/nws-sched) consumes, and, with its
+//!   ground-truth lane on, the test-process observations the paper's
+//!   tables are scored against;
 //! - [`weather`] — `WeatherService`, the CPU monitor beside a second
 //!   archive for the network links; [`fleet`] — the 10⁵-host engine.
 //!
@@ -53,7 +55,9 @@ pub mod weather;
 pub use archive::{best_row, Archive, HostStatus, STALENESS_BOUND};
 pub use fleet::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster};
 pub use memory::{Memory, MemoryConfig, StoreOutcome};
-pub use monitor::{GridMonitor, GridMonitorConfig, GridSnapshot, HostReport};
+pub use monitor::{
+    GridMonitor, GridMonitorConfig, GridSnapshot, HostReport, TestObservation, TestSchedule,
+};
 pub use registry::{Metric, Registry, ResourceId, ResourceInfo};
 pub use service::{ForecastAnswer, ForecastService};
 pub use wal::{

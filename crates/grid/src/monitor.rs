@@ -19,6 +19,18 @@
 //! and the host name, and the engine commits slot-major in registration
 //! order, runs are bit-identical at any `--threads` setting, any batch
 //! window, and under any engine clock.
+//!
+//! # The ground-truth lane
+//!
+//! With [`GridMonitorConfig::ground_truth`] set, each host also runs the
+//! paper's *test process* — a full-priority CPU-bound process launched
+//! right after a slot's readings on a fixed schedule, killed at its
+//! deadline — and records what it obtained as a [`TestObservation`]
+//! beside the readings committed for the launch slot and the archive's
+//! standing forecasts at that instant. Sensing continues while a test
+//! runs (the paper's Figure 4 signature). The lane is unserved: nothing
+//! from it enters the memory, the journal or the wire, and a reboot
+//! during a test loses that observation with the kernel it ran on.
 
 use crate::archive::{best_row, Archive};
 use crate::memory::{Memory, MemoryConfig};
@@ -27,8 +39,8 @@ use crate::service::{ForecastAnswer, ForecastService};
 use crate::wal::{CheckpointReport, SnapshotStore, Wal, WalError};
 use nws_faults::{DelayLine, FaultPlan, FaultStats, HostFaults, SlotFaults};
 use nws_runtime::{host_seed, Cadence, Clock, Engine, EngineConfig, Source, Stage};
-use nws_sensors::{HybridSensor, LoadAvgSensor, ProbeOutcome, VmstatSensor};
-use nws_sim::{Host, HostProfile, Seconds};
+use nws_sensors::{HybridConfig, HybridSensor, LoadAvgSensor, ProbeOutcome, VmstatSensor};
+use nws_sim::{Host, HostProfile, Pid, ProcessSpec, Seconds};
 
 /// Grid monitor configuration.
 #[derive(Debug, Clone, Copy)]
@@ -38,6 +50,11 @@ pub struct GridMonitorConfig {
     pub batch_slots: usize,
     /// Memory retention per series.
     pub memory: MemoryConfig,
+    /// Every host's hybrid sensor tunables.
+    pub hybrid: HybridConfig,
+    /// The ground-truth lane's schedule; `None` (the default) runs no
+    /// test process.
+    pub ground_truth: Option<TestSchedule>,
 }
 
 impl Default for GridMonitorConfig {
@@ -45,7 +62,79 @@ impl Default for GridMonitorConfig {
         Self {
             batch_slots: EngineConfig::default().batch_slots,
             memory: MemoryConfig::default(),
+            hybrid: HybridConfig::default(),
+            ground_truth: None,
         }
+    }
+}
+
+/// The test-process schedule: a run of `duration` seconds launched once
+/// every `period` seconds (paper: 10 s every 10 min for Tables 1–3, 5 min
+/// hourly for Table 6).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TestSchedule {
+    /// Seconds between launches.
+    pub period: Seconds,
+    /// Wall-clock length of one run.
+    pub duration: Seconds,
+}
+
+/// One run of the test process: what it obtained, and what the system
+/// said about the host when it started. Methods are in registration
+/// order — load average, vmstat, hybrid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TestObservation {
+    /// The slot right after whose readings the test launched.
+    pub slot: u64,
+    /// Simulation time the test process started.
+    pub start: Seconds,
+    /// Wall-clock length of the run.
+    pub duration: Seconds,
+    /// Availability the test process obtained (CPU time / wall time).
+    pub value: f64,
+    /// The readings committed for the launch slot — "the measurement
+    /// taken most immediately before the test process executes"; `None`
+    /// where that reading was lost or is still in flight.
+    pub prior: [Option<f64>; 3],
+    /// The archive's standing forecasts at launch: what a client asking
+    /// then would have been answered.
+    pub forecast: [Option<f64>; 3],
+}
+
+/// The produce side of the ground-truth lane: the schedule and the test
+/// in flight.
+struct Lane {
+    /// Slots between launches.
+    every: u64,
+    duration: Seconds,
+    /// The running test process and its deadline.
+    running: Option<(Pid, Seconds)>,
+}
+
+impl Lane {
+    /// Ends the test in flight if its deadline falls at or before
+    /// `target`: advances the host to exactly the deadline, so the run
+    /// lasts its duration, and returns what the test obtained.
+    fn finish_due(&mut self, host: &mut Host, target: Seconds) -> Option<f64> {
+        let (pid, deadline) = self.running?;
+        if deadline > target + 1e-9 {
+            return None;
+        }
+        self.running = None;
+        host.advance_to(deadline);
+        host.kill(pid).map(|stats| stats.occupancy())
+    }
+
+    /// Launches a test right after `slot`'s readings when the schedule
+    /// is due and none is in flight; returns its start time.
+    fn launch_due(&mut self, host: &mut Host, slot: u64) -> Option<Seconds> {
+        if self.running.is_some() || slot % self.every != self.every / 2 {
+            return None;
+        }
+        let start = host.now();
+        let pid = host.spawn(ProcessSpec::cpu_bound("test-process"));
+        self.running = Some((pid, start + self.duration));
+        Some(start)
     }
 }
 
@@ -71,6 +160,13 @@ struct MonitoredHost {
     pending: DelayLine<PendingDelivery>,
     /// What the fault layer did to this host and how it was absorbed.
     stats: FaultStats,
+    /// The ground-truth lane, when configured.
+    lane: Option<Lane>,
+    /// The test launched and not yet ended (its `value` is filled in
+    /// when it ends).
+    launched: Option<TestObservation>,
+    /// Ended tests, in launch order.
+    tests: Vec<TestObservation>,
 }
 
 impl Source for MonitoredHost {
@@ -97,6 +193,10 @@ struct SlotRecord {
     probe: Option<ProbeOutcome>,
     /// The hybrid served this slot via the cross-sensor fallback.
     cross_fallback: bool,
+    /// What the test that ended before this slot's readings obtained.
+    test_ended: Option<f64>,
+    /// Start of the test launched after this slot's readings.
+    test_started: Option<Seconds>,
 }
 
 /// Advances one host to the given slot's measurement time and takes all
@@ -118,6 +218,8 @@ fn measure_host(mh: &mut MonitoredHost, slot: u64) -> SlotRecord {
             faults: f,
             probe: None,
             cross_fallback: false,
+            test_ended: None,
+            test_started: None,
         };
     }
     if f.reboot {
@@ -129,7 +231,12 @@ fn measure_host(mh: &mut MonitoredHost, slot: u64) -> SlotRecord {
             .power_cycle_until((target - period).max(mh.host.now()));
         mh.vmstat_sensor.reset();
         mh.hybrid_sensor.reset();
+        // A test in flight died with the kernel: it yields no observation.
+        if let Some(lane) = &mut mh.lane {
+            lane.running = None;
+        }
     }
+    let test_ended = (mh.lane.as_mut()).and_then(|lane| lane.finish_due(&mut mh.host, target));
     mh.host.advance_to(target);
     let t = mh.host.now();
     let load_avail = if f.drop_load {
@@ -162,12 +269,15 @@ fn measure_host(mh: &mut MonitoredHost, slot: u64) -> SlotRecord {
         }
     };
     let load1 = mh.host.load_average().one_minute();
+    let test_started = (mh.lane.as_mut()).and_then(|lane| lane.launch_due(&mut mh.host, slot));
     SlotRecord {
         t,
         values: [load_avail, vm_avail, hybrid_avail, Some(load1)],
         faults: f,
         probe,
         cross_fallback,
+        test_ended,
+        test_started,
     }
 }
 
@@ -233,6 +343,29 @@ impl Stage<MonitoredHost> for Archive {
                     }
                 }
             }
+        }
+        // The ground-truth lane: an ended test completes the observation
+        // its launch opened (a test lost to a reboot never ends, and the
+        // next launch replaces it); a launch records what the archive
+        // holds right after this slot's readings.
+        if let Some(value) = rec.test_ended {
+            if let Some(test) = mh.launched.take() {
+                mh.tests.push(TestObservation { value, ..test });
+            }
+        }
+        if let (Some(start), Some(lane)) = (rec.test_started, &mh.lane) {
+            let methods = [mh.ids[0], mh.ids[1], mh.ids[2]];
+            mh.launched = Some(TestObservation {
+                slot,
+                start,
+                duration: lane.duration,
+                value: f64::NAN,
+                prior: methods.map(|id| {
+                    let latest = self.memory().latest(id);
+                    latest.filter(|p| p.time == rec.t).map(|p| p.value)
+                }),
+                forecast: methods.map(|id| self.forecasts().forecast(id).map(|a| a.forecast.value)),
+            });
         }
     }
 }
@@ -342,6 +475,13 @@ impl GridMonitor {
         plan: FaultPlan,
         clock: Option<Box<dyn Clock>>,
     ) -> Self {
+        if let Some(s) = config.ground_truth {
+            assert!(s.duration > 0.0, "test duration must be positive");
+            assert!(
+                s.period >= s.duration,
+                "test period must cover the test duration"
+            );
+        }
         let mut archive = Archive::new(config.memory);
         let hosts: Vec<MonitoredHost> = profiles
             .iter()
@@ -349,11 +489,20 @@ impl GridMonitor {
                 host: p.build(host_seed(base_seed, p.name())),
                 load_sensor: LoadAvgSensor::new(),
                 vmstat_sensor: VmstatSensor::new(),
-                hybrid_sensor: HybridSensor::default(),
+                hybrid_sensor: HybridSensor::new(config.hybrid),
                 ids: archive.register_host(p.name()),
                 faults: plan.host_faults(p.name()),
                 pending: DelayLine::new(),
                 stats: FaultStats::default(),
+                lane: config.ground_truth.map(|s| Lane {
+                    every: (s.period / Cadence::PAPER.measurement_period)
+                        .round()
+                        .max(1.0) as u64,
+                    duration: s.duration,
+                    running: None,
+                }),
+                launched: None,
+                tests: Vec::new(),
             })
             .collect();
         let engine_config = EngineConfig {
@@ -485,6 +634,13 @@ impl GridMonitor {
         self.archive.hosts()
     }
 
+    /// Every host's ended ground-truth tests in launch order, hosts in
+    /// registration order — empty without
+    /// [`GridMonitorConfig::ground_truth`].
+    pub fn ground_truth(&self) -> impl ExactSizeIterator<Item = &[TestObservation]> {
+        self.engine.sources().iter().map(|mh| mh.tests.as_slice())
+    }
+
     /// A snapshot of every host's latest hybrid measurement and forecast,
     /// with staleness judged against the snapshot time.
     pub fn snapshot(&self) -> GridSnapshot {
@@ -539,6 +695,8 @@ mod tests {
         );
         gm.run_steps(30); // five minutes
         assert_eq!(gm.slots(), 30);
+        // No ground-truth lane configured: no test observations.
+        assert!(gm.ground_truth().all(<[_]>::is_empty));
         let id = gm
             .registry()
             .lookup("thing1", Metric::CpuAvailabilityHybrid)
@@ -792,5 +950,95 @@ mod tests {
         // first; with on-time neighbors almost always present, most drop.
         assert!(st.late_delivered + st.late_dropped > 0);
         assert!(gm.memory().total_dropped() >= st.late_dropped);
+    }
+
+    fn lane(period: Seconds, duration: Seconds) -> GridMonitorConfig {
+        GridMonitorConfig {
+            ground_truth: Some(TestSchedule { period, duration }),
+            ..GridMonitorConfig::default()
+        }
+    }
+
+    #[test]
+    fn lane_series_line_up_and_each_prior_is_its_launch_slots_reading() {
+        let mut gm = GridMonitor::new(&[HostProfile::Gremlin], 9, lane(300.0, 10.0));
+        gm.run_steps(180);
+        let mh = &gm.engine.sources()[0];
+        for id in mh.ids {
+            assert_eq!(gm.memory().len(id), 180);
+        }
+        assert_eq!(mh.hybrid_sensor.probes_run(), 30); // one a minute
+        assert!(!mh.tests.is_empty());
+        for t in &mh.tests {
+            assert!((0.0..=1.0).contains(&t.value));
+            assert_eq!(t.duration, 10.0);
+            // A clean run stores one reading per slot, in slot order.
+            let at = t.slot as usize;
+            for (m, &id) in mh.ids[..3].iter().enumerate() {
+                assert_eq!(t.prior[m], Some(gm.memory().values(id)[at]));
+                assert!(gm.memory().times(id)[at] <= t.start);
+                assert!((0.0..=1.0).contains(&gm.memory().values(id)[at]));
+            }
+        }
+    }
+
+    #[test]
+    fn medium_schedule_runs_five_minute_tests_hourly() {
+        let mut gm = GridMonitor::new(&[HostProfile::Thing1], 5, lane(3600.0, 300.0));
+        gm.run_steps(750); // five minutes, then two hours
+        let tests = gm.ground_truth().next().expect("one host");
+        assert_eq!(tests.len(), 2);
+        assert!(tests.iter().all(|t| t.duration == 300.0));
+        // Sensing continued during the 5-minute tests: full series length.
+        let id = gm.engine.sources()[0].ids[0];
+        assert_eq!(gm.memory().len(id), 750);
+    }
+
+    #[test]
+    #[should_panic(expected = "test period must cover")]
+    fn invalid_schedule_panics_at_construction() {
+        GridMonitor::new(&[HostProfile::Thing1], 1, lane(5.0, 10.0));
+    }
+
+    #[test]
+    fn lane_under_faults_loses_tests_to_reboots_and_replays_across_threads() {
+        // A 10 s test launched at slot k (k ≡ 3 mod 6) ends before slot
+        // k + 1's readings — unless the host goes down at k + 1, which
+        // power-cycles the kernel the test ran on.
+        let slots = 720; // two hours
+        let plan = FaultPlan::seeded(23, FaultRates::uniform(0.3));
+        let run = |threads| {
+            nws_runtime::set_threads(Some(threads));
+            let mut gm = GridMonitor::with_faults(&HostProfile::all(), 5, lane(60.0, 10.0), plan);
+            gm.run_steps(slots);
+            nws_runtime::set_threads(None);
+            gm.ground_truth().map(<[_]>::to_vec).collect::<Vec<_>>()
+        };
+        let observed = run(1);
+        assert_eq!(observed, run(4));
+        let mut lost = 0;
+        for (p, tests) in HostProfile::all().iter().zip(&observed) {
+            let mut stream = plan.host_faults(p.name());
+            let faults: Vec<SlotFaults> = (0..slots)
+                .map(|s| stream.slot(s, s.is_multiple_of(6)))
+                .collect();
+            let launched = (3..slots - 1)
+                .step_by(6)
+                .filter(|&k| !faults[k as usize].outage || faults[k as usize].reboot);
+            let (kept, dropped): (Vec<u64>, Vec<u64>) =
+                launched.partition(|&k| !faults[k as usize + 1].outage);
+            lost += dropped.len();
+            assert_eq!(tests.iter().map(|t| t.slot).collect::<Vec<_>>(), kept);
+            for t in tests {
+                assert!((0.0..=1.0).contains(&t.value), "{}: {}", p.name(), t.value);
+            }
+            for w in tests.windows(2) {
+                assert!(w[0].start + w[0].duration <= w[1].start, "overlap");
+            }
+        }
+        assert!(
+            lost > 0,
+            "0.3 intensity over two hours must down a host mid-test"
+        );
     }
 }

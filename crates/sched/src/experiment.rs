@@ -2,11 +2,12 @@
 //!
 //! Protocol (per policy, over the six simulated UCSD hosts):
 //!
-//! 1. **Measurement phase** — each host is monitored by the NWS for a
-//!    configurable span (hybrid sensor + probes, no test processes); an
-//!    [`PredictorBank`] is fed the hybrid measurement series and asked for
-//!    a one-step-ahead availability forecast. The load-average policy
-//!    instead keeps the *instantaneous* Eq. 1 reading at scheduling time.
+//! 1. **Measurement phase** — a [`GridMonitor`] over the six hosts runs a
+//!    10-minute warm-up plus a configurable span (all three sensors,
+//!    probes, no test processes); the NWS policies read the archive's
+//!    standing hybrid and load-average forecasts — what a client asking
+//!    the weather service would be answered — while the load-average
+//!    policy keeps the latest Eq. 1 reading.
 //! 2. **Placement** — the policy assigns a bag of CPU-bound tasks to hosts
 //!    (greedy LPT under the expansion-factor model for the informed
 //!    policies).
@@ -20,10 +21,8 @@
 //! load average misrepresents obtainable CPU (conundrum's `nice` load).
 
 use crate::policy::{place, Placement, Policy};
-use nws_core::monitor::{Monitor, MonitorConfig};
-use nws_forecast::PredictorBank;
-use nws_runtime::{host_seed, parallel_map};
-use nws_sensors::LoadAvgSensor;
+use nws_grid::{GridMonitor, GridMonitorConfig, Metric};
+use nws_runtime::{host_seed, parallel_map, Cadence};
 use nws_sim::{Host, HostProfile, ProcessSpec, Seconds};
 use nws_stats::Rng;
 
@@ -104,45 +103,30 @@ pub struct SchedulingOutcome {
     pub availabilities: Vec<f64>,
 }
 
+/// Seconds every host runs before the measurement phase's span starts.
+const WARMUP: Seconds = 600.0;
+
 /// Runs the measurement phase on every host and returns
-/// `(hybrid_forecasts, load_forecasts, instantaneous_load_availabilities)`.
+/// `(hybrid_forecasts, load_forecasts, latest_load_availabilities)`.
 pub(crate) fn gather_estimates(cfg: &SchedConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let monitor = Monitor::new(MonitorConfig {
-        duration: cfg.monitor_span,
-        warmup: 600.0,
-        test_period: None,
-        ..MonitorConfig::default()
-    });
-    let forecast_of = |values: &[f64]| {
-        let mut nws = PredictorBank::nws_default();
-        let mut forecast = 1.0;
-        for &v in values {
-            if let Some(f) = nws.update(v) {
-                forecast = f.value;
-            }
-        }
-        forecast.clamp(0.0, 1.0)
+    let hosts = HostProfile::all();
+    let mut grid = GridMonitor::new(&hosts, cfg.seed, GridMonitorConfig::default());
+    grid.run_steps(((WARMUP + cfg.monitor_span) / Cadence::PAPER.measurement_period) as u64);
+    let id = |host: &str, metric| grid.registry().lookup(host, metric).expect("registered");
+    let forecast = |host: &str, metric| {
+        let answer = grid.forecasts().forecast(id(host, metric));
+        answer.map_or(1.0, |a| a.forecast.value).clamp(0.0, 1.0)
     };
-    // Each host's measurement phase is seed-isolated; fan out and unzip in
-    // host order.
-    let rows = parallel_map(HostProfile::all().to_vec(), |p| {
-        let mut host = p.build(host_seed(cfg.seed, p.name()));
-        let out = monitor.run(&mut host);
-        (
-            forecast_of(out.series.hybrid.values()),
-            forecast_of(out.series.load.values()),
-            LoadAvgSensor::new().measure(&host),
-        )
-    });
-    let mut hybrid_fc = Vec::with_capacity(rows.len());
-    let mut load_fc = Vec::with_capacity(rows.len());
-    let mut loads = Vec::with_capacity(rows.len());
-    for (h, l, inst) in rows {
-        hybrid_fc.push(h);
-        load_fc.push(l);
-        loads.push(inst);
-    }
-    (hybrid_fc, load_fc, loads)
+    let latest = |host: &str| {
+        let point = grid.memory().latest(id(host, Metric::CpuAvailabilityLoad));
+        point.expect("measured").value
+    };
+    let per_host = |f: &dyn Fn(&str) -> f64| hosts.iter().map(|p| f(p.name())).collect();
+    (
+        per_host(&|h| forecast(h, Metric::CpuAvailabilityHybrid)),
+        per_host(&|h| forecast(h, Metric::CpuAvailabilityLoad)),
+        per_host(&latest),
+    )
 }
 
 /// Executes a placement against freshly rebuilt hosts and returns the
@@ -159,7 +143,7 @@ pub(crate) fn execute_placement(
     let completions = parallel_map(jobs, |(h, p)| {
         let mut host: Host = p.build(host_seed(cfg.seed, p.name()));
         // Fast-forward to the scheduling instant (warmup + measurement).
-        host.advance_to(600.0 + cfg.monitor_span);
+        host.advance_to(WARMUP + cfg.monitor_span);
         let start = host.now();
         let pids: Vec<_> = bag
             .works

@@ -42,11 +42,6 @@ pub use vmstat_sensor::{availability_from_vmstat, VmstatReading, VmstatSensor};
 
 use nws_runtime::Cadence;
 
-/// Sensor cadence used throughout the paper: one measurement every 10 s.
-/// Derived from the shared [`Cadence::PAPER`] schedule the event engine
-/// runs on — kept as a named constant for call sites that predate it.
-pub const MEASUREMENT_PERIOD: f64 = Cadence::PAPER.measurement_period;
-
 /// Hybrid probe cadence: once per minute (from [`Cadence::PAPER`]).
 pub const PROBE_PERIOD: f64 = Cadence::PAPER.probe_period;
 

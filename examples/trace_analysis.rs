@@ -10,8 +10,8 @@
 //! aggregated-variance and periodogram estimators as cross-checks, and the
 //! `X^(m)` variance table for several aggregation levels.
 
-use nws::core::monitor::{Monitor, MonitorConfig};
 use nws::core::plot::{ascii_scatter, ascii_series};
+use nws::grid::{GridMonitor, GridMonitorConfig, MemoryConfig, Metric};
 use nws::sim::HostProfile;
 use nws::stats::{
     aggregated_variance_hurst, autocorrelation, hurst_rs, periodogram_hurst, pox_plot,
@@ -33,15 +33,20 @@ fn main() {
     });
 
     println!("collecting {hours}h load-average availability trace from {host_name}...");
-    let mut host = profile.build(777);
-    let monitor = Monitor::new(MonitorConfig {
-        duration: hours * 3600.0,
-        warmup: 1800.0,
-        test_period: None,
-        ..MonitorConfig::default()
-    });
-    let out = monitor.run(&mut host);
-    let series = out.series.load;
+    // A 30-minute warm-up, then the trace; the memory keeps only the trace.
+    let recorded = (hours * 360.0) as usize;
+    let config = GridMonitorConfig {
+        memory: MemoryConfig { retain: recorded },
+        ..GridMonitorConfig::default()
+    };
+    let mut grid = GridMonitor::new(&[profile], 777, config);
+    grid.run_steps(180 + recorded as u64);
+    let id = grid
+        .registry()
+        .lookup(&host_name, Metric::CpuAvailabilityLoad);
+    let series = grid
+        .memory()
+        .series(id.expect("registered"), format!("{host_name}/load"));
     let values = series.values();
     let summary = summarize(values).expect("non-empty trace");
     println!(

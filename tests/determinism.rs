@@ -100,7 +100,8 @@ fn parallel_datasets_are_bit_identical_to_sequential() {
             assert_eq!(a.tests.len(), b.tests.len());
             for (ta, tb) in a.tests.iter().zip(b.tests.iter()) {
                 assert_eq!(ta.value, tb.value);
-                assert_eq!(ta.prior.hybrid, tb.prior.hybrid);
+                assert_eq!(ta.prior, tb.prior);
+                assert_eq!(ta.forecast, tb.forecast);
             }
         }
     }

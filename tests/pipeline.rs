@@ -2,16 +2,33 @@
 //! forecaster, exercised through the public facade the way a downstream
 //! user would.
 
-use nws::core::monitor::{Monitor, MonitorConfig};
 use nws::forecast::PredictorBank;
+use nws::grid::{GridMonitor, GridMonitorConfig, Metric, TestSchedule};
 use nws::sensors::{HybridSensor, LoadAvgSensor, VmstatSensor, TEST_DURATION_SHORT};
 use nws::sim::{Host, HostProfile};
 use nws::timeseries::csv::{parse_series, series_to_csv};
 use nws::timeseries::Series;
 
+/// Half an hour of one host on the grid monitor (a 10 s test every
+/// 5 minutes), returned as one of its stored series.
+fn monitored_series(profile: HostProfile, seed: u64, metric: Metric) -> Series {
+    let config = GridMonitorConfig {
+        ground_truth: Some(TestSchedule {
+            period: 300.0,
+            duration: TEST_DURATION_SHORT,
+        }),
+        ..GridMonitorConfig::default()
+    };
+    let mut grid = GridMonitor::new(&[profile], seed, config);
+    grid.run_steps(180);
+    let id = grid.registry().lookup(profile.name(), metric);
+    grid.memory()
+        .series(id.expect("registered"), profile.name())
+}
+
 #[test]
 fn manual_monitoring_loop_with_public_api() {
-    // A user wiring the pieces manually (without the Monitor driver).
+    // A user wiring the pieces manually (without the grid monitor).
     let mut host = HostProfile::Gremlin.build(31);
     host.advance(600.0);
     let mut load = LoadAvgSensor::new();
@@ -42,28 +59,26 @@ fn manual_monitoring_loop_with_public_api() {
 
 #[test]
 fn monitored_series_roundtrips_through_csv() {
-    let mut host = HostProfile::Thing1.build(33);
-    let out = Monitor::new(MonitorConfig::test_scale()).run(&mut host);
-    let text = series_to_csv(&out.series.load);
+    let load = monitored_series(HostProfile::Thing1, 33, Metric::CpuAvailabilityLoad);
+    let text = series_to_csv(&load);
     let back = parse_series(&text).expect("csv parses");
-    assert_eq!(back.len(), out.series.load.len());
-    for (a, b) in back.values().iter().zip(out.series.load.values()) {
+    assert_eq!(back.len(), load.len());
+    for (a, b) in back.values().iter().zip(load.values()) {
         assert!((a - b).abs() < 1e-9);
     }
 }
 
 #[test]
 fn forecaster_consumes_monitor_output_directly() {
-    let mut host = HostProfile::Beowulf.build(35);
-    let out = Monitor::new(MonitorConfig::test_scale()).run(&mut host);
+    let vmstat = monitored_series(HostProfile::Beowulf, 35, Metric::CpuAvailabilityVmstat);
     let mut nws = PredictorBank::nws_default();
     let mut last_forecast = None;
-    for point in out.series.vmstat.iter() {
+    for point in vmstat.iter() {
         last_forecast = nws.update(point.value);
     }
     let f = last_forecast.expect("forecaster warm");
     assert!((0.0..=1.0).contains(&f.value));
-    assert_eq!(nws.observations(), out.series.vmstat.len() as u64);
+    assert_eq!(nws.observations(), vmstat.len() as u64);
 }
 
 #[test]
