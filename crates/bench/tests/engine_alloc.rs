@@ -13,7 +13,6 @@
 
 use nws_bench::alloc_counter::{self, CountingAllocator};
 use nws_runtime::engine::{Engine, EngineConfig, Source, Stage};
-use nws_runtime::StepClock;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -62,8 +61,7 @@ const MEASURE_SLOTS: u64 = 256;
 fn run_cell(threads: usize, batch_slots: usize) -> (u64, u64) {
     nws_runtime::set_threads(Some(threads));
     let sources: Vec<Lcg> = (0..SHARDS).map(|i| Lcg { seed: i, state: i }).collect();
-    let config = EngineConfig { batch_slots };
-    let mut engine = Engine::with_clock(sources, config, Box::new(StepClock::new(10.0)));
+    let mut engine = Engine::new(sources, EngineConfig { batch_slots });
     let mut stage = Fold { hash: 0, events: 0 };
     engine.run(WARMUP_SLOTS, &mut stage);
     let ((), steady) = alloc_counter::measure(|| {

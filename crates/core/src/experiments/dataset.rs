@@ -57,11 +57,6 @@ const METHODS: [(Metric, &str); 3] = [
     (Metric::CpuAvailabilityHybrid, "hybrid"),
 ];
 
-/// Measurement slots in a span of simulated time.
-fn slots(span: Seconds) -> u64 {
-    (span / Cadence::PAPER.measurement_period).floor() as u64
-}
-
 impl ExperimentConfig {
     /// A reduced configuration for unit/integration tests: one simulated
     /// hour of monitoring and a 6-hour Hurst trace.
@@ -92,7 +87,7 @@ impl ExperimentConfig {
         duration: Seconds,
         config: GridMonitorConfig,
     ) -> GridMonitor {
-        let total = slots(self.warmup) + slots(duration);
+        let total = Cadence::PAPER.slots_in(self.warmup) + Cadence::PAPER.slots_in(duration);
         let memory = MemoryConfig {
             retain: total as usize,
         };
@@ -109,7 +104,8 @@ impl ExperimentConfig {
         duration: Seconds,
         config: GridMonitorConfig,
     ) -> HostRun {
-        HostRun::recorded(&self.monitor(p, base, duration, config), slots(self.warmup))
+        let warmup = Cadence::PAPER.slots_in(self.warmup);
+        HostRun::recorded(&self.monitor(p, base, duration, config), warmup)
     }
 
     /// One host's monitoring run of one kind — the one place each kind's
@@ -138,7 +134,7 @@ impl ExperimentConfig {
     }
 
     fn collect(&self, kind: Kind, p: HostProfile) -> HostRun {
-        HostRun::recorded(&self.grid(kind, p), slots(self.warmup))
+        HostRun::recorded(&self.grid(kind, p), Cadence::PAPER.slots_in(self.warmup))
     }
 
     /// One kind of run over all six hosts, in host order.
@@ -306,7 +302,8 @@ mod tests {
             .chain([(Kind::Medium, kongo)]);
         for (kind, (p, run)) in runs {
             let grid = cfg.grid(kind, p);
-            assert_eq!(HostRun::recorded(&grid, slots(cfg.warmup)).tests, run.tests);
+            let warmup = Cadence::PAPER.slots_in(cfg.warmup);
+            assert_eq!(HostRun::recorded(&grid, warmup).tests, run.tests);
             assert!(!run.tests.is_empty(), "{}: no recorded launches", p.name());
             for (m, (metric, _)) in METHODS.into_iter().enumerate() {
                 let id = grid

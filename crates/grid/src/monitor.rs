@@ -17,8 +17,8 @@
 //! reading or an explicit gap in the [`Archive`].
 //! Because each host's fault stream is a pure function of the plan seed
 //! and the host name, and the engine commits slot-major in registration
-//! order, runs are bit-identical at any `--threads` setting, any batch
-//! window, and under any engine clock.
+//! order, runs are bit-identical at any `--threads` setting and any
+//! batch window.
 //!
 //! # The ground-truth lane
 //!
@@ -38,7 +38,7 @@ use crate::registry::{Registry, ResourceId};
 use crate::service::{ForecastAnswer, ForecastService};
 use crate::wal::{CheckpointReport, SnapshotStore, Wal, WalError};
 use nws_faults::{DelayLine, FaultPlan, FaultStats, HostFaults, SlotFaults};
-use nws_runtime::{host_seed, Cadence, Clock, Engine, EngineConfig, Source, Stage};
+use nws_runtime::{host_seed, Cadence, Engine, EngineConfig, Source, Stage};
 use nws_sensors::{HybridConfig, HybridSensor, LoadAvgSensor, ProbeOutcome, VmstatSensor};
 use nws_sim::{Host, HostProfile, Pid, ProcessSpec, Seconds};
 
@@ -452,29 +452,6 @@ impl GridMonitor {
         config: GridMonitorConfig,
         plan: FaultPlan,
     ) -> Self {
-        Self::build(profiles, base_seed, config, plan, None)
-    }
-
-    /// Creates a monitor paced by an explicit engine clock. The clock
-    /// changes pacing only: virtual-time and step-quantized clocks
-    /// produce bit-identical measurements and forecasts.
-    pub fn with_clock(
-        profiles: &[HostProfile],
-        base_seed: u64,
-        config: GridMonitorConfig,
-        plan: FaultPlan,
-        clock: Box<dyn Clock>,
-    ) -> Self {
-        Self::build(profiles, base_seed, config, plan, Some(clock))
-    }
-
-    fn build(
-        profiles: &[HostProfile],
-        base_seed: u64,
-        config: GridMonitorConfig,
-        plan: FaultPlan,
-        clock: Option<Box<dyn Clock>>,
-    ) -> Self {
         if let Some(s) = config.ground_truth {
             assert!(s.duration > 0.0, "test duration must be positive");
             assert!(
@@ -505,16 +482,10 @@ impl GridMonitor {
                 tests: Vec::new(),
             })
             .collect();
-        let engine_config = EngineConfig {
-            batch_slots: config.batch_slots,
-        };
-        let engine = match clock {
-            None => Engine::new(hosts, engine_config),
-            Some(clock) => Engine::with_clock(hosts, engine_config, clock),
-        };
+        let batch_slots = config.batch_slots;
         Self {
             archive,
-            engine,
+            engine: Engine::new(hosts, EngineConfig { batch_slots }),
             plan,
         }
     }
@@ -580,12 +551,6 @@ impl GridMonitor {
     /// Measurement slots taken so far.
     pub fn slots(&self) -> u64 {
         self.engine.slot()
-    }
-
-    /// The shared tick schedule this monitor's engine runs on: the
-    /// paper's 10 s measurements and 60 s probes.
-    pub fn cadence(&self) -> Cadence {
-        Cadence::PAPER
     }
 
     /// Changes the engine's batch window (slots buffered per host before

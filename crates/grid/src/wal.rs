@@ -10,7 +10,7 @@
 //!   as one CRC-framed, length-prefixed [`WalRecord`] *in commit order*.
 //!   Because the engine commits slot-major in host-registration order,
 //!   the WAL byte stream is itself deterministic: bit-identical at any
-//!   thread count, batch window, or clock.
+//!   thread count or batch window.
 //! - **Snapshots**: [`Memory::snapshot_bytes`] serializes the full
 //!   columnar state (live windows, gap rings, drop counts, revisions)
 //!   with a trailing CRC and the WAL offset it covers, so recovery

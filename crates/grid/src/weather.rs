@@ -5,8 +5,9 @@
 //! obtained from an electrical power utility" — in one object: host CPU
 //! availability (via [`GridMonitor`]) and inter-site network performance
 //! (via [`nws_net::LinkMonitor`]) measured on their own periods against
-//! one clock — the time [`WeatherService::advance`] has been asked for —
-//! each published into its own [`Archive`], and forecast per series.
+//! one clock — the CPU half's slot count, a network probe cycle closing
+//! every twelfth slot — each published into its own [`Archive`], and
+//! forecast per series.
 
 use crate::archive::Archive;
 use crate::memory::{Memory, MemoryConfig};
@@ -21,6 +22,16 @@ use nws_sim::HostProfile;
 /// Memory retention for the network series.
 const NET_MEMORY: MemoryConfig = MemoryConfig { retain: 4096 };
 
+/// Measurement slots per network probe cycle (12 on the paper's grid).
+const SLOTS_PER_CYCLE: u64 = {
+    let slots = PROBE_PERIOD / Cadence::PAPER.measurement_period;
+    assert!(
+        slots >= 1.0 && slots == slots as u64 as f64,
+        "a probe cycle must span whole measurement slots"
+    );
+    slots as u64
+};
+
 /// CPU + network weather under one roof.
 pub struct WeatherService {
     cpu: GridMonitor,
@@ -28,11 +39,6 @@ pub struct WeatherService {
     net_archive: Archive,
     /// `(bandwidth id, latency id, link name, capacity)` per link.
     link_ids: Vec<(ResourceId, ResourceId, String, f64)>,
-    /// Simulated seconds [`WeatherService::advance`] has been asked for:
-    /// the one clock both halves run against.
-    elapsed: f64,
-    /// Probe cycles run so far.
-    net_cycles: u64,
 }
 
 /// Publishes one probe cycle's samples (or explicit gaps) into the
@@ -102,8 +108,6 @@ impl WeatherService {
             net,
             net_archive,
             link_ids,
-            elapsed: 0.0,
-            net_cycles: 0,
         }
     }
 
@@ -140,25 +144,16 @@ impl WeatherService {
         self.net_archive.forecasts()
     }
 
-    /// Advances both halves by `seconds` of simulated time: each runs
-    /// every period of its own — the CPU side's 10-second measurement
-    /// slot, the network side's probe cycle — that has come due in the
-    /// total time asked for so far and has not run yet, so however the
-    /// time is split across calls the halves stay on one clock.
-    pub fn advance(&mut self, seconds: f64) {
-        self.elapsed += seconds;
-        let cpu_due = (self.elapsed / Cadence::PAPER.measurement_period).floor() as u64;
-        self.cpu.run_steps(cpu_due.saturating_sub(self.cpu.slots()));
-        let net_due = (self.elapsed / PROBE_PERIOD).floor() as u64;
-        while self.net_cycles < net_due {
+    /// Runs `slots` measurement slots on the CPU half, then every network
+    /// probe cycle whose closing slot the CPU half has now passed. Both
+    /// halves count the one slot clock, so however a run is split into
+    /// calls they end in the same state.
+    pub fn run_steps(&mut self, slots: u64) {
+        let before = self.cpu.slots();
+        self.cpu.run_steps(slots);
+        for cycle in before / SLOTS_PER_CYCLE + 1..=self.cpu.slots() / SLOTS_PER_CYCLE {
             let samples = self.net.probe_cycle();
-            self.net_cycles += 1;
-            publish_cycle(
-                &mut self.net_archive,
-                &self.link_ids,
-                self.net_cycles,
-                &samples,
-            );
+            publish_cycle(&mut self.net_archive, &self.link_ids, cycle, &samples);
         }
     }
 
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn both_halves_advance_together() {
         let mut ws = WeatherService::ucsd(3);
-        ws.advance(1200.0); // 20 minutes: 120 CPU slots, 10 net probes
+        ws.run_steps(120); // 20 minutes: 120 CPU slots, 10 net probes
         assert_eq!(ws.cpu().slots(), 120);
         let id = ws
             .net_registry()
@@ -212,7 +207,7 @@ mod tests {
     #[test]
     fn latency_series_also_published() {
         let mut ws = WeatherService::ucsd(5);
-        ws.advance(600.0);
+        ws.run_steps(60);
         let id = ws
             .net_registry()
             .lookup("ucsd-lan", Metric::NetworkLatency)
@@ -225,7 +220,7 @@ mod tests {
     fn revision_advances_with_both_halves() {
         let mut ws = WeatherService::ucsd(9);
         let r0 = ws.revision();
-        ws.advance(120.0); // 12 CPU slots, 1 net probe cycle
+        ws.run_steps(12); // 12 CPU slots, 1 net probe cycle
         let r1 = ws.revision();
         assert_ne!(r0, r1, "measurements must invalidate cached answers");
         // No time passed: no change, a cache may keep serving.
@@ -233,27 +228,29 @@ mod tests {
     }
 
     #[test]
-    fn however_the_time_is_split_the_halves_stay_on_one_clock() {
+    fn however_the_slots_are_split_the_halves_stay_on_one_clock() {
         let state = |ws: &WeatherService| {
             let samples: Vec<usize> = (ws.link_ids.iter())
                 .flat_map(|(bw, lat, ..)| [ws.net_memory().len(*bw), ws.net_memory().len(*lat)])
                 .collect();
             (ws.cpu().slots(), samples, ws.revision())
         };
-        for (step, calls) in [(60.0, 2), (50.0, 12)] {
+        // 7 x 13 straddles probe boundaries mid-call.
+        for (step, calls) in [(6, 2), (5, 12), (13, 7)] {
             let mut split = WeatherService::ucsd(9);
             for _ in 0..calls {
-                split.advance(step);
+                split.run_steps(step);
             }
             let mut whole = WeatherService::ucsd(9);
-            whole.advance(step * calls as f64);
+            whole.run_steps(step * calls);
             let (slots, samples, revision) = state(&whole);
-            let cycles = (step * calls as f64 / PROBE_PERIOD) as usize;
+            assert_eq!(slots, step * calls);
+            let cycles = (slots / SLOTS_PER_CYCLE) as usize;
             assert!(samples.iter().all(|&n| n == cycles), "{samples:?}");
             assert_eq!(
                 state(&split),
                 (slots, samples, revision),
-                "{calls} x {step} s"
+                "{calls} x {step} slots"
             );
         }
     }
@@ -308,7 +305,7 @@ mod tests {
                     3,
                 )
             };
-            ws.advance(600.0);
+            ws.run_steps(60);
             let fc = ws.bandwidth_forecast("ucsd->utk").map(|a| a.forecast.value);
             let snap = ws.cpu().snapshot();
             (
@@ -330,7 +327,7 @@ mod tests {
             11,
             nws_faults::FaultPlan::seeded(6, nws_faults::FaultRates::uniform(0.25)),
         );
-        ws.advance(7200.0); // two hours: 60 net cycles, 720 CPU slots
+        ws.run_steps(720); // two hours: 60 net cycles, 720 CPU slots
         let bw_id = ws
             .net_registry()
             .lookup("ucsd->utk", Metric::NetworkBandwidth)

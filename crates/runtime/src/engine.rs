@@ -3,11 +3,13 @@
 //! One dataflow drives the whole reproduction — periodic sensor readings
 //! feed a memory, forecasters, and consumers — and this module is the
 //! single place its timing, batching, and ordering live. An [`Engine`]
-//! owns a set of per-shard [`Source`]s (one per monitored host) and a
-//! swappable [`Clock`] that paces the run; the slot grid is the paper's
-//! ([`Cadence::PAPER`]) for every engine. Each measurement slot, every
-//! source produces one event; a [`Stage`] commits the events into shared
-//! state (memory, forecast service, serving caches).
+//! owns a set of per-shard [`Source`]s (one per monitored host) and the
+//! count of slots run so far — the only simulated time there is. The slot
+//! grid is the paper's ([`Cadence::PAPER`]) for every engine: slot `s`
+//! stands for time [`Cadence::slot_time`]`(s)`, and a caller holding
+//! seconds converts them with [`Cadence::slots_in`]. Each measurement
+//! slot, every source produces one event; a [`Stage`] commits the events
+//! into shared state (memory, forecast service, serving caches).
 //!
 //! # Event ordering and tie-breaking
 //!
@@ -45,8 +47,6 @@
 //! and fault stream; committing writes the delay lines and fault stats.
 //!
 //! [`parallel_zip_mut`]: crate::parallel_zip_mut
-
-use crate::clock::{Clock, VirtualClock};
 
 /// The shared tick configuration of the paper's measurement protocol.
 ///
@@ -87,17 +87,18 @@ impl Cadence {
         slot as f64 * self.measurement_period
     }
 
+    /// Whole measurement periods in `seconds` (rounded down): the one
+    /// rule turning a span of simulated time into slots. The inverse of
+    /// [`Cadence::slot_time`] on the grid.
+    pub fn slots_in(&self, seconds: f64) -> u64 {
+        (seconds / self.measurement_period).floor() as u64
+    }
+
     /// EWMA gain spreading a probe-bias correction across
     /// [`Cadence::bias_window`] probes (the paper cadence yields 0.3:
     /// ~83% of a correction's weight lands inside the window).
     pub const fn bias_gain(&self) -> f64 {
         1.5 / self.bias_window as f64
-    }
-}
-
-impl Default for Cadence {
-    fn default() -> Self {
-        Cadence::PAPER
     }
 }
 
@@ -141,12 +142,12 @@ impl Default for EngineConfig {
     }
 }
 
-/// The deterministic event engine: sources + clock, on the
+/// The deterministic event engine: sources + slot counter, on the
 /// [`Cadence::PAPER`] slot grid.
 pub struct Engine<S: Source> {
     config: EngineConfig,
-    clock: Box<dyn Clock>,
     sources: Vec<S>,
+    /// Slots run so far: the simulated clock.
     slot: u64,
     /// One arena of up to `batch_slots` events per shard: the producers
     /// fill them, then the commit loop reads them. Persistent across
@@ -155,19 +156,11 @@ pub struct Engine<S: Source> {
 }
 
 impl<S: Source> Engine<S> {
-    /// An engine over the given shards under virtual time.
+    /// An engine over the given shards at slot 0.
     pub fn new(sources: Vec<S>, config: EngineConfig) -> Self {
-        Self::with_clock(sources, config, Box::new(VirtualClock::new()))
-    }
-
-    /// An engine paced by an explicit clock. The clock affects pacing
-    /// only, never event contents: any two clocks produce bit-identical
-    /// output.
-    pub fn with_clock(sources: Vec<S>, config: EngineConfig, clock: Box<dyn Clock>) -> Self {
         assert!(config.batch_slots > 0, "batch window must hold a slot");
         Self {
             config,
-            clock,
             sources,
             slot: 0,
             arenas: Vec::new(),
@@ -177,11 +170,6 @@ impl<S: Source> Engine<S> {
     /// Slots completed so far.
     pub fn slot(&self) -> u64 {
         self.slot
-    }
-
-    /// The clock's current position (simulated seconds).
-    pub fn clock_now(&self) -> f64 {
-        self.clock.now()
     }
 
     /// Registered shards, in commit order.
@@ -196,8 +184,7 @@ impl<S: Source> Engine<S> {
     }
 
     /// Runs `slots` measurement slots through the pipeline, committing
-    /// every event in canonical order and advancing the clock to each
-    /// slot's due time.
+    /// every event in canonical order.
     pub fn run<St: Stage<S>>(&mut self, slots: u64, stage: &mut St) {
         let mut remaining = slots;
         while remaining > 0 {
@@ -222,7 +209,6 @@ impl<S: Source> Engine<S> {
                     stage.commit(shard, src, slot, &ev);
                 }
                 self.slot = slot + 1;
-                self.clock.advance_to(Cadence::PAPER.slot_time(self.slot));
             }
             return;
         }
@@ -242,8 +228,6 @@ impl<S: Source> Engine<S> {
             for (shard, src) in self.sources.iter_mut().enumerate() {
                 stage.commit(shard, src, start + i, &self.arenas[shard][i as usize]);
             }
-            self.clock
-                .advance_to(Cadence::PAPER.slot_time(start + i + 1));
         }
         self.slot = start + take;
     }
@@ -262,7 +246,6 @@ impl<S: Source> std::fmt::Debug for Engine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::StepClock;
 
     /// A toy shard: a seeded counter whose event mixes the slot index
     /// into shard-local state.
@@ -296,30 +279,20 @@ mod tests {
         }
     }
 
-    fn run_engine(
-        threads: usize,
-        batch_slots: usize,
-        step_clock: bool,
-    ) -> (Vec<(u64, usize)>, u64) {
+    fn run_engine(threads: usize, batch_slots: usize) -> (Vec<(u64, usize)>, u64) {
         crate::set_threads(Some(threads));
         let sources: Vec<Counter> = (0..5).map(|i| Counter { seed: i, state: i }).collect();
-        let config = EngineConfig { batch_slots };
-        let mut engine = if step_clock {
-            Engine::with_clock(sources, config, Box::new(StepClock::new(10.0)))
-        } else {
-            Engine::new(sources, config)
-        };
+        let mut engine = Engine::new(sources, EngineConfig { batch_slots });
         let mut stage = Collector::default();
         engine.run(100, &mut stage);
         crate::set_threads(None);
         assert_eq!(engine.slot(), 100);
-        assert_eq!(engine.clock_now(), Cadence::PAPER.slot_time(100));
         (stage.order, stage.hash)
     }
 
     #[test]
     fn commit_order_is_slot_major_shard_order() {
-        let (order, _) = run_engine(4, 16, false);
+        let (order, _) = run_engine(4, 16);
         let expect: Vec<(u64, usize)> = (0..100u64)
             .flat_map(|s| (0..5).map(move |h| (s, h)))
             .collect();
@@ -327,17 +300,15 @@ mod tests {
     }
 
     #[test]
-    fn identical_across_threads_batches_and_clocks() {
-        let reference = run_engine(1, 64, false);
+    fn identical_across_threads_and_batches() {
+        let reference = run_engine(1, 64);
         for threads in [1, 4] {
             for batch in [1, 16, 64] {
-                for step_clock in [false, true] {
-                    assert_eq!(
-                        run_engine(threads, batch, step_clock),
-                        reference,
-                        "threads={threads} batch={batch} step_clock={step_clock}"
-                    );
-                }
+                assert_eq!(
+                    run_engine(threads, batch),
+                    reference,
+                    "threads={threads} batch={batch}"
+                );
             }
         }
     }
@@ -347,7 +318,7 @@ mod tests {
         // 100 slots at batch 16: no production runs more than 16 slots
         // ahead of the commit stage. Observable as the same output plus
         // the slot counter landing exactly on the requested total.
-        let (order, _) = run_engine(2, 16, false);
+        let (order, _) = run_engine(2, 16);
         assert_eq!(order.len(), 500);
     }
 
@@ -357,7 +328,22 @@ mod tests {
         assert_eq!(c.probe_every(), 6);
         assert_eq!(c.slot_time(12), 120.0);
         assert_eq!(c.bias_gain(), 0.3);
-        assert_eq!(Cadence::default(), Cadence::PAPER);
+    }
+
+    #[test]
+    fn slots_in_inverts_slot_time_and_rounds_down() {
+        let c = Cadence::PAPER;
+        for k in [0, 1, 6, 12, 8_640, 1 << 40] {
+            let t = c.slot_time(k);
+            assert_eq!(c.slots_in(t), k, "k={k}");
+            if k >= 1 {
+                // 1 µs short of the boundary, or one ulp where 1 µs is
+                // below the float's resolution (k = 2^40).
+                let short = (t - 1e-6).min(t.next_down());
+                assert_eq!(c.slots_in(short), k - 1, "k={k}");
+            }
+        }
+        assert_eq!(c.slots_in(9.99), 0);
     }
 
     #[test]

@@ -33,15 +33,15 @@
 //!
 //! On top of the parallel primitives sits the [`engine`] module: the
 //! deterministic discrete-event engine the sensing → storage → forecast →
-//! serve pipeline runs on, with swappable virtual [`clock`]s.
+//! serve pipeline runs on. Its slot counter is the one simulated clock:
+//! every timestamp is [`Cadence::slot_time`] of a slot, and every span of
+//! seconds becomes slots through [`Cadence::slots_in`].
 
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
-pub mod clock;
 pub mod engine;
 pub mod hash;
 
-pub use clock::{Clock, StepClock, VirtualClock};
 pub use engine::{Cadence, Engine, EngineConfig, Source, Stage};
 pub use hash::{fnv1a, host_seed, Fnv1a};
 

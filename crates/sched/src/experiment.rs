@@ -111,7 +111,7 @@ const WARMUP: Seconds = 600.0;
 pub(crate) fn gather_estimates(cfg: &SchedConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let hosts = HostProfile::all();
     let mut grid = GridMonitor::new(&hosts, cfg.seed, GridMonitorConfig::default());
-    grid.run_steps(((WARMUP + cfg.monitor_span) / Cadence::PAPER.measurement_period) as u64);
+    grid.run_steps(Cadence::PAPER.slots_in(WARMUP + cfg.monitor_span));
     let id = |host: &str, metric| grid.registry().lookup(host, metric).expect("registered");
     let forecast = |host: &str, metric| {
         let answer = grid.forecasts().forecast(id(host, metric));

@@ -2,43 +2,36 @@
 //!
 //! Before this module, callers interleaved `state.tick(1)` with request
 //! dispatch by hand — the serving loop owned the measurement schedule.
-//! [`TickDriver`] moves that schedule onto the engine's [`Clock`] and
-//! the paper's [`Cadence`]: the driver watches clock time, computes how
-//! many measurement slots have come due on the 10 s grid, and runs
-//! exactly those through the grid (each tick bumps the revision counters,
-//! so the [`QueryCache`](crate::QueryCache) invalidates precisely at
-//! slot boundaries). Under a [`VirtualClock`] this reproduces the manual
-//! `tick(1)`-per-round loops bit for bit.
+//! [`TickDriver`] moves that schedule onto the paper's [`Cadence`]: the
+//! driver sums the simulated seconds it is advanced by, turns the total
+//! into whole measurement slots with [`Cadence::slots_in`], and runs the
+//! ones not yet delivered through the grid (each tick bumps the revision
+//! counters, so the [`QueryCache`](crate::QueryCache) invalidates
+//! precisely at slot boundaries). Advancing by one measurement period at
+//! a time reproduces the manual `tick(1)`-per-round loops bit for bit.
 
 use crate::state::GridState;
-use nws_runtime::{Cadence, Clock, VirtualClock};
+use nws_runtime::Cadence;
 use std::sync::{Arc, Mutex};
 
-/// Schedules sensor ticks against shared server state from a clock.
+/// Schedules sensor ticks against shared server state on the slot grid.
 pub struct TickDriver {
     state: Arc<Mutex<GridState>>,
-    clock: Box<dyn Clock>,
+    /// Simulated seconds the driver has been advanced by.
+    now: f64,
     /// Slots already delivered to the grid.
     ticked: u64,
 }
 
 impl TickDriver {
-    /// A driver over shared state, paced by the given clock on the
-    /// paper's slot grid. The clock starts at its own origin; slots
-    /// before its current position are considered already delivered.
-    pub fn new(state: Arc<Mutex<GridState>>, clock: Box<dyn Clock>) -> Self {
-        let ticked = (clock.now() / Cadence::PAPER.measurement_period).floor() as u64;
+    /// A driver over shared state, starting at simulated time 0 with no
+    /// slots delivered.
+    pub fn virtual_time(state: Arc<Mutex<GridState>>) -> Self {
         Self {
             state,
-            clock,
-            ticked,
+            now: 0.0,
+            ticked: 0,
         }
-    }
-
-    /// A virtual-time driver — the common simulation/test/bench
-    /// configuration.
-    pub fn virtual_time(state: Arc<Mutex<GridState>>) -> Self {
-        Self::new(state, Box::new(VirtualClock::new()))
     }
 
     /// The shared state this driver ticks.
@@ -51,24 +44,18 @@ impl TickDriver {
         self.ticked
     }
 
-    /// Moves the clock to absolute time `t` and runs every measurement
-    /// slot that came due, in one batch (the state lock is taken once).
-    /// Returns how many slots were delivered.
-    pub fn advance_to(&mut self, t: f64) -> u64 {
-        self.clock.advance_to(t);
-        let due = (self.clock.now() / Cadence::PAPER.measurement_period).floor() as u64;
+    /// Advances simulated time by `seconds` (never backwards) and runs
+    /// every measurement slot that came due, in one batch (the state
+    /// lock is taken once). Returns how many slots were delivered.
+    pub fn advance(&mut self, seconds: f64) -> u64 {
+        self.now += seconds.max(0.0);
+        let due = Cadence::PAPER.slots_in(self.now);
         let steps = due.saturating_sub(self.ticked);
         if steps > 0 {
             self.state.lock().expect("state").tick(steps);
-            self.ticked = due;
+            self.ticked += steps;
         }
         steps
-    }
-
-    /// Advances the clock by `seconds` and delivers the due slots.
-    pub fn advance(&mut self, seconds: f64) -> u64 {
-        let t = self.clock.now() + seconds;
-        self.advance_to(t)
     }
 }
 
@@ -76,7 +63,7 @@ impl std::fmt::Debug for TickDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TickDriver")
             .field("ticked", &self.ticked)
-            .field("clock_now", &self.clock.now())
+            .field("now", &self.now)
             .finish()
     }
 }
@@ -85,7 +72,6 @@ impl std::fmt::Debug for TickDriver {
 mod tests {
     use super::*;
     use nws_grid::{GridMonitor, GridMonitorConfig};
-    use nws_runtime::StepClock;
     use nws_sim::HostProfile;
 
     fn shared_state() -> Arc<Mutex<GridState>> {
@@ -103,6 +89,8 @@ mod tests {
         let mut d = TickDriver::virtual_time(Arc::clone(&state));
         assert_eq!(d.advance(35.0), 3, "35 s on a 10 s grid = 3 due slots");
         assert_eq!(d.advance(5.0), 1, "40 s total crosses the 4th boundary");
+        assert_eq!(d.advance(-30.0), 0, "time never runs backwards");
+        assert_eq!(d.advance(9.0), 0, "49 s: the 5th boundary is not due");
         assert_eq!(d.ticked(), 4);
         assert_eq!(state.lock().expect("state").grid().slots(), 4);
     }
@@ -123,14 +111,5 @@ mod tests {
         let (ga, gb) = (a.lock().expect("state"), b.lock().expect("state"));
         assert_eq!(ga.grid().slots(), gb.grid().slots());
         assert_eq!(ga.grid().revision(), gb.grid().revision());
-    }
-
-    #[test]
-    fn step_clock_quantizes_but_lands_on_the_same_slots() {
-        let state = shared_state();
-        let mut d = TickDriver::new(Arc::clone(&state), Box::new(StepClock::new(2.0)));
-        d.advance_to(60.0);
-        assert_eq!(d.ticked(), 6);
-        assert_eq!(state.lock().expect("state").grid().slots(), 6);
     }
 }

@@ -16,7 +16,7 @@
 //!   [`nws_wire::ReplyRef`]s out of an [`nws_grid::Archive`] — the one
 //!   the primary's monitor commits into or the one a replica replays
 //!   into — plus the three things the two answer differently (the
-//!   clock, the journal, the cold-host wording). Snapshot rows and the
+//!   slot count, the journal, the cold-host wording). Snapshot rows and the
 //!   best host are the archive's own rows and placement rule, mapped
 //!   into wire rows; a reply is then rendered either straight
 //!   to frame bytes ([`Dispatch::dispatch_frame`]) or to an owned

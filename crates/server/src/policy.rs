@@ -18,6 +18,7 @@
 use crate::cache::QueryCache;
 use nws_grid::wal::MAX_RECORD_FRAME;
 use nws_grid::{best_row, Archive, Metric, Wal};
+use nws_runtime::Cadence;
 use nws_wire::{
     begin_response_frame, end_response_frame, ErrorCode, ErrorReply, ForecastReply, HorizonReply,
     HostRow, ReplyRef, Request, Response, SnapshotReply, StatsReply, WalChunkReply, Writer,
@@ -30,12 +31,18 @@ pub(crate) struct View<'a> {
     pub archive: &'a Archive,
     /// How a `ColdForecast` error describes a host without data.
     pub cold: &'static str,
-    /// The clock staleness is judged against, in seconds.
-    pub now: f64,
-    /// Measurement slots taken so far, by that clock.
+    /// Measurement slots taken so far: the clock staleness is judged
+    /// against.
     pub slots: u64,
     /// The journal `WalSince` streams, or why there is none to stream.
     pub journal: Result<&'a Wal, &'static str>,
+}
+
+impl View<'_> {
+    /// The simulated time of [`View::slots`], in seconds.
+    fn now(&self) -> f64 {
+        Cadence::PAPER.slot_time(self.slots)
+    }
 }
 
 /// State that can be served: a primary's live monitor, a replica's
@@ -79,9 +86,10 @@ fn bad_request(message: impl Into<String>) -> ErrorReply {
 /// something a row shows moved — the archive, or the clock its
 /// staleness is judged against.
 fn snapshot<'c>(view: &View<'_>, cache: &'c mut QueryCache) -> &'c SnapshotReply {
-    let revision = (view.archive.revision()).wrapping_add(view.now.to_bits());
+    let time = view.now();
+    let revision = (view.archive.revision()).wrapping_add(time.to_bits());
     cache.snapshot_or_insert_with(revision, || {
-        let hosts = (view.archive.host_rows(view.now))
+        let hosts = (view.archive.host_rows(time))
             .map(|row| HostRow {
                 host: row.host.to_string(),
                 latest: row.latest,
@@ -89,7 +97,6 @@ fn snapshot<'c>(view: &View<'_>, cache: &'c mut QueryCache) -> &'c SnapshotReply
                 forecast: row.forecast.map(|a| a.forecast.value),
             })
             .collect();
-        let time = view.now;
         SnapshotReply { time, hosts }
     })
 }
@@ -124,7 +131,7 @@ impl<S: Served> Core<S> {
                 let id = hybrid(host)?;
                 let build = || {
                     let answer = forecasts
-                        .forecast_at(id, view.now)
+                        .forecast_at(id, view.now())
                         .ok_or_else(|| cold(host))?;
                     Ok(ForecastReply {
                         host: host.clone(),
@@ -179,7 +186,7 @@ impl<S: Served> Core<S> {
                     offset: *offset,
                     total,
                     revision: memory.global_revision(),
-                    now: view.now,
+                    now: view.now(),
                     bytes: wal.chunk(*offset as usize, max),
                 })
             }

@@ -92,9 +92,9 @@ struct Replicated {
     primary_total: u64,
     /// Memory revision the primary last reported.
     primary_revision: u64,
-    /// The primary's simulation clock at the last chunk — what this
+    /// The primary's slot count at the last chunk — the clock this
     /// replica judges staleness against.
-    primary_now: f64,
+    primary_slots: u64,
 }
 
 /// The replica: replayed state, judged against the primary's clock as
@@ -104,8 +104,7 @@ impl Served for Replicated {
         View {
             archive: &self.archive,
             cold: "has no replicated measurements yet",
-            now: self.primary_now,
-            slots: (self.primary_now / Cadence::PAPER.measurement_period).round() as u64,
+            slots: self.primary_slots,
             journal: Err("replicas do not serve the journal; pull from the primary"),
         }
     }
@@ -132,7 +131,7 @@ impl ReplicaState {
                 applied: 0,
                 primary_total: 0,
                 primary_revision: 0,
-                primary_now: 0.0,
+                primary_slots: 0,
             }),
         }
     }
@@ -183,7 +182,7 @@ impl ReplicaState {
         debug_assert_eq!(outcome.end, chunk.bytes.len(), "chunks end on boundaries");
         rep.primary_total = chunk.total;
         rep.primary_revision = chunk.revision;
-        rep.primary_now = chunk.now;
+        rep.primary_slots = Cadence::PAPER.slots_in(chunk.now);
         Ok(outcome.records)
     }
 

@@ -43,7 +43,6 @@ impl Served for GridMonitor {
         View {
             archive: self.archive(),
             cold: "has no measurements yet",
-            now: self.now(),
             slots: self.slots(),
             journal: self.journal().ok_or("no journal attached to this server"),
         }

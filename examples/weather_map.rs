@@ -19,8 +19,8 @@ fn main() {
         ws.cpu().registry().len(),
         ws.net_registry().len()
     );
-    // Two simulated hours: CPU on the 10 s cadence, links on 2-min probes.
-    ws.advance(7200.0);
+    // Two simulated hours: 720 CPU slots of 10 s, links on 2-min probes.
+    ws.run_steps(720);
 
     let snap = ws.cpu().snapshot();
     println!("\ngrid snapshot at t = {:.0}s:", snap.time);

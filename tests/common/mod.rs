@@ -7,7 +7,7 @@
 
 use nws::faults::{FaultPlan, FaultRates};
 use nws::grid::{GridMonitor, GridMonitorConfig, Metric};
-use nws::runtime::{Fnv1a, StepClock};
+use nws::runtime::Fnv1a;
 use nws::server::{GridState, InMemoryTransport, Transport};
 use nws::sim::HostProfile;
 use nws::wire::Request;
@@ -120,9 +120,10 @@ pub fn request_script() -> Vec<Request> {
     seq
 }
 
-/// Hashes the exact wire bytes the serving layer emits for the script.
-pub fn served_fingerprint(gm: GridMonitor) -> u64 {
-    let mut t = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(gm))));
+/// Hashes the exact wire bytes the serving layer emits for the script,
+/// served from a state no request has touched yet.
+pub fn served_fingerprint(state: Arc<Mutex<GridState>>) -> u64 {
+    let mut t = InMemoryTransport::new(state);
     let mut h = Fnv1a::new();
     for req in request_script() {
         let (_, bytes) = t.call_raw(&req).expect("dispatch");
@@ -132,21 +133,17 @@ pub fn served_fingerprint(gm: GridMonitor) -> u64 {
     h.finish()
 }
 
-/// How one scenario paces and batches the engine.
+/// How one scenario fans out and batches the engine.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineSetup {
     pub threads: usize,
     pub batch_slots: usize,
-    /// `None` = virtual clock; `Some(q)` = a [`StepClock`] with quantum
-    /// `q` seconds.
-    pub step_quantum: Option<f64>,
 }
 
 impl EngineSetup {
     pub const REFERENCE: EngineSetup = EngineSetup {
         threads: 1,
         batch_slots: 64,
-        step_quantum: None,
     };
 }
 
@@ -160,16 +157,7 @@ pub fn build_grid(faulted: bool, setup: EngineSetup) -> GridMonitor {
         batch_slots: setup.batch_slots,
         ..GridMonitorConfig::default()
     };
-    match setup.step_quantum {
-        None => GridMonitor::with_faults(&HostProfile::all(), SEED, config, plan),
-        Some(q) => GridMonitor::with_clock(
-            &HostProfile::all(),
-            SEED,
-            config,
-            plan,
-            Box::new(StepClock::new(q)),
-        ),
-    }
+    GridMonitor::with_faults(&HostProfile::all(), SEED, config, plan)
 }
 
 /// Runs one scenario under a setup: (state fingerprint, served bytes
@@ -180,22 +168,20 @@ pub fn scenario(setup: EngineSetup, faulted: bool) -> (u64, u64) {
     gm.run_steps(STEPS);
     nws::runtime::set_threads(None);
     let state = grid_fingerprint(&gm);
-    (state, served_fingerprint(gm))
+    let served = served_fingerprint(Arc::new(Mutex::new(GridState::new(gm))));
+    (state, served)
 }
 
-/// The full equivalence matrix: threads × batch window × clock, clean and
-/// faulted.
+/// The full equivalence matrix: threads {1, 4} × batch window
+/// {1, 16, 64}, each run clean and faulted.
 pub fn setups() -> Vec<EngineSetup> {
     let mut out = Vec::new();
     for threads in [1, 4] {
         for batch_slots in [1, 16, 64] {
-            for step_quantum in [None, Some(10.0)] {
-                out.push(EngineSetup {
-                    threads,
-                    batch_slots,
-                    step_quantum,
-                });
-            }
+            out.push(EngineSetup {
+                threads,
+                batch_slots,
+            });
         }
     }
     out

@@ -76,7 +76,7 @@ fn journaling_is_invisible_to_the_goldens() {
             "threads={threads}"
         );
         assert_eq!(
-            served_fingerprint(gm),
+            served_fingerprint(Arc::new(Mutex::new(GridState::new(gm)))),
             GOLDEN_CLEAN_SERVED,
             "threads={threads}"
         );

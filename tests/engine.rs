@@ -5,14 +5,17 @@
 //! lines, and served wire bytes as the pre-refactor lockstep loops. The
 //! goldens (in `tests/common`) were recorded from the pre-refactor
 //! pipeline (commit d1793fb) and pin that equivalence; every engine
-//! configuration — thread counts, clocks, batch sizes — must keep
-//! reproducing them.
+//! configuration — thread counts and batch sizes — must keep reproducing
+//! them, and so must a server whose ticks are paced in seconds that do
+//! not divide the measurement period.
 
 mod common;
 
 use common::*;
 use nws::grid::{Metric, WeatherService};
 use nws::runtime::Fnv1a;
+use nws::server::{GridState, TickDriver};
+use std::sync::{Arc, Mutex};
 
 /// Hashes both halves of the combined weather service: the CPU grid plus
 /// the network memories and bandwidth forecasts.
@@ -47,7 +50,7 @@ fn weather_fingerprint(ws: &WeatherService) -> u64 {
 fn weather_scenario(threads: usize) -> u64 {
     nws::runtime::set_threads(Some(threads));
     let mut ws = WeatherService::ucsd(7);
-    ws.advance(3600.0);
+    ws.run_steps(360);
     nws::runtime::set_threads(None);
     weather_fingerprint(&ws)
 }
@@ -81,19 +84,28 @@ fn engine_reproduces_prerefactor_weather_service_bit_for_bit() {
     }
 }
 
-/// A quantized step clock whose quantum does NOT divide the measurement
-/// period still lands on the same slots and bits — the clock paces, the
-/// engine orders.
+/// A server ticked in 7 s steps, which do NOT divide the 10 s period,
+/// still lands on the same slots and bits: seconds only decide when a
+/// slot is due, the slot count is the clock.
 #[test]
 fn coarse_step_clock_does_not_change_the_bits() {
     let setup = EngineSetup {
         threads: 2,
         batch_slots: 16,
-        step_quantum: Some(7.0),
     };
+    nws::runtime::set_threads(Some(setup.threads));
+    let state = GridState::new(build_grid(true, setup));
+    let mut driver = TickDriver::virtual_time(Arc::new(Mutex::new(state)));
+    while driver.ticked() < STEPS {
+        driver.advance(7.0);
+    }
+    nws::runtime::set_threads(None);
+    assert_eq!(driver.ticked(), STEPS);
+    let fingerprint = grid_fingerprint(driver.state().lock().expect("state").grid());
+    assert_eq!(fingerprint, GOLDEN_FAULT_STATE);
     assert_eq!(
-        scenario(setup, true),
-        scenario(EngineSetup::REFERENCE, true)
+        served_fingerprint(Arc::clone(driver.state())),
+        GOLDEN_FAULT_SERVED
     );
 }
 

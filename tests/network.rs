@@ -43,7 +43,7 @@ fn link_monitor_report_is_consistent_with_its_series() {
 #[test]
 fn weather_service_serves_both_halves() {
     let mut ws = WeatherService::ucsd(25);
-    ws.advance(1800.0);
+    ws.run_steps(180);
     // CPU half: every host has a live forecast.
     let snap = ws.cpu().snapshot();
     assert_eq!(snap.hosts.len(), 6);

@@ -4,6 +4,7 @@
 //! of the runtime thread count the grid was advanced with.
 
 use nws::grid::{GridMonitor, GridMonitorConfig};
+use nws::runtime::Cadence;
 use nws::server::{
     ClientConfig, GridState, InMemoryTransport, NwsClient, NwsServer, ServerConfig, TickDriver,
     Transport,
@@ -106,13 +107,7 @@ fn tcp_responses_match_the_in_memory_transport_byte_for_byte() {
     let mut mem = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(grid_b))));
     let mut tcp_driver = TickDriver::virtual_time(Arc::clone(server.state()));
     let mut mem_driver = TickDriver::virtual_time(Arc::clone(mem.state()));
-    let slot_seconds = server
-        .state()
-        .lock()
-        .expect("state")
-        .grid()
-        .cadence()
-        .measurement_period;
+    let slot_seconds = Cadence::PAPER.measurement_period;
 
     // Two passes with one measurement period between them on both
     // clocks, so the invalidate-and-recompute path is also compared
