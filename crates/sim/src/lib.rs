@@ -28,6 +28,14 @@
 //! host has one CPU, like the machines the paper measured.
 //! Workload generators ([`workload`]) spawn and control processes; the six
 //! UCSD host profiles are in [`profiles`].
+//!
+//! Every quantum is simulated, but the host is event-driven about its
+//! workloads: each says when it next acts ([`Workload::next_due`]), the
+//! host polls them only at ticks where one is due, and the kernel runs the
+//! quanta in between as one quiet stretch on a fixed run queue
+//! (`Kernel::run_quiet`). On most quanta of a profile host nothing but
+//! the kernel moves, so most are never polled; the outputs are bit for bit
+//! those of polling every workload on every tick.
 
 #![forbid(unsafe_code)]
 
@@ -49,8 +57,8 @@ pub use profiles::{
 };
 pub use trace::{record_load_trace, LoadTrace, TraceReplay};
 pub use workload::{
-    BatchArrivals, Diurnal, FgnLoad, GatewayInterrupts, InteractiveSessions, LongRunningHog,
-    NiceSoaker, Workload,
+    BatchArrivals, Diurnal, GatewayInterrupts, InteractiveSessions, LongRunningHog, NiceSoaker,
+    Workload,
 };
 
 /// Seconds (simulation time).

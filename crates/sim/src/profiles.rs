@@ -242,9 +242,12 @@ pub fn ucsd_hosts(base_seed: u64) -> Vec<Host> {
 /// A synthetic fleet host: a statistical stand-in for one monitored
 /// machine, cheap enough to instantiate by the hundred thousand.
 ///
-/// The full kernel simulation behind [`HostProfile::build`] costs ~100
-/// scheduler ticks per measurement slot — ideal for fidelity at six
-/// hosts, hopeless for a 10⁵-host sweep. Each synthetic host instead
+/// The full kernel simulation behind [`HostProfile::build`] runs 100
+/// scheduler quanta per measurement slot, of which the workloads are
+/// polled at a few (per slot, over a day with a probe every sixth slot:
+/// thing2 12.3, thing1 5.0, conundrum 1.1, beowulf 9.9, gremlin 1.6,
+/// kongo 2.3) — ideal for fidelity at six hosts, hopeless for a
+/// 10⁵-host sweep. Each synthetic host instead
 /// draws CPU availability from an AR(1) process with occasional regime
 /// shifts, anchored at one of six long-run levels spanning the UCSD
 /// machines (busy workstation ≈ 0.35 through idle server ≈ 0.9). State

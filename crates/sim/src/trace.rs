@@ -159,6 +159,8 @@ pub fn record_load_trace(host: &mut Host, interval: Seconds, samples: usize) -> 
 pub struct TraceReplay {
     name: String,
     trace: LoadTrace,
+    /// The trace's highest level: the size of the process pool.
+    max_level: u32,
     pool: Vec<Pid>,
     cursor: usize,
     next_update: Seconds,
@@ -173,6 +175,7 @@ impl TraceReplay {
         assert!(!trace.is_empty(), "cannot replay an empty trace");
         Self {
             name: name.into(),
+            max_level: trace.levels.iter().copied().max().unwrap_or(0),
             trace,
             pool: Vec::new(),
             cursor: 0,
@@ -193,10 +196,17 @@ impl Workload for TraceReplay {
         &self.name
     }
 
+    fn next_due(&self, kernel: &Kernel) -> Seconds {
+        if self.pool.is_empty() && self.max_level > 0 {
+            kernel.now()
+        } else {
+            self.next_update
+        }
+    }
+
     fn on_tick(&mut self, kernel: &mut Kernel) {
         if self.pool.is_empty() {
-            let max_level = self.trace.levels.iter().copied().max().unwrap_or(0);
-            for i in 0..max_level {
+            for i in 0..self.max_level {
                 self.pool.push(
                     kernel.spawn(
                         ProcessSpec::cpu_bound(format!("{}-replay{i}", self.name)).sleeping(),
