@@ -26,11 +26,13 @@ pub const STEPS: u64 = 120;
 /// The pre-refactor pipeline's fingerprints, recorded at commit d1793fb
 /// (lockstep `for host { measure; publish }` loops, manual tick
 /// interleaving, no engine). Every engine configuration must keep
-/// reproducing these exact bits.
+/// reproducing these exact bits. The two fault fingerprints were
+/// re-recorded once, when a rebooted host stopped spawning at boot every
+/// session and job arrival its outage had scheduled.
 pub const GOLDEN_CLEAN_STATE: u64 = 0xaacf_b64a_5e5e_e354;
 pub const GOLDEN_CLEAN_SERVED: u64 = 0x8ce4_4a79_32c2_65e2;
-pub const GOLDEN_FAULT_STATE: u64 = 0xdbaa_fa67_5dbc_a4ac;
-pub const GOLDEN_FAULT_SERVED: u64 = 0x3948_2553_fb2c_3ced;
+pub const GOLDEN_FAULT_STATE: u64 = 0xb1e8_4c01_4732_32e6;
+pub const GOLDEN_FAULT_SERVED: u64 = 0xe01f_b8cb_9086_9436;
 pub const GOLDEN_WEATHER: u64 = 0x139c_5275_9273_0875;
 
 /// Hashes every retained measurement bit, gap timestamp, drop count, and

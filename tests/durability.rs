@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 /// attached, recorded once via `print_durability_goldens` below. Every
 /// recovery path must land exactly here.
 const GOLDEN_CLEAN_MEMORY: u64 = 0x9bd6_a65f_2100_4437;
-const GOLDEN_FAULT_MEMORY: u64 = 0x089f_7e95_7a36_f5c3;
+const GOLDEN_FAULT_MEMORY: u64 = 0xcc9f_c3f1_89bc_358a;
 
 /// The reference scenario with a journal attached from genesis.
 fn journaled_run(faulted: bool, threads: usize) -> (Vec<u8>, GridMonitor) {
