@@ -231,20 +231,19 @@ mod tests {
         let mut f = Arma::new(1, 1, 120, 25);
         let (mut model_err, mut mean_err) = (0.0, 0.0);
         let mut running = 0.0;
-        let mut count = 0u64;
         let mut n = 0u64;
         for i in 0..4000 {
             let next = 0.6 * x + 0.15 * rng.next_standard_normal();
             if i > 1000 {
                 if let Some(p) = f.predict() {
                     model_err += (p - next).abs();
-                    mean_err += (running / count as f64 - next).abs();
+                    // `running` sums the `i` values observed so far.
+                    mean_err += (running / f64::from(i) - next).abs();
                     n += 1;
                 }
             }
             f.observe(next);
             running += next;
-            count += 1;
             x = next;
         }
         assert!(n > 0);

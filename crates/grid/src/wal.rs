@@ -69,12 +69,16 @@ const TAG_GAP: u8 = 1;
 const TAG_DROP: u8 = 2;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table built at compile time.
+// CRC-32 (IEEE 802.3, reflected), slice-by-8, tables built at compile
+// time.
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// `CRC_TABLES[k][b]` is the CRC register contribution of byte `b`
+/// followed by `k` zero bytes, so eight bytes fold in with eight
+/// independent lookups instead of eight dependent ones.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -87,18 +91,41 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE) of a byte slice — the checksum framing every WAL
 /// record and trailing every snapshot.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t7[(lo & 0xFF) as usize]
+            ^ t6[((lo >> 8) & 0xFF) as usize]
+            ^ t5[((lo >> 16) & 0xFF) as usize]
+            ^ t4[(lo >> 24) as usize]
+            ^ t3[usize::from(w[4])]
+            ^ t2[usize::from(w[5])]
+            ^ t1[usize::from(w[6])]
+            ^ t0[usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t0[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -317,6 +344,19 @@ pub fn replay(bytes: &[u8], from: usize, mut f: impl FnMut(&WalRecord)) -> Repla
     }
 }
 
+/// The last record boundary at or below `target`, found by walking the
+/// frames of `bytes` from the start.
+fn boundary_at_or_below(bytes: &[u8], target: usize) -> usize {
+    let mut cut = 0;
+    while cut < target {
+        match WalRecord::decode_at(bytes, cut) {
+            Ok((_, next)) if next <= target => cut = next,
+            _ => break,
+        }
+    }
+    cut
+}
+
 // ---------------------------------------------------------------------------
 // The log itself
 
@@ -449,15 +489,20 @@ impl Wal {
     /// exactly the prefix recovery no longer needs.
     pub fn rotate(&mut self, upto: usize) -> Result<usize, WalError> {
         let target = upto.clamp(self.base, self.len()) - self.base;
-        // Snap down to a record boundary so retained bytes always
-        // decode from their start.
-        let mut cut = 0;
-        while cut < target {
-            match WalRecord::decode_at(&self.bytes, cut) {
-                Ok((_, next)) if next <= target => cut = next,
-                _ => break,
-            }
-        }
+        // The journal's end is always a record boundary — only `log`
+        // appends and only a rotation drains — so a cut there (what
+        // every checkpoint asks for) needs no walk.
+        let cut = if target == self.bytes.len() {
+            target
+        } else {
+            boundary_at_or_below(&self.bytes, target)
+        };
+        self.drop_prefix(cut)
+    }
+
+    /// Drops the first `cut` retained bytes, which must end on a record
+    /// boundary, rewriting the file mirror to the suffix.
+    fn drop_prefix(&mut self, cut: usize) -> Result<usize, WalError> {
         if cut == 0 {
             return Ok(0);
         }
@@ -729,11 +774,44 @@ mod tests {
         ResourceId(n)
     }
 
+    /// The byte-at-a-time CRC the sliced one must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_one_at_every_alignment() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..4_100)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect();
+        for align in 0..=8 {
+            for len in (0..=200).chain([1_000, 4_000]) {
+                let slice = &bytes[align..align + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "align {align}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -934,6 +1012,48 @@ mod tests {
         wal.sync().expect("durable");
         let disk = std::fs::read(&path).expect("readable");
         assert_eq!(disk, wal.bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotation_at_the_end_cuts_where_the_walk_would() {
+        let dir = std::env::temp_dir().join(format!("nws-wal-rotate-end-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let (fast_path, walk_path) = (dir.join("fast.wal"), dir.join("walk.wal"));
+        let mut fast = Wal::with_file(&fast_path).expect("creatable");
+        let mut walk = Wal::with_file(&walk_path).expect("creatable");
+        let log = |wal: &mut Wal, from: u64| {
+            for i in from..from + 7 {
+                wal.log(&WalRecord::Append {
+                    id: rid(i % 3),
+                    time: i as f64,
+                    value: 0.5,
+                });
+                wal.log(&WalRecord::Gap {
+                    id: rid(i % 2),
+                    time: i as f64,
+                });
+            }
+        };
+        // Two rounds, so the second end cut is relative to a moved base.
+        for round in 0..2 {
+            log(&mut fast, round * 10);
+            log(&mut walk, round * 10);
+            let dropped = fast.rotate(fast.len()).expect("fast rotate");
+            let cut = boundary_at_or_below(walk.bytes(), walk.bytes().len());
+            assert_eq!(walk.drop_prefix(cut).expect("walked rotate"), dropped);
+            assert_eq!(fast.start_offset(), walk.start_offset());
+            assert_eq!(fast.start_offset(), fast.len());
+            assert_eq!(fast.bytes(), walk.bytes());
+            // Appends after the cut land in both rewritten mirrors alike.
+            fast.log(&WalRecord::Drop { id: rid(9) });
+            walk.log(&WalRecord::Drop { id: rid(9) });
+            fast.sync().expect("durable");
+            walk.sync().expect("durable");
+            let disk = std::fs::read(&fast_path).expect("readable");
+            assert_eq!(disk, std::fs::read(&walk_path).expect("readable"));
+            assert_eq!(disk, fast.bytes());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

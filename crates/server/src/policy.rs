@@ -22,7 +22,7 @@ use nws_runtime::Cadence;
 use nws_wire::{
     begin_response_frame, end_response_frame, ErrorCode, ErrorReply, ForecastReply, HorizonReply,
     HostRow, ReplyRef, Request, Response, SnapshotReply, StatsReply, WalChunkReply, Writer,
-    BATCH_HEADER_LEN, MAX_BATCH, MAX_FRAME, MAX_HORIZON, MAX_POINTS, MAX_WAL_CHUNK,
+    BATCH_HEADER_LEN, MAX_BATCH, MAX_FRAME, MAX_HORIZON, MAX_POINTS, MAX_STRING, MAX_WAL_CHUNK,
 };
 
 /// What the policy reads of a node's state, as of one request.
@@ -70,11 +70,14 @@ enum Step<'a> {
     Withdraw,
 }
 
+/// An error reply, its message cut to [`MAX_STRING`] bytes at a char
+/// boundary: messages quote the request (a host name may itself be
+/// `MAX_STRING` bytes long), and a longer string is one no client
+/// decodes.
 fn error(code: ErrorCode, message: impl Into<String>) -> ErrorReply {
-    ErrorReply {
-        code,
-        message: message.into(),
-    }
+    let mut message = message.into();
+    message.truncate(message.floor_char_boundary(MAX_STRING));
+    ErrorReply { code, message }
 }
 
 fn bad_request(message: impl Into<String>) -> ErrorReply {

@@ -13,10 +13,11 @@
 //!
 //! Per connection the reactor runs a tiny state machine —
 //! reading-header → reading-payload → dispatching → writing — layered
-//! over the incremental [`parse_frame_header`] entry point of the wire
-//! crate, so validation and error bytes are shared with the threaded
-//! path and the two transports stay byte-identical (the tests pin
-//! this, pipelined and replica traffic included).
+//! over the wire crate's buffered-frame parser [`split_frame`], which
+//! decodes each frame where it lies in the input buffer with the
+//! threaded path's validation and error bytes, so the transports stay
+//! byte-identical (the tests pin this, pipelined and replica traffic
+//! included).
 //!
 //! What the threaded server does with blocking primitives, the reactor
 //! ports to reactor-native mechanisms, preserving semantics:
@@ -42,7 +43,7 @@
 use crate::state::{Dispatch, GridState};
 use crate::tcp::{overload_response, ServeCounters, ServerConfig, WRITE_TIMEOUT};
 use nws_wire::{
-    append_response_frame, parse_frame_header, ErrorCode, ErrorReply, FrameKind, Request, Response,
+    append_response_frame, split_frame, ErrorCode, ErrorReply, FrameKind, Request, Response,
     WireError, HEADER_LEN,
 };
 use std::collections::VecDeque;
@@ -734,32 +735,20 @@ impl<D: Dispatch> EventLoop<D> {
     fn process_frames(&mut self, slot: usize) -> Option<WireError> {
         loop {
             let (req, frame_len) = {
-                let conn = self.conns[slot].as_mut()?;
-                let avail = &conn.inbuf[conn.in_pos..];
-                if avail.len() < HEADER_LEN {
-                    return None;
-                }
-                let header: [u8; HEADER_LEN] =
-                    avail[..HEADER_LEN].try_into().expect("checked length");
-                let (kind, len) = match parse_frame_header(&header) {
-                    Ok(parsed) => parsed,
+                let conn = self.conns[slot].as_ref()?;
+                match split_frame(&conn.inbuf[conn.in_pos..]) {
+                    // Reading-header or reading-payload state: wait for
+                    // the rest. The whole-frame budget armed at the last
+                    // request boundary keeps counting.
+                    Err(WireError::Truncated) => return None,
                     Err(e) => return Some(e),
-                };
-                if avail.len() < HEADER_LEN + len {
-                    // Reading-payload state: wait for the rest. The
-                    // whole-frame budget armed at the last request
-                    // boundary keeps counting.
-                    return None;
-                }
-                if kind != FrameKind::Request {
                     // Same refusal (and the same "wait for the full
                     // payload first" behavior) as `read_request`.
-                    return Some(WireError::BadKind(1));
-                }
-                let payload = &avail[HEADER_LEN..HEADER_LEN + len];
-                match Request::decode(payload) {
-                    Ok(req) => (req, HEADER_LEN + len),
-                    Err(e) => return Some(e),
+                    Ok((FrameKind::Response, _)) => return Some(WireError::BadKind(1)),
+                    Ok((FrameKind::Request, payload)) => match Request::decode(payload) {
+                        Ok(req) => (req, HEADER_LEN + payload.len()),
+                        Err(e) => return Some(e),
+                    },
                 }
             };
             if self.shutdown.load(Ordering::SeqCst) {

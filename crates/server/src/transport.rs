@@ -4,14 +4,16 @@
 //! [`InMemoryTransport`] routes every call through the *exact* frame
 //! codec the TCP path uses — encode, frame, decode, dispatch, encode,
 //! frame, decode — just with a `Vec<u8>` standing in for the socket.
-//! That makes "TCP and in-memory answers are byte-identical" a testable
-//! property rather than a hope.
+//! Frames are split where they lie ([`split_frame`]), as the reactor
+//! splits its input buffer: the bytes are exactly those a socket would
+//! carry, only the copies into fresh buffers are skipped. That makes
+//! "TCP and in-memory answers are byte-identical" a testable property
+//! rather than a hope.
 
 use crate::state::{Dispatch, GridState};
 use nws_wire::{
-    encode_request_frame, read_request, read_response, ErrorReply, ForecastReply, HorizonReply,
-    HostRow, Request, Response, SeriesTailReply, SnapshotReply, StatsReply, WalChunkReply,
-    WireError,
+    encode_request_frame, split_frame, ErrorReply, ForecastReply, FrameKind, HorizonReply, HostRow,
+    Request, Response, SeriesTailReply, SnapshotReply, StatsReply, WalChunkReply, WireError,
 };
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -167,17 +169,24 @@ impl<D: Dispatch> Transport for InMemoryTransport<D> {
     fn call_raw(&mut self, req: &Request) -> Result<(Response, Vec<u8>), ServeError> {
         // Client side: frame the request into the "wire".
         encode_request_frame(&mut self.wire, req);
-        // Server side: decode, dispatch straight into the response
-        // frame buffer — the same zero-copy path the socket servers
-        // serve through.
-        let decoded = read_request(&mut self.wire.as_slice())?;
+        // Server side: decode in place, dispatch straight into the
+        // response frame buffer — the same zero-copy path the socket
+        // servers serve through.
+        let decoded = match split_frame(&self.wire)? {
+            (FrameKind::Request, payload) => Request::decode(payload)?,
+            (FrameKind::Response, _) => return Err(WireError::BadKind(1).into()),
+        };
         self.back.clear();
         self.state
             .lock()
             .expect("server state poisoned")
             .dispatch_frame(&decoded, &mut self.back);
-        // Client side again: decode the response.
-        Ok(read_response(&mut self.back.as_slice())?)
+        // Client side again: decode the response; its payload is the
+        // one copy, because the caller keeps it.
+        match split_frame(&self.back)? {
+            (FrameKind::Response, payload) => Ok((Response::decode(payload)?, payload.to_vec())),
+            (FrameKind::Request, _) => Err(WireError::BadKind(0).into()),
+        }
     }
 }
 

@@ -10,6 +10,11 @@
 //! bytes `NW`. [`read_frame`] refuses frames whose declared payload
 //! exceeds [`MAX_FRAME`](crate::MAX_FRAME) *before* reading the payload,
 //! so a hostile peer cannot force an unbounded allocation.
+//!
+//! Two readers share one validation: [`read_frame`] pulls a frame off a
+//! stream into a fresh payload `Vec`; [`split_frame`] splits the first
+//! frame out of bytes already in memory and borrows its payload in
+//! place — what the in-memory transport and the reactor decode from.
 
 use crate::message::{Request, Response};
 use crate::{WireError, MAGIC, MAX_FRAME, VERSION};
@@ -58,11 +63,10 @@ fn finish_header_at(buf: &mut [u8], start: usize, kind: FrameKind) {
 
 /// Validates a frame header and returns what it declares: the kind and
 /// the payload length, the latter already checked against
-/// [`MAX_FRAME`](crate::MAX_FRAME). This is the incremental-decoding
-/// entry point: a reactor that has buffered `HEADER_LEN` bytes can
-/// learn exactly how many payload bytes to wait for — with the same
-/// validation order and the same typed errors as [`read_frame`], so
-/// error frames built from either path carry identical messages.
+/// [`MAX_FRAME`](crate::MAX_FRAME). Both [`read_frame`] and
+/// [`split_frame`] validate through it, so error frames built from
+/// either path carry identical messages; a caller holding only a header
+/// learns from it how many payload bytes to wait for.
 pub fn parse_frame_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, usize), WireError> {
     let magic = u16::from_be_bytes([header[0], header[1]]);
     if magic != MAGIC {
@@ -145,6 +149,22 @@ pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>), WireError> 
     let (kind, len) = parse_frame_header(&header)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
+    Ok((kind, payload))
+}
+
+/// Splits the first frame out of `buf`, returning its kind and its
+/// payload borrowed in place. Validates exactly as [`read_frame`] does
+/// on a stream holding the same bytes, in the same order: `Truncated`
+/// below a whole header, then the header's errors, then `Truncated`
+/// for a short payload. Bytes after the frame are ignored, so pipelined
+/// frames split off one at a time, and `Truncated` always means "wait
+/// for more bytes".
+pub fn split_frame(buf: &[u8]) -> Result<(FrameKind, &[u8]), WireError> {
+    let header = buf.first_chunk().ok_or(WireError::Truncated)?;
+    let (kind, len) = parse_frame_header(header)?;
+    let payload = buf
+        .get(HEADER_LEN..HEADER_LEN + len)
+        .ok_or(WireError::Truncated)?;
     Ok((kind, payload))
 }
 

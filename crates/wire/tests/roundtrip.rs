@@ -1,12 +1,15 @@
 //! Property tests for the wire protocol: every request/response variant
 //! round-trips bit-exactly, a borrowed reply encodes as the response
-//! built from it, and arbitrary garbage is rejected with a typed error
-//! — never a panic.
+//! built from it, a frame split in place gets the verdict a stream read
+//! gets, and arbitrary garbage is rejected with a typed error — never a
+//! panic.
 
 use nws_wire::{
-    read_frame, write_request, write_response, ErrorCode, ErrorReply, ForecastReply, HorizonReply,
-    HostRow, ReplyRef, Request, Response, SeriesPoint, SeriesTailReply, SnapshotReply, StatsReply,
-    WalChunkReply, Writer, BATCH_HEADER_LEN, MAX_BATCH, MAX_HORIZON, MAX_WAL_CHUNK,
+    encode_request_frame, encode_response_frame, read_frame, split_frame, write_request,
+    write_response, ErrorCode, ErrorReply, ForecastReply, FrameKind, HorizonReply, HostRow,
+    ReplyRef, Request, Response, SeriesPoint, SeriesTailReply, SnapshotReply, StatsReply,
+    WalChunkReply, WireError, Writer, BATCH_HEADER_LEN, HEADER_LEN, MAX_BATCH, MAX_FRAME,
+    MAX_HORIZON, MAX_WAL_CHUNK,
 };
 use proptest::prelude::*;
 
@@ -217,6 +220,41 @@ fn same_bytes_response(a: &Response, b: &Response) -> bool {
     a.encode() == b.encode()
 }
 
+/// A whole frame of either kind, with the kind it was framed as.
+fn any_frame() -> BoxedStrategy<(FrameKind, Vec<u8>)> {
+    prop_oneof![
+        any_request().prop_map(|req| {
+            let mut buf = Vec::new();
+            encode_request_frame(&mut buf, &req);
+            (FrameKind::Request, buf)
+        }),
+        any_response().prop_map(|resp| {
+            let mut buf = Vec::new();
+            encode_response_frame(&mut buf, &resp);
+            (FrameKind::Response, buf)
+        }),
+    ]
+    .boxed()
+}
+
+/// `split_frame` on `bytes` reaches the verdict `read_frame` reaches on
+/// a stream of the same bytes: the same kind and payload, or an error
+/// with the same `Display`.
+fn split_agrees_with_read(bytes: &[u8]) -> TestCaseResult {
+    match (
+        split_frame(bytes),
+        read_frame(&mut std::io::Cursor::new(bytes)),
+    ) {
+        (Ok((kind, payload)), Ok((read_kind, read_payload))) => {
+            prop_assert_eq!(kind, read_kind);
+            prop_assert!(payload == read_payload.as_slice(), "payloads differ");
+        }
+        (Err(split), Err(read)) => prop_assert_eq!(split.to_string(), read.to_string()),
+        (split, read) => prop_assert!(false, "split_frame {split:?}, read_frame {read:?}"),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -269,6 +307,55 @@ proptest! {
         let decoded = nws_wire::read_request(&mut std::io::Cursor::new(&buf))
             .expect("read own frame");
         prop_assert!(same_bytes_request(&decoded, &req));
+    }
+
+    #[test]
+    fn split_frame_agrees_with_read_frame(
+        (kind, frame) in any_frame(),
+        trailing in proptest::collection::vec(any::<u8>(), 1..16)
+    ) {
+        // Every proper prefix is a truncation. `read_frame` copies what
+        // a prefix holds, so it is compared at every header cut and at
+        // a few hundred payload cuts; `split_frame` at every cut.
+        let stride = (frame.len() / 256).max(1);
+        for cut in 0..frame.len() {
+            let split = split_frame(&frame[..cut]);
+            prop_assert!(matches!(split, Err(WireError::Truncated)), "cut {cut}: {split:?}");
+            if cut <= HEADER_LEN || cut % stride == 0 || cut + 1 == frame.len() {
+                split_agrees_with_read(&frame[..cut])?;
+            }
+        }
+        // The whole frame, alone and followed by bytes of another,
+        // splits to its own kind and payload.
+        let mut padded = frame.clone();
+        padded.extend_from_slice(&trailing);
+        for bytes in [&frame[..], &padded[..]] {
+            let split = split_frame(bytes);
+            prop_assert!(
+                matches!(split, Ok((k, payload)) if k == kind && payload == &frame[HEADER_LEN..]),
+                "{split:?}"
+            );
+            split_agrees_with_read(bytes)?;
+        }
+        // Each header corruption, with and without the trailing bytes a
+        // longer declared length would read into.
+        let corruptions: [fn(&mut [u8]); 5] = [
+            |h| h[0] ^= 0xFF,
+            |h| h[2] = h[2].wrapping_add(1),
+            |h| h[3] = 2,
+            |h| h[4..8].copy_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes()),
+            |h| {
+                let len = u32::from_le_bytes(h[4..8].try_into().expect("4 bytes"));
+                h[4..8].copy_from_slice(&(len + 1).to_le_bytes());
+            },
+        ];
+        for corrupt in corruptions {
+            for bytes in [&frame, &padded] {
+                let mut bad = bytes.clone();
+                corrupt(&mut bad);
+                split_agrees_with_read(&bad)?;
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use nws::server::{
 use nws::sim::HostProfile;
 use nws::wire::{
     append_request_frame, encode_request_frame, parse_frame_header, ErrorCode, Request, Response,
-    HEADER_LEN,
+    HEADER_LEN, MAX_STRING,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -209,6 +209,39 @@ fn a_reply_past_the_frame_bound_is_a_typed_error_on_the_same_connection() {
 }
 
 #[test]
+fn an_unknown_host_name_at_the_string_bound_is_answered_unknown_host() {
+    let _guard = lock();
+    // The reply quotes the name after 14 bytes of prefix, so names from
+    // 1,011 bytes up would overrun the string bound uncut; the last one
+    // puts the cut inside a three-byte char.
+    let names = [
+        "x".repeat(1_010),
+        "x".repeat(1_011),
+        "x".repeat(MAX_STRING),
+        "€".repeat(341),
+    ];
+    let mut mem = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(warm_grid(30)))));
+    let reactor =
+        ReactorServer::spawn(GridState::new(warm_grid(30)), reactor_config(1)).expect("bind");
+    let mut client = NwsClient::connect(reactor.addr(), ClientConfig::default()).expect("connect");
+    for name in &names {
+        let req = Request::Forecast { host: name.clone() };
+        let (resp, payload) = mem.call_raw(&req).expect("in-memory reply");
+        let (_, reactor_payload) = client.call_raw(&req).expect("reactor reply");
+        assert_eq!(payload, reactor_payload, "{}-byte name", name.len());
+        match resp {
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::UnknownHost);
+                assert!(e.message.len() <= MAX_STRING);
+                assert!(format!("no such host: {name}").starts_with(&e.message));
+            }
+            other => panic!("{}-byte name answered {other:?}", name.len()),
+        }
+    }
+    assert_eq!(client.reconnects(), 0, "every refusal was a readable frame");
+}
+
+#[test]
 fn personas_trip_the_reactor_defenses_without_hurting_healthy_clients() {
     use nws::loadgen::personas;
     let _guard = lock();
@@ -219,7 +252,6 @@ fn personas_trip_the_reactor_defenses_without_hurting_healthy_clients() {
                 read_timeout: Duration::from_millis(250),
                 request_deadline: Duration::from_millis(450),
                 max_connections: 8,
-                ..ServerConfig::default()
             },
             ..reactor_config(2)
         },
@@ -299,7 +331,6 @@ fn a_thousand_idle_connections_cost_no_threads_and_bounded_memory() {
                 // keep the idle cut far away.
                 read_timeout: Duration::from_secs(120),
                 request_deadline: Duration::from_secs(240),
-                ..ServerConfig::default()
             },
             ..reactor_config(2)
         },

@@ -142,7 +142,6 @@ fn adversarial_personas_trip_defenses_without_wedging_healthy_clients() {
             read_timeout: Duration::from_millis(250),
             request_deadline: Duration::from_millis(450),
             max_connections: 8,
-            ..ServerConfig::default()
         },
     )
     .expect("bind localhost");
