@@ -2,12 +2,14 @@
 //!
 //! ```text
 //! repro [--quick] [--smoke] [--seed N] [--threads N] <experiment>...
+//! repro check-bench BASELINE CANDIDATE
 //! ```
 //!
 //! `repro --help` lists the experiments. Tables are printed with the
 //! paper's published value in parentheses next to each measured cell;
 //! every artifact is also written as CSV under `results/` (override with
-//! `NWS_RESULTS_DIR`).
+//! `NWS_RESULTS_DIR`). `check-bench` diffs the structure of two
+//! benchmark JSON artifacts (see `nws_bench::check_bench`).
 //!
 //! Experiment drivers fan out over hosts/seeds/sweep points through
 //! `nws-runtime`; `--threads N` (or the `NWS_THREADS` environment
@@ -16,10 +18,14 @@
 
 use nws_bench::cli::{self, parse_args};
 use nws_bench::paper::Datasets;
-use nws_bench::{durability, extensions, fleet, load, paper, perf};
+use nws_bench::{check_bench, durability, extensions, fleet, load, paper, perf};
 use nws_core::experiments::ExperimentConfig;
 
 fn main() {
+    let mut argv = std::env::args().skip(1);
+    if argv.next().as_deref() == Some("check-bench") {
+        std::process::exit(check_bench::run(&argv.collect::<Vec<_>>()));
+    }
     let args = parse_args();
     nws_runtime::set_threads(args.threads);
     let tier = args.tier;

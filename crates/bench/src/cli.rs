@@ -151,6 +151,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: repro [--quick] [--smoke] [--seed N] [--threads N] \
          [--transport threaded|reactor|all] [--quality] <experiment>...\n\
+         \x20      repro check-bench BASELINE CANDIDATE\n\
          experiments: {}\n\
          only when named: {}\n\
          `all` (the default) runs the first list; names add to it",

@@ -1,9 +1,11 @@
 //! The `fleet` experiment: the scaling sweep over synthetic rosters
-//! (`results/fleet_sweep.csv`) and, with `--quality`, the
-//! forecast-quality sweep (`results/fleet_quality.csv`, also the
-//! `forecast_quality` section of `BENCH_perf.json`). Every value is a
-//! pure function of the seed, so CI byte-diffs both CSVs across thread
-//! counts; what a fleet costs to run is `benchmark`'s `ingest_fleet`.
+//! (`results/fleet_sweep.csv`: each fleet's best host and fingerprint
+//! after its run, with `racks` the grouping the monitor reports) and,
+//! with `--quality`, the forecast-quality sweep
+//! (`results/fleet_quality.csv`, also the `forecast_quality` section of
+//! `BENCH_perf.json`). Every value is a pure function of the seed, so CI
+//! byte-diffs both CSVs across thread counts; what a fleet costs to run
+//! is `benchmark`'s `ingest_fleet`.
 
 use crate::cli::Tier;
 use crate::json::{fixed, obj, Json};
@@ -23,8 +25,9 @@ pub fn run(seed: u64, tier: Tier, quality: bool) {
 }
 
 /// Runs `FleetMonitor` at each of the tier's host counts — tens to (full
-/// tier) a hundred thousand hosts, with hierarchical best-host
-/// aggregation — and returns the winners and fingerprints as CSV.
+/// tier) a hundred thousand hosts — and returns, per fleet, its rack
+/// count, the best host found by the pass that ends its run, and its
+/// fingerprint as CSV.
 fn scaling_sweep(seed: u64, tier: Tier) -> String {
     use nws_grid::{FleetConfig, FleetMonitor};
 

@@ -15,6 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod alloc_counter;
+pub mod check_bench;
 pub mod cli;
 pub mod durability;
 pub mod extensions;

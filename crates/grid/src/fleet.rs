@@ -1,14 +1,14 @@
-//! Fleet-scale monitoring: racks of synthetic hosts rolled up into a
-//! regional view.
+//! Fleet-scale monitoring: synthetic hosts, one forecast each, and the
+//! fleet-wide best host.
 //!
 //! The six-host [`GridMonitor`](crate::GridMonitor) runs full kernel
 //! simulations — the fidelity the paper's tables need, at ~100 scheduler
 //! ticks per measurement slot per host. This module is the scale
 //! counterpart: a [`FleetMonitor`] drives 10⁴–10⁵ *synthetic* hosts
-//! ([`SyntheticHost`]) through the same deterministic event engine, the
-//! same sharded columnar [`Memory`], and a hierarchical aggregation
-//! layer, so engine throughput and fleet-wide queries can be measured at
-//! sizes the kernel simulation cannot reach.
+//! ([`SyntheticHost`]) through the same deterministic event engine and
+//! the same sharded columnar [`Memory`], so engine throughput and
+//! fleet-wide queries can be measured at sizes the kernel simulation
+//! cannot reach.
 //!
 //! # Per-host forecasting
 //!
@@ -35,28 +35,30 @@
 //! profile traces via `nws_sim::ucsd_availability_traces`). A seeded
 //! [`FaultPlan`] applies per-host outage/dropout streams at fleet scale:
 //! a faulted slot records no measurement, window predictors age out
-//! (gap semantics), and the tournament keeps the host's last standing
-//! forecast. [`FaultPlan::none`] draws nothing and leaves every artifact
-//! bit-identical to the fault-free fleet.
+//! (gap semantics), and the host's last standing forecast stays in the
+//! best-host race. [`FaultPlan::none`] draws nothing and leaves every
+//! artifact bit-identical to the fault-free fleet.
 //!
-//! # Hierarchical aggregation
+//! # Best host
 //!
-//! Hosts are grouped into racks of [`FleetConfig::rack_size`]; each rack
-//! monitor maintains a max-tournament over its hosts' availability
-//! forecasts, and a regional monitor maintains a tournament over the
-//! rack winners. A host update replays one path in its rack's tree plus
-//! one path in the regional tree — O(log n) total — and the fleet-wide
-//! [`FleetMonitor::best_host`] answer is a root read, O(1). This mirrors
-//! the NWS's hierarchy of per-LAN name servers reporting into wider
-//! aggregates rather than one flat registry.
+//! Nothing asks for the fleet-wide answer while a run is in progress, so
+//! no commit maintains it: [`FleetMonitor::run_steps`] ends with one pass
+//! over the per-host forecasts in host order, among hosts with at least
+//! one reading, keeping the first maximum, and
+//! [`FleetMonitor::best_host`] reads that cached answer in O(1). Ties
+//! go to the lower host index, so the answer does not depend on commit
+//! order. Hosts are also grouped into racks of
+//! [`FleetConfig::rack_size`] ([`FleetMonitor::rack_count`]) — the NWS's
+//! per-LAN name servers — but that grouping is reported, not computed
+//! on.
 //!
 //! # Determinism
 //!
 //! Each host's trajectory is a pure function of `(index, seed)`, fault
 //! streams are pure functions of `(plan seed, host name)`, events commit
-//! slot-major in shard order through the engine, and the tournament
-//! replays are input-deterministic — so a fleet run is bit-identical at
-//! any thread count and any batch size, which
+//! slot-major in shard order through the engine, and the best-host pass
+//! reads the committed forecasts in host order — so a fleet run is
+//! bit-identical at any thread count and any batch size, which
 //! [`FleetMonitor::fingerprint`] pins cheaply.
 
 use crate::memory::{Memory, MemoryConfig};
@@ -88,7 +90,8 @@ const EWMA_GAIN: f64 = 0.25;
 pub struct FleetConfig {
     /// Hosts in the fleet.
     pub hosts: usize,
-    /// Hosts per rack (the unit of the first aggregation level).
+    /// Hosts per rack: the grouping [`FleetMonitor::rack_count`]
+    /// reports. No computation depends on it.
     pub rack_size: usize,
     /// Measurements retained per host series. Fleet memory is sized for
     /// recent-window forecasting, not day-long archives, so the default
@@ -125,78 +128,6 @@ pub enum FleetRoster {
     /// trace `i % traces.len()` at a seeded phase offset), so a fleet of
     /// any size replays a real workload mixture.
     TraceMixture(Vec<Vec<f64>>),
-}
-
-/// A max-tournament over a fixed leaf set: `update` replays the path
-/// from one leaf to the root (O(log n)); `best` reads the root (O(1)).
-/// Ties break toward the lower leaf index, keeping the winner — and
-/// every artifact derived from it — independent of update order.
-#[derive(Debug)]
-struct Tournament {
-    /// Number of live leaves.
-    leaves: usize,
-    /// Leaf capacity rounded up to a power of two.
-    cap: usize,
-    /// Leaf keys; dead leaves hold −∞ and never win.
-    keys: Vec<f64>,
-    /// Winning leaf index per internal node; `tree[1]` is the champion.
-    tree: Vec<u32>,
-}
-
-impl Tournament {
-    fn new(leaves: usize) -> Self {
-        assert!(leaves > 0, "tournament needs at least one leaf");
-        let cap = leaves.next_power_of_two();
-        Self {
-            leaves,
-            cap,
-            keys: vec![f64::NEG_INFINITY; leaves],
-            tree: vec![u32::MAX; cap],
-        }
-    }
-
-    /// The winning leaf below `node`, or `None` for dead subtrees.
-    fn winner(&self, node: usize) -> Option<u32> {
-        if node >= self.cap {
-            let leaf = node - self.cap;
-            (leaf < self.leaves && self.keys[leaf] > f64::NEG_INFINITY).then_some(leaf as u32)
-        } else {
-            let w = self.tree[node];
-            (w != u32::MAX).then_some(w)
-        }
-    }
-
-    /// Sets leaf `leaf`'s key and replays its path to the root.
-    fn update(&mut self, leaf: usize, key: f64) {
-        self.keys[leaf] = key;
-        let mut node = (self.cap + leaf) / 2;
-        while node >= 1 {
-            let left = self.winner(2 * node);
-            let right = self.winner(2 * node + 1);
-            self.tree[node] = match (left, right) {
-                (Some(l), Some(r)) => {
-                    // Strict > keeps the tie-break on the lower index
-                    // (left subtree holds the lower leaves).
-                    if self.keys[r as usize] > self.keys[l as usize] {
-                        r
-                    } else {
-                        l
-                    }
-                }
-                (Some(l), None) => l,
-                (None, Some(r)) => r,
-                (None, None) => u32::MAX,
-            };
-            node /= 2;
-        }
-    }
-
-    /// The champion leaf and its key (the root read; for a single-leaf
-    /// tournament node 1 *is* that leaf).
-    fn best(&self) -> Option<(usize, f64)> {
-        let w = self.winner(1)?;
-        Some((w as usize, self.keys[w as usize]))
-    }
 }
 
 /// The availability process one fleet shard replays.
@@ -267,14 +198,11 @@ enum ForecastLane {
 }
 
 /// The commit side: sharded memory ingest, per-host forecasts, and the
-/// two-level tournament roll-up.
+/// event and gap counts.
 struct FleetStage<'a> {
     memory: &'a mut Memory,
     forecasts: &'a mut [f64],
     lane: &'a mut ForecastLane,
-    racks: &'a mut [Tournament],
-    region: &'a mut Tournament,
-    rack_size: usize,
     events: &'a mut u64,
     gaps: &'a mut u64,
 }
@@ -283,9 +211,8 @@ impl Stage<FleetShard> for FleetStage<'_> {
     fn commit(&mut self, shard: usize, _source: &mut FleetShard, slot: u64, event: &FleetSample) {
         if event.gap {
             // Gap-aware semantics: no measurement is stored, window
-            // predictors age out, level predictors (the EWMA lane) keep
-            // their estimate, and the tournament keeps the host's last
-            // standing key.
+            // predictors age out, and level predictors (the EWMA lane)
+            // keep their estimate; the host's forecast stays standing.
             if let ForecastLane::Bank(banks) = self.lane {
                 banks[shard].note_gap();
             }
@@ -319,17 +246,27 @@ impl Stage<FleetShard> for FleetStage<'_> {
                     .expect("a bank that just observed can predict");
             }
         }
-        let rack = shard / self.rack_size;
-        self.racks[rack].update(shard % self.rack_size, *forecast);
-        if let Some((_, rack_best)) = self.racks[rack].best() {
-            self.region.update(rack, rack_best);
-        }
         *self.events += 1;
     }
 }
 
-/// The fleet: an engine over host shards plus the rolled-up state the
-/// commit stage maintains.
+/// The first maximum forecast in host order among hosts with at least
+/// one reading. Strict `>` from −∞ keeps ties on the lower index, and a
+/// NaN or −∞ forecast never wins.
+fn best_reported(memory: &Memory, forecasts: &[f64]) -> Option<(usize, f64)> {
+    let mut best = None;
+    let mut key = f64::NEG_INFINITY;
+    for (host, &forecast) in forecasts.iter().enumerate() {
+        if forecast > key && !memory.is_empty(ResourceId(host as u64)) {
+            best = Some((host, forecast));
+            key = forecast;
+        }
+    }
+    best
+}
+
+/// The fleet: an engine over host shards plus the state the commit
+/// stage maintains.
 pub struct FleetMonitor {
     config: FleetConfig,
     engine: Engine<FleetShard>,
@@ -337,10 +274,8 @@ pub struct FleetMonitor {
     /// Per-host availability forecast (dense; both lanes keep it).
     forecasts: Vec<f64>,
     lane: ForecastLane,
-    /// First aggregation level: one tournament per rack.
-    racks: Vec<Tournament>,
-    /// Second level: tournament over rack winners.
-    region: Tournament,
+    /// The best host as of the end of the last run.
+    best: Option<(usize, f64)>,
     events: u64,
     /// Slots lost to the fault plan (0 without one).
     gaps: u64,
@@ -405,13 +340,6 @@ impl FleetMonitor {
                 batch_slots: config.batch_slots,
             },
         );
-        let rack_count = config.hosts.div_ceil(config.rack_size);
-        let racks = (0..rack_count)
-            .map(|r| {
-                let in_rack = config.rack_size.min(config.hosts - r * config.rack_size);
-                Tournament::new(in_rack)
-            })
-            .collect();
         let lane = match config.panel {
             FleetPanel::Ewma => ForecastLane::Ewma,
             FleetPanel::Bank(spec) => ForecastLane::Bank(vec![spec.build(); config.hosts]),
@@ -424,41 +352,33 @@ impl FleetMonitor {
             }),
             forecasts: vec![0.0; config.hosts],
             lane,
-            racks,
-            region: Tournament::new(rack_count),
+            best: None,
             events: 0,
             gaps: 0,
         }
     }
 
-    /// Runs `slots` measurement slots through the engine.
+    /// Runs `slots` measurement slots through the engine, then finds the
+    /// best host once.
     pub fn run_steps(&mut self, slots: u64) {
         let mut stage = FleetStage {
             memory: &mut self.memory,
             forecasts: &mut self.forecasts,
             lane: &mut self.lane,
-            racks: &mut self.racks,
-            region: &mut self.region,
-            rack_size: self.config.rack_size,
             events: &mut self.events,
             gaps: &mut self.gaps,
         };
         self.engine.run(slots, &mut stage);
+        self.best = best_reported(&self.memory, &self.forecasts);
     }
 
-    /// The fleet-wide best host `(index, forecast availability)` —
-    /// the regional tournament root, maintained in O(log n) per update
-    /// and read in O(1).
+    /// The fleet-wide best host `(index, forecast availability)` as of
+    /// the end of the last [`run_steps`](Self::run_steps): the highest
+    /// forecast among hosts with at least one reading, the lowest index
+    /// on ties, `None` while no host has reported. An O(1) read of the
+    /// answer that run computed.
     pub fn best_host(&self) -> Option<(usize, f64)> {
-        let (rack, _) = self.region.best()?;
-        let (leaf, key) = self.racks[rack].best()?;
-        Some((rack * self.config.rack_size + leaf, key))
-    }
-
-    /// The best host within one rack.
-    pub fn rack_best(&self, rack: usize) -> Option<(usize, f64)> {
-        let (leaf, key) = self.racks.get(rack)?.best()?;
-        Some((rack * self.config.rack_size + leaf, key))
+        self.best
     }
 
     /// Host count.
@@ -466,9 +386,10 @@ impl FleetMonitor {
         self.config.hosts
     }
 
-    /// Rack count.
+    /// Rack count: hosts in racks of [`FleetConfig::rack_size`], the
+    /// last one possibly partial.
     pub fn rack_count(&self) -> usize {
-        self.racks.len()
+        self.config.hosts.div_ceil(self.config.rack_size)
     }
 
     /// Events committed so far (gap slots are not events).
@@ -486,7 +407,9 @@ impl FleetMonitor {
         self.engine.slot()
     }
 
-    /// The current availability forecast for one host.
+    /// The current availability forecast for one host; it stands through
+    /// gaps. It is 0.0 until the host's first reading, and such a host
+    /// never wins [`best_host`](Self::best_host).
     pub fn forecast(&self, host: usize) -> f64 {
         self.forecasts[host]
     }
@@ -536,7 +459,7 @@ impl std::fmt::Debug for FleetMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetMonitor")
             .field("hosts", &self.config.hosts)
-            .field("racks", &self.racks.len())
+            .field("racks", &self.rack_count())
             .field("slots", &self.engine.slot())
             .field("events", &self.events)
             .field("gaps", &self.gaps)
@@ -548,42 +471,6 @@ impl std::fmt::Debug for FleetMonitor {
 mod tests {
     use super::*;
     use nws_faults::FaultRates;
-
-    #[test]
-    fn tournament_tracks_max_with_low_index_ties() {
-        let mut t = Tournament::new(5);
-        for (i, k) in [0.2, 0.9, 0.5, 0.9, 0.1].iter().enumerate() {
-            t.update(i, *k);
-        }
-        assert_eq!(t.best(), Some((1, 0.9)), "tie breaks to the lower index");
-        t.update(1, 0.05);
-        assert_eq!(t.best(), Some((3, 0.9)));
-        t.update(4, 0.95);
-        assert_eq!(t.best(), Some((4, 0.95)));
-    }
-
-    #[test]
-    fn tournament_matches_linear_scan_under_churn() {
-        let mut t = Tournament::new(37);
-        let mut keys = vec![f64::NEG_INFINITY; 37];
-        let mut rng: u64 = 99;
-        for step in 0..2000 {
-            rng ^= rng >> 12;
-            rng ^= rng << 25;
-            rng ^= rng >> 27;
-            let leaf = (rng % 37) as usize;
-            let key = ((rng >> 16) % 1000) as f64 / 1000.0;
-            t.update(leaf, key);
-            keys[leaf] = key;
-            let want = keys
-                .iter()
-                .enumerate()
-                .filter(|(_, k)| **k > f64::NEG_INFINITY)
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(&a.0)))
-                .map(|(i, k)| (i, *k));
-            assert_eq!(t.best(), want, "step {step}");
-        }
-    }
 
     #[test]
     fn fleet_runs_and_serves_best_host() {
@@ -599,7 +486,7 @@ mod tests {
         let (best, key) = fleet.best_host().expect("fleet has hosts");
         assert!(best < 130);
         assert!((0.0..=1.0).contains(&key));
-        // The root really is the global argmax of the forecasts.
+        // The answer really is the global argmax of the forecasts.
         let scan = (0..130)
             .map(|h| (h, fleet.forecast(h)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)))
