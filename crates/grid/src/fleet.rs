@@ -55,11 +55,18 @@
 //! # Determinism
 //!
 //! Each host's trajectory is a pure function of `(index, seed)`, fault
-//! streams are pure functions of `(plan seed, host name)`, events commit
-//! slot-major in shard order through the engine, and the best-host pass
-//! reads the committed forecasts in host order — so a fleet run is
-//! bit-identical at any thread count and any batch size, which
-//! [`FleetMonitor::fingerprint`] pins cheaply.
+//! streams are pure functions of `(plan seed, host name)`, and the
+//! best-host pass reads the committed forecasts in host order. The
+//! commit stage is shard-local ([`Stage::SHARD_LOCAL`]): a commit writes
+//! only its host's memory column, forecast and bank, plus counters (the
+//! memory's global revision — the fleet attaches no journal — and the
+//! event and gap counts). So the engine commits each round shard-major,
+//! one host's [`FleetConfig::batch_slots`] slots back to back while its
+//! bank is in cache, and the result is the state the slot-major order
+//! gives. A fleet run is therefore bit-identical at any thread count and
+//! any batch size, which [`FleetMonitor::fingerprint`] pins cheaply and
+//! `tests/fleet_model.rs` holds against `batch_slots = 1` (slot-major by
+//! construction).
 
 use crate::memory::{Memory, MemoryConfig};
 use crate::registry::ResourceId;
@@ -99,7 +106,9 @@ pub struct FleetConfig {
     pub retain: usize,
     /// Base seed for the synthetic roster.
     pub seed: u64,
-    /// Engine batch window (slots produced per commit barrier).
+    /// Engine batch window: slots produced per commit barrier, and how
+    /// many consecutive slots one host's forecaster runs before the
+    /// commit moves to the next host. Outputs do not depend on it.
     pub batch_slots: usize,
     /// Per-host forecaster selection.
     pub panel: FleetPanel,
@@ -208,6 +217,12 @@ struct FleetStage<'a> {
 }
 
 impl Stage<FleetShard> for FleetStage<'_> {
+    /// A commit writes its shard's memory column, forecast and bank, and
+    /// bumps counters: the memory's global revision (no journal records
+    /// its order) and the event and gap counts. The best host is found
+    /// after the run.
+    const SHARD_LOCAL: bool = true;
+
     fn commit(&mut self, shard: usize, _source: &mut FleetShard, slot: u64, event: &FleetSample) {
         if event.gap {
             // Gap-aware semantics: no measurement is stored, window

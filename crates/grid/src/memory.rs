@@ -25,9 +25,12 @@
 //! shard (host) owns a small contiguous block of column segments.
 //! Ingest is therefore an O(1) index, not a tree walk — at fleet scale
 //! (10⁵ hosts × 4 series) the per-append id lookup is what dominates
-//! the commit stage, and the commit loop's slot-major order makes the
-//! per-segment revision bumps merge into `global_revision` in canonical
-//! order regardless of how production was parallelized.
+//! the commit stage. An append touches one segment and its metadata
+//! plus `global_revision`, which is only a count: the grid monitor
+//! commits slot-major, so its journal and revision bumps follow the
+//! canonical order regardless of how production was parallelized, and
+//! the unjournaled fleet may commit shard-major — each segment still
+//! sees its own appends in order, and the count ends the same.
 
 use crate::registry::ResourceId;
 use crate::wal::{crc32, Wal, WalError, WalRecord, SNAPSHOT_MAGIC};

@@ -1,4 +1,5 @@
-//! The fleet's best host is a scan.
+//! The fleet's best host is a scan, and its outputs do not depend on the
+//! batch window.
 //!
 //! [`FleetMonitor::best_host`] is computed once at the end of each
 //! `run_steps`. Whatever the roster, fault plan, run length, thread count
@@ -6,6 +7,11 @@
 //! public state: among hosts holding at least one reading, the maximum
 //! forecast at the lowest index that holds it — or `None` while no host
 //! has reported.
+//!
+//! The engine commits the fleet shard-major within each round of
+//! `batch_slots` slots. A fleet at `batch_slots = 1` is committed
+//! slot-major by construction, and every observable output of a fleet
+//! at any other window must equal it.
 
 use nws_faults::{FaultPlan, FaultRates};
 use nws_forecast::PanelSpec;
@@ -42,6 +48,33 @@ fn traces() -> Vec<Vec<f64>> {
 
 fn best_bits(fleet: &FleetMonitor) -> Option<(usize, u64)> {
     fleet.best_host().map(|(h, f)| (h, f.to_bits()))
+}
+
+/// A quality-table row with its sums as bits.
+type RowBits = (String, u64, u64, u64);
+
+/// Everything a fleet shows: its fingerprint, its memory's, the quality
+/// table bit for bit, and the event and gap counts.
+fn outputs(fleet: &FleetMonitor) -> (u64, u64, Vec<RowBits>, u64, u64) {
+    let rows = fleet
+        .quality_table()
+        .into_iter()
+        .map(|r| {
+            (
+                r.name.to_string(),
+                r.scored,
+                r.abs_sum.to_bits(),
+                r.sq_sum.to_bits(),
+            )
+        })
+        .collect();
+    (
+        fleet.fingerprint(),
+        fleet.memory().fingerprint(),
+        rows,
+        fleet.events(),
+        fleet.gaps(),
+    )
 }
 
 proptest! {
@@ -88,6 +121,51 @@ proptest! {
                         }
                         if mixture {
                             prop_assert!(fleet.memory().is_empty(ResourceId(0)));
+                        }
+                        nws_runtime::set_threads(None);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fleet_outputs_match_the_slot_major_fleet_at_any_batch_window(
+        hosts in 1usize..24,
+        seed in any::<u64>(),
+    ) {
+        for panel in [FleetPanel::Ewma, FleetPanel::Bank(PanelSpec::Nws1999)] {
+            for rate in [0.0, 0.3] {
+                let faults = FaultPlan::seeded(seed ^ 0xBA7C, FaultRates::uniform(rate));
+                for roster in [FleetRoster::Synthetic, FleetRoster::TraceMixture(traces())] {
+                    let mixture = matches!(roster, FleetRoster::TraceMixture(_));
+                    for threads in [1, 4] {
+                        nws_runtime::set_threads(Some(threads));
+                        let fleet = |batch_slots| {
+                            let config = FleetConfig {
+                                hosts,
+                                seed,
+                                batch_slots,
+                                panel,
+                                ..FleetConfig::default()
+                            };
+                            FleetMonitor::with_roster(config, roster.clone(), &faults)
+                        };
+                        let mut slot_major = fleet(1);
+                        let mut batched = [fleet(7), fleet(64)];
+                        for slots in [0, 1, 7, 64, 130] {
+                            slot_major.run_steps(slots);
+                            let want = outputs(&slot_major);
+                            for f in &mut batched {
+                                f.run_steps(slots);
+                                prop_assert!(
+                                    outputs(f) == want,
+                                    "{panel:?} rate {rate} mixture {mixture} threads {threads} \
+                                     after {} slots: {:?} != {want:?}",
+                                    f.slots(),
+                                    outputs(f)
+                                );
+                            }
                         }
                         nws_runtime::set_threads(None);
                     }

@@ -20,21 +20,34 @@
 //! ([`parallel_zip_mut`]), but commits always replay the canonical
 //! order, so runs are bit-identical at any thread count.
 //!
+//! A stage whose commits are shard-local ([`Stage::SHARD_LOCAL`]) opts
+//! out of the cross-shard half of that order: within each round its
+//! commits run shard-major — shard 0's slots of the batch in slot order,
+//! then shard 1's — so one shard's commit state (a predictor bank, a
+//! memory column) stays in cache for up to `batch_slots` consecutive
+//! commits. Each shard still sees its own slots in order, and since no
+//! commit reads another shard's state, the result is the same state the
+//! canonical order yields. The choice is a compile-time constant, so the
+//! slot-major loop of every other stage is unchanged.
+//!
 //! # Bounded batches, pooled buffers
 //!
 //! Production is buffered at most [`EngineConfig::batch_slots`] slots
 //! ahead of the commit stage — the engine's event queues are bounded by
 //! `batch_slots × shards` and the commit barrier at the end of each
 //! round provides backpressure: no source can run further ahead than one
-//! batch window.
+//! batch window. For a shard-local stage the window is also the run of
+//! consecutive commits one shard gets.
 //!
 //! The buffers themselves are one bank of engine-owned, per-shard event
 //! arenas: each round the producers fill them in place (via
 //! [`parallel_zip_mut`]) and, past that barrier, the commit loop reads
-//! them slot-major — the two halves of a round are never live at once,
-//! so one bank serves both. Arenas are cleared — never dropped — between
-//! rounds, so once warmed to `batch_slots` capacity a steady-state round
-//! performs no allocation at all.
+//! them — slot-major, or shard-major for a shard-local stage. The two
+//! halves of a round are never live at once, so one bank serves both.
+//! Arenas are cleared — never dropped — between rounds, so once warmed
+//! to `batch_slots` capacity a steady-state round performs no allocation
+//! at all. The sequential path needs no arenas in either order: it
+//! commits each event as it is produced.
 //!
 //! # The determinism contract
 //!
@@ -45,6 +58,11 @@
 //! queues, statistics), `produce` must never read what `commit` writes.
 //! The grid monitor's hosts honor this: sensing reads the host simulator
 //! and fault stream; committing writes the delay lines and fault stats.
+//! A [`Stage::SHARD_LOCAL`] stage adds one more promise — a commit
+//! writes only its shard's state, plus counters whose final value does
+//! not depend on order — and in return its batch size moves which
+//! commits interleave, never the bits. The grid monitor's `Archive`
+//! does not make it: its WAL bytes and revision order are slot-major.
 //!
 //! [`parallel_zip_mut`]: crate::parallel_zip_mut
 
@@ -120,10 +138,22 @@ pub trait Source: Send {
 ///
 /// `commit` observes the canonical event order — slot-major, shard
 /// registration order within a slot — regardless of how production was
-/// parallelized. It receives the producing shard mutably so delivery
-/// state that lives with the shard (delay lines, per-shard statistics)
-/// can be updated at commit time.
+/// parallelized; a stage that sets [`Stage::SHARD_LOCAL`] observes the
+/// shard-major order within each round instead. It receives the
+/// producing shard mutably so delivery state that lives with the shard
+/// (delay lines, per-shard statistics) can be updated at commit time.
 pub trait Stage<S: Source> {
+    /// Commits of different shards touch disjoint state, so any
+    /// interleaving that keeps each shard's slots in order yields the
+    /// same state.
+    ///
+    /// A stage that sets it is committed shard-major within each round:
+    /// shard 0's slots of the batch in order, then shard 1's, and so on,
+    /// so one shard's commit state stays in cache for the whole batch.
+    /// The default, `false`, keeps the canonical slot-major order — what
+    /// a stage with a shared log (a WAL, a revision sequence) needs.
+    const SHARD_LOCAL: bool = false;
+
     /// Absorbs one shard's event for one slot.
     fn commit(&mut self, shard: usize, source: &mut S, slot: u64, event: &S::Event);
 }
@@ -183,8 +213,10 @@ impl<S: Source> Engine<S> {
         self.config.batch_slots = batch_slots;
     }
 
-    /// Runs `slots` measurement slots through the pipeline, committing
-    /// every event in canonical order.
+    /// Runs `slots` measurement slots through the pipeline in rounds of
+    /// at most `batch_slots`, committing every event in canonical order
+    /// — or, for a [`Stage::SHARD_LOCAL`] stage, shard-major within each
+    /// round.
     pub fn run<St: Stage<S>>(&mut self, slots: u64, stage: &mut St) {
         let mut remaining = slots;
         while remaining > 0 {
@@ -195,21 +227,30 @@ impl<S: Source> Engine<S> {
     }
 
     /// One bounded batch: produce up to `take` slots per shard, then
-    /// drain the buffered events slot-major in shard order.
+    /// drain the buffered events slot-major in shard order, or
+    /// shard-major when the stage is [`Stage::SHARD_LOCAL`].
     fn round<St: Stage<S>>(&mut self, take: u64, stage: &mut St) {
         let start = self.slot;
         if crate::threads() <= 1 || self.sources.len() <= 1 {
-            // Sequential: produce and commit each event in canonical
-            // order directly — the reference interleaving the parallel
-            // path must reproduce.
-            for i in 0..take {
-                let slot = start + i;
+            // Sequential: produce and commit each event in order
+            // directly — the reference interleaving the parallel path
+            // must reproduce. No arena is needed.
+            if St::SHARD_LOCAL {
                 for (shard, src) in self.sources.iter_mut().enumerate() {
-                    let ev = src.produce(slot);
-                    stage.commit(shard, src, slot, &ev);
+                    for slot in start..start + take {
+                        let ev = src.produce(slot);
+                        stage.commit(shard, src, slot, &ev);
+                    }
                 }
-                self.slot = slot + 1;
+            } else {
+                for slot in start..start + take {
+                    for (shard, src) in self.sources.iter_mut().enumerate() {
+                        let ev = src.produce(slot);
+                        stage.commit(shard, src, slot, &ev);
+                    }
+                }
             }
+            self.slot = start + take;
             return;
         }
         // Parallel: each shard produces its whole batch into its own
@@ -224,9 +265,17 @@ impl<S: Source> Engine<S> {
             arena.clear();
             arena.extend((0..take).map(|i| src.produce(start + i)));
         });
-        for i in 0..take {
-            for (shard, src) in self.sources.iter_mut().enumerate() {
-                stage.commit(shard, src, start + i, &self.arenas[shard][i as usize]);
+        if St::SHARD_LOCAL {
+            for (shard, (src, arena)) in self.sources.iter_mut().zip(&self.arenas).enumerate() {
+                for (slot, ev) in (start..).zip(arena) {
+                    stage.commit(shard, src, slot, ev);
+                }
+            }
+        } else {
+            for i in 0..take {
+                for (shard, src) in self.sources.iter_mut().enumerate() {
+                    stage.commit(shard, src, start + i, &self.arenas[shard][i as usize]);
+                }
             }
         }
         self.slot = start + take;
@@ -265,28 +314,44 @@ mod tests {
         }
     }
 
-    /// Collects the committed event order and folds values into a hash.
+    const SHARDS: usize = 5;
+    const SLOTS: u64 = 100;
+
+    /// Collects the committed event order, folds values into a hash, and
+    /// keeps each shard's events in the order they were committed. The
+    /// per-shard streams are what `SHARD_LOCAL` promises to preserve.
     #[derive(Default)]
-    struct Collector {
+    struct Collector<const SHARD_LOCAL: bool> {
         order: Vec<(u64, usize)>,
         hash: u64,
+        streams: [Vec<u64>; SHARDS],
     }
 
-    impl Stage<Counter> for Collector {
+    impl<const L: bool> Stage<Counter> for Collector<L> {
+        const SHARD_LOCAL: bool = L;
+
         fn commit(&mut self, shard: usize, _src: &mut Counter, slot: u64, event: &u64) {
             self.order.push((slot, shard));
             self.hash = self.hash.wrapping_mul(0x100000001B3) ^ event;
+            self.streams[shard].push(*event);
         }
     }
 
-    fn run_engine(threads: usize, batch_slots: usize) -> (Vec<(u64, usize)>, u64) {
+    fn run_stage<const L: bool>(threads: usize, batch_slots: usize) -> Collector<L> {
         crate::set_threads(Some(threads));
-        let sources: Vec<Counter> = (0..5).map(|i| Counter { seed: i, state: i }).collect();
+        let sources: Vec<Counter> = (0..SHARDS as u64)
+            .map(|i| Counter { seed: i, state: i })
+            .collect();
         let mut engine = Engine::new(sources, EngineConfig { batch_slots });
         let mut stage = Collector::default();
-        engine.run(100, &mut stage);
+        engine.run(SLOTS, &mut stage);
         crate::set_threads(None);
-        assert_eq!(engine.slot(), 100);
+        assert_eq!(engine.slot(), SLOTS);
+        stage
+    }
+
+    fn run_engine(threads: usize, batch_slots: usize) -> (Vec<(u64, usize)>, u64) {
+        let stage = run_stage::<false>(threads, batch_slots);
         (stage.order, stage.hash)
     }
 
@@ -308,6 +373,30 @@ mod tests {
                     run_engine(threads, batch),
                     reference,
                     "threads={threads} batch={batch}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shard_local_stage_commits_shard_major_within_each_round() {
+        let reference = run_stage::<false>(1, 64).streams;
+        for threads in [1, 4] {
+            for batch in [1, 16, 64] {
+                let stage = run_stage::<true>(threads, batch);
+                // Rounds of `batch` slots (the last one short); inside a
+                // round, every slot of shard 0, then of shard 1, ...
+                let expect: Vec<(u64, usize)> = (0..SLOTS)
+                    .step_by(batch)
+                    .flat_map(|start| {
+                        let end = (start + batch as u64).min(SLOTS);
+                        (0..SHARDS).flat_map(move |h| (start..end).map(move |s| (s, h)))
+                    })
+                    .collect();
+                assert_eq!(stage.order, expect, "threads={threads} batch={batch}");
+                assert_eq!(
+                    stage.streams, reference,
+                    "threads={threads} batch={batch}: a shard's events changed"
                 );
             }
         }
