@@ -46,7 +46,8 @@ fn parse_args() -> Args {
                 coverage = iter
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--coverage needs a fraction"));
+                    .filter(|c: &f64| *c > 0.0 && *c < 1.0)
+                    .unwrap_or_else(|| usage("--coverage needs a fraction in (0, 1)"));
             }
             "--top" => {
                 top = iter

@@ -20,11 +20,6 @@ impl Tier {
             Tier::Full => full,
         }
     }
-
-    /// The tier's name as artifacts record it.
-    pub fn name(self) -> &'static str {
-        self.pick("smoke", "quick", "full")
-    }
 }
 
 /// The experiments `all` (or no name at all) expands to, in run order.
@@ -49,9 +44,9 @@ pub const DEFAULT: &[&str] = &[
     "faults",
 ];
 
-/// Experiments that run only when named: they time kernels, sweep
-/// six-figure fleets, or open real sockets.
-pub const NAMED_ONLY: &[&str] = &["perf", "fleet", "durability", "load"];
+/// Experiments that run only when named: they sweep six-figure fleets
+/// or open real sockets.
+pub const NAMED_ONLY: &[&str] = &["fleet", "durability"];
 
 /// The experiments a list of names selects, in run order. `all`, or an
 /// empty list, expands to [`DEFAULT`]; a name given explicitly always
@@ -76,9 +71,6 @@ pub struct Args {
     pub tier: Tier,
     pub seed: Option<u64>,
     pub threads: Option<usize>,
-    /// Which socket transport `load` drives: "threaded", "reactor", or
-    /// "all" (both, the default — and what CI diffs).
-    pub transport: String,
     /// `fleet --quality`: the forecast-quality sweep instead of the
     /// scaling sweep.
     pub quality: bool,
@@ -91,7 +83,6 @@ pub fn parse_args() -> Args {
     let (mut quick, mut smoke) = (false, false);
     let mut seed = None;
     let mut threads = None;
-    let mut transport = String::from("all");
     let mut quality = false;
     let mut named = Vec::new();
     let mut iter = std::env::args().skip(1);
@@ -115,13 +106,6 @@ pub fn parse_args() -> Args {
                 }
                 threads = Some(n);
             }
-            "--transport" => {
-                let v = value("--transport", &mut iter);
-                if !["threaded", "reactor", "all"].contains(&v.as_str()) {
-                    usage("transport must be threaded, reactor, or all");
-                }
-                transport = v;
-            }
             "--quality" => quality = true,
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
@@ -138,7 +122,6 @@ pub fn parse_args() -> Args {
         },
         seed,
         threads,
-        transport,
         quality,
         experiments: select(&named).unwrap_or_else(|e| usage(&e)),
     }
@@ -150,8 +133,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--quick] [--smoke] [--seed N] [--threads N] \
-         [--transport threaded|reactor|all] [--quality] <experiment>...\n\
-         \x20      repro check-bench BASELINE CANDIDATE\n\
+         [--quality] <experiment>...\n\
          experiments: {}\n\
          only when named: {}\n\
          `all` (the default) runs the first list; names add to it",
@@ -171,24 +153,26 @@ mod tests {
 
     #[test]
     fn a_named_experiment_runs_beside_all() {
-        let with_load = select(&names(&["all", "load"])).expect("known names");
-        assert!(with_load.contains(&"load"));
-        assert_eq!(with_load.len(), DEFAULT.len() + 1);
+        let with_fleet = select(&names(&["all", "fleet"])).expect("known names");
+        assert!(with_fleet.contains(&"fleet"));
+        assert_eq!(with_fleet.len(), DEFAULT.len() + 1);
         let all = select(&names(&["all"])).expect("known names");
-        assert!(!all.contains(&"load"));
+        assert!(!all.contains(&"fleet"));
         assert_eq!(all, DEFAULT);
         assert_eq!(select(&[]).expect("empty is all"), all);
         assert_eq!(
-            select(&names(&["load", "table2"])).unwrap(),
-            ["table2", "load"]
+            select(&names(&["fleet", "table2"])).unwrap(),
+            ["table2", "fleet"]
         );
     }
 
     #[test]
     fn the_retired_serve_experiment_is_unknown() {
-        assert_eq!(
-            select(&names(&["serve"])),
-            Err("unknown experiment serve".to_string())
-        );
+        for retired in ["serve", "load", "perf"] {
+            assert_eq!(
+                select(&names(&[retired])),
+                Err(format!("unknown experiment {retired}"))
+            );
+        }
     }
 }

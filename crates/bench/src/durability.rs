@@ -1,7 +1,7 @@
-//! The `durability` experiment — a crash-recovery sweep plus a serving
-//! availability phase — and the primary + replica + failover-client
-//! fixture it shares with `load`. Recovery and failover latencies are
-//! printed only; the CSVs carry deterministic columns.
+//! The `durability` experiment: a crash-recovery sweep plus a serving
+//! availability phase over a primary + replica + failover-client
+//! fixture. Recovery and failover latencies are printed only; the CSVs
+//! carry deterministic columns.
 
 use crate::cli::Tier;
 use crate::write_artifact;
@@ -19,19 +19,19 @@ use std::time::{Duration, Instant};
 
 /// A journaled TCP primary, a replica synced from it over the wire and
 /// served on a second socket, and a client that fails over between them.
-pub(crate) struct FailoverFixture {
-    pub primary: NwsServer<GridState>,
+struct FailoverFixture {
+    primary: NwsServer<GridState>,
     /// `None` while the replica is down.
-    pub replica: Option<NwsServer<ReplicaState>>,
-    pub client: FailoverClient,
+    replica: Option<NwsServer<ReplicaState>>,
+    client: FailoverClient,
     /// The primary's memory fingerprint, which every replica must reach.
-    pub fingerprint: u64,
+    fingerprint: u64,
 }
 
 impl FailoverFixture {
     /// Warms a six-host grid for `warm_steps` slots and brings up both
     /// servers and the client.
-    pub fn start(seed: u64, warm_steps: u64) -> Self {
+    fn start(seed: u64, warm_steps: u64) -> Self {
         let mut gm = GridMonitor::ucsd(seed);
         gm.attach_journal(Wal::new());
         gm.run_steps(warm_steps);
@@ -59,7 +59,7 @@ impl FailoverFixture {
 
     /// Replaces the replica with a blank one re-synced from the
     /// still-live primary, on a fresh socket the client is repointed at.
-    pub fn restart_replica(&mut self) {
+    fn restart_replica(&mut self) {
         let server = spawn_replica(self.primary.addr(), self.fingerprint);
         self.client.set_endpoint(1, server.addr());
         self.replica = Some(server);

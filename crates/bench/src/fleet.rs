@@ -2,13 +2,11 @@
 //! (`results/fleet_sweep.csv`: each fleet's best host and fingerprint
 //! after its run, with `racks` the grouping the monitor reports) and,
 //! with `--quality`, the forecast-quality sweep
-//! (`results/fleet_quality.csv`, also the `forecast_quality` section of
-//! `BENCH_perf.json`). Every value is a pure function of the seed, so CI
-//! byte-diffs both CSVs across thread counts; what a fleet costs to run
-//! is `benchmark`'s `ingest_fleet`.
+//! (`results/fleet_quality.csv`). Every value is a pure function of the
+//! seed, so CI byte-diffs both CSVs across thread counts; what a fleet
+//! costs to run is `benchmark`'s `ingest_fleet`.
 
 use crate::cli::Tier;
-use crate::json::{fixed, obj, Json};
 use crate::write_artifact;
 use std::fmt::Write as _;
 
@@ -17,7 +15,7 @@ pub fn run(seed: u64, tier: Tier, quality: bool) {
     let threads = nws_runtime::threads();
     if quality {
         println!("\n== fleet forecast quality sweep (threads={threads}) ==");
-        write_artifact("fleet_quality.csv", &quality_sweep(seed, tier).1);
+        write_artifact("fleet_quality.csv", &quality_sweep(seed, tier));
     } else {
         println!("\n== fleet scaling sweep (threads={threads}) ==");
         write_artifact("fleet_sweep.csv", &scaling_sweep(seed, tier));
@@ -70,9 +68,8 @@ fn scaling_sweep(seed: u64, tier: Tier) -> String {
 }
 
 /// The full predictor panel (dynamic-selection members plus the ARMA
-/// pair) raced over three prediction scenarios, as Table 2/3-shaped
-/// per-predictor MAE/MSE rows. Returns the rows as JSON entries and as
-/// CSV.
+/// pair) raced over three prediction scenarios; returns Table 2/3-shaped
+/// per-predictor MAE/MSE rows as CSV.
 ///
 /// 1. `synthetic-ar1` — the fleet's AR(1)-style synthetic rosters, the
 ///    panel scored on every host of an `Extended`-panel fleet;
@@ -82,7 +79,7 @@ fn scaling_sweep(seed: u64, tier: Tier) -> String {
 /// 3. `transfer-time` — the Vazhkudai–Schopf scenario: predicting
 ///    file-transfer durations over monitored links, where regressing on
 ///    bandwidth *and* endpoint CPU beats bandwidth alone.
-pub(crate) fn quality_sweep(seed: u64, tier: Tier) -> (Vec<Json>, String) {
+fn quality_sweep(seed: u64, tier: Tier) -> String {
     use nws_faults::{FaultPlan, FaultRates};
     use nws_forecast::PanelSpec;
     use nws_grid::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster};
@@ -146,7 +143,6 @@ pub(crate) fn quality_sweep(seed: u64, tier: Tier) -> (Vec<Json>, String) {
         transfer.observations(),
         links.len()
     );
-    let mut entries = Vec::new();
     let mut csv = String::from("scenario,predictor,scored,mae,mse\n");
     println!(
         "  {:<14} {:<22} {:>7} {:>10} {:>10}",
@@ -167,14 +163,7 @@ pub(crate) fn quality_sweep(seed: u64, tier: Tier) -> (Vec<Json>, String) {
             // Shortest-round-trip float formatting: full precision, and
             // deterministic, so the CSV byte-diffs across thread counts.
             let _ = writeln!(csv, "{name},{},{},{mae},{mse}", row.name, row.scored);
-            entries.push(obj([
-                ("scenario", (*name).into()),
-                ("predictor", (*row.name).into()),
-                ("scored", row.scored.into()),
-                ("mae", fixed(mae, 6)),
-                ("mse", fixed(mse, 6)),
-            ]));
         }
     }
-    (entries, csv)
+    csv
 }

@@ -1,13 +1,11 @@
-//! The `repro` harness as a library: one module per experiment family,
-//! one JSON emitter, and the helpers that place artifacts. `bin/repro.rs`
-//! is a thin `main` over it.
+//! The `repro` harness as a library: one module per experiment family
+//! and the helpers that place artifacts. `bin/repro.rs` is a thin `main`
+//! over it.
 //!
 //! `repro` regenerates the paper's tables and figures and the
-//! seed-determined CSVs; every file it writes under `results/` is a pure
-//! function of `(seed, tier)`. The only wall-clock numbers it records are
-//! the two tracked artifacts nothing else produces (`BENCH_perf.json`'s
-//! ACF cells, `BENCH_serve.json`); timing the system itself is
-//! `benchmark/`'s job.
+//! seed-determined CSVs. It writes only under the results directory, and
+//! every file it writes there is a pure function of `(seed, tier)`;
+//! timing the system is `benchmark/`'s job.
 
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
@@ -15,15 +13,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod alloc_counter;
-pub mod check_bench;
 pub mod cli;
 pub mod durability;
 pub mod extensions;
 pub mod fleet;
-pub mod json;
-pub mod load;
 pub mod paper;
-pub mod perf;
 
 /// Resolves the `results/` output directory (created on demand).
 ///
@@ -45,20 +39,6 @@ pub fn write_artifact(name: &str, contents: &str) {
     match fs::write(&path, contents) {
         Ok(()) => println!("  wrote {}", display_relative(&path)),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Writes a tracked baseline (`BENCH_perf.json`, `BENCH_serve.json`).
-/// Only a full-tier run replaces the committed file at the repository
-/// root (the current directory); smoke and quick runs write under the
-/// results directory like every other artifact.
-pub fn write_tracked(tier: cli::Tier, name: &str, contents: &str) {
-    if tier != cli::Tier::Full {
-        return write_artifact(name, contents);
-    }
-    match fs::write(name, contents) {
-        Ok(()) => println!("  wrote {name}"),
-        Err(e) => eprintln!("warning: cannot write {name}: {e}"),
     }
 }
 

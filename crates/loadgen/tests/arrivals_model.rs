@@ -1,11 +1,11 @@
 //! Property tests for the arrival-time samplers.
 //!
-//! The committed load artifacts depend on two properties: a schedule
-//! is a pure function of its seed (bit-identical no matter how many
-//! threads the harness runs with), and the samplers actually draw from
-//! the distributions they claim (mean and tail within tolerance of the
-//! analytic values), so the offered rates in `BENCH_serve.json` mean
-//! what they say.
+//! The benchmark's open-loop serving workloads depend on two
+//! properties: a schedule is a pure function of its seed (bit-identical
+//! no matter how many threads the driver runs with), and the samplers
+//! actually draw from the distributions they claim (mean and tail within
+//! tolerance of the analytic values), so an offered rate means what it
+//! says.
 
 use nws_loadgen::{ArrivalSchedule, InterArrival};
 use proptest::prelude::*;

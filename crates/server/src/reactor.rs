@@ -1144,6 +1144,79 @@ mod tests {
     }
 
     #[test]
+    fn connection_churn_under_a_tight_cap() {
+        let server = warm_reactor(ReactorConfig {
+            server: ServerConfig {
+                max_connections: 2,
+                ..ServerConfig::default()
+            },
+            ..ReactorConfig::default()
+        });
+        let quick = ClientConfig {
+            retries: 0,
+            io_timeout: Duration::from_secs(2),
+            ..ClientConfig::default()
+        };
+        // Two idle holders pin the cap.
+        let mut hold_a = NwsClient::connect(server.addr(), quick).expect("holder a");
+        let mut hold_b = NwsClient::connect(server.addr(), quick).expect("holder b");
+        hold_a.stats().expect("holders are live");
+        hold_b.stats().expect("holders are live");
+        // A third connection is refused with the typed overload close.
+        let mut third = NwsClient::connect(server.addr(), quick).expect("connect");
+        match third.call(&Request::Stats) {
+            Ok(Response::Error(e)) => assert_eq!(e.code, ErrorCode::Overloaded),
+            other => panic!("wrong result: {other:?}"),
+        }
+        // Releasing a holder frees a slot; fresh connections serve again.
+        drop(hold_a);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            let mut retry = NwsClient::connect(server.addr(), quick).expect("connect");
+            match retry.call(&Request::Stats) {
+                Ok(Response::Stats(_)) => break,
+                Ok(Response::Error(e)) if e.code == ErrorCode::Overloaded => {
+                    // The freed slot lags the socket close until the
+                    // event loop sees the hangup.
+                    assert!(Instant::now() < deadline, "slot never freed");
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                other => panic!("wrong result: {other:?}"),
+            }
+        }
+        // Rapid sequential churn: every connect-call-drop cycle serves.
+        for _ in 0..20 {
+            let mut c = NwsClient::connect(server.addr(), quick).expect("connect");
+            let deadline = Instant::now() + Duration::from_secs(2);
+            loop {
+                match c.call(&Request::Stats) {
+                    Ok(Response::Stats(_)) => break,
+                    Ok(Response::Error(e)) if e.code == ErrorCode::Overloaded => {
+                        assert!(Instant::now() < deadline, "churn wedged the server");
+                        std::thread::sleep(Duration::from_millis(10));
+                        c = NwsClient::connect(server.addr(), quick).expect("reconnect");
+                    }
+                    other => panic!("wrong result: {other:?}"),
+                }
+            }
+        }
+        // Every churned slot is released and reused: the count settles
+        // back to the one remaining holder.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while server.active_connections() != 1 {
+            assert!(
+                Instant::now() < deadline,
+                "{} connections still active",
+                server.active_connections()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        hold_b.stats().expect("the holder outlived the churn");
+        assert!(server.accepted() >= 23, "churn cycles were served");
+        assert!(server.refused() >= 1, "the cap actually fired");
+    }
+
+    #[test]
     fn shutdown_joins_all_threads() {
         let mut server = warm_reactor(ReactorConfig::default());
         let mut client =
