@@ -9,8 +9,8 @@ use nws_faults::{CrashKind, CrashPlan};
 use nws_grid::wal::replay;
 use nws_grid::{recover_memory, GridMonitor, GridMonitorConfig, RecoverySource, Wal};
 use nws_server::{
-    ClientConfig, FailoverClient, GridState, NwsClient, NwsServer, ReplicaState, ServerConfig,
-    Transport,
+    ClientConfig, FailoverClient, GridState, NwsClient, ReactorConfig, ReactorServer, ReplicaState,
+    ServerConfig, Transport,
 };
 use nws_sim::HostProfile;
 use std::fmt::Write as _;
@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 /// A journaled TCP primary, a replica synced from it over the wire and
 /// served on a second socket, and a client that fails over between them.
 struct FailoverFixture {
-    primary: NwsServer<GridState>,
+    primary: ReactorServer<GridState>,
     /// `None` while the replica is down.
-    replica: Option<NwsServer<ReplicaState>>,
+    replica: Option<ReactorServer<ReplicaState>>,
     client: FailoverClient,
     /// The primary's memory fingerprint, which every replica must reach.
     fingerprint: u64,
@@ -36,7 +36,8 @@ impl FailoverFixture {
         gm.attach_journal(Wal::new());
         gm.run_steps(warm_steps);
         let fingerprint = gm.memory().fingerprint();
-        let primary = NwsServer::spawn(GridState::new(gm), server_config()).expect("bind primary");
+        let primary =
+            ReactorServer::spawn(GridState::new(gm), server_config()).expect("bind primary");
         let replica = spawn_replica(primary.addr(), fingerprint);
         let client = FailoverClient::new(
             &[primary.addr(), replica.addr()],
@@ -66,16 +67,19 @@ impl FailoverFixture {
     }
 }
 
-fn server_config() -> ServerConfig {
-    ServerConfig {
-        max_connections: 8,
-        ..ServerConfig::default()
+fn server_config() -> ReactorConfig {
+    ReactorConfig {
+        server: ServerConfig {
+            max_connections: 8,
+            ..ServerConfig::default()
+        },
+        ..ReactorConfig::default()
     }
 }
 
 /// Syncs a blank replica from the primary at `primary` until it is
 /// byte-identical to it, then serves it.
-fn spawn_replica(primary: SocketAddr, fingerprint: u64) -> NwsServer<ReplicaState> {
+fn spawn_replica(primary: SocketAddr, fingerprint: u64) -> ReactorServer<ReplicaState> {
     let host_refs: Vec<&str> = HostProfile::all().iter().map(|p| p.name()).collect();
     let t0 = Instant::now();
     let mut feed = NwsClient::connect(primary, ClientConfig::default()).expect("connect feed");
@@ -92,7 +96,7 @@ fn spawn_replica(primary: SocketAddr, fingerprint: u64) -> NwsServer<ReplicaStat
         t0.elapsed().as_secs_f64() * 1e3,
         replica.applied()
     );
-    NwsServer::spawn(replica, server_config()).expect("bind replica")
+    ReactorServer::spawn(replica, server_config()).expect("bind replica")
 }
 
 /// Runs both phases.

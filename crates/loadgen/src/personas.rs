@@ -1,13 +1,13 @@
 //! Adversarial client personas.
 //!
 //! Each persona speaks just enough of the wire protocol to probe one
-//! defensive path in the server: the per-read timeout, the
-//! pre-allocation frame bound, and the whole-frame request deadline.
-//! A persona *trips* when the server does the right thing — answers
-//! with a typed error where the protocol allows one, then hangs up —
-//! within the caller's patience. A persona that does **not** trip
-//! means the server tolerated the abuse (and is one slow peer away
-//! from wedging a handler thread).
+//! defensive path in the server: the idle cut, the pre-allocation
+//! frame bound, and the whole-frame request deadline. A persona
+//! *trips* when the server does the right thing — answers with a typed
+//! error where the protocol allows one, then hangs up — within the
+//! caller's patience. A persona that does **not** trip means the
+//! server tolerated the abuse, and every such peer holds one of the
+//! connection cap's slots for as long as it likes.
 
 use nws_wire::{read_response, ErrorCode, Response, HEADER_LEN, MAGIC, MAX_FRAME, VERSION};
 use std::io::{ErrorKind, Read, Write};
@@ -50,8 +50,8 @@ fn is_hangup(res: &std::io::Result<usize>) -> bool {
 }
 
 /// Sends a valid header claiming a 64-byte payload, delivers only a
-/// fragment, then goes silent. The server's per-read timeout must cut
-/// the connection rather than wait forever for the rest.
+/// fragment, then goes silent. The server's idle cut must close the
+/// connection rather than wait forever for the rest.
 pub fn partial_frame(addr: SocketAddr, patience: Duration) -> std::io::Result<PersonaReport> {
     let started = Instant::now();
     let mut stream = TcpStream::connect(addr)?;

@@ -208,19 +208,23 @@ impl Transport for NwsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{ReactorConfig, ReactorServer, ServerConfig};
     use crate::state::GridState;
-    use crate::tcp::{NwsServer, ServerConfig};
     use nws_grid::{GridMonitor, GridMonitorConfig};
     use nws_sim::HostProfile;
 
-    fn warm_server(config: ServerConfig) -> NwsServer {
+    fn warm_server(server: ServerConfig) -> ReactorServer {
         let mut grid = GridMonitor::new(
             &[HostProfile::Thing1, HostProfile::Thing2],
             31,
             GridMonitorConfig::default(),
         );
         grid.run_steps(40);
-        NwsServer::spawn(GridState::new(grid), config).expect("bind localhost")
+        let config = ReactorConfig {
+            server,
+            ..ReactorConfig::default()
+        };
+        ReactorServer::spawn(GridState::new(grid), config).expect("bind localhost")
     }
 
     #[test]

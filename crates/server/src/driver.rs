@@ -3,12 +3,15 @@
 //! Before this module, callers interleaved `state.tick(1)` with request
 //! dispatch by hand — the serving loop owned the measurement schedule.
 //! [`TickDriver`] moves that schedule onto the paper's [`Cadence`]: the
-//! driver sums the simulated seconds it is advanced by, turns the total
-//! into whole measurement slots with [`Cadence::slots_in`], and runs the
-//! ones not yet delivered through the grid (each tick bumps the revision
-//! counters, so the [`QueryCache`](crate::QueryCache) invalidates
-//! precisely at slot boundaries). Advancing by one measurement period at
-//! a time reproduces the manual `tick(1)`-per-round loops bit for bit.
+//! driver sums the simulated time it is advanced by in whole
+//! microseconds, turns the total into whole measurement slots with
+//! [`Cadence::slots_in`], and runs the ones not yet delivered through
+//! the grid (each tick bumps the revision counters, so the
+//! [`QueryCache`](crate::QueryCache) invalidates precisely at slot
+//! boundaries). An integer clock cannot drift: ten advances of 0.1 s
+//! reach exactly one second, where a summed `f64` falls short of it.
+//! Advancing by one measurement period at a time reproduces the manual
+//! `tick(1)`-per-round loops bit for bit.
 
 use crate::state::GridState;
 use nws_runtime::Cadence;
@@ -17,8 +20,8 @@ use std::sync::{Arc, Mutex};
 /// Schedules sensor ticks against shared server state on the slot grid.
 pub struct TickDriver {
     state: Arc<Mutex<GridState>>,
-    /// Simulated seconds the driver has been advanced by.
-    now: f64,
+    /// Simulated microseconds the driver has been advanced by.
+    now_us: u64,
     /// Slots already delivered to the grid.
     ticked: u64,
 }
@@ -29,7 +32,7 @@ impl TickDriver {
     pub fn virtual_time(state: Arc<Mutex<GridState>>) -> Self {
         Self {
             state,
-            now: 0.0,
+            now_us: 0,
             ticked: 0,
         }
     }
@@ -44,12 +47,18 @@ impl TickDriver {
         self.ticked
     }
 
-    /// Advances simulated time by `seconds` (never backwards) and runs
-    /// every measurement slot that came due, in one batch (the state
-    /// lock is taken once). Returns how many slots were delivered.
+    /// Advances simulated time by `seconds`, rounded to the driver's
+    /// 1 µs resolution, and runs every measurement slot that came due,
+    /// in one batch (the state lock is taken once). Returns how many
+    /// slots were delivered. Time never runs backwards: a negative or
+    /// non-finite `seconds` advances nothing.
     pub fn advance(&mut self, seconds: f64) -> u64 {
-        self.now += seconds.max(0.0);
-        let due = Cadence::PAPER.slots_in(self.now);
+        let us = (seconds * 1e6).round();
+        if !(us.is_finite() && us > 0.0) {
+            return 0;
+        }
+        self.now_us = self.now_us.saturating_add(us as u64);
+        let due = Cadence::PAPER.slots_in(self.now_us as f64 / 1e6);
         let steps = due.saturating_sub(self.ticked);
         if steps > 0 {
             self.state.lock().expect("state").tick(steps);
@@ -63,7 +72,7 @@ impl std::fmt::Debug for TickDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TickDriver")
             .field("ticked", &self.ticked)
-            .field("now", &self.now)
+            .field("now_us", &self.now_us)
             .finish()
     }
 }
@@ -111,5 +120,21 @@ mod tests {
         let (ga, gb) = (a.lock().expect("state"), b.lock().expect("state"));
         assert_eq!(ga.grid().slots(), gb.grid().slots());
         assert_eq!(ga.grid().revision(), gb.grid().revision());
+    }
+
+    #[test]
+    fn fractional_paces_do_not_drift_and_bad_input_advances_nothing() {
+        let run = |pace: f64, calls: usize| {
+            let mut d = TickDriver::virtual_time(shared_state());
+            (0..calls).map(|_| d.advance(pace)).sum::<u64>()
+        };
+        assert_eq!(run(0.1, 100), 1, "100 × 0.1 s is one whole period");
+        assert_eq!(run(0.1, 1_200), 12, "1,200 × 0.1 s is twelve");
+        assert_eq!(run(0.25, 40), 1, "40 × 0.25 s is one");
+        for bad in [f64::INFINITY, f64::NAN, -1.0] {
+            let mut d = TickDriver::virtual_time(shared_state());
+            assert_eq!(d.advance(bad), 0, "advance({bad})");
+            assert_eq!(d.advance(10.0), 1, "the clock is intact after {bad}");
+        }
     }
 }

@@ -159,8 +159,8 @@ impl Transport for FailoverClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{ReactorConfig, ReactorServer, ServerConfig};
     use crate::state::GridState;
-    use crate::tcp::{NwsServer, ServerConfig};
     use nws_grid::{GridMonitor, GridMonitorConfig};
     use nws_sim::HostProfile;
     use std::time::Duration;
@@ -175,14 +175,14 @@ mod tests {
         }
     }
 
-    fn warm_server() -> NwsServer {
+    fn warm_server() -> ReactorServer {
         let mut grid = GridMonitor::new(
             &[HostProfile::Thing1, HostProfile::Thing2],
             31,
             GridMonitorConfig::default(),
         );
         grid.run_steps(40);
-        NwsServer::spawn(GridState::new(grid), ServerConfig::default()).expect("bind")
+        ReactorServer::spawn(GridState::new(grid), ReactorConfig::default()).expect("bind")
     }
 
     #[test]
@@ -239,11 +239,14 @@ mod tests {
         grid.run_steps(40);
         // A primary with no capacity refuses everything with a typed
         // Overloaded; the client should absorb that on the replica.
-        let primary = NwsServer::spawn(
+        let primary = ReactorServer::spawn(
             GridState::new(grid),
-            ServerConfig {
-                max_connections: 0,
-                ..ServerConfig::default()
+            ReactorConfig {
+                server: ServerConfig {
+                    max_connections: 0,
+                    ..ServerConfig::default()
+                },
+                ..ReactorConfig::default()
             },
         )
         .expect("bind");

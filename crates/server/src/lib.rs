@@ -23,19 +23,18 @@
 //!   [`nws_wire::Response`] ([`Dispatch::dispatch`], the reference the
 //!   byte path is diffed against). A reply that would not fit one frame
 //!   is refused whole with a typed error.
-//! - [`NwsServer`] — a threaded `std::net::TcpListener` server speaking
-//!   the [`nws_wire`] protocol, with per-connection read/write deadlines
-//!   and an in-flight connection bound derived from [`nws_runtime`].
-//! - [`ReactorServer`] — the same protocol and semantics on an epoll
-//!   reactor: one listener plus a small pool of event loops serving
-//!   thousands of concurrent, pipelined connections with zero-copy
-//!   replies; deadlines become timer-wheel expirations and the
-//!   connection cap becomes an accept gate.
+//! - [`ReactorServer`] — the socket server: an epoll reactor speaking
+//!   the [`nws_wire`] protocol, one listener plus a small pool of event
+//!   loops serving thousands of concurrent, pipelined connections with
+//!   zero-copy replies. Idle, whole-frame and stalled-writer deadlines
+//!   are timer-wheel expirations, and an accept gate answers
+//!   connections past the cap (derived from [`nws_runtime`]) with a
+//!   typed `Overloaded`.
 //! - [`NwsClient`] — a typed client with retry-and-reconnect behind
 //!   capped exponential backoff and seeded deterministic jitter.
 //! - [`Transport`] / [`InMemoryTransport`] — the same codec and
 //!   dispatch path without sockets, so tests and the determinism suite
-//!   can compare answers bit for bit against the TCP path.
+//!   can compare answers bit for bit against the socket path.
 //! - [`ReplicaState`] — a read replica: an archive rebuilt byte-for-byte
 //!   by [`nws_grid::Archive::apply`] over the primary's write-ahead log,
 //!   streamed over the wire protocol's `WalSince`/`WalChunk` frames,
@@ -57,15 +56,13 @@ mod policy;
 mod reactor;
 mod replica;
 mod state;
-mod tcp;
 mod transport;
 
 pub use cache::QueryCache;
 pub use client::{Backoff, ClientConfig, NwsClient};
 pub use driver::TickDriver;
 pub use failover::FailoverClient;
-pub use reactor::{ReactorConfig, ReactorServer};
+pub use reactor::{NwsServer, ReactorConfig, ReactorServer, ServerConfig};
 pub use replica::{ReplicaError, ReplicaState};
 pub use state::{Dispatch, GridState};
-pub use tcp::{NwsServer, ServerConfig};
 pub use transport::{InMemoryTransport, ServeError, Transport};

@@ -1,35 +1,40 @@
-//! The epoll reactor server: thousands of mostly-idle connections on a
-//! small fixed number of threads.
+//! The socket server: an epoll reactor serving thousands of
+//! mostly-idle connections on a small fixed number of threads.
 //!
-//! The threaded [`NwsServer`](crate::NwsServer) spends one OS thread
-//! per live connection, so its connection cap is tied to the thread
-//! budget and tops out at dozens of clients. This module serves the
-//! same [`Dispatch`] state through a readiness-driven front end
-//! instead: one listener thread accepts and admission-gates, a small
-//! fixed pool of event-loop threads own the connections (sharded by
-//! file descriptor), and every socket is nonblocking behind raw
-//! `epoll` — no extra crates, just thin `extern "C"` wrappers over the
-//! three syscalls `std` does not expose.
+//! [`ReactorServer`] speaks the wire protocol in front of any shared
+//! [`Dispatch`] state — the primary [`GridState`] by default, or a
+//! [`ReplicaState`](crate::ReplicaState) fed from a primary's journal.
+//! One listener thread accepts and admission-gates, a small fixed pool
+//! of event-loop threads own the connections (sharded by file
+//! descriptor), and every socket is nonblocking behind raw `epoll` — no
+//! extra crates, just thin `extern "C"` wrappers over the three
+//! syscalls `std` does not expose. Connections cost buffers, not
+//! threads, so the connection cap is an admission policy rather than a
+//! thread budget.
 //!
 //! Per connection the reactor runs a tiny state machine —
 //! reading-header → reading-payload → dispatching → writing — layered
 //! over the wire crate's buffered-frame parser [`split_frame`], which
-//! decodes each frame where it lies in the input buffer with the
-//! threaded path's validation and error bytes, so the transports stay
-//! byte-identical (the tests pin this, pipelined and replica traffic
-//! included).
+//! decodes each frame where it lies in the input buffer — the parser
+//! the socket-free [`InMemoryTransport`](crate::InMemoryTransport) runs
+//! too, so the two stay byte-identical (the tests pin this, pipelined
+//! and replica traffic included).
 //!
-//! What the threaded server does with blocking primitives, the reactor
-//! ports to reactor-native mechanisms, preserving semantics:
+//! The defences against hostile peers are reactor-native:
 //!
-//! - per-read and whole-frame deadlines become **timer-wheel**
-//!   expirations instead of `SO_RCVTIMEO` slices;
-//! - the connection cap becomes an **accept gate**: over-cap
-//!   connections get the same typed `Overloaded` frame, written
-//!   nonblocking from the reactor itself — no detached refusal
-//!   threads;
-//! - [`ServeCounters`] accounting is identical (accepted/active at
-//!   admission, refused at the gate).
+//! - the idle cut ([`ServerConfig::read_timeout`]), the whole-frame
+//!   budget ([`ServerConfig::request_deadline`]) and the stalled-writer
+//!   deadline are **timer-wheel** expirations, so a peer trickling one
+//!   byte at a time runs out of wall clock instead of resetting the
+//!   idle timer with every byte;
+//! - the connection cap ([`ServerConfig::max_connections`]) is an
+//!   **accept gate**: over-cap connections get a typed `Overloaded`
+//!   frame, written nonblocking by an event loop under a tight budget,
+//!   then closed — a peer that never reads its refusal cannot stall
+//!   the listener;
+//! - a malformed frame is answered with one typed `BadRequest` frame,
+//!   then the connection closes: the stream can no longer be trusted
+//!   to be frame-aligned.
 //!
 //! Pipelining falls out of the design: every complete frame buffered
 //! on a connection is dispatched in arrival order and the replies are
@@ -41,7 +46,6 @@
 //! undrained queue tail.
 
 use crate::state::{Dispatch, GridState};
-use crate::tcp::{overload_response, ServeCounters, ServerConfig, WRITE_TIMEOUT};
 use nws_wire::{
     append_response_frame, split_frame, ErrorCode, ErrorReply, FrameKind, Request, Response,
     WireError, HEADER_LEN,
@@ -50,10 +54,68 @@ use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long a connection's queued replies may sit unaccepted by the
+/// socket before the server gives the connection up.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Deadlines and the connection cap of a [`ReactorServer`].
+#[derive(Debug, Clone, Copy)]
+pub struct ServerConfig {
+    /// How long a connection may sit idle between requests before the
+    /// server hangs up.
+    pub read_timeout: Duration,
+    /// Wall-clock budget for receiving one complete request frame.
+    /// Every byte resets the idle cut, so a peer trickling one byte per
+    /// `read_timeout` window could hold a connection forever; this
+    /// deadline caps the whole frame. Keep it at or above
+    /// `read_timeout` or idle keep-alive connections will be cut early.
+    pub request_deadline: Duration,
+    /// Connections served concurrently; excess connections are
+    /// answered with a typed `Overloaded` frame and closed.
+    pub max_connections: usize,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        Self {
+            read_timeout: Duration::from_secs(5),
+            request_deadline: Duration::from_secs(10),
+            // Every admitted connection is served through the one
+            // shared state lock, so the gate admits about as many as
+            // the runtime's configured parallelism keeps busy and
+            // answers the rest with a prompt `Overloaded` a failover
+            // client can act on (never below two, so one slow client
+            // can't lock everyone else out in single-threaded runs).
+            max_connections: nws_runtime::threads().max(2),
+        }
+    }
+}
+
+/// Admission counters, shared with the server handle so a load harness
+/// can watch admission while traffic runs: `accepted`/`active` move at
+/// admission, `refused` at the gate.
+#[derive(Debug, Default)]
+struct ServeCounters {
+    /// Connections admitted to service.
+    accepted: AtomicU64,
+    /// Connections turned away at the cap with a typed `Overloaded`.
+    refused: AtomicU64,
+    /// Connections being served right now.
+    active: AtomicUsize,
+}
+
+/// The typed refusal an over-capacity connection is answered with.
+fn overload_response() -> Response {
+    Response::Error(ErrorReply {
+        code: ErrorCode::Overloaded,
+        message: "server at connection capacity".to_string(),
+    })
+}
 
 /// Thin wrappers over the epoll/eventfd syscalls. `std` links libc on
 /// every supported platform, so the symbols are already in the
@@ -221,23 +283,22 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Consumed-prefix length past which the input buffer is compacted.
 const COMPACT_THRESHOLD: usize = 8 * 1024;
 
-/// The write budget for one refusal frame, matching the threaded
-/// server's 250 ms refusal write timeout.
+/// The write budget for one refusal frame: the refusal is best-effort,
+/// and the close is the real signal.
 const REFUSAL_DEADLINE: Duration = Duration::from_millis(250);
 
 /// Timer-wheel granularity, and the longest an event loop sleeps in
 /// `epoll_wait`: deadlines fire within one tick of their due time.
 const TIMER_TICK: Duration = Duration::from_millis(10);
 
-/// Tunables for [`ReactorServer`]: the threaded server's knobs plus
-/// the reactor's own shape.
+/// Tunables for [`ReactorServer`]: its deadlines and connection cap,
+/// plus the number of event loops.
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorConfig {
-    /// Deadlines and the connection cap, with the same meanings as on
-    /// the threaded server (`read_timeout` is the idle cut,
-    /// `request_deadline` the whole-frame budget). `max_connections`
-    /// defaults to the threaded value; raise it into the thousands for
-    /// reactor-scale serving.
+    /// Deadlines and the connection cap (`read_timeout` is the idle
+    /// cut, `request_deadline` the whole-frame budget). The default cap
+    /// is small; raise it into the thousands to hold many mostly-idle
+    /// connections.
     pub server: ServerConfig,
     /// Event-loop threads. Connections are sharded across them by
     /// file descriptor. Defaults to the runtime thread count, clamped
@@ -508,7 +569,7 @@ impl<D: Dispatch> EventLoop<D> {
             self.free.append(&mut self.freed);
         }
         // Shutdown: drop every connection — to clients this looks like
-        // the crash the threaded server's shutdown also resembles.
+        // a crash.
     }
 
     /// Moves freshly accepted connections from the inbox into the
@@ -549,9 +610,8 @@ impl<D: Dispatch> EventLoop<D> {
                 counted,
             };
             if let Admission::Refuse = admission {
-                // The refusal is best-effort with a tight budget, like
-                // the threaded server's detached refusal thread — but
-                // served from the reactor itself.
+                // The refusal is best-effort with a tight budget,
+                // written from the event loop itself.
                 append_response_frame(&mut conn.fresh, &overload_response());
                 conn.idle_at = now + REFUSAL_DEADLINE;
                 conn.frame_at = conn.idle_at;
@@ -611,8 +671,8 @@ impl<D: Dispatch> EventLoop<D> {
             return; // superseded or recycled
         }
         if conn.earliest_deadline() <= now {
-            // Deadlines close silently, exactly like the threaded
-            // server's timeouts: the peer reads an EOF, not an excuse.
+            // Deadlines close silently: the peer reads an EOF, not an
+            // excuse.
             self.close(slot);
         } else {
             self.schedule(slot);
@@ -706,8 +766,8 @@ impl<D: Dispatch> EventLoop<D> {
         let malformed = self.process_frames(slot);
         let conn = self.conns[slot].as_mut()?;
         if let Some(e) = malformed {
-            // Same typed refusal, byte for byte, as the threaded
-            // server's malformed-frame path — then close.
+            // A typed refusal, then close: the stream can no longer be
+            // trusted to be frame-aligned.
             let resp = Response::Error(ErrorReply {
                 code: ErrorCode::BadRequest,
                 message: format!("malformed request: {e}"),
@@ -752,8 +812,8 @@ impl<D: Dispatch> EventLoop<D> {
                 }
             };
             if self.shutdown.load(Ordering::SeqCst) {
-                // Mirror the threaded server: hang up without
-                // answering once shutdown begins.
+                // Hang up without answering once shutdown begins, the
+                // way a killed process would.
                 let conn = self.conns[slot].as_mut()?;
                 conn.eof = true;
                 conn.fresh.clear();
@@ -919,12 +979,10 @@ fn run_listener(
     }
 }
 
-/// A running epoll-reactor forecast server bound to a local port, with
-/// the same surface as the threaded [`NwsServer`](crate::NwsServer):
-/// spawn it over any [`Dispatch`] state, read its counters, shut it
-/// down. The difference is capacity: thousands of concurrent
-/// connections on `1 + event_loops` threads, where the threaded server
-/// needs a thread per connection.
+/// A running forecast server bound to a local port: spawn it over any
+/// [`Dispatch`] state, read its admission counters, shut it down. It
+/// holds thousands of concurrent connections on `1 + event_loops`
+/// threads.
 pub struct ReactorServer<D: Dispatch + 'static = GridState> {
     addr: SocketAddr,
     state: Arc<Mutex<D>>,
@@ -1037,7 +1095,7 @@ impl<D: Dispatch + 'static> ReactorServer<D> {
 
     /// Stops the listener and the event loops and joins them. Open
     /// connections are dropped, so a shutdown looks like a crash to
-    /// connected clients — the same contract as the threaded server.
+    /// connected clients.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.listener_wake.wake();
@@ -1056,6 +1114,29 @@ impl<D: Dispatch + 'static> Drop for ReactorServer<D> {
     }
 }
 
+/// The one-loop [`ReactorServer`] under the name of the
+/// thread-per-connection server it replaced. It exists only because
+/// the benchmark's `server.threaded_ops_per_s` cell still spawns a
+/// server by this name, and it goes together with that cell.
+pub struct NwsServer;
+
+impl NwsServer {
+    /// A [`ReactorServer`] with one event loop and the given deadlines
+    /// and connection cap.
+    pub fn spawn_shared<D: Dispatch + 'static>(
+        state: Arc<Mutex<D>>,
+        server: ServerConfig,
+    ) -> std::io::Result<ReactorServer<D>> {
+        ReactorServer::spawn_shared(
+            state,
+            ReactorConfig {
+                server,
+                event_loops: 1,
+            },
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,7 +1144,6 @@ mod tests {
     use crate::{ClientConfig, NwsClient};
     use nws_grid::{GridMonitor, GridMonitorConfig};
     use nws_sim::HostProfile;
-    use nws_wire::ErrorCode;
 
     fn warm_reactor(config: ReactorConfig) -> ReactorServer {
         let mut grid = GridMonitor::new(
@@ -1073,6 +1153,17 @@ mod tests {
         );
         grid.run_steps(50);
         ReactorServer::spawn(GridState::new(grid), config).expect("bind localhost")
+    }
+
+    /// The default reactor with every connection over capacity.
+    fn refusing_reactor() -> ReactorServer {
+        warm_reactor(ReactorConfig {
+            server: ServerConfig {
+                max_connections: 0,
+                ..ServerConfig::default()
+            },
+            ..ReactorConfig::default()
+        })
     }
 
     #[test]
@@ -1110,7 +1201,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_typed_queries_like_the_threaded_server() {
+    fn serves_typed_queries_over_tcp() {
         let server = warm_reactor(ReactorConfig::default());
         let mut client =
             NwsClient::connect(server.addr(), ClientConfig::default()).expect("connect");
@@ -1125,22 +1216,73 @@ mod tests {
     }
 
     #[test]
+    fn malformed_frames_get_an_error_frame_not_a_hang() {
+        let server = warm_reactor(ReactorConfig::default());
+        let mut raw = TcpStream::connect(server.addr()).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Valid header, garbage payload: tag 0xFF is no known request.
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&nws_wire::MAGIC.to_be_bytes());
+        frame.push(nws_wire::VERSION);
+        frame.push(0); // request kind
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.push(0xFF);
+        raw.write_all(&frame).unwrap();
+        let mut reply = Vec::new();
+        raw.read_to_end(&mut reply)
+            .expect("server answers then closes");
+        let mut rest = reply.as_slice();
+        let (resp, _) = nws_wire::read_response(&mut rest).expect("error frame");
+        match resp {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest),
+            other => panic!("wrong reply: {other:?}"),
+        }
+        assert!(rest.is_empty(), "one error frame, then EOF");
+    }
+
+    #[test]
     fn accept_gate_refuses_with_a_typed_overloaded_frame() {
-        let server = warm_reactor(ReactorConfig {
-            server: ServerConfig {
-                max_connections: 0, // everything is over capacity
-                ..ServerConfig::default()
-            },
-            ..ReactorConfig::default()
-        });
+        let server = refusing_reactor();
         let mut client =
             NwsClient::connect(server.addr(), ClientConfig::default()).expect("connect");
         match client.forecast("thing1") {
-            Err(crate::ServeError::Remote(e)) => assert_eq!(e.code, ErrorCode::Overloaded),
+            Err(crate::ServeError::Remote(e)) => {
+                assert_eq!(e.code, ErrorCode::Overloaded);
+                assert!(e.message.contains("capacity"));
+            }
             other => panic!("expected typed refusal, got {other:?}"),
         }
         assert_eq!(server.refused(), 1);
+        assert_eq!(server.accepted(), 0);
         assert_eq!(server.active_connections(), 0);
+    }
+
+    #[test]
+    fn refusal_is_prompt_even_against_a_peer_that_never_reads() {
+        let server = refusing_reactor();
+        // A hostile peer: connects, never reads its refusal. The next
+        // refusal must not wait on this socket's write path.
+        let _hostile = TcpStream::connect(server.addr()).expect("connect");
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        let mut client = NwsClient::connect(
+            server.addr(),
+            ClientConfig {
+                retries: 0,
+                io_timeout: Duration::from_secs(2),
+                ..ClientConfig::default()
+            },
+        )
+        .expect("connect");
+        match client.call(&Request::Stats) {
+            Ok(Response::Error(e)) => assert_eq!(e.code, ErrorCode::Overloaded),
+            other => panic!("wrong result: {other:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "refusal took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]
@@ -1219,11 +1361,20 @@ mod tests {
     #[test]
     fn shutdown_joins_all_threads() {
         let mut server = warm_reactor(ReactorConfig::default());
-        let mut client =
-            NwsClient::connect(server.addr(), ClientConfig::default()).expect("connect");
+        let addr = server.addr();
+        let mut client = NwsClient::connect(addr, ClientConfig::default()).expect("connect");
         client.forecast("gremlin").expect("forecast");
         server.shutdown();
         // Idempotent: a second shutdown (and the later Drop) is a no-op.
         server.shutdown();
+        // The listener is gone: a fresh connection is refused, or (from
+        // a stale backlog) reads EOF or an error — never data.
+        if let Ok(mut stream) = TcpStream::connect(addr) {
+            stream
+                .set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
+            let mut buf = [0u8; 1];
+            assert!(matches!(stream.read(&mut buf), Ok(0) | Err(_)));
+        }
     }
 }

@@ -16,8 +16,8 @@ use nws_wire::{append_response_frame, Request, Response};
 /// Anything that can answer a decoded request — the primary
 /// ([`GridState`]) and read replicas
 /// ([`ReplicaState`](crate::ReplicaState)) both implement it, so the
-/// TCP server, the epoll reactor, and the in-memory transport serve
-/// either one through the same machinery.
+/// socket server and the in-memory transport serve either one through
+/// the same machinery.
 pub trait Dispatch: Send {
     /// Turns one decoded request into a response.
     fn dispatch(&mut self, req: &Request) -> Response;

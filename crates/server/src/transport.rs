@@ -139,7 +139,7 @@ pub trait Transport {
 /// The socket-free transport: frames requests into a buffer, decodes
 /// them back, dispatches against any shared [`Dispatch`] state (the
 /// primary [`GridState`] by default), and frames the response the same
-/// way the TCP server does.
+/// way the socket server does.
 pub struct InMemoryTransport<D: Dispatch = GridState> {
     state: Arc<Mutex<D>>,
     /// Reusable "wire" for the request frame, mirroring the client's

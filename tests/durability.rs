@@ -17,8 +17,8 @@ use nws::faults::{CrashKind, CrashPlan};
 use nws::grid::wal::replay;
 use nws::grid::{recover_memory, GridMonitor, GridMonitorConfig, Memory, RecoverySource, Wal};
 use nws::server::{
-    ClientConfig, FailoverClient, GridState, InMemoryTransport, NwsClient, NwsServer, ReplicaState,
-    ServerConfig, Transport,
+    ClientConfig, FailoverClient, GridState, InMemoryTransport, NwsClient, ReactorConfig,
+    ReactorServer, ReplicaState, Transport,
 };
 use nws::sim::HostProfile;
 use nws::wire::{ErrorCode, Request, Response};
@@ -261,13 +261,14 @@ fn failover_keeps_serving_through_a_primary_crash() {
 
     // Primary serves over TCP; the replica catches up over the same
     // wire protocol, then serves over TCP itself.
-    let mut primary = NwsServer::spawn(GridState::new(gm), ServerConfig::default()).expect("bind");
+    let mut primary =
+        ReactorServer::spawn(GridState::new(gm), ReactorConfig::default()).expect("bind");
     let mut feed = NwsClient::connect(primary.addr(), ClientConfig::default()).expect("connect");
     let mut replica = ReplicaState::new(&hosts, GridMonitorConfig::default());
     replica.sync(&mut feed).expect("replicate over tcp");
     assert!(replica.synced());
     assert_eq!(replica.memory().fingerprint(), GOLDEN_CLEAN_MEMORY);
-    let replica_server = NwsServer::spawn(replica, ServerConfig::default()).expect("bind");
+    let replica_server = ReactorServer::spawn(replica, ReactorConfig::default()).expect("bind");
 
     let mut client = FailoverClient::new(
         &[primary.addr(), replica_server.addr()],

@@ -1,13 +1,14 @@
-//! The epoll reactor front end must be indistinguishable from the
-//! threaded server on the wire: byte-identical replies whatever the
-//! event-loop count, pipelined replies in request order, replication
-//! served from the same WAL bytes — while holding an order of
-//! magnitude more connections than the threaded server's thread
-//! budget, without spawning a thread or growing memory per connection.
+//! The epoll reactor is the one socket server, and on the wire it must
+//! be indistinguishable from the socket-free in-memory transport:
+//! byte-identical replies whatever the event-loop count, pipelined
+//! replies in request order, replication served from the same WAL
+//! bytes, hostile peers cut without hurting healthy ones — while
+//! holding a thousand idle connections without spawning a thread or
+//! growing memory per connection.
 
 use nws::grid::{GridMonitor, GridMonitorConfig, Wal};
 use nws::server::{
-    ClientConfig, GridState, InMemoryTransport, NwsClient, NwsServer, ReactorConfig, ReactorServer,
+    ClientConfig, GridState, InMemoryTransport, NwsClient, ReactorConfig, ReactorServer,
     ReplicaState, ServerConfig, Transport,
 };
 use nws::sim::HostProfile;
@@ -95,7 +96,7 @@ fn reactor_config(event_loops: usize) -> ReactorConfig {
 }
 
 #[test]
-fn reactor_replies_match_threaded_and_in_memory_byte_for_byte() {
+fn reactor_replies_match_in_memory_byte_for_byte_at_one_and_four_loops() {
     let _guard = lock();
     let steps = 90;
     let hosts: Vec<String> = warm_grid(steps)
@@ -108,15 +109,6 @@ fn reactor_replies_match_threaded_and_in_memory_byte_for_byte() {
 
     let mut mem = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(warm_grid(steps)))));
     let expected = payload_trace(&mut mem, &seq);
-
-    let threaded = NwsServer::spawn(GridState::new(warm_grid(steps)), ServerConfig::default())
-        .expect("bind threaded");
-    let mut tcp = NwsClient::connect(threaded.addr(), ClientConfig::default()).expect("connect");
-    assert_eq!(
-        payload_trace(&mut tcp, &seq),
-        expected,
-        "threaded server diverged from the in-memory transport"
-    );
 
     for loops in [1usize, 4] {
         let reactor = ReactorServer::spawn(GridState::new(warm_grid(steps)), reactor_config(loops))
@@ -243,8 +235,19 @@ fn an_unknown_host_name_at_the_string_bound_is_answered_unknown_host() {
 
 #[test]
 fn personas_trip_the_reactor_defenses_without_hurting_healthy_clients() {
-    use nws::loadgen::personas;
     let _guard = lock();
+    for loops in [1usize, 2] {
+        personas_against(loops);
+    }
+}
+
+/// Three hostile personas attack a reactor with `event_loops` loops
+/// while a healthy client keeps exchanging: every persona must trip a
+/// defense promptly and the healthy client must never notice.
+fn personas_against(event_loops: usize) {
+    use nws::loadgen::personas;
+    // Tight deadlines so the defenses fire inside test time; room for
+    // three personas plus a healthy client at once.
     let reactor = ReactorServer::spawn(
         GridState::new(warm_grid(60)),
         ReactorConfig {
@@ -253,7 +256,7 @@ fn personas_trip_the_reactor_defenses_without_hurting_healthy_clients() {
                 request_deadline: Duration::from_millis(450),
                 max_connections: 8,
             },
-            ..reactor_config(2)
+            ..reactor_config(event_loops)
         },
     )
     .expect("bind reactor");
@@ -266,8 +269,9 @@ fn personas_trip_the_reactor_defenses_without_hurting_healthy_clients() {
         let partial = std::thread::spawn(move || personas::partial_frame(addr, patience));
         let oversize = std::thread::spawn(move || personas::oversize_claim(addr, patience));
         let slow = std::thread::spawn(move || {
-            // 9 frame bytes at 75 ms apart: each byte beats the idle
-            // cut, but the whole frame blows the 450 ms deadline.
+            // 9 frame bytes at 75 ms apart: every byte beats the 250 ms
+            // idle cut, but the whole frame takes 675 ms — well past
+            // the 450 ms request deadline.
             personas::slow_writer(addr, &stats_frame, Duration::from_millis(75), patience)
         });
         [
@@ -277,6 +281,8 @@ fn personas_trip_the_reactor_defenses_without_hurting_healthy_clients() {
         ]
     });
 
+    // A healthy client keeps exchanging while the attack runs; every
+    // call must succeed with normal latency.
     let mut healthy = NwsClient::connect(
         addr,
         ClientConfig {
@@ -294,16 +300,17 @@ fn personas_trip_the_reactor_defenses_without_hurting_healthy_clients() {
         let report = report.expect("persona io");
         assert!(
             report.tripped,
-            "{} did not trip the reactor: {}",
+            "{} did not trip the reactor ({event_loops} loop(s)): {}",
             report.name, report.detail
         );
         assert!(
             report.elapsed < Duration::from_secs(2),
-            "{} took {:?} — defense was not prompt",
+            "{} took {:?} on {event_loops} loop(s) — defense was not prompt",
             report.name,
             report.elapsed
         );
     }
+    // And the server is still fully healthy afterwards.
     healthy.stats().expect("healthy call after attack");
 }
 

@@ -6,8 +6,8 @@
 use nws::grid::{GridMonitor, GridMonitorConfig};
 use nws::runtime::Cadence;
 use nws::server::{
-    ClientConfig, GridState, InMemoryTransport, NwsClient, NwsServer, ServerConfig, TickDriver,
-    Transport,
+    ClientConfig, GridState, InMemoryTransport, NwsClient, ReactorConfig, ReactorServer,
+    TickDriver, Transport,
 };
 use nws::sim::HostProfile;
 use nws::wire::{ErrorCode, Request, Response};
@@ -101,8 +101,11 @@ fn tcp_responses_match_the_in_memory_transport_byte_for_byte() {
         .map(|h| h.host.clone())
         .collect();
 
-    let server =
-        NwsServer::spawn(GridState::new(grid_a), ServerConfig::default()).expect("bind localhost");
+    let config = ReactorConfig {
+        event_loops: 1,
+        ..ReactorConfig::default()
+    };
+    let server = ReactorServer::spawn(GridState::new(grid_a), config).expect("bind localhost");
     let mut tcp = NwsClient::connect(server.addr(), ClientConfig::default()).expect("connect");
     let mut mem = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(grid_b))));
     let mut tcp_driver = TickDriver::virtual_time(Arc::clone(server.state()));
@@ -124,79 +127,6 @@ fn tcp_responses_match_the_in_memory_transport_byte_for_byte() {
         assert_eq!(tcp_driver.advance(slot_seconds), 1);
         assert_eq!(mem_driver.advance(slot_seconds), 1);
     }
-    nws::runtime::set_threads(None);
-}
-
-#[test]
-fn adversarial_personas_trip_defenses_without_wedging_healthy_clients() {
-    use nws::loadgen::personas;
-    use std::time::Duration;
-    nws::runtime::set_threads(Some(1));
-    let mut grid = GridMonitor::ucsd(SEED);
-    grid.run_steps(60);
-    // Tight deadlines so the defenses fire inside test time; room for
-    // three personas plus a healthy client at once.
-    let server = NwsServer::spawn(
-        GridState::new(grid),
-        ServerConfig {
-            read_timeout: Duration::from_millis(250),
-            request_deadline: Duration::from_millis(450),
-            max_connections: 8,
-        },
-    )
-    .expect("bind localhost");
-    let addr = server.addr();
-    let patience = Duration::from_secs(5);
-    let mut stats_frame = Vec::new();
-    nws::wire::encode_request_frame(&mut stats_frame, &Request::Stats);
-
-    let attackers = std::thread::spawn(move || {
-        let partial = std::thread::spawn(move || personas::partial_frame(addr, patience));
-        let oversize = std::thread::spawn(move || personas::oversize_claim(addr, patience));
-        let slow = std::thread::spawn(move || {
-            // 9 frame bytes at 75 ms apart: every byte beats the 250 ms
-            // per-read timeout, but the whole frame takes 675 ms — well
-            // past the 450 ms request deadline.
-            personas::slow_writer(addr, &stats_frame, Duration::from_millis(75), patience)
-        });
-        [
-            partial.join().expect("partial_frame"),
-            oversize.join().expect("oversize_claim"),
-            slow.join().expect("slow_writer"),
-        ]
-    });
-
-    // A healthy client keeps exchanging while the attack runs; every
-    // call must succeed with normal latency.
-    let mut healthy = NwsClient::connect(
-        addr,
-        ClientConfig {
-            retries: 0,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect");
-    for _ in 0..30 {
-        healthy.stats().expect("healthy call during attack");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    for report in attackers.join().expect("attacker thread") {
-        let report = report.expect("persona io");
-        assert!(
-            report.tripped,
-            "{} did not trip the server: {}",
-            report.name, report.detail
-        );
-        assert!(
-            report.elapsed < Duration::from_secs(2),
-            "{} took {:?} — defense was not prompt",
-            report.name,
-            report.elapsed
-        );
-    }
-    // And the server is still fully healthy afterwards.
-    healthy.stats().expect("healthy call after attack");
     nws::runtime::set_threads(None);
 }
 
