@@ -1,0 +1,650 @@
+//! The flat [`PredictorBank`] against a from-definition reference.
+//!
+//! [`Reference`] keeps apart everything the bank shares: each member
+//! holds its own plain history since the last gap, its own sliding sum,
+//! its own deque of recent errors, and selection is written out over
+//! them. Medians and trimmed means are recomputed by sorting the last `k`
+//! values; sliding sums follow the bank's `rolling_sum_step` cadence with
+//! an exact re-sum every [`SUM_REFRESH_INTERVAL`] values since the gap, so
+//! the comparison can be bit-exact. Only the recursive members — the
+//! smoothers, the gradient AR(1), the adaptive window, the AR/ARMA fit,
+//! step and innovation — call the [`kernels`](crate::kernels) they are
+//! written in. What this checks is what the bank adds over the formulas:
+//! the shared ring and its mask, the shared sums, the sorted-block
+//! eviction, the slot-major error matrix, gap semantics and selection.
+//!
+//! Every test drives both through the same script — measurements, gaps
+//! (single and back-to-back), non-finite samples — demanding the same
+//! selected member, forecast bits and 16-step horizon bits at every step,
+//! and the same error sums at the end.
+
+use crate::kernels::{
+    absorb_innovation, ewma_step, fit_ar, model_step, rolling_sum_step, sgd_predict, sgd_step,
+    trigg_leach_step, AdjustedWindow, SUM_REFRESH_INTERVAL,
+};
+use crate::panel::{Member, PanelSpec, PredictorBank, Selection};
+use proptest::prelude::*;
+use std::collections::VecDeque;
+
+/// The sum of the last `k` values of `history`, carried from `sum` (the
+/// same before the newest value arrived) by the bank's cadence.
+fn slide(sum: f64, history: &[f64], k: usize) -> f64 {
+    let now = history.len();
+    let evicted = (now > k).then(|| history[now - 1 - k]);
+    if now.is_multiple_of(SUM_REFRESH_INTERVAL) {
+        history[now - now.min(k)..].iter().sum()
+    } else {
+        rolling_sum_step(sum, history[now - 1], evicted)
+    }
+}
+
+/// The last `k` values of `history`, ascending.
+fn sorted_tail(history: &[f64], k: usize) -> Vec<f64> {
+    let mut tail = history[history.len() - history.len().min(k)..].to_vec();
+    tail.sort_by(f64::total_cmp);
+    tail
+}
+
+fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+/// An AR or ARMA member's model, apart from its history.
+struct Model {
+    p: usize,
+    q: usize,
+    window: usize,
+    refit_every: usize,
+    /// The fallback mean's sliding sum.
+    sum: f64,
+    since_refit: usize,
+    fitted: bool,
+    mean: f64,
+    ar: Vec<f64>,
+    theta: Vec<f64>,
+    /// `q` slots, most recent first, `resid_len` of them live.
+    resid: Vec<f64>,
+    resid_len: usize,
+    power: f64,
+}
+
+impl Model {
+    /// The model's one-step forecast, when it has a fit and `p` lags.
+    fn forecast(&self, history: &[f64]) -> Option<f64> {
+        (self.fitted && history.len().min(self.window) >= self.p).then(|| {
+            model_step(
+                self.mean,
+                &self.ar,
+                history.iter().rev().copied(),
+                &self.theta,
+                &self.resid[..self.resid_len],
+            )
+        })
+    }
+
+    /// The model's `k`-step horizon: each forecast becomes the newest
+    /// lag, and each future innovation is zero.
+    fn horizon(&self, history: &[f64], k: usize) -> Option<Vec<f64>> {
+        self.forecast(history)?;
+        let mut lags: Vec<f64> = history.iter().rev().take(self.p).copied().collect();
+        let mut resid = self.resid[..self.resid_len].to_vec();
+        let mut out = Vec::with_capacity(k);
+        for _ in 0..k {
+            let pred = model_step(
+                self.mean,
+                &self.ar,
+                lags.iter().copied(),
+                &self.theta,
+                &resid,
+            );
+            out.push(pred);
+            lags.insert(0, pred);
+            lags.truncate(self.p);
+            resid.insert(0, 0.0);
+            resid.truncate(self.q);
+        }
+        Some(out)
+    }
+}
+
+/// One member's formula state.
+enum Kind {
+    Last(Option<f64>),
+    RunningMean {
+        sum: f64,
+        count: u64,
+    },
+    SlidingMean {
+        k: usize,
+        sum: f64,
+    },
+    SlidingMedian(usize),
+    TrimmedMean(usize, f64),
+    Exp {
+        gain: f64,
+        level: Option<f64>,
+    },
+    AdaptExp {
+        phi: f64,
+        level: Option<f64>,
+        err: f64,
+        abs_err: f64,
+    },
+    Adj(AdjustedWindow),
+    Sgd {
+        eta: f64,
+        w: f64,
+        b: f64,
+    },
+    Model(Box<Model>),
+}
+
+impl Kind {
+    fn new(member: Member) -> Self {
+        let model = |p, q, window, refit_every| {
+            Kind::Model(Box::new(Model {
+                p,
+                q,
+                window,
+                refit_every,
+                sum: 0.0,
+                since_refit: 0,
+                fitted: false,
+                mean: 0.0,
+                ar: vec![0.0; p],
+                theta: vec![0.0; q],
+                resid: vec![0.0; q],
+                resid_len: 0,
+                power: 1.0,
+            }))
+        };
+        match member {
+            Member::LastValue => Kind::Last(None),
+            Member::RunningMean => Kind::RunningMean { sum: 0.0, count: 0 },
+            Member::SlidingMean(k) => Kind::SlidingMean { k, sum: 0.0 },
+            Member::SlidingMedian(k) => Kind::SlidingMedian(k),
+            Member::TrimmedMean(k, alpha) => Kind::TrimmedMean(k, alpha),
+            Member::ExpSmoothing(gain) => Kind::Exp { gain, level: None },
+            Member::AdaptiveExpSmoothing(phi) => Kind::AdaptExp {
+                phi,
+                level: None,
+                err: 0.0,
+                abs_err: 0.0,
+            },
+            Member::AdaptiveWindowMean(min_len, max_len) => {
+                Kind::Adj(AdjustedWindow::new(min_len, max_len))
+            }
+            Member::StochasticGradient(eta) => Kind::Sgd {
+                eta,
+                w: 1.0,
+                b: 0.0,
+            },
+            Member::Ar {
+                order,
+                window,
+                refit_every,
+            } => model(order, 0, window, refit_every),
+            Member::Arma {
+                p,
+                q,
+                window,
+                refit_every,
+            } => model(p, q, window, refit_every),
+        }
+    }
+}
+
+/// One member with its own history and its own error record.
+struct Tracked {
+    name: String,
+    kind: Kind,
+    /// Every value since the last gap, oldest first.
+    history: Vec<f64>,
+    /// The last `recent` absolute errors, oldest first.
+    errors: VecDeque<f64>,
+    recent_sum: f64,
+    abs_sum: f64,
+    sq_sum: f64,
+    scored: u64,
+}
+
+impl Tracked {
+    fn new(member: Member) -> Self {
+        Self {
+            name: member.name(),
+            kind: Kind::new(member),
+            history: Vec::new(),
+            errors: VecDeque::new(),
+            recent_sum: 0.0,
+            abs_sum: 0.0,
+            sq_sum: 0.0,
+            scored: 0,
+        }
+    }
+
+    /// The forecast for the next value, or `None` while the member
+    /// cannot predict: a level member before its first value, a window
+    /// member while its history is empty.
+    fn predict(&self) -> Option<f64> {
+        let h = &self.history;
+        let have = h.len();
+        match &self.kind {
+            Kind::Last(level) | Kind::Exp { level, .. } | Kind::AdaptExp { level, .. } => *level,
+            Kind::RunningMean { sum, count } => (*count > 0).then(|| sum / *count as f64),
+            _ if have == 0 => None,
+            Kind::SlidingMean { k, sum } => Some(sum / have.min(*k) as f64),
+            Kind::SlidingMedian(k) => Some(median(&sorted_tail(h, *k))),
+            Kind::TrimmedMean(k, alpha) => {
+                let sorted = sorted_tail(h, *k);
+                let n = sorted.len();
+                // α < 0.5 always keeps at least one value.
+                let cut = (alpha * n as f64).floor() as usize;
+                let kept = &sorted[cut..n - cut];
+                Some(kept.iter().sum::<f64>() / kept.len() as f64)
+            }
+            Kind::Adj(window) => window.predict(have.min(window.max_len())),
+            Kind::Sgd { w, b, .. } => Some(sgd_predict(*w, *b, h[have - 1])),
+            Kind::Model(m) => m
+                .forecast(h)
+                .or_else(|| Some(m.sum / have.min(m.window) as f64)),
+        }
+    }
+
+    fn horizon(&self, k: usize) -> Option<Vec<f64>> {
+        let standing = self.predict()?;
+        match &self.kind {
+            Kind::Model(m) => m.horizon(&self.history, k),
+            _ => None,
+        }
+        .or_else(|| Some(vec![standing; k]))
+    }
+
+    /// Scores the standing forecast against `value`.
+    fn score(&mut self, value: f64, recent: usize) {
+        let Some(forecast) = self.predict() else {
+            return;
+        };
+        let err = forecast - value;
+        self.abs_sum += err.abs();
+        self.sq_sum += err * err;
+        let evicted = (self.errors.len() == recent).then(|| self.errors.pop_front());
+        self.errors.push_back(err.abs());
+        self.recent_sum = rolling_sum_step(self.recent_sum, err.abs(), evicted.flatten());
+        self.scored += 1;
+        if self.scored.is_multiple_of(SUM_REFRESH_INTERVAL as u64) {
+            self.recent_sum = self.errors.iter().sum();
+        }
+    }
+
+    fn observe(&mut self, value: f64) {
+        // The model's innovation is against its forecast before `value`.
+        let innovation_base = match &self.kind {
+            Kind::Model(m) if m.q > 0 => m.forecast(&self.history),
+            _ => None,
+        };
+        let old = self.history.len();
+        self.history.push(value);
+        let h = &self.history;
+        let now = h.len();
+        match &mut self.kind {
+            Kind::Last(level) => *level = Some(value),
+            Kind::RunningMean { sum, count } => {
+                *sum += value;
+                *count += 1;
+            }
+            Kind::SlidingMean { k, sum } => *sum = slide(*sum, h, *k),
+            Kind::SlidingMedian(_) | Kind::TrimmedMean(..) => {}
+            Kind::Exp { gain, level } => {
+                *level = Some(level.map_or(value, |s| ewma_step(s, *gain, value)));
+            }
+            Kind::AdaptExp {
+                phi,
+                level,
+                err,
+                abs_err,
+            } => {
+                *level =
+                    Some(level.map_or(value, |s| trigg_leach_step(*phi, s, err, abs_err, value)));
+            }
+            Kind::Adj(window) => {
+                let have = old.min(window.max_len());
+                window.roll(value, have, |i| h[old - have + i]);
+                let have = now.min(window.max_len());
+                window.review(have, |i| h[now - have + i]);
+            }
+            Kind::Sgd { eta, w, b } => {
+                if old > 0 {
+                    sgd_step(*eta, w, b, h[old - 1], value);
+                }
+            }
+            Kind::Model(m) => {
+                if let Some(forecast) = innovation_base {
+                    absorb_innovation(
+                        value - forecast,
+                        &mut m.theta,
+                        &mut m.resid,
+                        &mut m.resid_len,
+                        &mut m.power,
+                    );
+                }
+                m.sum = slide(m.sum, h, m.window);
+                let have = now.min(m.window);
+                m.since_refit += 1;
+                if m.since_refit >= m.refit_every && have >= 4 * m.p {
+                    m.since_refit = 0;
+                    let (mut autocov, mut a, mut prev) =
+                        (vec![0.0; m.p + 1], vec![0.0; m.p], vec![0.0; m.p]);
+                    let fit = fit_ar(
+                        have,
+                        |t| h[now - have + t],
+                        m.p,
+                        &mut autocov,
+                        &mut a,
+                        &mut prev,
+                    );
+                    if let Some(mean) = fit {
+                        m.ar = a;
+                        m.mean = mean;
+                        m.fitted = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Forgets the history; learned parameters and levels stay.
+    fn note_gap(&mut self) {
+        self.history.clear();
+        match &mut self.kind {
+            Kind::SlidingMean { sum, .. } => *sum = 0.0,
+            Kind::Adj(window) => window.note_gap(),
+            Kind::Model(m) => {
+                m.sum = 0.0;
+                m.since_refit = 0;
+                m.resid.fill(0.0);
+                m.resid_len = 0;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The panel, one [`Tracked`] member at a time.
+struct Reference {
+    members: Vec<Tracked>,
+    selection: Selection,
+    recent: usize,
+    observations: u64,
+    selected: usize,
+}
+
+impl Reference {
+    fn new(members: &[Member], selection: Selection, recent: usize) -> Self {
+        Self {
+            members: members.iter().map(|&m| Tracked::new(m)).collect(),
+            selection,
+            recent,
+            observations: 0,
+            selected: 0,
+        }
+    }
+
+    /// The member with the lowest error among those that can predict and
+    /// were ever scored (the first on ties); with none scored, the first
+    /// that can predict; with none able to predict, the current one.
+    fn reselect(&mut self) {
+        let recent = self.recent as u64;
+        let score = |m: &Tracked| match self.selection {
+            Selection::RecentMae => m.recent_sum / m.scored.min(recent) as f64,
+            Selection::CumulativeMae => m.abs_sum / m.scored as f64,
+            Selection::CumulativeMse => m.sq_sum / m.scored as f64,
+        };
+        let mut best: Option<(usize, f64)> = None;
+        for (i, m) in self.members.iter().enumerate() {
+            if m.scored == 0 || m.predict().is_none() {
+                continue;
+            }
+            let s = score(m);
+            if best.is_none_or(|(_, b)| s < b) {
+                best = Some((i, s));
+            }
+        }
+        let first_live = || self.members.iter().position(|m| m.predict().is_some());
+        if let Some(i) = best.map(|(i, _)| i).or_else(first_live) {
+            self.selected = i;
+        }
+    }
+
+    fn observe(&mut self, value: f64) {
+        for m in &mut self.members {
+            m.score(value, self.recent);
+            m.observe(value);
+        }
+        self.observations += 1;
+        self.reselect();
+    }
+
+    fn note_gap(&mut self) {
+        for m in &mut self.members {
+            m.note_gap();
+        }
+        if self.members[self.selected].predict().is_none() {
+            self.reselect();
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Value(f64),
+    Gap,
+    /// A NaN or infinity: no measurement, so the reference notes a gap.
+    NonFinite(f64),
+}
+
+fn bits(v: Option<f64>) -> Option<u64> {
+    v.map(f64::to_bits)
+}
+
+fn horizon_bits(h: Option<Vec<f64>>) -> Option<Vec<u64>> {
+    h.map(|h| h.into_iter().map(f64::to_bits).collect())
+}
+
+/// Drives the bank and the reference through `script`, comparing after
+/// every step.
+fn drive(
+    members: &[Member],
+    selection: Selection,
+    recent_window: usize,
+    script: impl IntoIterator<Item = Step>,
+) -> Result<(), TestCaseError> {
+    let mut reference = Reference::new(members, selection, recent_window);
+    let mut bank = PredictorBank::new(members, selection, recent_window);
+    for (i, step) in script.into_iter().enumerate() {
+        match step {
+            Step::Value(v) => {
+                reference.observe(v);
+                bank.observe(v);
+            }
+            Step::Gap => {
+                reference.note_gap();
+                bank.note_gap();
+            }
+            Step::NonFinite(v) => {
+                reference.note_gap();
+                bank.observe(v);
+            }
+        }
+        let member = &reference.members[reference.selected];
+        let at = format!("step {i} ({step:?}), reference member {}", member.name);
+        prop_assert!(
+            bank.selected_index() == reference.selected,
+            "{at}: bank selected {}, reference {}",
+            bank.selected_index(),
+            reference.selected
+        );
+        let (got, want) = (bits(bank.predicted_value()), bits(member.predict()));
+        prop_assert!(got == want, "{at}: forecast bits {got:?} != {want:?}");
+        let got = horizon_bits(bank.predict_horizon(16));
+        let want = horizon_bits(member.horizon(16));
+        prop_assert!(got == want, "{at}: horizon bits {got:?} != {want:?}");
+        match bank.forecast() {
+            Some(f) => prop_assert!(
+                *f.method == *member.name && f.method_index == reference.selected,
+                "{at}: served by {}",
+                f.method
+            ),
+            None => prop_assert!(member.predict().is_none(), "{at}: nothing served"),
+        }
+    }
+    prop_assert_eq!(bank.observations(), reference.observations);
+    for (row, member) in bank.error_table().iter().zip(&reference.members) {
+        prop_assert_eq!(&*row.name, member.name.as_str());
+        let got = (row.scored, row.abs_sum.to_bits(), row.sq_sum.to_bits());
+        let want = (
+            member.scored,
+            member.abs_sum.to_bits(),
+            member.sq_sum.to_bits(),
+        );
+        prop_assert!(got == want, "{} error sums {got:?} != {want:?}", row.name);
+    }
+    Ok(())
+}
+
+/// A script from raw draws: `(kind, level)` pairs, where a few percent of
+/// the kinds are gaps (some doubled) or non-finite samples. `quantised`
+/// snaps values to sixteenths, which fills the sorted windows with ties.
+fn script_from(draws: &[(u8, f64)], quantised: bool) -> Vec<Step> {
+    let mut script = Vec::with_capacity(draws.len());
+    for &(kind, level) in draws {
+        match kind {
+            0..=2 => script.push(Step::Gap),
+            3 => script.extend([Step::Gap, Step::Gap]),
+            4 => script.push(Step::NonFinite(
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(level * 2.99) as usize],
+            )),
+            _ if quantised => script.push(Step::Value((level * 16.0).round() / 16.0)),
+            _ => script.push(Step::Value(level)),
+        }
+    }
+    script
+}
+
+fn draws(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, f64)>> {
+    prop::collection::vec((0u8..100, 0.0f64..=1.0), len)
+}
+
+fn selection() -> impl Strategy<Value = Selection> {
+    prop_oneof![
+        Just(Selection::RecentMae),
+        Just(Selection::CumulativeMae),
+        Just(Selection::CumulativeMse),
+    ]
+}
+
+fn member() -> impl Strategy<Value = Member> {
+    prop_oneof![
+        Just(Member::LastValue),
+        Just(Member::RunningMean),
+        (1usize..40).prop_map(Member::SlidingMean),
+        (1usize..40).prop_map(Member::SlidingMedian),
+        (1usize..40, 0usize..4).prop_map(|(k, a)| Member::TrimmedMean(k, [0.0, 0.1, 0.2, 0.45][a])),
+        (0.01f64..=1.0).prop_map(Member::ExpSmoothing),
+        (0.05f64..0.95).prop_map(Member::AdaptiveExpSmoothing),
+        (1usize..6, 0usize..40)
+            .prop_map(|(min, extra)| Member::AdaptiveWindowMean(min, min + extra)),
+        (0.01f64..0.5).prop_map(Member::StochasticGradient),
+        (1usize..6, 0usize..40, 1usize..30).prop_map(|(order, extra, refit_every)| Member::Ar {
+            order,
+            window: 4 * order + extra,
+            refit_every,
+        }),
+        (1usize..3, 1usize..3, 0usize..40, 1usize..30).prop_map(|(p, q, extra, refit_every)| {
+            Member::Arma {
+                p,
+                q,
+                window: 4 * p + extra,
+                refit_every,
+            }
+        }),
+    ]
+}
+
+fn spec() -> impl Strategy<Value = PanelSpec> {
+    prop_oneof![
+        (0.01f64..=1.0).prop_map(|gain| PanelSpec::EwmaOnly { gain }),
+        Just(PanelSpec::Cheap),
+        Just(PanelSpec::Nws1999),
+        Just(PanelSpec::Extended),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn named_panels_match_the_reference(
+        spec in spec(),
+        draws in draws(1..700),
+        quantised in any::<bool>(),
+    ) {
+        drive(&spec.members(), Selection::default(), 30, script_from(&draws, quantised))?;
+    }
+
+    #[test]
+    fn random_member_lists_match_the_reference(
+        members in prop::collection::vec(member(), 1..10),
+        selection in selection(),
+        recent_window in 1usize..40,
+        draws in draws(1..400),
+        quantised in any::<bool>(),
+    ) {
+        drive(&members, selection, recent_window, script_from(&draws, quantised))?;
+    }
+}
+
+/// Seeded xorshift levels in `[0, 1)` around a slowly wandering mean.
+fn wandering_levels(seed: u64, n: usize) -> impl Iterator<Item = f64> {
+    let mut rng = seed;
+    let mut level = 0.5f64;
+    (0..n).map(move |_| {
+        rng ^= rng >> 12;
+        rng ^= rng << 25;
+        rng ^= rng >> 27;
+        let u = (rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64;
+        level = (0.5 + 0.97 * (level - 0.5) + 0.08 * (u - 0.5)).clamp(0.0, 1.0);
+        level
+    })
+}
+
+/// 9,600 steps: early gaps (one back-to-back) and a NaN, then more than
+/// 9,000 uninterrupted measurements — two crossings of the 4,096-push
+/// exact refresh for the ring's rolling sums and the error matrix's
+/// column sums. The fixed-length adaptive window (`3-3` cannot change
+/// length, so nothing rebases its sums early) crosses its own refresh.
+#[test]
+fn long_runs_cross_every_sum_refresh() {
+    let mut with_fixed_window = PanelSpec::Nws1999.members();
+    with_fixed_window.push(Member::AdaptiveWindowMean(3, 3));
+    let lists = [
+        PanelSpec::EwmaOnly { gain: 0.25 }.members(),
+        PanelSpec::Cheap.members(),
+        PanelSpec::Nws1999.members(),
+        PanelSpec::Extended.members(),
+        with_fixed_window,
+    ];
+    for (case, members) in lists.iter().enumerate() {
+        let script = wandering_levels(7 + case as u64, 9_600)
+            .enumerate()
+            .map(|(i, v)| match i {
+                200 | 340 | 341 => Step::Gap,
+                420 => Step::NonFinite(f64::NAN),
+                _ => Step::Value(v),
+            });
+        drive(members, Selection::default(), 30, script)
+            .unwrap_or_else(|e| panic!("list {case}: {e}"));
+    }
+}

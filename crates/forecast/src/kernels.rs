@@ -1,28 +1,27 @@
 //! The member formulas, written once.
 //!
-//! Every panel member exists in two shapes: a standalone [`Predictor`]
-//! struct that owns its history (the public single-series API), and a
-//! slice of the flat [`PredictorBank`] state that reads the bank's shared
-//! history ring. Both shapes call the free functions and small state
-//! types in this module, so a formula — its operation order, its tie
-//! rule, its refresh cadence — has exactly one definition and the two
-//! shapes agree to the bit by construction.
+//! Each panel member is a slice of the flat [`PredictorBank`] state that
+//! reads the bank's shared history ring; its formula — operation order,
+//! tie rule, refresh cadence — is a free function or a small state type
+//! here. The bank's test oracle (`bank_equivalence`) composes its
+//! per-member reference from the recursive kernels (the smoothers, the
+//! gradient step, `AdjustedWindow`, the AR/ARMA fit and step), and
+//! writes the window statistics it checks — sorted medians, trimmed
+//! means, sliding sums — out from their definitions.
 //!
 //! Nothing here owns a history. Window access is passed in as a closure
-//! (`at(i)`, oldest value first) or an iterator of lags, so the same
-//! kernel runs over a `SlidingWindow` or over a masked ring.
+//! (`at(i)`, oldest value first) or an iterator of lags, so a kernel runs
+//! over the bank's masked ring as readily as over a plain slice.
 //!
-//! [`Predictor`]: crate::methods::Predictor
 //! [`PredictorBank`]: crate::panel::PredictorBank
 
-use nws_timeseries::SlidingWindow;
 pub use nws_timeseries::{rolling_sum_step, SUM_REFRESH_INTERVAL};
 
 /// One exponential-smoothing step: `state + gain·(value − state)`.
 ///
-/// The single canonical EWMA kernel — `ExpSmoothing::observe`, the
-/// predictor bank and the fleet tier's dense per-host forecasts
-/// (`nws_grid::fleet::FleetMonitor`) all evaluate exactly this
+/// The single canonical EWMA kernel — the predictor bank's
+/// `exp_smooth` members and the fleet tier's dense per-host forecasts
+/// (`nws_grid::fleet::FleetMonitor`) both evaluate exactly this
 /// expression, so the paths stay bit-identical by construction.
 #[inline]
 pub fn ewma_step(state: f64, gain: f64, value: f64) -> f64 {
@@ -198,16 +197,8 @@ impl AdjustedWindow {
         }
     }
 
-    pub(crate) fn min_len(&self) -> usize {
-        self.min_len
-    }
-
     pub(crate) fn max_len(&self) -> usize {
         self.max_len
-    }
-
-    pub(crate) fn current_len(&self) -> usize {
-        self.len
     }
 
     fn half_len(&self) -> usize {
@@ -366,14 +357,52 @@ pub(crate) fn fit_ar(
     for acc in autocov.iter_mut() {
         *acc /= n as f64;
     }
-    crate::ar::levinson_durbin_into(autocov, order, a, prev).then_some(mean)
+    levinson_durbin_into(autocov, order, a, prev).then_some(mean)
 }
 
-/// A window's values, most recent first — the lag order the model
-/// kernels take.
-pub(crate) fn newest_first(window: &SlidingWindow) -> impl Iterator<Item = f64> + '_ {
-    let n = window.len();
-    (0..n).map(move |i| window.get(n - 1 - i).expect("lag in range"))
+/// Solves the Yule–Walker equations for AR coefficients by the
+/// Levinson–Durbin recursion, writing into caller-provided buffers so
+/// periodic refits allocate nothing.
+///
+/// `autocov[k]` must hold the autocovariance at lag `k` for
+/// `k = 0..=order`; `a` and `prev` must both hold exactly `order`
+/// elements. `a` receives the coefficients on success and is unspecified
+/// on failure. Returns whether the fit succeeded: it fails when the
+/// system is degenerate (zero variance, or a non-positive-definite
+/// covariance sequence, e.g. from numerically inconsistent inputs).
+pub(crate) fn levinson_durbin_into(
+    autocov: &[f64],
+    order: usize,
+    a: &mut [f64],
+    prev: &mut [f64],
+) -> bool {
+    if autocov.len() < order + 1 || autocov[0] <= 0.0 {
+        return false;
+    }
+    a.fill(0.0); // current coefficients a_1..a_p
+    let mut e = autocov[0]; // prediction error variance
+    for k in 0..order {
+        let mut acc = autocov[k + 1];
+        for j in 0..k {
+            acc -= a[j] * autocov[k - j];
+        }
+        if e <= 0.0 {
+            return false;
+        }
+        let reflection = acc / e;
+        if !reflection.is_finite() || reflection.abs() > 1.0 + 1e-9 {
+            // Non-stationary fit; bail out rather than predict explosively.
+            return false;
+        }
+        // Update coefficients (Levinson step).
+        prev.copy_from_slice(a);
+        a[k] = reflection;
+        for j in 0..k {
+            a[j] = prev[j] - reflection * prev[k - 1 - j];
+        }
+        e *= 1.0 - reflection * reflection;
+    }
+    true
 }
 
 /// The one-step ARMA forecast
@@ -460,8 +489,8 @@ pub(crate) fn absorb_innovation(
 mod tests {
     use super::*;
 
-    /// The autocovariance pass as `ArPredictor::refit` first wrote it:
-    /// one lag at a time.
+    /// The autocovariance pass as the AR refit first wrote it: one lag at
+    /// a time.
     fn lag_at_a_time(window: &[f64], order: usize) -> (f64, Vec<f64>) {
         let n = window.len();
         let mean = window.iter().sum::<f64>() / n as f64;
@@ -501,6 +530,35 @@ mod tests {
                 assert_eq!(fitted.map(f64::to_bits), Some(mean.to_bits()));
             }
         }
+    }
+
+    /// `levinson_durbin_into` with fresh buffers: the coefficients, or
+    /// `None` on a degenerate system.
+    fn levinson(autocov: &[f64], order: usize) -> Option<Vec<f64>> {
+        let (mut a, mut prev) = (vec![0.0; order], vec![0.0; order]);
+        levinson_durbin_into(autocov, order, &mut a, &mut prev).then_some(a)
+    }
+
+    #[test]
+    fn levinson_durbin_solves_known_ar1() {
+        // AR(1) with coefficient phi: autocov(k) = phi^k * var.
+        let phi: f64 = 0.6;
+        let var = 2.0;
+        let autocov: Vec<f64> = (0..=3).map(|k| var * phi.powi(k)).collect();
+        let a = levinson(&autocov, 1).expect("solvable");
+        assert!((a[0] - phi).abs() < 1e-12);
+        // Higher-order fit of an AR(1): extra coefficients near zero.
+        let a3 = levinson(&autocov, 3).expect("solvable");
+        assert!((a3[0] - phi).abs() < 1e-9);
+        assert!(a3[1].abs() < 1e-9 && a3[2].abs() < 1e-9);
+    }
+
+    #[test]
+    fn levinson_durbin_rejects_degenerate_input() {
+        assert!(levinson(&[0.0, 0.0], 1).is_none()); // zero variance
+        assert!(levinson(&[1.0], 1).is_none()); // too few lags
+                                                // |reflection| > 1 (inconsistent autocovariance): refuse.
+        assert!(levinson(&[1.0, 1.5], 1).is_none());
     }
 
     #[test]

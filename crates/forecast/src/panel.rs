@@ -30,19 +30,13 @@
 //!   every bank built from the same member list, together with the
 //!   method-name table.
 //!
-//! The member formulas themselves live in [`kernels`](crate::kernels),
-//! where the standalone [`Predictor`] structs call them too.
+//! The member formulas themselves live in [`kernels`](crate::kernels);
+//! the bank is their only caller.
 
-use crate::adaptive::{AdaptiveExpSmoothing, AdaptiveWindowMean, StochasticGradient};
-use crate::ar::ArPredictor;
-use crate::arma::Arma;
 use crate::kernels::{
     absorb_innovation, error_terms, ewma_step, fit_ar, median_of_sorted, model_horizon, model_step,
     rolling_sum_step, sgd_predict, sgd_step, sorted_slide, trigg_leach_step,
     trimmed_mean_of_sorted, AdjustedWindow, SUM_REFRESH_INTERVAL,
-};
-use crate::methods::{
-    ExpSmoothing, LastValue, Predictor, RunningMean, SlidingMean, SlidingMedian, TrimmedMean,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -60,44 +54,60 @@ pub enum Selection {
 }
 
 /// One panel member, by description: which technique and its parameters.
-/// `Copy`, so member lists are plain data; [`Member::standalone`] builds
-/// the matching single-series [`Predictor`].
+/// `Copy`, so member lists are plain data. A bank checks the parameters
+/// when it is built; a single predictor is a one-member bank.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Member {
-    /// [`LastValue`].
+    /// The most recent value.
     LastValue,
-    /// [`RunningMean`].
+    /// The mean of every value observed (O(1) state).
     RunningMean,
-    /// [`SlidingMean`] over the last `k` values.
+    /// The mean of the last `k` values.
     SlidingMean(usize),
-    /// [`SlidingMedian`] over the last `k` values.
+    /// The median of the last `k` values — robust to the spikes a
+    /// run-queue series is full of.
     SlidingMedian(usize),
-    /// [`TrimmedMean`] over the last `k` values, trimming fraction α.
+    /// The mean of the last `k` values after dropping `floor(α·k)` from
+    /// each end (α in `[0, 0.5)`): a compromise between the mean's
+    /// efficiency and the median's robustness.
     TrimmedMean(usize, f64),
-    /// [`ExpSmoothing`] with a fixed gain.
+    /// Exponential smoothing `level ← level + gain·(x − level)` with a
+    /// fixed gain in `(0, 1]`; small gains track slowly varying series,
+    /// large ones chase recent changes.
     ExpSmoothing(f64),
-    /// [`AdaptiveExpSmoothing`] with gain-adaptation rate φ.
+    /// Exponential smoothing with the Trigg–Leach adaptive gain
+    /// `|smoothed error| / smoothed |error|`, which approaches 1 when
+    /// errors keep one sign (the level shifted) and falls when they
+    /// alternate (noise). φ in `(0, 1)` is how fast the gain adapts.
     AdaptiveExpSmoothing(f64),
-    /// [`AdaptiveWindowMean`] over `[min_len, max_len]`.
+    /// A sliding mean whose length moves within `[min_len, max_len]`:
+    /// every eight values it switches to whichever of half, current and
+    /// double length would have erred least.
     AdaptiveWindowMean(usize, usize),
-    /// [`StochasticGradient`] AR(1) with learning rate η.
+    /// The AR(1) forecast `w·x + b`, with `(w, b)` descended on the
+    /// squared one-step error at learning rate η in `(0, 1)`; starts as
+    /// the last value.
     StochasticGradient(f64),
-    /// [`ArPredictor`].
+    /// AR(`order`) fitted by Levinson–Durbin over the last `window`
+    /// values every `refit_every` observations; the window mean until a
+    /// fit succeeds.
     Ar {
         /// AR order.
         order: usize,
-        /// Fit window length.
+        /// Fit window length, at least `4·order`.
         window: usize,
         /// Observations between refits.
         refit_every: usize,
     },
-    /// [`Arma`].
+    /// ARMA(`p`, `q`): the AR side refitted as [`Member::Ar`], the θ
+    /// weights adapted online by a normalized LMS step on each
+    /// innovation.
     Arma {
         /// AR order.
         p: usize,
         /// MA order.
         q: usize,
-        /// Fit window length.
+        /// Fit window length, at least `4·p`.
         window: usize,
         /// Observations between AR-side refits.
         refit_every: usize,
@@ -105,39 +115,70 @@ pub enum Member {
 }
 
 impl Member {
-    /// The standalone single-series predictor this member describes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on parameters the predictor's constructor rejects.
-    pub fn standalone(self) -> Box<dyn Predictor> {
+    /// Display name, e.g. `"sw_mean(20)"`. Names reach the error tables,
+    /// the CSVs and the wire.
+    pub fn name(self) -> String {
         match self {
-            Member::LastValue => Box::new(LastValue::new()),
-            Member::RunningMean => Box::new(RunningMean::new()),
-            Member::SlidingMean(k) => Box::new(SlidingMean::new(k)),
-            Member::SlidingMedian(k) => Box::new(SlidingMedian::new(k)),
-            Member::TrimmedMean(k, alpha) => Box::new(TrimmedMean::new(k, alpha)),
-            Member::ExpSmoothing(gain) => Box::new(ExpSmoothing::new(gain)),
-            Member::AdaptiveExpSmoothing(phi) => Box::new(AdaptiveExpSmoothing::new(phi)),
-            Member::AdaptiveWindowMean(min, max) => Box::new(AdaptiveWindowMean::new(min, max)),
-            Member::StochasticGradient(eta) => Box::new(StochasticGradient::new(eta)),
-            Member::Ar {
-                order,
-                window,
-                refit_every,
-            } => Box::new(ArPredictor::new(order, window, refit_every)),
-            Member::Arma {
-                p,
-                q,
-                window,
-                refit_every,
-            } => Box::new(Arma::new(p, q, window, refit_every)),
+            Member::LastValue => "last".into(),
+            Member::RunningMean => "run_mean".into(),
+            Member::SlidingMean(k) => format!("sw_mean({k})"),
+            Member::SlidingMedian(k) => format!("sw_median({k})"),
+            Member::TrimmedMean(k, alpha) => format!("trim_mean({k},{alpha})"),
+            Member::ExpSmoothing(gain) => format!("exp_smooth({gain})"),
+            Member::AdaptiveExpSmoothing(phi) => format!("adapt_exp({phi})"),
+            Member::AdaptiveWindowMean(min_len, max_len) => {
+                format!("adj_mean({min_len}-{max_len})")
+            }
+            Member::StochasticGradient(eta) => format!("sgd_ar1({eta})"),
+            Member::Ar { order, .. } => format!("ar({order})"),
+            Member::Arma { p, q, .. } => format!("arma({p},{q})"),
         }
     }
 
-    /// Display name, e.g. `"sw_mean(20)"` — the standalone predictor's.
-    pub fn name(self) -> String {
-        self.standalone().name()
+    /// Panics on parameters the member cannot run with.
+    fn validate(self) {
+        let nonempty = |k: usize| assert!(k > 0, "window must be positive");
+        let unit_open = |x: f64| x > 0.0 && x < 1.0;
+        match self {
+            Member::LastValue | Member::RunningMean => {}
+            Member::SlidingMean(k) | Member::SlidingMedian(k) => nonempty(k),
+            Member::TrimmedMean(k, alpha) => {
+                nonempty(k);
+                assert!((0.0..0.5).contains(&alpha), "alpha must be in [0, 0.5)");
+            }
+            Member::ExpSmoothing(gain) => {
+                assert!(gain > 0.0 && gain <= 1.0, "gain must be in (0, 1]")
+            }
+            Member::AdaptiveExpSmoothing(phi) => assert!(unit_open(phi), "phi must be in (0, 1)"),
+            Member::StochasticGradient(eta) => assert!(unit_open(eta), "eta must be in (0, 1)"),
+            Member::AdaptiveWindowMean(min_len, max_len) => {
+                assert!(min_len > 0 && min_len <= max_len, "bad window bounds");
+            }
+            Member::Ar {
+                order: p,
+                window,
+                refit_every,
+            }
+            | Member::Arma {
+                p,
+                window,
+                refit_every,
+                ..
+            } => {
+                assert!(p > 0, "AR order must be positive");
+                if let Member::Arma { q, .. } = self {
+                    assert!(
+                        q > 0,
+                        "MA order must be positive (use Member::Ar for q = 0)"
+                    );
+                }
+                assert!(
+                    window >= 4 * p,
+                    "window must be at least 4x the AR order for a stable fit"
+                );
+                assert!(refit_every > 0, "refit cadence must be positive");
+            }
+        }
     }
 }
 
@@ -165,10 +206,13 @@ pub enum PanelSpec {
 /// The recent-error window of the NWS defaults.
 const DEFAULT_RECENT_WINDOW: usize = 30;
 
+/// The gains of the standard NWS exponential-smoothing bank.
+const BANK_GAINS: [f64; 7] = [0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 0.9];
+
 impl PanelSpec {
     /// The panel members, in their canonical order.
     pub fn members(self) -> Vec<Member> {
-        let smoothers = ExpSmoothing::BANK_GAINS.map(Member::ExpSmoothing);
+        let smoothers = BANK_GAINS.map(Member::ExpSmoothing);
         match self {
             PanelSpec::EwmaOnly { gain } => vec![Member::ExpSmoothing(gain)],
             PanelSpec::Cheap => {
@@ -440,8 +484,13 @@ impl Plan {
         );
         assert!(recent > 0, "recent window must be positive");
         let n = members.len();
-        // Constructing the standalone form validates the parameters.
-        let names = members.iter().map(|m| Arc::from(m.name())).collect();
+        let names = members
+            .iter()
+            .map(|m| {
+                m.validate();
+                Arc::from(m.name())
+            })
+            .collect();
         let mut cursor = 0;
         let mut icursor = 0;
         let take = |cursor: &mut usize, width: usize| {
@@ -1165,6 +1214,23 @@ impl PredictorBank {
 mod tests {
     use super::*;
 
+    fn ar(order: usize, window: usize, refit_every: usize) -> Member {
+        Member::Ar {
+            order,
+            window,
+            refit_every,
+        }
+    }
+
+    fn arma(p: usize, q: usize, window: usize, refit_every: usize) -> Member {
+        Member::Arma {
+            p,
+            q,
+            window,
+            refit_every,
+        }
+    }
+
     #[test]
     fn nws_default_is_exactly_the_1999_spec() {
         let a = PredictorBank::nws_default();
@@ -1173,19 +1239,64 @@ mod tests {
     }
 
     #[test]
-    fn extended_panel_appends_arma_members() {
-        let base = PanelSpec::Nws1999.build();
-        let ext = PanelSpec::Extended.build();
-        let names = ext.method_names();
-        assert_eq!(
-            &names[..base.panel_len()],
-            base.method_names().as_slice(),
-            "v2 extends the 1999 panel in place"
-        );
-        assert_eq!(
-            &names[base.panel_len()..],
-            &["arma(1,1)".to_string(), "arma(2,1)".to_string()]
-        );
+    fn extended_panel_names_are_pinned() {
+        // These strings reach the error tables, the CSVs and the wire.
+        let names = PanelSpec::Extended.build().method_names();
+        let pinned = "last run_mean sw_mean(5) sw_mean(10) sw_mean(20) sw_mean(50) sw_mean(100) \
+            sw_median(5) sw_median(11) sw_median(21) sw_median(51) trim_mean(11,0.2) \
+            trim_mean(31,0.2) exp_smooth(0.05) exp_smooth(0.1) exp_smooth(0.2) exp_smooth(0.3) \
+            exp_smooth(0.5) exp_smooth(0.75) exp_smooth(0.9) adapt_exp(0.2) adj_mean(3-100) \
+            sgd_ar1(0.05) ar(3) arma(1,1) arma(2,1)";
+        assert_eq!(names, pinned.split_whitespace().collect::<Vec<_>>());
+        // v2 extends the 1999 panel in place.
+        let base = PanelSpec::Nws1999.build().method_names();
+        assert_eq!(&names[..base.len()], base.as_slice());
+    }
+
+    #[test]
+    fn every_rejected_parameter_panics_at_build() {
+        let nan = f64::NAN;
+        let rejected = [
+            (Member::SlidingMean(0), "window must be positive"),
+            (Member::SlidingMedian(0), "window must be positive"),
+            (Member::TrimmedMean(0, 0.2), "window must be positive"),
+            (Member::TrimmedMean(5, -0.1), "alpha"),
+            (Member::TrimmedMean(5, 0.5), "alpha"),
+            (Member::TrimmedMean(5, nan), "alpha"),
+            (Member::ExpSmoothing(0.0), "gain"),
+            (Member::ExpSmoothing(1.5), "gain"),
+            (Member::ExpSmoothing(nan), "gain"),
+            (Member::AdaptiveExpSmoothing(0.0), "phi"),
+            (Member::AdaptiveExpSmoothing(1.0), "phi"),
+            (Member::AdaptiveExpSmoothing(nan), "phi"),
+            (Member::StochasticGradient(0.0), "eta"),
+            (Member::StochasticGradient(1.0), "eta"),
+            (Member::StochasticGradient(nan), "eta"),
+            (Member::AdaptiveWindowMean(0, 4), "bad window bounds"),
+            (Member::AdaptiveWindowMean(5, 4), "bad window bounds"),
+            (ar(0, 20, 5), "AR order"),
+            (ar(10, 20, 5), "window must be at least"),
+            (ar(1, 20, 0), "refit cadence"),
+            (arma(0, 1, 40, 5), "AR order"),
+            (arma(1, 0, 40, 5), "MA order"),
+            (arma(11, 1, 40, 5), "window must be at least"),
+            (arma(1, 1, 40, 0), "refit cadence"),
+        ];
+        for (member, expected) in rejected {
+            let payload = std::panic::catch_unwind(|| {
+                PredictorBank::new(&[member], Selection::default(), 10)
+            })
+            .expect_err(&format!("{member:?} was accepted"));
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains(expected),
+                "{member:?}: panicked with {message:?}, expected {expected:?}"
+            );
+        }
     }
 
     #[test]
@@ -1200,11 +1311,7 @@ mod tests {
             rng ^= rng >> 27;
             let v = (rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64;
             bank.update(v);
-            state = if i == 0 {
-                v
-            } else {
-                crate::methods::ewma_step(state, gain, v)
-            };
+            state = if i == 0 { v } else { ewma_step(state, gain, v) };
             assert_eq!(
                 bank.predicted_value().unwrap().to_bits(),
                 state.to_bits(),
@@ -1310,6 +1417,22 @@ mod tests {
         assert_eq!(folded, by_rows);
     }
 
+    /// A single predictor: a one-member bank.
+    fn alone(member: Member) -> PredictorBank {
+        PredictorBank::new(&[member], Selection::default(), DEFAULT_RECENT_WINDOW)
+    }
+
+    /// What `bank`'s learned parameters predict from `fresh` alone
+    /// (oldest first): a copy's forecast after a gap and those values.
+    fn probe(bank: &PredictorBank, fresh: &[f64]) -> f64 {
+        let mut copy = bank.clone();
+        copy.note_gap();
+        for &v in fresh {
+            copy.observe(v);
+        }
+        copy.predicted_value().expect("fresh values were observed")
+    }
+
     #[test]
     fn constant_series_is_predicted_exactly() {
         let mut nws = PredictorBank::nws_default();
@@ -1319,6 +1442,291 @@ mod tests {
         }
         let f = last.unwrap();
         assert!((f.value - 0.37).abs() < 1e-9);
+        // Every member alone, too — and none predicts before data. The
+        // models' zero-variance fits are refused, so they serve the
+        // fallback window mean.
+        for member in [
+            Member::LastValue,
+            Member::RunningMean,
+            Member::SlidingMean(4),
+            Member::SlidingMedian(4),
+            Member::TrimmedMean(4, 0.1),
+            Member::ExpSmoothing(0.3),
+            Member::AdaptiveExpSmoothing(0.2),
+            Member::AdaptiveWindowMean(2, 8),
+            Member::StochasticGradient(0.05),
+            ar(3, 50, 10),
+            arma(2, 1, 40, 10),
+        ] {
+            let mut bank = alone(member);
+            assert_eq!(bank.predicted_value(), None, "{member:?} predicted early");
+            for _ in 0..100 {
+                bank.observe(0.42);
+            }
+            let p = bank.predicted_value().unwrap();
+            assert!((p - 0.42).abs() < 1e-9, "{member:?}: {p}");
+        }
+    }
+
+    #[test]
+    fn window_members_age_out_across_gaps_while_levels_survive() {
+        for member in [
+            Member::SlidingMean(5),
+            Member::SlidingMedian(5),
+            Member::TrimmedMean(5, 0.2),
+        ] {
+            let mut bank = alone(member);
+            for v in [0.9, 0.9, 0.9] {
+                bank.observe(v);
+            }
+            bank.note_gap();
+            assert_eq!(bank.predicted_value(), None, "{member:?} bridged the gap");
+            bank.observe(0.2);
+            let p = bank.predicted_value().unwrap();
+            assert!((p - 0.2).abs() < 1e-12, "{member:?}: {p}");
+        }
+        for member in [
+            Member::LastValue,
+            Member::RunningMean,
+            Member::ExpSmoothing(0.3),
+        ] {
+            let mut bank = alone(member);
+            bank.observe(0.6);
+            bank.observe(0.6);
+            bank.note_gap();
+            assert_eq!(
+                bank.predicted_value(),
+                Some(0.6),
+                "{member:?} lost its level"
+            );
+        }
+    }
+
+    #[test]
+    fn median_resists_outliers_and_trimmed_mean_lies_between() {
+        let data = [0.4, 0.5, 0.6, 0.5, 5.0];
+        let after = |member| {
+            let mut bank = alone(member);
+            for v in data {
+                bank.observe(v);
+            }
+            bank.predicted_value().unwrap()
+        };
+        let (mean, median, trimmed) = (
+            after(Member::SlidingMean(5)),
+            after(Member::SlidingMedian(5)),
+            after(Member::TrimmedMean(5, 0.2)),
+        );
+        assert_eq!(median, 0.5, "the outlier moved the median");
+        assert!(
+            median <= trimmed && trimmed <= mean,
+            "median {median} <= trimmed {trimmed} <= mean {mean}"
+        );
+    }
+
+    #[test]
+    fn adaptive_window_follows_a_level_shift() {
+        let mut bank = alone(Member::AdaptiveWindowMean(2, 64));
+        for _ in 0..200 {
+            bank.observe(0.8);
+        }
+        // On a level, one zero pulls a len-long mean down by 0.8/len.
+        let mut copy = bank.clone();
+        copy.observe(0.0);
+        let len = 0.8 / (0.8 - copy.predicted_value().unwrap());
+        assert!(len > 8.0, "window of {len}");
+        // Noise around a new level: the window lets go of the old one.
+        for i in 0..200 {
+            bank.observe(if i % 2 == 0 { 0.1 } else { 0.3 });
+        }
+        let p = bank.predicted_value().unwrap();
+        assert!((p - 0.2).abs() < 0.15, "prediction {p} stuck on old level");
+    }
+
+    #[test]
+    fn adaptive_gain_falls_on_alternating_noise_and_rises_on_a_shift() {
+        // The smoother moves `gain · error` per value, so the gain it used
+        // is the move over the error.
+        let gain = |bank: &mut PredictorBank, v: f64| {
+            let before = bank.predicted_value().unwrap();
+            bank.observe(v);
+            (bank.predicted_value().unwrap() - before) / (v - before)
+        };
+        let mut bank = alone(Member::AdaptiveExpSmoothing(0.2));
+        bank.observe(0.5);
+        let mut calm = 0.0;
+        for i in 0..200 {
+            calm = gain(&mut bank, if i % 2 == 0 { 0.4 } else { 0.6 });
+        }
+        assert!(calm < 0.35, "gain on noise = {calm}");
+        assert!((bank.predicted_value().unwrap() - 0.5).abs() < 0.12);
+        let mut chase = 0.0;
+        for _ in 0..10 {
+            chase = gain(&mut bank, 0.9); // persistent one-sided errors
+        }
+        assert!(chase > calm, "gain should rise: {calm} -> {chase}");
+        assert!(bank.predicted_value().unwrap() > 0.7);
+    }
+
+    #[test]
+    fn sgd_starts_as_last_value_and_learns_mean_reversion() {
+        let mut bank = alone(Member::StochasticGradient(0.05));
+        bank.observe(0.7);
+        assert_eq!(bank.predicted_value(), Some(0.7));
+        // x_{t+1} = 0.5·x_t + 0.25 + noise: the innovations keep the input
+        // persistently exciting, and SGD converges to the AR coefficients
+        // in expectation.
+        let mut rng = nws_stats::Rng::new(91);
+        let mut x: f64 = 0.9;
+        for _ in 0..20_000 {
+            bank.observe(x);
+            x = 0.5 * x + 0.25 + 0.2 * (rng.next_f64() - 0.5);
+        }
+        // A gap keeps (w, b); the first fresh value x then predicts w·x + b.
+        let b = probe(&bank, &[0.0]);
+        let w = probe(&bank, &[1.0]) - b;
+        assert!((w - 0.5).abs() < 0.15, "w = {w}");
+        assert!((b - 0.25).abs() < 0.1, "b = {b}");
+    }
+
+    #[test]
+    fn ar_fits_learn_ar2_and_beat_the_baselines_on_ar1() {
+        // x_t = 0.5 x_{t-1} + 0.3 x_{t-2} + noise, mean-zero.
+        let mut rng = nws_stats::Rng::new(7);
+        let (mut x1, mut x2) = (0.0f64, 0.0f64);
+        let mut ar2 = alone(ar(2, 200, 25));
+        let (mut abs_err, mut n) = (0.0, 0);
+        for i in 0..4000 {
+            let x = 0.5 * x1 + 0.3 * x2 + 0.1 * rng.next_standard_normal();
+            if i > 1000 {
+                abs_err += (ar2.predicted_value().unwrap() - x).abs();
+                n += 1;
+            }
+            ar2.observe(x);
+            x2 = x1;
+            x1 = x;
+        }
+        let mae = abs_err / f64::from(n);
+        // The optimal predictor's MAE is E|noise| = 0.1 * sqrt(2/pi) ~ 0.08.
+        assert!(mae < 0.1, "AR(2) MAE = {mae}");
+        // After a gap the fitted model predicts from fresh lags: a unit
+        // newest lag adds a1, a unit older lag a2.
+        let base = probe(&ar2, &[0.0, 0.0]);
+        let a1 = probe(&ar2, &[0.0, 1.0]) - base;
+        let a2 = probe(&ar2, &[1.0, 0.0]) - base;
+        assert!((a1 - 0.5).abs() < 0.15, "a1 = {a1}");
+        assert!((a2 - 0.3).abs() < 0.15, "a2 = {a2}");
+
+        for member in [ar(1, 100, 20), arma(1, 1, 100, 20)] {
+            let mut rng = nws_stats::Rng::new(9);
+            let mut bank = alone(member);
+            let (mut model_err, mut last_err, mut mean_err) = (0.0, 0.0, 0.0);
+            let (mut last, mut sum) = (0.0, 0.0);
+            for i in 0..3000 {
+                let next = 0.6 * last + 0.15 * rng.next_standard_normal();
+                if i > 500 {
+                    model_err += (bank.predicted_value().unwrap() - next).abs();
+                    last_err += (last - next).abs();
+                    mean_err += (sum / f64::from(i) - next).abs();
+                }
+                bank.observe(next);
+                last = next;
+                sum += next;
+            }
+            assert!(
+                model_err < last_err * 0.95 && model_err < mean_err * 0.95,
+                "{member:?} {model_err} should beat last-value {last_err} \
+                 and the running mean {mean_err} on AR(1) data"
+            );
+        }
+    }
+
+    #[test]
+    fn ma_terms_help_on_an_ma_process() {
+        // Pure MA(1): x_t = e_t + 0.7 e_{t-1}. An AR(1) fit approximates
+        // it; the θ update should pull the combined model closer.
+        let mut rng = nws_stats::Rng::new(23);
+        let mut prev_e = 0.0f64;
+        let mut arma = alone(arma(1, 1, 160, 20));
+        let mut ar = alone(ar(1, 160, 20));
+        let (mut arma_err, mut ar_err) = (0.0, 0.0);
+        for i in 0..8000 {
+            let e = 0.2 * rng.next_standard_normal();
+            let x = e + 0.7 * prev_e;
+            prev_e = e;
+            if i > 2000 {
+                arma_err += (arma.predicted_value().unwrap() - x).abs();
+                ar_err += (ar.predicted_value().unwrap() - x).abs();
+            }
+            arma.observe(x);
+            ar.observe(x);
+        }
+        assert!(
+            arma_err < ar_err * 1.02,
+            "ARMA {arma_err} should not trail AR {ar_err} on MA data"
+        );
+        // After a gap, fresh values 0 then 1 leave one innovation
+        // e = 1 − f(0) in play, which adds θ1·e to the AR forecast f(1).
+        let innovation = 1.0 - probe(&arma, &[0.0]);
+        let theta = (probe(&arma, &[0.0, 1.0]) - probe(&arma, &[1.0])) / innovation;
+        assert!(theta > 0.05, "θ1 = {theta} should move toward the true 0.7");
+    }
+
+    #[test]
+    fn arma_gap_clears_lags_and_keeps_the_model() {
+        let mut rng = nws_stats::Rng::new(5);
+        let mut bank = alone(arma(2, 2, 60, 10));
+        let mut x = 0.5f64;
+        for _ in 0..200 {
+            x = 0.5 + 0.8 * (x - 0.5) + 0.05 * (rng.next_f64() - 0.5);
+            bank.observe(x);
+        }
+        // With two fresh lags the kept model predicts; a cold member
+        // serves their mean.
+        let fresh = [0.3, 0.7];
+        let mut cold = alone(arma(2, 2, 60, 10));
+        for v in fresh {
+            cold.observe(v);
+        }
+        assert_eq!(cold.predicted_value(), Some(0.5));
+        let kept = probe(&bank, &fresh);
+        assert!(
+            (kept - 0.5).abs() > 1e-3,
+            "model lost across the gap: {kept}"
+        );
+        bank.note_gap();
+        assert_eq!(bank.predicted_value(), None, "no fresh lags yet");
+        bank.observe(0.5);
+        assert!(
+            bank.predicted_value().is_some(),
+            "window mean bridges the refill"
+        );
+    }
+
+    #[test]
+    fn arma_horizon_converges_to_the_fitted_mean() {
+        let mut rng = nws_stats::Rng::new(17);
+        let mut bank = alone(arma(1, 1, 120, 20));
+        let mut x = 0.5f64;
+        for _ in 0..500 {
+            x = 0.5 + 0.7 * (x - 0.5) + 0.08 * (rng.next_f64() - 0.5);
+            bank.observe(x);
+        }
+        let h = bank.predict_horizon(64).expect("model fit");
+        assert_eq!(h.len(), 64);
+        assert_eq!(
+            h[0],
+            bank.predicted_value().unwrap(),
+            "step 1 matches one-step"
+        );
+        // With |a| < 1 the iteration settles geometrically on the fitted
+        // mean: late steps move far less than early ones.
+        let first_step = (h[1] - h[0]).abs();
+        let last_step = (h[63] - h[62]).abs();
+        assert!(
+            last_step <= first_step.max(1e-12) && last_step < 1e-3,
+            "horizon should settle: first step {first_step}, last step {last_step}"
+        );
     }
 
     #[test]

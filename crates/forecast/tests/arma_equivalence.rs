@@ -1,14 +1,18 @@
-//! Equivalence of the online ARMA predictor with a naive reference.
+//! Equivalence of the bank's online ARMA member with a naive reference.
 //!
-//! `Arma` shares the allocation-free refit machinery of `ArPredictor`
-//! (ring-buffer window, scratch-buffer Levinson–Durbin) and adapts its
-//! MA coefficients online. The reference implementation below uses plain
-//! `Vec`s, a from-scratch textbook Levinson recursion, and explicit
-//! residual lists — the arithmetic both sides must agree on, over fixed
+//! An ARMA member in a `PredictorBank` reads the bank's history ring,
+//! refits its AR side with the allocation-free scratch-buffer
+//! Levinson–Durbin kernel, and adapts its MA coefficients online. The
+//! reference implementation below uses plain `Vec`s, a from-scratch
+//! textbook Levinson recursion, explicit residual lists and its own
+//! iterated horizon — the arithmetic both sides must agree on, over fixed
 //! streams and proptest-generated ones, with and without seeded gaps.
 
-use nws_forecast::{Arma, Predictor};
+use nws_forecast::{Member, PredictorBank, Selection};
 use proptest::prelude::*;
+
+/// Horizon compared at every step.
+const HORIZON: usize = 16;
 
 // Constants mirrored from the optimized implementation.
 const THETA_STEP: f64 = 0.05;
@@ -112,6 +116,34 @@ impl NaiveArma {
         })
     }
 
+    /// Iterates the model `k` steps: each forecast becomes the newest lag
+    /// and each future innovation is zero. Without a model, the one-step
+    /// forecast held flat.
+    fn predict_horizon(&self, k: usize) -> Option<Vec<f64>> {
+        let n = self.window.len();
+        if self.ar.is_empty() || n < self.p {
+            return self.predict().map(|v| vec![v; k]);
+        }
+        let mut lags: Vec<f64> = self.window.iter().rev().take(self.p).copied().collect();
+        let mut resid = self.resid.clone();
+        let mut out = Vec::with_capacity(k);
+        for _ in 0..k {
+            let mut pred = self.mean;
+            for (i, &a) in self.ar.iter().enumerate() {
+                pred += a * (lags[i] - self.mean);
+            }
+            for (j, &r) in resid.iter().enumerate() {
+                pred += self.theta[j] * r;
+            }
+            out.push(pred);
+            lags.insert(0, pred);
+            lags.pop();
+            resid.insert(0, 0.0);
+            resid.truncate(self.q);
+        }
+        Some(out)
+    }
+
     fn refit(&mut self) {
         let n = self.window.len();
         if n < 4 * self.p {
@@ -197,8 +229,18 @@ fn assert_equivalent(
     n: usize,
     gap_pct: u64,
 ) {
-    let mut fast = Arma::new(p, q, cap, refit_every);
+    let mut fast = PredictorBank::new(
+        &[Member::Arma {
+            p,
+            q,
+            window: cap,
+            refit_every,
+        }],
+        Selection::default(),
+        30,
+    );
     let naive = &mut NaiveArma::new(p, q, cap, refit_every);
+    let at = |i| format!("step {i} (p={p} q={q} cap={cap} refit={refit_every} seed={seed})");
     for (i, v) in stream(seed, n).into_iter().enumerate() {
         if gap_pct > 0 && gap_at(seed, i, gap_pct) {
             fast.note_gap();
@@ -207,13 +249,30 @@ fn assert_equivalent(
             fast.observe(v);
             naive.observe(v);
         }
-        match (fast.predict(), naive.predict()) {
+        match (fast.predicted_value(), naive.predict()) {
             (None, None) => {}
-            (Some(a), Some(b)) => assert!(
-                (a - b).abs() < 1e-9,
-                "step {i}: fast {a} vs naive {b} (p={p} q={q} cap={cap} refit={refit_every} seed={seed})"
+            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{}: bank {a} vs naive {b}", at(i)),
+            (a, b) => panic!(
+                "{}: availability diverged: bank {a:?} vs naive {b:?}",
+                at(i)
             ),
-            (a, b) => panic!("step {i}: availability diverged: fast {a:?} vs naive {b:?}"),
+        }
+        match (
+            fast.predict_horizon(HORIZON),
+            naive.predict_horizon(HORIZON),
+        ) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.len(), b.len());
+                for (h, (x, y)) in a.iter().zip(&b).enumerate() {
+                    assert!(
+                        (x - y).abs() < 1e-9,
+                        "{}, horizon step {h}: bank {x} vs naive {y}",
+                        at(i)
+                    );
+                }
+            }
+            (a, b) => panic!("{}: horizons diverged: bank {a:?} vs naive {b:?}", at(i)),
         }
     }
 }

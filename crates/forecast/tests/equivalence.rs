@@ -1,17 +1,23 @@
-//! Equivalence of the optimized forecaster hot paths with their naive
-//! reference implementations.
+//! Equivalence of the bank's incremental window members with naive
+//! references that do not call `kernels.rs`.
 //!
-//! `AdaptiveWindowMean` replaced three O(window) suffix rescans per
-//! observation with rolling sums, and `SlidingMedian` replaced a
-//! copy-and-sort per prediction with an incrementally maintained sorted
-//! window. Both rewrites must be behavior-preserving: the median is
-//! exactly equal (same multiset, same middle), and the adaptive mean's
-//! rolling sums may differ from a fresh rescan only by floating-point
-//! rounding — verified here against reference implementations kept in
-//! this file, over fixed streams and proptest-generated ones.
+//! The adaptive window keeps rolling sums for its three candidate lengths
+//! instead of three O(window) suffix rescans per observation, and the
+//! median and trimmed-mean members share a sorted block slid by one
+//! evict and one insert instead of a copy-and-sort per prediction. Both
+//! must be behavior-preserving: the median and trimmed mean exactly
+//! (same multiset, same middle, same ascending sum), and the adaptive
+//! mean up to floating-point rounding — checked here against reference
+//! implementations kept in this file, each driven beside a one-member
+//! `PredictorBank`, over fixed streams and proptest-generated ones.
 
-use nws_forecast::{AdaptiveWindowMean, Predictor, SlidingMedian};
+use nws_forecast::{Member, PredictorBank, Selection};
 use proptest::prelude::*;
+
+/// A single predictor: a one-member bank.
+fn alone(member: Member) -> PredictorBank {
+    PredictorBank::new(&[member], Selection::default(), 30)
+}
 
 // ---------------------------------------------------------------------------
 // Reference implementations (the pre-optimization algorithms, verbatim in
@@ -92,17 +98,26 @@ impl NaiveAdaptiveWindowMean {
     }
 }
 
+/// The last `k` values, sorted afresh on every prediction: their median,
+/// or with `alpha` their α-trimmed mean.
 #[derive(Debug)]
-struct NaiveSlidingMedian {
+struct NaiveSortedWindow {
     window: Vec<f64>,
     k: usize,
+    alpha: Option<f64>,
 }
 
-impl NaiveSlidingMedian {
-    fn new(k: usize) -> Self {
+impl NaiveSortedWindow {
+    fn new(member: Member) -> Self {
+        let (k, alpha) = match member {
+            Member::SlidingMedian(k) => (k, None),
+            Member::TrimmedMean(k, alpha) => (k, Some(alpha)),
+            other => panic!("{other:?} keeps no sorted window"),
+        };
         Self {
             window: Vec::new(),
             k,
+            alpha,
         }
     }
 
@@ -120,11 +135,17 @@ impl NaiveSlidingMedian {
         let mut v = self.window.clone();
         v.sort_by(|a, b| a.total_cmp(b));
         let n = v.len();
-        Some(if n % 2 == 1 {
-            v[n / 2]
-        } else {
-            (v[n / 2 - 1] + v[n / 2]) / 2.0
-        })
+        let Some(alpha) = self.alpha else {
+            return Some(if n % 2 == 1 {
+                v[n / 2]
+            } else {
+                (v[n / 2 - 1] + v[n / 2]) / 2.0
+            });
+        };
+        // α < 0.5 always keeps at least one value.
+        let cut = (alpha * n as f64).floor() as usize;
+        let kept = &v[cut..n - cut];
+        Some(kept.iter().sum::<f64>() / kept.len() as f64)
     }
 }
 
@@ -150,52 +171,65 @@ fn stream(seed: u64, n: usize) -> Vec<f64> {
 #[test]
 fn adaptive_window_tracks_naive_reference() {
     for (min_len, max_len, seed) in [(2, 64, 7), (1, 5, 11), (4, 256, 13), (10, 10, 17)] {
-        let mut fast = AdaptiveWindowMean::new(min_len, max_len);
+        let mut fast = alone(Member::AdaptiveWindowMean(min_len, max_len));
         let mut naive = NaiveAdaptiveWindowMean::new(min_len, max_len);
         for (i, v) in stream(seed, 5000).into_iter().enumerate() {
             fast.observe(v);
             naive.observe(v);
-            assert_eq!(
-                fast.current_len(),
-                naive.len,
-                "window length diverged at step {i} ({min_len}-{max_len})"
-            );
-            match (fast.predict(), naive.predict()) {
-                (Some(a), Some(b)) => {
-                    assert!((a - b).abs() < 1e-9, "step {i}: rolling {a} vs rescan {b}")
-                }
+            match (fast.predicted_value(), naive.predict()) {
+                (Some(a), Some(b)) => assert!(
+                    (a - b).abs() < 1e-9,
+                    "step {i} ({min_len}-{max_len}): rolling {a} vs rescan {b}"
+                ),
                 (a, b) => assert_eq!(a, b, "step {i}"),
             }
         }
     }
 }
 
+/// The sorted-window members the sort-per-call reference covers.
+fn sorted_members(k: usize) -> [Member; 3] {
+    [
+        Member::SlidingMedian(k),
+        Member::TrimmedMean(k, 0.2),
+        Member::TrimmedMean(k, 0.45),
+    ]
+}
+
 #[test]
-fn sliding_median_matches_naive_reference_exactly() {
+fn sorted_windows_match_naive_reference_exactly() {
     for (k, seed) in [(1, 3), (2, 5), (5, 7), (51, 9), (100, 11)] {
-        let mut fast = SlidingMedian::new(k);
-        let mut naive = NaiveSlidingMedian::new(k);
-        for (i, v) in stream(seed, 3000).into_iter().enumerate() {
-            fast.observe(v);
-            naive.observe(v);
-            assert_eq!(fast.predict(), naive.predict(), "k={k} step {i}");
+        for member in sorted_members(k) {
+            let mut fast = alone(member);
+            let mut naive = NaiveSortedWindow::new(member);
+            for (i, v) in stream(seed, 3000).into_iter().enumerate() {
+                fast.observe(v);
+                naive.observe(v);
+                assert_eq!(
+                    fast.predicted_value(),
+                    naive.predict(),
+                    "{member:?} step {i}"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn sliding_median_handles_duplicates_and_reset() {
-    let mut fast = SlidingMedian::new(4);
-    let mut naive = NaiveSlidingMedian::new(4);
-    for v in [0.5, 0.5, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5, 0.0, 1.0, 0.5] {
-        fast.observe(v);
-        naive.observe(v);
-        assert_eq!(fast.predict(), naive.predict());
+fn sorted_windows_handle_duplicates_and_reset() {
+    for member in sorted_members(4) {
+        let mut fast = alone(member);
+        let mut naive = NaiveSortedWindow::new(member);
+        for v in [0.5, 0.5, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5, 0.0, 1.0, 0.5] {
+            fast.observe(v);
+            naive.observe(v);
+            assert_eq!(fast.predicted_value(), naive.predict(), "{member:?}");
+        }
+        fast.reset();
+        assert_eq!(fast.predicted_value(), None);
+        fast.observe(0.25);
+        assert_eq!(fast.predicted_value(), Some(0.25));
     }
-    fast.reset();
-    assert_eq!(fast.predict(), None);
-    fast.observe(0.25);
-    assert_eq!(fast.predict(), Some(0.25));
 }
 
 proptest! {
@@ -207,13 +241,12 @@ proptest! {
         n in 1usize..600,
     ) {
         let max_len = min_len + extra;
-        let mut fast = AdaptiveWindowMean::new(min_len, max_len);
+        let mut fast = alone(Member::AdaptiveWindowMean(min_len, max_len));
         let mut naive = NaiveAdaptiveWindowMean::new(min_len, max_len);
         for v in stream(seed, n) {
             fast.observe(v);
             naive.observe(v);
-            prop_assert_eq!(fast.current_len(), naive.len);
-            match (fast.predict(), naive.predict()) {
+            match (fast.predicted_value(), naive.predict()) {
                 (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9),
                 (a, b) => prop_assert_eq!(a, b),
             }
@@ -221,17 +254,19 @@ proptest! {
     }
 
     #[test]
-    fn prop_sliding_median_identity(
+    fn prop_sorted_window_identity(
         seed in 1u64..1_000_000,
         k in 1usize..80,
+        alpha in prop_oneof![Just(None), Just(Some(0.1)), Just(Some(0.2)), Just(Some(0.45))],
         n in 1usize..500,
     ) {
-        let mut fast = SlidingMedian::new(k);
-        let mut naive = NaiveSlidingMedian::new(k);
+        let member = alpha.map_or(Member::SlidingMedian(k), |a| Member::TrimmedMean(k, a));
+        let mut fast = alone(member);
+        let mut naive = NaiveSortedWindow::new(member);
         for v in stream(seed, n) {
             fast.observe(v);
             naive.observe(v);
-            prop_assert_eq!(fast.predict(), naive.predict());
+            prop_assert_eq!(fast.predicted_value(), naive.predict());
         }
     }
 }

@@ -17,8 +17,8 @@
 //!
 //! - [`FleetPanel::Ewma`] (the default) keeps one dense `f64` per host
 //!   and steps it through the canonical exponential-smoothing kernel
-//!   ([`nws_forecast::ewma_step`] — the same expression
-//!   `ExpSmoothing::observe` evaluates), so steady state allocates
+//!   ([`nws_forecast::ewma_step`] — the same expression a bank's
+//!   `exp_smooth` member evaluates), so steady state allocates
 //!   nothing and a 100k-host fleet costs 800 KB of forecast state;
 //! - [`FleetPanel::Bank`] runs a full [`PredictorBank`] per host —
 //!   any [`PanelSpec`] subset up to the extended panel v2 — with the

@@ -26,11 +26,10 @@
 //! current availability — exactly what an NWS client holds when it asks
 //! "how long will this transfer take?" — while the two baselines see
 //! only past durations. Every predictor is scored against every
-//! realized duration through the same [`ErrorTracker`] machinery the
-//! CPU panel uses, and [`TransferScenario::error_table`] reports
-//! mergeable [`ErrorRow`]s.
+//! realized duration, and [`TransferScenario::error_table`] reports
+//! the CPU panel's mergeable [`ErrorRow`]s.
 
-use nws_forecast::{ErrorRow, ErrorTracker};
+use nws_forecast::ErrorRow;
 use nws_stats::{linear_fit, linear_fit2};
 use std::sync::Arc;
 
@@ -47,6 +46,35 @@ pub const TRANSFER_METHODS: [&str; 4] = [
     "regress-bandwidth",
     "regress-bandwidth-cpu",
 ];
+
+/// One predictor's scored one-step errors: the raw sums behind its MAE
+/// and MSE, which merge exactly across scenarios.
+#[derive(Debug, Clone, Default)]
+struct ErrorTracker {
+    abs_sum: f64,
+    sq_sum: f64,
+    count: u64,
+}
+
+impl ErrorTracker {
+    /// Records one scored forecast against the value that arrived.
+    fn record(&mut self, forecast: f64, actual: f64) {
+        let err = forecast - actual;
+        self.abs_sum += err.abs();
+        self.sq_sum += err * err;
+        self.count += 1;
+    }
+
+    /// The error-table row for the predictor called `name`.
+    fn row(&self, name: &Arc<str>) -> ErrorRow {
+        ErrorRow {
+            name: Arc::clone(name),
+            scored: self.count,
+            abs_sum: self.abs_sum,
+            sq_sum: self.sq_sum,
+        }
+    }
+}
 
 /// The transfer-time prediction scenario: four predictors racing over a
 /// stream of (bandwidth probe, CPU availability) pairs.
@@ -93,9 +121,7 @@ impl TransferScenario {
             last: None,
             sum: 0.0,
             count: 0,
-            trackers: (0..TRANSFER_METHODS.len())
-                .map(|_| ErrorTracker::new(30))
-                .collect(),
+            trackers: vec![ErrorTracker::default(); TRANSFER_METHODS.len()],
             names: TRANSFER_METHODS.iter().map(|n| Arc::from(*n)).collect(),
             observed: 0,
         }
@@ -160,15 +186,7 @@ impl TransferScenario {
         self.names
             .iter()
             .zip(&self.trackers)
-            .map(|(name, t)| {
-                let (abs_sum, sq_sum, scored) = t.totals();
-                ErrorRow {
-                    name: Arc::clone(name),
-                    scored,
-                    abs_sum,
-                    sq_sum,
-                }
-            })
+            .map(|(name, t)| t.row(name))
             .collect()
     }
 }
@@ -194,6 +212,24 @@ mod tests {
                 (bw, cpu)
             })
             .collect()
+    }
+
+    #[test]
+    fn empty_tracker_scores_nothing() {
+        let row = ErrorTracker::default().row(&Arc::from("p"));
+        assert_eq!((row.scored, row.abs_sum, row.sq_sum), (0, 0.0, 0.0));
+        assert!(row.mae().is_nan() && row.mse().is_nan());
+    }
+
+    #[test]
+    fn tracker_mae_and_mse_accumulate() {
+        let mut t = ErrorTracker::default();
+        t.record(0.5, 0.4); // err 0.1
+        t.record(0.5, 0.8); // err -0.3
+        let row = t.row(&Arc::from("p"));
+        assert!((row.mae() - 0.2).abs() < 1e-12);
+        assert!((row.mse() - (0.01 + 0.09) / 2.0).abs() < 1e-12);
+        assert_eq!(row.scored, 2);
     }
 
     #[test]

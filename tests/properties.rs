@@ -1,10 +1,7 @@
 //! Property-based tests (proptest) on the cross-crate invariants the
 //! reproduction relies on.
 
-use nws::forecast::{
-    evaluate_one_step, ExpSmoothing, LastValue, Predictor, PredictorBank, RunningMean, SlidingMean,
-    SlidingMedian, TrimmedMean,
-};
+use nws::forecast::{evaluate_one_step, Member, PredictorBank, Selection};
 use nws::sensors::{availability_from_load, availability_from_vmstat, VmstatReading};
 use nws::stats::{autocorrelation, rs_statistic};
 use nws::timeseries::{aggregate_mean, summarize, Series, SlidingWindow};
@@ -21,20 +18,24 @@ proptest! {
         // forecast can never leave the [min, max] of the history.
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut members: Vec<Box<dyn Predictor>> = vec![
-            Box::new(LastValue::new()),
-            Box::new(RunningMean::new()),
-            Box::new(SlidingMean::new(7)),
-            Box::new(SlidingMedian::new(7)),
-            Box::new(TrimmedMean::new(7, 0.2)),
-            Box::new(ExpSmoothing::new(0.3)),
-        ];
+        // Each member alone: a one-member bank serves its own forecast.
+        let mut members: Vec<PredictorBank> = [
+            Member::LastValue,
+            Member::RunningMean,
+            Member::SlidingMean(7),
+            Member::SlidingMedian(7),
+            Member::TrimmedMean(7, 0.2),
+            Member::ExpSmoothing(0.3),
+        ]
+        .iter()
+        .map(|m| PredictorBank::new(&[*m], Selection::default(), 30))
+        .collect();
         for &v in &values {
             for m in members.iter_mut() {
                 m.observe(v);
-                if let Some(p) = m.predict() {
+                if let Some(p) = m.predicted_value() {
                     prop_assert!(p >= lo - 1e-9 && p <= hi + 1e-9,
-                        "{} predicted {p} outside [{lo}, {hi}]", m.name());
+                        "{} predicted {p} outside [{lo}, {hi}]", m.selected_name());
                 }
             }
         }
