@@ -129,9 +129,7 @@ fn quality_sweep(seed: u64, tier: Tier) -> String {
         let samples = links.probe_cycle();
         for (steps, sample) in cpu_steps.iter_mut().zip(samples) {
             let availability = *steps.next().expect("trace covers every cycle");
-            if let Some(s) = sample {
-                transfer.observe(s.bandwidth, availability);
-            }
+            transfer.observe(sample.bandwidth, availability);
         }
     }
     scenarios.push(("transfer-time", transfer.error_table()));

@@ -15,7 +15,22 @@
 //!
 //! [`PredictorBank`]: crate::panel::PredictorBank
 
-pub use nws_timeseries::{rolling_sum_step, SUM_REFRESH_INTERVAL};
+/// How many pushes between exact recomputations of a rolling sum (a
+/// power of two, so a push counter can test it with a mask).
+pub const SUM_REFRESH_INTERVAL: usize = 4096;
+
+/// One step of a rolling window sum: the arriving value enters, the value
+/// it evicts (if the window was full) leaves.
+///
+/// The single rolling-sum expression: the bank's window-mean members and
+/// its per-member error windows both evaluate exactly this.
+#[inline]
+pub fn rolling_sum_step(sum: f64, value: f64, evicted: Option<f64>) -> f64 {
+    match evicted {
+        Some(old) => sum + (value - old),
+        None => sum + value,
+    }
+}
 
 /// One exponential-smoothing step: `state + gain·(value − state)`.
 ///
@@ -89,7 +104,7 @@ pub(crate) fn median_of_sorted(sorted: &[f64]) -> Option<f64> {
 
 /// α-trimmed mean of an ascending slice: drops `floor(α·n)` values from
 /// each end and averages the rest; falls back to the median when
-/// everything is trimmed away, exactly as `SlidingWindow::trimmed_mean`.
+/// everything is trimmed away.
 pub(crate) fn trimmed_mean_of_sorted(sorted: &[f64], alpha: f64) -> Option<f64> {
     let n = sorted.len();
     let k = (alpha * n as f64).floor() as usize;

@@ -81,24 +81,15 @@ impl Archive {
         }
     }
 
-    /// Registers one series.
-    pub fn register(&mut self, host: impl Into<String>, metric: Metric) -> ResourceId {
-        self.registry.register(host, metric)
-    }
-
     /// Registers a monitored host's four CPU series — load, vmstat,
-    /// hybrid, 1-minute load average, always in that order, so a
-    /// replica registering the same hosts resolves the ids in the
-    /// primary's journal identically.
+    /// hybrid, 1-minute load average ([`Metric::all`]), always in that
+    /// order, so a replica registering the same hosts resolves the ids
+    /// in the primary's journal identically.
     pub fn register_host(&mut self, host: &str) -> [ResourceId; 4] {
-        let ids = [
-            self.registry.register(host, Metric::CpuAvailabilityLoad),
-            self.registry.register(host, Metric::CpuAvailabilityVmstat),
-            self.registry.register(host, Metric::CpuAvailabilityHybrid),
-            self.registry.register(host, Metric::LoadAverage),
-        ];
-        // Listed once, however its series came to be registered.
-        if !self.hosts.contains(&ids[2]) {
+        let before = self.registry.len();
+        let ids = Metric::all().map(|metric| self.registry.register(host, metric));
+        // A host registering again resolves to its ids, listed once.
+        if self.registry.len() > before {
             self.hosts.push(ids[2]);
         }
         ids
@@ -115,23 +106,9 @@ impl Archive {
 
     /// Commits one reading: stored, then forecast — or neither.
     pub fn reading(&mut self, id: ResourceId, time: Seconds, value: f64) -> StoreOutcome {
-        self.reading_as(id, time, value, value)
-    }
-
-    /// [`Archive::reading`] for a series forecast on another scale than
-    /// it is stored on (link bandwidth: stored in bytes/second,
-    /// forecast as a fraction of capacity): the forecaster observes
-    /// `observed` iff the memory stored `stored`.
-    pub fn reading_as(
-        &mut self,
-        id: ResourceId,
-        time: Seconds,
-        stored: f64,
-        observed: f64,
-    ) -> StoreOutcome {
-        let outcome = self.memory.append(id, time, stored);
+        let outcome = self.memory.append(id, time, value);
         if outcome.is_stored() {
-            self.forecasts.observe(id, time, observed);
+            self.forecasts.observe(id, time, value);
         }
         outcome
     }
@@ -237,16 +214,13 @@ mod tests {
         assert_eq!(a.register_host("thing1"), ids, "idempotent");
         let gremlin = a.register_host("gremlin");
         assert_eq!(a.registry().len(), 8);
-        // A host one of whose series was registered singly, before another
-        // host, is still listed when it registers as a host.
-        let lone = a.register("kongo", Metric::CpuAvailabilityHybrid);
         let beowulf = a.register_host("beowulf");
         let kongo = a.register_host("kongo");
-        assert_eq!((kongo[2], a.register_host("kongo")), (lone, kongo));
+        assert_eq!(a.register_host("kongo"), kongo, "idempotent");
         let hosts: Vec<_> = a.hosts().collect();
         let expected = [("thing1", ids[2]), ("gremlin", gremlin[2])];
         assert_eq!(hosts[..2], expected);
-        assert_eq!(hosts[2..], [("beowulf", beowulf[2]), ("kongo", lone)]);
+        assert_eq!(hosts[2..], [("beowulf", beowulf[2]), ("kongo", kongo[2])]);
     }
 
     #[test]

@@ -36,8 +36,7 @@
 //!   [`nws_sched`](https://docs.rs/nws-sched) consumes, and, with its
 //!   ground-truth lane on, the test-process observations the paper's
 //!   tables are scored against;
-//! - [`weather`] — `WeatherService`, the CPU monitor beside a second
-//!   archive for the network links; [`fleet`] — the 10⁵-host engine.
+//! - [`fleet`] — the 10⁵-host engine.
 //!
 //! [`PredictorBank`]: nws_forecast::PredictorBank
 
@@ -50,7 +49,6 @@ pub mod monitor;
 pub mod registry;
 pub mod service;
 pub mod wal;
-pub mod weather;
 
 pub use archive::{best_row, Archive, HostStatus, STALENESS_BOUND};
 pub use fleet::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster};
@@ -64,4 +62,3 @@ pub use wal::{
     recover_memory, recover_memory_rotated, CheckpointReport, RecoveryReport, RecoverySource,
     Replay, SnapshotStore, Wal, WalError, WalRecord,
 };
-pub use weather::WeatherService;

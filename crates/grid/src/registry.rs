@@ -14,10 +14,6 @@ pub enum Metric {
     CpuAvailabilityHybrid,
     /// Raw 1-minute load average.
     LoadAverage,
-    /// Achieved probe throughput on a network path (bytes/second).
-    NetworkBandwidth,
-    /// Small-message round-trip latency on a network path (seconds).
-    NetworkLatency,
 }
 
 impl Metric {
@@ -28,20 +24,16 @@ impl Metric {
             Metric::CpuAvailabilityVmstat => "cpu.avail.vmstat",
             Metric::CpuAvailabilityHybrid => "cpu.avail.hybrid",
             Metric::LoadAverage => "cpu.load1",
-            Metric::NetworkBandwidth => "net.bandwidth",
-            Metric::NetworkLatency => "net.latency",
         }
     }
 
     /// All metrics, in registration order.
-    pub fn all() -> [Metric; 6] {
+    pub fn all() -> [Metric; 4] {
         [
             Metric::CpuAvailabilityLoad,
             Metric::CpuAvailabilityVmstat,
             Metric::CpuAvailabilityHybrid,
             Metric::LoadAverage,
-            Metric::NetworkBandwidth,
-            Metric::NetworkLatency,
         ]
     }
 }
@@ -155,9 +147,9 @@ mod tests {
         let mut r = Registry::new();
         let ids: Vec<ResourceId> = [
             ("b", Metric::LoadAverage),
-            ("a", Metric::NetworkLatency),
+            ("a", Metric::CpuAvailabilityVmstat),
             ("b", Metric::CpuAvailabilityLoad),
-            ("a", Metric::NetworkLatency), // again: no new id
+            ("a", Metric::CpuAvailabilityVmstat), // again: no new id
             ("c", Metric::CpuAvailabilityHybrid),
         ]
         .into_iter()

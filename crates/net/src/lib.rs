@@ -15,9 +15,12 @@
 //!   that times a fixed-size probe transfer (the NWS used 64 KB … 1 MB
 //!   TCP transfers) and a **latency sensor** that times a small-message
 //!   round trip;
-//! - [`monitor`] — `LinkMonitor`, the 10-second measurement loop plus NWS
-//!   forecasting over a set of links — the network counterpart of the CPU
-//!   `GridMonitor`.
+//! - [`monitor`] — `LinkMonitor`, the 2-minute probe loop over a set of
+//!   links, scoring the NWS forecaster on each link's bandwidth series
+//!   (`repro net`);
+//! - [`transfer`] — `TransferScenario`, file-transfer durations predicted
+//!   from bandwidth alone and from bandwidth plus endpoint CPU
+//!   availability (the fleet quality sweep's `transfer-time` scenario).
 
 #![forbid(unsafe_code)]
 
@@ -27,9 +30,9 @@ pub mod sensors;
 pub mod transfer;
 
 pub use link::{Link, LinkConfig};
-pub use monitor::{LinkMonitor, LinkReport, LinkSample, PROBE_BYTES, PROBE_PERIOD};
+pub use monitor::LinkMonitor;
 pub use sensors::{BandwidthSensor, LatencySensor};
-pub use transfer::{TransferScenario, TRANSFER_METHODS};
+pub use transfer::TransferScenario;
 
 /// Seconds (simulation time).
 pub type Seconds = f64;

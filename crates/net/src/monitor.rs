@@ -5,31 +5,27 @@ use crate::sensors::{BandwidthSensor, LatencySensor};
 use crate::Seconds;
 use nws_forecast::{evaluate_one_step, PredictorBank};
 use nws_runtime::host_seed;
-use nws_stats::Rng;
 use nws_timeseries::Series;
 
 /// Seconds between bandwidth probes. The NWS probed network paths far
 /// less often than CPUs (probes are expensive): every two minutes.
-pub const PROBE_PERIOD: Seconds = 120.0;
+const PROBE_PERIOD: Seconds = 120.0;
 
 /// Bandwidth probe payload (bytes).
-pub const PROBE_BYTES: f64 = 64.0 * 1024.0;
+const PROBE_BYTES: f64 = 64.0 * 1024.0;
 
-/// One monitored link: its measurement series and forecast state.
-pub struct MonitoredLink {
+/// One monitored link and its measurement series.
+struct MonitoredLink {
     link: Link,
     bandwidth_sensor: BandwidthSensor,
     latency_sensor: LatencySensor,
     /// Achieved probe throughput (bytes/s).
-    pub bandwidth: Series,
+    bandwidth: Series,
     /// Round-trip latency (seconds).
-    pub latency: Series,
-    forecaster: PredictorBank,
+    latency: Series,
 }
 
-/// What one probe cycle yielded on one link: the samples a consumer
-/// (memory, forecaster) should publish. `None` in a cycle's vector means
-/// that link's probe was lost this cycle.
+/// What one probe cycle yielded on one link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSample {
     /// Link time when the probe completed.
@@ -52,73 +48,32 @@ pub struct LinkReport {
     /// One-step MAE of the NWS forecaster on the *normalized* bandwidth
     /// series (fraction of link capacity), comparable across links.
     pub bandwidth_forecast_mae: f64,
-    /// Standing bandwidth forecast (bytes/s), if warm.
-    pub forecast: Option<f64>,
 }
 
 /// Drives NWS-style monitoring over a set of links.
 pub struct LinkMonitor {
     links: Vec<MonitoredLink>,
-    /// Probe-drop fault injection: seeded RNG + per-cycle drop rate.
-    faults: Option<(Rng, f64)>,
-    /// Probe cycles lost to injected drops.
-    dropped: u64,
 }
 
 impl LinkMonitor {
-    /// Creates a monitor over named link configurations; each link's
-    /// stochastic traffic derives from `base_seed` and its name.
-    pub fn new(links: Vec<(String, LinkConfig)>, base_seed: u64) -> Self {
-        let links = links
-            .into_iter()
-            .map(|(name, cfg)| MonitoredLink {
-                link: Link::new(name.clone(), cfg, host_seed(base_seed, &name)),
-                bandwidth_sensor: BandwidthSensor::new(PROBE_BYTES),
-                latency_sensor: LatencySensor::new(),
-                bandwidth: Series::new(format!("{name}/bandwidth")),
-                latency: Series::new(format!("{name}/latency")),
-                forecaster: PredictorBank::nws_default(),
-            })
-            .collect();
-        Self {
-            links,
-            faults: None,
-            dropped: 0,
-        }
-    }
-
-    /// Turns on deterministic probe-drop fault injection: each probe
-    /// cycle on each link is independently lost with probability
-    /// `drop_rate`. A dropped cycle records no samples — the forecaster
-    /// is told about the gap and link time still advances. A zero rate
-    /// leaves the monitor bit-identical to the fault-free one.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `drop_rate` is in `[0, 1)`.
-    pub fn inject_faults(&mut self, seed: u64, drop_rate: f64) {
-        assert!(
-            (0.0..1.0).contains(&drop_rate),
-            "drop rate must be in [0, 1): {drop_rate}"
-        );
-        self.faults = (drop_rate > 0.0).then(|| (Rng::new(seed), drop_rate));
-    }
-
-    /// Probe cycles lost to injected drops so far.
-    pub fn dropped_probes(&self) -> u64 {
-        self.dropped
-    }
-
-    /// A small demonstration grid: two WAN paths and one LAN path.
+    /// A small demonstration grid: two WAN paths and one LAN path, each
+    /// link's stochastic traffic derived from `base_seed` and its name.
     pub fn demo_grid(base_seed: u64) -> Self {
-        Self::new(
-            vec![
-                ("ucsd->utk".to_string(), LinkConfig::wan_10mbit()),
-                ("ucsd->uva".to_string(), LinkConfig::wan_10mbit()),
-                ("ucsd-lan".to_string(), LinkConfig::lan_100mbit()),
-            ],
-            base_seed,
-        )
+        let links = [
+            ("ucsd->utk", LinkConfig::wan_10mbit()),
+            ("ucsd->uva", LinkConfig::wan_10mbit()),
+            ("ucsd-lan", LinkConfig::lan_100mbit()),
+        ]
+        .into_iter()
+        .map(|(name, cfg)| MonitoredLink {
+            link: Link::new(name, cfg, host_seed(base_seed, name)),
+            bandwidth_sensor: BandwidthSensor::new(PROBE_BYTES),
+            latency_sensor: LatencySensor::new(),
+            bandwidth: Series::new(format!("{name}/bandwidth")),
+            latency: Series::new(format!("{name}/latency")),
+        })
+        .collect();
+        Self { links }
     }
 
     /// Number of monitored links.
@@ -139,42 +94,26 @@ impl LinkMonitor {
     }
 
     /// Runs one probe cycle across every link, in registration order, and
-    /// returns what each link yielded (`None` = the probe was lost to an
-    /// injected drop). The fault RNG is shared across links and drawn in
-    /// link order, so one cycle is the atomic unit of determinism.
-    pub fn probe_cycle(&mut self) -> Vec<Option<LinkSample>> {
-        let mut samples = Vec::with_capacity(self.links.len());
-        for ml in &mut self.links {
-            if let Some((rng, rate)) = &mut self.faults {
-                if rng.chance(*rate) {
-                    // The probe never completes: no samples this
-                    // cycle, the forecaster ages out its windows, and
-                    // the link's clock (and traffic) move on.
-                    ml.forecaster.note_gap();
-                    ml.link.advance(PROBE_PERIOD);
-                    self.dropped += 1;
-                    samples.push(None);
-                    continue;
+    /// returns what each link yielded.
+    pub fn probe_cycle(&mut self) -> Vec<LinkSample> {
+        self.links
+            .iter_mut()
+            .map(|ml| {
+                // Latency first (non-intrusive), then the transfer probe,
+                // then idle background until the next cycle.
+                let rtt = ml.latency_sensor.measure(&ml.link);
+                let bw = ml.bandwidth_sensor.measure(&mut ml.link);
+                let t = ml.link.now();
+                ml.latency.push(t, rtt).expect("time advances");
+                ml.bandwidth.push(t, bw).expect("time advances");
+                ml.link.advance(PROBE_PERIOD);
+                LinkSample {
+                    time: t,
+                    bandwidth: bw,
+                    latency: rtt,
                 }
-            }
-            // Latency first (non-intrusive), then the transfer probe,
-            // then idle background until the next cycle.
-            let rtt = ml.latency_sensor.measure(&ml.link);
-            let bw = ml.bandwidth_sensor.measure(&mut ml.link);
-            let t = ml.link.now();
-            ml.latency.push(t, rtt).expect("time advances");
-            ml.bandwidth.push(t, bw).expect("time advances");
-            // Feed the forecaster the capacity-normalized series so
-            // its panel (tuned for [0,1] data) behaves.
-            ml.forecaster.observe(bw / ml.link.config().capacity);
-            ml.link.advance(PROBE_PERIOD);
-            samples.push(Some(LinkSample {
-                time: t,
-                bandwidth: bw,
-                latency: rtt,
-            }));
-        }
-        samples
+            })
+            .collect()
     }
 
     /// Access to a link's series by name.
@@ -186,7 +125,8 @@ impl LinkMonitor {
     }
 
     /// Per-link summary, including forecast quality on the normalized
-    /// bandwidth series.
+    /// bandwidth series (fraction of link capacity, so the panel, tuned
+    /// for `[0, 1]` data, behaves).
     pub fn report(&self) -> Vec<LinkReport> {
         self.links
             .iter()
@@ -216,7 +156,6 @@ impl LinkMonitor {
                     mean_bandwidth: mean(&ml.bandwidth),
                     mean_latency: mean(&ml.latency),
                     bandwidth_forecast_mae: mae,
-                    forecast: ml.forecaster.forecast().map(|f| f.value * capacity),
                 }
             })
             .collect()
@@ -270,7 +209,6 @@ mod tests {
                 r.name,
                 r.bandwidth_forecast_mae
             );
-            assert!(r.forecast.is_some(), "{} has no forecast", r.name);
         }
     }
 
@@ -285,47 +223,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn injected_drops_lose_cycles_but_time_still_advances() {
-        let mut m = LinkMonitor::demo_grid(13);
-        m.inject_faults(0xD20B, 0.3);
-        m.run_probes(60);
-        let dropped = m.dropped_probes();
-        assert!(dropped > 0, "30% drops over 180 link-cycles");
-        let (bw, lat) = m.series("ucsd->utk").expect("registered");
-        assert!(bw.len() < 60, "dropped cycles record no samples");
-        assert_eq!(bw.len(), lat.len());
-        // Samples keep strictly increasing times on the probe grid even
-        // across dropped cycles (the link's clock advanced regardless).
-        let times = bw.times();
-        for w in times.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-        // Forecasts survive a gappy stream.
-        assert!(m.report().iter().all(|r| r.forecast.is_some()));
-    }
-
-    #[test]
-    fn zero_drop_rate_is_bit_identical_to_fault_free() {
-        let run = |inject: bool| {
-            let mut m = LinkMonitor::demo_grid(4);
-            if inject {
-                m.inject_faults(7, 0.0);
-            }
-            m.run_probes(20);
-            m.report()
-                .iter()
-                .map(|r| (r.mean_bandwidth, r.mean_latency, r.forecast))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    #[should_panic(expected = "drop rate")]
-    fn inject_faults_rejects_bad_rate() {
-        LinkMonitor::demo_grid(1).inject_faults(1, 1.0);
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based invariants of the link model.
 
-use nws_net::{BandwidthSensor, LatencySensor, Link, LinkConfig};
+use nws_net::{BandwidthSensor, LatencySensor, Link, LinkConfig, LinkMonitor};
+use nws_runtime::Fnv1a;
 use nws_stats::Pareto;
 use proptest::prelude::*;
 
@@ -82,4 +83,28 @@ proptest! {
             prev = d;
         }
     }
+}
+
+/// Fingerprint of `LinkMonitor::demo_grid(7)` over 180 probe cycles, the
+/// stream `repro net` and the fleet's `transfer-time` scenario read.
+const GOLDEN_LINKS: u64 = 0xe720_682b_66c4_523d;
+
+#[test]
+fn demo_grid_link_stream_is_pinned_bit_for_bit() {
+    let mut monitor = LinkMonitor::demo_grid(7);
+    let mut h = Fnv1a::new();
+    for _ in 0..180 {
+        for s in monitor.probe_cycle() {
+            h.word(s.time.to_bits());
+            h.word(s.bandwidth.to_bits());
+            h.word(s.latency.to_bits());
+        }
+    }
+    for r in monitor.report() {
+        h.bytes(r.name.as_bytes());
+        h.word(r.mean_bandwidth.to_bits());
+        h.word(r.mean_latency.to_bits());
+        h.word(r.bandwidth_forecast_mae.to_bits());
+    }
+    assert_eq!(h.finish(), GOLDEN_LINKS, "got {:#018x}", h.finish());
 }

@@ -7,9 +7,8 @@
 //! Section 3.2).
 //!
 //! This crate provides the shared container ([`Series`]), block aggregation
-//! ([`aggregate`]), sliding windows ([`window`]), summary statistics
-//! ([`summary`]) and a small CSV reader/writer ([`csv`]) used by every other
-//! crate in the workspace.
+//! ([`aggregate`]), summary statistics ([`summary`]) and a small CSV
+//! reader/writer ([`csv`]) used across the workspace.
 
 #![forbid(unsafe_code)]
 
@@ -17,12 +16,10 @@ pub mod aggregate;
 pub mod csv;
 pub mod series;
 pub mod summary;
-pub mod window;
 
 pub use aggregate::{aggregate_mean, aggregate_series, hourly_block_means, resample};
 pub use series::{Series, SeriesError, TimePoint};
 pub use summary::{summarize, Summary};
-pub use window::{rolling_sum_step, SlidingWindow, WindowIter, SUM_REFRESH_INTERVAL};
 
 /// Seconds, the time unit used throughout the workspace.
 ///

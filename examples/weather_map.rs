@@ -4,25 +4,21 @@
 //! cargo run --release --example weather_map
 //! ```
 //!
-//! Runs the whole weather service — sensors on every host publishing into
+//! Runs the CPU weather service — sensors on every host publishing into
 //! the measurement memory on the 10-second NWS cadence, forecasters kept
 //! warm per series — for two simulated hours, then prints the grid
 //! snapshot a scheduler would consult: latest hybrid measurement, point
 //! forecast, and a 90% prediction interval per host.
 
-use nws::grid::{Metric, WeatherService};
+use nws::grid::{GridMonitor, Metric};
 
 fn main() {
-    let mut ws = WeatherService::ucsd(2026);
-    println!(
-        "weather service: {} CPU resources + {} network resources",
-        ws.cpu().registry().len(),
-        ws.net_registry().len()
-    );
-    // Two simulated hours: 720 CPU slots of 10 s, links on 2-min probes.
-    ws.run_steps(720);
+    let mut gm = GridMonitor::ucsd(2026);
+    println!("weather service: {} CPU resources", gm.registry().len());
+    // Two simulated hours: 720 slots of 10 s.
+    gm.run_steps(720);
 
-    let snap = ws.cpu().snapshot();
+    let snap = gm.snapshot();
     println!("\ngrid snapshot at t = {:.0}s:", snap.time);
     println!(
         "{:<11} {:>8} {:>10} {:>18}",
@@ -51,36 +47,13 @@ fn main() {
     );
 
     // The memory also serves raw history for offline analysis.
-    let id = ws
-        .cpu()
+    let id = gm
         .registry()
         .lookup("thing2", Metric::CpuAvailabilityHybrid)
         .expect("registered");
-    let (times, values) = ws.cpu().memory().tail(id, 6);
+    let (times, values) = gm.memory().tail(id, 6);
     println!("\nlast minute of thing2 hybrid measurements:");
     for (t, v) in times.iter().zip(values) {
         println!("  t={t:>7.0}s  {:>4.0}%", v * 100.0);
-    }
-
-    // …and the network half reports the weather between sites.
-    println!("\nnetwork weather:");
-    for link in ["ucsd->utk", "ucsd->uva", "ucsd-lan"] {
-        let f = ws.bandwidth_forecast(link).expect("links probed");
-        let iv = f
-            .interval
-            .map(|iv| {
-                format!(
-                    " [{:.1}, {:.1}] Mbit/s",
-                    iv.lo * 8.0 / 1e6,
-                    iv.hi * 8.0 / 1e6
-                )
-            })
-            .unwrap_or_default();
-        println!(
-            "  {:<10} forecast {:>6.2} Mbit/s{}",
-            link,
-            f.forecast.value * 8.0 / 1e6,
-            iv
-        );
     }
 }

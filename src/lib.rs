@@ -12,16 +12,17 @@
 //! - [`sim`] — the time-shared Unix host simulator the sensors run against.
 //! - [`stats`] — autocorrelation, R/S analysis, Hurst estimation,
 //!   fractional Gaussian noise, FFT, RNG, distributions.
-//! - [`timeseries`] — series container, windows, aggregation, CSV.
+//! - [`timeseries`] — series container, aggregation, summaries, CSV.
 //! - [`core`] — the monitoring pipeline and the drivers that regenerate
 //!   every table and figure in the paper.
 //! - [`sched`] — the motivating application: dynamic scheduling with
 //!   forecast-derived expansion factors.
 //! - [`grid`] — a miniature Network Weather Service: registry, measurement
 //!   memory, and forecast service over a fleet of monitored hosts.
-//! - [`net`] — the network half of the weather service: simulated
-//!   wide-area links with self-similar cross-traffic, bandwidth/latency
-//!   sensors, and forecasting over their series.
+//! - [`net`] — simulated wide-area links with self-similar cross-traffic
+//!   and bandwidth/latency sensors, for the network and transfer-time
+//!   extensions (`repro net`, `repro datasched`, the fleet sweep's
+//!   transfer scenario); no weather service serves their series.
 //! - [`runtime`] — deterministic parallel execution (`parallel_map`,
 //!   thread-count resolution) used by the experiment drivers.
 //! - [`faults`] — deterministic, seeded fault injection (sensor

@@ -13,13 +13,6 @@ use nws::sim::HostProfile;
 use nws::wire::Request;
 use std::sync::{Arc, Mutex};
 
-pub const METRICS: [Metric; 4] = [
-    Metric::CpuAvailabilityLoad,
-    Metric::CpuAvailabilityVmstat,
-    Metric::CpuAvailabilityHybrid,
-    Metric::LoadAverage,
-];
-
 pub const SEED: u64 = 4242;
 pub const STEPS: u64 = 120;
 
@@ -33,7 +26,6 @@ pub const GOLDEN_CLEAN_STATE: u64 = 0xaacf_b64a_5e5e_e354;
 pub const GOLDEN_CLEAN_SERVED: u64 = 0x8ce4_4a79_32c2_65e2;
 pub const GOLDEN_FAULT_STATE: u64 = 0xb1e8_4c01_4732_32e6;
 pub const GOLDEN_FAULT_SERVED: u64 = 0xe01f_b8cb_9086_9436;
-pub const GOLDEN_WEATHER: u64 = 0x139c_5275_9273_0875;
 
 /// Hashes every retained measurement bit, gap timestamp, drop count, and
 /// a forecast-CSV line per series, plus the fleet fault stats.
@@ -42,7 +34,7 @@ pub fn grid_fingerprint(gm: &GridMonitor) -> u64 {
     let now = gm.now();
     h.word(now.to_bits());
     for p in HostProfile::all() {
-        for metric in METRICS {
+        for metric in Metric::all() {
             let id = gm.registry().lookup(p.name(), metric).expect("registered");
             h.word(gm.memory().len(id) as u64);
             gm.memory().with_series(id, |times, values| {

@@ -12,48 +12,8 @@
 mod common;
 
 use common::*;
-use nws::grid::{Metric, WeatherService};
-use nws::runtime::Fnv1a;
 use nws::server::{GridState, TickDriver};
 use std::sync::{Arc, Mutex};
-
-/// Hashes both halves of the combined weather service: the CPU grid plus
-/// the network memories and bandwidth forecasts.
-fn weather_fingerprint(ws: &WeatherService) -> u64 {
-    let mut h = Fnv1a::new();
-    h.word(grid_fingerprint(ws.cpu()));
-    for link in ["ucsd->utk", "ucsd->uva", "ucsd-lan"] {
-        for metric in [Metric::NetworkBandwidth, Metric::NetworkLatency] {
-            let id = ws.net_registry().lookup(link, metric).expect("registered");
-            h.word(ws.net_memory().len(id) as u64);
-            ws.net_memory().with_series(id, |times, values| {
-                for (&t, &v) in times.iter().zip(values) {
-                    h.word(t.to_bits());
-                    h.word(v.to_bits());
-                }
-            });
-            for g in ws.net_memory().gaps(id) {
-                h.word(g.to_bits());
-            }
-        }
-        match ws.bandwidth_forecast(link) {
-            None => h.bytes(b"cold"),
-            Some(a) => {
-                h.word(a.forecast.value.to_bits());
-                h.bytes(a.forecast.method.as_bytes());
-            }
-        }
-    }
-    h.finish()
-}
-
-fn weather_scenario(threads: usize) -> u64 {
-    nws::runtime::set_threads(Some(threads));
-    let mut ws = WeatherService::ucsd(7);
-    ws.run_steps(360);
-    nws::runtime::set_threads(None);
-    weather_fingerprint(&ws)
-}
 
 #[test]
 fn engine_reproduces_prerefactor_grid_bit_for_bit() {
@@ -70,17 +30,6 @@ fn engine_reproduces_prerefactor_faulted_grid_bit_for_bit() {
         let (state, served) = scenario(setup, true);
         assert_eq!(state, GOLDEN_FAULT_STATE, "{setup:?}");
         assert_eq!(served, GOLDEN_FAULT_SERVED, "{setup:?}");
-    }
-}
-
-#[test]
-fn engine_reproduces_prerefactor_weather_service_bit_for_bit() {
-    for threads in [1, 4] {
-        assert_eq!(
-            weather_scenario(threads),
-            GOLDEN_WEATHER,
-            "threads={threads}"
-        );
     }
 }
 
@@ -116,10 +65,8 @@ fn coarse_step_clock_does_not_change_the_bits() {
 fn print_goldens() {
     let (clean_state, clean_served) = scenario(EngineSetup::REFERENCE, false);
     let (fault_state, fault_served) = scenario(EngineSetup::REFERENCE, true);
-    let weather = weather_scenario(1);
     println!("GOLDEN_CLEAN_STATE: {clean_state:#018x}");
     println!("GOLDEN_CLEAN_SERVED: {clean_served:#018x}");
     println!("GOLDEN_FAULT_STATE: {fault_state:#018x}");
     println!("GOLDEN_FAULT_SERVED: {fault_served:#018x}");
-    println!("GOLDEN_WEATHER: {weather:#018x}");
 }

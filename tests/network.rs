@@ -1,8 +1,7 @@
-//! Cross-crate network integration: links + sensors + forecasting + the
-//! combined weather service, exercised through the facade.
+//! Cross-crate network integration: links + sensors + forecasting,
+//! exercised through the facade.
 
 use nws::forecast::PredictorBank;
-use nws::grid::{Metric, WeatherService};
 use nws::net::{BandwidthSensor, LatencySensor, Link, LinkConfig, LinkMonitor};
 
 #[test]
@@ -38,36 +37,4 @@ fn link_monitor_report_is_consistent_with_its_series() {
         let mean_lat = lat.values().iter().sum::<f64>() / lat.len() as f64;
         assert!((mean_lat - r.mean_latency).abs() < 1e-9);
     }
-}
-
-#[test]
-fn weather_service_serves_both_halves() {
-    let mut ws = WeatherService::ucsd(25);
-    ws.run_steps(180);
-    // CPU half: every host has a live forecast.
-    let snap = ws.cpu().snapshot();
-    assert_eq!(snap.hosts.len(), 6);
-    assert!(snap.hosts.iter().all(|h| h.forecast.is_some()));
-    // Network half: memories filled, forecasts live and bounded.
-    for link in ["ucsd->utk", "ucsd->uva", "ucsd-lan"] {
-        let id = ws
-            .net_registry()
-            .lookup(link, Metric::NetworkBandwidth)
-            .expect("registered");
-        assert!(ws.net_memory().len(id) > 0, "{link}: no measurements");
-        let f = ws.bandwidth_forecast(link).expect("warm");
-        assert!(f.forecast.value > 0.0);
-    }
-    // The LAN forecast dominates the WAN forecasts.
-    let lan = ws
-        .bandwidth_forecast("ucsd-lan")
-        .expect("warm")
-        .forecast
-        .value;
-    let wan = ws
-        .bandwidth_forecast("ucsd->utk")
-        .expect("warm")
-        .forecast
-        .value;
-    assert!(lan > wan, "lan {lan} vs wan {wan}");
 }

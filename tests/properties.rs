@@ -4,7 +4,7 @@
 use nws::forecast::{evaluate_one_step, Member, PredictorBank, Selection};
 use nws::sensors::{availability_from_load, availability_from_vmstat, VmstatReading};
 use nws::stats::{autocorrelation, rs_statistic};
-use nws::timeseries::{aggregate_mean, summarize, Series, SlidingWindow};
+use nws::timeseries::{aggregate_mean, summarize, Series};
 use proptest::prelude::*;
 
 fn availability_series() -> impl Strategy<Value = Vec<f64>> {
@@ -80,17 +80,6 @@ proptest! {
         prop_assert!(s_agg.max <= s_orig.max + 1e-12);
         // Block means cannot have larger variance than the original values.
         prop_assert!(s_agg.variance <= s_orig.variance + 1e-12);
-    }
-
-    #[test]
-    fn sliding_window_sum_matches_exact(values in prop::collection::vec(-1e3f64..1e3, 1..300), cap in 1usize..20) {
-        let mut w = SlidingWindow::new(cap);
-        for &v in &values {
-            w.push(v);
-            let exact: f64 = w.iter().sum();
-            prop_assert!((w.sum() - exact).abs() < 1e-6);
-            prop_assert_eq!(w.len(), w.iter().count());
-        }
     }
 
     #[test]
