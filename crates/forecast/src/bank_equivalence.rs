@@ -22,7 +22,7 @@ use crate::kernels::{
     absorb_innovation, ewma_step, fit_ar, model_step, rolling_sum_step, sgd_predict, sgd_step,
     trigg_leach_step, AdjustedWindow, SUM_REFRESH_INTERVAL,
 };
-use crate::panel::{Member, PanelSpec, PredictorBank, Selection};
+use crate::panel::{Member, PanelSpec, PredictorBank};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -377,33 +377,28 @@ impl Tracked {
 /// The panel, one [`Tracked`] member at a time.
 struct Reference {
     members: Vec<Tracked>,
-    selection: Selection,
     recent: usize,
     observations: u64,
     selected: usize,
 }
 
 impl Reference {
-    fn new(members: &[Member], selection: Selection, recent: usize) -> Self {
+    fn new(members: &[Member], recent: usize) -> Self {
         Self {
             members: members.iter().map(|&m| Tracked::new(m)).collect(),
-            selection,
             recent,
             observations: 0,
             selected: 0,
         }
     }
 
-    /// The member with the lowest error among those that can predict and
-    /// were ever scored (the first on ties); with none scored, the first
-    /// that can predict; with none able to predict, the current one.
+    /// The member with the lowest mean absolute error over its recent
+    /// errors among those that can predict and were ever scored (the
+    /// first on ties); with none scored, the first that can predict; with
+    /// none able to predict, the current one.
     fn reselect(&mut self) {
         let recent = self.recent as u64;
-        let score = |m: &Tracked| match self.selection {
-            Selection::RecentMae => m.recent_sum / m.scored.min(recent) as f64,
-            Selection::CumulativeMae => m.abs_sum / m.scored as f64,
-            Selection::CumulativeMse => m.sq_sum / m.scored as f64,
-        };
+        let score = |m: &Tracked| m.recent_sum / m.scored.min(recent) as f64;
         let mut best: Option<(usize, f64)> = None;
         for (i, m) in self.members.iter().enumerate() {
             if m.scored == 0 || m.predict().is_none() {
@@ -459,12 +454,11 @@ fn horizon_bits(h: Option<Vec<f64>>) -> Option<Vec<u64>> {
 /// every step.
 fn drive(
     members: &[Member],
-    selection: Selection,
     recent_window: usize,
     script: impl IntoIterator<Item = Step>,
 ) -> Result<(), TestCaseError> {
-    let mut reference = Reference::new(members, selection, recent_window);
-    let mut bank = PredictorBank::new(members, selection, recent_window);
+    let mut reference = Reference::new(members, recent_window);
+    let mut bank = PredictorBank::new(members, recent_window);
     for (i, step) in script.into_iter().enumerate() {
         match step {
             Step::Value(v) => {
@@ -539,14 +533,6 @@ fn draws(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, f64)>> {
     prop::collection::vec((0u8..100, 0.0f64..=1.0), len)
 }
 
-fn selection() -> impl Strategy<Value = Selection> {
-    prop_oneof![
-        Just(Selection::RecentMae),
-        Just(Selection::CumulativeMae),
-        Just(Selection::CumulativeMse),
-    ]
-}
-
 fn member() -> impl Strategy<Value = Member> {
     prop_oneof![
         Just(Member::LastValue),
@@ -578,7 +564,6 @@ fn member() -> impl Strategy<Value = Member> {
 fn spec() -> impl Strategy<Value = PanelSpec> {
     prop_oneof![
         (0.01f64..=1.0).prop_map(|gain| PanelSpec::EwmaOnly { gain }),
-        Just(PanelSpec::Cheap),
         Just(PanelSpec::Nws1999),
         Just(PanelSpec::Extended),
     ]
@@ -591,18 +576,17 @@ proptest! {
         draws in draws(1..700),
         quantised in any::<bool>(),
     ) {
-        drive(&spec.members(), Selection::default(), 30, script_from(&draws, quantised))?;
+        drive(&spec.members(), 30, script_from(&draws, quantised))?;
     }
 
     #[test]
     fn random_member_lists_match_the_reference(
         members in prop::collection::vec(member(), 1..10),
-        selection in selection(),
         recent_window in 1usize..40,
         draws in draws(1..400),
         quantised in any::<bool>(),
     ) {
-        drive(&members, selection, recent_window, script_from(&draws, quantised))?;
+        drive(&members, recent_window, script_from(&draws, quantised))?;
     }
 }
 
@@ -631,7 +615,6 @@ fn long_runs_cross_every_sum_refresh() {
     with_fixed_window.push(Member::AdaptiveWindowMean(3, 3));
     let lists = [
         PanelSpec::EwmaOnly { gain: 0.25 }.members(),
-        PanelSpec::Cheap.members(),
         PanelSpec::Nws1999.members(),
         PanelSpec::Extended.members(),
         with_fixed_window,
@@ -644,7 +627,6 @@ fn long_runs_cross_every_sum_refresh() {
                 420 => Step::NonFinite(f64::NAN),
                 _ => Step::Value(v),
             });
-        drive(members, Selection::default(), 30, script)
-            .unwrap_or_else(|e| panic!("list {case}: {e}"));
+        drive(members, 30, script).unwrap_or_else(|e| panic!("list {case}: {e}"));
     }
 }

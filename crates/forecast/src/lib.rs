@@ -51,4 +51,4 @@ pub mod panel;
 pub use eval::{evaluate_one_step, EvalReport};
 pub use interval::{IntervalTracker, P2Quantile, PredictionInterval};
 pub use kernels::ewma_step;
-pub use panel::{ErrorRow, Forecast, Member, PanelSpec, PredictorBank, Selection};
+pub use panel::{ErrorRow, Forecast, Member, PanelSpec, PredictorBank};

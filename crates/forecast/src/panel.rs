@@ -40,19 +40,6 @@ use crate::kernels::{
 };
 use std::sync::{Arc, OnceLock};
 
-/// Which error statistic drives predictor selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Selection {
-    /// Mean absolute error over the recent window (the NWS default:
-    /// "most accurate over the recent set of measurements").
-    #[default]
-    RecentMae,
-    /// Cumulative mean absolute error over the whole series.
-    CumulativeMae,
-    /// Cumulative mean squared error.
-    CumulativeMse,
-}
-
 /// One panel member, by description: which technique and its parameters.
 /// `Copy`, so member lists are plain data. A bank checks the parameters
 /// when it is built; a single predictor is a one-member bank.
@@ -192,9 +179,6 @@ pub enum PanelSpec {
         /// Smoothing gain in `(0, 1]`.
         gain: f64,
     },
-    /// O(1)-state members only (last value, running mean, the smoothing
-    /// gain bank): the cheap subset for memory-tight fleets.
-    Cheap,
     /// The paper's full 1999 panel — identical to
     /// [`PredictorBank::nws_default`].
     Nws1999,
@@ -215,11 +199,6 @@ impl PanelSpec {
         let smoothers = BANK_GAINS.map(Member::ExpSmoothing);
         match self {
             PanelSpec::EwmaOnly { gain } => vec![Member::ExpSmoothing(gain)],
-            PanelSpec::Cheap => {
-                let mut panel = vec![Member::LastValue, Member::RunningMean];
-                panel.extend(smoothers);
-                panel
-            }
             PanelSpec::Nws1999 | PanelSpec::Extended => {
                 let mut panel = vec![Member::LastValue, Member::RunningMean];
                 panel.extend([5, 10, 20, 50, 100].map(Member::SlidingMean));
@@ -250,17 +229,15 @@ impl PanelSpec {
     }
 
     /// The resolved layout for this spec under the NWS defaults. The
-    /// three fixed compositions resolve once per process; every bank
+    /// two fixed compositions resolve once per process; every bank
     /// built from them shares that layout and its name table.
     fn plan(self) -> Arc<Plan> {
-        static FIXED: [OnceLock<Arc<Plan>>; 3] =
-            [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        static FIXED: [OnceLock<Arc<Plan>>; 2] = [OnceLock::new(), OnceLock::new()];
         let resolve = || Arc::new(Plan::new(&self.members(), DEFAULT_RECENT_WINDOW));
         let cell = match self {
             PanelSpec::EwmaOnly { .. } => return resolve(),
-            PanelSpec::Cheap => &FIXED[0],
-            PanelSpec::Nws1999 => &FIXED[1],
-            PanelSpec::Extended => &FIXED[2],
+            PanelSpec::Nws1999 => &FIXED[0],
+            PanelSpec::Extended => &FIXED[1],
         };
         Arc::clone(cell.get_or_init(resolve))
     }
@@ -268,7 +245,7 @@ impl PanelSpec {
     /// Builds a bank over this spec with the NWS defaults (recent-MAE
     /// selection over a 30-measurement window).
     pub fn build(self) -> PredictorBank {
-        PredictorBank::from_plan(self.plan(), Selection::default())
+        PredictorBank::from_plan(self.plan())
     }
 }
 
@@ -687,7 +664,6 @@ impl<'a> Parts<'a> {
 #[derive(Debug, Clone)]
 pub struct PredictorBank {
     plan: Arc<Plan>,
-    selection: Selection,
     observations: u64,
     selected: usize,
     /// Values in the ring since the last gap (its write cursor).
@@ -706,11 +682,11 @@ impl PredictorBank {
     ///
     /// Panics if the list is empty, `recent_window == 0`, or a member's
     /// parameters are out of range.
-    pub fn new(members: &[Member], selection: Selection, recent_window: usize) -> Self {
-        Self::from_plan(Arc::new(Plan::new(members, recent_window)), selection)
+    pub fn new(members: &[Member], recent_window: usize) -> Self {
+        Self::from_plan(Arc::new(Plan::new(members, recent_window)))
     }
 
-    fn from_plan(plan: Arc<Plan>, selection: Selection) -> Self {
+    fn from_plan(plan: Arc<Plan>) -> Self {
         let n = plan.len();
         let mut vals = vec![0.0; plan.ring_cap + ROWS * n + plan.state_len].into_boxed_slice();
         let mut ints = vec![0; 2 * n + plan.ints_len].into_boxed_slice();
@@ -724,7 +700,6 @@ impl PredictorBank {
             }
         }
         Self {
-            selection,
             observations: 0,
             selected: 0,
             pushed: 0,
@@ -860,13 +835,9 @@ impl PredictorBank {
         let plan = &*self.plan;
         let n = plan.len();
         let (ring_live, level_live) = (self.pushed > 0, self.observations > 0);
-        // Every criterion is an error sum over the count it covers; the
-        // recent one covers at most the matrix's rows.
-        let (sums, covers) = match self.selection {
-            Selection::RecentMae => (self.row(RECENT_SUM), plan.recent as u64),
-            Selection::CumulativeMae => (self.row(ABS_SUM), u64::MAX),
-            Selection::CumulativeMse => (self.row(SQ_SUM), u64::MAX),
-        };
+        // The NWS rule: the lowest mean absolute error over the recent
+        // window, which covers at most the matrix's rows.
+        let (sums, covers) = (self.row(RECENT_SUM), plan.recent as u64);
         let scored = &self.ints[..n];
         let mut best = self.selected;
         let mut best_score = f64::INFINITY;
@@ -935,7 +906,7 @@ impl PredictorBank {
 
     /// Feeds one measurement without issuing a forecast: every member
     /// with a standing prediction is scored against `value`, all members
-    /// absorb it, and the best member (under the selection criterion) is
+    /// absorb it, and the best member (lowest recent MAE) is
     /// selected for the next measurement.
     ///
     /// A non-finite `value` carries no measurement: it is treated exactly
@@ -1206,7 +1177,7 @@ impl PredictorBank {
 
     /// Resets every predictor and tracker.
     pub fn reset(&mut self) {
-        *self = Self::from_plan(Arc::clone(&self.plan), self.selection);
+        *self = Self::from_plan(Arc::clone(&self.plan));
     }
 }
 
@@ -1283,10 +1254,8 @@ mod tests {
             (arma(1, 1, 40, 0), "refit cadence"),
         ];
         for (member, expected) in rejected {
-            let payload = std::panic::catch_unwind(|| {
-                PredictorBank::new(&[member], Selection::default(), 10)
-            })
-            .expect_err(&format!("{member:?} was accepted"));
+            let payload = std::panic::catch_unwind(|| PredictorBank::new(&[member], 10))
+                .expect_err(&format!("{member:?} was accepted"));
             let message = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
@@ -1322,8 +1291,8 @@ mod tests {
 
     #[test]
     fn error_table_rows_merge_exactly() {
-        let mut a = PanelSpec::Cheap.build();
-        let mut b = PanelSpec::Cheap.build();
+        let mut a = PanelSpec::Nws1999.build();
+        let mut b = PanelSpec::Nws1999.build();
         for i in 0..100 {
             a.update((i % 5) as f64 / 5.0);
             b.update((i % 7) as f64 / 7.0);
@@ -1419,7 +1388,7 @@ mod tests {
 
     /// A single predictor: a one-member bank.
     fn alone(member: Member) -> PredictorBank {
-        PredictorBank::new(&[member], Selection::default(), DEFAULT_RECENT_WINDOW)
+        PredictorBank::new(&[member], DEFAULT_RECENT_WINDOW)
     }
 
     /// What `bank`'s learned parameters predict from `fresh` alone
@@ -1820,7 +1789,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "panel")]
     fn empty_panel_panics() {
-        PredictorBank::new(&[], Selection::default(), 10);
+        PredictorBank::new(&[], 10);
     }
 
     #[test]
@@ -1848,11 +1817,7 @@ mod tests {
         // A window-only panel: the gap clears every member, so forecast()
         // goes dark instead of serving stale values; the next measurement
         // revives it.
-        let mut nws = PredictorBank::new(
-            &[Member::SlidingMean(4), Member::SlidingMedian(4)],
-            Selection::default(),
-            10,
-        );
+        let mut nws = PredictorBank::new(&[Member::SlidingMean(4), Member::SlidingMedian(4)], 10);
         for i in 0..20 {
             nws.update(0.4 + 0.01 * (i % 3) as f64);
         }

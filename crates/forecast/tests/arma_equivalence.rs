@@ -8,7 +8,7 @@
 //! iterated horizon — the arithmetic both sides must agree on, over fixed
 //! streams and proptest-generated ones, with and without seeded gaps.
 
-use nws_forecast::{Member, PredictorBank, Selection};
+use nws_forecast::{Member, PredictorBank};
 use proptest::prelude::*;
 
 /// Horizon compared at every step.
@@ -236,7 +236,6 @@ fn assert_equivalent(
             window: cap,
             refit_every,
         }],
-        Selection::default(),
         30,
     );
     let naive = &mut NaiveArma::new(p, q, cap, refit_every);

@@ -11,12 +11,12 @@
 //! implementations kept in this file, each driven beside a one-member
 //! `PredictorBank`, over fixed streams and proptest-generated ones.
 
-use nws_forecast::{Member, PredictorBank, Selection};
+use nws_forecast::{Member, PredictorBank};
 use proptest::prelude::*;
 
 /// A single predictor: a one-member bank.
 fn alone(member: Member) -> PredictorBank {
-    PredictorBank::new(&[member], Selection::default(), 30)
+    PredictorBank::new(&[member], 30)
 }
 
 // ---------------------------------------------------------------------------

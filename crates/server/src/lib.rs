@@ -24,10 +24,11 @@
 //!   byte path is diffed against). A reply that would not fit one frame
 //!   is refused whole with a typed error.
 //! - [`ReactorServer`] — the socket server: an epoll reactor speaking
-//!   the [`nws_wire`] protocol, one listener plus a small pool of event
-//!   loops serving thousands of concurrent, pipelined connections with
-//!   zero-copy replies. Idle, whole-frame and stalled-writer deadlines
-//!   are timer-wheel expirations, and an accept gate answers
+//!   the [`nws_wire`] protocol, a small pool of event loops that each
+//!   accept for themselves, serving thousands of concurrent, pipelined
+//!   connections with zero-copy replies. Each loop sweeps its idle,
+//!   whole-frame and stalled-writer deadlines once per tick, and an
+//!   accept gate answers
 //!   connections past the cap (derived from [`nws_runtime`]) with a
 //!   typed `Overloaded`.
 //! - [`NwsClient`] — a typed client with retry-and-reconnect behind

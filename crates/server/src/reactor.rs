@@ -4,9 +4,10 @@
 //! [`ReactorServer`] speaks the wire protocol in front of any shared
 //! [`Dispatch`] state — the primary [`GridState`] by default, or a
 //! [`ReplicaState`](crate::ReplicaState) fed from a primary's journal.
-//! One listener thread accepts and admission-gates, a small fixed pool
-//! of event-loop threads own the connections (sharded by file
-//! descriptor), and every socket is nonblocking behind raw `epoll` — no
+//! A small fixed pool of event-loop threads is the whole server: each
+//! loop holds the nonblocking listener in its own epoll set, and
+//! whichever loop wakes accepts, admission-gates and then owns the
+//! connection. Every socket is nonblocking behind raw `epoll` — no
 //! extra crates, just thin `extern "C"` wrappers over the three
 //! syscalls `std` does not expose. Connections cost buffers, not
 //! threads, so the connection cap is an admission policy rather than a
@@ -24,14 +25,15 @@
 //!
 //! - the idle cut ([`ServerConfig::read_timeout`]), the whole-frame
 //!   budget ([`ServerConfig::request_deadline`]) and the stalled-writer
-//!   deadline are **timer-wheel** expirations, so a peer trickling one
-//!   byte at a time runs out of wall clock instead of resetting the
-//!   idle timer with every byte;
+//!   deadline live on the connection, and once per tick each loop
+//!   **sweeps** its connections and closes every one past its earliest
+//!   deadline, so a peer trickling one byte at a time runs out of wall
+//!   clock instead of resetting the idle timer with every byte;
 //! - the connection cap ([`ServerConfig::max_connections`]) is an
 //!   **accept gate**: over-cap connections get a typed `Overloaded`
-//!   frame, written nonblocking by an event loop under a tight budget,
-//!   then closed — a peer that never reads its refusal cannot stall
-//!   the listener;
+//!   frame, written nonblocking by the accepting loop under a tight
+//!   budget, then closed — a peer that never reads its refusal cannot
+//!   stall the loop;
 //! - a malformed frame is answered with one typed `BadRequest` frame,
 //!   then the connection closes: the stream can no longer be trusted
 //!   to be frame-aligned.
@@ -50,7 +52,6 @@ use nws_wire::{
     append_response_frame, split_frame, ErrorCode, ErrorReply, FrameKind, Request, Response,
     WireError, HEADER_LEN,
 };
-use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -109,6 +110,27 @@ struct ServeCounters {
     active: AtomicUsize,
 }
 
+impl ServeCounters {
+    /// The accept gate: counts the connection into `active` while that
+    /// is below `cap`. One compare-and-swap decides, so loops accepting
+    /// at once never admit past the cap.
+    fn admit(&self, cap: usize) -> Admission {
+        let admitted = self
+            .active
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .is_ok();
+        if admitted {
+            self.accepted.fetch_add(1, Ordering::SeqCst);
+            Admission::Serve
+        } else {
+            self.refused.fetch_add(1, Ordering::SeqCst);
+            Admission::Refuse
+        }
+    }
+}
+
 /// The typed refusal an over-capacity connection is answered with.
 fn overload_response() -> Response {
     Response::Error(ErrorReply {
@@ -117,12 +139,11 @@ fn overload_response() -> Response {
     })
 }
 
-/// Thin wrappers over the epoll/eventfd syscalls. `std` links libc on
+/// Thin wrappers over the three epoll syscalls. `std` links libc on
 /// every supported platform, so the symbols are already in the
 /// process; declaring them here keeps the crate dependency-free.
 mod sys {
-    use std::fs::File;
-    use std::io::{self, Read, Write};
+    use std::io;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
     pub const EPOLLIN: u32 = 0x001;
@@ -136,8 +157,6 @@ mod sys {
     const EPOLL_CTL_MOD: i32 = 3;
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
-    const EFD_NONBLOCK: i32 = 0o4000;
 
     /// The kernel's `struct epoll_event`. Packed on x86-64 (the kernel
     /// ABI has no padding there); naturally aligned everywhere else.
@@ -153,7 +172,6 @@ mod sys {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn eventfd(initval: u32, flags: i32) -> i32;
     }
 
     fn cvt(ret: i32) -> io::Result<i32> {
@@ -205,14 +223,9 @@ mod sys {
             self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
         }
 
-        /// Waits for events, filling `events` from the front. Returns
-        /// the number of events. `timeout_ms` of `None` blocks until
-        /// an event (or a wake) arrives.
-        pub fn wait(
-            &self,
-            events: &mut [EpollEvent],
-            timeout_ms: Option<i32>,
-        ) -> io::Result<usize> {
+        /// Waits at most `timeout_ms` for events, filling `events` from
+        /// the front. Returns the number of events.
+        pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
             loop {
                 // SAFETY: the pointer/length pair describes `events`,
                 // which outlives the call.
@@ -221,7 +234,7 @@ mod sys {
                         self.ep.as_raw_fd(),
                         events.as_mut_ptr(),
                         events.len() as i32,
-                        timeout_ms.unwrap_or(-1),
+                        timeout_ms,
                     )
                 };
                 match cvt(n) {
@@ -232,50 +245,12 @@ mod sys {
             }
         }
     }
-
-    /// An eventfd used to kick an event loop out of `epoll_wait` —
-    /// for shutdown and for handing freshly accepted connections over.
-    /// Wrapped in a [`File`] so reads and writes go through `std`'s
-    /// plain fd I/O (`&File` implements `Read`/`Write`).
-    pub struct WakeFd {
-        file: File,
-    }
-
-    impl WakeFd {
-        pub fn new() -> io::Result<Self> {
-            // SAFETY: eventfd takes no pointers; a negative return is
-            // mapped to errno.
-            let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-            // SAFETY: fresh fd, owned by nothing else.
-            let owned = unsafe { OwnedFd::from_raw_fd(fd) };
-            Ok(Self {
-                file: File::from(owned),
-            })
-        }
-
-        pub fn as_raw_fd(&self) -> RawFd {
-            self.file.as_raw_fd()
-        }
-
-        /// Bumps the counter; wakes any epoll waiting on this fd. A
-        /// full counter (EAGAIN) already means a wake is pending, so
-        /// the result is ignored.
-        pub fn wake(&self) {
-            let _ = (&self.file).write(&1u64.to_ne_bytes());
-        }
-
-        /// Clears the counter so the next `wake` edge is observable.
-        pub fn drain(&self) {
-            let mut buf = [0u8; 8];
-            let _ = (&self.file).read(&mut buf);
-        }
-    }
 }
 
-use sys::{EpollEvent, Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use sys::{EpollEvent, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
-/// Token reserved for the per-loop wake eventfd.
-const WAKE_TOKEN: u64 = u64::MAX;
+/// Token reserved for the listener in every loop's epoll set.
+const LISTENER_TOKEN: u64 = u64::MAX;
 
 /// How many bytes one nonblocking read asks for.
 const READ_CHUNK: usize = 16 * 1024;
@@ -287,8 +262,9 @@ const COMPACT_THRESHOLD: usize = 8 * 1024;
 /// and the close is the real signal.
 const REFUSAL_DEADLINE: Duration = Duration::from_millis(250);
 
-/// Timer-wheel granularity, and the longest an event loop sleeps in
-/// `epoll_wait`: deadlines fire within one tick of their due time.
+/// How often an event loop sweeps its connections' deadlines, and the
+/// longest it sleeps in `epoll_wait`: deadlines fire within one tick
+/// of their due time, and shutdown is seen within one tick.
 const TIMER_TICK: Duration = Duration::from_millis(10);
 
 /// Tunables for [`ReactorServer`]: its deadlines and connection cap,
@@ -300,8 +276,8 @@ pub struct ReactorConfig {
     /// is small; raise it into the thousands to hold many mostly-idle
     /// connections.
     pub server: ServerConfig,
-    /// Event-loop threads. Connections are sharded across them by
-    /// file descriptor. Defaults to the runtime thread count, clamped
+    /// Event-loop threads. Each accepts for itself and serves what it
+    /// accepted. Defaults to the runtime thread count, clamped
     /// to at most 4 — event loops are I/O-bound and a handful covers
     /// tens of thousands of connections.
     pub event_loops: usize,
@@ -316,77 +292,7 @@ impl Default for ReactorConfig {
     }
 }
 
-/// A hashed timer wheel: coarse-grained deadline scheduling in O(1)
-/// arm and O(slots touched) advance. Entries are only *hints* to
-/// re-check a connection around its deadline; the precise deadlines
-/// live on the connection, so a deadline that moved later is simply
-/// re-armed when its stale entry fires (lazy cancellation), and a
-/// closed slot is recognized by its generation counter.
-struct TimerWheel {
-    slots: Vec<Vec<WheelEntry>>,
-    tick: Duration,
-    epoch: Instant,
-    /// Ticks fully processed.
-    cursor: u64,
-}
-
-#[derive(Clone, Copy)]
-struct WheelEntry {
-    tick: u64,
-    slot: usize,
-    gen: u64,
-}
-
-impl TimerWheel {
-    fn new(tick: Duration, slots: usize, epoch: Instant) -> Self {
-        Self {
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            tick: tick.max(Duration::from_millis(1)),
-            epoch,
-            cursor: 0,
-        }
-    }
-
-    /// The tick at (or just after) `when`, never in the past.
-    fn tick_for(&self, when: Instant) -> u64 {
-        let dt = when.saturating_duration_since(self.epoch);
-        let t = (dt.as_nanos() / self.tick.as_nanos()) as u64 + 1;
-        t.max(self.cursor + 1)
-    }
-
-    /// Schedules a check of `(slot, gen)` at `when`; returns the tick
-    /// the entry landed on.
-    fn arm(&mut self, when: Instant, slot: usize, gen: u64) -> u64 {
-        let tick = self.tick_for(when);
-        let idx = (tick % self.slots.len() as u64) as usize;
-        self.slots[idx].push(WheelEntry { tick, slot, gen });
-        tick
-    }
-
-    /// Advances the wheel to `now`, moving every due entry into `due`
-    /// as `(slot, gen, tick)`. Entries from future wheel rounds that
-    /// share a bucket stay in place.
-    fn advance_into(&mut self, now: Instant, due: &mut Vec<(usize, u64, u64)>) {
-        let elapsed = now.saturating_duration_since(self.epoch);
-        let target = (elapsed.as_nanos() / self.tick.as_nanos()) as u64;
-        while self.cursor < target {
-            self.cursor += 1;
-            let idx = (self.cursor % self.slots.len() as u64) as usize;
-            let bucket = &mut self.slots[idx];
-            let mut i = 0;
-            while i < bucket.len() {
-                if bucket[i].tick <= self.cursor {
-                    let e = bucket.swap_remove(i);
-                    due.push((e.slot, e.gen, e.tick));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-}
-
-/// How a freshly accepted connection enters an event loop.
+/// How a freshly accepted connection enters its event loop.
 enum Admission {
     /// Under the cap: serve requests.
     Serve,
@@ -408,9 +314,6 @@ enum Phase {
 struct Conn {
     stream: TcpStream,
     phase: Phase,
-    /// Distinguishes this occupant of the slab slot from earlier ones,
-    /// so stale timer entries can't touch a reused slot.
-    gen: u64,
     /// Events currently registered with epoll.
     interest: u32,
     /// Buffered request bytes; `in_pos` marks the consumed prefix.
@@ -431,8 +334,6 @@ struct Conn {
     frame_at: Instant,
     /// Armed while the write queue is nonempty.
     write_at: Option<Instant>,
-    /// Wheel tick of the soonest scheduled check, for dedupe.
-    armed_tick: u64,
     /// This connection holds a slot in `ServeCounters::active`.
     counted: bool,
 }
@@ -509,13 +410,6 @@ impl Conn {
     }
 }
 
-/// The channel a listener hands accepted sockets over on, one per
-/// event loop.
-struct LoopShared {
-    wake: WakeFd,
-    inbox: Mutex<VecDeque<(TcpStream, Admission)>>,
-}
-
 /// Why a connection is being torn down.
 enum Close {
     /// Hang up with nothing more to say (peer gone, deadline hit,
@@ -527,44 +421,46 @@ enum Close {
 
 struct EventLoop<D: Dispatch> {
     poller: Poller,
-    shared: Arc<LoopShared>,
+    /// The one listener, shared by every loop.
+    listener: Arc<TcpListener>,
+    /// Whether the listener is in `poller`'s set. A failed accept takes
+    /// it out until the next sweep.
+    listening: bool,
     state: Arc<Mutex<D>>,
     counters: Arc<ServeCounters>,
     shutdown: Arc<AtomicBool>,
     config: ReactorConfig,
-    wheel: TimerWheel,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Slots closed during the current event batch; merged into `free`
-    /// only after the batch, so a stale event in the same batch cannot
-    /// reach a recycled slot.
+    /// Slots closed during the current event batch, merged into `free`
+    /// only after it: a later event in the batch may still carry a
+    /// closed slot's token, so an accept mid-batch must not hand that
+    /// slot to a new connection.
     freed: Vec<usize>,
-    next_gen: u64,
 }
 
 impl<D: Dispatch> EventLoop<D> {
     fn run(mut self) {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
-        let mut due: Vec<(usize, u64, u64)> = Vec::new();
         let tick_ms = TIMER_TICK.as_millis() as i32;
-        while let Ok(n) = self.poller.wait(&mut events, Some(tick_ms)) {
+        let mut next_sweep = Instant::now() + TIMER_TICK;
+        while let Ok(n) = self.poller.wait(&mut events, tick_ms) {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             for ev in &events[..n] {
                 let token = ev.data;
                 let bits = ev.events;
-                if token == WAKE_TOKEN {
-                    self.shared.wake.drain();
-                    continue;
+                if token == LISTENER_TOKEN {
+                    self.accept_all();
+                } else {
+                    self.handle_event(token as usize, bits);
                 }
-                self.handle_event(token as usize, bits);
             }
-            self.register_arrivals();
             let now = Instant::now();
-            self.wheel.advance_into(now, &mut due);
-            for (slot, gen, tick) in due.drain(..) {
-                self.handle_timer(slot, gen, tick, now);
+            if now >= next_sweep {
+                self.sweep(now);
+                next_sweep = now + TIMER_TICK;
             }
             self.free.append(&mut self.freed);
         }
@@ -572,111 +468,107 @@ impl<D: Dispatch> EventLoop<D> {
         // a crash.
     }
 
-    /// Moves freshly accepted connections from the inbox into the
-    /// slab and registers them with epoll.
-    fn register_arrivals(&mut self) {
+    /// Closes every connection past its earliest deadline, and puts
+    /// back a listener a failed accept took out.
+    fn sweep(&mut self, now: Instant) {
+        for slot in 0..self.conns.len() {
+            let due = self.conns[slot]
+                .as_ref()
+                .is_some_and(|c| c.earliest_deadline() <= now);
+            if due {
+                // Deadlines close silently: the peer reads an EOF, not
+                // an excuse.
+                self.close(slot);
+            }
+        }
+        if !self.listening {
+            let fd = self.listener.as_raw_fd();
+            self.listening = self.poller.add(fd, EPOLLIN, LISTENER_TOKEN).is_ok();
+        }
+    }
+
+    /// Accepts until the backlog runs dry. Any other accept error —
+    /// a full fd table (`EMFILE`/`ENFILE`), a peer reset before accept
+    /// (`ECONNABORTED`) — ends only this round: the listener leaves the
+    /// epoll set until the next sweep, so a backlog that cannot be
+    /// accepted does not spin the loop.
+    fn accept_all(&mut self) {
         loop {
-            let next = self
-                .shared
-                .inbox
-                .lock()
-                .expect("inbox poisoned")
-                .pop_front();
-            let Some((stream, admission)) = next else {
-                return;
-            };
-            let now = Instant::now();
-            let gen = self.next_gen;
-            self.next_gen += 1;
-            let (phase, counted) = match admission {
-                Admission::Serve => (Phase::Serving, true),
-                Admission::Refuse => (Phase::Draining, false),
-            };
-            let mut conn = Conn {
-                stream,
-                phase,
-                gen,
-                interest: 0,
-                inbuf: Vec::new(),
-                in_pos: 0,
-                pending: Vec::new(),
-                pending_pos: 0,
-                fresh: Vec::new(),
-                eof: false,
-                idle_at: now + self.config.server.read_timeout,
-                frame_at: now + self.config.server.request_deadline,
-                write_at: None,
-                armed_tick: 0,
-                counted,
-            };
-            if let Admission::Refuse = admission {
-                // The refusal is best-effort with a tight budget,
-                // written from the event loop itself.
-                append_response_frame(&mut conn.fresh, &overload_response());
-                conn.idle_at = now + REFUSAL_DEADLINE;
-                conn.frame_at = conn.idle_at;
-                if matches!(conn.flush(), Ok(true) | Err(_)) {
-                    // Written whole (or the peer is already gone):
-                    // close without ever registering.
-                    if conn.counted {
-                        self.counters.active.fetch_sub(1, Ordering::SeqCst);
+            match self.listener.accept() {
+                Ok((stream, _)) => self.admit(stream),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    if self.poller.delete(self.listener.as_raw_fd()).is_ok() {
+                        self.listening = false;
                     }
-                    continue;
+                    return;
                 }
             }
-            let slot = match self.free.pop() {
-                Some(s) => s,
-                None => {
-                    self.conns.push(None);
-                    self.conns.len() - 1
-                }
-            };
-            let interest = match conn.phase {
-                Phase::Serving => EPOLLIN | EPOLLRDHUP,
-                Phase::Draining => EPOLLOUT,
-            };
-            conn.interest = interest;
-            let fd = conn.stream.as_raw_fd();
-            if self.poller.add(fd, interest, slot as u64).is_err() {
-                if conn.counted {
-                    self.counters.active.fetch_sub(1, Ordering::SeqCst);
-                }
-                self.free.push(slot);
-                continue;
-            }
-            self.conns[slot] = Some(conn);
-            self.schedule(slot);
         }
     }
 
-    /// Re-arms the wheel for a connection's earliest deadline, unless
-    /// an earlier-or-equal check is already scheduled.
-    fn schedule(&mut self, slot: usize) {
-        let Some(conn) = self.conns[slot].as_mut() else {
+    /// Gates a freshly accepted connection and registers it in this
+    /// loop's slab: served under the cap, refused over it.
+    fn admit(&mut self, stream: TcpStream) {
+        let _ = stream.set_nodelay(true);
+        if stream.set_nonblocking(true).is_err() {
             return;
+        }
+        let admission = self.counters.admit(self.config.server.max_connections);
+        let now = Instant::now();
+        let (phase, counted) = match admission {
+            Admission::Serve => (Phase::Serving, true),
+            Admission::Refuse => (Phase::Draining, false),
         };
-        let when = conn.earliest_deadline();
-        let tick = self.wheel.tick_for(when);
-        if conn.armed_tick > self.wheel.cursor && conn.armed_tick <= tick {
-            return;
-        }
-        conn.armed_tick = self.wheel.arm(when, slot, conn.gen);
-    }
-
-    fn handle_timer(&mut self, slot: usize, gen: u64, tick: u64, now: Instant) {
-        let Some(conn) = self.conns.get(slot).and_then(|c| c.as_ref()) else {
-            return;
+        let mut conn = Conn {
+            stream,
+            phase,
+            interest: 0,
+            inbuf: Vec::new(),
+            in_pos: 0,
+            pending: Vec::new(),
+            pending_pos: 0,
+            fresh: Vec::new(),
+            eof: false,
+            idle_at: now + self.config.server.read_timeout,
+            frame_at: now + self.config.server.request_deadline,
+            write_at: None,
+            counted,
         };
-        if conn.gen != gen || conn.armed_tick != tick {
-            return; // superseded or recycled
+        if let Admission::Refuse = admission {
+            // The refusal is best-effort with a tight budget, written
+            // by the accepting loop itself.
+            append_response_frame(&mut conn.fresh, &overload_response());
+            conn.idle_at = now + REFUSAL_DEADLINE;
+            conn.frame_at = conn.idle_at;
+            if matches!(conn.flush(), Ok(true) | Err(_)) {
+                // Written whole (or the peer is already gone): close
+                // without ever registering.
+                return;
+            }
         }
-        if conn.earliest_deadline() <= now {
-            // Deadlines close silently: the peer reads an EOF, not an
-            // excuse.
-            self.close(slot);
-        } else {
-            self.schedule(slot);
+        let slot = match self.free.pop() {
+            Some(s) => s,
+            None => {
+                self.conns.push(None);
+                self.conns.len() - 1
+            }
+        };
+        let interest = match conn.phase {
+            Phase::Serving => EPOLLIN | EPOLLRDHUP,
+            Phase::Draining => EPOLLOUT,
+        };
+        conn.interest = interest;
+        let fd = conn.stream.as_raw_fd();
+        if self.poller.add(fd, interest, slot as u64).is_err() {
+            if conn.counted {
+                self.counters.active.fetch_sub(1, Ordering::SeqCst);
+            }
+            self.free.push(slot);
+            return;
         }
+        self.conns[slot] = Some(conn);
     }
 
     fn handle_event(&mut self, slot: usize, bits: u32) {
@@ -852,7 +744,6 @@ impl<D: Dispatch> EventLoop<D> {
             Err(_) => return Some(Close::Silent),
         }
         self.update_interest(slot);
-        self.schedule(slot);
         None
     }
 
@@ -886,10 +777,7 @@ impl<D: Dispatch> EventLoop<D> {
         };
         match conn.flush() {
             Ok(true) | Err(_) => self.close(slot),
-            Ok(false) => {
-                self.update_interest(slot);
-                self.schedule(slot);
-            }
+            Ok(false) => self.update_interest(slot),
         }
     }
 
@@ -905,91 +793,14 @@ impl<D: Dispatch> EventLoop<D> {
     }
 }
 
-fn run_listener(
-    listener: TcpListener,
-    poller: Poller,
-    wake: Arc<WakeFd>,
-    loops: Vec<Arc<LoopShared>>,
-    counters: Arc<ServeCounters>,
-    shutdown: Arc<AtomicBool>,
-    config: ReactorConfig,
-) {
-    const LISTENER_TOKEN: u64 = 0;
-    if poller
-        .add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)
-        .is_err()
-        || poller.add(wake.as_raw_fd(), EPOLLIN, WAKE_TOKEN).is_err()
-    {
-        return;
-    }
-    let mut events = vec![EpollEvent { events: 0, data: 0 }; 64];
-    loop {
-        let n = match poller.wait(&mut events, None) {
-            Ok(n) => n,
-            Err(_) => return,
-        };
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut accept_ready = false;
-        for ev in &events[..n] {
-            match ev.data {
-                WAKE_TOKEN => wake.drain(),
-                _ => accept_ready = true,
-            }
-        }
-        if !accept_ready {
-            continue;
-        }
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    // The accept gate: admission control happens here,
-                    // in the reactor, and the refusal frame is written
-                    // by an event loop — never a detached thread.
-                    let over =
-                        counters.active.load(Ordering::SeqCst) >= config.server.max_connections;
-                    let admission = if over {
-                        counters.refused.fetch_add(1, Ordering::SeqCst);
-                        Admission::Refuse
-                    } else {
-                        counters.accepted.fetch_add(1, Ordering::SeqCst);
-                        counters.active.fetch_add(1, Ordering::SeqCst);
-                        Admission::Serve
-                    };
-                    // Shard by fd: cheap, stable, and uniform enough —
-                    // fds are densely recycled integers.
-                    let li = (stream.as_raw_fd() as usize) % loops.len();
-                    loops[li]
-                        .inbox
-                        .lock()
-                        .expect("inbox poisoned")
-                        .push_back((stream, admission));
-                    loops[li].wake.wake();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-}
-
 /// A running forecast server bound to a local port: spawn it over any
 /// [`Dispatch`] state, read its admission counters, shut it down. It
-/// holds thousands of concurrent connections on `1 + event_loops`
-/// threads.
+/// holds thousands of concurrent connections on `event_loops` threads.
 pub struct ReactorServer<D: Dispatch + 'static = GridState> {
     addr: SocketAddr,
     state: Arc<Mutex<D>>,
     shutdown: Arc<AtomicBool>,
     counters: Arc<ServeCounters>,
-    listener_wake: Arc<WakeFd>,
-    loops: Vec<Arc<LoopShared>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -1004,65 +815,38 @@ impl<D: Dispatch + 'static> ReactorServer<D> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let listener = Arc::new(listener);
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServeCounters::default());
-        let n_loops = config.event_loops.max(1);
-        let listener_poller = Poller::new()?;
-        let listener_wake = Arc::new(WakeFd::new()?);
-        let mut loops = Vec::with_capacity(n_loops);
-        let mut loop_pollers = Vec::with_capacity(n_loops);
-        for _ in 0..n_loops {
-            let shared = Arc::new(LoopShared {
-                wake: WakeFd::new()?,
-                inbox: Mutex::new(VecDeque::new()),
-            });
-            let poller = Poller::new()?;
-            poller.add(shared.wake.as_raw_fd(), EPOLLIN, WAKE_TOKEN)?;
-            loops.push(shared);
-            loop_pollers.push(poller);
-        }
-        let mut threads = Vec::with_capacity(n_loops + 1);
-        let epoch = Instant::now();
-        for (shared, poller) in loops.iter().cloned().zip(loop_pollers) {
-            let ev = EventLoop {
-                poller,
-                shared,
-                state: Arc::clone(&state),
-                counters: Arc::clone(&counters),
-                shutdown: Arc::clone(&shutdown),
-                config,
-                wheel: TimerWheel::new(TIMER_TICK, 512, epoch),
-                conns: Vec::new(),
-                free: Vec::new(),
-                freed: Vec::new(),
-                next_gen: 1,
-            };
-            threads.push(std::thread::spawn(move || ev.run()));
-        }
-        {
-            let loops = loops.clone();
-            let counters = Arc::clone(&counters);
-            let shutdown = Arc::clone(&shutdown);
-            let wake = Arc::clone(&listener_wake);
-            threads.push(std::thread::spawn(move || {
-                run_listener(
-                    listener,
-                    listener_poller,
-                    wake,
-                    loops,
-                    counters,
-                    shutdown,
+        // Every loop is set up before any thread starts, so a failure
+        // leaves nothing running.
+        let loops = (0..config.event_loops.max(1))
+            .map(|_| {
+                let poller = Poller::new()?;
+                poller.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
+                Ok(EventLoop {
+                    poller,
+                    listener: Arc::clone(&listener),
+                    listening: true,
+                    state: Arc::clone(&state),
+                    counters: Arc::clone(&counters),
+                    shutdown: Arc::clone(&shutdown),
                     config,
-                )
-            }));
-        }
+                    conns: Vec::new(),
+                    free: Vec::new(),
+                    freed: Vec::new(),
+                })
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let threads = loops
+            .into_iter()
+            .map(|ev| std::thread::spawn(move || ev.run()))
+            .collect();
         Ok(Self {
             addr,
             state,
             shutdown,
             counters,
-            listener_wake,
-            loops,
             threads,
         })
     }
@@ -1093,15 +877,12 @@ impl<D: Dispatch + 'static> ReactorServer<D> {
         self.counters.active.load(Ordering::SeqCst)
     }
 
-    /// Stops the listener and the event loops and joins them. Open
+    /// Stops the event loops and joins them; each sees the flag within
+    /// one tick, and the listener closes with the last. Open
     /// connections are dropped, so a shutdown looks like a crash to
     /// connected clients.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.listener_wake.wake();
-        for l in &self.loops {
-            l.wake.wake();
-        }
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
@@ -1164,40 +945,6 @@ mod tests {
             },
             ..ReactorConfig::default()
         })
-    }
-
-    #[test]
-    fn wheel_fires_once_per_arm_and_keeps_future_rounds() {
-        let epoch = Instant::now();
-        let mut wheel = TimerWheel::new(Duration::from_millis(10), 8, epoch);
-        // Two entries 8 slots apart share a bucket; advancing past the
-        // first must not spill the second.
-        let near = wheel.arm(epoch + Duration::from_millis(20), 1, 7);
-        let far = wheel.arm(epoch + Duration::from_millis(100), 2, 9);
-        assert_eq!(far - near, 8, "chosen to collide in one bucket");
-        let mut due = Vec::new();
-        wheel.advance_into(epoch + Duration::from_millis(40), &mut due);
-        assert_eq!(due, vec![(1, 7, near)]);
-        due.clear();
-        wheel.advance_into(epoch + Duration::from_millis(120), &mut due);
-        assert_eq!(due, vec![(2, 9, far)]);
-        due.clear();
-        wheel.advance_into(epoch + Duration::from_millis(200), &mut due);
-        assert!(due.is_empty(), "entries fire exactly once");
-    }
-
-    #[test]
-    fn wheel_never_arms_in_the_past() {
-        let epoch = Instant::now();
-        let mut wheel = TimerWheel::new(Duration::from_millis(10), 8, epoch);
-        let mut due = Vec::new();
-        wheel.advance_into(epoch + Duration::from_millis(55), &mut due);
-        // A deadline already in the past lands on the next tick, not a
-        // tick the cursor has already passed (which would never fire).
-        let t = wheel.arm(epoch, 3, 1);
-        assert!(t > wheel.cursor);
-        wheel.advance_into(epoch + Duration::from_millis(75), &mut due);
-        assert_eq!(due, vec![(3, 1, t)]);
     }
 
     #[test]
@@ -1265,15 +1012,7 @@ mod tests {
         let _hostile = TcpStream::connect(server.addr()).expect("connect");
         std::thread::sleep(Duration::from_millis(50));
         let started = Instant::now();
-        let mut client = NwsClient::connect(
-            server.addr(),
-            ClientConfig {
-                retries: 0,
-                io_timeout: Duration::from_secs(2),
-                ..ClientConfig::default()
-            },
-        )
-        .expect("connect");
+        let mut client = NwsClient::connect(server.addr(), quick()).expect("connect");
         match client.call(&Request::Stats) {
             Ok(Response::Error(e)) => assert_eq!(e.code, ErrorCode::Overloaded),
             other => panic!("wrong result: {other:?}"),
@@ -1285,20 +1024,31 @@ mod tests {
         );
     }
 
+    /// A client that fails fast: no retries, a 2 s I/O budget.
+    fn quick() -> ClientConfig {
+        ClientConfig {
+            retries: 0,
+            io_timeout: Duration::from_secs(2),
+            ..ClientConfig::default()
+        }
+    }
+
     #[test]
     fn connection_churn_under_a_tight_cap() {
+        for event_loops in [1, 4] {
+            churn_under_a_tight_cap(event_loops);
+        }
+    }
+
+    fn churn_under_a_tight_cap(event_loops: usize) {
         let server = warm_reactor(ReactorConfig {
             server: ServerConfig {
                 max_connections: 2,
                 ..ServerConfig::default()
             },
-            ..ReactorConfig::default()
+            event_loops,
         });
-        let quick = ClientConfig {
-            retries: 0,
-            io_timeout: Duration::from_secs(2),
-            ..ClientConfig::default()
-        };
+        let quick = quick();
         // Two idle holders pin the cap.
         let mut hold_a = NwsClient::connect(server.addr(), quick).expect("holder a");
         let mut hold_b = NwsClient::connect(server.addr(), quick).expect("holder b");
@@ -1356,6 +1106,49 @@ mod tests {
         hold_b.stats().expect("the holder outlived the churn");
         assert!(server.accepted() >= 23, "churn cycles were served");
         assert!(server.refused() >= 1, "the cap actually fired");
+    }
+
+    #[test]
+    fn admission_is_exact_when_four_loops_accept_a_burst() {
+        const CLIENTS: usize = 32;
+        const CAP: usize = 4;
+        let server = warm_reactor(ReactorConfig {
+            server: ServerConfig {
+                max_connections: CAP,
+                ..ServerConfig::default()
+            },
+            event_loops: 4,
+        });
+        let addr = server.addr();
+        let start = Arc::new(std::sync::Barrier::new(CLIENTS));
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut client = NwsClient::connect(addr, quick()).expect("connect");
+                    let reply = client.call(&Request::Stats);
+                    (client, reply)
+                })
+            })
+            .collect();
+        // Every client is held, so no admitted slot frees up mid-burst.
+        let clients: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect();
+        let served = clients
+            .iter()
+            .filter(|(_, r)| matches!(r, Ok(Response::Stats(_))))
+            .count();
+        let refused = clients
+            .iter()
+            .filter(|(_, r)| matches!(r, Ok(Response::Error(e)) if e.code == ErrorCode::Overloaded))
+            .count();
+        assert_eq!((served, refused), (CAP, CLIENTS - CAP));
+        assert_eq!(server.accepted(), CAP as u64);
+        assert_eq!(server.active_connections(), CAP);
+        assert_eq!(server.refused(), (CLIENTS - CAP) as u64);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the cross-crate invariants the
 //! reproduction relies on.
 
-use nws::forecast::{evaluate_one_step, Member, PredictorBank, Selection};
+use nws::forecast::{evaluate_one_step, Member, PredictorBank};
 use nws::sensors::{availability_from_load, availability_from_vmstat, VmstatReading};
 use nws::stats::{autocorrelation, rs_statistic};
 use nws::timeseries::{aggregate_mean, summarize, Series};
@@ -28,7 +28,7 @@ proptest! {
             Member::ExpSmoothing(0.3),
         ]
         .iter()
-        .map(|m| PredictorBank::new(&[*m], Selection::default(), 30))
+        .map(|m| PredictorBank::new(&[*m], 30))
         .collect();
         for &v in &values {
             for m in members.iter_mut() {

@@ -236,7 +236,7 @@ fn an_unknown_host_name_at_the_string_bound_is_answered_unknown_host() {
 #[test]
 fn personas_trip_the_reactor_defenses_without_hurting_healthy_clients() {
     let _guard = lock();
-    for loops in [1usize, 2] {
+    for loops in [1usize, 2, 4] {
         personas_against(loops);
     }
 }
@@ -345,8 +345,7 @@ fn a_thousand_idle_connections_cost_no_threads_and_bounded_memory() {
     .expect("bind reactor");
     let addr = reactor.addr();
 
-    // Baseline once the server's own threads (listener + event loops)
-    // are up.
+    // Baseline once the server's own threads (its event loops) are up.
     let threads_before = proc_status_field("Threads:");
     let rss_before_kb = proc_status_field("VmRSS:");
 
@@ -355,8 +354,8 @@ fn a_thousand_idle_connections_cost_no_threads_and_bounded_memory() {
             TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle connect #{i} failed: {e}"))
         })
         .collect();
-    // Registration is asynchronous (accept -> inbox -> event loop);
-    // wait for the slab to report every connection.
+    // Admission is asynchronous (an event loop accepts when it wakes);
+    // wait for the loops to report every connection.
     let deadline = Instant::now() + Duration::from_secs(10);
     while reactor.active_connections() < IDLE {
         assert!(
@@ -384,4 +383,71 @@ fn a_thousand_idle_connections_cost_no_threads_and_bounded_memory() {
     client.stats().expect("stats with 1000 idle connections");
     assert!(reactor.active_connections() > IDLE);
     drop(held);
+}
+
+/// Set in the child that the fd-exhaustion test re-runs itself as.
+const FD_CHILD: &str = "NWS_REACTOR_FD_CHILD";
+
+#[test]
+fn an_accept_that_finds_no_free_fd_does_not_stop_the_server_accepting() {
+    if std::env::var_os(FD_CHILD).is_some() {
+        return accept_through_fd_exhaustion();
+    }
+    let _guard = lock();
+    // The child runs under a low fd limit, so exhausting its fd table is
+    // cheap and touches nothing in this process.
+    let name = "an_accept_that_finds_no_free_fd_does_not_stop_the_server_accepting";
+    let out = std::process::Command::new("sh")
+        .args(["-c", r#"ulimit -n 128; exec "$0" "$@""#])
+        .arg(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", name, "--test-threads=1", "--nocapture"])
+        .env(FD_CHILD, "1")
+        .output()
+        .expect("run the child");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "child failed ({}):\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// The child: fill the fd table, connect with the last free fd so the
+/// server's accept fails with `EMFILE`, then free the table and require
+/// the server to serve a fresh client promptly.
+fn accept_through_fd_exhaustion() {
+    let reactor =
+        ReactorServer::spawn(GridState::new(warm_grid(30)), reactor_config(1)).expect("bind");
+    let addr = reactor.addr();
+    let mut hog = Vec::new();
+    while let Ok(f) = std::fs::File::open("/dev/null") {
+        hog.push(f);
+    }
+    assert!(!hog.is_empty(), "the fd table was already full");
+    hog.pop();
+    let stranded = TcpStream::connect(addr).expect("connect with the last free fd");
+    // Several ticks: the event loop wakes and its accept finds no fd.
+    std::thread::sleep(Duration::from_millis(100));
+    drop(hog);
+
+    let quick = ClientConfig {
+        retries: 0,
+        io_timeout: Duration::from_secs(2),
+        ..ClientConfig::default()
+    };
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        match NwsClient::connect(addr, quick).and_then(|mut c| c.stats()) {
+            Ok(_) => break,
+            Err(e) => {
+                assert!(
+                    Instant::now() < deadline,
+                    "not served within 2 s of the fd table draining: {e}"
+                );
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    }
+    drop(stranded);
 }
