@@ -16,7 +16,9 @@
 //! Every test drives both through the same script — measurements, gaps
 //! (single and back-to-back), non-finite samples — demanding the same
 //! selected member, forecast bits and 16-step horizon bits at every step,
-//! and the same error sums at the end.
+//! and the same error sums at the end. One more test pins a hash of what
+//! the bank alone says over two long runs, so a change to a kernel both
+//! sides call cannot pass unseen.
 
 use crate::kernels::{
     absorb_innovation, ewma_step, fit_ar, model_step, rolling_sum_step, sgd_predict, sgd_step,
@@ -590,6 +592,35 @@ proptest! {
     }
 }
 
+// The same two properties at 2,048 cases each, for the edge cases 64
+// cases sample thinly: ties across the two liveness classes, a panel
+// with one class empty, a gap right after construction. Run with
+// `cargo test --release -p nws-forecast -- --ignored`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    #[ignore = "2,048 cases; run with --ignored"]
+    fn named_panels_match_the_reference_at_2048_cases(
+        spec in spec(),
+        draws in draws(1..700),
+        quantised in any::<bool>(),
+    ) {
+        drive(&spec.members(), 30, script_from(&draws, quantised))?;
+    }
+
+    #[test]
+    #[ignore = "2,048 cases; run with --ignored"]
+    fn random_member_lists_match_the_reference_at_2048_cases(
+        members in prop::collection::vec(member(), 1..10),
+        recent_window in 1usize..40,
+        draws in draws(1..400),
+        quantised in any::<bool>(),
+    ) {
+        drive(&members, recent_window, script_from(&draws, quantised))?;
+    }
+}
+
 /// Seeded xorshift levels in `[0, 1)` around a slowly wandering mean.
 fn wandering_levels(seed: u64, n: usize) -> impl Iterator<Item = f64> {
     let mut rng = seed;
@@ -620,13 +651,66 @@ fn long_runs_cross_every_sum_refresh() {
         with_fixed_window,
     ];
     for (case, members) in lists.iter().enumerate() {
-        let script = wandering_levels(7 + case as u64, 9_600)
-            .enumerate()
-            .map(|(i, v)| match i {
-                200 | 340 | 341 => Step::Gap,
-                420 => Step::NonFinite(f64::NAN),
-                _ => Step::Value(v),
-            });
-        drive(members, 30, script).unwrap_or_else(|e| panic!("list {case}: {e}"));
+        drive(members, 30, long_run(7 + case as u64))
+            .unwrap_or_else(|e| panic!("list {case}: {e}"));
     }
+}
+
+/// The 9,600-step script of [`long_runs_cross_every_sum_refresh`]: gaps
+/// at 200 and 340–341, a NaN at 420, wandering levels from `seed`
+/// everywhere else.
+fn long_run(seed: u64) -> impl Iterator<Item = Step> {
+    wandering_levels(seed, 9_600)
+        .enumerate()
+        .map(|(i, v)| match i {
+            200 | 340 | 341 => Step::Gap,
+            420 => Step::NonFinite(f64::NAN),
+            _ => Step::Value(v),
+        })
+}
+
+/// FNV-1a over `words`, little-endian, continuing from `hash`.
+fn fnv1a(hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(hash, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// One hash of everything [`long_run`] makes a named panel's bank say:
+/// per step the forecast bits, the selected index and the 16-step
+/// horizon bits (`u64::MAX` stands for "none"), then the final error
+/// table. The reference above shares the recursive kernels with the
+/// bank; this pin does not, so it also holds those kernels still.
+fn long_run_hash(spec: PanelSpec, seed: u64) -> u64 {
+    const NONE: u64 = u64::MAX;
+    let mut bank = spec.build();
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for step in long_run(seed) {
+        match step {
+            Step::Value(v) | Step::NonFinite(v) => bank.observe(v),
+            Step::Gap => bank.note_gap(),
+        }
+        let forecast = bits(bank.predicted_value()).unwrap_or(NONE);
+        hash = fnv1a(hash, [forecast, bank.selected_index() as u64]);
+        hash = match horizon_bits(bank.predict_horizon(16)) {
+            Some(h) => fnv1a(hash, h),
+            None => fnv1a(hash, [NONE]),
+        };
+    }
+    for row in bank.error_table() {
+        hash = fnv1a(
+            hash,
+            [row.scored, row.abs_sum.to_bits(), row.sq_sum.to_bits()],
+        );
+    }
+    hash
+}
+
+#[test]
+fn named_panels_keep_their_long_run_bits() {
+    assert_eq!(long_run_hash(PanelSpec::Nws1999, 8), 0xd1ed_ede0_fa60_c69c);
+    assert_eq!(long_run_hash(PanelSpec::Extended, 9), 0xd4b7_6a03_8d6f_3411);
 }

@@ -199,9 +199,14 @@ impl IntervalTracker {
         self
     }
 
-    /// Records one scored forecast.
+    /// Records one scored forecast. A pair without a finite error (a NaN
+    /// or infinite forecast or actual) carries no measurement and is
+    /// ignored.
     pub fn record(&mut self, forecast: f64, actual: f64) {
         let err = actual - forecast;
+        if !err.is_finite() {
+            return;
+        }
         self.lower.observe(err);
         self.upper.observe(err);
     }
@@ -353,6 +358,21 @@ mod tests {
         let iv = tracker.interval(0.99).expect("warm");
         assert!(iv.hi <= 1.0);
         assert!(iv.lo >= 0.0);
+    }
+
+    #[test]
+    fn non_finite_pairs_are_ignored() {
+        let mut tracker = IntervalTracker::new(0.9);
+        for i in 0..20 {
+            tracker.record(0.5, 0.4 + 0.01 * f64::from(i));
+        }
+        let before = tracker.interval(0.5);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            tracker.record(0.5, bad);
+            tracker.record(bad, 0.5);
+        }
+        assert_eq!(tracker.count(), 20);
+        assert_eq!(tracker.interval(0.5), before);
     }
 
     #[test]

@@ -78,13 +78,12 @@ pub(crate) fn sorted_slide(sorted: &mut [f64], len: usize, evicted: Option<f64>,
         below += usize::from(x < value);
     }
     debug_assert!(sorted[out] == old, "evicted value not found");
-    // Where `value` lands once `sorted[out]` is gone.
+    // Where `value` lands once `sorted[out]` is gone. The elements
+    // between the two positions shift one place toward `out`: right when
+    // the value lands at or below it, left when above.
     let at = below - usize::from(out < below);
-    if at <= out {
-        sorted.copy_within(at..out, at + 1);
-    } else {
-        sorted.copy_within(out + 1..at + 1, out);
-    }
+    let (low, left) = (at.min(out), usize::from(out < at));
+    sorted.copy_within(low + left..at.max(out) + left, low + 1 - left);
     sorted[at] = value;
 }
 
@@ -102,13 +101,18 @@ pub(crate) fn median_of_sorted(sorted: &[f64]) -> Option<f64> {
     })
 }
 
-/// α-trimmed mean of an ascending slice: drops `floor(α·n)` values from
-/// each end and averages the rest; falls back to the median when
-/// everything is trimmed away.
-pub(crate) fn trimmed_mean_of_sorted(sorted: &[f64], alpha: f64) -> Option<f64> {
+/// How many values an α-trimmed mean of `n` drops from each end:
+/// `floor(α·n)`.
+pub(crate) fn trim_count(alpha: f64, n: usize) -> usize {
+    (alpha * n as f64).floor() as usize
+}
+
+/// α-trimmed mean of an ascending slice: drops `cut` values (its
+/// [`trim_count`]) from each end and averages the rest; falls back to
+/// the median when everything is trimmed away.
+pub(crate) fn trimmed_mean_of_sorted(sorted: &[f64], cut: usize) -> Option<f64> {
     let n = sorted.len();
-    let k = (alpha * n as f64).floor() as usize;
-    let kept = &sorted[k..n - k];
+    let kept = &sorted[cut..n - cut];
     if kept.is_empty() {
         return median_of_sorted(sorted);
     }

@@ -21,23 +21,34 @@
 //!   adaptive window, the gradient AR(1), AR and ARMA) reads it instead
 //!   of owning a copy. Members over the same window length share one
 //!   rolling sum or one sorted block;
+//! - members are **stored class by class**: first the level trackers
+//!   (last value, running mean, the smoothers), which predict from their
+//!   first value on, then the ring readers, which go dark across a gap —
+//!   each class in panel order. A member is scored exactly when its
+//!   class is live, so every member of a class has been scored equally
+//!   often: the bank keeps one scored count per class, and scoring and
+//!   selection are one straight pass over each live class's columns;
 //! - **one slot-major error matrix** holds every member's recent
-//!   absolute errors (`recent[slot·n + member]`), so members advancing
-//!   in lock-step write one contiguous row;
+//!   absolute errors (`recent[row·n + member]`); a class writes row
+//!   `scored % recent` across its own contiguous columns;
 //! - each member's **standing prediction is computed once** per
 //!   observation and reused for scoring, eligibility and serving;
 //! - members are dispatched by `match` over a resolved layout shared by
 //!   every bank built from the same member list, together with the
 //!   method-name table.
 //!
+//! Storage order stays inside the bank: every index, name list and
+//! error table it hands out is in panel order.
+//!
 //! The member formulas themselves live in [`kernels`](crate::kernels);
 //! the bank is their only caller.
 
 use crate::kernels::{
     absorb_innovation, error_terms, ewma_step, fit_ar, median_of_sorted, model_horizon, model_step,
-    rolling_sum_step, sgd_predict, sgd_step, sorted_slide, trigg_leach_step,
+    rolling_sum_step, sgd_predict, sgd_step, sorted_slide, trigg_leach_step, trim_count,
     trimmed_mean_of_sorted, AdjustedWindow, SUM_REFRESH_INTERVAL,
 };
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// One panel member, by description: which technique and its parameters.
@@ -120,6 +131,19 @@ impl Member {
             Member::Ar { order, .. } => format!("ar({order})"),
             Member::Arma { p, q, .. } => format!("arma({p},{q})"),
         }
+    }
+
+    /// Whether the member's forecast depends on the history ring, and so
+    /// goes dark across a gap until a fresh value arrives. The others
+    /// (level trackers) predict from their first observation on.
+    fn reads_ring(self) -> bool {
+        !matches!(
+            self,
+            Member::LastValue
+                | Member::RunningMean
+                | Member::ExpSmoothing(_)
+                | Member::AdaptiveExpSmoothing(_)
+        )
     }
 
     /// Panics on parameters the member cannot run with.
@@ -324,8 +348,14 @@ enum Slot {
     SwMean { k: usize, sum: usize },
     /// `state[sorted..sorted + k]` is the shared ascending block.
     SwMedian { k: usize, sorted: usize },
-    /// As [`Slot::SwMedian`].
-    Trim { k: usize, alpha: f64, sorted: usize },
+    /// As [`Slot::SwMedian`]; `cut` is the full window's
+    /// [`trim_count`].
+    Trim {
+        k: usize,
+        alpha: f64,
+        cut: usize,
+        sorted: usize,
+    },
     /// Standing prediction is the state.
     Exp { gain: f64 },
     /// Standing prediction is the level; `state[at..at + 2]` are the
@@ -349,18 +379,6 @@ enum Slot {
         at: usize,
         iat: usize,
     },
-}
-
-impl Slot {
-    /// Whether the member's forecast depends on the history ring, and so
-    /// goes dark across a gap until a fresh value arrives. The others
-    /// (level trackers) predict from their first observation on.
-    fn reads_ring(&self) -> bool {
-        !matches!(
-            self,
-            Slot::Last | Slot::RunMean { .. } | Slot::Exp { .. } | Slot::AdaptExp { .. }
-        )
-    }
 }
 
 /// A model slot's `state` block, split into its parts.
@@ -426,16 +444,27 @@ fn share(list: &mut Vec<Shared>, cursor: &mut usize, k: usize, width: usize) -> 
 /// offset a bank needs, computed once and shared (behind an `Arc`) by
 /// all banks built from it.
 ///
+/// Members are stored class by class: the level trackers in
+/// `0..split`, then the ring readers in `split..n`, each class in panel
+/// order. Everything per member — the names and slots here, the bank's
+/// rows and matrix columns — is in this storage order; `panel_of` and
+/// `storage_of` map between it and the panel order callers see.
+///
 /// A bank's `vals` block is the ring (`ring_cap` slots), four
 /// per-member rows (standing predictions and the three error sums), then
 /// the `state` block the offsets here index: the shared rolling sums,
-/// member state in panel order (scalars, sorted blocks, model blocks),
-/// and the error matrix last. Its `ints` block is two per-member rows
-/// (forecasts scored, matrix head) and the model counters `iat` indexes.
+/// member state (scalars, sorted blocks, model blocks), and the error
+/// matrix last. Its `ints` block is the model counters `iat` indexes.
 #[derive(Debug)]
 struct Plan {
     names: Box<[Arc<str>]>,
     slots: Box<[Slot]>,
+    /// Storage index → panel index.
+    panel_of: Box<[usize]>,
+    /// Panel index → storage index.
+    storage_of: Box<[usize]>,
+    /// Where the ring readers start.
+    split: usize,
     /// Recent-error window (rows of the matrix).
     recent: usize,
     /// Ring capacity: a power of two above the longest member window, so
@@ -446,8 +475,6 @@ struct Plan {
     sorted: Box<[Shared]>,
     /// `(min_len, max_len)` of each adaptive-window member.
     adj: Box<[(usize, usize)]>,
-    /// [`Slot::reads_ring`], per member.
-    reads_ring: Box<[bool]>,
     matrix: usize,
     state_len: usize,
     ints_len: usize,
@@ -461,6 +488,14 @@ impl Plan {
         );
         assert!(recent > 0, "recent window must be positive");
         let n = members.len();
+        // Storage order: a stable sort puts the level trackers first.
+        let mut panel_of: Vec<usize> = (0..n).collect();
+        panel_of.sort_by_key(|&p| members[p].reads_ring());
+        let mut storage_of = vec![0; n];
+        for (m, &p) in panel_of.iter().enumerate() {
+            storage_of[p] = m;
+        }
+        let members: Vec<Member> = panel_of.iter().map(|&p| members[p]).collect();
         let names = members
             .iter()
             .map(|m| {
@@ -477,7 +512,7 @@ impl Plan {
         };
         // Rolling sums first, so they sit beside the per-member rows.
         let mut sums = Vec::new();
-        for m in members {
+        for m in &members {
             match *m {
                 Member::SlidingMean(k)
                 | Member::Ar { window: k, .. }
@@ -519,6 +554,7 @@ impl Plan {
                 Member::TrimmedMean(k, alpha) => Slot::Trim {
                     k,
                     alpha,
+                    cut: trim_count(alpha, k),
                     sorted: share(&mut sorted, &mut cursor, k, k),
                 },
                 Member::ExpSmoothing(gain) => Slot::Exp { gain },
@@ -566,12 +602,14 @@ impl Plan {
         let matrix = take(&mut cursor, recent * n);
         Self {
             names,
+            split: members.iter().filter(|m| !m.reads_ring()).count(),
+            panel_of: panel_of.into(),
+            storage_of: storage_of.into(),
             recent,
             ring_cap: (longest + 1).next_power_of_two(),
             sums: sums.into(),
             sorted: sorted.into(),
             adj: adj.into(),
-            reads_ring: slots.iter().map(Slot::reads_ring).collect(),
             matrix,
             state_len: cursor,
             ints_len: icursor,
@@ -583,17 +621,15 @@ impl Plan {
         self.slots.len()
     }
 
-    /// Whether member `m` has a standing prediction: a ring reader once
-    /// the ring holds a value, a level tracker once it has seen one.
-    #[inline]
-    fn live(&self, m: usize, ring_live: bool, level_live: bool) -> bool {
-        // The steady state needs no per-member lookup.
-        (ring_live && level_live)
-            || if self.reads_ring[m] {
-                ring_live
-            } else {
-                level_live
-            }
+    /// The storage columns of the two liveness classes: the level
+    /// trackers, then the ring readers.
+    fn classes(&self) -> [Range<usize>; 2] {
+        [0..self.split, self.split..self.len()]
+    }
+
+    /// The class of stored member `m` (an index into [`Plan::classes`]).
+    fn class(&self, m: usize) -> usize {
+        usize::from(m >= self.split)
     }
 }
 
@@ -612,21 +648,17 @@ struct Parts<'a> {
     sq_sum: &'a mut [f64],
     recent_sum: &'a mut [f64],
     state: &'a mut [f64],
-    scored: &'a mut [u64],
-    heads: &'a mut [u64],
     counters: &'a mut [u64],
 }
 
 impl<'a> Parts<'a> {
-    fn split(plan: &Plan, vals: &'a mut [f64], ints: &'a mut [u64]) -> Self {
+    fn split(plan: &Plan, vals: &'a mut [f64], counters: &'a mut [u64]) -> Self {
         let n = plan.len();
         let (ring, rest) = vals.split_at_mut(plan.ring_cap);
         let (preds, rest) = rest.split_at_mut(n);
         let (abs_sum, rest) = rest.split_at_mut(n);
         let (sq_sum, rest) = rest.split_at_mut(n);
         let (recent_sum, state) = rest.split_at_mut(n);
-        let (scored, rest) = ints.split_at_mut(n);
-        let (heads, counters) = rest.split_at_mut(n);
         Self {
             ring,
             preds,
@@ -634,8 +666,6 @@ impl<'a> Parts<'a> {
             sq_sum,
             recent_sum,
             state,
-            scored,
-            heads,
             counters,
         }
     }
@@ -665,12 +695,16 @@ impl<'a> Parts<'a> {
 pub struct PredictorBank {
     plan: Arc<Plan>,
     observations: u64,
+    /// Storage index of the selected member.
     selected: usize,
     /// Values in the ring since the last gap (its write cursor).
     pushed: usize,
+    /// Forecasts scored per class (see [`Plan::classes`]): every member
+    /// of a class has been scored this often.
+    scored: [u64; 2],
     /// The ring, the per-member rows, the `state` block (see [`Plan`]).
     vals: Box<[f64]>,
-    /// The per-member count rows, the model counters.
+    /// The model counters.
     ints: Box<[u64]>,
     adj: Box<[AdjustedWindow]>,
 }
@@ -689,7 +723,7 @@ impl PredictorBank {
     fn from_plan(plan: Arc<Plan>) -> Self {
         let n = plan.len();
         let mut vals = vec![0.0; plan.ring_cap + ROWS * n + plan.state_len].into_boxed_slice();
-        let mut ints = vec![0; 2 * n + plan.ints_len].into_boxed_slice();
+        let mut ints = vec![0; plan.ints_len].into_boxed_slice();
         let state = Parts::split(&plan, &mut vals, &mut ints).state;
         for slot in plan.slots.iter() {
             match *slot {
@@ -701,8 +735,9 @@ impl PredictorBank {
         }
         Self {
             observations: 0,
-            selected: 0,
+            selected: plan.storage_of[0],
             pushed: 0,
+            scored: [0; 2],
             vals,
             ints,
             adj: plan
@@ -729,7 +764,11 @@ impl PredictorBank {
 
     /// Names of the panel members, in index order.
     pub fn method_names(&self) -> Vec<String> {
-        self.plan.names.iter().map(|n| n.to_string()).collect()
+        let plan = &*self.plan;
+        plan.storage_of
+            .iter()
+            .map(|&m| plan.names[m].to_string())
+            .collect()
     }
 
     /// Number of measurements consumed.
@@ -739,7 +778,7 @@ impl PredictorBank {
 
     /// Index of the currently selected predictor.
     pub fn selected_index(&self) -> usize {
-        self.selected
+        self.plan.panel_of[self.selected]
     }
 
     /// Name of the currently selected predictor.
@@ -757,24 +796,24 @@ impl PredictorBank {
     /// The `state` block and the model counters, for reading.
     fn state(&self) -> (&[f64], &[u64]) {
         let n = self.panel_len();
-        (
-            &self.vals[self.plan.ring_cap + ROWS * n..],
-            &self.ints[2 * n..],
-        )
+        (&self.vals[self.plan.ring_cap + ROWS * n..], &self.ints)
     }
 
-    /// Member `m`'s raw error sums: `(abs_sum, sq_sum, scored)`.
+    /// Stored member `m`'s raw error sums: `(abs_sum, sq_sum, scored)`.
     fn totals(&self, m: usize) -> (f64, f64, u64) {
-        (self.row(ABS_SUM)[m], self.row(SQ_SUM)[m], self.ints[m])
+        let scored = self.scored[self.plan.class(m)];
+        (self.row(ABS_SUM)[m], self.row(SQ_SUM)[m], scored)
     }
 
     /// Per-method `(name, cumulative MAE)` for every method that has been
     /// scored at least once.
     pub fn error_summary(&self) -> Vec<(String, f64)> {
-        (0..self.panel_len())
-            .filter_map(|m| {
+        let plan = &*self.plan;
+        plan.storage_of
+            .iter()
+            .filter_map(|&m| {
                 let (abs_sum, _, scored) = self.totals(m);
-                (scored > 0).then(|| (self.plan.names[m].to_string(), abs_sum / scored as f64))
+                (scored > 0).then(|| (plan.names[m].to_string(), abs_sum / scored as f64))
             })
             .collect()
     }
@@ -784,8 +823,10 @@ impl PredictorBank {
     /// sums, so tables from many banks merge exactly via
     /// [`ErrorRow::merge`] or [`PredictorBank::merge_errors_into`].
     pub fn error_table(&self) -> Vec<ErrorRow> {
-        (0..self.panel_len())
-            .map(|m| {
+        self.plan
+            .storage_of
+            .iter()
+            .map(|&m| {
                 let (abs_sum, sq_sum, scored) = self.totals(m);
                 ErrorRow {
                     name: Arc::clone(&self.plan.names[m]),
@@ -810,7 +851,7 @@ impl PredictorBank {
             self.panel_len(),
             "merging tables of different panels"
         );
-        for (m, row) in rows.iter_mut().enumerate() {
+        for (row, &m) in rows.iter_mut().zip(self.plan.storage_of.iter()) {
             // (`Arc<str>` equality looks at the pointers first.)
             assert_eq!(
                 row.name, self.plan.names[m],
@@ -823,8 +864,15 @@ impl PredictorBank {
         }
     }
 
+    /// Whether each class (see [`Plan::classes`]) has a standing
+    /// prediction: a level tracker once it has seen a value, a ring
+    /// reader once the ring holds one.
+    fn live_classes(&self) -> [bool; 2] {
+        [self.observations > 0, self.pushed > 0]
+    }
+
     fn live(&self, m: usize) -> bool {
-        self.plan.live(m, self.pushed > 0, self.observations > 0)
+        self.live_classes()[self.plan.class(m)]
     }
 
     fn standing(&self, m: usize) -> Option<f64> {
@@ -833,29 +881,40 @@ impl PredictorBank {
 
     fn reselect(&mut self) {
         let plan = &*self.plan;
-        let n = plan.len();
-        let (ring_live, level_live) = (self.pushed > 0, self.observations > 0);
+        let live = self.live_classes();
         // The NWS rule: the lowest mean absolute error over the recent
-        // window, which covers at most the matrix's rows.
+        // window, which covers at most the matrix's rows; on equal scores
+        // the lower panel index. Members that cannot predict yet are not
+        // eligible, and one never scored cannot beat one that was.
         let (sums, covers) = (self.row(RECENT_SUM), plan.recent as u64);
-        let scored = &self.ints[..n];
         let mut best = self.selected;
         let mut best_score = f64::INFINITY;
-        for m in 0..n {
-            // Members that cannot predict yet are not eligible, and one
-            // never scored cannot beat one that was.
-            if scored[m] == 0 || !plan.live(m, ring_live, level_live) {
+        for (c, cols) in plan.classes().into_iter().enumerate() {
+            if !live[c] || self.scored[c] == 0 || cols.is_empty() {
                 continue;
             }
-            let score = sums[m] / scored[m].min(covers) as f64;
-            if score < best_score {
-                best_score = score;
-                best = m;
+            let divisor = self.scored[c].min(covers) as f64;
+            // Within a class, storage order is panel order.
+            let (mut low_at, mut low) = (cols.start, f64::INFINITY);
+            for (i, &sum) in sums[cols.clone()].iter().enumerate() {
+                let score = sum / divisor;
+                if score < low {
+                    (low_at, low) = (cols.start + i, score);
+                }
+            }
+            let ties_earlier = low == best_score && plan.panel_of[low_at] < plan.panel_of[best];
+            if low < best_score || ties_earlier {
+                (best, best_score) = (low_at, low);
             }
         }
         // With no scores yet, prefer the first member able to predict.
         if best_score.is_infinite() {
-            if let Some(m) = (0..n).find(|&m| plan.live(m, ring_live, level_live)) {
+            let classes = plan.classes().into_iter().zip(live);
+            if let Some(m) = classes
+                .filter(|(cols, live)| *live && !cols.is_empty())
+                .map(|(cols, _)| cols.start)
+                .min_by_key(|&m| plan.panel_of[m])
+            {
                 best = m;
             }
         }
@@ -863,43 +922,51 @@ impl PredictorBank {
     }
 
     /// Scores every standing prediction against `value`: cumulative sums,
-    /// and one cell of the recent-error matrix per live member.
+    /// and one cell of the recent-error matrix per live member — one
+    /// straight pass over each live class's columns.
     fn score(&mut self, value: f64) {
-        let (ring_live, level_live) = (self.pushed > 0, self.observations > 0);
+        let live = self.live_classes();
         let plan = &*self.plan;
         let (n, recent) = (plan.len(), plan.recent);
         let parts = Parts::split(plan, &mut self.vals, &mut self.ints);
         let matrix = &mut parts.state[plan.matrix..plan.matrix + recent * n];
-        for m in 0..n {
-            if !plan.live(m, ring_live, level_live) {
+        for (c, cols) in plan.classes().into_iter().enumerate() {
+            if !live[c] {
                 continue;
             }
-            let (abs, sq) = error_terms(parts.preds[m], value);
-            parts.abs_sum[m] += abs;
-            parts.sq_sum[m] += sq;
-            let head = parts.heads[m] as usize;
-            let cell = &mut matrix[head * n + m];
-            let evicted = (parts.scored[m] >= recent as u64).then_some(*cell);
-            *cell = abs;
-            parts.recent_sum[m] = rolling_sum_step(parts.recent_sum[m], abs, evicted);
-            parts.scored[m] += 1;
-            parts.heads[m] = if head + 1 == recent {
-                0
-            } else {
-                head as u64 + 1
-            };
-            if parts.scored[m].is_multiple_of(SUM_REFRESH_INTERVAL as u64) {
-                // Oldest first: from the head once the column is full,
-                // from row 0 while it fills.
-                let len = parts.scored[m].min(recent as u64) as usize;
+            let scored = &mut self.scored[c];
+            let full = *scored >= recent as u64;
+            let row = (*scored % recent as u64) as usize * n;
+            let cells = &mut matrix[row + cols.start..row + cols.end];
+            let sums = parts.abs_sum[cols.clone()]
+                .iter_mut()
+                .zip(&mut parts.sq_sum[cols.clone()])
+                .zip(&mut parts.recent_sum[cols.clone()]);
+            for (((abs_sum, sq_sum), recent_sum), (&pred, cell)) in
+                sums.zip(parts.preds[cols.clone()].iter().zip(cells))
+            {
+                let (abs, sq) = error_terms(pred, value);
+                *abs_sum += abs;
+                *sq_sum += sq;
+                let evicted = full.then_some(*cell);
+                *cell = abs;
+                *recent_sum = rolling_sum_step(*recent_sum, abs, evicted);
+            }
+            *scored += 1;
+            if scored.is_multiple_of(SUM_REFRESH_INTERVAL as u64) {
+                // Oldest first: from the next row to write once the
+                // columns are full, from row 0 while they fill.
+                let len = (*scored).min(recent as u64) as usize;
                 let oldest = if len == recent {
-                    parts.heads[m] as usize
+                    (*scored % recent as u64) as usize
                 } else {
                     0
                 };
-                parts.recent_sum[m] = (0..len)
-                    .map(|i| matrix[(oldest + i) % recent * n + m])
-                    .sum();
+                for m in cols {
+                    parts.recent_sum[m] = (0..len)
+                        .map(|i| matrix[(oldest + i) % recent * n + m])
+                        .sum();
+                }
             }
         }
     }
@@ -972,8 +1039,19 @@ impl PredictorBank {
                     median_of_sorted(&state[sorted..sorted + now.min(k)])
                         .expect("the block holds the value just observed")
                 }
-                Slot::Trim { k, alpha, sorted } => {
-                    trimmed_mean_of_sorted(&state[sorted..sorted + now.min(k)], alpha)
+                Slot::Trim {
+                    k,
+                    alpha,
+                    cut,
+                    sorted,
+                } => {
+                    let len = now.min(k);
+                    let cut = if len == k {
+                        cut
+                    } else {
+                        trim_count(alpha, len)
+                    };
+                    trimmed_mean_of_sorted(&state[sorted..sorted + len], cut)
                         .expect("the block holds the value just observed")
                 }
                 Slot::Exp { .. } | Slot::AdaptExp { .. } if first => value,
@@ -1081,7 +1159,7 @@ impl PredictorBank {
         let i = self.selected;
         self.standing(i).map(|value| Forecast {
             value,
-            method_index: i,
+            method_index: self.plan.panel_of[i],
             method: Arc::clone(&self.plan.names[i]),
         })
     }
@@ -1784,6 +1862,80 @@ mod tests {
         assert!(nws.forecast().is_none());
         // And it works again after reset.
         assert!(nws.update(0.2).is_some());
+    }
+
+    #[test]
+    fn panel_order_survives_the_class_by_class_storage() {
+        // The ring reader comes first in the panel but is stored after
+        // the level tracker. Both predict the last value, so their errors
+        // tie exactly, and the tie goes to the lower panel index.
+        let names = ["sw_mean(1)", "last"];
+        let mut bank = PredictorBank::new(&[Member::SlidingMean(1), Member::LastValue], 10);
+        assert_eq!(bank.method_names(), names);
+        assert_eq!(bank.selected_index(), 0);
+        // A gap before any value leaves nothing to fall back to.
+        bank.note_gap();
+        assert_eq!(bank.selected_index(), 0);
+        for i in 0..50 {
+            let f = bank.update(0.5 + 0.3 * (f64::from(i) * 0.7).sin());
+            let f = f.expect("both members predict");
+            assert_eq!((bank.selected_index(), f.method_index), (0, 0), "step {i}");
+            assert_eq!(&*f.method, "sw_mean(1)");
+        }
+        let table = bank.error_table();
+        let table_names: Vec<&str> = table.iter().map(|row| &*row.name).collect();
+        assert_eq!(table_names, names);
+        assert_eq!(
+            table[0],
+            ErrorRow {
+                name: table[0].name.clone(),
+                ..table[1].clone()
+            }
+        );
+        let summary: Vec<String> = bank.error_summary().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(summary, names);
+        let mut folded = bank.error_table();
+        bank.merge_errors_into(&mut folded);
+        for (twice, once) in folded.iter().zip(&table) {
+            assert_eq!(twice.name, once.name);
+            assert_eq!(twice.scored, 2 * once.scored);
+            assert_eq!(twice.abs_sum, 2.0 * once.abs_sum);
+        }
+        // The gap darkens the window: the first live member in panel
+        // order serves.
+        bank.note_gap();
+        assert_eq!(bank.selected_index(), 1);
+        assert_eq!(bank.forecast().map(|f| f.method_index), Some(1));
+    }
+
+    #[test]
+    fn every_edge_of_a_reordered_bank_speaks_panel_order() {
+        // Extended stores its ARMA members after the level trackers, and
+        // an EWMA-only bank has no ring readers at all.
+        for spec in [PanelSpec::Extended, PanelSpec::EwmaOnly { gain: 0.3 }] {
+            let names: Vec<String> = spec.members().into_iter().map(Member::name).collect();
+            let mut bank = spec.build();
+            assert_eq!(bank.method_names(), names);
+            bank.note_gap();
+            for i in 0..300 {
+                if i % 97 == 50 {
+                    bank.note_gap();
+                } else {
+                    bank.observe(0.5 + 0.3 * (f64::from(i) * 0.4).sin());
+                }
+                let f = bank.forecast().expect("a level tracker always serves");
+                assert_eq!(f.method_index, bank.selected_index());
+                assert_eq!(*f.method, names[f.method_index]);
+                assert_eq!(bank.selected_name(), f.method);
+            }
+            let table = bank.error_table();
+            assert!(table
+                .iter()
+                .map(|row| row.name.to_string())
+                .eq(names.iter().cloned()));
+            let summary = bank.error_summary();
+            assert!(summary.iter().map(|(n, _)| n).eq(names.iter()));
+        }
     }
 
     #[test]

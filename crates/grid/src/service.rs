@@ -90,7 +90,14 @@ impl ForecastService {
     /// Feeds one measurement for a resource (scores the standing forecast
     /// first, as the paper's Eq. 5 protocol does). `time` is the
     /// measurement's timestamp, used to answer staleness queries.
+    ///
+    /// A non-finite `value` carries no measurement: it is treated exactly
+    /// as [`ForecastService::note_gap`].
     pub fn observe(&mut self, id: ResourceId, time: Seconds, value: f64) {
+        if !value.is_finite() {
+            self.note_gap(id, time);
+            return;
+        }
         let st = self.entry(id);
         if let Some(predicted) = st.nws.predicted_value() {
             st.intervals.record(predicted, value);
@@ -294,6 +301,34 @@ mod tests {
         let one_step = svc.forecast(rid(1)).unwrap().forecast.value;
         assert_eq!(h[0], one_step, "horizon step 1 is the one-step forecast");
         assert!(svc.forecast_horizon(rid(1), 0).is_none());
+    }
+
+    #[test]
+    fn a_non_finite_value_is_a_gap() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut fed = ForecastService::new(0.9);
+            let mut gapped = ForecastService::new(0.9);
+            for i in 0..60 {
+                let t = f64::from(i) * 10.0;
+                let v = 0.5 + 0.2 * (f64::from(i) * 0.3).sin();
+                fed.observe(rid(1), t, v);
+                gapped.observe(rid(1), t, v);
+                if i % 20 == 7 {
+                    fed.observe(rid(1), t + 5.0, bad);
+                    gapped.note_gap(rid(1), t + 5.0);
+                }
+            }
+            assert_eq!(fed.gap_count(rid(1)), 3, "{bad} was not a gap");
+            assert_eq!(fed.revision(rid(1)), gapped.revision(rid(1)));
+            let a = fed.forecast_at(rid(1), 700.0).expect("live");
+            let b = gapped.forecast_at(rid(1), 700.0).expect("live");
+            assert!(a.confidence < 1.0, "{bad} left confidence at 1");
+            assert_eq!(a.confidence, b.confidence);
+            assert_eq!(a.interval, b.interval);
+            assert_eq!(a.staleness, b.staleness);
+            assert_eq!(a.observations, b.observations);
+            assert_eq!(a.forecast, b.forecast);
+        }
     }
 
     #[test]
