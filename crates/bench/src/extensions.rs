@@ -170,12 +170,10 @@ fn run_faults(cfg: &ExperimentConfig, tier: Tier) {
         if clean.is_empty() {
             clean = series_maps;
         }
-        let snap = gm.snapshot();
-        let degraded = snap.hosts.iter().filter(|h| h.degraded).count();
-        let (conf_sum, conf_n) = snap
-            .hosts
-            .iter()
-            .filter_map(|h| h.forecast.as_ref())
+        let rows = || gm.archive().host_rows(gm.now());
+        let degraded = rows().filter(|h| h.degraded).count();
+        let (conf_sum, conf_n) = rows()
+            .filter_map(|h| h.forecast)
             .fold((0.0, 0u32), |(s, n), a| (s + a.confidence, n + 1));
         let mae = mae_sum / f64::from(mae_n.max(1));
         let divergence = if div_n > 0 {

@@ -2,9 +2,9 @@
 //!
 //! Once a fleet is warm — every memory ring at capacity, every window
 //! full, the engine's arenas and the worker pool in place — its rounds
-//! allocate nothing, on the dense EWMA lane and on the 1999 predictor
-//! bank lane (which refits its AR member every 25th slot), at one thread
-//! and at four. Two round shapes are pinned: `run_steps(1)` at
+//! allocate nothing, on the default one-member EWMA bank and on the
+//! 1999 predictor bank (which refits its AR member every 25th slot), at
+//! one thread and at four. Two round shapes are pinned: `run_steps(1)` at
 //! `batch_slots = 1` followed by the `best_host()` read a scheduler
 //! makes, where slot-major and shard-major commits coincide, and
 //! `run_steps(64)` at the default `batch_slots = 64`, where each round
@@ -28,9 +28,12 @@ const WARM_SLOTS: u64 = 400;
 const SHAPES: [(usize, u64, u64); 2] = [(1, 1, 50), (64, 64, 4)];
 
 #[test]
-fn warm_fleet_rounds_allocate_nothing_on_either_lane() {
+fn warm_fleet_rounds_allocate_nothing_on_either_panel() {
     for (batch_slots, round, rounds) in SHAPES {
-        for panel in [FleetPanel::Ewma, FleetPanel::Bank(PanelSpec::Nws1999)] {
+        for panel in [
+            FleetPanel::Bank(PanelSpec::EwmaOnly { gain: 0.25 }),
+            FleetPanel::Bank(PanelSpec::Nws1999),
+        ] {
             for threads in [1, 4] {
                 nws_runtime::set_threads(Some(threads));
                 let mut fleet = FleetMonitor::new(FleetConfig {

@@ -1,5 +1,6 @@
 //! `nwscast --coverage` through the built binary: a value outside
-//! (0, 1) is a usage error (exit 2), never a panic.
+//! (0, 1) is a usage error (exit 2), a value inside it serves, and
+//! neither panics.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -35,7 +36,11 @@ fn coverage_outside_the_unit_interval_is_a_usage_error() {
             "--coverage {bad}: {stderr}"
         );
     }
-    let (code, stderr) = nwscast(&csv, "0.9");
-    assert_eq!(code, 0, "--coverage 0.9: {stderr}");
+    // The extremes the check admits serve too: the largest f64 below 1
+    // once made the upper error quantile round to exactly 1.
+    for good in ["0.9", "0.9999999999999999", "5e-324"] {
+        let (code, stderr) = nwscast(&csv, good);
+        assert_eq!(code, 0, "--coverage {good}: {stderr}");
+    }
     let _ = std::fs::remove_file(csv);
 }

@@ -178,15 +178,22 @@ pub struct IntervalTracker {
 impl IntervalTracker {
     /// Creates a tracker for the given two-sided coverage (e.g. `0.9`).
     ///
+    /// Every coverage in `(0, 1)` builds one. Near 1 the upper quantile
+    /// `1 − (1 − coverage)/2` can round to exactly 1 (it does for the
+    /// largest `f64` below 1), so it is clamped to the largest `f64`
+    /// below 1. The lower quantile `(1 − coverage)/2` never leaves
+    /// `(0, 0.5]`.
+    ///
     /// # Panics
     ///
     /// Panics for coverage outside `(0, 1)`.
     pub fn new(coverage: f64) -> Self {
         assert!(coverage > 0.0 && coverage < 1.0, "coverage in (0, 1)");
         let alpha = 1.0 - coverage;
+        let below_one = 1.0 - f64::EPSILON / 2.0;
         Self {
             lower: P2Quantile::new(alpha / 2.0),
-            upper: P2Quantile::new(1.0 - alpha / 2.0),
+            upper: P2Quantile::new((1.0 - alpha / 2.0).min(below_one)),
             coverage,
             clamp_unit: true,
         }
@@ -303,6 +310,22 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn p2_rejects_degenerate_q() {
         P2Quantile::new(1.0);
+    }
+
+    #[test]
+    fn every_coverage_in_the_open_unit_interval_builds_a_tracker() {
+        let below_one = 0.999_999_999_999_999_9;
+        assert_eq!(below_one, f64::from_bits(1.0f64.to_bits() - 1));
+        for coverage in [5e-324, f64::MIN_POSITIVE, 0.5, 1.0 - 1e-15, below_one] {
+            let mut tracker = IntervalTracker::new(coverage);
+            assert!(tracker.lower.q() > 0.0 && tracker.upper.q() < 1.0);
+            assert!(tracker.lower.q() <= tracker.upper.q(), "{coverage}");
+            for i in 0..12 {
+                tracker.record(0.5, 0.5 + 0.01 * f64::from(i % 5));
+            }
+            let iv = tracker.interval(0.5).expect("recorded");
+            assert!(iv.lo <= iv.hi, "{coverage}: {iv:?}");
+        }
     }
 
     #[test]

@@ -34,10 +34,9 @@ pub fn rolling_sum_step(sum: f64, value: f64, evicted: Option<f64>) -> f64 {
 
 /// One exponential-smoothing step: `state + gain·(value − state)`.
 ///
-/// The single canonical EWMA kernel — the predictor bank's
-/// `exp_smooth` members and the fleet tier's dense per-host forecasts
-/// (`nws_grid::fleet::FleetMonitor`) both evaluate exactly this
-/// expression, so the paths stay bit-identical by construction.
+/// The single canonical EWMA kernel: the predictor bank's `exp_smooth`
+/// members evaluate exactly this expression. It is public because the
+/// benchmark times it alone (`forecast.ewma_step_ns`).
 #[inline]
 pub fn ewma_step(state: f64, gain: f64, value: f64) -> f64 {
     state + gain * (value - state)

@@ -197,8 +197,8 @@ impl Member {
 /// `Copy`, so it can ride in fleet configs and sweep tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PanelSpec {
-    /// A single exponential smoother — the fleet tier's zero-cost
-    /// default, bit-identical to a dense EWMA.
+    /// A single exponential smoother — the fleet tier's default (gain
+    /// 0.25): the first value, then [`ewma_step`] per value after it.
     EwmaOnly {
         /// Smoothing gain in `(0, 1]`.
         gain: f64,

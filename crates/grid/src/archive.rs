@@ -15,9 +15,15 @@
 //! runs [`Archive::apply`] over that journal — the same transitions
 //! without the journaling — and so ends in the same state by
 //! construction, forecaster included. Everything that reads the pair
-//! together goes through here as well: the change counter
-//! ([`Archive::revision`]), the per-host status rows
-//! ([`Archive::host_rows`]) and the placement rule ([`best_row`]).
+//! together goes through here as well, each kept once:
+//!
+//! - the change counter ([`Archive::revision`]), which is the memory's —
+//!   the two transitions above move the forecaster exactly when they
+//!   move the memory's revision, so the forecaster keeps none;
+//! - the per-host status rows ([`Archive::host_rows`]), the one
+//!   host-status row type: callers read them directly, and the serving
+//!   layer maps them into wire rows;
+//! - the placement rule ([`best_row`]).
 
 use crate::memory::{Memory, MemoryConfig, StoreOutcome};
 use crate::registry::{Metric, Registry, ResourceId};
@@ -135,11 +141,13 @@ impl Archive {
     }
 
     /// Change counter over everything archived: any stored reading or
-    /// gap moves it, nothing else does. A cached answer computed at one
-    /// value stays right until the value (or the clock staleness is
-    /// judged against) moves.
+    /// gap moves it, nothing else does. It is the memory's
+    /// [`Memory::global_revision`]: the forecaster sees exactly the
+    /// readings and gaps the memory counts, so one counter covers both.
+    /// A cached answer computed at one value stays right until the value
+    /// (or the clock staleness is judged against) moves.
     pub fn revision(&self) -> u64 {
-        (self.memory.global_revision()).wrapping_add(self.forecasts.global_revision())
+        self.memory.global_revision()
     }
 
     /// Every host's latest hybrid measurement and standing forecast,

@@ -12,20 +12,17 @@
 //!
 //! # Per-host forecasting
 //!
-//! Every fleet host carries a forecaster chosen by
-//! [`FleetConfig::panel`]:
-//!
-//! - [`FleetPanel::Ewma`] (the default) keeps one dense `f64` per host
-//!   and steps it through the canonical exponential-smoothing kernel
-//!   ([`nws_forecast::ewma_step`] — the same expression a bank's
-//!   `exp_smooth` member evaluates), so steady state allocates
-//!   nothing and a 100k-host fleet costs 800 KB of forecast state;
-//! - [`FleetPanel::Bank`] runs a full [`PredictorBank`] per host —
-//!   any [`PanelSpec`] subset up to the extended panel v2 — with the
-//!   same dynamic best-predictor selection and gap semantics as the
-//!   per-host `ForecastService` path, plus per-predictor error tables
-//!   ([`FleetMonitor::quality_table`]) for Table 2/3-style reporting at
-//!   fleet scale.
+//! Every fleet host carries one [`PredictorBank`], built from the
+//! [`PanelSpec`] in [`FleetConfig::panel`] — any subset up to the
+//! extended panel v2 — with the same dynamic best-predictor selection
+//! and gap semantics as the per-host `ForecastService` path, plus
+//! per-predictor error tables ([`FleetMonitor::quality_table`]) for
+//! Table 2/3-style reporting at fleet scale. The default is the
+//! one-member exponential-smoothing bank
+//! ([`PanelSpec::EwmaOnly`], gain 0.25); the benchmark's fleet runs the
+//! paper's 1999 panel. Each host's standing forecast is also kept in one
+//! dense vector, so the best-host pass and [`FleetMonitor::fingerprint`]
+//! read contiguous `f64`s instead of walking a bank per host.
 //!
 //! # Rosters and faults
 //!
@@ -66,31 +63,27 @@
 //! gives. A fleet run is therefore bit-identical at any thread count and
 //! any batch size, which [`FleetMonitor::fingerprint`] pins cheaply and
 //! `tests/fleet_model.rs` holds against `batch_slots = 1` (slot-major by
-//! construction).
+//! construction). The same file pins four fleets' fingerprints and one
+//! quality table to recorded goldens, so the bits also hold across
+//! commits.
 
 use crate::memory::{Memory, MemoryConfig};
 use crate::registry::ResourceId;
 use nws_faults::{FaultPlan, HostFaults};
-use nws_forecast::{ewma_step, ErrorRow, PanelSpec, PredictorBank};
+use nws_forecast::{ErrorRow, PanelSpec, PredictorBank};
 use nws_runtime::{Cadence, Engine, EngineConfig, Fnv1a, Source, Stage};
 use nws_sim::{synthetic_host_name, SyntheticHost};
 use std::sync::Arc;
 
-/// Which forecaster each fleet host runs.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Which forecaster each fleet host runs. Every host runs a bank; the
+/// enum keeps its one variant because the benchmark's fleet workloads
+/// name `FleetPanel::Bank`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetPanel {
-    /// One dense EWMA per host — the zero-allocation default,
-    /// bit-identical to the PR 6 fleet.
-    #[default]
-    Ewma,
     /// A [`PredictorBank`] per host, built from the spec, with dynamic
     /// best-predictor selection and per-predictor error tracking.
     Bank(PanelSpec),
 }
-
-/// EWMA gain of the dense per-host availability forecaster (the
-/// [`FleetPanel::Ewma`] lane).
-const EWMA_GAIN: f64 = 0.25;
 
 /// Fleet sizing and tuning.
 #[derive(Debug, Clone, Copy)]
@@ -122,7 +115,7 @@ impl Default for FleetConfig {
             retain: 64,
             seed: 4242,
             batch_slots: 64,
-            panel: FleetPanel::Ewma,
+            panel: FleetPanel::Bank(PanelSpec::EwmaOnly { gain: 0.25 }),
         }
     }
 }
@@ -200,18 +193,12 @@ impl Source for FleetShard {
     }
 }
 
-/// Per-host forecast state: the dense EWMA lane or a bank per host.
-enum ForecastLane {
-    Ewma,
-    Bank(Vec<PredictorBank>),
-}
-
 /// The commit side: sharded memory ingest, per-host forecasts, and the
 /// event and gap counts.
 struct FleetStage<'a> {
     memory: &'a mut Memory,
     forecasts: &'a mut [f64],
-    lane: &'a mut ForecastLane,
+    banks: &'a mut [PredictorBank],
     events: &'a mut u64,
     gaps: &'a mut u64,
 }
@@ -226,41 +213,20 @@ impl Stage<FleetShard> for FleetStage<'_> {
     fn commit(&mut self, shard: usize, _source: &mut FleetShard, slot: u64, event: &FleetSample) {
         if event.gap {
             // Gap-aware semantics: no measurement is stored, window
-            // predictors age out, and level predictors (the EWMA lane)
-            // keep their estimate; the host's forecast stays standing.
-            if let ForecastLane::Bank(banks) = self.lane {
-                banks[shard].note_gap();
-            }
+            // predictors age out, and level predictors keep their
+            // estimate; the host's forecast stays standing.
+            self.banks[shard].note_gap();
             *self.gaps += 1;
             return;
         }
-        let availability = event.value;
         let id = ResourceId(shard as u64);
-        let first_reading = self.memory.is_empty(id);
         self.memory
-            .append(id, Cadence::PAPER.slot_time(slot), availability);
-        let forecast = &mut self.forecasts[shard];
-        match self.lane {
-            ForecastLane::Ewma => {
-                // The host's first reading initializes (slot 0, or later
-                // when a fault plan took its early slots); the rest step
-                // the shared EWMA kernel (the exact PR 6 arithmetic —
-                // `ewma_step` is the expression the old inline kernel
-                // evaluated).
-                *forecast = if first_reading {
-                    availability
-                } else {
-                    ewma_step(*forecast, EWMA_GAIN, availability)
-                };
-            }
-            ForecastLane::Bank(banks) => {
-                let bank = &mut banks[shard];
-                bank.observe(availability);
-                *forecast = bank
-                    .predicted_value()
-                    .expect("a bank that just observed can predict");
-            }
-        }
+            .append(id, Cadence::PAPER.slot_time(slot), event.value);
+        let bank = &mut self.banks[shard];
+        bank.observe(event.value);
+        self.forecasts[shard] = bank
+            .predicted_value()
+            .expect("a bank that just observed can predict");
         *self.events += 1;
     }
 }
@@ -286,9 +252,10 @@ pub struct FleetMonitor {
     config: FleetConfig,
     engine: Engine<FleetShard>,
     memory: Memory,
-    /// Per-host availability forecast (dense; both lanes keep it).
+    /// Per-host availability forecast: each bank's standing prediction,
+    /// kept dense for the best-host pass and the fingerprint.
     forecasts: Vec<f64>,
-    lane: ForecastLane,
+    banks: Vec<PredictorBank>,
     /// The best host as of the end of the last run.
     best: Option<(usize, f64)>,
     events: u64,
@@ -355,10 +322,7 @@ impl FleetMonitor {
                 batch_slots: config.batch_slots,
             },
         );
-        let lane = match config.panel {
-            FleetPanel::Ewma => ForecastLane::Ewma,
-            FleetPanel::Bank(spec) => ForecastLane::Bank(vec![spec.build(); config.hosts]),
-        };
+        let FleetPanel::Bank(spec) = config.panel;
         Self {
             config,
             engine,
@@ -366,7 +330,7 @@ impl FleetMonitor {
                 retain: config.retain,
             }),
             forecasts: vec![0.0; config.hosts],
-            lane,
+            banks: vec![spec.build(); config.hosts],
             best: None,
             events: 0,
             gaps: 0,
@@ -379,7 +343,7 @@ impl FleetMonitor {
         let mut stage = FleetStage {
             memory: &mut self.memory,
             forecasts: &mut self.forecasts,
-            lane: &mut self.lane,
+            banks: &mut self.banks,
             events: &mut self.events,
             gaps: &mut self.gaps,
         };
@@ -435,13 +399,12 @@ impl FleetMonitor {
     }
 
     /// The fleet-wide per-predictor error table: every host bank's rows
-    /// merged exactly (raw error sums, in panel order). Empty on the
-    /// [`FleetPanel::Ewma`] lane, which tracks no per-member errors.
+    /// merged exactly (raw error sums, in panel order).
     pub fn quality_table(&self) -> Vec<ErrorRow> {
-        let ForecastLane::Bank(banks) = &self.lane else {
-            return Vec::new();
-        };
-        let (first, rest) = banks.split_first().expect("a fleet has at least one host");
+        let (first, rest) = self
+            .banks
+            .split_first()
+            .expect("a fleet has at least one host");
         let mut merged = first.error_table();
         for bank in rest {
             bank.merge_errors_into(&mut merged);
@@ -539,38 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_only_bank_matches_the_dense_ewma_lane_bit_for_bit() {
-        let base = FleetConfig {
-            hosts: 40,
-            rack_size: 8,
-            ..FleetConfig::default()
-        };
-        // Fault-free, and under a plan that takes slot 0 from some hosts:
-        // their first reading arrives later and must still initialize.
-        let faulted = FaultPlan::seeded(3, FaultRates::uniform(0.3));
-        for faults in [FaultPlan::none(), faulted] {
-            let run = |panel| {
-                let config = FleetConfig { panel, ..base };
-                let mut fleet = FleetMonitor::with_roster(config, FleetRoster::Synthetic, &faults);
-                fleet.run_steps(1);
-                assert_eq!(fleet.gaps() > 0, !faults.is_none());
-                fleet.run_steps(59);
-                fleet
-            };
-            let dense = run(FleetPanel::Ewma);
-            let bank = run(FleetPanel::Bank(PanelSpec::EwmaOnly { gain: EWMA_GAIN }));
-            for h in 0..40 {
-                assert_eq!(
-                    dense.forecast(h).to_bits(),
-                    bank.forecast(h).to_bits(),
-                    "host {h}"
-                );
-            }
-            assert_eq!(dense.best_host(), bank.best_host());
-        }
-    }
-
-    #[test]
     fn panel_fleet_is_bit_identical_across_threads_and_batches() {
         // The full satellite matrix: panel-backed fleet over a trace
         // mixture with a live fault plan, threads {1, 4} × batch {1, 64}.
@@ -659,13 +590,16 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_trace_samples_are_gaps_on_both_lanes() {
+    fn non_finite_trace_samples_are_gaps_on_either_panel() {
         // A recorded trace with holes, one of them leading.
         let mut trace: Vec<f64> = (0..40).map(|i| 0.3 + 0.01 * (i % 7) as f64).collect();
         trace[0] = f64::NAN;
         trace[13] = f64::INFINITY;
         trace[14] = f64::NEG_INFINITY;
-        for panel in [FleetPanel::Ewma, FleetPanel::Bank(PanelSpec::Nws1999)] {
+        for panel in [
+            FleetConfig::default().panel,
+            FleetPanel::Bank(PanelSpec::Nws1999),
+        ] {
             let mut fleet = FleetMonitor::with_roster(
                 FleetConfig {
                     hosts: 6,
@@ -718,9 +652,18 @@ mod tests {
             assert!(row.mae().is_finite());
             assert!(row.mse().is_finite());
         }
-        // EWMA lane tracks no per-member errors.
-        let mut ewma = FleetMonitor::new(FleetConfig::default());
+        // The default one-member bank reports its one member.
+        let mut ewma = FleetMonitor::new(FleetConfig {
+            hosts: 3,
+            ..FleetConfig::default()
+        });
         ewma.run_steps(5);
-        assert!(ewma.quality_table().is_empty());
+        let table = ewma.quality_table();
+        assert_eq!(table.len(), 1);
+        assert_eq!(
+            table[0].scored,
+            3 * 4,
+            "every observe after the first is scored"
+        );
     }
 }

@@ -20,7 +20,8 @@
 //! - [`memory`] — bounded ring-buffer series storage with the NWS
 //!   `extract`-style query API, journaled by [`wal`];
 //! - [`service`] — the forecaster service: per-series [`PredictorBank`]
-//!   instances (with prediction intervals) updated as measurements arrive;
+//!   instances (with prediction intervals) updated as measurements
+//!   arrive, keeping no change counter of their own;
 //! - [`archive`] — [`Archive`], the unit those three form: what sensors
 //!   publish into, a primary journals from, a replica replays into and
 //!   the serving layer reads. It is the only code that touches memory
@@ -36,7 +37,7 @@
 //!   [`nws_sched`](https://docs.rs/nws-sched) consumes, and, with its
 //!   ground-truth lane on, the test-process observations the paper's
 //!   tables are scored against;
-//! - [`fleet`] — the 10⁵-host engine.
+//! - [`fleet`] — the 10⁵-host engine, one [`PredictorBank`] per host.
 //!
 //! [`PredictorBank`]: nws_forecast::PredictorBank
 
@@ -53,9 +54,7 @@ pub mod wal;
 pub use archive::{best_row, Archive, HostStatus, STALENESS_BOUND};
 pub use fleet::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster};
 pub use memory::{Memory, MemoryConfig, StoreOutcome};
-pub use monitor::{
-    GridMonitor, GridMonitorConfig, GridSnapshot, HostReport, TestObservation, TestSchedule,
-};
+pub use monitor::{GridMonitor, GridMonitorConfig, TestObservation, TestSchedule};
 pub use registry::{Metric, Registry, ResourceId, ResourceInfo};
 pub use service::{ForecastAnswer, ForecastService};
 pub use wal::{

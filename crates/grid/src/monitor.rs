@@ -32,10 +32,10 @@
 //! from it enters the memory, the journal or the wire, and a reboot
 //! during a test loses that observation with the kernel it ran on.
 
-use crate::archive::{best_row, Archive};
+use crate::archive::Archive;
 use crate::memory::{Memory, MemoryConfig};
 use crate::registry::{Registry, ResourceId};
-use crate::service::{ForecastAnswer, ForecastService};
+use crate::service::ForecastService;
 use crate::wal::{CheckpointReport, SnapshotStore, Wal, WalError};
 use nws_faults::{DelayLine, FaultPlan, FaultStats, HostFaults, SlotFaults};
 use nws_runtime::{host_seed, Cadence, Engine, EngineConfig, Source, Stage};
@@ -370,48 +370,6 @@ impl Stage<MonitoredHost> for Archive {
     }
 }
 
-/// One host's row in a grid snapshot.
-#[derive(Debug, Clone)]
-pub struct HostReport {
-    /// Host name.
-    pub host: String,
-    /// Latest hybrid availability measurement.
-    pub latest_hybrid: Option<f64>,
-    /// Standing hybrid availability forecast (with staleness relative to
-    /// the snapshot time).
-    pub forecast: Option<ForecastAnswer>,
-    /// The forecast is missing or staler than
-    /// [`STALENESS_BOUND`](crate::STALENESS_BOUND): the host is excluded
-    /// from placement decisions.
-    pub degraded: bool,
-}
-
-/// A point-in-time view of the whole grid.
-#[derive(Debug, Clone)]
-pub struct GridSnapshot {
-    /// Simulation time of the snapshot.
-    pub time: Seconds,
-    /// One report per host, in registration order.
-    pub hosts: Vec<HostReport>,
-}
-
-impl GridSnapshot {
-    /// Where a scheduler would send the next task: the host the
-    /// placement rule ([`best_row`]) picks, if any.
-    pub fn best_host(&self) -> Option<&HostReport> {
-        best_row(self.hosts.iter().map(|h| {
-            let forecast = h.forecast.as_ref().map(|a| a.forecast.value);
-            (h, h.degraded, forecast)
-        }))
-    }
-
-    /// Hosts currently excluded from placement (no forecast, or one
-    /// staler than the bound).
-    pub fn degraded_hosts(&self) -> Vec<&HostReport> {
-        self.hosts.iter().filter(|h| h.degraded).collect()
-    }
-}
-
 /// The weather service: hosts + sensors + registry + memory + forecasts,
 /// advanced together in lockstep.
 ///
@@ -565,15 +523,6 @@ impl GridMonitor {
         Cadence::PAPER.slot_time(self.slots())
     }
 
-    /// Change counter over the whole monitor: any stored measurement or
-    /// recorded gap bumps it, as does the passage of a measurement slot
-    /// itself (so snapshot staleness never serves stale). A serving
-    /// cache that captured this value can keep answering until it
-    /// moves.
-    pub fn revision(&self) -> u64 {
-        self.slots().wrapping_add(self.archive.revision())
-    }
-
     /// Advances every host by one measurement period and publishes one
     /// measurement (or explicit gap) per registered series.
     pub fn step(&mut self) {
@@ -594,7 +543,8 @@ impl GridMonitor {
     }
 
     /// Every monitored host with the id of its hybrid-availability
-    /// series, in registration order — the rows of a snapshot.
+    /// series, in registration order — the rows of
+    /// [`Archive::host_rows`].
     pub fn hosts(&self) -> impl ExactSizeIterator<Item = (&str, ResourceId)> {
         self.archive.hosts()
     }
@@ -604,23 +554,6 @@ impl GridMonitor {
     /// [`GridMonitorConfig::ground_truth`].
     pub fn ground_truth(&self) -> impl ExactSizeIterator<Item = &[TestObservation]> {
         self.engine.sources().iter().map(|mh| mh.tests.as_slice())
-    }
-
-    /// A snapshot of every host's latest hybrid measurement and forecast,
-    /// with staleness judged against the snapshot time.
-    pub fn snapshot(&self) -> GridSnapshot {
-        let time = self.now();
-        let hosts = self
-            .archive
-            .host_rows(time)
-            .map(|row| HostReport {
-                host: row.host.to_string(),
-                latest_hybrid: row.latest,
-                forecast: row.forecast,
-                degraded: row.degraded,
-            })
-            .collect();
-        GridSnapshot { time, hosts }
     }
 }
 
@@ -638,6 +571,7 @@ impl std::fmt::Debug for GridMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::{best_row, HostStatus};
     use crate::registry::Metric;
     use nws_faults::FaultRates;
 
@@ -673,19 +607,27 @@ mod tests {
         assert_eq!(answer.confidence, 1.0);
     }
 
+    /// Where the placement rule sends the next task among `rows`.
+    fn best<'r, 'a>(rows: &'r [HostStatus<'a>]) -> Option<&'r HostStatus<'a>> {
+        best_row(rows.iter().map(|r| {
+            let forecast = r.forecast.as_ref().map(|a| a.forecast.value);
+            (r, r.degraded, forecast)
+        }))
+    }
+
     #[test]
-    fn snapshot_reports_every_host() {
+    fn host_rows_report_every_host() {
         let mut gm = GridMonitor::ucsd(3);
         gm.run_steps(12);
-        let snap = gm.snapshot();
-        assert_eq!(snap.hosts.len(), 6);
-        assert!((snap.time - 120.0).abs() < 1e-9);
-        for h in &snap.hosts {
-            assert!(h.latest_hybrid.is_some(), "{} has no measurement", h.host);
+        assert!((gm.now() - 120.0).abs() < 1e-9);
+        let rows: Vec<_> = gm.archive().host_rows(gm.now()).collect();
+        assert_eq!(rows.len(), 6);
+        for h in &rows {
+            assert!(h.latest.is_some(), "{} has no measurement", h.host);
             assert!(h.forecast.is_some(), "{} has no forecast", h.host);
             assert!(!h.degraded, "{} degraded on a clean run", h.host);
         }
-        let best = snap.best_host().expect("forecasts live");
+        let best = best(&rows).expect("forecasts live");
         assert!(!best.host.is_empty());
     }
 
@@ -742,10 +684,8 @@ mod tests {
         let run = || {
             let mut gm = GridMonitor::ucsd(42);
             gm.run_steps(18);
-            let snap = gm.snapshot();
-            snap.hosts
-                .iter()
-                .map(|h| h.latest_hybrid.expect("measured"))
+            (gm.archive().host_rows(gm.now()))
+                .map(|h| h.latest.expect("measured"))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -755,16 +695,16 @@ mod tests {
     fn best_host_skips_non_finite_forecasts() {
         let mut gm = GridMonitor::ucsd(3);
         gm.run_steps(6);
-        let mut snap = gm.snapshot();
-        // Corrupt one host's forecast: best_host must skip it, not panic.
-        snap.hosts[0].forecast.as_mut().unwrap().forecast.value = f64::NAN;
-        let best = snap.best_host().expect("five finite forecasts remain");
-        assert_ne!(best.host, snap.hosts[0].host);
+        let mut rows: Vec<_> = gm.archive().host_rows(gm.now()).collect();
+        // Corrupt one host's forecast: placement must skip it, not panic.
+        rows[0].forecast.as_mut().unwrap().forecast.value = f64::NAN;
+        let placed = best(&rows).expect("five finite forecasts remain");
+        assert_ne!(placed.host, rows[0].host);
         // All degraded: no best host, still no panic.
-        for h in &mut snap.hosts {
+        for h in &mut rows {
             h.degraded = true;
         }
-        assert!(snap.best_host().is_none());
+        assert!(best(&rows).is_none());
     }
 
     #[test]
@@ -873,19 +813,19 @@ mod tests {
             GridMonitorConfig::default(),
             FaultPlan::seeded(8, rates),
         );
-        // Step until some host is mid-outage at snapshot time.
+        // Step until some host is mid-outage at the current slot.
         let mut saw_degraded = false;
         for _ in 0..240 {
             gm.step();
-            let snap = gm.snapshot();
-            if snap.hosts.iter().any(|h| h.degraded) {
+            let rows: Vec<_> = gm.archive().host_rows(gm.now()).collect();
+            if rows.iter().any(|h| h.degraded) {
                 saw_degraded = true;
-                for h in &snap.degraded_hosts() {
+                for h in rows.iter().filter(|h| h.degraded) {
                     let f = h.forecast.as_ref().expect("forecast survives outage");
                     assert!(f.staleness > 120.0, "staleness = {}", f.staleness);
                 }
-                if let Some(best) = snap.best_host() {
-                    assert!(!best.degraded);
+                if let Some(placed) = best(&rows) {
+                    assert!(!placed.degraded);
                 }
                 break;
             }

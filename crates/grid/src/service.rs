@@ -1,4 +1,10 @@
 //! The forecaster service: on-demand predictions per registered resource.
+//!
+//! It counts observations and gaps per series but keeps no change
+//! counter. Inside an [`Archive`](crate::Archive) it sees exactly the
+//! readings the memory stores and the gaps the memory records, so the
+//! [`Memory`](crate::Memory)'s per-series counter is the one a cache of
+//! its answers keys on.
 
 use crate::registry::ResourceId;
 use nws_forecast::{Forecast, IntervalTracker, PredictionInterval, PredictorBank};
@@ -8,7 +14,7 @@ use std::collections::BTreeMap;
 /// EWMA gain for the per-resource gap intensity that drives confidence
 /// degradation: each observation decays it toward 0, each gap pushes it
 /// toward 1.
-const GAP_EWMA_GAIN: f64 = 0.15;
+const GAP_INTENSITY_GAIN: f64 = 0.15;
 
 /// A forecast answer, NWS-extract style: the point forecast, the predictor
 /// that issued it, and a calibrated prediction interval.
@@ -42,11 +48,6 @@ struct ResourceState {
     gap_ewma: f64,
     /// Total gaps noted for this resource.
     gaps: u64,
-    /// Bumped on every observation or gap — anything that can change
-    /// the answer [`ForecastService::forecast`] returns. The serving
-    /// layer's per-resource forecast cache is valid exactly while this
-    /// counter holds still.
-    revision: u64,
 }
 
 impl ResourceState {
@@ -60,18 +61,20 @@ impl ResourceState {
 pub struct ForecastService {
     coverage: f64,
     state: BTreeMap<ResourceId, ResourceState>,
-    /// Bumped on any resource's observation or gap.
-    global_revision: u64,
 }
 
 impl ForecastService {
     /// Creates a service issuing intervals with the given two-sided
     /// coverage (e.g. `0.9`).
+    ///
+    /// # Panics
+    ///
+    /// Panics for coverage outside `(0, 1)`.
     pub fn new(coverage: f64) -> Self {
+        assert!(coverage > 0.0 && coverage < 1.0, "coverage in (0, 1)");
         Self {
             coverage,
             state: BTreeMap::new(),
-            global_revision: 0,
         }
     }
 
@@ -83,7 +86,6 @@ impl ForecastService {
             last_obs: None,
             gap_ewma: 0.0,
             gaps: 0,
-            revision: 0,
         })
     }
 
@@ -104,9 +106,7 @@ impl ForecastService {
         }
         st.nws.observe(value);
         st.last_obs = Some(time);
-        st.gap_ewma *= 1.0 - GAP_EWMA_GAIN;
-        st.revision += 1;
-        self.global_revision += 1;
+        st.gap_ewma *= 1.0 - GAP_INTENSITY_GAIN;
     }
 
     /// Notes that the slot at `time` resolved to a gap for this resource:
@@ -115,23 +115,8 @@ impl ForecastService {
     pub fn note_gap(&mut self, id: ResourceId, _time: Seconds) {
         let st = self.entry(id);
         st.nws.note_gap();
-        st.gap_ewma += GAP_EWMA_GAIN * (1.0 - st.gap_ewma);
+        st.gap_ewma += GAP_INTENSITY_GAIN * (1.0 - st.gap_ewma);
         st.gaps += 1;
-        st.revision += 1;
-        self.global_revision += 1;
-    }
-
-    /// Change counter for one resource's forecaster: equal revisions
-    /// guarantee [`ForecastService::forecast`] returns an identical
-    /// answer, which is what lets a serving cache short-circuit
-    /// repeated queries between measurement ticks.
-    pub fn revision(&self, id: ResourceId) -> u64 {
-        self.state.get(&id).map_or(0, |st| st.revision)
-    }
-
-    /// Change counter across all resources (any observation or gap).
-    pub fn global_revision(&self) -> u64 {
-        self.global_revision
     }
 
     /// Gaps noted for a resource so far.
@@ -277,19 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn revisions_move_with_observations_and_gaps() {
-        let mut svc = ForecastService::new(0.9);
-        assert_eq!(svc.revision(rid(1)), 0);
-        svc.observe(rid(1), 0.0, 0.5);
-        assert_eq!(svc.revision(rid(1)), 1);
-        svc.note_gap(rid(1), 10.0);
-        assert_eq!(svc.revision(rid(1)), 2);
-        svc.observe(rid(2), 0.0, 0.5);
-        assert_eq!(svc.revision(rid(1)), 2, "resources are isolated");
-        assert_eq!(svc.global_revision(), 3);
-    }
-
-    #[test]
     fn horizon_starts_at_the_one_step_forecast() {
         let mut svc = ForecastService::new(0.9);
         assert!(svc.forecast_horizon(rid(1), 8).is_none(), "no data yet");
@@ -319,7 +291,6 @@ mod tests {
                 }
             }
             assert_eq!(fed.gap_count(rid(1)), 3, "{bad} was not a gap");
-            assert_eq!(fed.revision(rid(1)), gapped.revision(rid(1)));
             let a = fed.forecast_at(rid(1), 700.0).expect("live");
             let b = gapped.forecast_at(rid(1), 700.0).expect("live");
             assert!(a.confidence < 1.0, "{bad} left confidence at 1");
@@ -329,6 +300,12 @@ mod tests {
             assert_eq!(a.observations, b.observations);
             assert_eq!(a.forecast, b.forecast);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "coverage in (0, 1)")]
+    fn a_coverage_outside_the_unit_interval_panics_at_construction() {
+        ForecastService::new(1.0);
     }
 
     #[test]

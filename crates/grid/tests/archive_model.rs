@@ -10,6 +10,12 @@
 //! method, observation and gap counts, confidence and interval. Fed in
 //! chunks it must also equal the primary *as of* every chunk boundary —
 //! a replica mid-sync serves a state the primary really was in.
+//!
+//! The forecaster keeps no change counter of its own; a serving cache
+//! keys on the memory's. That is sound because the forecaster moves
+//! exactly when the memory's revision does: after every op, and on the
+//! replayed archive, each series' observations plus gaps equal its
+//! [`Memory::revision`](nws_grid::Memory::revision).
 
 use nws_grid::wal::replay;
 use nws_grid::{Archive, MemoryConfig, ResourceId, Wal};
@@ -72,7 +78,7 @@ fn forecast_state(archive: &Archive, id: ResourceId) -> impl PartialEq + std::fm
     let horizon = service
         .forecast_horizon(id, 8)
         .map(|steps| steps.into_iter().map(f64::to_bits).collect::<Vec<_>>());
-    (answer, horizon, service.gap_count(id), service.revision(id))
+    (answer, horizon, service.gap_count(id))
 }
 
 fn assert_same(replica: &Archive, primary: &Archive, what: &str) -> Result<(), TestCaseError> {
@@ -145,5 +151,49 @@ proptest! {
             .sum();
         let readings = build_ops(&raw).iter().filter(|op| matches!(op, Op::Reading(..))).count();
         prop_assert_eq!(observed as usize + refused, readings);
+    }
+}
+
+/// Every change the forecaster sees is one the memory counted: for each
+/// series, observations absorbed (0 while it has no forecast) plus gaps
+/// noted equal [`Memory::revision`](nws_grid::Memory::revision).
+fn assert_forecaster_moves_with_memory(archive: &Archive, what: &str) -> Result<(), TestCaseError> {
+    for id in (0..SERIES).map(ResourceId) {
+        let service = archive.forecasts();
+        let observed = service.forecast(id).map_or(0, |a| a.observations);
+        let moved = observed + service.gap_count(id);
+        let counted = archive.memory().revision(id);
+        prop_assert!(
+            moved == counted,
+            "{what}: series {}: {moved} != {counted}",
+            id.0
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn the_forecaster_moves_exactly_when_the_memory_revision_does(
+        raw in raw_ops(240),
+        retain in 1usize..24,
+    ) {
+        let config = MemoryConfig { retain };
+        let mut primary = Archive::new(config);
+        primary.attach_journal(Wal::new());
+        for (step, op) in build_ops(&raw).into_iter().enumerate() {
+            match op {
+                Op::Reading(id, time, value) => {
+                    primary.reading(id, time, value);
+                }
+                Op::Gap(id, time) => primary.gap(id, time),
+            }
+            assert_forecaster_moves_with_memory(&primary, &format!("op {step}"))?;
+        }
+        let mut replica = Archive::new(config);
+        replay(primary.journal().expect("attached").bytes(), 0, |rec| replica.apply(rec));
+        assert_forecaster_moves_with_memory(&replica, "replayed")?;
     }
 }

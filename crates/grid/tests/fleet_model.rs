@@ -12,10 +12,14 @@
 //! `batch_slots` slots. A fleet at `batch_slots = 1` is committed
 //! slot-major by construction, and every observable output of a fleet
 //! at any other window must equal it.
+//!
+//! Across commits, four fleets' fingerprints and one quality table are
+//! pinned to recorded goldens.
 
 use nws_faults::{FaultPlan, FaultRates};
 use nws_forecast::PanelSpec;
 use nws_grid::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster, ResourceId};
+use nws_runtime::Fnv1a;
 use proptest::prelude::*;
 
 /// The reference: the maximum forecast over reported hosts, then the
@@ -90,7 +94,7 @@ proptest! {
         let panel = if bank {
             FleetPanel::Bank(PanelSpec::Nws1999)
         } else {
-            FleetPanel::Ewma
+            FleetConfig::default().panel
         };
         for rate in [0.0, 0.3] {
             let faults = FaultPlan::seeded(seed ^ 0xFA17, FaultRates::uniform(rate));
@@ -134,7 +138,7 @@ proptest! {
         hosts in 1usize..24,
         seed in any::<u64>(),
     ) {
-        for panel in [FleetPanel::Ewma, FleetPanel::Bank(PanelSpec::Nws1999)] {
+        for panel in [FleetConfig::default().panel, FleetPanel::Bank(PanelSpec::Nws1999)] {
             for rate in [0.0, 0.3] {
                 let faults = FaultPlan::seeded(seed ^ 0xBA7C, FaultRates::uniform(rate));
                 for roster in [FleetRoster::Synthetic, FleetRoster::TraceMixture(traces())] {
@@ -189,4 +193,60 @@ fn a_fleet_that_never_reports_has_no_best_host() {
     assert_eq!(fleet.gaps(), 64);
     assert_eq!(fleet.best_host(), None);
     assert_eq!(scan(&fleet), None);
+}
+
+/// The fleet's bits, recorded at commit be4d7f8: the default fleet
+/// clean and under a fault plan that takes some hosts' first slots, a
+/// trace-mixture fleet, and a 1999-panel fleet (each a
+/// [`FleetMonitor::fingerprint`]), then one FNV-1a over an extended
+/// fleet's quality-table sums.
+const GOLDEN_FLEET: [u64; 5] = [
+    0x4169_6caa_268b_b3ac,
+    0x3fd4_12ef_824f_5675,
+    0xcf92_7b85_4af1_4b47,
+    0x4b39_3094_8eae_febe,
+    0x18e6_ba9b_9d00_5996,
+];
+
+#[test]
+fn fleet_bits_match_the_recorded_goldens() {
+    let base = FleetConfig {
+        hosts: 40,
+        rack_size: 8,
+        ..FleetConfig::default()
+    };
+    let run = |panel, roster: FleetRoster, faults: &FaultPlan| {
+        let config = FleetConfig { panel, ..base };
+        let mut fleet = FleetMonitor::with_roster(config, roster, faults);
+        fleet.run_steps(150);
+        fleet
+    };
+    let default = base.panel;
+    let faulted = FaultPlan::seeded(3, FaultRates::uniform(0.3));
+    let nws1999 = FleetPanel::Bank(PanelSpec::Nws1999);
+    let extended = run(
+        FleetPanel::Bank(PanelSpec::Extended),
+        FleetRoster::TraceMixture(traces()),
+        &faulted,
+    );
+    let mut quality = Fnv1a::new();
+    for row in extended.quality_table() {
+        quality.bytes(row.name.as_bytes());
+        quality.word(row.scored);
+        quality.word(row.abs_sum.to_bits());
+        quality.word(row.sq_sum.to_bits());
+    }
+    let got = [
+        run(default, FleetRoster::Synthetic, &FaultPlan::none()).fingerprint(),
+        run(default, FleetRoster::Synthetic, &faulted).fingerprint(),
+        run(
+            default,
+            FleetRoster::TraceMixture(traces()),
+            &FaultPlan::none(),
+        )
+        .fingerprint(),
+        run(nws1999, FleetRoster::Synthetic, &faulted).fingerprint(),
+        quality.finish(),
+    ];
+    assert_eq!(got, GOLDEN_FLEET, "{got:#x?}");
 }

@@ -4,9 +4,9 @@
 //! server remembers the encoded answer it gave and the revision counter
 //! it was computed at. A later query compares one integer: equal means
 //! serve the cached reply (a hit), moved means recompute (a miss after
-//! an invalidation). The grid bumps the counters on every measurement
-//! append and recorded gap — see `Memory::revision` and
-//! `ForecastService::revision` in `nws-grid`.
+//! an invalidation). The grid's memory bumps the counters on every
+//! measurement append and recorded gap, the only events its forecaster
+//! sees — see `Memory::revision` and `Archive::revision` in `nws-grid`.
 
 use nws_grid::ResourceId;
 use nws_wire::{ForecastReply, SnapshotReply};
@@ -15,7 +15,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 /// One cached per-resource forecast answer.
 #[derive(Debug, Clone)]
 struct CachedForecast {
-    /// `ForecastService` revision the answer was computed at.
+    /// The series' `Memory` revision the answer was computed at.
     revision: u64,
     reply: ForecastReply,
 }
@@ -25,7 +25,7 @@ struct CachedForecast {
 #[derive(Debug, Default)]
 pub struct QueryCache {
     forecasts: BTreeMap<ResourceId, CachedForecast>,
-    /// Whole-grid snapshot, keyed by the monitor-wide revision.
+    /// Whole-grid snapshot, keyed by the archive revision and the clock.
     snapshot: Option<(u64, SnapshotReply)>,
     hits: u64,
     misses: u64,

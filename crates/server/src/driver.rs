@@ -107,7 +107,8 @@ mod tests {
     #[test]
     fn matches_manual_tick_loop_bit_for_bit() {
         // The driver-paced grid must be indistinguishable from the old
-        // manual `tick(1)` loop — same slots, same revision.
+        // manual `tick(1)` loop — same slots, same archive revision, same
+        // memory.
         let a = shared_state();
         let mut d = TickDriver::virtual_time(Arc::clone(&a));
         for _ in 0..12 {
@@ -119,7 +120,9 @@ mod tests {
         }
         let (ga, gb) = (a.lock().expect("state"), b.lock().expect("state"));
         assert_eq!(ga.grid().slots(), gb.grid().slots());
-        assert_eq!(ga.grid().revision(), gb.grid().revision());
+        let (a, b) = (ga.grid().archive(), gb.grid().archive());
+        assert_eq!(a.revision(), b.revision());
+        assert_eq!(a.memory().fingerprint(), b.memory().fingerprint());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! - [`GridState`] — the primary's server-side state: a grid monitor
 //!   behind a [`QueryCache`] of per-resource forecast answers,
-//!   invalidated by the revision counters the grid's memory and
-//!   forecast service bump on every measurement append. Repeated
+//!   invalidated by the revision counters the grid's memory bumps on
+//!   every measurement append and gap. Repeated
 //!   queries between 10-second sensor ticks are O(1) cache hits.
 //! - [`Dispatch`] — what every transport serves through. Behind it the
 //!   request *policy* (lookups, cache protocol, accounting, bounds,

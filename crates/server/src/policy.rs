@@ -146,7 +146,7 @@ impl<S: Served> Core<S> {
                         confidence: answer.confidence,
                     })
                 };
-                let revision = forecasts.revision(id);
+                let revision = memory.revision(id);
                 ReplyRef::Forecast(cache.forecast_or_insert_with(id, revision, build)?)
             }
             Request::Snapshot => ReplyRef::Snapshot(snapshot(&view, cache)),

@@ -261,9 +261,19 @@ mod tests {
             st.grid().memory().fingerprint(),
             "replicated memory is bit-identical"
         );
+        let forecasters = |f: &ForecastService| {
+            (f.resource_ids().into_iter())
+                .map(|id| {
+                    let answer = f.forecast(id);
+                    let answer = answer.map(|a| (a.forecast.value.to_bits(), a.observations));
+                    (id, answer, f.gap_count(id))
+                })
+                .collect::<Vec<_>>()
+        };
         assert_eq!(
-            replica.forecasts().global_revision(),
-            st.grid().forecasts().global_revision()
+            forecasters(replica.forecasts()),
+            forecasters(st.grid().forecasts()),
+            "every series' forecast bits, observations and gaps"
         );
     }
 

@@ -102,6 +102,7 @@ impl Dispatch for GridState {
 mod tests {
     use super::*;
     use crate::{InMemoryTransport, ReplicaState};
+    use nws_grid::best_row;
     use nws_sim::HostProfile;
     use nws_wire::{ErrorCode, MAX_BATCH, MAX_HORIZON};
     use std::sync::{Arc, Mutex};
@@ -187,7 +188,12 @@ mod tests {
         };
         assert_eq!(snap.hosts.len(), 2);
         assert!(snap.hosts.iter().all(|h| !h.degraded));
-        let grid_best = st.grid().snapshot().best_host().expect("warm").host.clone();
+        let grid = st.grid();
+        let rows = grid.archive().host_rows(grid.now()).map(|r| {
+            let forecast = r.forecast.as_ref().map(|a| a.forecast.value);
+            (r.host.to_string(), r.degraded, forecast)
+        });
+        let grid_best = best_row(rows).expect("warm");
         match st.dispatch(&Request::BestHost) {
             Response::BestHost(Some(row)) => assert_eq!(row.host, grid_best),
             other => panic!("wrong reply: {other:?}"),

@@ -10,7 +10,7 @@
 //! snapshot a scheduler would consult: latest hybrid measurement, point
 //! forecast, and a 90% prediction interval per host.
 
-use nws::grid::{GridMonitor, Metric};
+use nws::grid::{best_row, GridMonitor, Metric};
 
 fn main() {
     let mut gm = GridMonitor::ucsd(2026);
@@ -18,14 +18,14 @@ fn main() {
     // Two simulated hours: 720 slots of 10 s.
     gm.run_steps(720);
 
-    let snap = gm.snapshot();
-    println!("\ngrid snapshot at t = {:.0}s:", snap.time);
+    let rows: Vec<_> = gm.archive().host_rows(gm.now()).collect();
+    println!("\ngrid snapshot at t = {:.0}s:", gm.now());
     println!(
         "{:<11} {:>8} {:>10} {:>18}",
         "host", "latest", "forecast", "90% interval"
     );
-    for h in &snap.hosts {
-        let latest = h.latest_hybrid.expect("every host measured");
+    for h in &rows {
+        let latest = h.latest.expect("every host measured");
         let f = h.forecast.as_ref().expect("every forecaster live");
         let iv = f
             .interval
@@ -39,11 +39,15 @@ fn main() {
             iv
         );
     }
-    let best = snap.best_host().expect("forecasts live");
+    // The placement rule a scheduler applies: the highest fresh forecast.
+    let (host, forecast) = best_row(rows.iter().map(|h| {
+        let forecast = h.forecast.as_ref().map(|a| a.forecast.value);
+        ((h.host, forecast), h.degraded, forecast)
+    }))
+    .expect("forecasts live");
     println!(
-        "\nscheduler verdict: send the next task to {} ({:.0}% predicted availability)",
-        best.host,
-        best.forecast.as_ref().expect("live").forecast.value * 100.0
+        "\nscheduler verdict: send the next task to {host} ({:.0}% predicted availability)",
+        forecast.expect("live") * 100.0
     );
 
     // The memory also serves raw history for offline analysis.

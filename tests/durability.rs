@@ -15,7 +15,10 @@ mod common;
 use common::*;
 use nws::faults::{CrashKind, CrashPlan};
 use nws::grid::wal::replay;
-use nws::grid::{recover_memory, GridMonitor, GridMonitorConfig, Memory, RecoverySource, Wal};
+use nws::grid::{
+    recover_memory, ForecastService, GridMonitor, GridMonitorConfig, Memory, RecoverySource,
+    ResourceId, Wal,
+};
 use nws::server::{
     ClientConfig, FailoverClient, GridState, InMemoryTransport, NwsClient, ReactorConfig,
     ReactorServer, ReplicaState, Transport,
@@ -185,6 +188,20 @@ fn snapshot_plus_wal_suffix_recovers_bit_identically() {
     assert_eq!(mem.fingerprint(), golden);
 }
 
+/// One series' forecast bits and observation count, and its gap count.
+type SeriesForecast = (ResourceId, Option<(u64, u64)>, u64);
+
+/// Every series' forecast bits, observation count and gap count.
+fn forecasters(forecasts: &ForecastService) -> Vec<SeriesForecast> {
+    (forecasts.resource_ids().into_iter())
+        .map(|id| {
+            let answer = forecasts.forecast(id);
+            let answer = answer.map(|a| (a.forecast.value.to_bits(), a.observations));
+            (id, answer, forecasts.gap_count(id))
+        })
+        .collect()
+}
+
 #[test]
 fn replica_matches_the_primary_at_every_revision() {
     let hosts: Vec<&str> = HostProfile::all().iter().map(|p| p.name()).collect();
@@ -220,8 +237,8 @@ fn replica_matches_the_primary_at_every_revision() {
                     "threads={threads} step={step}"
                 );
                 assert_eq!(
-                    replica.forecasts().global_revision(),
-                    st.grid().forecasts().global_revision(),
+                    forecasters(replica.forecasts()),
+                    forecasters(st.grid().forecasts()),
                     "threads={threads} step={step}"
                 );
             }

@@ -100,10 +100,8 @@ fn reactor_replies_match_in_memory_byte_for_byte_at_one_and_four_loops() {
     let _guard = lock();
     let steps = 90;
     let hosts: Vec<String> = warm_grid(steps)
-        .snapshot()
-        .hosts
-        .iter()
-        .map(|h| h.host.clone())
+        .hosts()
+        .map(|(host, _)| host.to_string())
         .collect();
     let seq = fixed_sequence(&hosts);
 
@@ -128,10 +126,8 @@ fn pipelined_replies_arrive_in_request_order() {
     let _guard = lock();
     let steps = 60;
     let hosts: Vec<String> = warm_grid(steps)
-        .snapshot()
-        .hosts
-        .iter()
-        .map(|h| h.host.clone())
+        .hosts()
+        .map(|(host, _)| host.to_string())
         .collect();
     let seq = fixed_sequence(&hosts);
     let mut mem = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(warm_grid(steps)))));

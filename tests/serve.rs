@@ -66,10 +66,8 @@ fn in_memory_responses_are_bit_identical_across_thread_counts() {
         .lock()
         .expect("state")
         .grid()
-        .snapshot()
-        .hosts
-        .iter()
-        .map(|h| h.host.clone())
+        .hosts()
+        .map(|(host, _)| host.to_string())
         .collect();
     let seq = fixed_sequence(&hosts);
     // Two passes with a grid tick in between, so the cached *and* the
@@ -94,12 +92,7 @@ fn tcp_responses_match_the_in_memory_transport_byte_for_byte() {
     grid_a.run_steps(steps);
     let mut grid_b = GridMonitor::ucsd(SEED);
     grid_b.run_steps(steps);
-    let hosts: Vec<String> = grid_a
-        .snapshot()
-        .hosts
-        .iter()
-        .map(|h| h.host.clone())
-        .collect();
+    let hosts: Vec<String> = grid_a.hosts().map(|(host, _)| host.to_string()).collect();
 
     let config = ReactorConfig {
         event_loops: 1,
