@@ -23,7 +23,9 @@
 //! - the per-host status rows ([`Archive::host_rows`]), the one
 //!   host-status row type: callers read them directly, and the serving
 //!   layer maps them into wire rows;
-//! - the placement rule ([`best_row`]).
+//! - the placement rule ([`best_row`]): the highest fresh forecast, the
+//!   first registered on a tie (idle hosts all forecast 1.0). The fleet
+//!   places by the same rule over its standing forecasts.
 
 use crate::memory::{Memory, MemoryConfig, StoreOutcome};
 use crate::registry::{Metric, Registry, ResourceId};
@@ -54,14 +56,16 @@ pub struct HostStatus<'a> {
 }
 
 /// The placement rule: among rows that are not degraded and carry a
-/// finite forecast, the highest forecast wins. Rows come as
+/// finite forecast, the highest forecast wins, and of rows tied on it
+/// the first (the first host registered). Rows come as
 /// `(row, degraded, forecast)`, whatever the row type — stale and
 /// non-finite forecasts are skipped, not trusted or panicked over.
 pub fn best_row<R>(rows: impl IntoIterator<Item = (R, bool, Option<f64>)>) -> Option<R> {
     rows.into_iter()
         .filter(|(_, degraded, _)| !degraded)
         .filter_map(|(row, _, f)| f.filter(|f| f.is_finite()).map(|f| (row, f)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
+        // Reversed, because `min_by` keeps the first of equal elements.
+        .min_by(|a, b| b.1.total_cmp(&a.1))
         .map(|(row, _)| row)
 }
 
@@ -254,5 +258,25 @@ mod tests {
             Some("b")
         );
         assert_eq!(best_row([("a", true, Some(0.2)), ("b", false, None)]), None);
+    }
+
+    #[test]
+    fn idle_hosts_tie_and_the_first_registered_is_placed() {
+        let mut a = Archive::new(MemoryConfig { retain: 16 });
+        let hybrids = ["gremlin", "thing1", "beowulf"].map(|host| a.register_host(host)[2]);
+        for slot in 0..12 {
+            let time = f64::from(slot) * 10.0;
+            for id in hybrids {
+                a.reading(id, time, 1.0);
+            }
+        }
+        let rows: Vec<_> = a.host_rows(110.0).collect();
+        for row in &rows {
+            let forecast = row.forecast.as_ref().expect("fed").forecast.value;
+            assert_eq!(forecast, 1.0, "{} is not idle", row.host);
+        }
+        let key = |r: &HostStatus<'_>| r.forecast.as_ref().map(|f| f.forecast.value);
+        let best = best_row(rows.iter().map(|r| (r.host, r.degraded, key(r))));
+        assert_eq!(best, Some("gremlin"));
     }
 }

@@ -2,75 +2,61 @@
 //! fleet-wide best host.
 //!
 //! The six-host [`GridMonitor`](crate::GridMonitor) runs full kernel
-//! simulations — the fidelity the paper's tables need, at ~100 scheduler
-//! ticks per measurement slot per host. This module is the scale
-//! counterpart: a [`FleetMonitor`] drives 10⁴–10⁵ *synthetic* hosts
-//! ([`SyntheticHost`]) through the same deterministic event engine and
-//! the same sharded columnar [`Memory`], so engine throughput and
-//! fleet-wide queries can be measured at sizes the kernel simulation
-//! cannot reach.
+//! simulations, the fidelity the paper's tables need. A [`FleetMonitor`]
+//! is the scale counterpart: it drives 10⁴–10⁵ *synthetic* hosts
+//! ([`SyntheticHost`]) through the same event engine into the same
+//! columnar [`Memory`], so throughput and fleet-wide queries can be
+//! measured at sizes the kernel simulation cannot reach.
 //!
 //! # Per-host forecasting
 //!
-//! Every fleet host carries one [`PredictorBank`], built from the
-//! [`PanelSpec`] in [`FleetConfig::panel`] — any subset up to the
-//! extended panel v2 — with the same dynamic best-predictor selection
-//! and gap semantics as the per-host `ForecastService` path, plus
-//! per-predictor error tables ([`FleetMonitor::quality_table`]) for
-//! Table 2/3-style reporting at fleet scale. The default is the
-//! one-member exponential-smoothing bank
-//! ([`PanelSpec::EwmaOnly`], gain 0.25); the benchmark's fleet runs the
-//! paper's 1999 panel. Each host's standing forecast is also kept in one
-//! dense vector, so the best-host pass and [`FleetMonitor::fingerprint`]
-//! read contiguous `f64`s instead of walking a bank per host.
+//! The fleet keeps its forecasts in the store the six-host archive uses:
+//! a [`ForecastService`] running the [`PanelSpec`] in
+//! [`FleetConfig::panel`] (default: the one-member exponential smoother
+//! [`PanelSpec::EwmaOnly`], gain 0.25; the benchmark runs the 1999
+//! panel), one bank per host, without prediction intervals. The fleet's
+//! event and gap counts and its merged per-predictor error table
+//! ([`FleetMonitor::quality_table`]) are the store's, and the best-host
+//! pass and [`FleetMonitor::fingerprint`] read the store's dense vector
+//! of standing forecasts.
 //!
 //! # Rosters and faults
 //!
 //! [`FleetRoster`] picks what the hosts replay: the synthetic AR(1)
-//! model of PR 6, or a recorded trace mixture (each host loops one of a
-//! set of availability traces at a seeded phase offset — the UCSD
-//! profile traces via `nws_sim::ucsd_availability_traces`). A seeded
-//! [`FaultPlan`] applies per-host outage/dropout streams at fleet scale:
-//! a faulted slot records no measurement, window predictors age out
-//! (gap semantics), and the host's last standing forecast stays in the
-//! best-host race. [`FaultPlan::none`] draws nothing and leaves every
-//! artifact bit-identical to the fault-free fleet.
+//! model, or a trace mixture (each host loops one of a set of
+//! availability traces at a seeded phase offset, e.g.
+//! `nws_sim::ucsd_availability_traces`). A seeded [`FaultPlan`] applies
+//! per-host outage/dropout streams, and a faulted slot is a gap;
+//! [`FaultPlan::none`] leaves every artifact bit-identical to no plan.
 //!
 //! # Best host
 //!
-//! Nothing asks for the fleet-wide answer while a run is in progress, so
-//! no commit maintains it: [`FleetMonitor::run_steps`] ends with one pass
-//! over the per-host forecasts in host order, among hosts with at least
-//! one reading, keeping the first maximum, and
-//! [`FleetMonitor::best_host`] reads that cached answer in O(1). Ties
-//! go to the lower host index, so the answer does not depend on commit
-//! order. Hosts are also grouped into racks of
-//! [`FleetConfig::rack_size`] ([`FleetMonitor::rack_count`]) — the NWS's
-//! per-LAN name servers — but that grouping is reported, not computed
-//! on.
+//! No commit maintains the fleet-wide answer: [`FleetMonitor::run_steps`]
+//! ends with one pass of the archive's placement rule ([`best_row`])
+//! over the standing forecasts of hosts with a reading, in host order,
+//! so a tie goes to the lower index; [`FleetMonitor::best_host`] reads
+//! that answer. Racks of [`FleetConfig::rack_size`] hosts (the NWS's
+//! per-LAN name servers) are reported, not computed on.
 //!
 //! # Determinism
 //!
-//! Each host's trajectory is a pure function of `(index, seed)`, fault
-//! streams are pure functions of `(plan seed, host name)`, and the
-//! best-host pass reads the committed forecasts in host order. The
-//! commit stage is shard-local ([`Stage::SHARD_LOCAL`]): a commit writes
-//! only its host's memory column, forecast and bank, plus counters (the
-//! memory's global revision — the fleet attaches no journal — and the
-//! event and gap counts). So the engine commits each round shard-major,
-//! one host's [`FleetConfig::batch_slots`] slots back to back while its
-//! bank is in cache, and the result is the state the slot-major order
-//! gives. A fleet run is therefore bit-identical at any thread count and
-//! any batch size, which [`FleetMonitor::fingerprint`] pins cheaply and
-//! `tests/fleet_model.rs` holds against `batch_slots = 1` (slot-major by
-//! construction). The same file pins four fleets' fingerprints and one
-//! quality table to recorded goldens, so the bits also hold across
-//! commits.
+//! A host's trajectory is a pure function of `(index, seed)`, its fault
+//! stream of `(plan seed, host name)`. A commit writes only its host's
+//! memory column and forecaster row (and bumps the memory's revision
+//! count; no journal is attached), so the stage is shard-local
+//! ([`Stage::SHARD_LOCAL`]): the engine commits one host's
+//! [`FleetConfig::batch_slots`] slots back to back while its bank is in
+//! cache, reaching the state the slot-major order gives. A run is
+//! bit-identical at any thread count and batch size;
+//! `tests/fleet_model.rs` holds every output against `batch_slots = 1`
+//! and pins four fingerprints and one quality table to goldens.
 
+use crate::archive::best_row;
 use crate::memory::{Memory, MemoryConfig};
 use crate::registry::ResourceId;
+use crate::service::ForecastService;
 use nws_faults::{FaultPlan, HostFaults};
-use nws_forecast::{ErrorRow, PanelSpec, PredictorBank};
+use nws_forecast::{ErrorRow, PanelSpec};
 use nws_runtime::{Cadence, Engine, EngineConfig, Fnv1a, Source, Stage};
 use nws_sim::{synthetic_host_name, SyntheticHost};
 use std::sync::Arc;
@@ -80,8 +66,9 @@ use std::sync::Arc;
 /// name `FleetPanel::Bank`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetPanel {
-    /// A [`PredictorBank`] per host, built from the spec, with dynamic
-    /// best-predictor selection and per-predictor error tracking.
+    /// A [`PredictorBank`](nws_forecast::PredictorBank) per host, built
+    /// from the spec, with dynamic best-predictor selection and
+    /// per-predictor error tracking.
     Bank(PanelSpec),
 }
 
@@ -158,16 +145,6 @@ impl HostModel {
     }
 }
 
-/// One measurement slot's outcome on one host: the availability reading,
-/// or a gap when the fault plan took the slot out.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetSample {
-    /// Measured availability (meaningless when `gap`).
-    value: f64,
-    /// The measurement was lost (host outage or sensor dropout).
-    gap: bool,
-}
-
 /// One fleet shard: a host model plus its seeded fault stream behind the
 /// engine's [`Source`] contract.
 #[derive(Debug)]
@@ -177,73 +154,41 @@ struct FleetShard {
 }
 
 impl Source for FleetShard {
-    type Event = FleetSample;
+    /// The slot's availability reading, or `None` when the slot is a gap.
+    type Event = Option<f64>;
 
-    fn produce(&mut self, slot: u64) -> FleetSample {
-        // The host's clock advances whether or not the measurement
-        // survives; a faulted slot loses the reading, not the time. A
-        // non-finite reading (a recorded trace can carry one) is no
-        // measurement either.
+    fn produce(&mut self, slot: u64) -> Option<f64> {
+        // The host's clock advances whether or not the reading survives:
+        // a faulted slot, or a non-finite reading (a recorded trace can
+        // carry one), loses the reading, not the time.
         let value = self.host.step();
         let sf = self.faults.slot(slot, false);
-        FleetSample {
-            value,
-            gap: sf.outage || sf.drop_load || !value.is_finite(),
-        }
+        (!sf.outage && !sf.drop_load && value.is_finite()).then_some(value)
     }
 }
 
-/// The commit side: sharded memory ingest, per-host forecasts, and the
-/// event and gap counts.
+/// The commit side: sharded memory ingest and per-host forecasts.
 struct FleetStage<'a> {
     memory: &'a mut Memory,
-    forecasts: &'a mut [f64],
-    banks: &'a mut [PredictorBank],
-    events: &'a mut u64,
-    gaps: &'a mut u64,
+    service: &'a mut ForecastService,
 }
 
 impl Stage<FleetShard> for FleetStage<'_> {
-    /// A commit writes its shard's memory column, forecast and bank, and
-    /// bumps counters: the memory's global revision (no journal records
-    /// its order) and the event and gap counts. The best host is found
-    /// after the run.
+    /// A commit writes only its shard's memory column and forecaster row
+    /// (and bumps the unjournaled memory's revision count).
     const SHARD_LOCAL: bool = true;
 
-    fn commit(&mut self, shard: usize, _source: &mut FleetShard, slot: u64, event: &FleetSample) {
-        if event.gap {
-            // Gap-aware semantics: no measurement is stored, window
-            // predictors age out, and level predictors keep their
-            // estimate; the host's forecast stays standing.
-            self.banks[shard].note_gap();
-            *self.gaps += 1;
-            return;
-        }
-        let id = ResourceId(shard as u64);
-        self.memory
-            .append(id, Cadence::PAPER.slot_time(slot), event.value);
-        let bank = &mut self.banks[shard];
-        bank.observe(event.value);
-        self.forecasts[shard] = bank
-            .predicted_value()
-            .expect("a bank that just observed can predict");
-        *self.events += 1;
-    }
-}
-
-/// The first maximum forecast in host order among hosts with at least
-/// one reading. Strict `>` from −∞ keeps ties on the lower index, and a
-/// NaN or −∞ forecast never wins.
-fn best_reported(memory: &Memory, forecasts: &[f64]) -> Option<(usize, f64)> {
-    let mut best = None;
-    let mut key = f64::NEG_INFINITY;
-    for (host, &forecast) in forecasts.iter().enumerate() {
-        if forecast > key && !memory.is_empty(ResourceId(host as u64)) {
-            best = Some((host, forecast));
-            key = forecast;
+    fn commit(&mut self, shard: usize, _source: &mut FleetShard, slot: u64, event: &Option<f64>) {
+        let (id, time) = (ResourceId(shard as u64), Cadence::PAPER.slot_time(slot));
+        match *event {
+            Some(value) => {
+                self.memory.append(id, time, value);
+                self.service.observe(id, time, value);
+            }
+            // Nothing stored: window members age out, level ones hold.
+            None => self.service.note_gap(id, time),
         }
     }
-    best
 }
 
 /// The fleet: an engine over host shards plus the state the commit
@@ -252,15 +197,10 @@ pub struct FleetMonitor {
     config: FleetConfig,
     engine: Engine<FleetShard>,
     memory: Memory,
-    /// Per-host availability forecast: each bank's standing prediction,
-    /// kept dense for the best-host pass and the fingerprint.
-    forecasts: Vec<f64>,
-    banks: Vec<PredictorBank>,
+    /// One forecaster row per host, under the host's dense id.
+    service: ForecastService,
     /// The best host as of the end of the last run.
     best: Option<(usize, f64)>,
-    events: u64,
-    /// Slots lost to the fault plan (0 without one).
-    gaps: u64,
 }
 
 impl FleetMonitor {
@@ -289,13 +229,9 @@ impl FleetMonitor {
             FleetRoster::Synthetic => Vec::new(),
             FleetRoster::TraceMixture(traces) => {
                 assert!(!traces.is_empty(), "trace mixture needs at least one trace");
-                traces
-                    .iter()
-                    .map(|t| {
-                        assert!(!t.is_empty(), "cannot replay an empty trace");
-                        Arc::from(t.as_slice())
-                    })
-                    .collect()
+                let empty = traces.iter().any(Vec::is_empty);
+                assert!(!empty, "cannot replay an empty trace");
+                traces.iter().map(|t| Arc::from(t.as_slice())).collect()
             }
         };
         let shards: Vec<FleetShard> = (0..config.hosts as u64)
@@ -316,24 +252,16 @@ impl FleetMonitor {
                 }
             })
             .collect();
-        let engine = Engine::new(
-            shards,
-            EngineConfig {
-                batch_slots: config.batch_slots,
-            },
-        );
+        let (batch_slots, retain) = (config.batch_slots, config.retain);
         let FleetPanel::Bank(spec) = config.panel;
+        let mut service = ForecastService::with_panel(spec, None);
+        service.reserve(config.hosts);
         Self {
             config,
-            engine,
-            memory: Memory::new(MemoryConfig {
-                retain: config.retain,
-            }),
-            forecasts: vec![0.0; config.hosts],
-            banks: vec![spec.build(); config.hosts],
+            engine: Engine::new(shards, EngineConfig { batch_slots }),
+            memory: Memory::new(MemoryConfig { retain }),
+            service,
             best: None,
-            events: 0,
-            gaps: 0,
         }
     }
 
@@ -342,20 +270,21 @@ impl FleetMonitor {
     pub fn run_steps(&mut self, slots: u64) {
         let mut stage = FleetStage {
             memory: &mut self.memory,
-            forecasts: &mut self.forecasts,
-            banks: &mut self.banks,
-            events: &mut self.events,
-            gaps: &mut self.gaps,
+            service: &mut self.service,
         };
         self.engine.run(slots, &mut stage);
-        self.best = best_reported(&self.memory, &self.forecasts);
+        let service = &self.service;
+        let hosts = service.standing().iter().enumerate();
+        self.best = best_row(hosts.map(|(host, &forecast)| {
+            let unreported = !service.has_reading(ResourceId(host as u64));
+            ((host, forecast), unreported, Some(forecast))
+        }));
     }
 
     /// The fleet-wide best host `(index, forecast availability)` as of
-    /// the end of the last [`run_steps`](Self::run_steps): the highest
-    /// forecast among hosts with at least one reading, the lowest index
-    /// on ties, `None` while no host has reported. An O(1) read of the
-    /// answer that run computed.
+    /// the last [`run_steps`](Self::run_steps): the highest forecast
+    /// among hosts with a reading, the lowest index on ties, `None` while
+    /// no host has reported.
     pub fn best_host(&self) -> Option<(usize, f64)> {
         self.best
     }
@@ -371,14 +300,14 @@ impl FleetMonitor {
         self.config.hosts.div_ceil(self.config.rack_size)
     }
 
-    /// Events committed so far (gap slots are not events).
+    /// Readings committed so far: the store's observation count.
     pub fn events(&self) -> u64 {
-        self.events
+        self.service.totals().0
     }
 
-    /// Measurement slots lost to the fault plan so far.
+    /// Slots lost to faults so far: the store's gap count.
     pub fn gaps(&self) -> u64 {
-        self.gaps
+        self.service.totals().1
     }
 
     /// Slots completed so far.
@@ -386,11 +315,10 @@ impl FleetMonitor {
         self.engine.slot()
     }
 
-    /// The current availability forecast for one host; it stands through
-    /// gaps. It is 0.0 until the host's first reading, and such a host
-    /// never wins [`best_host`](Self::best_host).
+    /// One host's standing forecast in the store, refreshed by readings
+    /// and gaps alike; 0.0 until its first reading.
     pub fn forecast(&self, host: usize) -> f64 {
-        self.forecasts[host]
+        self.service.standing()[host]
     }
 
     /// The measurement store.
@@ -398,18 +326,15 @@ impl FleetMonitor {
         &self.memory
     }
 
+    /// The forecaster store, one row per host under its dense id.
+    pub fn forecasts(&self) -> &ForecastService {
+        &self.service
+    }
+
     /// The fleet-wide per-predictor error table: every host bank's rows
     /// merged exactly (raw error sums, in panel order).
     pub fn quality_table(&self) -> Vec<ErrorRow> {
-        let (first, rest) = self
-            .banks
-            .split_first()
-            .expect("a fleet has at least one host");
-        let mut merged = first.error_table();
-        for bank in rest {
-            bank.merge_errors_into(&mut merged);
-        }
-        merged
+        self.service.quality_table()
     }
 
     /// FNV-1a over every forecast's bits, the event count, and the best
@@ -418,12 +343,13 @@ impl FleetMonitor {
     /// hash exactly the PR 6 stream.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
-        for f in &self.forecasts {
+        for f in self.service.standing() {
             h.word(f.to_bits());
         }
-        h.word(self.events);
-        if self.gaps > 0 {
-            h.word(self.gaps);
+        let (events, gaps) = self.service.totals();
+        h.word(events);
+        if gaps > 0 {
+            h.word(gaps);
         }
         if let Some((host, key)) = self.best_host() {
             h.word(host as u64);
@@ -439,8 +365,8 @@ impl std::fmt::Debug for FleetMonitor {
             .field("hosts", &self.config.hosts)
             .field("racks", &self.rack_count())
             .field("slots", &self.engine.slot())
-            .field("events", &self.events)
-            .field("gaps", &self.gaps)
+            .field("events", &self.events())
+            .field("gaps", &self.gaps())
             .finish()
     }
 }
@@ -643,7 +569,7 @@ mod tests {
         let table = fleet.quality_table();
         assert_eq!(
             table.len(),
-            PanelSpec::Extended.build().panel_len(),
+            PanelSpec::Extended.members().len(),
             "one row per panel member"
         );
         // Every member scored on every host for (almost) every slot.

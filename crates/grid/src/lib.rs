@@ -19,25 +19,23 @@
 //! - [`registry`] — resource naming and discovery;
 //! - [`memory`] — bounded ring-buffer series storage with the NWS
 //!   `extract`-style query API, journaled by [`wal`];
-//! - [`service`] — the forecaster service: per-series [`PredictorBank`]
-//!   instances (with prediction intervals) updated as measurements
-//!   arrive, keeping no change counter of their own;
+//! - [`service`] — the forecaster store of both monitors: one
+//!   [`PredictorBank`] per series, dense by id, optional intervals;
 //! - [`archive`] — [`Archive`], the unit those three form: what sensors
 //!   publish into, a primary journals from, a replica replays into and
 //!   the serving layer reads. It is the only code that touches memory
-//!   and forecaster together, so the rule that ties them — a reading
+//!   and forecaster together, so the rule that ties them (a reading
 //!   reaches the forecaster iff the memory stored it, a gap reaches
-//!   both — the four-series registration order, the change counter, the
-//!   degraded/staleness test and the placement rule are each written
-//!   once, there;
-//! - [`monitor`] — `GridMonitor`, which drives a fleet of simulated hosts
-//!   through the event engine on the 10-second NWS cadence, committing
-//!   every sensor's measurements into its archive — the "computational
-//!   grid weather map" a scheduler like
+//!   both), the four-series registration order, the change counter, the
+//!   degraded/staleness test and the placement rule (highest fresh
+//!   forecast, first registered on a tie) are each written once, there;
+//! - [`monitor`] — `GridMonitor`, which drives simulated hosts through
+//!   the event engine on the 10-second NWS cadence into its archive —
+//!   the "computational grid weather map" a scheduler like
 //!   [`nws_sched`](https://docs.rs/nws-sched) consumes, and, with its
 //!   ground-truth lane on, the test-process observations the paper's
 //!   tables are scored against;
-//! - [`fleet`] — the 10⁵-host engine, one [`PredictorBank`] per host.
+//! - [`fleet`] — the 10⁵-host engine, its forecasts in one such store.
 //!
 //! [`PredictorBank`]: nws_forecast::PredictorBank
 

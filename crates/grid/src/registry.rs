@@ -59,13 +59,6 @@ pub struct ResourceInfo {
     pub metric: Metric,
 }
 
-impl ResourceInfo {
-    /// The fully qualified NWS-style name, e.g. `thing1/cpu.avail.hybrid`.
-    pub fn full_name(&self) -> String {
-        format!("{}/{}", self.host, self.metric.name())
-    }
-}
-
 /// The name service: registers `(host, metric)` pairs and answers lookups.
 ///
 /// Handles are dense and sequential in registration order — the id *is*
@@ -139,7 +132,10 @@ mod tests {
         assert_eq!(r.lookup("thing1", Metric::LoadAverage), None);
         assert_eq!(r.lookup("thing2", Metric::CpuAvailabilityHybrid), None);
         let info = r.info(id).expect("registered");
-        assert_eq!(info.full_name(), "thing1/cpu.avail.hybrid");
+        assert_eq!(
+            (info.host.as_str(), info.metric),
+            ("thing1", Metric::CpuAvailabilityHybrid)
+        );
     }
 
     #[test]

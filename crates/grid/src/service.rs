@@ -1,15 +1,21 @@
-//! The forecaster service: on-demand predictions per registered resource.
+//! The forecaster store both monitors keep their forecasts in — the
+//! [`Archive`](crate::Archive) with the 1999 panel and 90 % intervals,
+//! the [`FleetMonitor`](crate::FleetMonitor) with its own panel and no
+//! intervals: one [`PredictorBank`] per series, dense by [`ResourceId`].
 //!
-//! It counts observations and gaps per series but keeps no change
-//! counter. Inside an [`Archive`](crate::Archive) it sees exactly the
-//! readings the memory stores and the gaps the memory records, so the
-//! [`Memory`](crate::Memory)'s per-series counter is the one a cache of
-//! its answers keys on.
+//! One dense vector holds each series' *standing forecast* for a
+//! placement pass to rank: the selected member's forecast, refreshed
+//! after a reading and after a gap alike (a gap can kill the selected
+//! member), 0.0 before the first reading. Interval trackers live in a
+//! parallel vector, empty when the store issues no intervals. The store
+//! keeps no change counter ([`Archive::revision`](crate::Archive::revision)
+//! is the memory's).
 
 use crate::registry::ResourceId;
-use nws_forecast::{Forecast, IntervalTracker, PredictionInterval, PredictorBank};
+use nws_forecast::{
+    ErrorRow, Forecast, IntervalTracker, PanelSpec, PredictionInterval, PredictorBank,
+};
 use nws_timeseries::Seconds;
-use std::collections::BTreeMap;
 
 /// EWMA gain for the per-resource gap intensity that drives confidence
 /// degradation: each observation decays it toward 0, each gap pushes it
@@ -23,7 +29,7 @@ pub struct ForecastAnswer {
     /// The point forecast for the next measurement.
     pub forecast: Forecast,
     /// Empirical prediction interval (absent until enough errors have been
-    /// scored).
+    /// scored, and from a store that issues none).
     pub interval: Option<PredictionInterval>,
     /// Number of measurements the forecaster has consumed.
     pub observations: u64,
@@ -37,56 +43,76 @@ pub struct ForecastAnswer {
     pub confidence: f64,
 }
 
-/// Per-resource forecasting state.
-#[derive(Debug)]
-struct ResourceState {
-    nws: PredictorBank,
-    intervals: IntervalTracker,
+/// One series' row.
+#[derive(Debug, Clone)]
+struct Row {
+    bank: PredictorBank,
     /// Time of the last real measurement absorbed.
     last_obs: Option<Seconds>,
     /// EWMA of the recent gap rate (0 = clean stream, →1 = all gaps).
     gap_ewma: f64,
-    /// Total gaps noted for this resource.
+    /// Total gaps noted for this series.
     gaps: u64,
 }
 
-impl ResourceState {
-    fn confidence(&self) -> f64 {
-        (1.0 - self.gap_ewma).clamp(0.0, 1.0)
-    }
-}
-
-/// Per-resource forecasters, updated as measurements arrive.
+/// Per-series forecasters, updated as measurements arrive.
 #[derive(Debug)]
 pub struct ForecastService {
-    coverage: f64,
-    state: BTreeMap<ResourceId, ResourceState>,
+    spec: PanelSpec,
+    coverage: Option<f64>,
+    rows: Vec<Row>,
+    standing: Vec<f64>,
+    intervals: Vec<IntervalTracker>,
 }
 
 impl ForecastService {
-    /// Creates a service issuing intervals with the given two-sided
-    /// coverage (e.g. `0.9`).
+    /// A store running the paper's 1999 panel, issuing intervals with
+    /// the given two-sided coverage (e.g. `0.9`).
     ///
     /// # Panics
     ///
     /// Panics for coverage outside `(0, 1)`.
     pub fn new(coverage: f64) -> Self {
-        assert!(coverage > 0.0 && coverage < 1.0, "coverage in (0, 1)");
+        Self::with_panel(PanelSpec::Nws1999, Some(coverage))
+    }
+
+    /// A store running `spec`, issuing intervals with the given
+    /// coverage, or none (and keeping no interval state) for `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a coverage outside `(0, 1)`.
+    pub fn with_panel(spec: PanelSpec, coverage: Option<f64>) -> Self {
+        if let Some(c) = coverage {
+            assert!(c > 0.0 && c < 1.0, "coverage in (0, 1)");
+        }
         Self {
+            spec,
             coverage,
-            state: BTreeMap::new(),
+            rows: Vec::new(),
+            standing: Vec::new(),
+            intervals: Vec::new(),
         }
     }
 
-    fn entry(&mut self, id: ResourceId) -> &mut ResourceState {
-        let coverage = self.coverage;
-        self.state.entry(id).or_insert_with(|| ResourceState {
-            nws: PredictorBank::nws_default(),
-            intervals: IntervalTracker::new(coverage),
+    /// Builds the rows of every id below `series` (feeding an id grows
+    /// the store to it in any case).
+    pub(crate) fn reserve(&mut self, series: usize) {
+        if series <= self.rows.len() {
+            return;
+        }
+        let row = Row {
+            bank: self.spec.build(),
             last_obs: None,
             gap_ewma: 0.0,
             gaps: 0,
-        })
+        };
+        self.rows.resize(series, row);
+        self.standing.resize(series, 0.0);
+        if let Some(coverage) = self.coverage {
+            self.intervals
+                .resize(series, IntervalTracker::new(coverage));
+        }
     }
 
     /// Feeds one measurement for a resource (scores the standing forecast
@@ -97,31 +123,65 @@ impl ForecastService {
     /// as [`ForecastService::note_gap`].
     pub fn observe(&mut self, id: ResourceId, time: Seconds, value: f64) {
         if !value.is_finite() {
-            self.note_gap(id, time);
-            return;
+            return self.note_gap(id, time);
         }
-        let st = self.entry(id);
-        if let Some(predicted) = st.nws.predicted_value() {
-            st.intervals.record(predicted, value);
+        let idx = id.0 as usize;
+        self.reserve(idx + 1);
+        let st = &mut self.rows[idx];
+        if let Some(intervals) = self.intervals.get_mut(idx) {
+            if let Some(predicted) = st.bank.predicted_value() {
+                intervals.record(predicted, value);
+            }
         }
-        st.nws.observe(value);
+        st.bank.observe(value);
         st.last_obs = Some(time);
         st.gap_ewma *= 1.0 - GAP_INTENSITY_GAIN;
+        self.refresh(idx);
     }
 
     /// Notes that the slot at `time` resolved to a gap for this resource:
     /// the panel ages out stale windows, the confidence degrades, and no
     /// observation is counted.
     pub fn note_gap(&mut self, id: ResourceId, _time: Seconds) {
-        let st = self.entry(id);
-        st.nws.note_gap();
+        let idx = id.0 as usize;
+        self.reserve(idx + 1);
+        let st = &mut self.rows[idx];
+        st.bank.note_gap();
         st.gap_ewma += GAP_INTENSITY_GAIN * (1.0 - st.gap_ewma);
         st.gaps += 1;
+        self.refresh(idx);
+    }
+
+    /// Re-reads the standing forecast (the previous one if none is live).
+    fn refresh(&mut self, idx: usize) {
+        if let Some(value) = self.rows[idx].bank.predicted_value() {
+            self.standing[idx] = value;
+        }
+    }
+
+    fn row(&self, id: ResourceId) -> Option<&Row> {
+        self.rows.get(id.0 as usize)
     }
 
     /// Gaps noted for a resource so far.
     pub fn gap_count(&self, id: ResourceId) -> u64 {
-        self.state.get(&id).map_or(0, |st| st.gaps)
+        self.row(id).map_or(0, |st| st.gaps)
+    }
+
+    /// Whether a resource has absorbed a reading (and so a forecast).
+    pub(crate) fn has_reading(&self, id: ResourceId) -> bool {
+        self.row(id).is_some_and(|st| st.last_obs.is_some())
+    }
+
+    /// Every row's standing forecast, indexed by id.
+    pub(crate) fn standing(&self) -> &[f64] {
+        &self.standing
+    }
+
+    /// Readings absorbed and gaps noted, summed over every series.
+    pub(crate) fn totals(&self) -> (u64, u64) {
+        let observed = self.rows.iter().map(|st| st.bank.observations()).sum();
+        (observed, self.rows.iter().map(|st| st.gaps).sum())
     }
 
     /// The standing forecast for a resource (staleness reported as 0 —
@@ -137,18 +197,18 @@ impl ForecastService {
     }
 
     fn answer(&self, id: ResourceId, now: Option<Seconds>) -> Option<ForecastAnswer> {
-        let st = self.state.get(&id)?;
-        let forecast = st.nws.forecast()?;
-        let interval = st.intervals.interval(forecast.value);
+        let st = self.row(id)?;
+        let forecast = st.bank.forecast()?;
+        let intervals = self.intervals.get(id.0 as usize);
         let staleness = match (now, st.last_obs) {
             (Some(now), Some(last)) => (now - last).max(0.0),
             _ => 0.0,
         };
         Some(ForecastAnswer {
-            observations: st.nws.observations(),
-            interval,
+            observations: st.bank.observations(),
+            interval: intervals.and_then(|iv| iv.interval(forecast.value)),
             staleness,
-            confidence: st.confidence(),
+            confidence: (1.0 - st.gap_ewma).clamp(0.0, 1.0),
             forecast,
         })
     }
@@ -162,12 +222,30 @@ impl ForecastService {
         if k == 0 {
             return None;
         }
-        self.state.get(&id)?.nws.predict_horizon(k)
+        self.row(id)?.bank.predict_horizon(k)
     }
 
-    /// Resources with live forecasters.
+    /// Resources a reading or a gap has reached, ascending.
     pub fn resource_ids(&self) -> Vec<ResourceId> {
-        self.state.keys().copied().collect()
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(|(_, st)| st.last_obs.is_some() || st.gaps > 0)
+            .map(|(idx, _)| ResourceId(idx as u64))
+            .collect()
+    }
+
+    /// Every series' per-predictor error table merged exactly (raw error
+    /// sums, in panel order); empty before the first series is fed.
+    pub fn quality_table(&self) -> Vec<ErrorRow> {
+        let Some((first, rest)) = self.rows.split_first() else {
+            return Vec::new();
+        };
+        let mut merged = first.bank.error_table();
+        for st in rest {
+            st.bank.merge_errors_into(&mut merged);
+        }
+        merged
     }
 }
 

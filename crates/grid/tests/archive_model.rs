@@ -16,9 +16,14 @@
 //! exactly when the memory's revision does: after every op, and on the
 //! replayed archive, each series' observations plus gaps equal its
 //! [`Memory::revision`](nws_grid::Memory::revision).
+//!
+//! The forecaster is one dense store indexed by id. Fed sparse ids out
+//! of order, readings, non-finite readings and gaps, it must answer
+//! every query exactly as the map it replaced, kept here as the oracle.
 
+use nws_forecast::{ErrorRow, IntervalTracker, PredictorBank};
 use nws_grid::wal::replay;
-use nws_grid::{Archive, MemoryConfig, ResourceId, Wal};
+use nws_grid::{Archive, ForecastAnswer, ForecastService, MemoryConfig, ResourceId, Wal};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -195,5 +200,167 @@ proptest! {
         let mut replica = Archive::new(config);
         replay(primary.journal().expect("attached").bytes(), 0, |rec| replica.apply(rec));
         assert_forecaster_moves_with_memory(&replica, "replayed")?;
+    }
+}
+
+/// One series in the map-backed forecaster.
+struct Entry {
+    bank: PredictorBank,
+    intervals: IntervalTracker,
+    last_obs: Option<f64>,
+    gap_ewma: f64,
+    gaps: u64,
+}
+
+/// The map-backed forecaster the dense store replaced: an entry per
+/// series a reading or gap has reached, each with the 1999 panel.
+struct MapService {
+    coverage: f64,
+    state: BTreeMap<ResourceId, Entry>,
+}
+
+impl MapService {
+    const GAIN: f64 = 0.15;
+
+    fn entry(&mut self, id: ResourceId) -> &mut Entry {
+        let coverage = self.coverage;
+        self.state.entry(id).or_insert_with(|| Entry {
+            bank: PredictorBank::nws_default(),
+            intervals: IntervalTracker::new(coverage),
+            last_obs: None,
+            gap_ewma: 0.0,
+            gaps: 0,
+        })
+    }
+
+    fn observe(&mut self, id: ResourceId, time: f64, value: f64) {
+        if !value.is_finite() {
+            self.note_gap(id);
+            return;
+        }
+        let st = self.entry(id);
+        if let Some(predicted) = st.bank.predicted_value() {
+            st.intervals.record(predicted, value);
+        }
+        st.bank.observe(value);
+        st.last_obs = Some(time);
+        st.gap_ewma *= 1.0 - Self::GAIN;
+    }
+
+    fn note_gap(&mut self, id: ResourceId) {
+        let st = self.entry(id);
+        st.bank.note_gap();
+        st.gap_ewma += Self::GAIN * (1.0 - st.gap_ewma);
+        st.gaps += 1;
+    }
+
+    fn forecast_at(&self, id: ResourceId, now: f64) -> Option<AnswerBits> {
+        let st = self.state.get(&id)?;
+        let forecast = st.bank.forecast()?;
+        let interval = st.intervals.interval(forecast.value);
+        let staleness = st.last_obs.map_or(0.0, |last| (now - last).max(0.0));
+        Some((
+            forecast.value.to_bits(),
+            forecast.method.to_string(),
+            st.bank.observations(),
+            staleness.to_bits(),
+            (1.0 - st.gap_ewma).clamp(0.0, 1.0).to_bits(),
+            interval.map(|iv| (iv.lo.to_bits(), iv.hi.to_bits())),
+        ))
+    }
+
+    fn quality_table(&self) -> Vec<ErrorRow> {
+        let mut banks = self.state.values().map(|st| &st.bank);
+        let Some(first) = banks.next() else {
+            return Vec::new();
+        };
+        let mut merged = first.error_table();
+        banks.for_each(|bank| bank.merge_errors_into(&mut merged));
+        merged
+    }
+}
+
+/// A forecast answer bit for bit: value, method, observations,
+/// staleness, confidence and interval.
+type AnswerBits = (u64, String, u64, u64, u64, Option<(u64, u64)>);
+
+fn answer_bits(a: ForecastAnswer) -> AnswerBits {
+    (
+        a.forecast.value.to_bits(),
+        a.forecast.method.to_string(),
+        a.observations,
+        a.staleness.to_bits(),
+        a.confidence.to_bits(),
+        a.interval.map(|iv| (iv.lo.to_bits(), iv.hi.to_bits())),
+    )
+}
+
+fn table_bits(table: Vec<ErrorRow>) -> Vec<(String, u64, u64, u64)> {
+    table
+        .into_iter()
+        .map(|r| {
+            (
+                r.name.to_string(),
+                r.scored,
+                r.abs_sum.to_bits(),
+                r.sq_sum.to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// Sparse ids, listed out of order: the first fed may be the largest.
+const SPARSE: [u64; 5] = [40, 3, 17, 0, 9];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_dense_store_answers_as_the_map_it_replaced(
+        raw in vec((0u8..10, 0..SPARSE.len(), -2i32..6, 0i32..=100), 1..200),
+    ) {
+        const BAD: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut dense = ForecastService::new(0.9);
+        let mut map = MapService { coverage: 0.9, state: BTreeMap::new() };
+        let mut clock = 0.0;
+        // Every id fed, plus ids between, beyond and far beyond them.
+        let probes: Vec<ResourceId> = (0..42).chain([1_000]).map(ResourceId).collect();
+        for (step, &(kind, pick, dt, hundredths)) in raw.iter().enumerate() {
+            let id = ResourceId(SPARSE[pick]);
+            clock += 10.0 * f64::from(dt);
+            let value = f64::from(hundredths) / 100.0;
+            match kind {
+                0 | 1 => {
+                    dense.note_gap(id, clock);
+                    map.note_gap(id);
+                }
+                2 => {
+                    let bad = BAD[hundredths as usize % 3];
+                    dense.observe(id, clock, bad);
+                    map.observe(id, clock, bad);
+                }
+                _ => {
+                    dense.observe(id, clock, value);
+                    map.observe(id, clock, value);
+                }
+            }
+            let touched: Vec<ResourceId> = map.state.keys().copied().collect();
+            prop_assert!(dense.resource_ids() == touched, "op {step}: resource ids");
+            let now = clock + 15.0;
+            for &id in &probes {
+                let gaps = map.state.get(&id).map_or(0, |st| st.gaps);
+                prop_assert!(dense.gap_count(id) == gaps, "op {step}: gaps of {}", id.0);
+                let got = dense.forecast_at(id, now).map(answer_bits);
+                let want = map.forecast_at(id, now);
+                prop_assert!(got == want, "op {step}: series {}: {got:?} != {want:?}", id.0);
+                let bits = |h: Vec<f64>| h.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                let got = dense.forecast_horizon(id, 8).map(bits);
+                let want = map.state.get(&id).and_then(|st| st.bank.predict_horizon(8)).map(bits);
+                prop_assert!(got == want, "op {step}: horizon of {}", id.0);
+            }
+            let got = table_bits(dense.quality_table());
+            let want = table_bits(map.quality_table());
+            prop_assert!(got == want, "op {step}: quality table {got:?} != {want:?}");
+        }
     }
 }

@@ -13,6 +13,10 @@
 //! slot-major by construction, and every observable output of a fleet
 //! at any other window must equal it.
 //!
+//! A host's standing forecast is its forecaster's answer: after every
+//! run, readings and gaps alike, [`FleetMonitor::forecast`] equals what
+//! the fleet's forecaster store serves for that host.
+//!
 //! Across commits, four fleets' fingerprints and one quality table are
 //! pinned to recorded goldens.
 
@@ -81,8 +85,41 @@ fn outputs(fleet: &FleetMonitor) -> (u64, u64, Vec<RowBits>, u64, u64) {
     )
 }
 
+/// What the store serves for host `h` as a bare value: the selected
+/// member's forecast, or 0.0 before the host's first reading.
+fn served(fleet: &FleetMonitor, h: usize) -> f64 {
+    let answer = fleet.forecasts().forecast(ResourceId(h as u64));
+    answer.map_or(0.0, |a| a.forecast.value)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn the_standing_forecast_is_the_served_forecast_through_gaps(
+        hosts in 1usize..32,
+        seed in any::<u64>(),
+    ) {
+        let faults = FaultPlan::seeded(seed ^ 0x6A95, FaultRates::uniform(0.3));
+        for panel in [FleetPanel::Bank(PanelSpec::Nws1999), FleetConfig::default().panel] {
+            for roster in [FleetRoster::Synthetic, FleetRoster::TraceMixture(traces())] {
+                let config = FleetConfig { hosts, seed, panel, ..FleetConfig::default() };
+                let mut fleet = FleetMonitor::with_roster(config, roster, &faults);
+                for slots in [1, 7, 64, 130] {
+                    fleet.run_steps(slots);
+                    for h in 0..hosts {
+                        let (got, want) = (fleet.forecast(h), served(&fleet, h));
+                        prop_assert!(
+                            got.to_bits() == want.to_bits(),
+                            "{panel:?} host {h} after {} slots: {got} != {want}",
+                            fleet.slots()
+                        );
+                    }
+                }
+                prop_assert!(fleet.gaps() > 0, "the fault plan must bite");
+            }
+        }
+    }
 
     #[test]
     fn best_host_is_the_first_maximum_over_reported_hosts(
@@ -197,14 +234,17 @@ fn a_fleet_that_never_reports_has_no_best_host() {
 
 /// The fleet's bits, recorded at commit be4d7f8: the default fleet
 /// clean and under a fault plan that takes some hosts' first slots, a
-/// trace-mixture fleet, and a 1999-panel fleet (each a
+/// trace-mixture fleet, and a faulted 1999-panel fleet (each a
 /// [`FleetMonitor::fingerprint`]), then one FNV-1a over an extended
-/// fleet's quality-table sums.
+/// fleet's quality-table sums. The faulted 1999-panel entry was
+/// re-recorded once, when a gap began refreshing the standing forecast
+/// (before, a host kept ranking on the value of a member the gap had
+/// killed); the one-member default bank has no member a gap can kill.
 const GOLDEN_FLEET: [u64; 5] = [
     0x4169_6caa_268b_b3ac,
     0x3fd4_12ef_824f_5675,
     0xcf92_7b85_4af1_4b47,
-    0x4b39_3094_8eae_febe,
+    0x8f47_eab6_1cd6_cc12,
     0x18e6_ba9b_9d00_5996,
 ];
 

@@ -21,9 +21,12 @@ pub const STEPS: u64 = 120;
 /// interleaving, no engine). Every engine configuration must keep
 /// reproducing these exact bits. The two fault fingerprints were
 /// re-recorded once, when a rebooted host stopped spawning at boot every
-/// session and job arrival its outage had scheduled.
+/// session and job arrival its outage had scheduled. The clean served
+/// fingerprint was re-recorded once, when the placement rule began
+/// sending an exact tie to the first host registered instead of the
+/// last.
 pub const GOLDEN_CLEAN_STATE: u64 = 0xaacf_b64a_5e5e_e354;
-pub const GOLDEN_CLEAN_SERVED: u64 = 0x8ce4_4a79_32c2_65e2;
+pub const GOLDEN_CLEAN_SERVED: u64 = 0xed56_0a6e_2eb9_3e69;
 pub const GOLDEN_FAULT_STATE: u64 = 0xb1e8_4c01_4732_32e6;
 pub const GOLDEN_FAULT_SERVED: u64 = 0xe01f_b8cb_9086_9436;
 
