@@ -176,7 +176,9 @@ pub fn run(seed: u64, tier: Tier) {
         };
         let torn = report.tail_error.is_some();
         if matches!(*kind, "clean_kill" | "torn_record") {
-            let resumed = replay(&wal, report.valid_wal_len, |rec| mem.apply(rec));
+            let resumed = replay(&wal, report.valid_wal_len, |rec| {
+                mem.apply(rec);
+            });
             assert!(resumed.error.is_none(), "golden journal replays cleanly");
         }
         let recover_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -103,7 +103,7 @@ fn quality_sweep(seed: u64, tier: Tier) -> String {
         &FaultPlan::none(),
     );
     fleet.run_steps(steps);
-    scenarios.push(("synthetic-ar1", fleet.quality_table()));
+    scenarios.push(("synthetic-ar1", fleet.archive().forecasts().quality_table()));
 
     // Scenario 2: hosts replay UCSD availability traces at seeded phase
     // offsets, under a fleet-scale fault plan (outages and lost
@@ -117,7 +117,7 @@ fn quality_sweep(seed: u64, tier: Tier) -> String {
     fleet.run_steps(steps);
     let gaps = fleet.gaps();
     assert!(gaps > 0, "the fault plan must produce gaps at fleet scale");
-    scenarios.push(("trace-mixture", fleet.quality_table()));
+    scenarios.push(("trace-mixture", fleet.archive().forecasts().quality_table()));
 
     // Scenario 3: transfer times over the demo link grid, each link's
     // endpoint following its own availability trace.

@@ -10,7 +10,7 @@
 //!   (a late, duplicate or non-finite one reaches neither);
 //! - a **gap** reaches both.
 //!
-//! A primary commits through [`Archive::reading`] / [`Archive::gap`],
+//! Both monitors commit through [`Archive::reading`] / [`Archive::gap`],
 //! which journal what they did; a replica, or a recovery from genesis,
 //! runs [`Archive::apply`] over that journal — the same transitions
 //! without the journaling — and so ends in the same state by
@@ -23,14 +23,16 @@
 //! - the per-host status rows ([`Archive::host_rows`]), the one
 //!   host-status row type: callers read them directly, and the serving
 //!   layer maps them into wire rows;
-//! - the placement rule ([`best_row`]): the highest fresh forecast, the
-//!   first registered on a tie (idle hosts all forecast 1.0). The fleet
-//!   places by the same rule over its standing forecasts.
+//! - the placement rule ([`best_row`]): the highest forecast of a host
+//!   not degraded (one with a reading at most [`STALENESS_BOUND`] old),
+//!   the first registered on a tie (idle hosts all forecast 1.0). The
+//!   fleet places by the same rules over its standing forecasts.
 
 use crate::memory::{Memory, MemoryConfig, StoreOutcome};
 use crate::registry::{Metric, Registry, ResourceId};
 use crate::service::{ForecastAnswer, ForecastService};
 use crate::wal::{CheckpointReport, SnapshotStore, Wal, WalError, WalRecord};
+use nws_forecast::PanelSpec;
 use nws_timeseries::Seconds;
 
 /// Two-sided coverage of the prediction intervals an archive's
@@ -81,14 +83,26 @@ pub struct Archive {
 }
 
 impl Archive {
-    /// An empty archive retaining `memory.retain` points per series.
+    /// An empty archive retaining `memory.retain` points per series,
+    /// forecasting with the paper's 1999 panel and 90 % intervals.
     pub fn new(memory: MemoryConfig) -> Self {
+        Self::with_panel(memory, PanelSpec::Nws1999, Some(INTERVAL_COVERAGE))
+    }
+
+    /// An empty archive whose forecaster runs `spec`, with intervals of
+    /// the given coverage or none ([`ForecastService::with_panel`]).
+    pub fn with_panel(memory: MemoryConfig, spec: PanelSpec, coverage: Option<f64>) -> Self {
         Self {
             registry: Registry::new(),
             memory: Memory::new(memory),
-            forecasts: ForecastService::new(INTERVAL_COVERAGE),
+            forecasts: ForecastService::with_panel(spec, coverage),
             hosts: Vec::new(),
         }
+    }
+
+    /// Builds the forecaster rows of every id below `series` up front.
+    pub(crate) fn reserve(&mut self, series: usize) {
+        self.forecasts.reserve(series);
     }
 
     /// Registers a monitored host's four CPU series — load, vmstat,
@@ -135,7 +149,7 @@ impl Archive {
     /// a primary's whole journal in order equals the primary —
     /// [`Memory::fingerprint`], every forecast, [`Archive::revision`].
     pub fn apply(&mut self, rec: &WalRecord) {
-        if self.memory.replay(rec) {
+        if self.memory.apply(rec) {
             match *rec {
                 WalRecord::Append { id, time, value } => self.forecasts.observe(id, time, value),
                 WalRecord::Gap { id, time } => self.forecasts.note_gap(id, time),
@@ -154,19 +168,22 @@ impl Archive {
         self.memory.global_revision()
     }
 
+    /// Whether a series is degraded at `now`: no reading yet, or a last
+    /// reading more than [`STALENESS_BOUND`] old.
+    pub(crate) fn degraded(&self, id: ResourceId, now: Seconds) -> bool {
+        self.forecasts
+            .staleness(id, now)
+            .is_none_or(|s| s > STALENESS_BOUND)
+    }
+
     /// Every host's latest hybrid measurement and standing forecast,
     /// with staleness — and so `degraded` — judged against `now`.
     pub fn host_rows(&self, now: Seconds) -> impl ExactSizeIterator<Item = HostStatus<'_>> {
-        self.hosts().map(move |(host, id)| {
-            let forecast = self.forecasts.forecast_at(id, now);
-            HostStatus {
-                host,
-                latest: self.memory.latest(id).map(|p| p.value),
-                degraded: forecast
-                    .as_ref()
-                    .is_none_or(|a| a.staleness > STALENESS_BOUND),
-                forecast,
-            }
+        self.hosts().map(move |(host, id)| HostStatus {
+            host,
+            latest: self.memory.latest(id).map(|p| p.value),
+            forecast: self.forecasts.forecast_at(id, now),
+            degraded: self.degraded(id, now),
         })
     }
 

@@ -5,20 +5,19 @@
 //! simulations, the fidelity the paper's tables need. A [`FleetMonitor`]
 //! is the scale counterpart: it drives 10⁴–10⁵ *synthetic* hosts
 //! ([`SyntheticHost`]) through the same event engine into the same
-//! columnar [`Memory`], so throughput and fleet-wide queries can be
-//! measured at sizes the kernel simulation cannot reach.
+//! [`Archive`], so throughput and fleet-wide queries can be measured at
+//! sizes the kernel simulation cannot reach.
 //!
 //! # Per-host forecasting
 //!
-//! The fleet keeps its forecasts in the store the six-host archive uses:
-//! a [`ForecastService`] running the [`PanelSpec`] in
+//! Host `i` is the archive's series `ResourceId(i)`. A slot's reading
+//! commits through [`Archive::reading`], a lost slot through
+//! [`Archive::gap`], both stamped at the slot's end as the grid's are.
+//! The archive's forecaster store runs the [`PanelSpec`] in
 //! [`FleetConfig::panel`] (default: the one-member exponential smoother
 //! [`PanelSpec::EwmaOnly`], gain 0.25; the benchmark runs the 1999
-//! panel), one bank per host, without prediction intervals. The fleet's
-//! event and gap counts and its merged per-predictor error table
-//! ([`FleetMonitor::quality_table`]) are the store's, and the best-host
-//! pass and [`FleetMonitor::fingerprint`] read the store's dense vector
-//! of standing forecasts.
+//! panel), one bank per host, without prediction intervals. The best-host
+//! pass and [`FleetMonitor::fingerprint`] read its standing forecasts.
 //!
 //! # Rosters and faults
 //!
@@ -33,30 +32,30 @@
 //!
 //! No commit maintains the fleet-wide answer: [`FleetMonitor::run_steps`]
 //! ends with one pass of the archive's placement rule ([`best_row`])
-//! over the standing forecasts of hosts with a reading, in host order,
-//! so a tie goes to the lower index; [`FleetMonitor::best_host`] reads
-//! that answer. Racks of [`FleetConfig::rack_size`] hosts (the NWS's
-//! per-LAN name servers) are reported, not computed on.
+//! over the standing forecasts of hosts the archive does not mark
+//! degraded at the fleet's clock, in host order, so a tie goes to the
+//! lower index; [`FleetMonitor::best_host`] reads that answer. Racks of
+//! [`FleetConfig::rack_size`] hosts (the NWS's per-LAN name servers) are
+//! reported, not computed on.
 //!
 //! # Determinism
 //!
 //! A host's trajectory is a pure function of `(index, seed)`, its fault
 //! stream of `(plan seed, host name)`. A commit writes only its host's
 //! memory column and forecaster row (and bumps the memory's revision
-//! count; no journal is attached), so the stage is shard-local
-//! ([`Stage::SHARD_LOCAL`]): the engine commits one host's
-//! [`FleetConfig::batch_slots`] slots back to back while its bank is in
-//! cache, reaching the state the slot-major order gives. A run is
+//! count; no journal is attached), so the archive is a shard-local
+//! stage for the fleet ([`Stage::SHARD_LOCAL`]): the engine commits one
+//! host's [`FleetConfig::batch_slots`] slots back to back while its bank
+//! is in cache, reaching the state the slot-major order gives. A run is
 //! bit-identical at any thread count and batch size;
 //! `tests/fleet_model.rs` holds every output against `batch_slots = 1`
 //! and pins four fingerprints and one quality table to goldens.
 
-use crate::archive::best_row;
-use crate::memory::{Memory, MemoryConfig};
+use crate::archive::{best_row, Archive};
+use crate::memory::MemoryConfig;
 use crate::registry::ResourceId;
-use crate::service::ForecastService;
 use nws_faults::{FaultPlan, HostFaults};
-use nws_forecast::{ErrorRow, PanelSpec};
+use nws_forecast::PanelSpec;
 use nws_runtime::{Cadence, Engine, EngineConfig, Fnv1a, Source, Stage};
 use nws_sim::{synthetic_host_name, SyntheticHost};
 use std::sync::Arc;
@@ -167,38 +166,30 @@ impl Source for FleetShard {
     }
 }
 
-/// The commit side: sharded memory ingest and per-host forecasts.
-struct FleetStage<'a> {
-    memory: &'a mut Memory,
-    service: &'a mut ForecastService,
-}
-
-impl Stage<FleetShard> for FleetStage<'_> {
-    /// A commit writes only its shard's memory column and forecaster row
+/// The commit side: a host's reading or gap, stamped at the slot's end.
+impl Stage<FleetShard> for Archive {
+    /// A commit writes only its host's memory column and forecaster row
     /// (and bumps the unjournaled memory's revision count).
     const SHARD_LOCAL: bool = true;
 
     fn commit(&mut self, shard: usize, _source: &mut FleetShard, slot: u64, event: &Option<f64>) {
-        let (id, time) = (ResourceId(shard as u64), Cadence::PAPER.slot_time(slot));
+        let (id, time) = (ResourceId(shard as u64), Cadence::PAPER.slot_time(slot + 1));
         match *event {
             Some(value) => {
-                self.memory.append(id, time, value);
-                self.service.observe(id, time, value);
+                self.reading(id, time, value);
             }
-            // Nothing stored: window members age out, level ones hold.
-            None => self.service.note_gap(id, time),
+            None => self.gap(id, time),
         }
     }
 }
 
-/// The fleet: an engine over host shards plus the state the commit
-/// stage maintains.
+/// The fleet: an engine over host shards plus the archive it commits
+/// into.
 pub struct FleetMonitor {
     config: FleetConfig,
     engine: Engine<FleetShard>,
-    memory: Memory,
-    /// One forecaster row per host, under the host's dense id.
-    service: ForecastService,
+    /// One series per host, under the host's dense id; none registered.
+    archive: Archive,
     /// The best host as of the end of the last run.
     best: Option<(usize, f64)>,
 }
@@ -254,13 +245,12 @@ impl FleetMonitor {
             .collect();
         let (batch_slots, retain) = (config.batch_slots, config.retain);
         let FleetPanel::Bank(spec) = config.panel;
-        let mut service = ForecastService::with_panel(spec, None);
-        service.reserve(config.hosts);
+        let mut archive = Archive::with_panel(MemoryConfig { retain }, spec, None);
+        archive.reserve(config.hosts);
         Self {
             config,
             engine: Engine::new(shards, EngineConfig { batch_slots }),
-            memory: Memory::new(MemoryConfig { retain }),
-            service,
+            archive,
             best: None,
         }
     }
@@ -268,23 +258,19 @@ impl FleetMonitor {
     /// Runs `slots` measurement slots through the engine, then finds the
     /// best host once.
     pub fn run_steps(&mut self, slots: u64) {
-        let mut stage = FleetStage {
-            memory: &mut self.memory,
-            service: &mut self.service,
-        };
-        self.engine.run(slots, &mut stage);
-        let service = &self.service;
-        let hosts = service.standing().iter().enumerate();
+        self.engine.run(slots, &mut self.archive);
+        let (archive, now) = (&self.archive, Cadence::PAPER.slot_time(self.slots()));
+        let hosts = archive.forecasts().standing().iter().enumerate();
         self.best = best_row(hosts.map(|(host, &forecast)| {
-            let unreported = !service.has_reading(ResourceId(host as u64));
-            ((host, forecast), unreported, Some(forecast))
+            let degraded = archive.degraded(ResourceId(host as u64), now);
+            ((host, forecast), degraded, Some(forecast))
         }));
     }
 
     /// The fleet-wide best host `(index, forecast availability)` as of
     /// the last [`run_steps`](Self::run_steps): the highest forecast
-    /// among hosts with a reading, the lowest index on ties, `None` while
-    /// no host has reported.
+    /// among hosts the archive does not mark degraded at the fleet's
+    /// clock, the lowest index on ties, `None` while every host is.
     pub fn best_host(&self) -> Option<(usize, f64)> {
         self.best
     }
@@ -302,12 +288,12 @@ impl FleetMonitor {
 
     /// Readings committed so far: the store's observation count.
     pub fn events(&self) -> u64 {
-        self.service.totals().0
+        self.archive.forecasts().totals().0
     }
 
     /// Slots lost to faults so far: the store's gap count.
     pub fn gaps(&self) -> u64 {
-        self.service.totals().1
+        self.archive.forecasts().totals().1
     }
 
     /// Slots completed so far.
@@ -318,23 +304,12 @@ impl FleetMonitor {
     /// One host's standing forecast in the store, refreshed by readings
     /// and gaps alike; 0.0 until its first reading.
     pub fn forecast(&self, host: usize) -> f64 {
-        self.service.standing()[host]
+        self.archive.forecasts().standing()[host]
     }
 
-    /// The measurement store.
-    pub fn memory(&self) -> &Memory {
-        &self.memory
-    }
-
-    /// The forecaster store, one row per host under its dense id.
-    pub fn forecasts(&self) -> &ForecastService {
-        &self.service
-    }
-
-    /// The fleet-wide per-predictor error table: every host bank's rows
-    /// merged exactly (raw error sums, in panel order).
-    pub fn quality_table(&self) -> Vec<ErrorRow> {
-        self.service.quality_table()
+    /// The archive the fleet commits into, one series per host.
+    pub fn archive(&self) -> &Archive {
+        &self.archive
     }
 
     /// FNV-1a over every forecast's bits, the event count, and the best
@@ -343,10 +318,11 @@ impl FleetMonitor {
     /// hash exactly the PR 6 stream.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
-        for f in self.service.standing() {
+        let forecasts = self.archive.forecasts();
+        for f in forecasts.standing() {
             h.word(f.to_bits());
         }
-        let (events, gaps) = self.service.totals();
+        let (events, gaps) = forecasts.totals();
         h.word(events);
         if gaps > 0 {
             h.word(gaps);
@@ -397,8 +373,8 @@ mod tests {
             .unwrap();
         assert_eq!((best, key), scan);
         // Memory holds every host's series under its dense id.
-        assert_eq!(fleet.memory().len(ResourceId(0)), 50);
-        assert_eq!(fleet.memory().len(ResourceId(129)), 50);
+        assert_eq!(fleet.archive().memory().len(ResourceId(0)), 50);
+        assert_eq!(fleet.archive().memory().len(ResourceId(129)), 50);
     }
 
     #[test]
@@ -545,9 +521,9 @@ mod tests {
             assert_eq!(fleet.events() + fleet.gaps(), 6 * 80);
             for h in 0..6 {
                 assert!(fleet.forecast(h).is_finite(), "{panel:?} host {h}");
-                assert_eq!(fleet.memory().len(ResourceId(h as u64)), 64);
+                assert_eq!(fleet.archive().memory().len(ResourceId(h as u64)), 64);
             }
-            for row in fleet.quality_table() {
+            for row in fleet.archive().forecasts().quality_table() {
                 assert!(row.mae().is_finite(), "{} was poisoned", row.name);
             }
         }
@@ -566,7 +542,7 @@ mod tests {
             &FaultPlan::none(),
         );
         fleet.run_steps(120);
-        let table = fleet.quality_table();
+        let table = fleet.archive().forecasts().quality_table();
         assert_eq!(
             table.len(),
             PanelSpec::Extended.members().len(),
@@ -584,7 +560,7 @@ mod tests {
             ..FleetConfig::default()
         });
         ewma.run_steps(5);
-        let table = ewma.quality_table();
+        let table = ewma.archive().forecasts().quality_table();
         assert_eq!(table.len(), 1);
         assert_eq!(
             table[0].scored,

@@ -35,7 +35,7 @@
 //!   [`nws_sched`](https://docs.rs/nws-sched) consumes, and, with its
 //!   ground-truth lane on, the test-process observations the paper's
 //!   tables are scored against;
-//! - [`fleet`] — the 10⁵-host engine, its forecasts in one such store.
+//! - [`fleet`] — the 10⁵-host engine, committing into an archive too.
 //!
 //! [`PredictorBank`]: nws_forecast::PredictorBank
 

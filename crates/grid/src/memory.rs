@@ -318,14 +318,11 @@ impl Memory {
     /// memory's journal in order reproduces the original state bit for
     /// bit: same column bytes, same revision counters, same
     /// [`Memory::fingerprint`].
-    pub fn apply(&mut self, rec: &WalRecord) {
-        self.replay(rec);
-    }
-
-    /// [`Memory::apply`], reporting whether the record changed what an
-    /// extract returns (a stored measurement, a gap) — exactly the
-    /// records the [`Archive`](crate::Archive) shows its forecaster.
-    pub(crate) fn replay(&mut self, rec: &WalRecord) -> bool {
+    ///
+    /// Returns whether the record changed what an extract returns (a
+    /// stored measurement, a gap) — exactly the records the
+    /// [`Archive`](crate::Archive) shows its forecaster.
+    pub fn apply(&mut self, rec: &WalRecord) -> bool {
         match *rec {
             WalRecord::Append { id, time, value } => self.apply_append(id, time, value).is_stored(),
             WalRecord::Gap { id, time } => {

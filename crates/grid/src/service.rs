@@ -1,15 +1,16 @@
-//! The forecaster store both monitors keep their forecasts in — the
-//! [`Archive`](crate::Archive) with the 1999 panel and 90 % intervals,
-//! the [`FleetMonitor`](crate::FleetMonitor) with its own panel and no
+//! The forecaster store inside each monitor's [`Archive`](crate::Archive)
+//! — the grid's with the 1999 panel and 90 % intervals, the
+//! [`FleetMonitor`](crate::FleetMonitor)'s with its own panel and no
 //! intervals: one [`PredictorBank`] per series, dense by [`ResourceId`].
 //!
 //! One dense vector holds each series' *standing forecast* for a
 //! placement pass to rank: the selected member's forecast, refreshed
 //! after a reading and after a gap alike (a gap can kill the selected
 //! member), 0.0 before the first reading. Interval trackers live in a
-//! parallel vector, empty when the store issues no intervals. The store
-//! keeps no change counter ([`Archive::revision`](crate::Archive::revision)
-//! is the memory's).
+//! parallel vector, empty when the store issues no intervals. One
+//! staleness figure serves answers and the archive's degraded test. The
+//! store keeps no change counter
+//! ([`Archive::revision`](crate::Archive::revision) is the memory's).
 
 use crate::registry::ResourceId;
 use nws_forecast::{
@@ -168,9 +169,11 @@ impl ForecastService {
         self.row(id).map_or(0, |st| st.gaps)
     }
 
-    /// Whether a resource has absorbed a reading (and so a forecast).
-    pub(crate) fn has_reading(&self, id: ResourceId) -> bool {
-        self.row(id).is_some_and(|st| st.last_obs.is_some())
+    /// Seconds from a resource's last absorbed reading to `now` (0 when
+    /// `now` is earlier), `None` before its first reading.
+    pub(crate) fn staleness(&self, id: ResourceId, now: Seconds) -> Option<Seconds> {
+        let last = self.row(id)?.last_obs?;
+        Some((now - last).max(0.0))
     }
 
     /// Every row's standing forecast, indexed by id.
@@ -200,14 +203,10 @@ impl ForecastService {
         let st = self.row(id)?;
         let forecast = st.bank.forecast()?;
         let intervals = self.intervals.get(id.0 as usize);
-        let staleness = match (now, st.last_obs) {
-            (Some(now), Some(last)) => (now - last).max(0.0),
-            _ => 0.0,
-        };
         Some(ForecastAnswer {
             observations: st.bank.observations(),
             interval: intervals.and_then(|iv| iv.interval(forecast.value)),
-            staleness,
+            staleness: now.and_then(|now| self.staleness(id, now)).unwrap_or(0.0),
             confidence: (1.0 - st.gap_ewma).clamp(0.0, 1.0),
             forecast,
         })

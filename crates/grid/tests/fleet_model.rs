@@ -1,12 +1,13 @@
-//! The fleet's best host is a scan, and its outputs do not depend on the
-//! batch window.
+//! The fleet places by the archive's rule, and its outputs do not depend
+//! on the batch window.
 //!
 //! [`FleetMonitor::best_host`] is computed once at the end of each
 //! `run_steps`. Whatever the roster, fault plan, run length, thread count
 //! or batch window, it must equal a reference scan of the monitor's
-//! public state: among hosts holding at least one reading, the maximum
-//! forecast at the lowest index that holds it — or `None` while no host
-//! has reported.
+//! public state: among hosts whose last stored reading is at most
+//! [`STALENESS_BOUND`] old at the fleet's clock (the hosts the archive
+//! does not mark degraded), the maximum forecast at the lowest index
+//! that holds it — or `None` while there is no such host.
 //!
 //! The engine commits the fleet shard-major within each round of
 //! `batch_slots` slots. A fleet at `batch_slots = 1` is committed
@@ -15,29 +16,36 @@
 //!
 //! A host's standing forecast is its forecaster's answer: after every
 //! run, readings and gaps alike, [`FleetMonitor::forecast`] equals what
-//! the fleet's forecaster store serves for that host.
+//! the fleet's forecaster store serves for that host, and the archive's
+//! change counter counts every reading and every gap.
 //!
 //! Across commits, four fleets' fingerprints and one quality table are
 //! pinned to recorded goldens.
 
 use nws_faults::{FaultPlan, FaultRates};
 use nws_forecast::PanelSpec;
-use nws_grid::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster, ResourceId};
-use nws_runtime::Fnv1a;
+use nws_grid::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster, ResourceId, STALENESS_BOUND};
+use nws_runtime::{Cadence, Fnv1a};
 use proptest::prelude::*;
 
-/// The reference: the maximum forecast over reported hosts, then the
-/// first host holding it, as `(host, forecast bits)`.
+/// The reference: the maximum forecast over hosts whose last stored
+/// reading is at most [`STALENESS_BOUND`] old at the fleet's clock, then
+/// the first host holding it, as `(host, forecast bits)`.
 fn scan(fleet: &FleetMonitor) -> Option<(usize, u64)> {
-    let reported: Vec<(usize, f64)> = (0..fleet.hosts())
-        .filter(|&h| !fleet.memory().is_empty(ResourceId(h as u64)))
+    let now = Cadence::PAPER.slot_time(fleet.slots());
+    let memory = fleet.archive().memory();
+    let fresh: Vec<(usize, f64)> = (0..fleet.hosts())
+        .filter(|&h| {
+            let latest = memory.latest(ResourceId(h as u64));
+            latest.is_some_and(|p| now - p.time <= STALENESS_BOUND)
+        })
         .map(|h| (h, fleet.forecast(h)))
         .collect();
-    let max = reported
+    let max = fresh
         .iter()
         .map(|&(_, f)| f)
         .fold(f64::NEG_INFINITY, f64::max);
-    reported
+    fresh
         .into_iter()
         .find(|&(_, f)| f == max)
         .map(|(h, f)| (h, f.to_bits()))
@@ -65,6 +73,8 @@ type RowBits = (String, u64, u64, u64);
 /// table bit for bit, and the event and gap counts.
 fn outputs(fleet: &FleetMonitor) -> (u64, u64, Vec<RowBits>, u64, u64) {
     let rows = fleet
+        .archive()
+        .forecasts()
         .quality_table()
         .into_iter()
         .map(|r| {
@@ -78,7 +88,7 @@ fn outputs(fleet: &FleetMonitor) -> (u64, u64, Vec<RowBits>, u64, u64) {
         .collect();
     (
         fleet.fingerprint(),
-        fleet.memory().fingerprint(),
+        fleet.archive().memory().fingerprint(),
         rows,
         fleet.events(),
         fleet.gaps(),
@@ -88,7 +98,7 @@ fn outputs(fleet: &FleetMonitor) -> (u64, u64, Vec<RowBits>, u64, u64) {
 /// What the store serves for host `h` as a bare value: the selected
 /// member's forecast, or 0.0 before the host's first reading.
 fn served(fleet: &FleetMonitor, h: usize) -> f64 {
-    let answer = fleet.forecasts().forecast(ResourceId(h as u64));
+    let answer = fleet.archive().forecasts().forecast(ResourceId(h as u64));
     answer.map_or(0.0, |a| a.forecast.value)
 }
 
@@ -115,6 +125,7 @@ proptest! {
                             fleet.slots()
                         );
                     }
+                    prop_assert_eq!(fleet.events() + fleet.gaps(), fleet.archive().revision());
                 }
                 prop_assert!(fleet.gaps() > 0, "the fault plan must bite");
             }
@@ -122,7 +133,7 @@ proptest! {
     }
 
     #[test]
-    fn best_host_is_the_first_maximum_over_reported_hosts(
+    fn best_host_is_the_first_maximum_over_fresh_hosts(
         hosts in 1usize..48,
         rack_size in 1usize..20,
         seed in any::<u64>(),
@@ -161,7 +172,7 @@ proptest! {
                             );
                         }
                         if mixture {
-                            prop_assert!(fleet.memory().is_empty(ResourceId(0)));
+                            prop_assert!(fleet.archive().memory().is_empty(ResourceId(0)));
                         }
                         nws_runtime::set_threads(None);
                     }
@@ -232,6 +243,64 @@ fn a_fleet_that_never_reports_has_no_best_host() {
     assert_eq!(scan(&fleet), None);
 }
 
+/// Two hosts at the default seed: host 0 replays a 100-slot trace
+/// holding one reading of 0.9 (the rest are gaps), host 1 a constant
+/// 0.5.
+fn silent_host_fleet() -> FleetMonitor {
+    let mut once = vec![f64::NAN; 100];
+    once[0] = 0.9;
+    FleetMonitor::with_roster(
+        FleetConfig {
+            hosts: 2,
+            ..FleetConfig::default()
+        },
+        FleetRoster::TraceMixture(vec![once, vec![0.5; 100]]),
+        &FaultPlan::none(),
+    )
+}
+
+#[test]
+fn a_silent_host_is_never_placed() {
+    let mut fleet = silent_host_fleet();
+    fleet.run_steps(100);
+    let now = Cadence::PAPER.slot_time(fleet.slots());
+    let last = fleet
+        .archive()
+        .memory()
+        .latest(ResourceId(0))
+        .expect("read once");
+    assert!(now - last.time > STALENESS_BOUND, "host 0 is not silent");
+    assert_eq!(
+        fleet.forecast(0),
+        0.9,
+        "host 0 still holds the best forecast"
+    );
+    assert_eq!(fleet.best_host(), Some((1, 0.5)));
+    assert_eq!((fleet.events(), fleet.gaps()), (101, 99));
+    assert_eq!(fleet.archive().revision(), 200, "every reading and gap");
+}
+
+#[test]
+fn a_reading_stays_placeable_for_twelve_silent_slots() {
+    let mut fleet = silent_host_fleet();
+    while fleet.archive().memory().is_empty(ResourceId(0)) {
+        fleet.run_steps(1);
+    }
+    // A reading is stamped at the end of its slot, as the grid's are:
+    // its staleness is the time of the slots run after it.
+    let stamp = fleet.archive().memory().latest(ResourceId(0)).unwrap().time;
+    assert_eq!(stamp, Cadence::PAPER.slot_time(fleet.slots()));
+    assert_eq!(fleet.best_host(), Some((0, 0.9)));
+    fleet.run_steps(12);
+    assert_eq!(fleet.best_host(), Some((0, 0.9)), "12 slots old is fresh");
+    fleet.run_steps(1);
+    assert_eq!(
+        fleet.best_host(),
+        Some((1, 0.5)),
+        "13 slots old is degraded"
+    );
+}
+
 /// The fleet's bits, recorded at commit be4d7f8: the default fleet
 /// clean and under a fault plan that takes some hosts' first slots, a
 /// trace-mixture fleet, and a faulted 1999-panel fleet (each a
@@ -270,7 +339,7 @@ fn fleet_bits_match_the_recorded_goldens() {
         &faulted,
     );
     let mut quality = Fnv1a::new();
-    for row in extended.quality_table() {
+    for row in extended.archive().forecasts().quality_table() {
         quality.bytes(row.name.as_bytes());
         quality.word(row.scored);
         quality.word(row.abs_sum.to_bits());

@@ -34,8 +34,7 @@ pub use monitor::LinkMonitor;
 pub use sensors::{BandwidthSensor, LatencySensor};
 pub use transfer::TransferScenario;
 
-/// Seconds (simulation time).
-pub type Seconds = f64;
+pub use nws_timeseries::Seconds;
 
 /// Bytes per second.
 pub type Bandwidth = f64;

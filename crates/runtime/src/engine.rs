@@ -61,8 +61,11 @@
 //! A [`Stage::SHARD_LOCAL`] stage adds one more promise — a commit
 //! writes only its shard's state, plus counters whose final value does
 //! not depend on order — and in return its batch size moves which
-//! commits interleave, never the bits. The grid monitor's `Archive`
-//! does not make it: its WAL bytes and revision order are slot-major.
+//! commits interleave, never the bits. The grid's `Archive` is a stage
+//! for both monitors and makes the promise for one of them: for the
+//! fleet's sources, whose archive has no journal, a commit writes only
+//! its host's series and forecaster row; for the grid's hosts it does
+//! not, as its WAL bytes and revision order are slot-major.
 //!
 //! [`parallel_zip_mut`]: crate::parallel_zip_mut
 

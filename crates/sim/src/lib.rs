@@ -61,8 +61,7 @@ pub use workload::{
     Workload,
 };
 
-/// Seconds (simulation time).
-pub type Seconds = f64;
+pub use nws_timeseries::Seconds;
 
 /// One scheduling quantum: 100 ms, the classical Unix time slice.
 pub const TICK: Seconds = 0.1;

@@ -62,7 +62,9 @@ fn recover_and_resume(wal: &[u8], cut: usize) -> Memory {
         report.valid_wal_len <= cut,
         "recovery never reads past the kill point"
     );
-    let resumed = replay(wal, report.valid_wal_len, |rec| mem.apply(rec));
+    let resumed = replay(wal, report.valid_wal_len, |rec| {
+        mem.apply(rec);
+    });
     assert!(resumed.error.is_none(), "golden journal replays cleanly");
     assert_eq!(resumed.end, wal.len());
     mem
