@@ -7,7 +7,7 @@ use crate::cli::Tier;
 use crate::write_artifact;
 use nws_faults::{CrashKind, CrashPlan};
 use nws_grid::wal::replay;
-use nws_grid::{recover_memory, GridMonitor, GridMonitorConfig, RecoverySource, Wal};
+use nws_grid::{recover_memory, GridMonitor, GridMonitorConfig, MemoryConfig, RecoverySource, Wal};
 use nws_server::{
     ClientConfig, FailoverClient, GridState, NwsClient, ReactorConfig, ReactorServer, ReplicaState,
     ServerConfig, Transport,
@@ -83,7 +83,7 @@ fn spawn_replica(primary: SocketAddr, fingerprint: u64) -> ReactorServer<Replica
     let host_refs: Vec<&str> = HostProfile::all().iter().map(|p| p.name()).collect();
     let t0 = Instant::now();
     let mut feed = NwsClient::connect(primary, ClientConfig::default()).expect("connect feed");
-    let mut replica = ReplicaState::new(&host_refs, GridMonitorConfig::default());
+    let mut replica = ReplicaState::new(&host_refs, MemoryConfig::default());
     replica.sync(&mut feed).expect("replicate over tcp");
     assert!(replica.synced(), "replica caught up to the primary");
     assert_eq!(

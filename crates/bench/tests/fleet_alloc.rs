@@ -11,10 +11,11 @@
 //! commits shard-major — the shape of a throughput run.
 //!
 //! Construction is pinned too: building a 1,024-host fleet may request
-//! at most 32 bytes per host more than the fleet of separate banks,
+//! at most 8 bytes per host more than the fleet of separate banks,
 //! dense forecasts and counters did — room for the forecaster store's
-//! per-series scalars, and none for interval state the fleet does not
-//! use.
+//! one per-series scalar (the gap intensity behind an answer's
+//! confidence), and none for a clock or gap count the archive's memory
+//! already keeps, or for interval state the fleet does not use.
 //!
 //! One `#[test]`, because the thread setting and the allocator counters
 //! are process-global.
@@ -45,8 +46,8 @@ const BUILT_BEFORE: [(PanelSpec, u64); 2] = [
     (PanelSpec::Nws1999, 9_310_208),
 ];
 
-/// What the forecaster store may add per host.
-const BUILT_SLACK_PER_HOST: u64 = 32;
+/// What the forecaster store may add per host: its gap intensity.
+const BUILT_SLACK_PER_HOST: u64 = 8;
 
 fn construction_stays_within_the_pin() {
     nws_runtime::set_threads(Some(1));

@@ -20,6 +20,12 @@
 //! - the change counter ([`Archive::revision`]), which is the memory's —
 //!   the two transitions above move the forecaster exactly when they
 //!   move the memory's revision, so the forecaster keeps none;
+//! - staleness and the degraded verdict ([`Archive::staleness`],
+//!   [`Archive::degraded`]), judged from the memory's last stored time
+//!   — the forecaster keeps no clock of its own;
+//! - the host list ([`Archive::hosts`]), which is the registry's: every
+//!   host registers through [`Archive::register_host`], so each hybrid
+//!   series sits at the same place in its block of four ids;
 //! - the per-host status rows ([`Archive::host_rows`]), the one
 //!   host-status row type: callers read them directly, and the serving
 //!   layer maps them into wire rows;
@@ -43,6 +49,10 @@ const INTERVAL_COVERAGE: f64 = 0.9;
 /// seconds, is *degraded*: still reported, never placed on.
 pub const STALENESS_BOUND: Seconds = 120.0;
 
+/// Where the hybrid series sits in a host's block of four ids
+/// ([`Metric::all`] order).
+const HYBRID: usize = 2;
+
 /// One host as of some instant: what a snapshot row is built from.
 #[derive(Debug, Clone)]
 pub struct HostStatus<'a> {
@@ -50,11 +60,19 @@ pub struct HostStatus<'a> {
     pub host: &'a str,
     /// Latest hybrid availability measurement.
     pub latest: Option<f64>,
-    /// Standing hybrid availability forecast, its staleness judged
-    /// against the instant asked about.
+    /// Standing hybrid availability forecast.
     pub forecast: Option<ForecastAnswer>,
-    /// No forecast, or one staler than [`STALENESS_BOUND`].
+    /// Seconds from the latest measurement to the instant asked about
+    /// ([`Archive::staleness`]).
+    pub staleness: Option<Seconds>,
+    /// No reading yet, or a `staleness` beyond [`STALENESS_BOUND`].
     pub degraded: bool,
+}
+
+/// The degraded verdict on a staleness: none (no reading yet), or more
+/// than [`STALENESS_BOUND`].
+fn too_stale(staleness: Option<Seconds>) -> bool {
+    staleness.is_none_or(|s| s > STALENESS_BOUND)
 }
 
 /// The placement rule: among rows that are not degraded and carry a
@@ -77,9 +95,6 @@ pub struct Archive {
     registry: Registry,
     memory: Memory,
     forecasts: ForecastService,
-    /// The hybrid-availability series of every host registered through
-    /// [`Archive::register_host`], in registration order.
-    hosts: Vec<ResourceId>,
 }
 
 impl Archive {
@@ -96,7 +111,6 @@ impl Archive {
             registry: Registry::new(),
             memory: Memory::new(memory),
             forecasts: ForecastService::with_panel(spec, coverage),
-            hosts: Vec::new(),
         }
     }
 
@@ -110,21 +124,19 @@ impl Archive {
     /// order, so a replica registering the same hosts resolves the ids
     /// in the primary's journal identically.
     pub fn register_host(&mut self, host: &str) -> [ResourceId; 4] {
-        let before = self.registry.len();
-        let ids = Metric::all().map(|metric| self.registry.register(host, metric));
-        // A host registering again resolves to its ids, listed once.
-        if self.registry.len() > before {
-            self.hosts.push(ids[2]);
-        }
-        ids
+        Metric::all().map(|metric| self.registry.register(host, metric))
     }
 
     /// Every registered host with the id of its hybrid-availability
-    /// series, in registration order.
+    /// series, in registration order. [`Archive::register_host`] is the
+    /// only way into the registry, so the registry is a run of
+    /// four-series blocks in [`Metric::all`] order, and the hybrid
+    /// series are every fourth entry from the third on.
     pub fn hosts(&self) -> impl ExactSizeIterator<Item = (&str, ResourceId)> {
-        self.hosts.iter().map(|&id| {
-            let info = self.registry.info(id).expect("hosts are registered");
-            (info.host.as_str(), id)
+        let per_host = Metric::all().len();
+        (self.registry.resources().skip(HYBRID).step_by(per_host)).map(|info| {
+            debug_assert_eq!(info.metric, Metric::CpuAvailabilityHybrid);
+            (info.host.as_str(), info.id)
         })
     }
 
@@ -168,22 +180,33 @@ impl Archive {
         self.memory.global_revision()
     }
 
+    /// Seconds from a series' last stored reading to `now` (0 when `now`
+    /// is earlier), `None` before its first. The memory's last stored
+    /// time is the forecaster's last reading too, since a reading
+    /// reaches the forecaster iff the memory stored it.
+    pub fn staleness(&self, id: ResourceId, now: Seconds) -> Option<Seconds> {
+        let last = self.memory.times(id).last()?;
+        Some((now - last).max(0.0))
+    }
+
     /// Whether a series is degraded at `now`: no reading yet, or a last
     /// reading more than [`STALENESS_BOUND`] old.
-    pub(crate) fn degraded(&self, id: ResourceId, now: Seconds) -> bool {
-        self.forecasts
-            .staleness(id, now)
-            .is_none_or(|s| s > STALENESS_BOUND)
+    pub fn degraded(&self, id: ResourceId, now: Seconds) -> bool {
+        too_stale(self.staleness(id, now))
     }
 
     /// Every host's latest hybrid measurement and standing forecast,
     /// with staleness — and so `degraded` — judged against `now`.
     pub fn host_rows(&self, now: Seconds) -> impl ExactSizeIterator<Item = HostStatus<'_>> {
-        self.hosts().map(move |(host, id)| HostStatus {
-            host,
-            latest: self.memory.latest(id).map(|p| p.value),
-            forecast: self.forecasts.forecast_at(id, now),
-            degraded: self.degraded(id, now),
+        self.hosts().map(move |(host, id)| {
+            let staleness = self.staleness(id, now);
+            HostStatus {
+                host,
+                latest: self.memory.latest(id).map(|p| p.value),
+                forecast: self.forecasts.forecast(id),
+                staleness,
+                degraded: too_stale(staleness),
+            }
         })
     }
 
@@ -250,6 +273,31 @@ mod tests {
         let expected = [("thing1", ids[2]), ("gremlin", gremlin[2])];
         assert_eq!(hosts[..2], expected);
         assert_eq!(hosts[2..], [("beowulf", beowulf[2]), ("kongo", kongo[2])]);
+    }
+
+    #[test]
+    fn staleness_runs_from_the_last_stored_reading() {
+        let mut a = Archive::new(MemoryConfig { retain: 2 });
+        let [.., id, _] = a.register_host("thing1");
+        assert_eq!(a.staleness(id, 100.0), None, "no reading yet");
+        assert!(a.degraded(id, 100.0));
+        a.reading(id, 100.0, 0.5);
+        assert_eq!(a.staleness(id, 100.0), Some(0.0));
+        assert_eq!(a.staleness(id, 400.0), Some(300.0));
+        assert_eq!(a.staleness(id, 40.0), Some(0.0), "an earlier now is fresh");
+        // Refused readings and gaps leave the clock where it was.
+        a.reading(id, 90.0, 0.7);
+        a.reading(id, 150.0, f64::NAN);
+        a.gap(id, 160.0);
+        assert_eq!(a.staleness(id, 400.0), Some(300.0));
+        assert!(!a.degraded(id, 100.0 + STALENESS_BOUND));
+        assert!(a.degraded(id, 100.1 + STALENESS_BOUND));
+        // Eviction keeps the newest point, so a full window still judges.
+        a.reading(id, 110.0, 0.6);
+        a.reading(id, 120.0, 0.6);
+        assert_eq!(a.staleness(id, 400.0), Some(280.0));
+        let row = a.host_rows(400.0).next().expect("one host");
+        assert_eq!((row.staleness, row.degraded), (Some(280.0), true));
     }
 
     #[test]

@@ -288,12 +288,13 @@ impl FleetMonitor {
 
     /// Readings committed so far: the store's observation count.
     pub fn events(&self) -> u64 {
-        self.archive.forecasts().totals().0
+        self.archive.forecasts().observations()
     }
 
-    /// Slots lost to faults so far: the store's gap count.
+    /// Slots lost to faults so far: every change the archive counted
+    /// that was not a reading.
     pub fn gaps(&self) -> u64 {
-        self.archive.forecasts().totals().1
+        self.archive.revision() - self.events()
     }
 
     /// Slots completed so far.
@@ -318,11 +319,10 @@ impl FleetMonitor {
     /// hash exactly the PR 6 stream.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
-        let forecasts = self.archive.forecasts();
-        for f in forecasts.standing() {
+        for f in self.archive.forecasts().standing() {
             h.word(f.to_bits());
         }
-        let (events, gaps) = forecasts.totals();
+        let (events, gaps) = (self.events(), self.gaps());
         h.word(events);
         if gaps > 0 {
             h.word(gaps);

@@ -105,7 +105,7 @@ impl Registry {
     }
 
     /// All registered resources, ordered by id.
-    pub fn resources(&self) -> impl Iterator<Item = &ResourceInfo> {
+    pub fn resources(&self) -> impl ExactSizeIterator<Item = &ResourceInfo> {
         self.resources.iter()
     }
 

@@ -7,10 +7,13 @@
 //! placement pass to rank: the selected member's forecast, refreshed
 //! after a reading and after a gap alike (a gap can kill the selected
 //! member), 0.0 before the first reading. Interval trackers live in a
-//! parallel vector, empty when the store issues no intervals. One
-//! staleness figure serves answers and the archive's degraded test. The
-//! store keeps no change counter
-//! ([`Archive::revision`](crate::Archive::revision) is the memory's).
+//! parallel vector, empty when the store issues no intervals.
+//!
+//! The store keeps forecasts only. What the archive's memory already
+//! holds it does not copy: a series' last reading time (the memory's
+//! last stored time, from which the archive judges staleness), its gap
+//! count (the memory's revision less the readings absorbed) and the
+//! change counter ([`Archive::revision`](crate::Archive::revision)).
 
 use crate::registry::ResourceId;
 use nws_forecast::{
@@ -34,10 +37,6 @@ pub struct ForecastAnswer {
     pub interval: Option<PredictionInterval>,
     /// Number of measurements the forecaster has consumed.
     pub observations: u64,
-    /// Seconds since the forecaster last absorbed a real measurement
-    /// (0 when queried via [`ForecastService::forecast`], which has no
-    /// notion of "now").
-    pub staleness: Seconds,
     /// Confidence in `[0, 1]`: 1 on an uninterrupted measurement stream,
     /// degrading toward 0 as recent slots resolve to gaps instead of
     /// readings.
@@ -48,12 +47,8 @@ pub struct ForecastAnswer {
 #[derive(Debug, Clone)]
 struct Row {
     bank: PredictorBank,
-    /// Time of the last real measurement absorbed.
-    last_obs: Option<Seconds>,
     /// EWMA of the recent gap rate (0 = clean stream, →1 = all gaps).
     gap_ewma: f64,
-    /// Total gaps noted for this series.
-    gaps: u64,
 }
 
 /// Per-series forecasters, updated as measurements arrive.
@@ -104,9 +99,7 @@ impl ForecastService {
         }
         let row = Row {
             bank: self.spec.build(),
-            last_obs: None,
             gap_ewma: 0.0,
-            gaps: 0,
         };
         self.rows.resize(series, row);
         self.standing.resize(series, 0.0);
@@ -117,8 +110,9 @@ impl ForecastService {
     }
 
     /// Feeds one measurement for a resource (scores the standing forecast
-    /// first, as the paper's Eq. 5 protocol does). `time` is the
-    /// measurement's timestamp, used to answer staleness queries.
+    /// first, as the paper's Eq. 5 protocol does). `time` is unused: the
+    /// archive's memory keeps the timestamps, and staleness is judged
+    /// from them.
     ///
     /// A non-finite `value` carries no measurement: it is treated exactly
     /// as [`ForecastService::note_gap`].
@@ -135,21 +129,20 @@ impl ForecastService {
             }
         }
         st.bank.observe(value);
-        st.last_obs = Some(time);
         st.gap_ewma *= 1.0 - GAP_INTENSITY_GAIN;
         self.refresh(idx);
     }
 
-    /// Notes that the slot at `time` resolved to a gap for this resource:
-    /// the panel ages out stale windows, the confidence degrades, and no
-    /// observation is counted.
+    /// Notes that a slot resolved to a gap for this resource: the panel
+    /// ages out stale windows, the confidence degrades, and no
+    /// observation is counted. The slot's time is unused, as in
+    /// [`ForecastService::observe`].
     pub fn note_gap(&mut self, id: ResourceId, _time: Seconds) {
         let idx = id.0 as usize;
         self.reserve(idx + 1);
         let st = &mut self.rows[idx];
         st.bank.note_gap();
         st.gap_ewma += GAP_INTENSITY_GAIN * (1.0 - st.gap_ewma);
-        st.gaps += 1;
         self.refresh(idx);
     }
 
@@ -164,49 +157,25 @@ impl ForecastService {
         self.rows.get(id.0 as usize)
     }
 
-    /// Gaps noted for a resource so far.
-    pub fn gap_count(&self, id: ResourceId) -> u64 {
-        self.row(id).map_or(0, |st| st.gaps)
-    }
-
-    /// Seconds from a resource's last absorbed reading to `now` (0 when
-    /// `now` is earlier), `None` before its first reading.
-    pub(crate) fn staleness(&self, id: ResourceId, now: Seconds) -> Option<Seconds> {
-        let last = self.row(id)?.last_obs?;
-        Some((now - last).max(0.0))
-    }
-
     /// Every row's standing forecast, indexed by id.
     pub(crate) fn standing(&self) -> &[f64] {
         &self.standing
     }
 
-    /// Readings absorbed and gaps noted, summed over every series.
-    pub(crate) fn totals(&self) -> (u64, u64) {
-        let observed = self.rows.iter().map(|st| st.bank.observations()).sum();
-        (observed, self.rows.iter().map(|st| st.gaps).sum())
+    /// Readings absorbed, summed over every series.
+    pub(crate) fn observations(&self) -> u64 {
+        self.rows.iter().map(|st| st.bank.observations()).sum()
     }
 
-    /// The standing forecast for a resource (staleness reported as 0 —
-    /// use [`ForecastService::forecast_at`] when "now" is known).
+    /// The standing forecast for a resource, `None` before its first
+    /// reading.
     pub fn forecast(&self, id: ResourceId) -> Option<ForecastAnswer> {
-        self.answer(id, None)
-    }
-
-    /// The standing forecast for a resource together with how stale it is
-    /// at time `now` (seconds since the last absorbed measurement).
-    pub fn forecast_at(&self, id: ResourceId, now: Seconds) -> Option<ForecastAnswer> {
-        self.answer(id, Some(now))
-    }
-
-    fn answer(&self, id: ResourceId, now: Option<Seconds>) -> Option<ForecastAnswer> {
         let st = self.row(id)?;
         let forecast = st.bank.forecast()?;
         let intervals = self.intervals.get(id.0 as usize);
         Some(ForecastAnswer {
             observations: st.bank.observations(),
             interval: intervals.and_then(|iv| iv.interval(forecast.value)),
-            staleness: now.and_then(|now| self.staleness(id, now)).unwrap_or(0.0),
             confidence: (1.0 - st.gap_ewma).clamp(0.0, 1.0),
             forecast,
         })
@@ -222,16 +191,6 @@ impl ForecastService {
             return None;
         }
         self.row(id)?.bank.predict_horizon(k)
-    }
-
-    /// Resources a reading or a gap has reached, ascending.
-    pub fn resource_ids(&self) -> Vec<ResourceId> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.last_obs.is_some() || st.gaps > 0)
-            .map(|(idx, _)| ResourceId(idx as u64))
-            .collect()
     }
 
     /// Every series' per-predictor error table merged exactly (raw error
@@ -302,19 +261,6 @@ mod tests {
         let b = svc.forecast(rid(2)).expect("live");
         assert!((a.forecast.value - 0.9).abs() < 1e-6);
         assert!((b.forecast.value - 0.1).abs() < 1e-6);
-        assert_eq!(svc.resource_ids(), vec![rid(1), rid(2)]);
-    }
-
-    #[test]
-    fn staleness_measures_time_since_last_observation() {
-        let mut svc = ForecastService::new(0.9);
-        svc.observe(rid(1), 100.0, 0.5);
-        let fresh = svc.forecast_at(rid(1), 100.0).expect("live");
-        assert_eq!(fresh.staleness, 0.0);
-        let stale = svc.forecast_at(rid(1), 400.0).expect("live");
-        assert_eq!(stale.staleness, 300.0);
-        // The now-less query reports zero staleness by convention.
-        assert_eq!(svc.forecast(rid(1)).unwrap().staleness, 0.0);
     }
 
     #[test]
@@ -329,7 +275,7 @@ mod tests {
         }
         let degraded = svc.forecast(rid(1)).expect("level members survive");
         assert!(degraded.confidence < 0.5, "c = {}", degraded.confidence);
-        assert_eq!(svc.gap_count(rid(1)), 10);
+        assert_eq!(degraded.observations, 30, "gaps are not observations");
         // Clean measurements rebuild confidence.
         for i in 40..80 {
             svc.observe(rid(1), i as f64 * 10.0, 0.6);
@@ -367,13 +313,12 @@ mod tests {
                     gapped.note_gap(rid(1), t + 5.0);
                 }
             }
-            assert_eq!(fed.gap_count(rid(1)), 3, "{bad} was not a gap");
-            let a = fed.forecast_at(rid(1), 700.0).expect("live");
-            let b = gapped.forecast_at(rid(1), 700.0).expect("live");
+            let a = fed.forecast(rid(1)).expect("live");
+            let b = gapped.forecast(rid(1)).expect("live");
+            assert_eq!(a.observations, 60, "{bad} was observed");
             assert!(a.confidence < 1.0, "{bad} left confidence at 1");
             assert_eq!(a.confidence, b.confidence);
             assert_eq!(a.interval, b.interval);
-            assert_eq!(a.staleness, b.staleness);
             assert_eq!(a.observations, b.observations);
             assert_eq!(a.forecast, b.forecast);
         }

@@ -25,6 +25,10 @@
 //! The WAL record stream doubles as the replication protocol: a replica
 //! that applies the same records in the same order *is* the primary,
 //! byte for byte (`nws-server`'s `ReplicaState` rides on exactly this).
+//! The memory is what this module recovers; the forecaster beside it is
+//! rebuilt by [`Archive::apply`](crate::Archive::apply), which applies
+//! each record to the memory and, when the memory took it, to the
+//! forecaster.
 //!
 //! # Record format
 //!
@@ -194,12 +198,12 @@ impl From<std::io::Error> for WalError {
 
 /// One journaled state change of the [`Memory`], in commit order.
 ///
-/// `Append` and `Gap` carry everything the forecast layer needs too
-/// (`observe(id, time, value)` / `note_gap(id, time)`), so a full-log
-/// replay rebuilds the `ForecastService` exactly, not just the memory.
-/// `Drop` records an out-of-order rejection — the `dropped` counter is
-/// part of the fingerprinted state but not derivable from the accepted
-/// appends alone.
+/// `Append` and `Gap` carry everything the forecaster needs too, so
+/// [`Archive::apply`](crate::Archive::apply) over a full log rebuilds
+/// the archive's forecaster exactly, not just the memory. `Drop`
+/// records an out-of-order rejection — the `dropped` counter is part of
+/// the fingerprinted state but not derivable from the accepted appends
+/// alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WalRecord {
     /// A measurement the memory accepted (`StoreOutcome::Stored`).
@@ -215,6 +219,13 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The series the record changes.
+    pub fn id(&self) -> ResourceId {
+        match *self {
+            WalRecord::Append { id, .. } | WalRecord::Gap { id, .. } | WalRecord::Drop { id } => id,
+        }
+    }
+
     fn fill_payload(&self, buf: &mut [u8; 25]) -> usize {
         match *self {
             WalRecord::Append { id, time, value } => {
@@ -660,9 +671,10 @@ pub struct RecoveryReport {
 /// exists — is rejected (reported in the [`RecoveryReport`]) and
 /// recovery falls back to a genesis replay of the whole log. The replay
 /// is total: it stops at the first corrupt record, keeping everything
-/// before it. `on_record` sees every replayed record in order, which is
-/// how callers rebuild companion state (the `ForecastService`) during a
-/// genesis replay.
+/// before it. `on_record` sees every replayed record in order, after the
+/// memory applied it. The memory is all this rebuilds: a forecaster is
+/// rebuilt by [`Archive::apply`](crate::Archive::apply) over a journal
+/// that reaches back to genesis.
 pub fn recover_memory(
     config: MemoryConfig,
     snapshot: Option<&[u8]>,

@@ -133,16 +133,15 @@ impl<S: Served> Core<S> {
             Request::Forecast { host } => {
                 let id = hybrid(host)?;
                 let build = || {
-                    let answer = forecasts
-                        .forecast_at(id, view.now())
-                        .ok_or_else(|| cold(host))?;
+                    let answer = forecasts.forecast(id).ok_or_else(|| cold(host))?;
                     Ok(ForecastReply {
                         host: host.clone(),
                         value: answer.forecast.value,
                         method: answer.forecast.method.to_string(),
                         interval: answer.interval.as_ref().map(|iv| (iv.lo, iv.hi)),
                         observations: answer.observations,
-                        staleness: answer.staleness,
+                        // A forecast implies a stored reading: never the 0.0.
+                        staleness: view.archive.staleness(id, view.now()).unwrap_or(0.0),
                         confidence: answer.confidence,
                     })
                 };

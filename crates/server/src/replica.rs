@@ -22,8 +22,7 @@ use crate::cache::QueryCache;
 use crate::policy::{Core, Served, View};
 use crate::state::Dispatch;
 use crate::transport::{ServeError, Transport};
-use nws_grid::wal::replay;
-use nws_grid::{Archive, ForecastService, GridMonitorConfig, Memory, WalError};
+use nws_grid::{Archive, ForecastService, Memory, MemoryConfig, WalError, WalRecord};
 use nws_runtime::Cadence;
 use nws_wire::{Request, Response, WalChunkReply, MAX_WAL_CHUNK};
 
@@ -39,6 +38,16 @@ pub enum ReplicaError {
     },
     /// A chunk carried bytes that do not decode as journal records.
     Corrupt(WalError),
+    /// A record named a series the replica never registered: the
+    /// primary monitors hosts this replica was not built for, or its
+    /// journal is wrong. The replica does not grow its tables to an id
+    /// it cannot name.
+    Unregistered {
+        /// The series id the record carried.
+        id: u64,
+        /// Journal offset of the refused record.
+        offset: u64,
+    },
     /// The primary reported progress but sent an empty chunk.
     Stalled {
         /// Where replication stopped.
@@ -63,6 +72,9 @@ impl std::fmt::Display for ReplicaError {
                 write!(f, "chunk starts at {got}, replica needs {expected}")
             }
             ReplicaError::Corrupt(e) => write!(f, "corrupt replication chunk: {e}"),
+            ReplicaError::Unregistered { id, offset } => {
+                write!(f, "record at {offset} names unregistered series {id}")
+            }
             ReplicaError::Stalled { offset } => {
                 write!(f, "empty chunk at {offset} with journal bytes remaining")
             }
@@ -120,8 +132,8 @@ impl ReplicaState {
     /// Creates an empty replica of a primary monitoring `hosts`,
     /// registered in the primary's order so resource ids in the journal
     /// resolve identically.
-    pub fn new(hosts: &[&str], config: GridMonitorConfig) -> Self {
-        let mut archive = Archive::new(config.memory);
+    pub fn new(hosts: &[&str], memory: MemoryConfig) -> Self {
+        let mut archive = Archive::new(memory);
         for host in hosts {
             archive.register_host(host);
         }
@@ -163,9 +175,10 @@ impl ReplicaState {
         self.core.state.applied == self.core.state.primary_total
     }
 
-    /// Applies one replication chunk. Chunks must arrive in order and
-    /// decode cleanly; anything else is a typed error and the replica
-    /// state is left at the last good record.
+    /// Applies one replication chunk. Chunks must arrive in order,
+    /// decode cleanly and name only registered series; anything else is
+    /// a typed error and the replica state is left at the last good
+    /// record.
     pub fn apply_chunk(&mut self, chunk: &WalChunkReply) -> Result<u64, ReplicaError> {
         let rep = &mut self.core.state;
         if chunk.offset != rep.applied {
@@ -174,16 +187,24 @@ impl ReplicaState {
                 got: chunk.offset,
             });
         }
-        let outcome = replay(&chunk.bytes, 0, |rec| rep.archive.apply(rec));
-        rep.applied += outcome.end as u64;
-        if let Some(e) = outcome.error {
-            return Err(ReplicaError::Corrupt(e));
+        let registered = rep.archive.registry().len() as u64;
+        let (mut at, mut records) = (0, 0);
+        while at < chunk.bytes.len() {
+            let (rec, next) =
+                WalRecord::decode_at(&chunk.bytes, at).map_err(ReplicaError::Corrupt)?;
+            let id = rec.id().0;
+            if id >= registered {
+                let offset = rep.applied;
+                return Err(ReplicaError::Unregistered { id, offset });
+            }
+            rep.archive.apply(&rec);
+            rep.applied += (next - at) as u64;
+            (at, records) = (next, records + 1);
         }
-        debug_assert_eq!(outcome.end, chunk.bytes.len(), "chunks end on boundaries");
         rep.primary_total = chunk.total;
         rep.primary_revision = chunk.revision;
         rep.primary_slots = Cadence::PAPER.slots_in(chunk.now);
-        Ok(outcome.records)
+        Ok(records)
     }
 
     /// Pulls and applies journal chunks until the replica has caught up
@@ -230,7 +251,7 @@ mod tests {
     use super::*;
     use crate::state::GridState;
     use crate::transport::InMemoryTransport;
-    use nws_grid::{GridMonitor, GridMonitorConfig, Wal};
+    use nws_grid::{GridMonitor, GridMonitorConfig, ResourceId, Wal};
     use nws_sim::HostProfile;
     use nws_wire::ErrorCode;
     use std::sync::{Arc, Mutex};
@@ -251,7 +272,7 @@ mod tests {
     #[test]
     fn replica_matches_the_primary_byte_for_byte() {
         let mut primary = journaled_primary(40);
-        let mut replica = ReplicaState::new(&HOSTS, GridMonitorConfig::default());
+        let mut replica = ReplicaState::new(&HOSTS, MemoryConfig::default());
         let records = replica.sync(&mut primary).expect("sync");
         assert!(records > 0);
         assert!(replica.synced());
@@ -261,26 +282,27 @@ mod tests {
             st.grid().memory().fingerprint(),
             "replicated memory is bit-identical"
         );
+        // Gap counts are the memory revisions, which the fingerprint
+        // pins, less the observations.
         let forecasters = |f: &ForecastService| {
-            (f.resource_ids().into_iter())
-                .map(|id| {
-                    let answer = f.forecast(id);
-                    let answer = answer.map(|a| (a.forecast.value.to_bits(), a.observations));
-                    (id, answer, f.gap_count(id))
+            (st.grid().registry().resources())
+                .map(|info| {
+                    let answer = f.forecast(info.id);
+                    answer.map(|a| (a.forecast.value.to_bits(), a.observations))
                 })
                 .collect::<Vec<_>>()
         };
         assert_eq!(
             forecasters(replica.forecasts()),
             forecasters(st.grid().forecasts()),
-            "every series' forecast bits, observations and gaps"
+            "every series' forecast bits and observations"
         );
     }
 
     #[test]
     fn replica_serves_the_primary_answers() {
         let mut primary = journaled_primary(40);
-        let mut replica = ReplicaState::new(&HOSTS, GridMonitorConfig::default());
+        let mut replica = ReplicaState::new(&HOSTS, MemoryConfig::default());
         replica.sync(&mut primary).expect("sync");
         for host in HOSTS {
             let from_primary = match primary
@@ -312,7 +334,7 @@ mod tests {
     #[test]
     fn replica_follows_an_advancing_primary_incrementally() {
         let mut primary = journaled_primary(10);
-        let mut replica = ReplicaState::new(&HOSTS, GridMonitorConfig::default());
+        let mut replica = ReplicaState::new(&HOSTS, MemoryConfig::default());
         replica.sync(&mut primary).expect("first sync");
         for _ in 0..5 {
             primary.state().lock().unwrap().tick(7);
@@ -328,7 +350,7 @@ mod tests {
     #[test]
     fn out_of_order_and_corrupt_chunks_are_typed_errors() {
         let mut primary = journaled_primary(20);
-        let mut replica = ReplicaState::new(&HOSTS, GridMonitorConfig::default());
+        let mut replica = ReplicaState::new(&HOSTS, MemoryConfig::default());
         let chunk = primary.wal_since(0, 4096).expect("chunk");
         // Skipping ahead is refused.
         let ahead = WalChunkReply {
@@ -352,8 +374,46 @@ mod tests {
     }
 
     #[test]
+    fn a_record_naming_an_unregistered_series_is_refused() {
+        let mut replica = ReplicaState::new(&HOSTS, MemoryConfig::default());
+        let unregistered = ResourceId(replica.core.state.archive.registry().len() as u64);
+        let good = WalRecord::Append {
+            id: ResourceId(0),
+            time: 10.0,
+            value: 0.5,
+        };
+        let mut bytes = Vec::new();
+        good.encode_into(&mut bytes);
+        let first = bytes.len() as u64;
+        WalRecord::Gap {
+            id: unregistered,
+            time: 10.0,
+        }
+        .encode_into(&mut bytes);
+        good.encode_into(&mut bytes);
+        let chunk = WalChunkReply {
+            offset: 0,
+            total: bytes.len() as u64,
+            revision: 3,
+            now: 10.0,
+            bytes,
+        };
+        match replica.apply_chunk(&chunk) {
+            Err(ReplicaError::Unregistered { id, offset }) => {
+                assert_eq!((id, offset), (unregistered.0, first));
+            }
+            other => panic!("wrong result: {other:?}"),
+        }
+        assert_eq!(replica.applied(), first, "the offset stops at the record");
+        // The memory holds the record before it and grew no table.
+        let mut want = Memory::new(MemoryConfig::default());
+        want.apply(&good);
+        assert_eq!(replica.memory().fingerprint(), want.fingerprint());
+    }
+
+    #[test]
     fn replica_refuses_to_serve_the_journal() {
-        let mut replica = ReplicaState::new(&HOSTS, GridMonitorConfig::default());
+        let mut replica = ReplicaState::new(&HOSTS, MemoryConfig::default());
         match replica.dispatch(&Request::WalSince { offset: 0, max: 64 }) {
             Response::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest),
             other => panic!("wrong reply: {other:?}"),

@@ -18,7 +18,7 @@
 
 use crate::message::{Request, Response};
 use crate::{WireError, MAGIC, MAX_FRAME, VERSION};
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 8;
@@ -168,28 +168,6 @@ pub fn split_frame(buf: &[u8]) -> Result<(FrameKind, &[u8]), WireError> {
     Ok((kind, payload))
 }
 
-/// Frames and writes one request. Allocates a fresh frame buffer per
-/// call; loops should hold a scratch `Vec` and use
-/// [`encode_request_frame`] instead.
-pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> {
-    let mut buf = Vec::new();
-    encode_request_frame(&mut buf, req);
-    w.write_all(&buf)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Frames and writes one response. Allocates a fresh frame buffer per
-/// call; loops should hold a scratch `Vec` and use
-/// [`encode_response_frame`] instead.
-pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), WireError> {
-    let mut buf = Vec::new();
-    encode_response_frame(&mut buf, resp);
-    w.write_all(&buf)?;
-    w.flush()?;
-    Ok(())
-}
-
 /// Reads one frame and decodes it as a request, rejecting response
 /// frames.
 pub fn read_request(r: &mut impl Read) -> Result<Request, WireError> {
@@ -225,7 +203,7 @@ mod tests {
             n: 32,
         };
         let mut buf = Vec::new();
-        write_request(&mut buf, &req).unwrap();
+        encode_request_frame(&mut buf, &req);
         assert_eq!(&buf[..2], b"NW");
         assert_eq!(read_request(&mut Cursor::new(&buf)).unwrap(), req);
     }
@@ -234,37 +212,37 @@ mod tests {
     fn response_frames_round_trip_with_payload() {
         let resp = Response::BestHost(None);
         let mut buf = Vec::new();
-        write_response(&mut buf, &resp).unwrap();
+        encode_response_frame(&mut buf, &resp);
         let (decoded, payload) = read_response(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(decoded, resp);
         assert_eq!(payload, resp.encode());
     }
 
     #[test]
-    fn scratch_encoders_match_streaming_writers_byte_for_byte() {
+    fn scratch_encoders_clear_what_the_buffer_held() {
         let req = Request::Batch(vec![Request::Snapshot, Request::Stats]);
         let resp = Response::Error(ErrorReply {
             code: ErrorCode::BadRequest,
             message: "nope".into(),
         });
-        let mut streamed = Vec::new();
-        write_request(&mut streamed, &req).unwrap();
+        let mut fresh = Vec::new();
+        encode_request_frame(&mut fresh, &req);
         // Pre-dirty the scratch: encode must clear leftovers from the
         // previous (larger) frame before reuse.
         let mut scratch = vec![0xAA; 512];
         encode_request_frame(&mut scratch, &req);
-        assert_eq!(scratch, streamed);
-        let mut streamed = Vec::new();
-        write_response(&mut streamed, &resp).unwrap();
+        assert_eq!(scratch, fresh);
+        let mut fresh = Vec::new();
+        encode_response_frame(&mut fresh, &resp);
         encode_response_frame(&mut scratch, &resp);
-        assert_eq!(scratch, streamed);
+        assert_eq!(scratch, fresh);
         assert_eq!(read_response(&mut scratch.as_slice()).unwrap().0, resp);
     }
 
     #[test]
     fn parse_frame_header_agrees_with_read_frame() {
         let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Snapshot).unwrap();
+        encode_request_frame(&mut buf, &Request::Snapshot);
         let header: [u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().unwrap();
         let (kind, len) = parse_frame_header(&header).unwrap();
         assert_eq!(kind, FrameKind::Request);
@@ -329,7 +307,7 @@ mod tests {
     #[test]
     fn bad_magic_version_kind_rejected() {
         let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Stats).unwrap();
+        encode_request_frame(&mut buf, &Request::Stats);
         let mut bad = buf.clone();
         bad[0] = 0x00;
         assert!(matches!(
@@ -353,7 +331,7 @@ mod tests {
     #[test]
     fn oversized_frame_rejected_before_payload_read() {
         let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Stats).unwrap();
+        encode_request_frame(&mut buf, &Request::Stats);
         buf[4..8].copy_from_slice(&(u32::MAX).to_le_bytes());
         // Only the header is present; the bound must trip before the
         // (absent) 4 GiB payload is waited for.
@@ -366,13 +344,12 @@ mod tests {
     #[test]
     fn truncated_frames_rejected() {
         let mut buf = Vec::new();
-        write_request(
+        encode_request_frame(
             &mut buf,
             &Request::Forecast {
                 host: "kongo".into(),
             },
-        )
-        .unwrap();
+        );
         for cut in 0..buf.len() {
             let err = read_frame(&mut Cursor::new(&buf[..cut]));
             assert!(
@@ -385,13 +362,13 @@ mod tests {
     #[test]
     fn kind_mismatch_rejected() {
         let mut buf = Vec::new();
-        write_response(&mut buf, &Response::BestHost(None)).unwrap();
+        encode_response_frame(&mut buf, &Response::BestHost(None));
         assert!(matches!(
             read_request(&mut Cursor::new(&buf)),
             Err(WireError::BadKind(1))
         ));
         let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Stats).unwrap();
+        encode_request_frame(&mut buf, &Request::Stats);
         assert!(matches!(
             read_response(&mut Cursor::new(&buf)),
             Err(WireError::BadKind(0))

@@ -39,7 +39,7 @@ pub use codec::{Reader, Writer, MAX_STRING};
 pub use frame::{
     append_request_frame, append_response_frame, begin_response_frame, encode_request_frame,
     encode_response_frame, end_response_frame, parse_frame_header, read_frame, read_request,
-    read_response, split_frame, write_request, write_response, FrameKind, HEADER_LEN,
+    read_response, split_frame, FrameKind, HEADER_LEN,
 };
 pub use message::{
     ErrorCode, ErrorReply, ForecastReply, HorizonReply, HostRow, ReplyRef, Request, Response,

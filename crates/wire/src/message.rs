@@ -73,7 +73,7 @@ pub enum Request {
 
 impl Request {
     /// Encodes the request payload (header-less; see
-    /// [`crate::write_request`] for framing).
+    /// [`crate::encode_request_frame`] for framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.encode_into(&mut w);
@@ -244,7 +244,8 @@ pub struct ForecastReply {
     pub interval: Option<(f64, f64)>,
     /// Measurements the forecaster has consumed.
     pub observations: u64,
-    /// Seconds since the forecaster last absorbed a real measurement.
+    /// Seconds since the series' last stored measurement, the last one
+    /// the forecaster absorbed.
     pub staleness: f64,
     /// Confidence in `[0, 1]`, degrading as recent slots resolve to gaps.
     pub confidence: f64,
@@ -509,7 +510,7 @@ pub enum Response {
 
 impl Response {
     /// Encodes the response payload (header-less; see
-    /// [`crate::write_response`] for framing).
+    /// [`crate::encode_response_frame`] for framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.encode_into(&mut w);

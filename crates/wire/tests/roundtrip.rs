@@ -5,11 +5,10 @@
 //! panic.
 
 use nws_wire::{
-    encode_request_frame, encode_response_frame, read_frame, split_frame, write_request,
-    write_response, ErrorCode, ErrorReply, ForecastReply, FrameKind, HorizonReply, HostRow,
-    ReplyRef, Request, Response, SeriesPoint, SeriesTailReply, SnapshotReply, StatsReply,
-    WalChunkReply, WireError, Writer, BATCH_HEADER_LEN, HEADER_LEN, MAX_BATCH, MAX_FRAME,
-    MAX_HORIZON, MAX_WAL_CHUNK,
+    encode_request_frame, encode_response_frame, read_frame, split_frame, ErrorCode, ErrorReply,
+    ForecastReply, FrameKind, HorizonReply, HostRow, ReplyRef, Request, Response, SeriesPoint,
+    SeriesTailReply, SnapshotReply, StatsReply, WalChunkReply, WireError, Writer, BATCH_HEADER_LEN,
+    HEADER_LEN, MAX_BATCH, MAX_FRAME, MAX_HORIZON, MAX_WAL_CHUNK,
 };
 use proptest::prelude::*;
 
@@ -303,7 +302,7 @@ proptest! {
     #[test]
     fn framed_requests_round_trip(req in any_request()) {
         let mut buf = Vec::new();
-        write_request(&mut buf, &req).expect("write to vec");
+        encode_request_frame(&mut buf, &req);
         let decoded = nws_wire::read_request(&mut std::io::Cursor::new(&buf))
             .expect("read own frame");
         prop_assert!(same_bytes_request(&decoded, &req));
@@ -373,7 +372,7 @@ proptest! {
     #[test]
     fn truncated_valid_frames_are_rejected(resp in any_response(), frac in 0.0f64..1.0) {
         let mut buf = Vec::new();
-        write_response(&mut buf, &resp).expect("write to vec");
+        encode_response_frame(&mut buf, &resp);
         let cut = ((buf.len() as f64) * frac) as usize;
         if cut < buf.len() {
             let r = read_frame(&mut std::io::Cursor::new(&buf[..cut]));
@@ -384,7 +383,7 @@ proptest! {
     #[test]
     fn single_byte_corruption_never_panics(req in any_request(), pos_seed in any::<u64>(), flip in 1u8..=255) {
         let mut buf = Vec::new();
-        write_request(&mut buf, &req).expect("write to vec");
+        encode_request_frame(&mut buf, &req);
         let pos = (pos_seed % buf.len() as u64) as usize;
         buf[pos] ^= flip;
         // Corruption may still decode to *some* valid message (e.g. a

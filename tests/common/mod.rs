@@ -51,9 +51,10 @@ pub fn grid_fingerprint(gm: &GridMonitor) -> u64 {
             }
             h.word(gm.memory().dropped(id));
             // One forecast-CSV line per series, hashed bit-for-bit.
-            let line = match gm.forecasts().forecast_at(id, now) {
+            let line = match gm.forecasts().forecast(id) {
                 None => format!("{},{:?},cold\n", p.name(), metric),
                 Some(a) => {
+                    let staleness = gm.archive().staleness(id, now).expect("a forecast was fed");
                     let iv = a.interval.as_ref().map_or_else(
                         || "-".to_string(),
                         |iv| format!("{:016x}:{:016x}", iv.lo.to_bits(), iv.hi.to_bits()),
@@ -65,7 +66,7 @@ pub fn grid_fingerprint(gm: &GridMonitor) -> u64 {
                         a.forecast.value.to_bits(),
                         a.forecast.method,
                         a.observations,
-                        a.staleness.to_bits(),
+                        staleness.to_bits(),
                         a.confidence.to_bits(),
                         iv
                     )

@@ -6,7 +6,7 @@
 //! holding a thousand idle connections without spawning a thread or
 //! growing memory per connection.
 
-use nws::grid::{GridMonitor, GridMonitorConfig, Wal};
+use nws::grid::{GridMonitor, GridMonitorConfig, MemoryConfig, Wal};
 use nws::server::{
     ClientConfig, GridState, InMemoryTransport, NwsClient, ReactorConfig, ReactorServer,
     ReplicaState, ServerConfig, Transport,
@@ -169,7 +169,7 @@ fn replica_syncs_over_the_reactor() {
         .expect("bind reactor");
     let mut feed = NwsClient::connect(reactor.addr(), ClientConfig::default()).expect("connect");
     let host_refs: Vec<&str> = HostProfile::all().iter().map(|p| p.name()).collect();
-    let mut replica = ReplicaState::new(&host_refs, GridMonitorConfig::default());
+    let mut replica = ReplicaState::new(&host_refs, MemoryConfig::default());
     replica.sync(&mut feed).expect("replicate over the reactor");
     assert!(replica.synced(), "replica caught up through the reactor");
 }
