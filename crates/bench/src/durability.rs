@@ -7,7 +7,9 @@ use crate::cli::Tier;
 use crate::write_artifact;
 use nws_faults::{CrashKind, CrashPlan};
 use nws_grid::wal::replay;
-use nws_grid::{recover_memory, GridMonitor, GridMonitorConfig, MemoryConfig, RecoverySource, Wal};
+use nws_grid::{
+    recover_memory_rotated, GridMonitor, GridMonitorConfig, MemoryConfig, RecoverySource, Wal,
+};
 use nws_server::{
     ClientConfig, FailoverClient, GridState, NwsClient, ReactorConfig, ReactorServer, ReplicaState,
     ServerConfig, Transport,
@@ -165,14 +167,14 @@ pub fn run(seed: u64, tier: Tier) {
             // back to genesis replay of the full journal.
             "truncated_snapshot" => {
                 let snap_cut = (*cut).min(snapshot.len().saturating_sub(1));
-                recover_memory(mem_config, Some(&snapshot[..snap_cut]), &wal, |_| {})
+                recover_memory_rotated(mem_config, Some(&snapshot[..snap_cut]), &wal, 0, |_| {})
             }
             // An intact snapshot plus the journal suffix.
-            "snapshot" => recover_memory(mem_config, Some(&snapshot), &wal, |_| {}),
+            "snapshot" => recover_memory_rotated(mem_config, Some(&snapshot), &wal, 0, |_| {}),
             // A kill at `cut`: replay whatever survived, torn tail and
             // all, then resume over the rest of the golden journal (the
             // deterministic restart re-run).
-            _ => recover_memory(mem_config, None, &wal[..*cut], |_| {}),
+            _ => recover_memory_rotated(mem_config, None, &wal[..*cut], 0, |_| {}),
         };
         let torn = report.tail_error.is_some();
         if matches!(*kind, "clean_kill" | "torn_record") {

@@ -56,6 +56,6 @@ pub use monitor::{GridMonitor, GridMonitorConfig, TestObservation, TestSchedule}
 pub use registry::{Metric, Registry, ResourceId, ResourceInfo};
 pub use service::{ForecastAnswer, ForecastService};
 pub use wal::{
-    recover_memory, recover_memory_rotated, CheckpointReport, RecoveryReport, RecoverySource,
-    Replay, SnapshotStore, Wal, WalError, WalRecord,
+    recover_memory_rotated, CheckpointReport, RecoveryReport, RecoverySource, Replay,
+    SnapshotStore, Wal, WalError, WalRecord,
 };

@@ -566,7 +566,7 @@ impl Memory {
         let mut meta = Vec::with_capacity(nseries);
         for _ in 0..nseries {
             let len = take(&mut off)? as usize;
-            if len > retain || len * 16 > body.len() - off {
+            if len > retain || len > (body.len() - off) / 16 {
                 return Err(WalError::Snapshot("series length out of bounds"));
             }
             let mut buf = ColumnSeries {
@@ -582,7 +582,7 @@ impl Memory {
             }
             let dropped = take(&mut off)?;
             let ngaps = take(&mut off)? as usize;
-            if ngaps > retain || ngaps * 8 > body.len() - off {
+            if ngaps > retain || ngaps > (body.len() - off) / 8 {
                 return Err(WalError::Snapshot("gap count out of bounds"));
             }
             let mut gaps = VecDeque::with_capacity(ngaps);
@@ -824,5 +824,32 @@ mod tests {
             "dead prefix must be compacted away: {} slots",
             buf.times.len()
         );
+    }
+
+    #[test]
+    fn a_snapshot_claiming_a_huge_length_or_gap_count_is_refused() {
+        // One series under unbounded retention whose length or gap
+        // count, times its record size, wraps a u64. The CRC is valid,
+        // so only the bounds stand between the count and an allocation.
+        let craft = |len: u64, ngaps: u64| {
+            let mut out = SNAPSHOT_MAGIC.to_vec();
+            // retain, wal offset, global revision, series count, then the
+            // series: length, no points, dropped, gap count, no gaps,
+            // revision.
+            for v in [u64::MAX, 0, 0, 1, len, 0, ngaps, 0] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            let crc = crc32(&out);
+            out.extend_from_slice(&crc.to_le_bytes());
+            out
+        };
+        assert!(matches!(
+            Memory::from_snapshot(&craft(1 << 60, 0)),
+            Err(WalError::Snapshot("series length out of bounds"))
+        ));
+        assert!(matches!(
+            Memory::from_snapshot(&craft(0, 1 << 61)),
+            Err(WalError::Snapshot("gap count out of bounds"))
+        ));
     }
 }

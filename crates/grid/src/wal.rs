@@ -15,9 +15,10 @@
 //!   columnar state (live windows, gap rings, drop counts, revisions)
 //!   with a trailing CRC and the WAL offset it covers, so recovery
 //!   replays only the suffix.
-//! - **Recovery**: [`recover_memory`] composes the two — snapshot if one
-//!   validates, genesis otherwise, then a total replay of the WAL that
-//!   stops at the first corruption and keeps every record before it.
+//! - **Recovery**: [`recover_memory_rotated`] composes the two —
+//!   snapshot if one validates, genesis otherwise, then a total replay
+//!   of the WAL that stops at the first corruption and keeps every
+//!   record before it.
 //!   Recovered state is bit-identical to an uninterrupted run: same
 //!   column bytes, same per-segment and global revision counters, same
 //!   [`Memory::fingerprint`].
@@ -355,19 +356,6 @@ pub fn replay(bytes: &[u8], from: usize, mut f: impl FnMut(&WalRecord)) -> Repla
     }
 }
 
-/// The last record boundary at or below `target`, found by walking the
-/// frames of `bytes` from the start.
-fn boundary_at_or_below(bytes: &[u8], target: usize) -> usize {
-    let mut cut = 0;
-    while cut < target {
-        match WalRecord::decode_at(bytes, cut) {
-            Ok((_, next)) if next <= target => cut = next,
-            _ => break,
-        }
-    }
-    cut
-}
-
 // ---------------------------------------------------------------------------
 // The log itself
 
@@ -502,11 +490,12 @@ impl Wal {
         let target = upto.clamp(self.base, self.len()) - self.base;
         // The journal's end is always a record boundary — only `log`
         // appends and only a rotation drains — so a cut there (what
-        // every checkpoint asks for) needs no walk.
+        // every checkpoint asks for) needs no walk. Elsewhere the walk
+        // stops at the last record that ends at or below `target`.
         let cut = if target == self.bytes.len() {
             target
         } else {
-            boundary_at_or_below(&self.bytes, target)
+            replay(&self.bytes[..target], 0, |_| {}).end
         };
         self.drop_prefix(cut)
     }
@@ -622,7 +611,7 @@ impl SnapshotStore {
     }
 
     /// Loads the newest snapshot, if any exists. The bytes are returned
-    /// unvalidated — [`recover_memory`] (or [`Memory::from_snapshot`])
+    /// unvalidated — [`recover_memory_rotated`] (or [`Memory::from_snapshot`])
     /// decides whether they are usable.
     pub fn load_newest(&self) -> Result<Option<(u64, Vec<u8>)>, WalError> {
         let Some(&seq) = self.sequences()?.iter().max() else {
@@ -647,7 +636,7 @@ pub enum RecoverySource {
     Snapshot { wal_offset: usize },
 }
 
-/// What [`recover_memory`] did and found.
+/// What [`recover_memory_rotated`] did and found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Snapshot or genesis.
@@ -665,7 +654,10 @@ pub struct RecoveryReport {
     pub tail_error: Option<WalError>,
 }
 
-/// Rebuilds a [`Memory`] from an optional snapshot plus the WAL.
+/// Rebuilds a [`Memory`] from an optional snapshot plus the WAL, whose
+/// bytes start at absolute offset `wal_base`: 0 for a journal never
+/// rotated, [`Wal::start_offset`] for what [`Wal::bytes`] retains after
+/// [`Wal::rotate`]. The snapshot's covered offset is read absolutely.
 ///
 /// A snapshot that fails validation — or claims to cover more WAL than
 /// exists — is rejected (reported in the [`RecoveryReport`]) and
@@ -675,19 +667,6 @@ pub struct RecoveryReport {
 /// memory applied it. The memory is all this rebuilds: a forecaster is
 /// rebuilt by [`Archive::apply`](crate::Archive::apply) over a journal
 /// that reaches back to genesis.
-pub fn recover_memory(
-    config: MemoryConfig,
-    snapshot: Option<&[u8]>,
-    wal: &[u8],
-    on_record: impl FnMut(&WalRecord),
-) -> (Memory, RecoveryReport) {
-    recover_memory_rotated(config, snapshot, wal, 0, on_record)
-}
-
-/// [`recover_memory`] for a rotated journal: `wal` holds the bytes
-/// from absolute offset `wal_base` on (what [`Wal::bytes`] retains
-/// after [`Wal::rotate`]), and the snapshot's covered offset is
-/// interpreted absolutely.
 ///
 /// A rotated journal makes a genesis replay impossible — the early
 /// records are gone by design, because a snapshot covered them. So
@@ -1052,7 +1031,7 @@ mod tests {
             log(&mut fast, round * 10);
             log(&mut walk, round * 10);
             let dropped = fast.rotate(fast.len()).expect("fast rotate");
-            let cut = boundary_at_or_below(walk.bytes(), walk.bytes().len());
+            let cut = replay(walk.bytes(), 0, |_| {}).end;
             assert_eq!(walk.drop_prefix(cut).expect("walked rotate"), dropped);
             assert_eq!(fast.start_offset(), walk.start_offset());
             assert_eq!(fast.start_offset(), fast.len());
@@ -1152,7 +1131,8 @@ mod tests {
         let snap = m.snapshot_bytes();
         // Offer the snapshot with a WAL shorter than it claims to cover.
         let wal = &m.journal().expect("attached").bytes()[..10];
-        let (_, report) = recover_memory(MemoryConfig { retain: 8 }, Some(&snap), wal, |_| {});
+        let (_, report) =
+            recover_memory_rotated(MemoryConfig { retain: 8 }, Some(&snap), wal, 0, |_| {});
         assert_eq!(report.source, RecoverySource::Genesis);
         assert_eq!(
             report.snapshot_error,

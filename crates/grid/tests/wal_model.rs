@@ -9,7 +9,7 @@
 //! fingerprint exactly.
 
 use nws_grid::wal::replay;
-use nws_grid::{recover_memory, Memory, MemoryConfig, ResourceId, Wal, WalRecord};
+use nws_grid::{recover_memory_rotated, Memory, MemoryConfig, ResourceId, Wal, WalRecord};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -237,14 +237,14 @@ proptest! {
         }
 
         // Cold start: replay the whole journal from genesis.
-        let (from_genesis, report) = recover_memory(config, None, wal.bytes(), |_| {});
+        let (from_genesis, report) = recover_memory_rotated(config, None, wal.bytes(), 0, |_| {});
         prop_assert!(report.tail_error.is_none());
         prop_assert_eq!(report.replayed as usize, records.len());
         prop_assert_eq!(from_genesis.fingerprint(), golden.fingerprint());
 
         // Warm start: snapshot plus the journal suffix.
         let snap = snapshot.expect("snap_at is always in range");
-        let (from_snap, report) = recover_memory(config, Some(&snap), wal.bytes(), |_| {});
+        let (from_snap, report) = recover_memory_rotated(config, Some(&snap), wal.bytes(), 0, |_| {});
         prop_assert!(report.tail_error.is_none());
         prop_assert!(report.snapshot_error.is_none());
         prop_assert_eq!(report.replayed as usize, records.len() - snap_at);

@@ -40,19 +40,18 @@
 //!
 //! Pipelining falls out of the design: every complete frame buffered
 //! on a connection is dispatched in arrival order and the replies are
-//! appended to a per-connection write queue, so many requests can be
-//! in flight on one socket and replies never reorder. Replies are
+//! appended to the connection's one write buffer, so many requests can
+//! be in flight on one socket and replies never reorder. Replies are
 //! encoded zero-copy ([`Dispatch::dispatch_frame`]) straight into that
-//! queue, and the flush path uses a vectored write when a freshly
-//! encoded reply would otherwise have to be copied behind an
-//! undrained queue tail.
+//! buffer; the flush writes its unwritten tail until the socket pushes
+//! back, and clears it once the socket has taken everything.
 
 use crate::state::{Dispatch, GridState};
 use nws_wire::{
     append_response_frame, split_frame, ErrorCode, ErrorReply, FrameKind, Request, Response,
     WireError, HEADER_LEN,
 };
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -319,20 +318,17 @@ struct Conn {
     /// Buffered request bytes; `in_pos` marks the consumed prefix.
     inbuf: Vec<u8>,
     in_pos: usize,
-    /// The write queue: reply frames not yet accepted by the socket.
-    pending: Vec<u8>,
-    pending_pos: usize,
-    /// Replies encoded since the last flush — written straight from
-    /// here (vectored with the queue tail) in the common case, folded
-    /// into `pending` only when the socket pushes back.
-    fresh: Vec<u8>,
-    /// Peer half-closed its write side; close once replies drain.
-    eof: bool,
+    /// Reply frames in arrival order; `out_pos` marks the prefix the
+    /// socket has taken. Cleared only once the socket takes it all.
+    out: Vec<u8>,
+    out_pos: usize,
     /// Idle cut: reset on every successful read.
     idle_at: Instant,
     /// Whole-frame budget: reset at each request boundary.
     frame_at: Instant,
-    /// Armed while the write queue is nonempty.
+    /// Stalled-writer deadline: armed at the first push-back from the
+    /// socket, cleared only when `out` drains whole, so a backlog lives
+    /// at most `WRITE_TIMEOUT`.
     write_at: Option<Instant>,
     /// This connection holds a slot in `ServeCounters::active`.
     counted: bool,
@@ -348,65 +344,24 @@ impl Conn {
     }
 
     fn has_backlog(&self) -> bool {
-        self.pending.len() > self.pending_pos || !self.fresh.is_empty()
+        self.out_pos < self.out.len()
     }
 
-    /// Pushes queued reply bytes into the socket; `Ok(true)` when
-    /// everything has been written. Uses one plain write when only one
-    /// span exists and one vectored write when a fresh reply sits
-    /// behind an undrained queue tail — the fresh bytes are only
-    /// memcpy'd into the queue if the socket refuses them.
+    /// Pushes the unwritten replies into the socket; `Ok(true)` once it
+    /// has taken everything, when the buffer is cleared.
     fn flush(&mut self) -> std::io::Result<bool> {
-        loop {
-            let a_len = self.pending.len() - self.pending_pos;
-            let b_len = self.fresh.len();
-            if a_len == 0 && b_len == 0 {
-                self.pending.clear();
-                self.pending_pos = 0;
-                return Ok(true);
-            }
-            let res = if a_len == 0 {
-                self.stream.write(&self.fresh)
-            } else if b_len == 0 {
-                self.stream.write(&self.pending[self.pending_pos..])
-            } else {
-                self.stream.write_vectored(&[
-                    IoSlice::new(&self.pending[self.pending_pos..]),
-                    IoSlice::new(&self.fresh),
-                ])
-            };
-            match res {
+        while self.has_backlog() {
+            match self.stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    let from_a = n.min(a_len);
-                    self.pending_pos += from_a;
-                    let from_b = n - from_a;
-                    if self.pending_pos == self.pending.len() && b_len > 0 {
-                        // Queue drained mid-write: the unwritten tail
-                        // of `fresh` becomes the queue without a copy.
-                        std::mem::swap(&mut self.pending, &mut self.fresh);
-                        self.fresh.clear();
-                        self.pending_pos = from_b;
-                    } else {
-                        debug_assert_eq!(from_b, 0);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if !self.fresh.is_empty() {
-                        if self.pending_pos == self.pending.len() {
-                            std::mem::swap(&mut self.pending, &mut self.fresh);
-                            self.pending_pos = 0;
-                        } else {
-                            self.pending.extend_from_slice(&self.fresh);
-                        }
-                        self.fresh.clear();
-                    }
-                    return Ok(false);
-                }
+                Ok(n) => self.out_pos += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        self.out.clear();
+        self.out_pos = 0;
+        Ok(true)
     }
 }
 
@@ -415,7 +370,7 @@ enum Close {
     /// Hang up with nothing more to say (peer gone, deadline hit,
     /// shutdown).
     Silent,
-    /// An error frame is queued; drain it, then hang up.
+    /// Replies or an error frame are queued; drain them, then hang up.
     AfterDrain,
 }
 
@@ -527,10 +482,8 @@ impl<D: Dispatch> EventLoop<D> {
             interest: 0,
             inbuf: Vec::new(),
             in_pos: 0,
-            pending: Vec::new(),
-            pending_pos: 0,
-            fresh: Vec::new(),
-            eof: false,
+            out: Vec::new(),
+            out_pos: 0,
             idle_at: now + self.config.server.read_timeout,
             frame_at: now + self.config.server.request_deadline,
             write_at: None,
@@ -539,7 +492,7 @@ impl<D: Dispatch> EventLoop<D> {
         if let Admission::Refuse = admission {
             // The refusal is best-effort with a tight budget, written
             // by the accepting loop itself.
-            append_response_frame(&mut conn.fresh, &overload_response());
+            append_response_frame(&mut conn.out, &overload_response());
             conn.idle_at = now + REFUSAL_DEADLINE;
             conn.frame_at = conn.idle_at;
             if matches!(conn.flush(), Ok(true) | Err(_)) {
@@ -621,9 +574,12 @@ impl<D: Dispatch> EventLoop<D> {
 
     /// One readable step: pull bytes, then dispatch every complete
     /// frame in arrival order (pipelining), appending replies to the
-    /// write queue in the same order.
+    /// write buffer in the same order.
     fn readable(&mut self, slot: usize) -> Option<Close> {
         let now = Instant::now();
+        // Peer half-closed its write side: answer what was pipelined,
+        // then leave.
+        let mut eof = false;
         // Read until the socket runs dry.
         {
             let conn = self.conns[slot].as_mut()?;
@@ -633,7 +589,7 @@ impl<D: Dispatch> EventLoop<D> {
                 match conn.stream.read(&mut conn.inbuf[old..]) {
                     Ok(0) => {
                         conn.inbuf.truncate(old);
-                        conn.eof = true;
+                        eof = true;
                         break;
                     }
                     Ok(n) => {
@@ -654,24 +610,14 @@ impl<D: Dispatch> EventLoop<D> {
                 }
             }
         }
-        // Dispatch complete frames.
-        let malformed = self.process_frames(slot);
-        let conn = self.conns[slot].as_mut()?;
-        if let Some(e) = malformed {
-            // A typed refusal, then close: the stream can no longer be
-            // trusted to be frame-aligned.
-            let resp = Response::Error(ErrorReply {
-                code: ErrorCode::BadRequest,
-                message: format!("malformed request: {e}"),
-            });
-            append_response_frame(&mut conn.fresh, &resp);
-            return Some(Close::AfterDrain);
+        if let Some(close) = self.process_frames(slot) {
+            return Some(close);
         }
-        if conn.eof {
-            // Peer half-closed: answer what was pipelined, then leave.
+        if eof {
             return Some(Close::AfterDrain);
         }
         // Compact the consumed prefix once it is worth the memmove.
+        let conn = self.conns[slot].as_mut()?;
         if conn.in_pos == conn.inbuf.len() {
             conn.inbuf.clear();
             conn.in_pos = 0;
@@ -682,46 +628,49 @@ impl<D: Dispatch> EventLoop<D> {
         None
     }
 
-    /// Dispatches every complete frame buffered on `slot`. Returns the
-    /// wire error of the first malformed frame, if any.
-    fn process_frames(&mut self, slot: usize) -> Option<WireError> {
+    /// Dispatches every complete frame buffered on `slot`. Returns how
+    /// the connection must close if a frame is malformed or shutdown
+    /// has begun.
+    fn process_frames(&mut self, slot: usize) -> Option<Close> {
         loop {
-            let (req, frame_len) = {
-                let conn = self.conns[slot].as_ref()?;
-                match split_frame(&conn.inbuf[conn.in_pos..]) {
-                    // Reading-header or reading-payload state: wait for
-                    // the rest. The whole-frame budget armed at the last
-                    // request boundary keeps counting.
-                    Err(WireError::Truncated) => return None,
-                    Err(e) => return Some(e),
-                    // Same refusal (and the same "wait for the full
-                    // payload first" behavior) as `read_request`.
-                    Ok((FrameKind::Response, _)) => return Some(WireError::BadKind(1)),
-                    Ok((FrameKind::Request, payload)) => match Request::decode(payload) {
-                        Ok(req) => (req, HEADER_LEN + payload.len()),
-                        Err(e) => return Some(e),
-                    },
+            let conn = self.conns[slot].as_mut()?;
+            let frame = match split_frame(&conn.inbuf[conn.in_pos..]) {
+                // Reading-header or reading-payload state: wait for the
+                // rest. The whole-frame budget armed at the last request
+                // boundary keeps counting.
+                Err(WireError::Truncated) => return None,
+                Err(e) => Err(e),
+                // Same refusal (and the same "wait for the full payload
+                // first" behavior) as `read_request`.
+                Ok((FrameKind::Response, _)) => Err(WireError::BadKind(1)),
+                Ok((FrameKind::Request, payload)) => {
+                    Request::decode(payload).map(|req| (req, HEADER_LEN + payload.len()))
+                }
+            };
+            let (req, frame_len) = match frame {
+                Ok(frame) => frame,
+                Err(e) => {
+                    // A typed refusal, then close: the stream can no
+                    // longer be trusted to be frame-aligned.
+                    let resp = Response::Error(ErrorReply {
+                        code: ErrorCode::BadRequest,
+                        message: format!("malformed request: {e}"),
+                    });
+                    append_response_frame(&mut conn.out, &resp);
+                    return Some(Close::AfterDrain);
                 }
             };
             if self.shutdown.load(Ordering::SeqCst) {
                 // Hang up without answering once shutdown begins, the
                 // way a killed process would.
-                let conn = self.conns[slot].as_mut()?;
-                conn.eof = true;
-                conn.fresh.clear();
-                conn.pending.clear();
-                conn.pending_pos = 0;
-                return None;
+                return Some(Close::Silent);
             }
-            {
-                let conn = self.conns[slot].as_mut()?;
-                let mut state = self.state.lock().expect("server state poisoned");
-                state.dispatch_frame(&req, &mut conn.fresh);
-                drop(state);
-                conn.in_pos += frame_len;
-                // Request boundary: a fresh whole-frame budget.
-                conn.frame_at = Instant::now() + self.config.server.request_deadline;
-            }
+            let mut state = self.state.lock().expect("server state poisoned");
+            state.dispatch_frame(&req, &mut conn.out);
+            drop(state);
+            conn.in_pos += frame_len;
+            // Request boundary: a fresh whole-frame budget.
+            conn.frame_at = Instant::now() + self.config.server.request_deadline;
         }
     }
 
@@ -730,12 +679,7 @@ impl<D: Dispatch> EventLoop<D> {
     fn flush_and_update(&mut self, slot: usize) -> Option<Close> {
         let conn = self.conns[slot].as_mut()?;
         match conn.flush() {
-            Ok(true) => {
-                conn.write_at = None;
-                if conn.eof {
-                    return Some(Close::Silent);
-                }
-            }
+            Ok(true) => conn.write_at = None,
             Ok(false) => {
                 if conn.write_at.is_none() {
                     conn.write_at = Some(Instant::now() + WRITE_TIMEOUT);

@@ -16,7 +16,7 @@ use common::*;
 use nws::faults::{CrashKind, CrashPlan};
 use nws::grid::wal::replay;
 use nws::grid::{
-    recover_memory, ForecastService, GridMonitor, GridMonitorConfig, Memory, MemoryConfig,
+    recover_memory_rotated, ForecastService, GridMonitor, GridMonitorConfig, Memory, MemoryConfig,
     RecoverySource, ResourceId, Wal,
 };
 use nws::server::{
@@ -57,7 +57,7 @@ fn golden_memory(faulted: bool) -> u64 {
 /// memory.
 fn recover_and_resume(wal: &[u8], cut: usize) -> Memory {
     let config = GridMonitorConfig::default().memory;
-    let (mut mem, report) = recover_memory(config, None, &wal[..cut], |_| {});
+    let (mut mem, report) = recover_memory_rotated(config, None, &wal[..cut], 0, |_| {});
     assert!(
         report.valid_wal_len <= cut,
         "recovery never reads past the kill point"
@@ -151,7 +151,8 @@ fn seeded_crash_plan_events_all_recover() {
                 // falls back to genesis replay of the full journal.
                 let cut = cut.min(snap.len().saturating_sub(1));
                 let config = GridMonitorConfig::default().memory;
-                let (mem, report) = recover_memory(config, Some(&snap[..cut]), &wal, |_| {});
+                let (mem, report) =
+                    recover_memory_rotated(config, Some(&snap[..cut]), &wal, 0, |_| {});
                 assert_eq!(report.source, RecoverySource::Genesis);
                 assert!(report.snapshot_error.is_some(), "truncation is typed");
                 assert_eq!(mem.fingerprint(), golden, "round {round}: {event:?}");
@@ -176,7 +177,7 @@ fn snapshot_plus_wal_suffix_recovers_bit_identically() {
     assert_eq!(golden, GOLDEN_FAULT_MEMORY);
 
     let config = GridMonitorConfig::default().memory;
-    let (mem, report) = recover_memory(config, Some(&snap), &wal, |_| {});
+    let (mem, report) = recover_memory_rotated(config, Some(&snap), &wal, 0, |_| {});
     match report.source {
         RecoverySource::Snapshot { wal_offset } => {
             assert!(wal_offset > 0 && wal_offset < wal.len());

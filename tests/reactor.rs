@@ -1,7 +1,8 @@
 //! The epoll reactor is the one socket server, and on the wire it must
 //! be indistinguishable from the socket-free in-memory transport:
 //! byte-identical replies whatever the event-loop count, pipelined
-//! replies in request order, replication served from the same WAL
+//! replies in request order (through a half-close, and through a socket
+//! that pushes back), replication served from the same WAL
 //! bytes, hostile peers cut without hurting healthy ones — while
 //! holding a thousand idle connections without spawning a thread or
 //! growing memory per connection.
@@ -17,7 +18,7 @@ use nws::wire::{
     HEADER_LEN, MAX_STRING,
 };
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,6 +89,31 @@ fn payload_trace(t: &mut impl Transport, seq: &[Request]) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Connects a raw socket and writes every request of `seq` in one
+/// burst, reading nothing: a real pipelining client.
+fn pipeline(addr: SocketAddr, seq: &[Request]) -> TcpStream {
+    let mut sock = TcpStream::connect(addr).expect("connect raw");
+    sock.set_nodelay(true).expect("nodelay");
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut burst = Vec::new();
+    for req in seq {
+        append_request_frame(&mut burst, req);
+    }
+    sock.write_all(&burst).expect("write pipelined burst");
+    sock
+}
+
+/// Reads one reply frame off `sock` and returns its payload.
+fn read_payload(sock: &mut TcpStream) -> Vec<u8> {
+    let mut header = [0u8; HEADER_LEN];
+    sock.read_exact(&mut header).expect("response header");
+    let (_, len) = parse_frame_header(&header).expect("well-formed header");
+    let mut payload = vec![0u8; len];
+    sock.read_exact(&mut payload).expect("response payload");
+    payload
+}
+
 fn reactor_config(event_loops: usize) -> ReactorConfig {
     ReactorConfig {
         event_loops,
@@ -136,29 +162,106 @@ fn pipelined_replies_arrive_in_request_order() {
     let reactor = ReactorServer::spawn(GridState::new(warm_grid(steps)), reactor_config(2))
         .expect("bind reactor");
 
-    // Fire every request in one burst, no reads in between: a real
-    // pipelining client. Replies must come back complete and in
-    // request order.
-    let mut sock = TcpStream::connect(reactor.addr()).expect("connect raw");
-    sock.set_nodelay(true).expect("nodelay");
-    sock.set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    let mut burst = Vec::new();
-    for req in &seq {
-        append_request_frame(&mut burst, req);
-    }
-    sock.write_all(&burst).expect("write pipelined burst");
-
+    // Fire every request in one burst, no reads in between. Replies
+    // must come back complete and in request order.
+    let mut sock = pipeline(reactor.addr(), &seq);
     for (i, want) in expected.iter().enumerate() {
-        let mut header = [0u8; HEADER_LEN];
-        sock.read_exact(&mut header).expect("response header");
-        let (_, len) = parse_frame_header(&header).expect("well-formed header");
-        let mut payload = vec![0u8; len];
-        sock.read_exact(&mut payload).expect("response payload");
         assert_eq!(
-            payload, *want,
+            read_payload(&mut sock),
+            *want,
             "pipelined reply {i} out of order or corrupted"
         );
+    }
+}
+
+#[test]
+fn a_half_closed_pipeline_is_answered_in_full_then_closed() {
+    let _guard = lock();
+    let steps = 60;
+    let hosts: Vec<String> = warm_grid(steps)
+        .hosts()
+        .map(|(host, _)| host.to_string())
+        .collect();
+    let seq = fixed_sequence(&hosts);
+    let mut mem = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(warm_grid(steps)))));
+    let expected = payload_trace(&mut mem, &seq);
+
+    for loops in [1usize, 4] {
+        let reactor = ReactorServer::spawn(GridState::new(warm_grid(steps)), reactor_config(loops))
+            .expect("bind reactor");
+        // Pipeline every request, then close the write side at once:
+        // the server reads EOF with every request already buffered.
+        let mut sock = pipeline(reactor.addr(), &seq);
+        sock.shutdown(Shutdown::Write).expect("half-close");
+        for (i, want) in expected.iter().enumerate() {
+            assert_eq!(
+                read_payload(&mut sock),
+                *want,
+                "reply {i} after the half-close ({loops} loop(s))"
+            );
+        }
+        let mut rest = Vec::new();
+        sock.read_to_end(&mut rest)
+            .expect("the server closes after the last reply");
+        assert!(
+            rest.is_empty(),
+            "EOF after the last reply ({loops} loop(s))"
+        );
+    }
+}
+
+#[test]
+fn replies_the_socket_pushes_back_arrive_whole_and_in_order() {
+    let _guard = lock();
+    // A day-warm host keeps 8,640 points per series, so a batch of four
+    // full tails is a ~550 KB reply, and 48 of them (~26 MB) are more
+    // than a loopback socket buffers: the server's writes are refused
+    // while the client reads nothing. Each tail is one point shorter
+    // than the last, so a reordered reply cannot match.
+    const BATCHES: usize = 48;
+    const TAILS: usize = 4;
+    let day_warm = || {
+        let mut grid = GridMonitor::new(&[HostProfile::Thing1], SEED, GridMonitorConfig::default());
+        grid.run_steps(8_640);
+        grid
+    };
+    let seq: Vec<Request> = (0..BATCHES)
+        .map(|i| {
+            let tail = Request::SeriesTail {
+                host: "thing1".into(),
+                n: (8_640 - i) as u32,
+            };
+            Request::Batch(vec![tail; TAILS])
+        })
+        .collect();
+    let mut mem = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(day_warm()))));
+    let expected = payload_trace(&mut mem, &seq);
+
+    for loops in [1usize, 4] {
+        let reactor = ReactorServer::spawn(GridState::new(day_warm()), reactor_config(loops))
+            .expect("bind reactor");
+        let mut sock = pipeline(reactor.addr(), &seq);
+        // Read nothing until the server reports every tail dispatched
+        // (each `Stats` counts itself too), so its replies are encoded
+        // and pushed at a socket nobody drains.
+        let mut watcher =
+            NwsClient::connect(reactor.addr(), ClientConfig::default()).expect("connect watcher");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for polls in 1u64.. {
+            let requests = watcher.stats().expect("stats").requests;
+            if requests >= (BATCHES * TAILS) as u64 + polls {
+                break;
+            }
+            assert!(Instant::now() < deadline, "only {requests} requests served");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for (i, want) in expected.iter().enumerate() {
+            assert_eq!(
+                read_payload(&mut sock),
+                *want,
+                "reply {i} after backpressure ({loops} loop(s))"
+            );
+        }
     }
 }
 
