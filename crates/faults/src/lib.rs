@@ -205,11 +205,6 @@ impl HostFaults {
         }
     }
 
-    /// True when this stream can never inject a fault.
-    pub fn is_inert(&self) -> bool {
-        self.rng.is_none()
-    }
-
     /// Draw the faults for `slot`. `probe_slot` marks slots where the
     /// hybrid sensor runs its probe; probe-failure draws happen only
     /// there so passive-only slots stay cheap and streams stay aligned.
@@ -446,7 +441,6 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(plan.is_none());
         let mut hf = plan.host_faults("conundrum");
-        assert!(hf.is_inert());
         for s in 0..500 {
             assert!(hf.slot(s, s % 6 == 0).is_clear());
         }

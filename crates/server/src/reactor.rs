@@ -13,13 +13,25 @@
 //! threads, so the connection cap is an admission policy rather than a
 //! thread budget.
 //!
-//! Per connection the reactor runs a tiny state machine —
-//! reading-header → reading-payload → dispatching → writing — layered
-//! over the wire crate's buffered-frame parser [`split_frame`], which
-//! decodes each frame where it lies in the input buffer — the parser
-//! the socket-free [`InMemoryTransport`](crate::InMemoryTransport) runs
-//! too, so the two stay byte-identical (the tests pin this, pipelined
-//! and replica traffic included).
+//! A connection is its two buffers, its deadlines and one `hangup`
+//! flag: once set, nothing more is read or dispatched and the
+//! connection closes as soon as its queued bytes are sent. Every epoll
+//! event on a connection runs the same step — read, dispatch every
+//! complete frame, flush, then close or sync the epoll interest — and
+//! one interest rule derives what to wait for from the flag and the
+//! unsent bytes. Frames are split where they lie in the input buffer
+//! by the wire crate's [`split_frame`], the parser the socket-free
+//! [`InMemoryTransport`](crate::InMemoryTransport) runs too, so the two
+//! stay byte-identical (the tests pin this, pipelined, fragmented and
+//! replica traffic included).
+//!
+//! Pipelining falls out of the design: complete frames are dispatched
+//! in arrival order and their replies appended to the connection's one
+//! write buffer, encoded zero-copy ([`Dispatch::dispatch_frame`]), so
+//! replies never reorder. Dispatch pauses while [`MAX_FRAME`] bytes of
+//! replies are unsent, and reading pauses with it, so a peer that
+//! pipelines requests without reading the replies is held back by TCP
+//! flow control rather than by server memory.
 //!
 //! The defences against hostile peers are reactor-native:
 //!
@@ -30,26 +42,17 @@
 //!   deadline, so a peer trickling one byte at a time runs out of wall
 //!   clock instead of resetting the idle timer with every byte;
 //! - the connection cap ([`ServerConfig::max_connections`]) is an
-//!   **accept gate**: over-cap connections get a typed `Overloaded`
-//!   frame, written nonblocking by the accepting loop under a tight
-//!   budget, then closed — a peer that never reads its refusal cannot
-//!   stall the loop;
-//! - a malformed frame is answered with one typed `BadRequest` frame,
-//!   then the connection closes: the stream can no longer be trusted
+//!   **accept gate**: an over-cap connection is born hung up with a
+//!   typed `Overloaded` frame queued under a tight deadline, so a peer
+//!   that never reads its refusal cannot stall the loop;
+//! - a malformed frame is answered with one typed `BadRequest` frame
+//!   and hangs the connection up: the stream can no longer be trusted
 //!   to be frame-aligned.
-//!
-//! Pipelining falls out of the design: every complete frame buffered
-//! on a connection is dispatched in arrival order and the replies are
-//! appended to the connection's one write buffer, so many requests can
-//! be in flight on one socket and replies never reorder. Replies are
-//! encoded zero-copy ([`Dispatch::dispatch_frame`]) straight into that
-//! buffer; the flush writes its unwritten tail until the socket pushes
-//! back, and clears it once the socket has taken everything.
 
 use crate::state::{Dispatch, GridState};
 use nws_wire::{
     append_response_frame, split_frame, ErrorCode, ErrorReply, FrameKind, Request, Response,
-    WireError, HEADER_LEN,
+    WireError, HEADER_LEN, MAX_FRAME,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -62,6 +65,11 @@ use std::time::{Duration, Instant};
 /// How long a connection's queued replies may sit unaccepted by the
 /// socket before the server gives the connection up.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Unsent reply bytes at which a connection stops reading and
+/// dispatching. One reply is at most one frame, so the unsent bytes
+/// stay below twice this plus a header.
+const BACKLOG_CAP: usize = MAX_FRAME;
 
 /// Deadlines and the connection cap of a [`ReactorServer`].
 #[derive(Debug, Clone, Copy)]
@@ -111,9 +119,9 @@ struct ServeCounters {
 
 impl ServeCounters {
     /// The accept gate: counts the connection into `active` while that
-    /// is below `cap`. One compare-and-swap decides, so loops accepting
-    /// at once never admit past the cap.
-    fn admit(&self, cap: usize) -> Admission {
+    /// is below `cap`, and says whether it did. One compare-and-swap
+    /// decides, so loops accepting at once never admit past the cap.
+    fn admit(&self, cap: usize) -> bool {
         let admitted = self
             .active
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
@@ -122,11 +130,10 @@ impl ServeCounters {
             .is_ok();
         if admitted {
             self.accepted.fetch_add(1, Ordering::SeqCst);
-            Admission::Serve
         } else {
             self.refused.fetch_add(1, Ordering::SeqCst);
-            Admission::Refuse
         }
+        admitted
     }
 }
 
@@ -291,29 +298,12 @@ impl Default for ReactorConfig {
     }
 }
 
-/// How a freshly accepted connection enters its event loop.
-enum Admission {
-    /// Under the cap: serve requests.
-    Serve,
-    /// Over the cap: write the typed `Overloaded` frame, then close.
-    Refuse,
-}
-
-/// What a connection is doing.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// The request/reply cycle.
-    Serving,
-    /// Flushing a refusal or a malformed-request error frame; close as
-    /// soon as the queue drains. No further reads are processed.
-    Draining,
-}
-
-/// One connection's state: buffers, phase, and deadlines.
+/// One connection: its buffers, its deadlines and whether it has hung up.
 struct Conn {
     stream: TcpStream,
-    phase: Phase,
-    /// Events currently registered with epoll.
+    /// No more reads or dispatch: close once `out` has been sent.
+    hangup: bool,
+    /// Events currently registered with epoll; 0 until registered.
     interest: u32,
     /// Buffered request bytes; `in_pos` marks the consumed prefix.
     inbuf: Vec<u8>,
@@ -343,35 +333,159 @@ impl Conn {
         earliest
     }
 
-    fn has_backlog(&self) -> bool {
-        self.out_pos < self.out.len()
+    fn unsent(&self) -> usize {
+        self.out.len() - self.out_pos
     }
 
-    /// Pushes the unwritten replies into the socket; `Ok(true)` once it
-    /// has taken everything, when the buffer is cleared.
-    fn flush(&mut self) -> std::io::Result<bool> {
-        while self.has_backlog() {
+    /// Whether the connection takes more requests: it has not hung up
+    /// and its unsent replies are under the cap.
+    fn reading(&self) -> bool {
+        !self.hangup && self.unsent() < BACKLOG_CAP
+    }
+
+    /// The one interest rule: readable while [`Conn::reading`],
+    /// writable while any reply byte is unsent.
+    fn wanted_interest(&self) -> u32 {
+        let mut want = if self.unsent() > 0 { EPOLLOUT } else { 0 };
+        if self.reading() {
+            want |= EPOLLIN | EPOLLRDHUP;
+        }
+        want
+    }
+
+    /// One event's work: read what the socket holds (if it reported
+    /// readable), dispatch the complete frames and push the replies. An
+    /// error means close now, sending nothing more.
+    fn step<D: Dispatch>(
+        &mut self,
+        readable: bool,
+        state: &Mutex<D>,
+        config: &ServerConfig,
+        shutdown: &AtomicBool,
+    ) -> std::io::Result<()> {
+        let eof = readable && self.reading() && self.read_all(config.read_timeout)?;
+        let dispatched_all = self.dispatch(state, config.request_deadline, shutdown)?;
+        // The peer half-closed its write side: answer what it pipelined,
+        // then leave. Frames still held back by the cap come first; the
+        // level-triggered EPOLLIN reports the EOF again once reading
+        // resumes.
+        if eof && dispatched_all {
+            self.hangup = true;
+        }
+        Ok(())
+    }
+
+    /// Reads until the socket runs dry; `Ok(true)` if the peer has
+    /// half-closed. Every byte read resets the idle cut.
+    fn read_all(&mut self, read_timeout: Duration) -> std::io::Result<bool> {
+        // Compact the consumed prefix once it is worth the memmove.
+        if self.in_pos == self.inbuf.len() {
+            self.inbuf.clear();
+            self.in_pos = 0;
+        } else if self.in_pos > COMPACT_THRESHOLD {
+            self.inbuf.drain(..self.in_pos);
+            self.in_pos = 0;
+        }
+        let now = Instant::now();
+        loop {
+            let old = self.inbuf.len();
+            self.inbuf.resize(old + READ_CHUNK, 0);
+            let read = self.stream.read(&mut self.inbuf[old..]);
+            self.inbuf.truncate(old + read.as_ref().map_or(0, |&n| n));
+            match read {
+                Ok(0) => return Ok(true),
+                Ok(_) => self.idle_at = now + read_timeout,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Dispatches the complete frames in arrival order, appending each
+    /// reply to `out`, while the unsent replies are under the cap —
+    /// pushing them at the socket each time they reach it — then pushes
+    /// the rest. Returns whether every complete frame was dispatched.
+    fn dispatch<D: Dispatch>(
+        &mut self,
+        state: &Mutex<D>,
+        request_deadline: Duration,
+        shutdown: &AtomicBool,
+    ) -> std::io::Result<bool> {
+        while !self.hangup {
+            if self.unsent() >= BACKLOG_CAP {
+                self.flush()?;
+                if self.unsent() >= BACKLOG_CAP {
+                    // Held back until EPOLLOUT finds room.
+                    return Ok(false);
+                }
+            }
+            let frame = match split_frame(&self.inbuf[self.in_pos..]) {
+                // Reading a header or a payload: wait for the rest. The
+                // whole-frame budget armed at the last request boundary
+                // keeps counting.
+                Err(WireError::Truncated) => break,
+                Err(e) => Err(e),
+                // Same refusal (and the same "wait for the full payload
+                // first" behavior) as `read_request`.
+                Ok((FrameKind::Response, _)) => Err(WireError::BadKind(1)),
+                Ok((FrameKind::Request, payload)) => {
+                    Request::decode(payload).map(|req| (req, HEADER_LEN + payload.len()))
+                }
+            };
+            match frame {
+                Ok((req, frame_len)) => {
+                    if shutdown.load(Ordering::SeqCst) {
+                        // Hang up without answering once shutdown
+                        // begins, the way a killed process would.
+                        return Err(std::io::ErrorKind::ConnectionAborted.into());
+                    }
+                    let mut state = state.lock().expect("server state poisoned");
+                    state.dispatch_frame(&req, &mut self.out);
+                    drop(state);
+                    self.in_pos += frame_len;
+                    // Request boundary: a fresh whole-frame budget.
+                    self.frame_at = Instant::now() + request_deadline;
+                }
+                Err(e) => {
+                    // A typed refusal, then the hang-up: the stream can
+                    // no longer be trusted to be frame-aligned.
+                    let resp = Response::Error(ErrorReply {
+                        code: ErrorCode::BadRequest,
+                        message: format!("malformed request: {e}"),
+                    });
+                    append_response_frame(&mut self.out, &resp);
+                    self.hangup = true;
+                }
+            }
+        }
+        self.flush()?;
+        Ok(true)
+    }
+
+    /// Pushes the unsent replies at the socket until it pushes back,
+    /// arming the stalled-writer deadline if it does; once the socket
+    /// has taken everything the buffer is cleared and the deadline
+    /// disarmed.
+    fn flush(&mut self) -> std::io::Result<()> {
+        while self.unsent() > 0 {
             match self.stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.write_at
+                        .get_or_insert_with(|| Instant::now() + WRITE_TIMEOUT);
+                    return Ok(());
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
         self.out.clear();
         self.out_pos = 0;
-        Ok(true)
+        self.write_at = None;
+        Ok(())
     }
-}
-
-/// Why a connection is being torn down.
-enum Close {
-    /// Hang up with nothing more to say (peer gone, deadline hit,
-    /// shutdown).
-    Silent,
-    /// Replies or an error frame are queued; drain them, then hang up.
-    AfterDrain,
 }
 
 struct EventLoop<D: Dispatch> {
@@ -463,22 +577,20 @@ impl<D: Dispatch> EventLoop<D> {
         }
     }
 
-    /// Gates a freshly accepted connection and registers it in this
-    /// loop's slab: served under the cap, refused over it.
+    /// Gates a freshly accepted connection and puts it in this loop's
+    /// slab. Over the cap it is born hung up with the typed refusal
+    /// queued, so the refusal takes the same flush-then-register path
+    /// as any reply.
     fn admit(&mut self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let admission = self.counters.admit(self.config.server.max_connections);
+        let admitted = self.counters.admit(self.config.server.max_connections);
         let now = Instant::now();
-        let (phase, counted) = match admission {
-            Admission::Serve => (Phase::Serving, true),
-            Admission::Refuse => (Phase::Draining, false),
-        };
         let mut conn = Conn {
             stream,
-            phase,
+            hangup: !admitted,
             interest: 0,
             inbuf: Vec::new(),
             in_pos: 0,
@@ -487,247 +599,78 @@ impl<D: Dispatch> EventLoop<D> {
             idle_at: now + self.config.server.read_timeout,
             frame_at: now + self.config.server.request_deadline,
             write_at: None,
-            counted,
+            counted: admitted,
         };
-        if let Admission::Refuse = admission {
-            // The refusal is best-effort with a tight budget, written
-            // by the accepting loop itself.
+        if !admitted {
+            // The refusal is best-effort under a tight budget; the
+            // close is the real signal.
             append_response_frame(&mut conn.out, &overload_response());
             conn.idle_at = now + REFUSAL_DEADLINE;
             conn.frame_at = conn.idle_at;
-            if matches!(conn.flush(), Ok(true) | Err(_)) {
-                // Written whole (or the peer is already gone): close
-                // without ever registering.
+        }
+        let open = conn.flush().is_ok();
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        self.conns[slot] = Some(conn);
+        self.settle(slot, open);
+    }
+
+    /// Runs the step for one epoll event on a connection.
+    fn handle_event(&mut self, slot: usize, bits: u32) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return; // closed earlier in this batch, or never a slot
+        };
+        let open = if bits & (EPOLLERR | EPOLLHUP) != 0 {
+            // EPOLLHUP with a reply queued usually means the peer closed
+            // its read side after we saw it: a hung-up connection gives
+            // its queue one last push.
+            if conn.hangup {
+                let _ = conn.flush();
+            }
+            false
+        } else {
+            let readable = bits & (EPOLLIN | EPOLLRDHUP) != 0;
+            let config = &self.config.server;
+            conn.step(readable, &self.state, config, &self.shutdown)
+                .is_ok()
+        };
+        self.settle(slot, open);
+    }
+
+    /// Ends a step: closes the connection if it failed or has hung up
+    /// with everything sent, and otherwise brings its epoll interest in
+    /// line with [`Conn::wanted_interest`], registering it on its first
+    /// step. `epoll_ctl` runs only when the interest changes.
+    fn settle(&mut self, slot: usize, open: bool) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        if open && !(conn.hangup && conn.unsent() == 0) {
+            let want = conn.wanted_interest();
+            if want == conn.interest {
+                return;
+            }
+            let fd = conn.stream.as_raw_fd();
+            let synced = if conn.interest == 0 {
+                self.poller.add(fd, want, slot as u64)
+            } else {
+                self.poller.modify(fd, want, slot as u64)
+            };
+            if synced.is_ok() {
+                conn.interest = want;
                 return;
             }
         }
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.conns.push(None);
-                self.conns.len() - 1
-            }
-        };
-        let interest = match conn.phase {
-            Phase::Serving => EPOLLIN | EPOLLRDHUP,
-            Phase::Draining => EPOLLOUT,
-        };
-        conn.interest = interest;
-        let fd = conn.stream.as_raw_fd();
-        if self.poller.add(fd, interest, slot as u64).is_err() {
-            if conn.counted {
-                self.counters.active.fetch_sub(1, Ordering::SeqCst);
-            }
-            self.free.push(slot);
-            return;
-        }
-        self.conns[slot] = Some(conn);
-    }
-
-    fn handle_event(&mut self, slot: usize, bits: u32) {
-        let Some(conn) = self.conns.get(slot).and_then(|c| c.as_ref()) else {
-            return; // closed earlier in this batch, or never a slot
-        };
-        if bits & (EPOLLERR | EPOLLHUP) != 0 {
-            // On a draining connection give the queue one last push —
-            // EPOLLHUP with a refusal queued usually means the peer
-            // closed its read side after we saw it.
-            if conn.phase == Phase::Draining {
-                if let Some(c) = self.conns[slot].as_mut() {
-                    let _ = c.flush();
-                }
-            }
-            self.close(slot);
-            return;
-        }
-        match conn.phase {
-            Phase::Draining => {
-                if bits & (EPOLLOUT | EPOLLIN | EPOLLRDHUP) != 0 {
-                    self.drain_step(slot);
-                }
-            }
-            Phase::Serving => {
-                let mut closing: Option<Close> = None;
-                if bits & (EPOLLIN | EPOLLRDHUP) != 0 {
-                    closing = self.readable(slot);
-                }
-                if closing.is_none() && self.conns[slot].is_some() {
-                    closing = self.flush_and_update(slot);
-                }
-                match closing {
-                    Some(Close::Silent) => self.close(slot),
-                    Some(Close::AfterDrain) => {
-                        if let Some(c) = self.conns[slot].as_mut() {
-                            c.phase = Phase::Draining;
-                            if !c.has_backlog() {
-                                self.close(slot);
-                            } else {
-                                self.update_interest(slot);
-                            }
-                        }
-                    }
-                    None => {}
-                }
-            }
-        }
-    }
-
-    /// One readable step: pull bytes, then dispatch every complete
-    /// frame in arrival order (pipelining), appending replies to the
-    /// write buffer in the same order.
-    fn readable(&mut self, slot: usize) -> Option<Close> {
-        let now = Instant::now();
-        // Peer half-closed its write side: answer what was pipelined,
-        // then leave.
-        let mut eof = false;
-        // Read until the socket runs dry.
-        {
-            let conn = self.conns[slot].as_mut()?;
-            loop {
-                let old = conn.inbuf.len();
-                conn.inbuf.resize(old + READ_CHUNK, 0);
-                match conn.stream.read(&mut conn.inbuf[old..]) {
-                    Ok(0) => {
-                        conn.inbuf.truncate(old);
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.inbuf.truncate(old + n);
-                        conn.idle_at = now + self.config.server.read_timeout;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        conn.inbuf.truncate(old);
-                        break;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                        conn.inbuf.truncate(old);
-                    }
-                    Err(_) => {
-                        conn.inbuf.truncate(old);
-                        return Some(Close::Silent);
-                    }
-                }
-            }
-        }
-        if let Some(close) = self.process_frames(slot) {
-            return Some(close);
-        }
-        if eof {
-            return Some(Close::AfterDrain);
-        }
-        // Compact the consumed prefix once it is worth the memmove.
-        let conn = self.conns[slot].as_mut()?;
-        if conn.in_pos == conn.inbuf.len() {
-            conn.inbuf.clear();
-            conn.in_pos = 0;
-        } else if conn.in_pos > COMPACT_THRESHOLD {
-            conn.inbuf.drain(..conn.in_pos);
-            conn.in_pos = 0;
-        }
-        None
-    }
-
-    /// Dispatches every complete frame buffered on `slot`. Returns how
-    /// the connection must close if a frame is malformed or shutdown
-    /// has begun.
-    fn process_frames(&mut self, slot: usize) -> Option<Close> {
-        loop {
-            let conn = self.conns[slot].as_mut()?;
-            let frame = match split_frame(&conn.inbuf[conn.in_pos..]) {
-                // Reading-header or reading-payload state: wait for the
-                // rest. The whole-frame budget armed at the last request
-                // boundary keeps counting.
-                Err(WireError::Truncated) => return None,
-                Err(e) => Err(e),
-                // Same refusal (and the same "wait for the full payload
-                // first" behavior) as `read_request`.
-                Ok((FrameKind::Response, _)) => Err(WireError::BadKind(1)),
-                Ok((FrameKind::Request, payload)) => {
-                    Request::decode(payload).map(|req| (req, HEADER_LEN + payload.len()))
-                }
-            };
-            let (req, frame_len) = match frame {
-                Ok(frame) => frame,
-                Err(e) => {
-                    // A typed refusal, then close: the stream can no
-                    // longer be trusted to be frame-aligned.
-                    let resp = Response::Error(ErrorReply {
-                        code: ErrorCode::BadRequest,
-                        message: format!("malformed request: {e}"),
-                    });
-                    append_response_frame(&mut conn.out, &resp);
-                    return Some(Close::AfterDrain);
-                }
-            };
-            if self.shutdown.load(Ordering::SeqCst) {
-                // Hang up without answering once shutdown begins, the
-                // way a killed process would.
-                return Some(Close::Silent);
-            }
-            let mut state = self.state.lock().expect("server state poisoned");
-            state.dispatch_frame(&req, &mut conn.out);
-            drop(state);
-            conn.in_pos += frame_len;
-            // Request boundary: a fresh whole-frame budget.
-            conn.frame_at = Instant::now() + self.config.server.request_deadline;
-        }
-    }
-
-    /// Flushes after serving; manages EPOLLOUT interest and the write
-    /// deadline.
-    fn flush_and_update(&mut self, slot: usize) -> Option<Close> {
-        let conn = self.conns[slot].as_mut()?;
-        match conn.flush() {
-            Ok(true) => conn.write_at = None,
-            Ok(false) => {
-                if conn.write_at.is_none() {
-                    conn.write_at = Some(Instant::now() + WRITE_TIMEOUT);
-                }
-            }
-            Err(_) => return Some(Close::Silent),
-        }
-        self.update_interest(slot);
-        None
-    }
-
-    /// Syncs epoll interest with the connection's phase and backlog.
-    fn update_interest(&mut self, slot: usize) {
-        let Some(conn) = self.conns[slot].as_mut() else {
-            return;
-        };
-        let desired = match conn.phase {
-            Phase::Serving => {
-                let mut d = EPOLLIN | EPOLLRDHUP;
-                if conn.has_backlog() {
-                    d |= EPOLLOUT;
-                }
-                d
-            }
-            Phase::Draining => EPOLLOUT,
-        };
-        if desired != conn.interest {
-            let fd = conn.stream.as_raw_fd();
-            if self.poller.modify(fd, desired, slot as u64).is_ok() {
-                conn.interest = desired;
-            }
-        }
-    }
-
-    /// One step of draining a refusal/error frame.
-    fn drain_step(&mut self, slot: usize) {
-        let Some(conn) = self.conns[slot].as_mut() else {
-            return;
-        };
-        match conn.flush() {
-            Ok(true) | Err(_) => self.close(slot),
-            Ok(false) => self.update_interest(slot),
-        }
+        self.close(slot);
     }
 
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
+            if conn.interest != 0 {
+                let _ = self.poller.delete(conn.stream.as_raw_fd());
+            }
             if conn.counted {
                 self.counters.active.fetch_sub(1, Ordering::SeqCst);
             }

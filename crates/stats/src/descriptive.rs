@@ -69,15 +69,6 @@ pub fn mean_absolute_error(residuals: &[f64]) -> Option<f64> {
     }
 }
 
-/// Root mean squared error of a residual sequence.
-pub fn root_mean_squared_error(residuals: &[f64]) -> Option<f64> {
-    if residuals.is_empty() {
-        None
-    } else {
-        Some((residuals.iter().map(|e| e * e).sum::<f64>() / residuals.len() as f64).sqrt())
-    }
-}
-
 /// Sample covariance of two paired sequences (divides by `n`).
 ///
 /// # Panics
@@ -117,7 +108,6 @@ mod tests {
         assert_eq!(population_variance(&[]), None);
         assert_eq!(sample_variance(&[1.0]), None);
         assert_eq!(mean_absolute_error(&[]), None);
-        assert_eq!(root_mean_squared_error(&[]), None);
         assert_eq!(mean_absolute_pair_error(&[], &[]), None);
         assert_eq!(covariance(&[], &[]), None);
     }
@@ -138,13 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn rmse_vs_mae_ordering() {
-        let res = [0.0, 0.0, 3.0];
-        let mae = mean_absolute_error(&res).unwrap();
-        let rmse = root_mean_squared_error(&res).unwrap();
-        assert!(rmse >= mae, "RMSE must dominate MAE");
+    fn mae_is_the_mean_absolute_residual() {
+        let mae = mean_absolute_error(&[0.0, 0.0, -3.0]).unwrap();
         assert!((mae - 1.0).abs() < 1e-12);
-        assert!((rmse - 3.0f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

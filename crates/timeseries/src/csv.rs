@@ -2,8 +2,7 @@
 //!
 //! The repro harness writes every regenerated table/figure as CSV under
 //! `results/`, and traces can be exported for external plotting. The format
-//! is deliberately simple: a header line, then `time,value` rows (for a
-//! single series) or `time,v1,v2,…` (for column-aligned multi-series files).
+//! is deliberately simple: a header line, then `time,value` rows.
 
 use crate::series::{Series, SeriesError};
 use std::fmt::Write as _;
@@ -57,34 +56,6 @@ pub fn series_to_csv(series: &Series) -> String {
     let _ = writeln!(out, "time,{}", sanitize_header(series.name()));
     for p in series.iter() {
         let _ = writeln!(out, "{},{}", p.time, p.value);
-    }
-    out
-}
-
-/// Renders several series sharing identical timestamps as one CSV table.
-///
-/// # Panics
-///
-/// Panics if the series do not all share the same timestamps (columns would
-/// not align).
-pub fn multi_series_to_csv(series: &[&Series]) -> String {
-    assert!(!series.is_empty(), "need at least one series");
-    let times = series[0].times();
-    for s in &series[1..] {
-        assert_eq!(s.times(), times, "series timestamps must align");
-    }
-    let mut out = String::new();
-    let _ = write!(out, "time");
-    for s in series {
-        let _ = write!(out, ",{}", sanitize_header(s.name()));
-    }
-    let _ = writeln!(out);
-    for (i, &t) in times.iter().enumerate() {
-        let _ = write!(out, "{t}");
-        for s in series {
-            let _ = write!(out, ",{}", s.values()[i]);
-        }
-        let _ = writeln!(out);
     }
     out
 }
@@ -178,25 +149,6 @@ mod tests {
         let back = read_series(&path).unwrap();
         assert_eq!(back, sample());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn multi_series_layout() {
-        let a = sample();
-        let mut b = sample();
-        b.set_name("other");
-        let text = multi_series_to_csv(&[&a, &b]);
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("time,avail,other"));
-        assert_eq!(lines.next(), Some("0,0.5,0.5"));
-    }
-
-    #[test]
-    #[should_panic(expected = "series timestamps must align")]
-    fn multi_series_rejects_misaligned() {
-        let a = sample();
-        let b = Series::from_values("b", 5.0, 10.0, [0.1, 0.2, 0.3]).unwrap();
-        multi_series_to_csv(&[&a, &b]);
     }
 
     #[test]

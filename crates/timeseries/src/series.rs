@@ -112,24 +112,6 @@ impl Series {
         }
     }
 
-    /// Builds a series from parallel time/value vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if lengths differ is impossible (panics instead, this
-    /// is a programming error); returns [`SeriesError::NonMonotonicTime`] or
-    /// [`SeriesError::NonFiniteValue`] for bad data.
-    pub fn from_points(
-        name: impl Into<String>,
-        points: impl IntoIterator<Item = TimePoint>,
-    ) -> Result<Self, SeriesError> {
-        let mut s = Series::new(name);
-        for p in points {
-            s.push(p.time, p.value)?;
-        }
-        Ok(s)
-    }
-
     /// Builds a regularly sampled series starting at `t0` with spacing `dt`.
     pub fn from_values(
         name: impl Into<String>,
@@ -371,13 +353,5 @@ mod tests {
     fn mean_dt_of_regular_series() {
         assert_eq!(sample().mean_dt(), Some(10.0));
         assert_eq!(Series::new("e").mean_dt(), None);
-    }
-
-    #[test]
-    fn from_points_roundtrip() {
-        let pts = vec![TimePoint::new(1.0, 0.1), TimePoint::new(2.0, 0.2)];
-        let s = Series::from_points("p", pts.clone()).unwrap();
-        let back: Vec<TimePoint> = s.iter().collect();
-        assert_eq!(back, pts);
     }
 }

@@ -1,7 +1,5 @@
 //! Descriptive summaries of measurement series.
 
-use crate::series::Series;
-
 /// Descriptive statistics of a value sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -54,13 +52,6 @@ pub fn summarize(values: &[f64]) -> Option<Summary> {
     })
 }
 
-impl Summary {
-    /// Summarizes the values of a [`Series`].
-    pub fn of_series(series: &Series) -> Option<Summary> {
-        summarize(series.values())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,11 +89,5 @@ mod tests {
         let s = summarize(&[1.0, f64::NAN, 3.0]).unwrap();
         assert_eq!(s.n, 3);
         assert_eq!(s.median, 3.0);
-    }
-
-    #[test]
-    fn of_series_matches_slice() {
-        let series = Series::from_values("x", 0.0, 1.0, [1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(Summary::of_series(&series), summarize(&[1.0, 2.0, 3.0]));
     }
 }

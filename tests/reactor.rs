@@ -1,8 +1,9 @@
 //! The epoll reactor is the one socket server, and on the wire it must
 //! be indistinguishable from the socket-free in-memory transport:
 //! byte-identical replies whatever the event-loop count, pipelined
-//! replies in request order (through a half-close, and through a socket
-//! that pushes back), replication served from the same WAL
+//! replies in request order (through a half-close, through a socket
+//! that pushes back, and through seeded fragmentation, pipelining depth
+//! and malformed frames), replication served from the same WAL
 //! bytes, hostile peers cut without hurting healthy ones — while
 //! holding a thousand idle connections without spawning a thread or
 //! growing memory per connection.
@@ -13,9 +14,10 @@ use nws::server::{
     ReplicaState, ServerConfig, Transport,
 };
 use nws::sim::HostProfile;
+use nws::stats::Rng;
 use nws::wire::{
-    append_request_frame, encode_request_frame, parse_frame_header, ErrorCode, Request, Response,
-    HEADER_LEN, MAX_STRING,
+    append_request_frame, append_response_frame, encode_request_frame, parse_frame_header,
+    ErrorCode, Request, Response, HEADER_LEN, MAGIC, MAX_STRING, VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -215,9 +217,12 @@ fn replies_the_socket_pushes_back_arrive_whole_and_in_order() {
     let _guard = lock();
     // A day-warm host keeps 8,640 points per series, so a batch of four
     // full tails is a ~550 KB reply, and 48 of them (~26 MB) are more
-    // than a loopback socket buffers: the server's writes are refused
-    // while the client reads nothing. Each tail is one point shorter
-    // than the last, so a reordered reply cannot match.
+    // than a loopback socket buffers plus the server's 1 MiB cap on
+    // unsent replies (under Linux's default `tcp_rmem`/`tcp_wmem`, 36
+    // of the 192 tails get dispatched): the server's writes are refused
+    // while the client reads nothing, and it stops dispatching. Each
+    // tail is one point shorter than the last, so a reordered reply
+    // cannot match.
     const BATCHES: usize = 48;
     const TAILS: usize = 4;
     let day_warm = || {
@@ -241,20 +246,29 @@ fn replies_the_socket_pushes_back_arrive_whole_and_in_order() {
         let reactor = ReactorServer::spawn(GridState::new(day_warm()), reactor_config(loops))
             .expect("bind reactor");
         let mut sock = pipeline(reactor.addr(), &seq);
-        // Read nothing until the server reports every tail dispatched
-        // (each `Stats` counts itself too), so its replies are encoded
-        // and pushed at a socket nobody drains.
+        // Read nothing until the server's count of dispatched tails
+        // holds still (each `Stats` counts itself too): every reply it
+        // encodes for a peer that reads nothing has then been encoded.
         let mut watcher =
             NwsClient::connect(reactor.addr(), ClientConfig::default()).expect("connect watcher");
         let deadline = Instant::now() + Duration::from_secs(10);
+        let (mut tails, mut still) = (u64::MAX, 0);
         for polls in 1u64.. {
-            let requests = watcher.stats().expect("stats").requests;
-            if requests >= (BATCHES * TAILS) as u64 + polls {
+            let seen = watcher.stats().expect("stats").requests - polls;
+            still = if seen == tails { still + 1 } else { 0 };
+            tails = seen;
+            if still == 20 {
                 break;
             }
-            assert!(Instant::now() < deadline, "only {requests} requests served");
+            assert!(Instant::now() < deadline, "{tails} tails and still moving");
             std::thread::sleep(Duration::from_millis(5));
         }
+        // The unsent replies are capped, so the rest wait unread in the
+        // kernel until the client drains what was sent.
+        assert!(
+            tails < (BATCHES * TAILS) as u64,
+            "all {tails} tails dispatched to a peer that reads nothing ({loops} loop(s))"
+        );
         for (i, want) in expected.iter().enumerate() {
             assert_eq!(
                 read_payload(&mut sock),
@@ -262,6 +276,158 @@ fn replies_the_socket_pushes_back_arrive_whole_and_in_order() {
                 "reply {i} after backpressure ({loops} loop(s))"
             );
         }
+    }
+}
+
+/// Seeded cases the fuzz test runs at each event-loop count; the
+/// ignored long run draws more.
+const FUZZ_CASES: u64 = 32;
+const FUZZ_CASES_LONG: u64 = 512;
+
+#[test]
+fn fragmented_pipelined_traffic_matches_in_memory_at_one_and_four_loops() {
+    let _guard = lock();
+    fuzz_against_in_memory(FUZZ_CASES);
+}
+
+#[test]
+#[ignore = "the 512-case run of the fuzz test above"]
+fn fragmented_pipelined_traffic_matches_in_memory_at_length() {
+    let _guard = lock();
+    fuzz_against_in_memory(FUZZ_CASES_LONG);
+}
+
+/// Drives seeded cases through one reactor per loop count, each case on
+/// a fresh connection, and checks every reply against an in-memory
+/// transport fed the same requests in the same order. Each case draws
+/// a request sequence, how its bytes are cut into writes, a pipelining
+/// depth, an optional malformed frame and an optional half-close.
+fn fuzz_against_in_memory(cases: u64) {
+    let steps = 60;
+    let hosts: Vec<String> = warm_grid(steps)
+        .hosts()
+        .map(|(host, _)| host.to_string())
+        .collect();
+    let vocabulary = fixed_sequence(&hosts);
+    for loops in [1usize, 4] {
+        let config = ReactorConfig {
+            server: ServerConfig {
+                // Room for connections whose close the loop has not yet
+                // seen when the next case connects.
+                max_connections: 64,
+                ..ServerConfig::default()
+            },
+            event_loops: loops,
+        };
+        let reactor =
+            ReactorServer::spawn(GridState::new(warm_grid(steps)), config).expect("bind reactor");
+        let state = Arc::new(Mutex::new(GridState::new(warm_grid(steps))));
+        let mut oracle = InMemoryTransport::new(state);
+        for case in 0..cases {
+            let mut rng = Rng::new(SEED ^ case);
+            let label = format!("case {case}, {loops} loop(s)");
+            fuzz_case(&mut rng, reactor.addr(), &mut oracle, &vocabulary, &label);
+        }
+    }
+}
+
+fn fuzz_case(
+    rng: &mut Rng,
+    addr: SocketAddr,
+    oracle: &mut impl Transport,
+    vocabulary: &[Request],
+    label: &str,
+) {
+    let mut requests: Vec<Request> = (0..1 + rng.below(24))
+        .map(|_| vocabulary[rng.below(vocabulary.len() as u64) as usize].clone())
+        .collect();
+    // The stream ends at a malformed frame: bytes the server never
+    // reads would turn its close into a reset, which may discard the
+    // refusal before the client reads it.
+    let malformed = rng.chance(0.25);
+    if malformed {
+        requests.truncate(rng.below(requests.len() as u64 + 1) as usize);
+    }
+    let depth = 1 + rng.below(12) as usize;
+    let half_close = rng.chance(0.5);
+    let expected = payload_trace(oracle, &requests);
+
+    let mut bytes = Vec::new();
+    let mut ends = Vec::new();
+    for req in &requests {
+        append_request_frame(&mut bytes, req);
+        ends.push(bytes.len());
+    }
+    if malformed {
+        // A well-formed header over an unknown request tag, or a
+        // response frame sent to the server: both are refused only
+        // once the whole payload is in.
+        let (kind, payload) = if rng.chance(0.5) {
+            (0u8, vec![0xFF])
+        } else {
+            let mut frame = Vec::new();
+            append_response_frame(&mut frame, &Response::Batch(Vec::new()));
+            (1u8, frame[HEADER_LEN..].to_vec())
+        };
+        bytes.extend_from_slice(&MAGIC.to_be_bytes());
+        bytes.extend_from_slice(&[VERSION, kind]);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        ends.push(bytes.len());
+    }
+
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    sock.set_nodelay(true).expect("nodelay");
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut answered = 0;
+    let check_next = |sock: &mut TcpStream, answered: &mut usize| {
+        let got = read_payload(sock);
+        assert_eq!(got, expected[*answered], "reply {answered} ({label})");
+        *answered += 1;
+    };
+    let mut written = 0;
+    while written < bytes.len() {
+        // Keep at most `depth` whole requests unanswered.
+        let sent = ends.partition_point(|&end| end <= written);
+        while sent - answered >= depth && answered < expected.len() {
+            check_next(&mut sock, &mut answered);
+        }
+        // The rest of the frame being written, or 1..=64 bytes of it
+        // and whatever follows.
+        let len = if rng.chance(0.5) {
+            ends[sent] - written
+        } else {
+            (1 + rng.below(64) as usize).min(bytes.len() - written)
+        };
+        sock.write_all(&bytes[written..written + len])
+            .unwrap_or_else(|e| panic!("write ({label}): {e}"));
+        written += len;
+        if rng.chance(0.1) {
+            std::thread::sleep(Duration::from_micros(rng.below(2_000)));
+        }
+    }
+    if half_close {
+        sock.shutdown(Shutdown::Write).expect("half-close");
+    }
+    while answered < expected.len() {
+        check_next(&mut sock, &mut answered);
+    }
+    if malformed {
+        match Response::decode(&read_payload(&mut sock)) {
+            Ok(Response::Error(e)) => assert_eq!(e.code, ErrorCode::BadRequest, "{label}"),
+            other => panic!("malformed frame answered {other:?} ({label})"),
+        }
+    }
+    if malformed || half_close {
+        let mut rest = Vec::new();
+        sock.read_to_end(&mut rest)
+            .unwrap_or_else(|e| panic!("EOF after the last reply ({label}): {e}"));
+        assert!(
+            rest.is_empty(),
+            "{} bytes after the last reply ({label})",
+            rest.len()
+        );
     }
 }
 
