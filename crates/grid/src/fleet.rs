@@ -153,16 +153,22 @@ struct FleetShard {
 }
 
 impl Source for FleetShard {
-    /// The slot's availability reading, or `None` when the slot is a gap.
-    type Event = Option<f64>;
+    /// The slot's availability reading, NaN when the slot is a gap: 8
+    /// bytes in the engine's per-shard arenas, where `Option<f64>`
+    /// takes 16.
+    type Event = f64;
 
-    fn produce(&mut self, slot: u64) -> Option<f64> {
+    fn produce(&mut self, slot: u64) -> f64 {
         // The host's clock advances whether or not the reading survives:
         // a faulted slot, or a non-finite reading (a recorded trace can
         // carry one), loses the reading, not the time.
         let value = self.host.step();
         let sf = self.faults.slot(slot, false);
-        (!sf.outage && !sf.drop_load && value.is_finite()).then_some(value)
+        if sf.outage || sf.drop_load {
+            f64::NAN
+        } else {
+            value
+        }
     }
 }
 
@@ -172,13 +178,12 @@ impl Stage<FleetShard> for Archive {
     /// (and bumps the unjournaled memory's revision count).
     const SHARD_LOCAL: bool = true;
 
-    fn commit(&mut self, shard: usize, _source: &mut FleetShard, slot: u64, event: &Option<f64>) {
+    fn commit(&mut self, shard: usize, _source: &mut FleetShard, slot: u64, &value: &f64) {
         let (id, time) = (ResourceId(shard as u64), Cadence::PAPER.slot_time(slot + 1));
-        match *event {
-            Some(value) => {
-                self.reading(id, time, value);
-            }
-            None => self.gap(id, time),
+        if value.is_finite() {
+            self.reading(id, time, value);
+        } else {
+            self.gap(id, time);
         }
     }
 }

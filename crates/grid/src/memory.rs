@@ -12,12 +12,14 @@
 //! column and one contiguous `values` column, plus a `start` cursor
 //! marking the oldest live point (a *compacting ring*: eviction advances
 //! the cursor, and the dead prefix is reclaimed with one `copy_within`
-//! once it grows as large as the retention window, so appends stay
-//! amortized O(1) and the backing storage never exceeds twice the
-//! retention bound). Because the live window is always one contiguous
-//! slice per column, analytics and wire encoding borrow measurements
-//! directly — [`Memory::values`], [`Memory::tail`], [`Memory::with_series`]
-//! — instead of cloning them out.
+//! once it reaches a quarter of the retention window, so appends stay
+//! amortized O(1) — about 64 B of memmove each at a day's window — and
+//! the backing storage never exceeds 1.25 × the retention bound: a
+//! column reserves exactly that once, instead of growing by `Vec`'s
+//! doubling). Because the live window is always one contiguous slice per
+//! column, analytics and wire encoding borrow measurements directly —
+//! [`Memory::values`], [`Memory::tail`], [`Memory::with_series`] —
+//! instead of cloning them out.
 //!
 //! Segments are addressed by [`ResourceId`] *directly*: the registry
 //! hands out dense sequential ids and registers each host's series
@@ -33,10 +35,13 @@
 //! sees its own appends in order, and the count ends the same.
 
 use crate::registry::ResourceId;
-use crate::wal::{crc32, Wal, WalError, WalRecord, SNAPSHOT_MAGIC};
+use crate::wal::{
+    crc32, CheckpointReport, Crc32, SnapshotStore, Wal, WalError, WalRecord, SNAPSHOT_MAGIC,
+};
 use nws_runtime::Fnv1a;
 use nws_timeseries::{Seconds, Series, TimePoint};
 use std::collections::VecDeque;
+use std::io::{BufWriter, Write};
 
 /// Memory sizing.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +76,16 @@ impl StoreOutcome {
     }
 }
 
+/// Dead slots a column may carry before it compacts: a quarter of the
+/// retention window, at least one.
+fn slack(retain: usize) -> usize {
+    (retain / 4).max(1)
+}
+
+/// The largest column, in slots, reserved whole at its first point;
+/// a longer retention bound lets the column grow as points arrive.
+const RESERVE_CEILING: usize = 1 << 20;
+
 /// One series' measurements in columnar (SoA) form: parallel `times` and
 /// `values` columns whose live window is `[start..]` of each vector.
 #[derive(Debug, Default)]
@@ -101,13 +116,22 @@ impl ColumnSeries {
 
     /// Appends one point, evicting the oldest when the live window is at
     /// the retention bound. The dead prefix is compacted away once it
-    /// reaches `retain` slots, so the backing vectors stay under twice
-    /// the bound and each point is moved at most once per `retain`
-    /// evictions — amortized O(1).
+    /// reaches [`slack`] slots, so each point is moved about four times
+    /// per `retain` evictions — amortized O(1). A full column — a new
+    /// one, or one restored at its exact length — reserves exactly
+    /// `retain + slack(retain)` slots, which the live window plus the
+    /// dead prefix never outgrow, so it holds at most 1.25 × `retain`
+    /// points (`retain + 1` below four) and is never reallocated. Slots not
+    /// yet filled are never written, so their pages cost no resident
+    /// memory; and with no doubling there are no abandoned smaller
+    /// copies for the allocator to strand. Above [`RESERVE_CEILING`]
+    /// slots a column grows by `Vec`'s doubling instead, so a huge
+    /// `retain` costs only the points actually stored.
     fn push(&mut self, time: Seconds, value: f64, retain: usize) {
+        let slack = slack(retain);
         if self.len() == retain {
             self.start += 1;
-            if self.start >= retain {
+            if self.start >= slack {
                 let live = self.times.len() - self.start;
                 self.times.copy_within(self.start.., 0);
                 self.times.truncate(live);
@@ -115,6 +139,12 @@ impl ColumnSeries {
                 self.values.truncate(live);
                 self.start = 0;
             }
+        }
+        let len = self.times.len();
+        let bound = retain.saturating_add(slack);
+        if len == self.times.capacity() && bound <= RESERVE_CEILING {
+            self.times.reserve_exact(bound - len);
+            self.values.reserve_exact(bound - len);
         }
         self.times.push(time);
         self.values.push(value);
@@ -193,22 +223,28 @@ impl Memory {
     /// snapshot is still written (covering offset 0) and nothing
     /// rotates.
     ///
+    /// The snapshot streams into the store's temp file through one
+    /// fixed 64 KiB chunk with a running CRC, so a checkpoint never
+    /// holds a second copy of the store: the file is byte for byte
+    /// [`Memory::snapshot_bytes_at`] of the covered offset.
+    ///
     /// Rotation only happens after the snapshot has been durably
     /// renamed into place, so a crash between the two steps costs disk
     /// space, never recoverability.
     pub fn checkpoint(
         &mut self,
-        store: &crate::wal::SnapshotStore,
+        store: &SnapshotStore,
         seq: u64,
-    ) -> Result<crate::wal::CheckpointReport, crate::wal::WalError> {
-        let snapshot = self.snapshot_bytes();
+    ) -> Result<CheckpointReport, WalError> {
         let covered = self.journal.as_ref().map_or(0, |w| w.len());
-        let snapshot_path = store.save(seq, &snapshot)?;
+        let snapshot_path = store.save_with(seq, |file| {
+            self.write_snapshot(covered as u64, file).map(drop)
+        })?;
         let rotated = match self.journal.as_mut() {
             Some(wal) => wal.rotate(covered)?,
             None => 0,
         };
-        Ok(crate::wal::CheckpointReport {
+        Ok(CheckpointReport {
             snapshot_path,
             covered: covered as u64,
             rotated: rotated as u64,
@@ -493,33 +529,43 @@ impl Memory {
     /// [`Memory::snapshot_bytes`] with an explicit WAL offset (for
     /// callers journaling externally).
     pub fn snapshot_bytes_at(&self, wal_offset: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        let put = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        put(&mut out, self.config.retain as u64);
-        put(&mut out, wal_offset);
-        put(&mut out, self.global_revision);
-        put(&mut out, self.store.len() as u64);
-        for idx in 0..self.store.len() {
-            let buf = &self.store[idx];
-            let meta = &self.meta[idx];
-            put(&mut out, buf.len() as u64);
+        self.write_snapshot(wal_offset, Vec::new())
+            .expect("writing into a Vec cannot fail")
+    }
+
+    /// The snapshot encoder: streams the snapshot covering `wal_offset`
+    /// into `sink` as little-endian words — magic, retention, WAL
+    /// offset, global revision, series count, then per series its live
+    /// length, times, values, drop count, gap count, gaps and revision —
+    /// through one [`SNAPSHOT_CHUNK`] buffer, and trails it with the
+    /// CRC-32 of everything before.
+    fn write_snapshot<W: Write>(&self, wal_offset: u64, sink: W) -> std::io::Result<W> {
+        let crc = Crc32::default();
+        let mut out = BufWriter::with_capacity(SNAPSHOT_CHUNK, CrcWriter { sink, crc });
+        let mut put = |word: u64| out.write_all(&word.to_le_bytes());
+        put(u64::from_le_bytes(SNAPSHOT_MAGIC))?;
+        put(self.config.retain as u64)?;
+        put(wal_offset)?;
+        put(self.global_revision)?;
+        put(self.store.len() as u64)?;
+        for (buf, meta) in self.store.iter().zip(&self.meta) {
+            put(buf.len() as u64)?;
             for &t in buf.times() {
-                put(&mut out, t.to_bits());
+                put(t.to_bits())?;
             }
             for &v in buf.values() {
-                put(&mut out, v.to_bits());
+                put(v.to_bits())?;
             }
-            put(&mut out, meta.dropped);
-            put(&mut out, meta.gaps.len() as u64);
+            put(meta.dropped)?;
+            put(meta.gaps.len() as u64)?;
             for &g in &meta.gaps {
-                put(&mut out, g.to_bits());
+                put(g.to_bits())?;
             }
-            put(&mut out, meta.revision);
+            put(meta.revision)?;
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let CrcWriter { mut sink, crc } = out.into_inner().map_err(|e| e.into_error())?;
+        sink.write_all(&crc.finish().to_le_bytes())?;
+        Ok(sink)
     }
 
     /// Restores a memory from snapshot bytes, returning it with the WAL
@@ -610,6 +656,29 @@ impl Memory {
             },
             wal_offset,
         ))
+    }
+}
+
+/// Bytes the snapshot encoder stages between checksumming and writing:
+/// all a checkpoint holds of its snapshot at once.
+const SNAPSHOT_CHUNK: usize = 64 * 1024;
+
+/// [`Memory::write_snapshot`]'s sink: every byte the sink takes joins
+/// the running CRC.
+struct CrcWriter<W> {
+    sink: W,
+    crc: Crc32,
+}
+
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let n = self.sink.write(bytes)?;
+        self.crc.update(&bytes[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.sink.flush()
     }
 }
 
@@ -820,10 +889,203 @@ mod tests {
         let buf = &m.store[1];
         assert_eq!(buf.len(), 8);
         assert!(
-            buf.times.len() <= 16 && buf.values.len() <= 16,
+            buf.times.capacity() <= 10 && buf.values.capacity() <= 10,
             "dead prefix must be compacted away: {} slots",
-            buf.times.len()
+            buf.times.capacity()
         );
+    }
+
+    /// A `VecDeque` model of one series: exactly what `Memory` documents,
+    /// with no cursor, compaction or reservation.
+    #[derive(Debug, Default)]
+    struct Oracle {
+        points: VecDeque<(Seconds, f64)>,
+        gaps: VecDeque<Seconds>,
+        dropped: u64,
+        revision: u64,
+    }
+
+    /// [`Memory::fingerprint`]'s layout over the model.
+    fn oracle_fingerprint(retain: usize, series: &[Oracle], global: u64) -> u64 {
+        let mut h = Fnv1a::new();
+        h.word(retain as u64);
+        h.word(series.len() as u64);
+        for s in series {
+            h.word(s.points.len() as u64);
+            for &(t, _) in &s.points {
+                h.word(t.to_bits());
+            }
+            for &(_, v) in &s.points {
+                h.word(v.to_bits());
+            }
+            h.word(s.dropped);
+            h.word(s.gaps.len() as u64);
+            for &g in &s.gaps {
+                h.word(g.to_bits());
+            }
+            h.word(s.revision);
+        }
+        h.word(global);
+        h.finish()
+    }
+
+    #[test]
+    fn columns_carry_at_most_a_quarter_window_of_slack() {
+        // Seeded appends, gaps, out-of-order and non-finite deliveries
+        // over three series, the memory restored from its own snapshot
+        // halfway: every column's capacity stays within `retain +
+        // slack(retain)` throughout, and every observable equals the
+        // model's.
+        for (retain, ops) in [(1, 500), (2, 500), (7, 800), (64, 3_000), (8_640, 40_000)] {
+            let bound = retain + slack(retain);
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ retain as u64;
+            let mut draw = move |n: u64| {
+                rng = rng
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (rng >> 33) % n
+            };
+            let mut m = Memory::new(MemoryConfig { retain });
+            let (mut model, mut global) = (Vec::<Oracle>::new(), 0u64);
+            let mut clock = [0.0f64; 3];
+            for op in 0..ops {
+                if op == ops / 2 {
+                    m = Memory::from_snapshot(&m.snapshot_bytes())
+                        .expect("own snapshot")
+                        .0;
+                }
+                let id = draw(3) as usize;
+                let value = draw(1_000) as f64 / 1_000.0;
+                let kind = draw(20);
+                if kind == 0 {
+                    // Non-finite: refused, and touches nothing.
+                    assert_eq!(
+                        m.append(rid(id as u64), clock[id] + 1.0, f64::NAN),
+                        StoreOutcome::RejectedNonFinite
+                    );
+                    continue;
+                }
+                if model.len() <= id {
+                    model.resize_with(id + 1, Oracle::default);
+                }
+                let s = &mut model[id];
+                match kind {
+                    1 | 2 => {
+                        m.record_gap(rid(id as u64), clock[id] + 0.5);
+                        if s.gaps.len() == retain {
+                            s.gaps.pop_front();
+                        }
+                        s.gaps.push_back(clock[id] + 0.5);
+                        s.revision += 1;
+                        global += 1;
+                    }
+                    3 if !s.points.is_empty() => {
+                        let late = clock[id] - draw(3) as f64;
+                        assert!(!m.store(rid(id as u64), late, value));
+                        s.dropped += 1;
+                    }
+                    _ => {
+                        clock[id] += 1.0 + draw(4) as f64;
+                        assert!(m.store(rid(id as u64), clock[id], value));
+                        if s.points.len() == retain {
+                            s.points.pop_front();
+                        }
+                        s.points.push_back((clock[id], value));
+                        s.revision += 1;
+                        global += 1;
+                    }
+                }
+                for (idx, col) in m.store.iter().enumerate() {
+                    assert!(
+                        col.times.capacity() <= bound && col.values.capacity() <= bound,
+                        "retain {retain}, op {op}, series {idx}: capacity {} over {bound}",
+                        col.times.capacity().max(col.values.capacity())
+                    );
+                }
+                if retain < 1_000 || op % 1_000 == 0 || op + 1 == ops {
+                    let s = &model[id];
+                    let times: Vec<Seconds> = s.points.iter().map(|p| p.0).collect();
+                    let values: Vec<f64> = s.points.iter().map(|p| p.1).collect();
+                    assert_eq!(m.times(rid(id as u64)), times, "retain {retain}, op {op}");
+                    assert_eq!(m.values(rid(id as u64)), values, "retain {retain}, op {op}");
+                    let n = draw(retain as u64 + 2) as usize;
+                    let skip = times.len().saturating_sub(n);
+                    let tail = m.tail(rid(id as u64), n);
+                    assert_eq!(tail, (&times[skip..], &values[skip..]), "tail {n}");
+                    let want = oracle_fingerprint(retain, &model, global);
+                    assert_eq!(m.fingerprint(), want, "retain {retain}, op {op}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_file_is_the_snapshot_bytes_of_its_covered_offset() {
+        let dir = std::env::temp_dir().join(format!("nws-checkpoint-bytes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SnapshotStore::new(&dir, 1).expect("creatable");
+        let checked = |m: &mut Memory, seq: u64| {
+            let report = m.checkpoint(&store, seq).expect("checkpoint");
+            let file = std::fs::read(&report.snapshot_path).expect("readable");
+            assert_eq!(
+                file,
+                m.snapshot_bytes_at(report.covered),
+                "checkpoint {seq}"
+            );
+            file.len()
+        };
+        // An empty memory: header and CRC only.
+        assert_eq!(checked(&mut Memory::new(MemoryConfig::default()), 1), 44);
+        // One point per series, with a gap and a drop.
+        let mut one = Memory::new(MemoryConfig { retain: 1 });
+        for i in 0..5 {
+            one.store(rid(i % 2), i as f64, 0.5);
+        }
+        one.record_gap(rid(1), 9.0);
+        one.store(rid(0), 1.0, 0.5);
+        checked(&mut one, 2);
+        // Journaled, many chunks long, with gaps and drops, written twice
+        // so the second covers a rotated journal.
+        let mut wide = Memory::new(MemoryConfig { retain: 8_640 });
+        wide.attach_journal(Wal::new());
+        for round in 0..2 {
+            for i in 0..20_000u64 {
+                let t = (round * 20_000 + i) as f64;
+                if i % 17 == 0 {
+                    wide.record_gap(rid(i % 3), t);
+                } else {
+                    wide.store(rid(i % 3), t, (i % 101) as f64 / 100.0);
+                }
+                if i % 29 == 0 {
+                    wide.store(rid(i % 3), 0.0, 0.5);
+                }
+            }
+            let len = checked(&mut wide, 3 + round);
+            assert!(len > 4 * SNAPSHOT_CHUNK, "{len} bytes span several chunks");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_huge_retention_bound_grows_columns_as_points_arrive() {
+        // `retain + slack` overflows at the first bound and would reserve
+        // terabytes at the second; both must store, restore and store on.
+        for retain in [usize::MAX, 1 << 40] {
+            let mut m = Memory::new(MemoryConfig { retain });
+            for i in 0..100 {
+                m.store(rid(0), i as f64, 0.5);
+            }
+            m.record_gap(rid(0), 100.0);
+            let (mut restored, _) = Memory::from_snapshot(&m.snapshot_bytes()).expect("restores");
+            for mem in [&mut m, &mut restored] {
+                for i in 101..200 {
+                    mem.store(rid(0), i as f64, 0.25);
+                }
+                assert_eq!(mem.times(rid(0)).len(), 199, "retain {retain}");
+                assert!(mem.store[0].times.capacity() < 1 << 10, "retain {retain}");
+            }
+            assert_eq!(m.fingerprint(), restored.fingerprint(), "retain {retain}");
+        }
     }
 
     #[test]

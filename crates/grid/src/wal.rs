@@ -14,7 +14,8 @@
 //! - **Snapshots**: [`Memory::snapshot_bytes`] serializes the full
 //!   columnar state (live windows, gap rings, drop counts, revisions)
 //!   with a trailing CRC and the WAL offset it covers, so recovery
-//!   replays only the suffix.
+//!   replays only the suffix. [`Memory::checkpoint`] streams the same
+//!   bytes into the [`SnapshotStore`]'s temp file chunk by chunk.
 //! - **Recovery**: [`recover_memory_rotated`] composes the two —
 //!   snapshot if one validates, genesis otherwise, then a total replay
 //!   of the WAL that stops at the first corruption and keeps every
@@ -112,27 +113,54 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// A running CRC-32 (IEEE): feed bytes in any split with
+/// [`Crc32::update`], read the checksum with [`Crc32::finish`]. The
+/// register carries no alignment state, so a stream checksummed chunk
+/// by chunk equals [`crc32`] of the whole.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self(0xFFFF_FFFF)
+    }
+}
+
+impl Crc32 {
+    /// Folds `bytes` into the register.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t7[(lo & 0xFF) as usize]
+                ^ t6[((lo >> 8) & 0xFF) as usize]
+                ^ t5[((lo >> 16) & 0xFF) as usize]
+                ^ t4[(lo >> 24) as usize]
+                ^ t3[usize::from(w[4])]
+                ^ t2[usize::from(w[5])]
+                ^ t1[usize::from(w[6])]
+                ^ t0[usize::from(w[7])];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t0[((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.0 = crc;
+    }
+
+    /// The checksum of every byte fed so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
 /// CRC-32 (IEEE) of a byte slice — the checksum framing every WAL
 /// record and trailing every snapshot.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = t7[(lo & 0xFF) as usize]
-            ^ t6[((lo >> 8) & 0xFF) as usize]
-            ^ t5[((lo >> 16) & 0xFF) as usize]
-            ^ t4[(lo >> 24) as usize]
-            ^ t3[usize::from(w[4])]
-            ^ t2[usize::from(w[5])]
-            ^ t1[usize::from(w[6])]
-            ^ t0[usize::from(w[7])];
-    }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t0[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
+    let mut crc = Crc32::default();
+    crc.update(bytes);
+    crc.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -581,8 +609,18 @@ impl SnapshotStore {
     /// Writes snapshot `seq` atomically and prunes old snapshots beyond
     /// the retention bound. Returns the final path.
     pub fn save(&self, seq: u64, bytes: &[u8]) -> Result<PathBuf, WalError> {
+        self.save_with(seq, |file| file.write_all(bytes))
+    }
+
+    /// [`SnapshotStore::save`] with the bytes streamed by `write` into
+    /// the temp file, so they never have to exist in memory at once.
+    pub fn save_with(
+        &self,
+        seq: u64,
+        write: impl FnOnce(&mut File) -> std::io::Result<()>,
+    ) -> Result<PathBuf, WalError> {
         let tmp = self.dir.join(format!("snap-{seq:020}.tmp"));
-        std::fs::write(&tmp, bytes)?;
+        write(&mut File::create(&tmp)?)?;
         let path = self.path_of(seq);
         std::fs::rename(&tmp, &path)?;
         let mut seqs = self.sequences()?;
@@ -801,6 +839,21 @@ mod tests {
                     crc32_bytewise(slice),
                     "align {align}, len {len}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_running_crc32_equals_the_one_shot_one_at_any_split() {
+        let bytes: Vec<u8> = (0..1_000u32).map(|i| (i * 7 + i / 13) as u8).collect();
+        for first in [0, 1, 3, 8, 9, 500, 999, 1_000] {
+            for second in [0, 1, 7, 64] {
+                let cut = (first + second).min(bytes.len());
+                let mut crc = Crc32::default();
+                crc.update(&bytes[..first]);
+                crc.update(&bytes[first..cut]);
+                crc.update(&bytes[cut..]);
+                assert_eq!(crc.finish(), crc32(&bytes), "split at {first}, {cut}");
             }
         }
     }

@@ -40,7 +40,11 @@
 //!   deadline live on the connection, and once per tick each loop
 //!   **sweeps** its connections and closes every one past its earliest
 //!   deadline, so a peer trickling one byte at a time runs out of wall
-//!   clock instead of resetting the idle timer with every byte;
+//!   clock instead of resetting the idle timer with every byte. While
+//!   any reply byte is unsent only the stalled-writer deadline runs, and
+//!   every write the socket takes moves it on, so a peer reading a long
+//!   backlog slowly gets all of it; the other two restart once the
+//!   backlog drains;
 //! - the connection cap ([`ServerConfig::max_connections`]) is an
 //!   **accept gate**: an over-cap connection is born hung up with a
 //!   typed `Overloaded` frame queued under a tight deadline, so a peer
@@ -309,16 +313,22 @@ struct Conn {
     inbuf: Vec<u8>,
     in_pos: usize,
     /// Reply frames in arrival order; `out_pos` marks the prefix the
-    /// socket has taken. Cleared only once the socket takes it all.
+    /// socket has taken. Cleared once the socket takes it all; a taken
+    /// prefix of [`BACKLOG_CAP`] bytes or more is dropped at push-back.
     out: Vec<u8>,
     out_pos: usize,
-    /// Idle cut: reset on every successful read.
+    /// Idle cut: reset on every successful read, and restarted when a
+    /// backlog of replies drains.
     idle_at: Instant,
-    /// Whole-frame budget: reset at each request boundary.
+    /// Whole-frame budget: reset at each request boundary, and restarted
+    /// when a backlog of replies drains.
     frame_at: Instant,
     /// Stalled-writer deadline: armed at the first push-back from the
-    /// socket, cleared only when `out` drains whole, so a backlog lives
-    /// at most `WRITE_TIMEOUT`.
+    /// socket, re-armed each time the socket takes bytes before pushing
+    /// back (except on a refusal, whose budget is fixed), cleared when
+    /// `out` drains whole. While it is armed it is the
+    /// only deadline: a peer reading a long backlog is slow, not idle,
+    /// and is cut only after `WRITE_TIMEOUT` in which it took nothing.
     write_at: Option<Instant>,
     /// This connection holds a slot in `ServeCounters::active`.
     counted: bool,
@@ -326,11 +336,8 @@ struct Conn {
 
 impl Conn {
     fn earliest_deadline(&self) -> Instant {
-        let mut earliest = self.idle_at.min(self.frame_at);
-        if let Some(w) = self.write_at {
-            earliest = earliest.min(w);
-        }
-        earliest
+        self.write_at
+            .unwrap_or_else(|| self.idle_at.min(self.frame_at))
     }
 
     fn unsent(&self) -> usize {
@@ -364,7 +371,7 @@ impl Conn {
         shutdown: &AtomicBool,
     ) -> std::io::Result<()> {
         let eof = readable && self.reading() && self.read_all(config.read_timeout)?;
-        let dispatched_all = self.dispatch(state, config.request_deadline, shutdown)?;
+        let dispatched_all = self.dispatch(state, config, shutdown)?;
         // The peer half-closed its write side: answer what it pipelined,
         // then leave. Frames still held back by the cap come first; the
         // level-triggered EPOLLIN reports the EOF again once reading
@@ -409,12 +416,12 @@ impl Conn {
     fn dispatch<D: Dispatch>(
         &mut self,
         state: &Mutex<D>,
-        request_deadline: Duration,
+        config: &ServerConfig,
         shutdown: &AtomicBool,
     ) -> std::io::Result<bool> {
         while !self.hangup {
             if self.unsent() >= BACKLOG_CAP {
-                self.flush()?;
+                self.flush(config)?;
                 if self.unsent() >= BACKLOG_CAP {
                     // Held back until EPOLLOUT finds room.
                     return Ok(false);
@@ -445,7 +452,7 @@ impl Conn {
                     drop(state);
                     self.in_pos += frame_len;
                     // Request boundary: a fresh whole-frame budget.
-                    self.frame_at = Instant::now() + request_deadline;
+                    self.frame_at = Instant::now() + config.request_deadline;
                 }
                 Err(e) => {
                     // A typed refusal, then the hang-up: the stream can
@@ -459,22 +466,38 @@ impl Conn {
                 }
             }
         }
-        self.flush()?;
+        self.flush(config)?;
         Ok(true)
     }
 
     /// Pushes the unsent replies at the socket until it pushes back,
-    /// arming the stalled-writer deadline if it does; once the socket
-    /// has taken everything the buffer is cleared and the deadline
-    /// disarmed.
-    fn flush(&mut self) -> std::io::Result<()> {
+    /// arming the stalled-writer deadline if it does — afresh if the
+    /// socket took bytes first, unless the connection is a refusal,
+    /// which keeps its fixed budget. On push-back a sent prefix of
+    /// [`BACKLOG_CAP`] bytes or more is dropped, so a peer that keeps
+    /// the backlog from ever draining holds `out` under three frames.
+    /// Once the socket has taken everything the buffer is cleared and
+    /// the deadline disarmed, and if it was armed the idle cut and the
+    /// whole-frame budget restart: they were paused while the backlog
+    /// drained.
+    fn flush(&mut self, config: &ServerConfig) -> std::io::Result<()> {
+        let mut took = false;
         while self.unsent() > 0 {
             match self.stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_pos += n,
+                Ok(n) => {
+                    self.out_pos += n;
+                    took = true;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.write_at
-                        .get_or_insert_with(|| Instant::now() + WRITE_TIMEOUT);
+                    // A refusal (never counted) keeps its fixed budget.
+                    if self.write_at.is_none() || (took && self.counted) {
+                        self.write_at = Some(Instant::now() + WRITE_TIMEOUT);
+                    }
+                    if self.out_pos >= BACKLOG_CAP {
+                        self.out.drain(..self.out_pos);
+                        self.out_pos = 0;
+                    }
                     return Ok(());
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -483,7 +506,11 @@ impl Conn {
         }
         self.out.clear();
         self.out_pos = 0;
-        self.write_at = None;
+        if self.write_at.take().is_some() {
+            let now = Instant::now();
+            self.idle_at = now + config.read_timeout;
+            self.frame_at = now + config.request_deadline;
+        }
         Ok(())
     }
 }
@@ -603,12 +630,12 @@ impl<D: Dispatch> EventLoop<D> {
         };
         if !admitted {
             // The refusal is best-effort under a tight budget; the
-            // close is the real signal.
+            // close is the real signal. This deadline holds however
+            // much of the frame the socket takes.
             append_response_frame(&mut conn.out, &overload_response());
-            conn.idle_at = now + REFUSAL_DEADLINE;
-            conn.frame_at = conn.idle_at;
+            conn.write_at = Some(now + REFUSAL_DEADLINE);
         }
-        let open = conn.flush().is_ok();
+        let open = conn.flush(&self.config.server).is_ok();
         let slot = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
@@ -627,7 +654,7 @@ impl<D: Dispatch> EventLoop<D> {
             // its read side after we saw it: a hung-up connection gives
             // its queue one last push.
             if conn.hangup {
-                let _ = conn.flush();
+                let _ = conn.flush(&self.config.server);
             }
             false
         } else {
@@ -889,6 +916,108 @@ mod tests {
         assert_eq!(server.refused(), 1);
         assert_eq!(server.accepted(), 0);
         assert_eq!(server.active_connections(), 0);
+    }
+
+    /// A connection over a loopback socket, as `admit` builds it, and
+    /// the peer's end of the socket.
+    fn loopback_conn(admitted: bool) -> (Conn, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).expect("nonblocking");
+        let now = Instant::now();
+        let conn = Conn {
+            stream,
+            hangup: !admitted,
+            interest: 0,
+            inbuf: Vec::new(),
+            in_pos: 0,
+            out: Vec::new(),
+            out_pos: 0,
+            idle_at: now,
+            frame_at: now,
+            write_at: None,
+            counted: admitted,
+        };
+        (conn, peer)
+    }
+
+    #[test]
+    fn a_refusal_keeps_its_budget_while_the_socket_takes_bytes() {
+        for admitted in [false, true] {
+            let (mut conn, _peer) = loopback_conn(admitted);
+            // More than the socket buffers hold: the socket takes bytes,
+            // then pushes back.
+            conn.out = vec![0; 16 * MAX_FRAME];
+            let armed = Instant::now();
+            conn.write_at = Some(armed);
+            conn.flush(&ServerConfig::default()).expect("flush");
+            assert!(conn.unsent() > 0, "the socket took 16 MiB unread");
+            let rearmed = conn.write_at.expect("stall deadline") > armed;
+            assert_eq!(rearmed, admitted, "admitted: {admitted}");
+        }
+    }
+
+    #[test]
+    fn a_backlog_that_never_drains_keeps_the_write_buffer_bounded() {
+        // A peer that keeps pipelining while it reads slower than the
+        // server answers: the socket takes bytes every round, but the
+        // unsent replies never run out, so `out` is never cleared.
+        let mut grid = GridMonitor::new(&[HostProfile::Thing1], 21, GridMonitorConfig::default());
+        grid.run_steps(8_640);
+        let state = Mutex::new(GridState::new(grid));
+        let config = ServerConfig::default();
+        let shutdown = AtomicBool::new(false);
+        let (mut conn, mut peer) = loopback_conn(true);
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut request = Vec::new();
+        let tail = Request::SeriesTail {
+            host: "thing1".into(),
+            n: 8_640,
+        };
+        nws_wire::append_request_frame(&mut request, &tail);
+
+        // Each round sends one request (a ~138 KB reply) and reads
+        // 32 KB, so once the socket buffers fill the socket takes about
+        // 32 KB a round; 256 rounds with the backlog never drained move
+        // 8 MiB through `out`.
+        const READ: usize = 32 * 1024;
+        let (mut stream, mut first, mut replies) = (Vec::new(), None, 0usize);
+        let mut undrained = 0;
+        for round in 0.. {
+            assert!(round < 4_096, "the backlog kept draining");
+            peer.write_all(&request).expect("pipeline a request");
+            conn.step(true, &state, &config, &shutdown).expect("step");
+            assert!(
+                conn.out.len() < 3 * MAX_FRAME,
+                "round {round}: write buffer holds {} B",
+                conn.out.len()
+            );
+            undrained = if conn.unsent() > 0 { undrained + 1 } else { 0 };
+            if undrained == 256 {
+                break;
+            }
+            let at = stream.len();
+            stream.resize(at + READ, 0);
+            peer.read_exact(&mut stream[at..]).expect("read replies");
+            // Every reply answers the same request: compare each whole
+            // one with the first, then drop it.
+            let mut used = 0;
+            while let Ok((_, payload)) = split_frame(&stream[used..]) {
+                let len = HEADER_LEN + payload.len();
+                let frame = &stream[used..used + len];
+                assert_eq!(
+                    frame,
+                    *first.get_or_insert_with(|| frame.to_vec()),
+                    "reply {replies}"
+                );
+                used += len;
+                replies += 1;
+            }
+            stream.drain(..used);
+        }
+        assert!(replies > 0, "no whole reply arrived");
     }
 
     #[test]

@@ -116,6 +116,14 @@ fn read_payload(sock: &mut TcpStream) -> Vec<u8> {
     payload
 }
 
+/// One host, warmed a day: 8,640 points per series, so a full
+/// `SeriesTail` is a ~138 KB reply.
+fn day_warm() -> GridMonitor {
+    let mut grid = GridMonitor::new(&[HostProfile::Thing1], SEED, GridMonitorConfig::default());
+    grid.run_steps(8_640);
+    grid
+}
+
 fn reactor_config(event_loops: usize) -> ReactorConfig {
     ReactorConfig {
         event_loops,
@@ -225,11 +233,6 @@ fn replies_the_socket_pushes_back_arrive_whole_and_in_order() {
     // cannot match.
     const BATCHES: usize = 48;
     const TAILS: usize = 4;
-    let day_warm = || {
-        let mut grid = GridMonitor::new(&[HostProfile::Thing1], SEED, GridMonitorConfig::default());
-        grid.run_steps(8_640);
-        grid
-    };
     let seq: Vec<Request> = (0..BATCHES)
         .map(|i| {
             let tail = Request::SeriesTail {
@@ -275,6 +278,61 @@ fn replies_the_socket_pushes_back_arrive_whole_and_in_order() {
                 *want,
                 "reply {i} after backpressure ({loops} loop(s))"
             );
+        }
+    }
+}
+
+#[test]
+#[ignore = "reads ~24 MB at 3.2 MB/s, at one and at four loops: ~15 s"]
+fn a_slow_reader_gets_every_pipelined_reply() {
+    let _guard = lock();
+    // Reading the replies to these tails takes longer than the idle cut
+    // and the stalled-writer deadline (5 s each), but the socket takes
+    // bytes every 20 ms, so the server must keep sending. Each tail is
+    // one point shorter than the last, so a reordered reply cannot
+    // match.
+    const TAILS: usize = 176;
+    const READ: usize = 64 * 1024;
+    const PAUSE: Duration = Duration::from_millis(20);
+    let seq: Vec<Request> = (0..TAILS)
+        .map(|i| Request::SeriesTail {
+            host: "thing1".into(),
+            n: (8_640 - i) as u32,
+        })
+        .collect();
+    let mut mem = InMemoryTransport::new(Arc::new(Mutex::new(GridState::new(day_warm()))));
+    let expected = payload_trace(&mut mem, &seq);
+    let total: usize = expected.iter().map(|p| HEADER_LEN + p.len()).sum();
+    let reads = total.div_ceil(READ) as u32;
+    assert!(
+        PAUSE * reads >= Duration::from_secs(7),
+        "{total} B read too fast"
+    );
+
+    for loops in [1usize, 4] {
+        let reactor = ReactorServer::spawn(GridState::new(day_warm()), reactor_config(loops))
+            .expect("bind reactor");
+        let mut sock = pipeline(reactor.addr(), &seq);
+        let mut stream = vec![0u8; total];
+        for chunk in stream.chunks_mut(READ) {
+            std::thread::sleep(PAUSE);
+            sock.read_exact(chunk).unwrap_or_else(|e| {
+                panic!("reply stream cut ({loops} loop(s)): {e}");
+            });
+        }
+        let mut at = 0;
+        for (i, want) in expected.iter().enumerate() {
+            let header = stream[at..at + HEADER_LEN]
+                .try_into()
+                .expect("header bytes");
+            let (_, len) = parse_frame_header(header).expect("well-formed header");
+            at += HEADER_LEN;
+            assert_eq!(
+                &stream[at..at + len],
+                want.as_slice(),
+                "reply {i} to a slow reader ({loops} loop(s))"
+            );
+            at += len;
         }
     }
 }
