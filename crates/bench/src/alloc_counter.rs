@@ -10,25 +10,49 @@
 //! ```
 //!
 //! then bracket a region with [`snapshot`] and [`AllocSnapshot::since`].
-//! Counters are relaxed atomics: cheap enough to leave on permanently,
-//! and exact for single-threaded regions (multi-threaded regions count
-//! every thread's allocations, which is what a benchmark wants anyway).
+//! The global counters are relaxed atomics, cheap enough to leave on
+//! permanently; they count every thread's allocations, which is what a
+//! multi-threaded region wants. Each thread also keeps its own tally
+//! ([`measure_thread`]), exact for a single-threaded region whatever
+//! other threads allocate meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // `const`-initialised and without `Drop`, so reading it from inside
+    // the allocator neither allocates nor registers a destructor.
+    static THREAD_TALLY: Cell<AllocSnapshot> =
+        const { Cell::new(AllocSnapshot { calls: 0, bytes: 0 }) };
+}
+
+/// Counts one allocator round trip of `bytes`, globally and for the
+/// calling thread.
+fn count(bytes: usize) {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD_TALLY.try_with(|tally| {
+        let t = tally.get();
+        tally.set(AllocSnapshot {
+            calls: t.calls + 1,
+            bytes: t.bytes + bytes as u64,
+        });
+    });
+}
+
 /// Forwards to [`System`], counting every allocation and reallocation.
 pub struct CountingAllocator;
 
 // SAFETY: pure pass-through to `System`; the only added behavior is
-// relaxed counter increments, which cannot affect allocation semantics.
+// counter increments (relaxed atomics and a non-allocating thread-local),
+// which cannot affect allocation semantics.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's `GlobalAlloc::alloc` contract, forwarded
         // unchanged.
         unsafe { System.alloc(layout) }
@@ -41,8 +65,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's `alloc_zeroed` contract, forwarded
         // unchanged.
         unsafe { System.alloc_zeroed(layout) }
@@ -51,8 +74,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow-in-place still returns fresh usable bytes; count it as
         // one allocator round trip like the others.
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` came from `System` through this wrapper with
         // this `layout`; the caller's `realloc` contract covers the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -87,7 +109,8 @@ pub fn snapshot() -> AllocSnapshot {
     }
 }
 
-/// Runs `f`, returning its result and the allocations it performed.
+/// Runs `f`, returning its result and the allocations every thread
+/// performed meanwhile.
 ///
 /// Only meaningful in binaries that registered [`CountingAllocator`] as
 /// the global allocator; elsewhere both counters stay zero.
@@ -95,6 +118,16 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocSnapshot) {
     let before = snapshot();
     let out = f();
     let after = snapshot();
+    (out, after.since(&before))
+}
+
+/// [`measure`] for a single-threaded `f`: counts only the allocations
+/// the calling thread performed, so another thread allocating meanwhile
+/// (a test harness's main thread, say) does not show.
+pub fn measure_thread<T>(f: impl FnOnce() -> T) -> (T, AllocSnapshot) {
+    let before = THREAD_TALLY.with(Cell::get);
+    let out = f();
+    let after = THREAD_TALLY.with(Cell::get);
     (out, after.since(&before))
 }
 

@@ -38,8 +38,6 @@ pub const DEFAULT: &[&str] = &[
     "sweep",
     "robustness",
     "sched",
-    "datasched",
-    "net",
     "loadstats",
     "faults",
 ];
@@ -168,7 +166,7 @@ mod tests {
 
     #[test]
     fn the_retired_serve_experiment_is_unknown() {
-        for retired in ["serve", "load", "perf"] {
+        for retired in ["serve", "load", "perf", "net", "datasched"] {
             assert_eq!(
                 select(&names(&[retired])),
                 Err(format!("unknown experiment {retired}"))

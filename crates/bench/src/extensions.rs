@@ -1,6 +1,6 @@
 //! Experiments beyond the paper's tables: ablations, sweeps, seed
-//! robustness, the scheduling and network studies, host-load statistics
-//! and the fault-injection sweep. Each prints a table and writes its CSV.
+//! robustness, the scheduling study, host-load statistics and the
+//! fault-injection sweep. Each prints a table and writes its CSV.
 
 use crate::cli::Tier;
 use crate::write_artifact;
@@ -9,8 +9,6 @@ use nws_core::experiments::{
     probe_duration_sweep, seed_robustness, sweep_dataset, ExperimentConfig,
 };
 use nws_core::report::pct;
-use nws_net::LinkMonitor;
-use nws_sched::data_aware::{run_data_sched_experiment, DataSchedConfig};
 use nws_sched::experiment::{run_scheduling_experiment, SchedConfig};
 use nws_sched::workqueue::compare_static_vs_dynamic;
 use nws_sim::HostProfile;
@@ -23,8 +21,6 @@ pub fn run(name: &str, cfg: &ExperimentConfig, tier: Tier) {
         "sweep" => run_sweeps(cfg),
         "robustness" => run_robustness(cfg),
         "sched" => run_sched(tier),
-        "datasched" => run_data_sched(cfg),
-        "net" => run_net(cfg),
         "loadstats" => run_loadstats(cfg),
         "faults" => run_faults(cfg, tier),
         other => unreachable!("{other} is not an extension experiment"),
@@ -219,75 +215,6 @@ fn run_faults(cfg: &ExperimentConfig, tier: Tier) {
         );
     }
     write_artifact("faults_sweep.csv", &csv);
-}
-
-fn run_data_sched(cfg: &ExperimentConfig) {
-    println!(
-        "
-Data-aware scheduling: staging time vs compute time (AppLeS formulation)"
-    );
-    let dcfg = DataSchedConfig::demo(cfg.seed);
-    println!(
-        "  {} tasks, 128-256 MB inputs; site 0 = idle host behind congested WAN",
-        dcfg.tasks.len()
-    );
-    let outcomes = run_data_sched_experiment(&dcfg);
-    let best = outcomes
-        .iter()
-        .map(|o| o.makespan)
-        .fold(f64::INFINITY, f64::min);
-    let mut csv = String::from(
-        "policy,makespan_s,slowdown_vs_best,tasks_site0,tasks_site1,tasks_site2
-",
-    );
-    for o in &outcomes {
-        println!(
-            "  {:<15} makespan {:>7.0}s  (x{:.2} vs best)  tasks/site {:?}",
-            o.policy.name(),
-            o.makespan,
-            o.makespan / best,
-            o.tasks_per_site
-        );
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{},{}",
-            o.policy.name(),
-            o.makespan,
-            o.makespan / best,
-            o.tasks_per_site[0],
-            o.tasks_per_site[1],
-            o.tasks_per_site[2]
-        );
-    }
-    write_artifact("sched_data_aware.csv", &csv);
-}
-
-fn run_net(cfg: &ExperimentConfig) {
-    println!(
-        "
-Network weather: bandwidth/latency sensing + forecasting (8 h, 2-min probes)"
-    );
-    let mut monitor = LinkMonitor::demo_grid(cfg.seed);
-    monitor.run_probes(240);
-    let mut csv = String::from(
-        "link,mean_bandwidth_Bps,mean_latency_s,bandwidth_forecast_mae
-",
-    );
-    for r in monitor.report() {
-        println!(
-            "  {:<11} mean bw {:>6.2} Mbit/s  rtt {:>5.0} ms  1-step MAE {:>5.1}%",
-            r.name,
-            r.mean_bandwidth * 8.0 / 1e6,
-            r.mean_latency * 1000.0,
-            r.bandwidth_forecast_mae * 100.0
-        );
-        let _ = writeln!(
-            csv,
-            "{},{},{},{}",
-            r.name, r.mean_bandwidth, r.mean_latency, r.bandwidth_forecast_mae
-        );
-    }
-    write_artifact("net_links.csv", &csv);
 }
 
 fn run_sweeps(cfg: &ExperimentConfig) {

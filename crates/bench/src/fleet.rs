@@ -68,26 +68,21 @@ fn scaling_sweep(seed: u64, tier: Tier) -> String {
 }
 
 /// The full predictor panel (dynamic-selection members plus the ARMA
-/// pair) raced over three prediction scenarios; returns Table 2/3-shaped
+/// pair) raced over two prediction scenarios; returns Table 2/3-shaped
 /// per-predictor MAE/MSE rows as CSV.
 ///
 /// 1. `synthetic-ar1` — the fleet's AR(1)-style synthetic rosters, the
 ///    panel scored on every host of an `Extended`-panel fleet;
 /// 2. `trace-mixture` — the same fleet replaying UCSD availability
 ///    traces (Eq. 1 of the simulated workstation mixes) under a seeded
-///    fault plan, so the panel is scored across gaps;
-/// 3. `transfer-time` — the Vazhkudai–Schopf scenario: predicting
-///    file-transfer durations over monitored links, where regressing on
-///    bandwidth *and* endpoint CPU beats bandwidth alone.
+///    fault plan, so the panel is scored across gaps.
 fn quality_sweep(seed: u64, tier: Tier) -> String {
     use nws_faults::{FaultPlan, FaultRates};
     use nws_forecast::PanelSpec;
     use nws_grid::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster};
-    use nws_net::{LinkMonitor, TransferScenario};
     use nws_sim::ucsd_availability_traces;
 
     let (hosts, steps) = tier.pick((32usize, 160u64), (64, 240), (128, 480));
-    let transfers = tier.pick(160, 320, 640);
     let panel_config = |hosts: usize| FleetConfig {
         hosts,
         seed,
@@ -119,28 +114,7 @@ fn quality_sweep(seed: u64, tier: Tier) -> String {
     assert!(gaps > 0, "the fault plan must produce gaps at fleet scale");
     scenarios.push(("trace-mixture", fleet.archive().forecasts().quality_table()));
 
-    // Scenario 3: transfer times over the demo link grid, each link's
-    // endpoint following its own availability trace.
-    let mut links = LinkMonitor::demo_grid(seed);
-    let cpu = ucsd_availability_traces(seed ^ 0x00C4, transfers);
-    let mut transfer = TransferScenario::new(4.0 * 1024.0 * 1024.0, 30);
-    let mut cpu_steps: Vec<_> = cpu.iter().map(|trace| trace.iter()).collect();
-    for _ in 0..transfers {
-        let samples = links.probe_cycle();
-        for (steps, sample) in cpu_steps.iter_mut().zip(samples) {
-            let availability = *steps.next().expect("trace covers every cycle");
-            transfer.observe(sample.bandwidth, availability);
-        }
-    }
-    scenarios.push(("transfer-time", transfer.error_table()));
-
-    println!(
-        "  {hosts} hosts x {steps} slots per fleet scenario, {} gap(s) under faults, \
-         {} transfers over {} links",
-        gaps,
-        transfer.observations(),
-        links.len()
-    );
+    println!("  {hosts} hosts x {steps} slots per fleet scenario, {gaps} gap(s) under faults");
     let mut csv = String::from("scenario,predictor,scored,mae,mse\n");
     println!(
         "  {:<14} {:<22} {:>7} {:>10} {:>10}",

@@ -59,7 +59,9 @@ fn construction_stays_within_the_pin() {
         };
         // Resolves the panel's shared layout outside the count.
         drop(FleetMonitor::new(FleetConfig { hosts: 1, ..config }));
-        let (fleet, built) = alloc_counter::measure(|| FleetMonitor::new(config));
+        // At one thread construction runs on this thread alone, so only
+        // its allocations count, not the test harness's.
+        let (fleet, built) = alloc_counter::measure_thread(|| FleetMonitor::new(config));
         drop(fleet);
         let bound = before + BUILT_SLACK_PER_HOST * BUILT_HOSTS as u64;
         println!(

@@ -292,19 +292,20 @@ impl WalRecord {
     /// typed [`WalError`].
     pub fn decode_at(bytes: &[u8], offset: usize) -> Result<(WalRecord, usize), WalError> {
         let rest = bytes.get(offset..).unwrap_or(&[]);
-        if rest.len() < RECORD_HEADER_LEN {
+        // The header is `len: u32le | crc: u32le`.
+        let Some((&[l0, l1, l2, l3, c0, c1, c2, c3], rest)) =
+            rest.split_first_chunk::<RECORD_HEADER_LEN>()
+        else {
             return Err(WalError::Truncated { offset });
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
+        };
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         if len > MAX_RECORD_PAYLOAD {
             return Err(WalError::RecordTooLong { offset, len });
         }
-        if rest.len() < RECORD_HEADER_LEN + len {
+        let Some(payload) = rest.get(..len) else {
             return Err(WalError::Truncated { offset });
-        }
-        let want = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        let payload = &rest[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len];
-        if crc32(payload) != want {
+        };
+        if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
             return Err(WalError::BadCrc { offset });
         }
         let rec = Self::from_payload(payload, offset)?;
@@ -312,24 +313,22 @@ impl WalRecord {
     }
 
     fn from_payload(p: &[u8], offset: usize) -> Result<WalRecord, WalError> {
-        let Some(&tag) = p.first() else {
+        let Some((&tag, fields)) = p.split_first() else {
             return Err(WalError::BadLength { offset });
         };
-        let u = |range: std::ops::Range<usize>| {
-            u64::from_le_bytes(p[range].try_into().expect("8 bytes"))
-        };
-        match (tag, p.len()) {
-            (TAG_APPEND, 25) => Ok(WalRecord::Append {
-                id: ResourceId(u(1..9)),
-                time: f64::from_bits(u(9..17)),
-                value: f64::from_bits(u(17..25)),
+        let word = |w: &[u8; 8]| u64::from_le_bytes(*w);
+        match (tag, fields.as_chunks::<8>()) {
+            (TAG_APPEND, ([id, time, value], [])) => Ok(WalRecord::Append {
+                id: ResourceId(word(id)),
+                time: f64::from_bits(word(time)),
+                value: f64::from_bits(word(value)),
             }),
-            (TAG_GAP, 17) => Ok(WalRecord::Gap {
-                id: ResourceId(u(1..9)),
-                time: f64::from_bits(u(9..17)),
+            (TAG_GAP, ([id, time], [])) => Ok(WalRecord::Gap {
+                id: ResourceId(word(id)),
+                time: f64::from_bits(word(time)),
             }),
-            (TAG_DROP, 9) => Ok(WalRecord::Drop {
-                id: ResourceId(u(1..9)),
+            (TAG_DROP, ([id], [])) => Ok(WalRecord::Drop {
+                id: ResourceId(word(id)),
             }),
             (TAG_APPEND | TAG_GAP | TAG_DROP, _) => Err(WalError::BadLength { offset }),
             (tag, _) => Err(WalError::UnknownTag { offset, tag }),

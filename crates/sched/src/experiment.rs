@@ -41,11 +41,6 @@ impl TaskBag {
             works: (0..n).map(|_| rng.range_f64(lo, hi)).collect(),
         }
     }
-
-    /// Total CPU-seconds in the bag.
-    pub fn total_work(&self) -> f64 {
-        self.works.iter().sum()
-    }
 }
 
 /// Experiment parameters.
@@ -208,7 +203,8 @@ mod tests {
         let bag = TaskBag::generate(50, 10.0, 20.0, &mut rng);
         assert_eq!(bag.works.len(), 50);
         assert!(bag.works.iter().all(|&w| (10.0..20.0).contains(&w)));
-        assert!(bag.total_work() > 500.0 && bag.total_work() < 1000.0);
+        let total: f64 = bag.works.iter().sum();
+        assert!(total > 500.0 && total < 1000.0);
     }
 
     #[test]

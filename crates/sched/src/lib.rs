@@ -21,13 +21,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod data_aware;
 pub mod expansion;
 pub mod experiment;
 pub mod policy;
 pub mod workqueue;
 
-pub use data_aware::{run_data_sched_experiment, DataPolicy, DataSchedConfig, DataTask};
 pub use expansion::{expansion_factor, predicted_runtime};
 pub use experiment::{run_scheduling_experiment, SchedulingOutcome, TaskBag};
 pub use policy::{Placement, Policy};

@@ -48,7 +48,7 @@ pub use hurst::{
     aggregated_variance_hurst, hurst_rs, periodogram_hurst, pox_plot, rs_statistic, HurstEstimate,
     PoxPoint,
 };
-pub use regress::{linear_fit, linear_fit2, LinearFit, LinearFit2};
+pub use regress::{linear_fit, LinearFit};
 pub use rng::Rng;
 
 /// The workspace's FNV-1a hash and host-seed derivation, re-exported for

@@ -17,13 +17,6 @@ pub struct LinearFit {
     pub n: usize,
 }
 
-impl LinearFit {
-    /// Evaluates the fitted line at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 /// Fits a least-squares line through paired points.
 ///
 /// Returns `None` when fewer than two points are supplied or all `x` values
@@ -69,89 +62,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
     })
 }
 
-/// Result of fitting `y ≈ b0 + b1·x1 + b2·x2` by least squares.
-///
-/// The two-predictor fit behind the transfer-time scenario (Vazhkudai &
-/// Schopf regress transfer times on network load *and* endpoint
-/// conditions rather than bandwidth alone).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit2 {
-    /// Fitted intercept `b0`.
-    pub intercept: f64,
-    /// Coefficient on the first predictor.
-    pub b1: f64,
-    /// Coefficient on the second predictor.
-    pub b2: f64,
-    /// Coefficient of determination in `[0, 1]` (1 when `y` is constant).
-    pub r_squared: f64,
-    /// Number of points used.
-    pub n: usize,
-}
-
-impl LinearFit2 {
-    /// Evaluates the fitted plane at `(x1, x2)`.
-    pub fn predict(&self, x1: f64, x2: f64) -> f64 {
-        self.intercept + self.b1 * x1 + self.b2 * x2
-    }
-}
-
-/// Fits `y ≈ b0 + b1·x1 + b2·x2` by ordinary least squares, solving the
-/// centered 2×2 normal equations directly.
-///
-/// Returns `None` when fewer than three points are supplied or the
-/// predictors are (numerically) collinear — a constant predictor, or one
-/// a linear function of the other — where the plane is undefined.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn linear_fit2(x1s: &[f64], x2s: &[f64], ys: &[f64]) -> Option<LinearFit2> {
-    assert_eq!(x1s.len(), ys.len(), "linear_fit2 needs equal-length slices");
-    assert_eq!(x2s.len(), ys.len(), "linear_fit2 needs equal-length slices");
-    let n = ys.len();
-    if n < 3 {
-        return None;
-    }
-    let nf = n as f64;
-    let m1 = x1s.iter().sum::<f64>() / nf;
-    let m2 = x2s.iter().sum::<f64>() / nf;
-    let my = ys.iter().sum::<f64>() / nf;
-    let (mut s11, mut s22, mut s12, mut s1y, mut s2y, mut syy) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    for i in 0..n {
-        let d1 = x1s[i] - m1;
-        let d2 = x2s[i] - m2;
-        let dy = ys[i] - my;
-        s11 += d1 * d1;
-        s22 += d2 * d2;
-        s12 += d1 * d2;
-        s1y += d1 * dy;
-        s2y += d2 * dy;
-        syy += dy * dy;
-    }
-    let det = s11 * s22 - s12 * s12;
-    // Collinearity guard: the determinant of the centered Gram matrix is
-    // at most s11·s22; reject fits where it has lost essentially all of
-    // that scale to cancellation.
-    if det.abs() <= 1e-12 * s11.max(1e-300) * s22.max(1e-300) || det == 0.0 {
-        return None;
-    }
-    let b1 = (s22 * s1y - s12 * s2y) / det;
-    let b2 = (s11 * s2y - s12 * s1y) / det;
-    let intercept = my - b1 * m1 - b2 * m2;
-    let r_squared = if syy == 0.0 {
-        1.0 // y is constant: the flat plane fits exactly.
-    } else {
-        ((b1 * s1y + b2 * s2y) / syy).clamp(0.0, 1.0)
-    };
-    Some(LinearFit2 {
-        intercept,
-        b1,
-        b2,
-        r_squared,
-        n,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +74,6 @@ mod tests {
         assert!((fit.slope - 2.5).abs() < 1e-12);
         assert!((fit.intercept + 1.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(10.0) - 24.0).abs() < 1e-12);
     }
 
     #[test]
@@ -196,62 +105,5 @@ mod tests {
     #[should_panic(expected = "equal-length")]
     fn mismatched_lengths_panic() {
         linear_fit(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn exact_plane_recovered() {
-        let x1 = [0.0, 1.0, 2.0, 3.0, 0.5, 2.5];
-        let x2 = [1.0, 0.0, 2.0, 1.0, 2.0, 0.5];
-        let ys: Vec<f64> = x1
-            .iter()
-            .zip(&x2)
-            .map(|(&a, &b)| 1.5 + 2.0 * a - 3.0 * b)
-            .collect();
-        let fit = linear_fit2(&x1, &x2, &ys).unwrap();
-        assert!((fit.intercept - 1.5).abs() < 1e-10);
-        assert!((fit.b1 - 2.0).abs() < 1e-10);
-        assert!((fit.b2 + 3.0).abs() < 1e-10);
-        assert!((fit.r_squared - 1.0).abs() < 1e-10);
-        assert!((fit.predict(4.0, 1.0) - 6.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn second_predictor_improves_partial_fit() {
-        // y depends on both predictors; the univariate fit on x1 alone
-        // must explain less variance than the bivariate fit.
-        let x1: Vec<f64> = (0..40).map(|i| (i % 7) as f64).collect();
-        let x2: Vec<f64> = (0..40).map(|i| ((i * 3) % 11) as f64).collect();
-        let ys: Vec<f64> = x1
-            .iter()
-            .zip(&x2)
-            .map(|(&a, &b)| 0.5 + a - 0.8 * b)
-            .collect();
-        let uni = linear_fit(&x1, &ys).unwrap();
-        let bi = linear_fit2(&x1, &x2, &ys).unwrap();
-        assert!(bi.r_squared > 0.999);
-        assert!(uni.r_squared < 0.9, "x1 alone should not explain y");
-    }
-
-    #[test]
-    fn collinear_predictors_rejected() {
-        let x1 = [1.0, 2.0, 3.0, 4.0];
-        let x2: Vec<f64> = x1.iter().map(|&v| 2.0 * v + 1.0).collect();
-        let ys = [0.5, 0.7, 0.2, 0.9];
-        assert!(linear_fit2(&x1, &x2, &ys).is_none());
-        // A constant predictor is degenerate too.
-        assert!(linear_fit2(&x1, &[3.0; 4], &ys).is_none());
-        // Too few points.
-        assert!(linear_fit2(&[1.0, 2.0], &[0.0, 1.0], &[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn constant_y_plane_is_flat() {
-        let x1 = [0.0, 1.0, 2.0, 3.0];
-        let x2 = [1.0, 0.0, 3.0, 2.0];
-        let fit = linear_fit2(&x1, &x2, &[5.0; 4]).unwrap();
-        assert!(fit.b1.abs() < 1e-12);
-        assert!(fit.b2.abs() < 1e-12);
-        assert!((fit.intercept - 5.0).abs() < 1e-12);
-        assert_eq!(fit.r_squared, 1.0);
     }
 }

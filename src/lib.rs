@@ -19,10 +19,6 @@
 //!   forecast-derived expansion factors.
 //! - [`grid`] — a miniature Network Weather Service: registry, measurement
 //!   memory, and forecast service over a fleet of monitored hosts.
-//! - [`net`] — simulated wide-area links with self-similar cross-traffic
-//!   and bandwidth/latency sensors, for the network and transfer-time
-//!   extensions (`repro net`, `repro datasched`, the fleet sweep's
-//!   transfer scenario); no weather service serves their series.
 //! - [`runtime`] — deterministic parallel execution (`parallel_map`,
 //!   thread-count resolution) used by the experiment drivers.
 //! - [`faults`] — deterministic, seeded fault injection (sensor
@@ -44,7 +40,6 @@ pub use nws_faults as faults;
 pub use nws_forecast as forecast;
 pub use nws_grid as grid;
 pub use nws_loadgen as loadgen;
-pub use nws_net as net;
 pub use nws_runtime as runtime;
 pub use nws_sched as sched;
 pub use nws_sensors as sensors;
