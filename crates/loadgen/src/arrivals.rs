@@ -133,15 +133,6 @@ impl ArrivalSchedule {
         self.offsets.last().copied().unwrap_or(0.0)
     }
 
-    /// Offered request rate implied by the timeline.
-    pub fn offered_rps(&self) -> f64 {
-        if self.duration() > 0.0 {
-            self.len() as f64 / self.duration()
-        } else {
-            0.0
-        }
-    }
-
     /// FNV-1a over the IEEE-754 bits of every offset, in order: the
     /// committed-artifact fingerprint for cross-thread-count identity.
     pub fn fingerprint(&self) -> u64 {

@@ -18,7 +18,6 @@ const BUCKETS: usize = SUB * (64 - 3);
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
-    sum: u64,
     max: u64,
 }
 
@@ -55,7 +54,6 @@ impl LatencyHistogram {
         Self {
             buckets: vec![0; BUCKETS],
             count: 0,
-            sum: 0,
             max: 0,
         }
     }
@@ -69,7 +67,6 @@ impl LatencyHistogram {
     pub fn record_ns(&mut self, ns: u64) {
         self.buckets[index_of(ns)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(ns);
         self.max = self.max.max(ns);
     }
 
@@ -79,7 +76,6 @@ impl LatencyHistogram {
             *a += b;
         }
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
 
@@ -91,15 +87,6 @@ impl LatencyHistogram {
     /// Exact maximum recorded, nanoseconds.
     pub fn max_ns(&self) -> u64 {
         self.max
-    }
-
-    /// Mean of all samples, nanoseconds.
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// The value at quantile `q ∈ [0, 1]`, nanoseconds, reported as the
@@ -206,7 +193,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.p50(), 0);
         assert_eq!(h.percentile(1.0), 0);
-        assert_eq!(h.mean_ns(), 0.0);
     }
 
     #[test]

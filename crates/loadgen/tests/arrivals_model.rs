@@ -113,6 +113,5 @@ proptest! {
             prop_assert!(g > 0.0, "non-positive gap {}", g);
         }
         prop_assert_eq!(s.len(), 2000);
-        prop_assert!(s.offered_rps() > 0.0);
     }
 }

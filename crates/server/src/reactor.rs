@@ -19,7 +19,12 @@
 //! event on a connection runs the same step — read, dispatch every
 //! complete frame, flush, then close or sync the epoll interest — and
 //! one interest rule derives what to wait for from the flag and the
-//! unsent bytes. Frames are split where they lie in the input buffer
+//! unsent bytes. The connection is the core and the event loop its
+//! shell: the core is generic over its byte stream and never reads the
+//! clock, and the shell owns epoll, accepting, the slab and the one
+//! clock read per wake that every step, accept and sweep in the wake
+//! shares. A seeded model test drives the core over a scripted stream
+//! in virtual time. Frames are split where they lie in the input buffer
 //! by the wire crate's [`split_frame`], the parser the socket-free
 //! [`InMemoryTransport`](crate::InMemoryTransport) runs too, so the two
 //! stay byte-identical (the tests pin this, pipelined, fragmented and
@@ -139,14 +144,6 @@ impl ServeCounters {
         }
         admitted
     }
-}
-
-/// The typed refusal an over-capacity connection is answered with.
-fn overload_response() -> Response {
-    Response::Error(ErrorReply {
-        code: ErrorCode::Overloaded,
-        message: "server at connection capacity".to_string(),
-    })
 }
 
 /// Thin wrappers over the three epoll syscalls. `std` links libc on
@@ -302,9 +299,13 @@ impl Default for ReactorConfig {
     }
 }
 
-/// One connection: its buffers, its deadlines and whether it has hung up.
-struct Conn {
-    stream: TcpStream,
+/// One connection: its buffers, its deadlines and whether it has hung
+/// up. It is generic over its byte stream and never reads the clock:
+/// every method that moves a deadline takes `now` from its caller, so
+/// the event loop reads the time once per wake and a test can drive a
+/// connection over a scripted stream in virtual time.
+struct Conn<S> {
+    stream: S,
     /// No more reads or dispatch: close once `out` has been sent.
     hangup: bool,
     /// Events currently registered with epoll; 0 until registered.
@@ -334,7 +335,37 @@ struct Conn {
     counted: bool,
 }
 
-impl Conn {
+impl<S: Read + Write> Conn<S> {
+    /// A freshly accepted connection, admitted or not. A refused one is
+    /// born hung up with the typed `Overloaded` frame queued under a
+    /// tight budget, so the refusal takes the same flush-then-register
+    /// path as any reply: it is best-effort, the close is the real
+    /// signal, and the budget holds however much of the frame the
+    /// socket takes.
+    fn new(stream: S, admitted: bool, now: Instant, config: &ServerConfig) -> Self {
+        let mut out = Vec::new();
+        if !admitted {
+            let refusal = Response::Error(ErrorReply {
+                code: ErrorCode::Overloaded,
+                message: "server at connection capacity".to_string(),
+            });
+            append_response_frame(&mut out, &refusal);
+        }
+        Self {
+            stream,
+            hangup: !admitted,
+            interest: 0,
+            inbuf: Vec::new(),
+            in_pos: 0,
+            out,
+            out_pos: 0,
+            idle_at: now + config.read_timeout,
+            frame_at: now + config.request_deadline,
+            write_at: (!admitted).then(|| now + REFUSAL_DEADLINE),
+            counted: admitted,
+        }
+    }
+
     fn earliest_deadline(&self) -> Instant {
         self.write_at
             .unwrap_or_else(|| self.idle_at.min(self.frame_at))
@@ -350,6 +381,12 @@ impl Conn {
         !self.hangup && self.unsent() < BACKLOG_CAP
     }
 
+    /// Whether the connection is over: it has hung up and the socket
+    /// has taken every reply.
+    fn done(&self) -> bool {
+        self.hangup && self.unsent() == 0
+    }
+
     /// The one interest rule: readable while [`Conn::reading`],
     /// writable while any reply byte is unsent.
     fn wanted_interest(&self) -> u32 {
@@ -360,18 +397,31 @@ impl Conn {
         want
     }
 
-    /// One event's work: read what the socket holds (if it reported
-    /// readable), dispatch the complete frames and push the replies. An
-    /// error means close now, sending nothing more.
+    /// One epoll event's work at `now`: read what the socket holds (if
+    /// `bits` say readable), dispatch the complete frames and push the
+    /// replies. An error means close now, sending nothing more: the
+    /// socket failed or hung up, the peer reset, shutdown began, or the
+    /// state lock is poisoned.
     fn step<D: Dispatch>(
         &mut self,
-        readable: bool,
+        bits: u32,
         state: &Mutex<D>,
         config: &ServerConfig,
         shutdown: &AtomicBool,
+        now: Instant,
     ) -> std::io::Result<()> {
-        let eof = readable && self.reading() && self.read_all(config.read_timeout)?;
-        let dispatched_all = self.dispatch(state, config, shutdown)?;
+        if bits & (EPOLLERR | EPOLLHUP) != 0 {
+            // EPOLLHUP with a reply queued usually means the peer closed
+            // its read side after we saw it: a hung-up connection gives
+            // its queue one last push.
+            if self.hangup {
+                let _ = self.flush(config, now);
+            }
+            return Err(std::io::ErrorKind::ConnectionReset.into());
+        }
+        let readable = bits & (EPOLLIN | EPOLLRDHUP) != 0;
+        let eof = readable && self.reading() && self.read_all(config.read_timeout, now)?;
+        let dispatched_all = self.dispatch(state, config, shutdown, now)?;
         // The peer half-closed its write side: answer what it pipelined,
         // then leave. Frames still held back by the cap come first; the
         // level-triggered EPOLLIN reports the EOF again once reading
@@ -384,7 +434,7 @@ impl Conn {
 
     /// Reads until the socket runs dry; `Ok(true)` if the peer has
     /// half-closed. Every byte read resets the idle cut.
-    fn read_all(&mut self, read_timeout: Duration) -> std::io::Result<bool> {
+    fn read_all(&mut self, read_timeout: Duration, now: Instant) -> std::io::Result<bool> {
         // Compact the consumed prefix once it is worth the memmove.
         if self.in_pos == self.inbuf.len() {
             self.inbuf.clear();
@@ -393,7 +443,6 @@ impl Conn {
             self.inbuf.drain(..self.in_pos);
             self.in_pos = 0;
         }
-        let now = Instant::now();
         loop {
             let old = self.inbuf.len();
             self.inbuf.resize(old + READ_CHUNK, 0);
@@ -418,10 +467,11 @@ impl Conn {
         state: &Mutex<D>,
         config: &ServerConfig,
         shutdown: &AtomicBool,
+        now: Instant,
     ) -> std::io::Result<bool> {
         while !self.hangup {
             if self.unsent() >= BACKLOG_CAP {
-                self.flush(config)?;
+                self.flush(config, now)?;
                 if self.unsent() >= BACKLOG_CAP {
                     // Held back until EPOLLOUT finds room.
                     return Ok(false);
@@ -447,12 +497,14 @@ impl Conn {
                         // begins, the way a killed process would.
                         return Err(std::io::ErrorKind::ConnectionAborted.into());
                     }
-                    let mut state = state.lock().expect("server state poisoned");
+                    // A thread that panicked holding the lock may have
+                    // left the state half-updated: close rather than
+                    // serve from it.
+                    let mut state = state.lock().map_err(|_| std::io::ErrorKind::Other)?;
                     state.dispatch_frame(&req, &mut self.out);
-                    drop(state);
                     self.in_pos += frame_len;
                     // Request boundary: a fresh whole-frame budget.
-                    self.frame_at = Instant::now() + config.request_deadline;
+                    self.frame_at = now + config.request_deadline;
                 }
                 Err(e) => {
                     // A typed refusal, then the hang-up: the stream can
@@ -466,7 +518,7 @@ impl Conn {
                 }
             }
         }
-        self.flush(config)?;
+        self.flush(config, now)?;
         Ok(true)
     }
 
@@ -480,7 +532,7 @@ impl Conn {
     /// the deadline disarmed, and if it was armed the idle cut and the
     /// whole-frame budget restart: they were paused while the backlog
     /// drained.
-    fn flush(&mut self, config: &ServerConfig) -> std::io::Result<()> {
+    fn flush(&mut self, config: &ServerConfig, now: Instant) -> std::io::Result<()> {
         let mut took = false;
         while self.unsent() > 0 {
             match self.stream.write(&self.out[self.out_pos..]) {
@@ -492,7 +544,7 @@ impl Conn {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     // A refusal (never counted) keeps its fixed budget.
                     if self.write_at.is_none() || (took && self.counted) {
-                        self.write_at = Some(Instant::now() + WRITE_TIMEOUT);
+                        self.write_at = Some(now + WRITE_TIMEOUT);
                     }
                     if self.out_pos >= BACKLOG_CAP {
                         self.out.drain(..self.out_pos);
@@ -507,7 +559,6 @@ impl Conn {
         self.out.clear();
         self.out_pos = 0;
         if self.write_at.take().is_some() {
-            let now = Instant::now();
             self.idle_at = now + config.read_timeout;
             self.frame_at = now + config.request_deadline;
         }
@@ -526,7 +577,7 @@ struct EventLoop<D: Dispatch> {
     counters: Arc<ServeCounters>,
     shutdown: Arc<AtomicBool>,
     config: ReactorConfig,
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Option<Conn<TcpStream>>>,
     free: Vec<usize>,
     /// Slots closed during the current event batch, merged into `free`
     /// only after it: a later event in the batch may still carry a
@@ -536,6 +587,8 @@ struct EventLoop<D: Dispatch> {
 }
 
 impl<D: Dispatch> EventLoop<D> {
+    /// The shell around the connections: waits on epoll, and reads the
+    /// clock once per wake for every accept, step and sweep in it.
     fn run(mut self) {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
         let tick_ms = TIMER_TICK.as_millis() as i32;
@@ -544,16 +597,15 @@ impl<D: Dispatch> EventLoop<D> {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            let now = Instant::now();
             for ev in &events[..n] {
-                let token = ev.data;
-                let bits = ev.events;
+                let (token, bits) = (ev.data, ev.events);
                 if token == LISTENER_TOKEN {
-                    self.accept_all();
+                    self.accept_all(now);
                 } else {
-                    self.handle_event(token as usize, bits);
+                    self.handle_event(token as usize, bits, now);
                 }
             }
-            let now = Instant::now();
             if now >= next_sweep {
                 self.sweep(now);
                 next_sweep = now + TIMER_TICK;
@@ -588,10 +640,10 @@ impl<D: Dispatch> EventLoop<D> {
     /// (`ECONNABORTED`) — ends only this round: the listener leaves the
     /// epoll set until the next sweep, so a backlog that cannot be
     /// accepted does not spin the loop.
-    fn accept_all(&mut self) {
+    fn accept_all(&mut self, now: Instant) {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => self.admit(stream),
+                Ok((stream, _)) => self.admit(stream, now),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -604,38 +656,16 @@ impl<D: Dispatch> EventLoop<D> {
         }
     }
 
-    /// Gates a freshly accepted connection and puts it in this loop's
-    /// slab. Over the cap it is born hung up with the typed refusal
-    /// queued, so the refusal takes the same flush-then-register path
-    /// as any reply.
-    fn admit(&mut self, stream: TcpStream) {
+    /// Gates a freshly accepted connection, pushes its refusal if it
+    /// has one, and puts it in this loop's slab.
+    fn admit(&mut self, stream: TcpStream, now: Instant) {
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             return;
         }
         let admitted = self.counters.admit(self.config.server.max_connections);
-        let now = Instant::now();
-        let mut conn = Conn {
-            stream,
-            hangup: !admitted,
-            interest: 0,
-            inbuf: Vec::new(),
-            in_pos: 0,
-            out: Vec::new(),
-            out_pos: 0,
-            idle_at: now + self.config.server.read_timeout,
-            frame_at: now + self.config.server.request_deadline,
-            write_at: None,
-            counted: admitted,
-        };
-        if !admitted {
-            // The refusal is best-effort under a tight budget; the
-            // close is the real signal. This deadline holds however
-            // much of the frame the socket takes.
-            append_response_frame(&mut conn.out, &overload_response());
-            conn.write_at = Some(now + REFUSAL_DEADLINE);
-        }
-        let open = conn.flush(&self.config.server).is_ok();
+        let mut conn = Conn::new(stream, admitted, now, &self.config.server);
+        let open = conn.flush(&self.config.server, now).is_ok();
         let slot = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
@@ -645,36 +675,23 @@ impl<D: Dispatch> EventLoop<D> {
     }
 
     /// Runs the step for one epoll event on a connection.
-    fn handle_event(&mut self, slot: usize, bits: u32) {
+    fn handle_event(&mut self, slot: usize, bits: u32, now: Instant) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return; // closed earlier in this batch, or never a slot
         };
-        let open = if bits & (EPOLLERR | EPOLLHUP) != 0 {
-            // EPOLLHUP with a reply queued usually means the peer closed
-            // its read side after we saw it: a hung-up connection gives
-            // its queue one last push.
-            if conn.hangup {
-                let _ = conn.flush(&self.config.server);
-            }
-            false
-        } else {
-            let readable = bits & (EPOLLIN | EPOLLRDHUP) != 0;
-            let config = &self.config.server;
-            conn.step(readable, &self.state, config, &self.shutdown)
-                .is_ok()
-        };
-        self.settle(slot, open);
+        let stepped = conn.step(bits, &self.state, &self.config.server, &self.shutdown, now);
+        self.settle(slot, stepped.is_ok());
     }
 
-    /// Ends a step: closes the connection if it failed or has hung up
-    /// with everything sent, and otherwise brings its epoll interest in
-    /// line with [`Conn::wanted_interest`], registering it on its first
+    /// Ends a step: closes the connection if it failed or is
+    /// [`Conn::done`], and otherwise brings its epoll interest in line
+    /// with [`Conn::wanted_interest`], registering it on its first
     /// step. `epoll_ctl` runs only when the interest changes.
     fn settle(&mut self, slot: usize, open: bool) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        if open && !(conn.hangup && conn.unsent() == 0) {
+        if open && !conn.done() {
             let want = conn.wanted_interest();
             if want == conn.interest {
                 return;
@@ -833,6 +850,9 @@ impl NwsServer {
 }
 
 #[cfg(test)]
+mod model;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::Transport;
@@ -918,106 +938,41 @@ mod tests {
         assert_eq!(server.active_connections(), 0);
     }
 
-    /// A connection over a loopback socket, as `admit` builds it, and
-    /// the peer's end of the socket.
-    fn loopback_conn(admitted: bool) -> (Conn, TcpStream) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (stream, _) = listener.accept().expect("accept");
-        stream.set_nonblocking(true).expect("nonblocking");
-        let now = Instant::now();
-        let conn = Conn {
-            stream,
-            hangup: !admitted,
-            interest: 0,
-            inbuf: Vec::new(),
-            in_pos: 0,
-            out: Vec::new(),
-            out_pos: 0,
-            idle_at: now,
-            frame_at: now,
-            write_at: None,
-            counted: admitted,
-        };
-        (conn, peer)
-    }
-
     #[test]
-    fn a_refusal_keeps_its_budget_while_the_socket_takes_bytes() {
-        for admitted in [false, true] {
-            let (mut conn, _peer) = loopback_conn(admitted);
-            // More than the socket buffers hold: the socket takes bytes,
-            // then pushes back.
-            conn.out = vec![0; 16 * MAX_FRAME];
-            let armed = Instant::now();
-            conn.write_at = Some(armed);
-            conn.flush(&ServerConfig::default()).expect("flush");
-            assert!(conn.unsent() > 0, "the socket took 16 MiB unread");
-            let rearmed = conn.write_at.expect("stall deadline") > armed;
-            assert_eq!(rearmed, admitted, "admitted: {admitted}");
-        }
-    }
-
-    #[test]
-    fn a_backlog_that_never_drains_keeps_the_write_buffer_bounded() {
-        // A peer that keeps pipelining while it reads slower than the
-        // server answers: the socket takes bytes every round, but the
-        // unsent replies never run out, so `out` is never cleared.
-        let mut grid = GridMonitor::new(&[HostProfile::Thing1], 21, GridMonitorConfig::default());
-        grid.run_steps(8_640);
-        let state = Mutex::new(GridState::new(grid));
-        let config = ServerConfig::default();
-        let shutdown = AtomicBool::new(false);
-        let (mut conn, mut peer) = loopback_conn(true);
-        peer.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
+    fn a_poisoned_state_lock_closes_each_connection_and_keeps_accepting() {
+        let server = warm_reactor(ReactorConfig {
+            event_loops: 1,
+            ..ReactorConfig::default()
+        });
+        let state = Arc::clone(server.state());
+        let poisoner = std::thread::spawn(move || {
+            let _held = state.lock();
+            panic!("a thread dies holding the state lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.state().is_poisoned());
         let mut request = Vec::new();
-        let tail = Request::SeriesTail {
-            host: "thing1".into(),
-            n: 8_640,
-        };
-        nws_wire::append_request_frame(&mut request, &tail);
-
-        // Each round sends one request (a ~138 KB reply) and reads
-        // 32 KB, so once the socket buffers fill the socket takes about
-        // 32 KB a round; 256 rounds with the backlog never drained move
-        // 8 MiB through `out`.
-        const READ: usize = 32 * 1024;
-        let (mut stream, mut first, mut replies) = (Vec::new(), None, 0usize);
-        let mut undrained = 0;
-        for round in 0.. {
-            assert!(round < 4_096, "the backlog kept draining");
-            peer.write_all(&request).expect("pipeline a request");
-            conn.step(true, &state, &config, &shutdown).expect("step");
-            assert!(
-                conn.out.len() < 3 * MAX_FRAME,
-                "round {round}: write buffer holds {} B",
-                conn.out.len()
-            );
-            undrained = if conn.unsent() > 0 { undrained + 1 } else { 0 };
-            if undrained == 256 {
-                break;
-            }
-            let at = stream.len();
-            stream.resize(at + READ, 0);
-            peer.read_exact(&mut stream[at..]).expect("read replies");
-            // Every reply answers the same request: compare each whole
-            // one with the first, then drop it.
-            let mut used = 0;
-            while let Ok((_, payload)) = split_frame(&stream[used..]) {
-                let len = HEADER_LEN + payload.len();
-                let frame = &stream[used..used + len];
-                assert_eq!(
-                    frame,
-                    *first.get_or_insert_with(|| frame.to_vec()),
-                    "reply {replies}"
-                );
-                used += len;
-                replies += 1;
-            }
-            stream.drain(..used);
+        nws_wire::append_request_frame(&mut request, &Request::Stats);
+        // One loop serves both in turn: the first close must leave it
+        // accepting.
+        for attempt in 0..2 {
+            let mut raw = TcpStream::connect(server.addr()).expect("connect");
+            raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            raw.write_all(&request).expect("send a request");
+            let mut reply = Vec::new();
+            raw.read_to_end(&mut reply)
+                .unwrap_or_else(|e| panic!("connection {attempt}: no EOF: {e}"));
+            assert!(reply.is_empty(), "connection {attempt} was answered");
         }
-        assert!(replies > 0, "no whole reply arrived");
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while server.active_connections() != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "a closed connection kept its slot"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.accepted(), 2);
     }
 
     #[test]

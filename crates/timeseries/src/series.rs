@@ -131,11 +131,6 @@ impl Series {
         &self.name
     }
 
-    /// Renames the series.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Appends an observation.
     ///
     /// # Errors
