@@ -35,16 +35,31 @@
 //! # Record format
 //!
 //! ```text
-//! record  := len:u32le | crc32:u32le | payload[len]
-//! payload := tag:u8 | id:u64le | [time:f64le-bits] | [value:f64le-bits]
+//! record  := len:u8 | crc32:u32le | payload[len]
+//! payload := tag:u8 | id:uleb128 | [time] | [value:f64le-bits]
+//! tag     := kind (0 Append, 1 Gap, 2 Drop) | 0x10 when time is integral
+//! time    := uleb128 n     with the 0x10 bit: n < 2^53 and time is n exactly
+//!          | f64le-bits    otherwise
 //! ```
 //!
-//! Tags: `0` Append (25-byte payload), `1` Gap (17), `2` Drop (9). The
-//! CRC (IEEE 802.3, reflected) covers the payload only; the length
+//! For ids below 128 and whole-second times below 2^28 s, an Append
+//! frames in at most 19 bytes, a Gap in at most 11 and a Drop in 7; from
+//! 2^14 s (4.6 h) into a run on, an Append takes 18–19 and a Gap 10–11.
+//!
+//! Each record is self-contained: no field depends on an earlier
+//! record, so a replication chunk, a rotation or
+//! [`WalRecord::decode_at`] may start at any record boundary. Each
+//! record has exactly one frame: the decoder refuses every spelling the
+//! encoder never writes (a padded or overlong LEB128, a whole-second
+//! time sent as `f64` bits), so any journal that decodes re-encodes to
+//! its own bytes. `time` and `value` decode to their exact bits, NaN
+//! payloads and signed zeros included.
+//!
+//! The CRC (IEEE 802.3, reflected) covers the payload only; the length
 //! prefix is validated against [`MAX_RECORD_PAYLOAD`] before anything
 //! is read, mirroring `nws-wire`'s bound-before-alloc discipline. The
-//! decoder is *total*: garbage bytes, truncated tails, and bit flips
-//! all yield typed [`WalError`]s, never panics.
+//! decoder is *total*: garbage bytes, truncated tails, bit flips and
+//! non-canonical fields all yield typed [`WalError`]s, never panics.
 
 use crate::memory::{Memory, MemoryConfig};
 use std::fs::File;
@@ -57,13 +72,15 @@ use nws_timeseries::Seconds;
 /// Magic prefix of a columnar snapshot file (`NWSNAP` + format version).
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NWSNAP01";
 
-/// Bytes of a record frame before its payload (`len` + `crc32`).
-pub const RECORD_HEADER_LEN: usize = 8;
+/// Bytes of a record frame before its payload: the `u8` length and the
+/// `u32le` CRC.
+pub const RECORD_HEADER_LEN: usize = 5;
 
-/// Upper bound on a record payload. The largest record today (Append)
-/// is 25 bytes; the slack leaves room for future tags while still
-/// rejecting garbage length prefixes before any payload is touched.
-pub const MAX_RECORD_PAYLOAD: usize = 64;
+/// The largest payload the encoder writes: a tag, a ten-byte id varint
+/// (a `u64` past 2^63), an `f64` time and an `f64` value. A length
+/// prefix above it is garbage framing, rejected before any payload is
+/// touched.
+pub const MAX_RECORD_PAYLOAD: usize = 1 + MAX_VARINT_LEN + 8 + 8;
 
 /// Upper bound on one framed record (`header + payload`). Replication
 /// chunk sizes are clamped to at least this so a chunk always makes
@@ -73,6 +90,14 @@ pub const MAX_RECORD_FRAME: usize = RECORD_HEADER_LEN + MAX_RECORD_PAYLOAD;
 const TAG_APPEND: u8 = 0;
 const TAG_GAP: u8 = 1;
 const TAG_DROP: u8 = 2;
+/// Set on an Append or Gap tag when the time travels as a varint.
+const INTEGRAL_TIME: u8 = 0x10;
+
+/// Groups of seven bits a `u64` takes at most.
+const MAX_VARINT_LEN: usize = 10;
+/// Whole-second times below this travel as varints; every integer
+/// below 2^53 is exactly an `f64`.
+const INTEGRAL_TIME_LIMIT: u64 = 1 << 53;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected), slice-by-8, tables built at compile
@@ -143,7 +168,18 @@ impl Crc32 {
                 ^ t1[usize::from(w[6])]
                 ^ t0[usize::from(w[7])];
         }
-        for &b in words.remainder() {
+        // A WAL payload is mostly tail: fold four of its bytes at once
+        // too, so at most three go through the dependent bytewise step.
+        let mut tail = words.remainder();
+        if let Some((w, rest)) = tail.split_first_chunk::<4>() {
+            let lo = crc ^ u32::from_le_bytes(*w);
+            crc = t3[(lo & 0xFF) as usize]
+                ^ t2[((lo >> 8) & 0xFF) as usize]
+                ^ t1[((lo >> 16) & 0xFF) as usize]
+                ^ t0[(lo >> 24) as usize];
+            tail = rest;
+        }
+        for &b in tail {
             crc = (crc >> 8) ^ t0[((crc ^ u32::from(b)) & 0xFF) as usize];
         }
         self.0 = crc;
@@ -180,9 +216,15 @@ pub enum WalError {
     /// The length prefix exceeds [`MAX_RECORD_PAYLOAD`] — garbage framing,
     /// rejected before any payload is read.
     RecordTooLong { offset: usize, len: usize },
-    /// A known tag with the wrong payload size (corruption that survived
-    /// the checksum).
+    /// The payload's fields do not fill it exactly: one is cut short by
+    /// the payload's end, or bytes trail the last (corruption that
+    /// survived the checksum).
     BadLength { offset: usize },
+    /// A field spelled in a form the encoder never writes: a LEB128
+    /// padded with a zero group, longer than ten bytes or past 64 bits,
+    /// an integral time at or past 2^53, or a whole-second time sent as
+    /// `f64` bits.
+    NonCanonical { offset: usize },
     /// A snapshot failed validation (magic, checksum, or bounds).
     Snapshot(&'static str),
     /// The file mirror failed.
@@ -207,6 +249,9 @@ impl std::fmt::Display for WalError {
             ),
             WalError::BadLength { offset } => {
                 write!(f, "wal record payload size mismatch at byte {offset}")
+            }
+            WalError::NonCanonical { offset } => {
+                write!(f, "wal record field not in canonical form at byte {offset}")
             }
             WalError::Snapshot(what) => write!(f, "snapshot rejected: {what}"),
             WalError::Io(kind) => write!(f, "wal io error: {kind}"),
@@ -255,36 +300,31 @@ impl WalRecord {
         }
     }
 
-    fn fill_payload(&self, buf: &mut [u8; 25]) -> usize {
-        match *self {
-            WalRecord::Append { id, time, value } => {
-                buf[0] = TAG_APPEND;
-                buf[1..9].copy_from_slice(&id.0.to_le_bytes());
-                buf[9..17].copy_from_slice(&time.to_bits().to_le_bytes());
-                buf[17..25].copy_from_slice(&value.to_bits().to_le_bytes());
-                25
-            }
-            WalRecord::Gap { id, time } => {
-                buf[0] = TAG_GAP;
-                buf[1..9].copy_from_slice(&id.0.to_le_bytes());
-                buf[9..17].copy_from_slice(&time.to_bits().to_le_bytes());
-                17
-            }
-            WalRecord::Drop { id } => {
-                buf[0] = TAG_DROP;
-                buf[1..9].copy_from_slice(&id.0.to_le_bytes());
-                9
-            }
-        }
-    }
-
     /// Appends this record's frame (`len | crc | payload`) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut payload = [0u8; 25];
-        let n = self.fill_payload(&mut payload);
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload[..n]).to_le_bytes());
-        out.extend_from_slice(&payload[..n]);
+        let (kind, id, time, value) = match *self {
+            WalRecord::Append { id, time, value } => (TAG_APPEND, id, Some(time), Some(value)),
+            WalRecord::Gap { id, time } => (TAG_GAP, id, Some(time), None),
+            WalRecord::Drop { id } => (TAG_DROP, id, None, None),
+        };
+        let whole = time.and_then(integral_seconds);
+        let start = out.len();
+        out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+        out.push(kind | if whole.is_some() { INTEGRAL_TIME } else { 0 });
+        put_uleb128(out, id.0);
+        match (whole, time) {
+            (Some(n), _) => put_uleb128(out, n),
+            (None, Some(time)) => out.extend_from_slice(&time.to_bits().to_le_bytes()),
+            (None, None) => {}
+        }
+        if let Some(value) = value {
+            out.extend_from_slice(&value.to_bits().to_le_bytes());
+        }
+        let payload = &out[start + RECORD_HEADER_LEN..];
+        // At most `MAX_RECORD_PAYLOAD` bytes, so the length fits a `u8`.
+        let [c0, c1, c2, c3] = crc32(payload).to_le_bytes();
+        let header = [payload.len() as u8, c0, c1, c2, c3];
+        out[start..start + RECORD_HEADER_LEN].copy_from_slice(&header);
     }
 
     /// Decodes the record framed at `offset`, returning it and the
@@ -292,13 +332,12 @@ impl WalRecord {
     /// typed [`WalError`].
     pub fn decode_at(bytes: &[u8], offset: usize) -> Result<(WalRecord, usize), WalError> {
         let rest = bytes.get(offset..).unwrap_or(&[]);
-        // The header is `len: u32le | crc: u32le`.
-        let Some((&[l0, l1, l2, l3, c0, c1, c2, c3], rest)) =
-            rest.split_first_chunk::<RECORD_HEADER_LEN>()
+        // The header is `len: u8 | crc: u32le`.
+        let Some((&[len, c0, c1, c2, c3], rest)) = rest.split_first_chunk::<RECORD_HEADER_LEN>()
         else {
             return Err(WalError::Truncated { offset });
         };
-        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let len = usize::from(len);
         if len > MAX_RECORD_PAYLOAD {
             return Err(WalError::RecordTooLong { offset, len });
         }
@@ -308,30 +347,136 @@ impl WalRecord {
         if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
             return Err(WalError::BadCrc { offset });
         }
-        let rec = Self::from_payload(payload, offset)?;
+        let rec = Fields {
+            rest: payload,
+            offset,
+        }
+        .record()?;
         Ok((rec, offset + RECORD_HEADER_LEN + len))
     }
+}
 
-    fn from_payload(p: &[u8], offset: usize) -> Result<WalRecord, WalError> {
-        let Some((&tag, fields)) = p.split_first() else {
-            return Err(WalError::BadLength { offset });
+/// The `n` a whole-second time travels as: `n < 2^53` and `n as f64`
+/// has exactly `time`'s bits. `None` for fractions, negatives, `-0.0`,
+/// NaNs, infinities and times from 2^53 on, which travel as `f64` bits.
+fn integral_seconds(time: Seconds) -> Option<u64> {
+    // `as` saturates, and takes NaN to 0, whose bits differ from NaN's.
+    let n = time as u64;
+    (n < INTEGRAL_TIME_LIMIT && (n as f64).to_bits() == time.to_bits()).then_some(n)
+}
+
+/// Appends `n` as an unsigned LEB128: seven bits a byte, low group
+/// first, the high bit set on every byte but the last.
+fn put_uleb128(out: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
+
+/// A CRC-valid payload read field by field. Every error names the
+/// record's offset.
+struct Fields<'a> {
+    rest: &'a [u8],
+    offset: usize,
+}
+
+impl Fields<'_> {
+    fn cut_short(&self) -> WalError {
+        WalError::BadLength {
+            offset: self.offset,
+        }
+    }
+
+    fn non_canonical(&self) -> WalError {
+        WalError::NonCanonical {
+            offset: self.offset,
+        }
+    }
+
+    /// The whole payload as one record, or why it is not one.
+    fn record(mut self) -> Result<WalRecord, WalError> {
+        let tag = self.byte()?;
+        let (kind, integral) = (tag & !INTEGRAL_TIME, tag & INTEGRAL_TIME != 0);
+        if !matches!(
+            (kind, integral),
+            (TAG_APPEND | TAG_GAP, _) | (TAG_DROP, false)
+        ) {
+            return Err(WalError::UnknownTag {
+                offset: self.offset,
+                tag,
+            });
+        }
+        let id = ResourceId(self.uleb128()?);
+        let rec = match kind {
+            TAG_DROP => WalRecord::Drop { id },
+            TAG_GAP => WalRecord::Gap {
+                id,
+                time: self.time(integral)?,
+            },
+            _ => WalRecord::Append {
+                id,
+                time: self.time(integral)?,
+                value: f64::from_bits(self.word()?),
+            },
         };
-        let word = |w: &[u8; 8]| u64::from_le_bytes(*w);
-        match (tag, fields.as_chunks::<8>()) {
-            (TAG_APPEND, ([id, time, value], [])) => Ok(WalRecord::Append {
-                id: ResourceId(word(id)),
-                time: f64::from_bits(word(time)),
-                value: f64::from_bits(word(value)),
-            }),
-            (TAG_GAP, ([id, time], [])) => Ok(WalRecord::Gap {
-                id: ResourceId(word(id)),
-                time: f64::from_bits(word(time)),
-            }),
-            (TAG_DROP, ([id], [])) => Ok(WalRecord::Drop {
-                id: ResourceId(word(id)),
-            }),
-            (TAG_APPEND | TAG_GAP | TAG_DROP, _) => Err(WalError::BadLength { offset }),
-            (tag, _) => Err(WalError::UnknownTag { offset, tag }),
+        if !self.rest.is_empty() {
+            return Err(self.cut_short());
+        }
+        Ok(rec)
+    }
+
+    fn byte(&mut self) -> Result<u8, WalError> {
+        let (&byte, rest) = self.rest.split_first().ok_or_else(|| self.cut_short())?;
+        self.rest = rest;
+        Ok(byte)
+    }
+
+    fn word(&mut self) -> Result<u64, WalError> {
+        let (word, rest) = self
+            .rest
+            .split_first_chunk::<8>()
+            .ok_or_else(|| self.cut_short())?;
+        self.rest = rest;
+        Ok(u64::from_le_bytes(*word))
+    }
+
+    /// A canonical unsigned LEB128: at most ten groups, no bit past the
+    /// 64th, and a last group of zero only in `0` itself.
+    fn uleb128(&mut self) -> Result<u64, WalError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.byte()?;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                return Err(self.non_canonical());
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(self.non_canonical());
+                }
+                return Ok(value);
+            }
+        }
+        Err(self.non_canonical())
+    }
+
+    /// A time in the form its tag names, and only the form the encoder
+    /// would have chosen for it.
+    fn time(&mut self, integral: bool) -> Result<Seconds, WalError> {
+        if integral {
+            match self.uleb128()? {
+                n if n < INTEGRAL_TIME_LIMIT => Ok(n as f64),
+                _ => Err(self.non_canonical()),
+            }
+        } else {
+            let time = f64::from_bits(self.word()?);
+            match integral_seconds(time) {
+                None => Ok(time),
+                Some(_) => Err(self.non_canonical()),
+            }
         }
     }
 }
@@ -881,6 +1026,211 @@ mod tests {
         assert_eq!(scan.end, bytes.len());
         assert_eq!(scan.error, None);
         assert_eq!(seen, records);
+    }
+
+    /// Frames `payload` under a correct length and CRC, so only the
+    /// decoder's own checks can refuse it.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![payload.len() as u8];
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn the_frame_is_pinned_byte_for_byte() {
+        let records = [
+            WalRecord::Append {
+                id: rid(3),
+                time: 86_390.0,
+                value: 0.875,
+            },
+            WalRecord::Append {
+                id: rid(3),
+                time: 10.5,
+                value: 0.25,
+            },
+            WalRecord::Gap {
+                id: rid(5),
+                time: 86_400.0,
+            },
+            WalRecord::Drop { id: rid(5) },
+        ];
+        let golden: [&[u8]; 4] = [
+            &[
+                0x0D, 0xF9, 0x91, 0x0C, 0x0E, 0x10, 0x03, 0xF6, 0xA2, 0x05, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0xEC, 0x3F,
+            ],
+            &[
+                0x12, 0x78, 0xB7, 0x39, 0x74, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x25,
+                0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F,
+            ],
+            &[0x05, 0x38, 0xB9, 0x09, 0xB8, 0x11, 0x05, 0x80, 0xA3, 0x05],
+            &[0x02, 0xF2, 0x84, 0x85, 0x03, 0x02, 0x05],
+        ];
+        let mut journal = Vec::new();
+        for (rec, want) in records.iter().zip(golden) {
+            let mut frame = Vec::new();
+            rec.encode_into(&mut frame);
+            assert_eq!(frame, want, "{rec:?}");
+            let at = journal.len();
+            journal.extend_from_slice(want);
+            assert_eq!(
+                WalRecord::decode_at(&journal, at),
+                Ok((*rec, journal.len()))
+            );
+        }
+    }
+
+    #[test]
+    fn frames_take_the_documented_sizes() {
+        let size = |rec: WalRecord| {
+            let mut frame = Vec::new();
+            rec.encode_into(&mut frame);
+            frame.len()
+        };
+        // Ids below 128, whole-second times below 2^28 s: a time takes
+        // one varint byte below 2^7 s, three from 2^14 s (4.6 h) on and
+        // four from 2^21 s (24 days) on.
+        for (id, time, append, gap) in [
+            (0, 0.0, 16, 8),
+            (127, 16_384.0, 18, 10),
+            (127, 86_400.0, 18, 10),
+            (127, 268_435_455.0, 19, 11),
+        ] {
+            let id = rid(id);
+            let value = 0.5;
+            assert_eq!(size(WalRecord::Append { id, time, value }), append);
+            assert_eq!(size(WalRecord::Gap { id, time }), gap);
+            assert_eq!(size(WalRecord::Drop { id }), 7);
+        }
+        // The largest frame the encoder writes is the bound.
+        let widest = WalRecord::Append {
+            id: rid(u64::MAX),
+            time: 0.5,
+            value: 0.5,
+        };
+        assert_eq!(size(widest), MAX_RECORD_FRAME);
+    }
+
+    #[test]
+    fn malformed_payloads_are_typed_errors_past_the_crc() {
+        let value = 0.5f64.to_bits().to_le_bytes();
+        let with_value = |fields: &[u8]| [fields, &value[..]].concat();
+        let at_limit = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10];
+        let cases: [(Vec<u8>, WalError); 12] = [
+            (vec![], WalError::BadLength { offset: 7 }),
+            // A varint padded with a zero group: 5 as `85 00`.
+            (
+                vec![TAG_DROP, 0x85, 0x00],
+                WalError::NonCanonical { offset: 7 },
+            ),
+            // Eleven groups.
+            (
+                [&[TAG_DROP][..], &[0x80; 10], &[0x00]].concat(),
+                WalError::NonCanonical { offset: 7 },
+            ),
+            // Ten groups whose last carries bit 65.
+            (
+                [&[TAG_DROP][..], &[0xFF; 9], &[0x02]].concat(),
+                WalError::NonCanonical { offset: 7 },
+            ),
+            // 2^53 as an integral time.
+            (
+                with_value(&[&[TAG_APPEND | INTEGRAL_TIME, 0x01][..], &at_limit].concat()),
+                WalError::NonCanonical { offset: 7 },
+            ),
+            // 120 s as `f64` bits, where the encoder writes a varint.
+            (
+                with_value(&[&[TAG_APPEND, 0x01][..], &120f64.to_bits().to_le_bytes()].concat()),
+                WalError::NonCanonical { offset: 7 },
+            ),
+            // The integral-time bit on a Drop.
+            (
+                vec![TAG_DROP | INTEGRAL_TIME, 0x01],
+                WalError::UnknownTag {
+                    offset: 7,
+                    tag: 0x12,
+                },
+            ),
+            (vec![3, 0x01], WalError::UnknownTag { offset: 7, tag: 3 }),
+            // Trailing bytes.
+            (
+                vec![TAG_DROP, 0x01, 0x00],
+                WalError::BadLength { offset: 7 },
+            ),
+            // A varint the payload's end cuts.
+            (vec![TAG_DROP, 0x85], WalError::BadLength { offset: 7 }),
+            // A Gap with no time, an Append with half a value.
+            (vec![TAG_GAP, 0x01], WalError::BadLength { offset: 7 }),
+            (
+                vec![TAG_APPEND | INTEGRAL_TIME, 0x01, 0x78, 0x00, 0x00],
+                WalError::BadLength { offset: 7 },
+            ),
+        ];
+        for (payload, want) in cases {
+            // Behind one good record, so the offset is the bad one's.
+            let mut bytes = Vec::new();
+            WalRecord::Drop { id: rid(1) }.encode_into(&mut bytes);
+            bytes.extend_from_slice(&framed(&payload));
+            assert_eq!(
+                WalRecord::decode_at(&bytes, 7),
+                Err(want),
+                "payload {payload:02X?}"
+            );
+            let scan = replay(&bytes, 0, |_| {});
+            assert_eq!((scan.records, scan.end, scan.error), (1, 7, Some(want)));
+        }
+    }
+
+    #[test]
+    fn the_widest_fields_just_inside_the_rules_decode() {
+        let cases = [
+            // u64::MAX: nine full groups and a last group of 1.
+            (
+                [&[TAG_DROP][..], &[0xFF; 9], &[0x01]].concat(),
+                WalRecord::Drop { id: rid(u64::MAX) },
+            ),
+            // 2^53 - 1 as an integral time.
+            (
+                [
+                    &[TAG_GAP | INTEGRAL_TIME, 0x00][..],
+                    &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
+                ]
+                .concat(),
+                WalRecord::Gap {
+                    id: rid(0),
+                    time: 9_007_199_254_740_991.0,
+                },
+            ),
+        ];
+        for (payload, want) in cases {
+            let frame = framed(&payload);
+            assert_eq!(WalRecord::decode_at(&frame, 0), Ok((want, frame.len())));
+            let mut again = Vec::new();
+            want.encode_into(&mut again);
+            assert_eq!(again, frame, "the one spelling of {want:?}");
+        }
+    }
+
+    #[test]
+    fn a_v1_frame_is_a_typed_error_not_a_panic() {
+        // `len:u32le | crc32:u32le | tag | id:u64le | time | value`, the
+        // layout this frame replaced, for Append { 3, 120.0, 0.875 }.
+        let mut payload = vec![TAG_APPEND];
+        payload.extend_from_slice(&3u64.to_le_bytes());
+        payload.extend_from_slice(&120f64.to_bits().to_le_bytes());
+        payload.extend_from_slice(&0.875f64.to_bits().to_le_bytes());
+        let mut v1 = (payload.len() as u32).to_le_bytes().to_vec();
+        v1.extend_from_slice(&crc32(&payload).to_le_bytes());
+        v1.extend_from_slice(&payload);
+        assert_eq!(v1.len(), 33);
+        assert_eq!(
+            WalRecord::decode_at(&v1, 0),
+            Err(WalError::BadCrc { offset: 0 })
+        );
+        let scan = replay(&v1, 0, |_| {});
+        assert_eq!((scan.records, scan.end), (0, 0));
     }
 
     #[test]

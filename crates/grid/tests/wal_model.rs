@@ -7,9 +7,18 @@
 //! corruption; and rebuilding a [`Memory`] from genesis replay or from
 //! a snapshot plus the WAL suffix must reproduce the original
 //! fingerprint exactly.
+//!
+//! The frame itself: any record — any id, any `f64` bits for time and
+//! value — decodes bit-identically and consumes exactly its frame, and a
+//! CRC-valid payload is either a typed error or the one frame the
+//! encoder writes for what it decodes to. The round trip runs at 1,024
+//! cases, and again at 4,096 under
+//! `cargo test --release -p nws-grid -- --ignored`.
 
-use nws_grid::wal::replay;
-use nws_grid::{recover_memory_rotated, Memory, MemoryConfig, ResourceId, Wal, WalRecord};
+use nws_grid::wal::{crc32, replay, MAX_RECORD_FRAME, RECORD_HEADER_LEN};
+use nws_grid::{
+    recover_memory_rotated, Memory, MemoryConfig, ResourceId, Wal, WalError, WalRecord,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -19,10 +28,44 @@ fn any_f64() -> impl Strategy<Value = f64> {
     any::<u64>().prop_map(f64::from_bits)
 }
 
-/// A record with fully arbitrary payload bits — what the codec has to
-/// carry faithfully regardless of what the store would do with it.
+/// Times and values at the edges of the frame's rules: signed zeros,
+/// infinities, NaN payloads, subnormals, both sides of 2^53, negatives
+/// and fractions.
+const EDGES: [f64; 16] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7FF0_0000_0000_0001),
+    f64::from_bits(0xFFF8_0000_DEAD_BEEF),
+    f64::from_bits(1),
+    f64::MIN_POSITIVE / 2.0,
+    9_007_199_254_740_991.0,
+    9_007_199_254_740_992.0,
+    -1.0,
+    10.5,
+    86_400.0,
+    f64::MAX,
+];
+
+/// Any `f64` bits, weighted towards whole seconds and the edges.
+fn edge_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any_f64(),
+        (0u64..1 << 53).prop_map(|n| n as f64),
+        (0u64..1 << 28).prop_map(|n| n as f64),
+        (0usize..EDGES.len()).prop_map(|i| EDGES[i]),
+    ]
+}
+
+/// Any record: any `u64` id and any `f64` bits for time and value —
+/// what the codec has to carry faithfully regardless of what the store
+/// would do with it.
 fn any_record() -> impl Strategy<Value = WalRecord> {
-    (0u8..3, 0u64..6, any_f64(), any_f64()).prop_map(|(kind, id, time, value)| {
+    let id = prop_oneof![any::<u64>(), 0u64..300];
+    (0u8..3, id, edge_f64(), edge_f64()).prop_map(|(kind, id, time, value)| {
         let id = ResourceId(id);
         match kind {
             0 => WalRecord::Append { id, time, value },
@@ -30,6 +73,35 @@ fn any_record() -> impl Strategy<Value = WalRecord> {
             _ => WalRecord::Drop { id },
         }
     })
+}
+
+/// A record's fields as bits, so NaNs compare by payload.
+fn bits(rec: &WalRecord) -> (u8, u64, u64, u64) {
+    match *rec {
+        WalRecord::Append { id, time, value } => (0, id.0, time.to_bits(), value.to_bits()),
+        WalRecord::Gap { id, time } => (1, id.0, time.to_bits(), 0),
+        WalRecord::Drop { id } => (2, id.0, 0, 0),
+    }
+}
+
+/// `rec` framed between `before` junk bytes and `after` more must
+/// decode at `before` to the same bits and end exactly at its frame's
+/// end.
+fn one_record_round_trips(rec: &WalRecord, before: u8, after: u8) -> Result<(), TestCaseError> {
+    let mut bytes = vec![0xA5; usize::from(before)];
+    rec.encode_into(&mut bytes);
+    let frame = bytes.len() - usize::from(before);
+    bytes.extend(std::iter::repeat_n(0x5A, usize::from(after)));
+    prop_assert!(frame <= MAX_RECORD_FRAME, "{rec:?} took {frame} bytes");
+    prop_assert_eq!(
+        usize::from(bytes[usize::from(before)]),
+        frame - RECORD_HEADER_LEN
+    );
+    let (back, next) = WalRecord::decode_at(&bytes, usize::from(before))
+        .map_err(|e| TestCaseError::fail(format!("{rec:?}: {e}")))?;
+    prop_assert!(bits(&back) == bits(rec), "{rec:?} came back as {back:?}");
+    prop_assert_eq!(next, usize::from(before) + frame);
+    Ok(())
 }
 
 /// Raw op tuples for plausible journal traffic: mostly forward-in-time
@@ -83,6 +155,48 @@ fn log_all(records: &[WalRecord]) -> Wal {
         wal.log(rec);
     }
     wal
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn any_record_decodes_bit_identically_from_exactly_its_frame(
+        rec in any_record(),
+        before in 0u8..40,
+        after in 0u8..40,
+    ) {
+        one_record_round_trips(&rec, before, after)?;
+    }
+
+    #[test]
+    fn a_crc_valid_payload_is_a_typed_error_or_its_own_encoding(
+        tag in prop_oneof![0u8..3, 0x10u8..0x13, any::<u8>()],
+        body in vec(prop_oneof![any::<u8>(), 0x80u8..0x82, 0u8..2], 0..27),
+    ) {
+        let payload = [&[tag][..], &body].concat();
+        let mut frame = vec![payload.len() as u8];
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        match WalRecord::decode_at(&frame, 0) {
+            Ok((rec, next)) => {
+                prop_assert_eq!(next, frame.len());
+                let mut again = Vec::new();
+                rec.encode_into(&mut again);
+                prop_assert!(again == frame, "{rec:?} has another spelling");
+            }
+            Err(e) => prop_assert!(
+                matches!(
+                    e,
+                    WalError::BadLength { offset: 0 }
+                        | WalError::NonCanonical { offset: 0 }
+                        | WalError::UnknownTag { offset: 0, .. }
+                ),
+                "a CRC-valid payload failed as {:?}",
+                e
+            ),
+        }
+    }
 }
 
 proptest! {
@@ -249,5 +363,21 @@ proptest! {
         prop_assert!(report.snapshot_error.is_none());
         prop_assert_eq!(report.replayed as usize, records.len() - snap_at);
         prop_assert_eq!(from_snap.fingerprint(), golden.fingerprint());
+    }
+}
+
+// The frame round trip at 4,096 cases, for the edges 1,024 sample
+// thinly. Run with `cargo test --release -p nws-grid -- --ignored`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    #[ignore = "4,096 cases; run with --ignored"]
+    fn any_record_round_trips_at_4096_cases(
+        rec in any_record(),
+        before in 0u8..40,
+        after in 0u8..40,
+    ) {
+        one_record_round_trips(&rec, before, after)?;
     }
 }

@@ -60,14 +60,24 @@ pub(crate) struct Core<S> {
     requests: u64,
 }
 
-/// What [`Core::answer`] hands a renderer, in order.
+/// What [`Core::answer`] hands a renderer while it answers a batch, in
+/// order.
 enum Step<'a> {
     /// The replies that follow are the elements of a batch this long.
     Batch(usize),
-    /// The next reply, or the only one.
-    Reply(ReplyRef<'a>),
+    /// The next element.
+    Element(ReplyRef<'a>),
     /// Everything rendered for this request so far is withdrawn.
     Withdraw,
+}
+
+/// How [`Core::answer`] ends: every request is answered by exactly one
+/// of these.
+enum Answer<'a> {
+    /// The whole answer is this one reply, for the caller to render.
+    One(ReplyRef<'a>),
+    /// The answer is a batch whose every element was rendered.
+    Batch,
 }
 
 /// An error reply, its message cut to [`MAX_STRING`] bytes at a char
@@ -217,52 +227,58 @@ impl<S: Served> Core<S> {
         })
     }
 
-    /// Answers a whole request through `render`: a batch element-wise
-    /// in order, anything else as a single reply. A reply that would
-    /// not fit one frame is withdrawn and the request refused as a
+    /// Answers a whole request: a batch element-wise in order through
+    /// `render`, anything else as the one reply returned. A reply that
+    /// would not fit one frame is withdrawn and the request refused as a
     /// whole — a header declaring more than [`MAX_FRAME`] is one every
     /// client rejects.
-    fn answer(&mut self, req: &Request, mut render: impl FnMut(Step<'_>)) {
-        let (items, mut len) = match req {
+    fn answer<'a>(&'a mut self, req: &'a Request, mut render: impl FnMut(Step<'_>)) -> Answer<'a> {
+        let refusal = || {
+            let refusal = format!("reply exceeds the {MAX_FRAME}-byte frame bound");
+            Answer::One(ReplyRef::Error(bad_request(refusal)))
+        };
+        let items = match req {
             // Decode already bounds this; guard anyway for requests
             // constructed in-process.
             Request::Batch(items) if items.len() > MAX_BATCH => {
-                let refusal = bad_request("batch too large");
-                return render(Step::Reply(ReplyRef::Error(refusal)));
+                return Answer::One(ReplyRef::Error(bad_request("batch too large")));
             }
-            Request::Batch(items) => {
-                render(Step::Batch(items.len()));
-                (items.as_slice(), BATCH_HEADER_LEN)
+            Request::Batch(items) => items,
+            one => {
+                let reply = self.reply(one).unwrap_or_else(ReplyRef::Error);
+                return if reply.encoded_len() > MAX_FRAME {
+                    refusal()
+                } else {
+                    Answer::One(reply)
+                };
             }
-            one => (std::slice::from_ref(one), 0),
         };
+        render(Step::Batch(items.len()));
+        let mut len = BATCH_HEADER_LEN;
         for item in items {
             let reply = self.reply(item).unwrap_or_else(ReplyRef::Error);
             len += reply.encoded_len();
             if len > MAX_FRAME {
-                let refusal = format!("reply exceeds the {MAX_FRAME}-byte frame bound");
                 render(Step::Withdraw);
-                return render(Step::Reply(ReplyRef::Error(bad_request(refusal))));
+                return refusal();
             }
-            render(Step::Reply(reply));
+            render(Step::Element(reply));
         }
+        Answer::Batch
     }
 
     /// Renders the answer as an owned [`Response`].
     pub(crate) fn dispatch(&mut self, req: &Request) -> Response {
-        let (mut batch, mut single) = (None, None);
-        self.answer(req, |step| match step {
-            Step::Batch(items) => batch = Some(Vec::with_capacity(items)),
-            Step::Reply(reply) => match &mut batch {
-                Some(items) => items.push(reply.into_response()),
-                None => single = Some(reply.into_response()),
-            },
-            Step::Withdraw => batch = None,
+        let mut items = Vec::new();
+        let answer = self.answer(req, |step| match step {
+            Step::Batch(len) => items.reserve_exact(len),
+            Step::Element(reply) => items.push(reply.into_response()),
+            Step::Withdraw => items.clear(),
         });
-        batch.map_or_else(
-            || single.expect("every request is answered"),
-            Response::Batch,
-        )
+        match answer {
+            Answer::One(reply) => reply.into_response(),
+            Answer::Batch => Response::Batch(items),
+        }
     }
 
     /// Renders the answer as one complete response frame appended to
@@ -272,11 +288,14 @@ impl<S: Served> Core<S> {
         let start = begin_response_frame(out);
         let payload = out.len();
         let mut w = Writer::with_buf(std::mem::take(out));
-        self.answer(req, |step| match step {
+        let answer = self.answer(req, |step| match step {
             Step::Batch(items) => ReplyRef::encode_batch_header(&mut w, items),
-            Step::Reply(reply) => reply.encode_into(&mut w),
+            Step::Element(reply) => reply.encode_into(&mut w),
             Step::Withdraw => w.truncate(payload),
         });
+        if let Answer::One(reply) = answer {
+            reply.encode_into(&mut w);
+        }
         *out = w.finish();
         end_response_frame(out, start);
     }
