@@ -142,11 +142,7 @@ fn run_faults(cfg: &ExperimentConfig, tier: Tier) {
                 gm.memory().with_series(id, |times, vals| {
                     (
                         vals.to_vec(),
-                        times
-                            .iter()
-                            .zip(vals)
-                            .map(|(t, v)| (t.to_bits(), *v))
-                            .collect(),
+                        times.zip(vals).map(|(t, v)| (t.to_bits(), *v)).collect(),
                     )
                 });
             if let Some(r) = evaluate_one_step(&mut PredictorBank::nws_default(), &values) {

@@ -185,7 +185,7 @@ impl Archive {
     /// time is the forecaster's last reading too, since a reading
     /// reaches the forecaster iff the memory stored it.
     pub fn staleness(&self, id: ResourceId, now: Seconds) -> Option<Seconds> {
-        let last = self.memory.times(id).last()?;
+        let last = self.memory.last_time(id)?;
         Some((now - last).max(0.0))
     }
 

@@ -51,7 +51,7 @@ pub mod wal;
 
 pub use archive::{best_row, Archive, HostStatus, STALENESS_BOUND};
 pub use fleet::{FleetConfig, FleetMonitor, FleetPanel, FleetRoster};
-pub use memory::{Memory, MemoryConfig, StoreOutcome};
+pub use memory::{Memory, MemoryConfig, StoreOutcome, Times};
 pub use monitor::{GridMonitor, GridMonitorConfig, TestObservation, TestSchedule};
 pub use registry::{Metric, Registry, ResourceId, ResourceInfo};
 pub use service::{ForecastAnswer, ForecastService};

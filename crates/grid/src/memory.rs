@@ -8,18 +8,28 @@
 //!
 //! # Columnar layout, sharded segments
 //!
-//! Each series is stored structure-of-arrays: one contiguous `times`
-//! column and one contiguous `values` column, plus a `start` cursor
-//! marking the oldest live point (a *compacting ring*: eviction advances
-//! the cursor, and the dead prefix is reclaimed with one `copy_within`
-//! once it reaches a quarter of the retention window, so appends stay
-//! amortized O(1) — about 64 B of memmove each at a day's window — and
-//! the backing storage never exceeds 1.25 × the retention bound: a
-//! column reserves exactly that once, instead of growing by `Vec`'s
-//! doubling). Because the live window is always one contiguous slice per
-//! column, analytics and wire encoding borrow measurements directly —
-//! [`Memory::values`], [`Memory::tail`], [`Memory::with_series`] —
-//! instead of cloning them out.
+//! Each series is stored structure-of-arrays: one contiguous `values`
+//! column, a *time axis* in place of a times column, and a `start`
+//! cursor marking the oldest live point (a *compacting ring*: eviction
+//! advances the cursor, and the dead prefix is reclaimed with one
+//! `copy_within` once it reaches a quarter of the retention window, so
+//! appends stay amortized O(1) — about 32 B of memmove each at a day's
+//! window — and the column never exceeds 1.25 × the retention bound: it
+//! reserves exactly that once, instead of growing by `Vec`'s doubling).
+//! Because the live window is one contiguous slice, analytics and wire
+//! encoding borrow values directly — [`Memory::values`],
+//! [`Memory::tail`], [`Memory::with_series`] — instead of cloning them
+//! out.
+//!
+//! The time axis is a short list of runs, each holding its first column
+//! index, first time and step: point `i` of a run has time `t0 + (i −
+//! first) as f64 * step`. A new point joins the last run only if that
+//! expression reproduces its time bit for bit, and opens a run
+//! otherwise, so the axis is exact whatever the times, and a series on
+//! the 10-second cadence costs one run — 24 bytes in place of 8 per
+//! point. Each gap or off-grid time costs one more run. Readers get the
+//! times as a [`Times`] view, an iterator that computes them, and
+//! [`Memory::last_time`] for the newest.
 //!
 //! Segments are addressed by [`ResourceId`] *directly*: the registry
 //! hands out dense sequential ids and registers each host's series
@@ -86,11 +96,97 @@ fn slack(retain: usize) -> usize {
 /// a longer retention bound lets the column grow as points arrive.
 const RESERVE_CEILING: usize = 1 << 20;
 
-/// One series' measurements in columnar (SoA) form: parallel `times` and
-/// `values` columns whose live window is `[start..]` of each vector.
+/// One run of a time axis: evenly spaced times, stored as the first
+/// and the spacing.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Column index of the run's first point. Compaction moves it with
+    /// the column, below zero once the run's first points are evicted.
+    first: isize,
+    /// Time of the point at `first`.
+    t0: Seconds,
+    /// Spacing; unset (0) while the run holds one point.
+    step: Seconds,
+}
+
+impl Run {
+    /// Time of the point at column index `i`, one of the run's.
+    fn time(&self, i: usize) -> Seconds {
+        match i as isize - self.first {
+            // `t0 + 0.0` would turn a first time of `-0.0` into `+0.0`.
+            0 => self.t0,
+            k => self.t0 + k as f64 * self.step,
+        }
+    }
+}
+
+/// The retained timestamps of one series, oldest first, computed from
+/// its time axis — what [`Memory::tail`] and [`Memory::with_series`]
+/// hand out beside the values slice. Each time is bit for bit the one
+/// that was stored.
+#[derive(Debug, Clone)]
+pub struct Times<'a> {
+    /// The axis from the run holding `next` on.
+    runs: &'a [Run],
+    /// Column index of the next time.
+    next: usize,
+    /// Column index past the last time.
+    end: usize,
+}
+
+impl<'a> Times<'a> {
+    const EMPTY: Times<'static> = Times {
+        runs: &[],
+        next: 0,
+        end: 0,
+    };
+
+    /// The times of column indices `from..end` on `axis`.
+    fn new(axis: &'a [Run], from: usize, end: usize) -> Self {
+        let at = axis.partition_point(|run| run.first <= from as isize);
+        Self {
+            runs: &axis[at.saturating_sub(1)..],
+            next: from,
+            end,
+        }
+    }
+}
+
+impl Iterator for Times<'_> {
+    type Item = Seconds;
+
+    fn next(&mut self) -> Option<Seconds> {
+        if self.next == self.end {
+            return None;
+        }
+        // Every run holds at least one point, so one step crosses at
+        // most one run boundary.
+        if let [_, run, ..] = self.runs {
+            if run.first <= self.next as isize {
+                self.runs = &self.runs[1..];
+            }
+        }
+        let time = self.runs[0].time(self.next);
+        self.next += 1;
+        Some(time)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.end - self.next;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Times<'_> {}
+
+/// One series' measurements in columnar (SoA) form: a `values` column
+/// whose live window is `[start..]`, and the time axis that gives each
+/// column slot its time.
 #[derive(Debug, Default)]
 struct ColumnSeries {
-    times: Vec<Seconds>,
+    /// Runs in column order, covering every slot of `values`; runs whose
+    /// points are all evicted go at the next compaction.
+    axis: Vec<Run>,
     values: Vec<f64>,
     /// Index of the oldest live point; everything before it is evicted
     /// and awaits compaction.
@@ -99,11 +195,12 @@ struct ColumnSeries {
 
 impl ColumnSeries {
     fn len(&self) -> usize {
-        self.times.len() - self.start
+        self.values.len() - self.start
     }
 
-    fn times(&self) -> &[Seconds] {
-        &self.times[self.start..]
+    /// The live times from live offset `skip` on.
+    fn times(&self, skip: usize) -> Times<'_> {
+        Times::new(&self.axis, self.start + skip, self.values.len())
     }
 
     fn values(&self) -> &[f64] {
@@ -111,7 +208,8 @@ impl ColumnSeries {
     }
 
     fn last_time(&self) -> Option<Seconds> {
-        self.times.last().copied()
+        let run = self.axis.last()?;
+        Some(run.time(self.values.len() - 1))
     }
 
     /// Appends one point, evicting the oldest when the live window is at
@@ -126,28 +224,62 @@ impl ColumnSeries {
     /// memory; and with no doubling there are no abandoned smaller
     /// copies for the allocator to strand. Above [`RESERVE_CEILING`]
     /// slots a column grows by `Vec`'s doubling instead, so a huge
-    /// `retain` costs only the points actually stored.
+    /// `retain` costs only the points actually stored. The time goes on
+    /// the axis ([`ColumnSeries::extend_axis`]), not into a column.
     fn push(&mut self, time: Seconds, value: f64, retain: usize) {
         let slack = slack(retain);
         if self.len() == retain {
             self.start += 1;
             if self.start >= slack {
-                let live = self.times.len() - self.start;
-                self.times.copy_within(self.start.., 0);
-                self.times.truncate(live);
+                let live = self.len();
                 self.values.copy_within(self.start.., 0);
                 self.values.truncate(live);
+                self.rebase(self.start);
                 self.start = 0;
             }
         }
-        let len = self.times.len();
+        let len = self.values.len();
         let bound = retain.saturating_add(slack);
-        if len == self.times.capacity() && bound <= RESERVE_CEILING {
-            self.times.reserve_exact(bound - len);
+        if len == self.values.capacity() && bound <= RESERVE_CEILING {
             self.values.reserve_exact(bound - len);
         }
-        self.times.push(time);
+        self.extend_axis(len, time);
         self.values.push(value);
+    }
+
+    /// Gives column slot `i`, the slot after the last, the time `time`:
+    /// the last run takes it if its formula reproduces the time bit for
+    /// bit (a run of one point takes the step that does), and a new run
+    /// opens otherwise. The first run is allocated alone, so a regular
+    /// series' axis costs 24 bytes.
+    fn extend_axis(&mut self, i: usize, time: Seconds) {
+        if let Some(run) = self.axis.last_mut() {
+            let k = i as isize - run.first;
+            let step = if k == 1 { time - run.t0 } else { run.step };
+            if (run.t0 + k as f64 * step).to_bits() == time.to_bits() {
+                run.step = step;
+                return;
+            }
+        } else {
+            self.axis.reserve_exact(1);
+        }
+        self.axis.push(Run {
+            first: i as isize,
+            t0: time,
+            step: 0.0,
+        });
+    }
+
+    /// Moves the axis with a compaction that dropped the first `by`
+    /// column slots: runs wholly before slot `by` go, the rest shift
+    /// down by `by`.
+    fn rebase(&mut self, by: usize) {
+        let by = by as isize;
+        let covering = self.axis.partition_point(|run| run.first <= by);
+        self.axis.drain(..covering.saturating_sub(1));
+        for run in &mut self.axis {
+            run.first -= by;
+        }
     }
 }
 
@@ -420,12 +552,13 @@ impl Memory {
 
     /// The most recent measurement of a series.
     pub fn latest(&self, id: ResourceId) -> Option<TimePoint> {
-        self.seg(id).and_then(|b| {
-            let (times, values) = (b.times(), b.values());
-            times
-                .last()
-                .map(|&t| TimePoint::new(t, *values.last().expect("columns in lockstep")))
-        })
+        let buf = self.seg(id)?;
+        Some(TimePoint::new(buf.last_time()?, *buf.values.last()?))
+    }
+
+    /// The time of a series' most recent measurement.
+    pub fn last_time(&self, id: ResourceId) -> Option<Seconds> {
+        self.seg(id)?.last_time()
     }
 
     /// The retained measurement values of a series, oldest first, as one
@@ -435,33 +568,26 @@ impl Memory {
         self.seg(id).map_or(&[], ColumnSeries::values)
     }
 
-    /// The retained measurement timestamps of a series, oldest first,
-    /// borrowed. Empty for unknown series.
-    pub fn times(&self, id: ResourceId) -> &[Seconds] {
-        self.seg(id).map_or(&[], ColumnSeries::times)
-    }
-
-    /// The most recent `n` measurements as borrowed `(times, values)`
-    /// column slices, oldest first — the zero-copy `extract`.
-    pub fn tail(&self, id: ResourceId, n: usize) -> (&[Seconds], &[f64]) {
+    /// The most recent `n` measurements as their [`Times`] and borrowed
+    /// values, oldest first — the zero-copy `extract`.
+    pub fn tail(&self, id: ResourceId, n: usize) -> (Times<'_>, &[f64]) {
         match self.seg(id) {
-            None => (&[], &[]),
+            None => (Times::EMPTY, &[]),
             Some(buf) => {
-                let (times, values) = (buf.times(), buf.values());
-                let skip = times.len().saturating_sub(n);
-                (&times[skip..], &values[skip..])
+                let skip = buf.len().saturating_sub(n);
+                (buf.times(skip), &buf.values()[skip..])
             }
         }
     }
 
-    /// Runs `f` over the series' borrowed `(times, values)` columns —
-    /// handy when the caller holds the memory behind a lock and wants to
+    /// Runs `f` over the series' [`Times`] and borrowed values — handy
+    /// when the caller holds the memory behind a lock and wants to
     /// compute without cloning or fighting the borrow checker. Unknown
-    /// series yield empty slices.
-    pub fn with_series<R>(&self, id: ResourceId, f: impl FnOnce(&[Seconds], &[f64]) -> R) -> R {
+    /// series yield empty ones.
+    pub fn with_series<R>(&self, id: ResourceId, f: impl FnOnce(Times<'_>, &[f64]) -> R) -> R {
         match self.seg(id) {
-            None => f(&[], &[]),
-            Some(buf) => f(buf.times(), buf.values()),
+            None => f(Times::EMPTY, &[]),
+            Some(buf) => f(buf.times(0), buf.values()),
         }
     }
 
@@ -469,7 +595,7 @@ impl Memory {
     pub fn series(&self, id: ResourceId, name: impl Into<String>) -> Series {
         let mut s = Series::with_capacity(name, self.len(id));
         self.with_series(id, |times, values| {
-            for (&t, &v) in times.iter().zip(values) {
+            for (t, &v) in times.zip(values) {
                 s.push(t, v).expect("ring buffer is ordered");
             }
         });
@@ -499,7 +625,7 @@ impl Memory {
             let buf = &self.store[idx];
             let meta = &self.meta[idx];
             h.word(buf.len() as u64);
-            for &t in buf.times() {
+            for t in buf.times(0) {
                 h.word(t.to_bits());
             }
             for &v in buf.values() {
@@ -550,7 +676,7 @@ impl Memory {
         put(self.store.len() as u64)?;
         for (buf, meta) in self.store.iter().zip(&self.meta) {
             put(buf.len() as u64)?;
-            for &t in buf.times() {
+            for t in buf.times(0) {
                 put(t.to_bits())?;
             }
             for &v in buf.values() {
@@ -616,12 +742,11 @@ impl Memory {
                 return Err(WalError::Snapshot("series length out of bounds"));
             }
             let mut buf = ColumnSeries {
-                times: Vec::with_capacity(len),
                 values: Vec::with_capacity(len),
-                start: 0,
+                ..ColumnSeries::default()
             };
-            for _ in 0..len {
-                buf.times.push(f64::from_bits(take(&mut off)?));
+            for i in 0..len {
+                buf.extend_axis(i, f64::from_bits(take(&mut off)?));
             }
             for _ in 0..len {
                 buf.values.push(f64::from_bits(take(&mut off)?));
@@ -695,10 +820,14 @@ mod tests {
     fn extract(m: &Memory, id: ResourceId, n: usize) -> Vec<TimePoint> {
         let (times, values) = m.tail(id, n);
         times
-            .iter()
             .zip(values)
-            .map(|(&t, &v)| TimePoint::new(t, v))
+            .map(|(t, &v)| TimePoint::new(t, v))
             .collect()
+    }
+
+    /// A series' live times, collected.
+    fn times(m: &Memory, id: ResourceId) -> Vec<Seconds> {
+        m.with_series(id, |times, _| times.collect())
     }
 
     #[test]
@@ -746,7 +875,7 @@ mod tests {
         for i in 0..37 {
             m.store(rid(3), i as f64, (i as f64).sin());
             let pts = extract(&m, rid(3), usize::MAX);
-            let times = m.times(rid(3));
+            let times = times(&m, rid(3));
             let values = m.values(rid(3));
             assert_eq!(times.len(), pts.len());
             assert_eq!(values.len(), pts.len());
@@ -765,15 +894,15 @@ mod tests {
             m.store(rid(1), i as f64, i as f64 / 10.0);
         }
         let (times, values) = m.tail(rid(1), 2);
-        assert_eq!(times, &[7.0, 8.0]);
+        assert_eq!(times.collect::<Vec<_>>(), [7.0, 8.0]);
         assert_eq!(values, &[0.7, 0.8]);
         // Oversized n returns the whole live window.
         let (times, values) = m.tail(rid(1), 100);
         assert_eq!(times.len(), 4);
         assert_eq!(values[0], 0.5);
-        // Unknown series: empty slices, no allocation, no panic.
+        // Unknown series: empty, no allocation, no panic.
         let (times, values) = m.tail(rid(9), 5);
-        assert!(times.is_empty() && values.is_empty());
+        assert!(times.len() == 0 && values.is_empty());
     }
 
     #[test]
@@ -783,7 +912,7 @@ mod tests {
             m.store(rid(2), i as f64 * 10.0, 0.1 * i as f64);
         }
         let (sum_t, sum_v) = m.with_series(rid(2), |times, values| {
-            (times.iter().sum::<f64>(), values.iter().sum::<f64>())
+            (times.sum::<f64>(), values.iter().sum::<f64>())
         });
         assert_eq!(sum_t, 150.0);
         assert!((sum_v - 1.5).abs() < 1e-12);
@@ -797,7 +926,8 @@ mod tests {
         assert!(extract(&m, rid(9), 5).is_empty());
         assert!(m.latest(rid(9)).is_none());
         assert!(m.values(rid(9)).is_empty());
-        assert!(m.times(rid(9)).is_empty());
+        assert!(m.last_time(rid(9)).is_none());
+        assert!(times(&m, rid(9)).is_empty());
         assert!(m.resource_ids().is_empty());
     }
 
@@ -889,10 +1019,11 @@ mod tests {
         let buf = &m.store[1];
         assert_eq!(buf.len(), 8);
         assert!(
-            buf.times.capacity() <= 10 && buf.values.capacity() <= 10,
+            buf.values.capacity() <= 10,
             "dead prefix must be compacted away: {} slots",
-            buf.times.capacity()
+            buf.values.capacity()
         );
+        assert_eq!(buf.axis.len(), 1, "a regular series is one run");
     }
 
     /// A `VecDeque` model of one series: exactly what `Memory` documents,
@@ -929,13 +1060,50 @@ mod tests {
         h.finish()
     }
 
+    /// The next time series `id` stores after `last`; `late` is true
+    /// from a third of the stream on, and `d` is a draw below 4. Series
+    /// 0 keeps the 10-second cadence with no slot skipped. Series 1
+    /// starts at `-0.0`, on a non-integer grid whose step changes
+    /// mid-stream — a quarter second, then a tenth, whose running sum
+    /// leaves the grid every few points — and skips a slot now and then. Series 2 moves one to
+    /// three ulps at a time from a fractional start, then jumps to just
+    /// below 2^53 and moves one to three seconds, where a second is half
+    /// an ulp: a step that rounds back is bumped to the next float.
+    fn next_time(id: usize, last: Option<Seconds>, late: bool, d: u64) -> Seconds {
+        match (id, last) {
+            (0, last) => last.map_or(10.0, |t| t + 10.0),
+            (1, None) => -0.0,
+            (1, Some(t)) => {
+                let step = if late { 0.1 } else { 0.25 };
+                t + step * (1 + u64::from(d == 0)) as f64
+            }
+            (_, None) => 1_000.1,
+            (_, Some(t)) if !late => f64::from_bits(t.to_bits() + 1 + d % 3),
+            (_, Some(t)) if t < TWO_53 / 2.0 => TWO_53 - 1_024.0,
+            (_, Some(t)) => (t + (1 + d % 3) as f64).max(t.next_up()),
+        }
+    }
+
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+    /// Runs of a column's axis that hold live points: the ones its
+    /// full [`Times`] view walks.
+    fn live_runs(col: &ColumnSeries) -> usize {
+        let dead = col
+            .axis
+            .partition_point(|run| run.first <= col.start as isize);
+        col.axis.len() + 1 - dead.max(1)
+    }
+
     #[test]
     fn columns_carry_at_most_a_quarter_window_of_slack() {
-        // Seeded appends, gaps, out-of-order and non-finite deliveries
-        // over three series, the memory restored from its own snapshot
-        // halfway: every column's capacity stays within `retain +
-        // slack(retain)` throughout, and every observable equals the
-        // model's.
+        // Seeded appends, gaps, out-of-order, duplicate and non-finite
+        // deliveries over three series with the clocks of `next_time`,
+        // the memory restored from its own snapshot halfway: every
+        // column's capacity stays within `retain + slack(retain)`
+        // throughout, its axis holds at most one run more than its live
+        // points (exactly one for the cadence series), and every
+        // observable — every time bit for bit — equals the model's.
         for (retain, ops) in [(1, 500), (2, 500), (7, 800), (64, 3_000), (8_640, 40_000)] {
             let bound = retain + slack(retain);
             let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ retain as u64;
@@ -949,7 +1117,8 @@ mod tests {
             let (mut model, mut global) = (Vec::<Oracle>::new(), 0u64);
             let mut clock = [0.0f64; 3];
             for op in 0..ops {
-                if op == ops / 2 {
+                let restored = op == ops / 2;
+                if restored {
                     m = Memory::from_snapshot(&m.snapshot_bytes())
                         .expect("own snapshot")
                         .0;
@@ -979,13 +1148,15 @@ mod tests {
                         s.revision += 1;
                         global += 1;
                     }
+                    // Late, or a duplicate of the latest time.
                     3 if !s.points.is_empty() => {
                         let late = clock[id] - draw(3) as f64;
                         assert!(!m.store(rid(id as u64), late, value));
                         s.dropped += 1;
                     }
                     _ => {
-                        clock[id] += 1.0 + draw(4) as f64;
+                        let last = s.points.back().map(|p| p.0);
+                        clock[id] = next_time(id, last, op >= ops / 3, draw(4));
                         assert!(m.store(rid(id as u64), clock[id], value));
                         if s.points.len() == retain {
                             s.points.pop_front();
@@ -996,22 +1167,39 @@ mod tests {
                     }
                 }
                 for (idx, col) in m.store.iter().enumerate() {
+                    let at = format!("retain {retain}, op {op}, series {idx}");
                     assert!(
-                        col.times.capacity() <= bound && col.values.capacity() <= bound,
-                        "retain {retain}, op {op}, series {idx}: capacity {} over {bound}",
-                        col.times.capacity().max(col.values.capacity())
+                        col.values.capacity() <= bound,
+                        "{at}: capacity {} over {bound}",
+                        col.values.capacity()
                     );
+                    assert!(live_runs(col) <= col.len() + 1, "{at}: {:?}", col.axis);
+                    assert!(col.axis.len() <= col.values.len() + 1, "{at}");
+                    if idx == 0 && col.len() > 0 {
+                        assert_eq!((live_runs(col), col.axis.len()), (1, 1), "{at}");
+                    }
                 }
-                if retain < 1_000 || op % 1_000 == 0 || op + 1 == ops {
-                    let s = &model[id];
-                    let times: Vec<Seconds> = s.points.iter().map(|p| p.0).collect();
-                    let values: Vec<f64> = s.points.iter().map(|p| p.1).collect();
-                    assert_eq!(m.times(rid(id as u64)), times, "retain {retain}, op {op}");
-                    assert_eq!(m.values(rid(id as u64)), values, "retain {retain}, op {op}");
-                    let n = draw(retain as u64 + 2) as usize;
-                    let skip = times.len().saturating_sub(n);
-                    let tail = m.tail(rid(id as u64), n);
-                    assert_eq!(tail, (&times[skip..], &values[skip..]), "tail {n}");
+                let s = &model[id];
+                let want = s.points.back().map(|p| p.0.to_bits());
+                assert_eq!(m.last_time(rid(id as u64)).map(f64::to_bits), want);
+                if retain < 1_000 || op % 1_000 == 0 || restored || op + 1 == ops {
+                    for (idx, s) in model.iter().enumerate() {
+                        let id = rid(idx as u64);
+                        let at = format!("retain {retain}, op {op}, series {idx}");
+                        let bits = |t: Seconds| t.to_bits();
+                        let times: Vec<u64> = s.points.iter().map(|p| bits(p.0)).collect();
+                        let values: Vec<f64> = s.points.iter().map(|p| p.1).collect();
+                        let got: Vec<u64> = m.with_series(id, |t, _| t.map(bits).collect());
+                        assert_eq!(got, times, "{at}");
+                        assert_eq!(m.values(id), values, "{at}");
+                        let n = draw(retain as u64 + 2) as usize;
+                        let skip = times.len().saturating_sub(n);
+                        let (tail_times, tail_values) = m.tail(id, n);
+                        assert_eq!(tail_times.len(), times.len() - skip, "{at}, tail {n}");
+                        let tail_times: Vec<u64> = tail_times.map(bits).collect();
+                        assert_eq!(tail_times, times[skip..], "{at}, tail {n}");
+                        assert_eq!(tail_values, &values[skip..], "{at}, tail {n}");
+                    }
                     let want = oracle_fingerprint(retain, &model, global);
                     assert_eq!(m.fingerprint(), want, "retain {retain}, op {op}");
                 }
@@ -1081,8 +1269,8 @@ mod tests {
                 for i in 101..200 {
                     mem.store(rid(0), i as f64, 0.25);
                 }
-                assert_eq!(mem.times(rid(0)).len(), 199, "retain {retain}");
-                assert!(mem.store[0].times.capacity() < 1 << 10, "retain {retain}");
+                assert_eq!(mem.len(rid(0)), 199, "retain {retain}");
+                assert!(mem.store[0].values.capacity() < 1 << 10, "retain {retain}");
             }
             assert_eq!(m.fingerprint(), restored.fingerprint(), "retain {retain}");
         }

@@ -129,9 +129,8 @@ fn op_sequence(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
 fn extract(mem: &Memory, id: ResourceId, n: usize) -> Vec<TimePoint> {
     let (times, values) = mem.tail(id, n);
     times
-        .iter()
         .zip(values)
-        .map(|(&t, &v)| TimePoint::new(t, v))
+        .map(|(t, &v)| TimePoint::new(t, v))
         .collect()
 }
 
@@ -157,7 +156,7 @@ fn assert_series_agrees(mem: &Memory, model: &RefMemory, id: u64) -> Result<(), 
     // all be bit-identical views of the model's window.
     let extracted = extract(mem, rid, usize::MAX);
     prop_assert_eq!(extracted.len(), ref_points.len());
-    let times = mem.times(rid);
+    let times: Vec<f64> = mem.with_series(rid, |t, _| t.collect());
     let values = mem.values(rid);
     prop_assert_eq!(times.len(), ref_points.len());
     prop_assert_eq!(values.len(), ref_points.len());
@@ -180,11 +179,16 @@ fn assert_series_agrees(mem: &Memory, model: &RefMemory, id: u64) -> Result<(), 
             want.is_some()
         ),
     }
+    prop_assert_eq!(
+        mem.last_time(rid).map(f64::to_bits),
+        ref_points.last().map(|p| p.time.to_bits())
+    );
 
     // Tails of every length, plus one past the end: the most recent
     // min(n, len) points, and extract must stay consistent with tail.
     for n in 0..=ref_points.len() + 1 {
         let (tail_times, tail_values) = mem.tail(rid, n);
+        let tail_times: Vec<f64> = tail_times.collect();
         let keep = n.min(ref_points.len());
         prop_assert_eq!(tail_times.len(), keep);
         prop_assert_eq!(tail_values.len(), keep);

@@ -58,6 +58,10 @@ pub(crate) struct Core<S> {
     pub(crate) state: S,
     pub(crate) cache: QueryCache,
     requests: u64,
+    /// A `SeriesTail` reply's times, computed from the memory's time
+    /// axis: reused from request to request, so the wire layer borrows
+    /// a plain slice.
+    tail_times: Vec<f64>,
 }
 
 /// What [`Core::answer`] hands a renderer while it answers a batch, in
@@ -125,13 +129,14 @@ impl<S: Served> Core<S> {
             state,
             cache: QueryCache::new(),
             requests: 0,
+            tail_times: Vec::new(),
         }
     }
 
     /// Answers one non-batch request, counting it.
     fn reply<'a>(&'a mut self, req: &'a Request) -> Result<ReplyRef<'a>, ErrorReply> {
         self.requests += 1;
-        let (view, cache) = (self.state.view(), &mut self.cache);
+        let (view, cache, tail_times) = (self.state.view(), &mut self.cache, &mut self.tail_times);
         let (memory, forecasts) = (view.archive.memory(), view.archive.forecasts());
         let hybrid = |host: &str| {
             (view.archive.registry())
@@ -163,9 +168,11 @@ impl<S: Served> Core<S> {
             Request::SeriesTail { host, n } => {
                 let n = (*n as usize).min(MAX_POINTS);
                 let (times, values) = memory.tail(hybrid(host)?, n);
+                tail_times.clear();
+                tail_times.extend(times);
                 ReplyRef::SeriesTail {
                     host,
-                    times,
+                    times: tail_times,
                     values,
                 }
             }

@@ -310,9 +310,13 @@ struct Conn<S> {
     hangup: bool,
     /// Events currently registered with epoll; 0 until registered.
     interest: u32,
-    /// Buffered request bytes; `in_pos` marks the consumed prefix.
+    /// Buffered request bytes `in_pos..in_end`: `in_pos` marks the
+    /// consumed prefix, `in_end` the end of the data. Past it the buffer
+    /// keeps the zeroed room earlier reads were given, so a read zeroes
+    /// only bytes no read had before.
     inbuf: Vec<u8>,
     in_pos: usize,
+    in_end: usize,
     /// Reply frames in arrival order; `out_pos` marks the prefix the
     /// socket has taken. Cleared once the socket takes it all; a taken
     /// prefix of [`BACKLOG_CAP`] bytes or more is dropped at push-back.
@@ -357,6 +361,7 @@ impl<S: Read + Write> Conn<S> {
             interest: 0,
             inbuf: Vec::new(),
             in_pos: 0,
+            in_end: 0,
             out,
             out_pos: 0,
             idle_at: now + config.read_timeout,
@@ -436,21 +441,25 @@ impl<S: Read + Write> Conn<S> {
     /// half-closed. Every byte read resets the idle cut.
     fn read_all(&mut self, read_timeout: Duration, now: Instant) -> std::io::Result<bool> {
         // Compact the consumed prefix once it is worth the memmove.
-        if self.in_pos == self.inbuf.len() {
-            self.inbuf.clear();
+        if self.in_pos == self.in_end {
+            self.in_end = 0;
             self.in_pos = 0;
         } else if self.in_pos > COMPACT_THRESHOLD {
-            self.inbuf.drain(..self.in_pos);
+            self.inbuf.copy_within(self.in_pos..self.in_end, 0);
+            self.in_end -= self.in_pos;
             self.in_pos = 0;
         }
         loop {
-            let old = self.inbuf.len();
-            self.inbuf.resize(old + READ_CHUNK, 0);
-            let read = self.stream.read(&mut self.inbuf[old..]);
-            self.inbuf.truncate(old + read.as_ref().map_or(0, |&n| n));
-            match read {
+            let end = self.in_end + READ_CHUNK;
+            if self.inbuf.len() < end {
+                self.inbuf.resize(end, 0);
+            }
+            match self.stream.read(&mut self.inbuf[self.in_end..end]) {
                 Ok(0) => return Ok(true),
-                Ok(_) => self.idle_at = now + read_timeout,
+                Ok(n) => {
+                    self.in_end += n;
+                    self.idle_at = now + read_timeout;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -477,7 +486,7 @@ impl<S: Read + Write> Conn<S> {
                     return Ok(false);
                 }
             }
-            let frame = match split_frame(&self.inbuf[self.in_pos..]) {
+            let frame = match split_frame(&self.inbuf[self.in_pos..self.in_end]) {
                 // Reading a header or a payload: wait for the rest. The
                 // whole-frame budget armed at the last request boundary
                 // keeps counting.

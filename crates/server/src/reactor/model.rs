@@ -323,7 +323,7 @@ impl<'a> Model<'a> {
             if bits & EPOLLIN != 0
                 && conn.reading()
                 && conn.in_pos > COMPACT_THRESHOLD
-                && conn.in_pos < conn.inbuf.len()
+                && conn.in_pos < conn.in_end
             {
                 self.seen.compactions += 1;
             }

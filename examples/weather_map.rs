@@ -57,7 +57,7 @@ fn main() {
         .expect("registered");
     let (times, values) = gm.memory().tail(id, 6);
     println!("\nlast minute of thing2 hybrid measurements:");
-    for (t, v) in times.iter().zip(values) {
+    for (t, v) in times.zip(values) {
         println!("  t={t:>7.0}s  {:>4.0}%", v * 100.0);
     }
 }

@@ -41,7 +41,7 @@ pub fn grid_fingerprint(gm: &GridMonitor) -> u64 {
             let id = gm.registry().lookup(p.name(), metric).expect("registered");
             h.word(gm.memory().len(id) as u64);
             gm.memory().with_series(id, |times, values| {
-                for (&t, &v) in times.iter().zip(values) {
+                for (t, &v) in times.zip(values) {
                     h.word(t.to_bits());
                     h.word(v.to_bits());
                 }

@@ -138,7 +138,7 @@ fn faulted_grid_replays_bit_identically_across_thread_counts() {
                 .lookup(p.name(), Metric::CpuAvailabilityHybrid)
                 .expect("registered");
             let pts: Vec<(f64, f64)> = gm.memory().with_series(id, |times, values| {
-                times.iter().copied().zip(values.iter().copied()).collect()
+                times.zip(values.iter().copied()).collect()
             });
             out.push((pts, gm.memory().gaps(id), gm.memory().dropped(id)));
         }
