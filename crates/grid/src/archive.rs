@@ -10,6 +10,15 @@
 //!   (a late, duplicate or non-finite one reaches neither);
 //! - a **gap** reaches both.
 //!
+//! The forecaster hears only of *forecast* series, and the metric
+//! decides which those are ([`Metric::is_forecast`]), read once per
+//! transition off the registry by id. The raw 1-minute load average
+//! (`cpu.load1`) is stored, journaled, snapshotted and replicated like
+//! every series, but no predictor bank is fed it: the paper forecasts
+//! availability by three methods, never the load average, and nothing
+//! read that bank. An id with no registry entry (each of the fleet's
+//! dense hosts) is forecast.
+//!
 //! Both monitors commit through [`Archive::reading`] / [`Archive::gap`],
 //! which journal what they did; a replica, or a recovery from genesis,
 //! runs [`Archive::apply`] over that journal — the same transitions
@@ -18,8 +27,9 @@
 //! together goes through here as well, each kept once:
 //!
 //! - the change counter ([`Archive::revision`]), which is the memory's —
-//!   the two transitions above move the forecaster exactly when they
-//!   move the memory's revision, so the forecaster keeps none;
+//!   the two transitions above move a forecast series' forecaster
+//!   exactly when they move its memory revision, so the forecaster
+//!   keeps none;
 //! - staleness and the degraded verdict ([`Archive::staleness`],
 //!   [`Archive::degraded`]), judged from the memory's last stored time
 //!   — the forecaster keeps no clock of its own;
@@ -122,7 +132,8 @@ impl Archive {
     /// Registers a monitored host's four CPU series — load, vmstat,
     /// hybrid, 1-minute load average ([`Metric::all`]), always in that
     /// order, so a replica registering the same hosts resolves the ids
-    /// in the primary's journal identically.
+    /// in the primary's journal identically. The first three are
+    /// forecast; the load average is stored only ([`Metric::is_forecast`]).
     pub fn register_host(&mut self, host: &str) -> [ResourceId; 4] {
         Metric::all().map(|metric| self.registry.register(host, metric))
     }
@@ -140,40 +151,56 @@ impl Archive {
         })
     }
 
-    /// Commits one reading: stored, then forecast — or neither.
+    /// Whether a series is forecast: its registered metric says
+    /// ([`Metric::is_forecast`]); an unregistered id is.
+    fn is_forecast(&self, id: ResourceId) -> bool {
+        (self.registry.info(id)).is_none_or(|info| info.metric.is_forecast())
+    }
+
+    /// Commits one reading: stored, then forecast (if the series is) —
+    /// or neither.
     pub fn reading(&mut self, id: ResourceId, time: Seconds, value: f64) -> StoreOutcome {
         let outcome = self.memory.append(id, time, value);
-        if outcome.is_stored() {
+        if outcome.is_stored() && self.is_forecast(id) {
             self.forecasts.observe(id, time, value);
         }
         outcome
     }
 
     /// Commits one gap: the slot at `time` produced no measurement for
-    /// this series, and both the memory and the forecaster are told.
-    pub fn gap(&mut self, id: ResourceId, time: Seconds) {
-        self.memory.record_gap(id, time);
-        self.forecasts.note_gap(id, time);
+    /// this series, and both the memory and the forecaster (if the
+    /// series is forecast) are told — or neither, for an id the memory
+    /// refuses.
+    pub fn gap(&mut self, id: ResourceId, time: Seconds) -> StoreOutcome {
+        let outcome = self.memory.record_gap(id, time);
+        if outcome.is_stored() && self.is_forecast(id) {
+            self.forecasts.note_gap(id, time);
+        }
+        outcome
     }
 
     /// Applies one journaled record without journaling it again: the
-    /// reading, gap or counted drop a primary committed. An archive fed
-    /// a primary's whole journal in order equals the primary —
+    /// reading, gap or counted drop a primary committed, under the same
+    /// rules as [`Archive::reading`] and [`Archive::gap`]. An archive
+    /// fed a primary's whole journal in order equals the primary —
     /// [`Memory::fingerprint`], every forecast, [`Archive::revision`].
-    pub fn apply(&mut self, rec: &WalRecord) {
-        if self.memory.apply(rec) {
+    pub fn apply(&mut self, rec: &WalRecord) -> StoreOutcome {
+        let outcome = self.memory.apply(rec);
+        if outcome.is_stored() && self.is_forecast(rec.id()) {
             match *rec {
                 WalRecord::Append { id, time, value } => self.forecasts.observe(id, time, value),
                 WalRecord::Gap { id, time } => self.forecasts.note_gap(id, time),
                 WalRecord::Drop { .. } => {}
             }
         }
+        outcome
     }
 
     /// Change counter over everything archived: any stored reading or
     /// gap moves it, nothing else does. It is the memory's
     /// [`Memory::global_revision`]: the forecaster sees exactly the
-    /// readings and gaps the memory counts, so one counter covers both.
+    /// readings and gaps the memory counts on forecast series, so one
+    /// counter covers both.
     /// A cached answer computed at one value stays right until the value
     /// (or the clock staleness is judged against) moves.
     pub fn revision(&self) -> u64 {
@@ -181,9 +208,9 @@ impl Archive {
     }
 
     /// Seconds from a series' last stored reading to `now` (0 when `now`
-    /// is earlier), `None` before its first. The memory's last stored
-    /// time is the forecaster's last reading too, since a reading
-    /// reaches the forecaster iff the memory stored it.
+    /// is earlier), `None` before its first. For a forecast series the
+    /// memory's last stored time is the forecaster's last reading too,
+    /// since a reading reaches the forecaster iff the memory stored it.
     pub fn staleness(&self, id: ResourceId, now: Seconds) -> Option<Seconds> {
         let last = self.memory.last_time(id)?;
         Some((now - last).max(0.0))
@@ -273,6 +300,90 @@ mod tests {
         let expected = [("thing1", ids[2]), ("gremlin", gremlin[2])];
         assert_eq!(hosts[..2], expected);
         assert_eq!(hosts[2..], [("beowulf", beowulf[2]), ("kongo", kongo[2])]);
+    }
+
+    #[test]
+    fn the_load_average_is_stored_and_journaled_but_not_forecast() {
+        let config = MemoryConfig { retain: 8 };
+        let mut a = Archive::new(config);
+        a.attach_journal(Wal::new());
+        // The storage alone, with no forecaster beside it: a bare
+        // memory given the same commits.
+        let mut bare = Memory::new(config);
+        bare.attach_journal(Wal::new());
+        let ids = a.register_host("thing1");
+        let load1 = ids[3];
+        assert_eq!(
+            a.registry().info(load1).expect("registered").metric,
+            Metric::LoadAverage
+        );
+        for slot in 0..12 {
+            let time = f64::from(slot) * 10.0;
+            for (k, id) in ids.into_iter().enumerate() {
+                let value = 0.2 * k as f64 + 0.01 * f64::from(slot);
+                assert_eq!(a.reading(id, time, value), bare.append(id, time, value));
+                if slot % 3 == 2 {
+                    // Late: refused, counted and journaled as a drop.
+                    assert_eq!(
+                        a.reading(id, time - 5.0, value),
+                        bare.append(id, time - 5.0, value)
+                    );
+                }
+                if slot % 4 == 1 {
+                    assert_eq!(a.gap(id, time + 5.0), bare.record_gap(id, time + 5.0));
+                }
+            }
+        }
+        let points =
+            |m: &Memory, id| m.with_series(id, |t, v| t.zip(v.to_vec()).collect::<Vec<_>>());
+        for id in ids {
+            assert_eq!(points(a.memory(), id), points(&bare, id));
+            assert_eq!(a.memory().gaps(id), bare.gaps(id));
+            assert_eq!(a.memory().dropped(id), bare.dropped(id));
+        }
+        assert_eq!((a.memory().len(load1), a.memory().gap_count(load1)), (8, 3));
+        assert_eq!(a.memory().dropped(load1), 4);
+        let journal = a.journal().expect("attached").bytes();
+        assert_eq!(journal, bare.journal().expect("attached").bytes());
+        assert_eq!(a.memory().fingerprint(), bare.fingerprint());
+
+        // Forecast: the three availability series, not the load average.
+        let answer = |a: &Archive, id| {
+            let f = a.forecasts();
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let one = f
+                .forecast(id)
+                .map(|x| (x.forecast.value.to_bits(), x.observations));
+            (one, f.forecast_horizon(id, 8).map(bits))
+        };
+        assert_eq!(answer(&a, load1), (None, None));
+        for id in &ids[..3] {
+            assert_eq!(answer(&a, *id).0.expect("forecast").1, 12);
+        }
+
+        // A replica fed the journal skips the same bank.
+        let mut replica = Archive::new(config);
+        replica.register_host("thing1");
+        let scan = crate::wal::replay(journal, 0, |rec| {
+            replica.apply(rec);
+        });
+        assert_eq!(scan.error, None);
+        assert_eq!(replica.memory().fingerprint(), a.memory().fingerprint());
+        for id in ids {
+            assert_eq!(answer(&replica, id), answer(&a, id), "series {}", id.0);
+        }
+
+        // The fleet registers nothing: every dense id is forecast, the
+        // fourth of each block of four too.
+        let mut fleet = crate::FleetMonitor::new(crate::FleetConfig {
+            hosts: 8,
+            ..crate::FleetConfig::default()
+        });
+        fleet.run_steps(10);
+        for host in 0..8 {
+            let forecast = fleet.archive().forecasts().forecast(ResourceId(host));
+            assert_eq!(forecast.expect("forecast").observations, 10, "host {host}");
+        }
     }
 
     #[test]

@@ -67,7 +67,8 @@ impl Default for MemoryConfig {
     }
 }
 
-/// Why [`Memory::append`] accepted or refused a measurement.
+/// Why [`Memory::append`] accepted or refused a measurement (and what
+/// [`Memory::record_gap`] and [`Memory::apply`] did with theirs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreOutcome {
     /// The measurement was appended to the series.
@@ -77,6 +78,9 @@ pub enum StoreOutcome {
     RejectedOutOfOrder,
     /// The value or timestamp was NaN/infinite.
     RejectedNonFinite,
+    /// The id is at or past [`MAX_SERIES`]: no table grows to it, and
+    /// nothing is counted or journaled.
+    RejectedIdOutOfRange,
 }
 
 impl StoreOutcome {
@@ -85,6 +89,18 @@ impl StoreOutcome {
         matches!(self, StoreOutcome::Stored)
     }
 }
+
+/// Series ids the memory addresses: a record at or past this id is
+/// refused ([`StoreOutcome::RejectedIdOutOfRange`]) before any table
+/// grows to it. The tables are indexed by id and a journal frame may
+/// carry any `u64`, so without a bound one 21-byte `Append` at id 2⁴⁰
+/// asks for ~61 TB and aborts the process. Ids are registry-dense, so
+/// this is a count of series: 2²⁰ clears the 10⁵-host fleet ten times
+/// over, and the empty tables it admits cost at most ~109 MB (104 B a
+/// series). It is a constant, not a [`MemoryConfig`] field: no
+/// deployment here wants another value, and a recovery or replica must
+/// refuse exactly the ids its primary refused.
+pub const MAX_SERIES: u64 = 1 << 20;
 
 /// Dead slots a column may carry before it compacts: a quarter of the
 /// retention window, at least one.
@@ -398,16 +414,18 @@ impl Memory {
         self.meta.get(id.0 as usize)
     }
 
-    /// Grows the segment tables to cover `id` and returns its index.
-    /// Ids are registry-dense, so growth is bounded by the number of
-    /// registered series.
-    fn ensure(&mut self, id: ResourceId) -> usize {
+    /// Grows the segment tables to cover `id` and returns its index, or
+    /// `None` for an id at or past [`MAX_SERIES`].
+    fn ensure(&mut self, id: ResourceId) -> Option<usize> {
+        if id.0 >= MAX_SERIES {
+            return None;
+        }
         let idx = id.0 as usize;
         if idx >= self.store.len() {
             self.store.resize_with(idx + 1, ColumnSeries::default);
             self.meta.resize_with(idx + 1, SeriesMeta::default);
         }
-        idx
+        Some(idx)
     }
 
     /// Stores one measurement. Timestamps within a series must be strictly
@@ -432,9 +450,9 @@ impl Memory {
                 // rejection itself is journaled (the rejected value is
                 // not — replay only needs the counter bump).
                 StoreOutcome::RejectedOutOfOrder => wal.log(&WalRecord::Drop { id }),
-                // Non-finite rejections change nothing an extract or
-                // fingerprint can see; nothing to journal.
-                StoreOutcome::RejectedNonFinite => {}
+                // Non-finite and out-of-range rejections change nothing
+                // an extract or fingerprint can see; nothing to journal.
+                StoreOutcome::RejectedNonFinite | StoreOutcome::RejectedIdOutOfRange => {}
             }
         }
         out
@@ -446,7 +464,9 @@ impl Memory {
         if !value.is_finite() || !time.is_finite() {
             return StoreOutcome::RejectedNonFinite;
         }
-        let idx = self.ensure(id);
+        let Some(idx) = self.ensure(id) else {
+            return StoreOutcome::RejectedIdOutOfRange;
+        };
         let buf = &mut self.store[idx];
         if let Some(last) = buf.last_time() {
             if time <= last {
@@ -463,15 +483,20 @@ impl Memory {
     /// Records that the slot at `time` produced no measurement for this
     /// series — an explicit gap, distinct from "nothing happened". Gap
     /// timestamps are retained under the same bound as measurements.
-    pub fn record_gap(&mut self, id: ResourceId, time: Seconds) {
-        self.apply_gap(id, time);
-        if let Some(wal) = &mut self.journal {
+    /// [`StoreOutcome::Stored`] when recorded, else the refusal of an id
+    /// past [`MAX_SERIES`].
+    pub fn record_gap(&mut self, id: ResourceId, time: Seconds) -> StoreOutcome {
+        let out = self.apply_gap(id, time);
+        if let (StoreOutcome::Stored, Some(wal)) = (out, &mut self.journal) {
             wal.log(&WalRecord::Gap { id, time });
         }
+        out
     }
 
-    fn apply_gap(&mut self, id: ResourceId, time: Seconds) {
-        let idx = self.ensure(id);
+    fn apply_gap(&mut self, id: ResourceId, time: Seconds) -> StoreOutcome {
+        let Some(idx) = self.ensure(id) else {
+            return StoreOutcome::RejectedIdOutOfRange;
+        };
         let meta = &mut self.meta[idx];
         if meta.gaps.len() == self.config.retain {
             meta.gaps.pop_front();
@@ -479,6 +504,7 @@ impl Memory {
         meta.gaps.push_back(time);
         meta.revision += 1;
         self.global_revision += 1;
+        StoreOutcome::Stored
     }
 
     /// Applies one replayed WAL record without journaling it — the
@@ -487,22 +513,24 @@ impl Memory {
     /// bit: same column bytes, same revision counters, same
     /// [`Memory::fingerprint`].
     ///
-    /// Returns whether the record changed what an extract returns (a
-    /// stored measurement, a gap) — exactly the records the
-    /// [`Archive`](crate::Archive) shows its forecaster.
-    pub fn apply(&mut self, rec: &WalRecord) -> bool {
+    /// Returns [`StoreOutcome::Stored`] when the record changed what an
+    /// extract returns (a stored measurement, a gap) — exactly the
+    /// records the [`Archive`](crate::Archive) shows its forecaster —
+    /// `RejectedOutOfOrder` for a counted drop, and
+    /// `RejectedIdOutOfRange`, having changed nothing, for an id past
+    /// [`MAX_SERIES`].
+    pub fn apply(&mut self, rec: &WalRecord) -> StoreOutcome {
         match *rec {
-            WalRecord::Append { id, time, value } => self.apply_append(id, time, value).is_stored(),
-            WalRecord::Gap { id, time } => {
-                self.apply_gap(id, time);
-                true
-            }
+            WalRecord::Append { id, time, value } => self.apply_append(id, time, value),
+            WalRecord::Gap { id, time } => self.apply_gap(id, time),
             WalRecord::Drop { id } => {
                 // Mirrors the RejectedOutOfOrder branch: the drop
                 // counter moves, revisions do not.
-                let idx = self.ensure(id);
+                let Some(idx) = self.ensure(id) else {
+                    return StoreOutcome::RejectedIdOutOfRange;
+                };
                 self.meta[idx].dropped += 1;
-                false
+                StoreOutcome::RejectedOutOfOrder
             }
         }
     }

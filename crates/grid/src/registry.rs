@@ -12,7 +12,10 @@ pub enum Metric {
     CpuAvailabilityVmstat,
     /// CPU availability by the NWS hybrid method.
     CpuAvailabilityHybrid,
-    /// Raw 1-minute load average.
+    /// Raw 1-minute load average: stored, journaled, snapshotted and
+    /// replicated like the other three, but not forecast
+    /// ([`Metric::is_forecast`]) — the paper forecasts availability by
+    /// three methods, never the raw load average.
     LoadAverage,
 }
 
@@ -25,6 +28,12 @@ impl Metric {
             Metric::CpuAvailabilityHybrid => "cpu.avail.hybrid",
             Metric::LoadAverage => "cpu.load1",
         }
+    }
+
+    /// Whether an [`Archive`](crate::Archive) forecasts a series of this
+    /// metric: the three availability methods, not the load average.
+    pub fn is_forecast(self) -> bool {
+        self != Metric::LoadAverage
     }
 
     /// All metrics, in registration order.

@@ -61,7 +61,7 @@
 //! decoder is *total*: garbage bytes, truncated tails, bit flips and
 //! non-canonical fields all yield typed [`WalError`]s, never panics.
 
-use crate::memory::{Memory, MemoryConfig};
+use crate::memory::{Memory, MemoryConfig, StoreOutcome, MAX_SERIES};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -225,6 +225,9 @@ pub enum WalError {
     /// an integral time at or past 2^53, or a whole-second time sent as
     /// `f64` bits.
     NonCanonical { offset: usize },
+    /// A well-formed record names a series at or past [`MAX_SERIES`],
+    /// which no memory addresses: recovery stops there.
+    IdOutOfRange { offset: usize, id: u64 },
     /// A snapshot failed validation (magic, checksum, or bounds).
     Snapshot(&'static str),
     /// The file mirror failed.
@@ -253,6 +256,10 @@ impl std::fmt::Display for WalError {
             WalError::NonCanonical { offset } => {
                 write!(f, "wal record field not in canonical form at byte {offset}")
             }
+            WalError::IdOutOfRange { offset, id } => write!(
+                f,
+                "wal record at byte {offset} names series {id}, past the {MAX_SERIES}-series bound"
+            ),
             WalError::Snapshot(what) => write!(f, "snapshot rejected: {what}"),
             WalError::Io(kind) => write!(f, "wal io error: {kind}"),
         }
@@ -503,12 +510,27 @@ pub struct Replay {
 /// before the corruption is preserved (a torn final write after a crash
 /// costs exactly the torn record, nothing before it).
 pub fn replay(bytes: &[u8], from: usize, mut f: impl FnMut(&WalRecord)) -> Replay {
+    replay_until(bytes, from, |rec, _| {
+        f(rec);
+        Ok(())
+    })
+}
+
+/// [`replay`] with a callback that may refuse a record, given the
+/// record and its offset: the scan stops there, as at a malformed
+/// record, with the refusal as its error.
+fn replay_until(
+    bytes: &[u8],
+    from: usize,
+    mut f: impl FnMut(&WalRecord, usize) -> Result<(), WalError>,
+) -> Replay {
     let mut offset = from.min(bytes.len());
     let mut records = 0u64;
     while offset < bytes.len() {
-        match WalRecord::decode_at(bytes, offset) {
-            Ok((rec, next)) => {
-                f(&rec);
+        let delivered = WalRecord::decode_at(bytes, offset)
+            .and_then(|(rec, next)| f(&rec, offset).map(|()| next));
+        match delivered {
+            Ok(next) => {
                 records += 1;
                 offset = next;
             }
@@ -844,8 +866,9 @@ pub struct RecoveryReport {
 /// A snapshot that fails validation — or claims to cover more WAL than
 /// exists — is rejected (reported in the [`RecoveryReport`]) and
 /// recovery falls back to a genesis replay of the whole log. The replay
-/// is total: it stops at the first corrupt record, keeping everything
-/// before it. `on_record` sees every replayed record in order, after the
+/// is total: it stops at the first corrupt record, or the first naming a
+/// series past [`MAX_SERIES`] ([`WalError::IdOutOfRange`]), keeping
+/// everything before it. `on_record` sees every replayed record in order, after the
 /// memory applied it. The memory is all this rebuilds: a forecaster is
 /// rebuilt by [`Archive::apply`](crate::Archive::apply) over a journal
 /// that reaches back to genesis.
@@ -907,9 +930,15 @@ pub fn recover_memory_rotated(
         RecoverySource::Snapshot { wal_offset } => wal_offset - wal_base,
         RecoverySource::Genesis => 0,
     };
-    let scan = replay(wal, from, |rec| {
-        memory.apply(rec);
-        on_record(rec);
+    let scan = replay_until(wal, from, |rec, offset| match memory.apply(rec) {
+        StoreOutcome::RejectedIdOutOfRange => Err(WalError::IdOutOfRange {
+            offset,
+            id: rec.id().0,
+        }),
+        _ => {
+            on_record(rec);
+            Ok(())
+        }
     });
     (
         memory,
@@ -1540,5 +1569,88 @@ mod tests {
             report.snapshot_error,
             Some(WalError::Snapshot("snapshot is ahead of the wal"))
         );
+    }
+
+    #[test]
+    fn recovery_refuses_a_record_past_the_series_bound_with_a_typed_error() {
+        let config = MemoryConfig { retain: 8 };
+        let huge = 1u64 << 40;
+        // One CRC-valid Append at id 2⁴⁰: 21 bytes that would have an
+        // unbounded memory ask for ~61 TB and abort.
+        let mut journal = Vec::new();
+        (WalRecord::Append {
+            id: rid(huge),
+            time: 10.0,
+            value: 0.5,
+        })
+        .encode_into(&mut journal);
+        assert_eq!(journal.len(), 21);
+        let (memory, report) = recover_memory_rotated(config, None, &journal, 0, |_| {
+            panic!("a refused record reached on_record")
+        });
+        let refused = WalError::IdOutOfRange {
+            offset: 0,
+            id: huge,
+        };
+        assert_eq!(report.tail_error, Some(refused));
+        assert_eq!((report.replayed, report.valid_wal_len), (0, 0));
+        assert_eq!(memory.fingerprint(), Memory::new(config).fingerprint());
+
+        // After a valid prefix the error names the record's offset, and
+        // every record kind is refused at the bound itself.
+        let mut live = Memory::new(config);
+        live.attach_journal(Wal::new());
+        live.store(rid(1), 1.0, 0.5);
+        let prefix = live.journal().expect("attached").bytes().to_vec();
+        let at_bound = rid(MAX_SERIES);
+        for rec in [
+            WalRecord::Append {
+                id: at_bound,
+                time: 2.0,
+                value: 0.5,
+            },
+            WalRecord::Gap {
+                id: at_bound,
+                time: 2.0,
+            },
+            WalRecord::Drop { id: at_bound },
+        ] {
+            let mut wal = prefix.clone();
+            rec.encode_into(&mut wal);
+            let mut seen = 0;
+            let (memory, report) = recover_memory_rotated(config, None, &wal, 0, |_| seen += 1);
+            let refused = WalError::IdOutOfRange {
+                offset: prefix.len(),
+                id: MAX_SERIES,
+            };
+            assert_eq!(report.tail_error, Some(refused), "{rec:?}");
+            assert_eq!((report.replayed, seen), (1, 1), "{rec:?}");
+            assert_eq!(report.valid_wal_len, prefix.len(), "{rec:?}");
+            assert_eq!(memory.fingerprint(), live.fingerprint(), "{rec:?}");
+
+            // The live paths refuse it too, and change nothing.
+            let mut m = Memory::new(config);
+            m.attach_journal(Wal::new());
+            assert_eq!(m.apply(&rec), StoreOutcome::RejectedIdOutOfRange);
+            let mut archive = crate::Archive::new(config);
+            assert_eq!(archive.apply(&rec), StoreOutcome::RejectedIdOutOfRange);
+            assert!(archive.forecasts().forecast(at_bound).is_none());
+            assert_eq!(m.global_revision() + archive.revision(), 0);
+        }
+        let mut m = Memory::new(config);
+        m.attach_journal(Wal::new());
+        let outcome = m.append(rid(huge), 2.0, 0.5);
+        assert_eq!(outcome, StoreOutcome::RejectedIdOutOfRange);
+        let outcome = m.record_gap(rid(MAX_SERIES), 2.0);
+        assert_eq!(outcome, StoreOutcome::RejectedIdOutOfRange);
+        let mut archive = crate::Archive::new(config);
+        let outcome = archive.reading(rid(huge), 2.0, 0.5);
+        assert_eq!(outcome, StoreOutcome::RejectedIdOutOfRange);
+        let outcome = archive.gap(rid(huge), 2.0);
+        assert_eq!(outcome, StoreOutcome::RejectedIdOutOfRange);
+        assert!(m.journal().expect("attached").is_empty());
+        assert_eq!(m.global_revision() + archive.revision(), 0);
+        // The 10⁵-host fleet's highest id is inside the bound.
+        assert!(m.store(rid(99_999), 2.0, 0.5));
     }
 }

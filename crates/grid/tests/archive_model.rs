@@ -14,13 +14,17 @@
 //!
 //! The forecaster keeps forecasts only; the archive judges the rest from
 //! its memory. Against an oracle that tracks each series' last stored
-//! time and gap count from the script alone, on the primary after every
-//! op and on its replayed replica: [`Archive::staleness`], the degraded
-//! verdict and the host rows' staleness are `now −` the last stored
-//! time, and each series' observations plus gaps equal its
-//! [`Memory::revision`](nws_grid::Memory::revision) — so the memory's
-//! change counter is the forecaster's too, and a gap count is the
-//! revision less the observations.
+//! time, stored readings and gap count from the script alone, and knows
+//! which series are forecast (all but each host's raw load average), on
+//! the primary after every op and on its replayed replica:
+//! [`Archive::staleness`], the degraded verdict and the host rows'
+//! staleness are `now −` the last stored time; every series'
+//! [`Memory::revision`](nws_grid::Memory::revision) is its stored
+//! readings plus its gaps; a forecast series' observations plus gaps
+//! equal that revision — so the memory's change counter is the
+//! forecaster's too, and a gap count is the revision less the
+//! observations — and a load-average series has no forecast and no
+//! horizon at all.
 //!
 //! The forecaster is one dense store indexed by id. Fed sparse ids out
 //! of order, readings, non-finite readings and gaps, it must answer
@@ -32,7 +36,8 @@
 use nws_forecast::{ErrorRow, IntervalTracker, PredictorBank};
 use nws_grid::wal::replay;
 use nws_grid::{
-    Archive, ForecastAnswer, ForecastService, MemoryConfig, ResourceId, Wal, STALENESS_BOUND,
+    Archive, ForecastAnswer, ForecastService, MemoryConfig, Metric, ResourceId, Wal,
+    STALENESS_BOUND,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -43,6 +48,13 @@ const HOSTS: [&str; 2] = ["thing1", "gremlin"];
 
 /// Series the scripts touch: every registered one.
 const SERIES: u64 = 4 * HOSTS.len() as u64;
+
+/// Whether the archive forecasts a series, as the oracle knows it: each
+/// host registers [`Metric::all`] in order, and of those the raw load
+/// average is stored but never forecast.
+fn forecast(id: ResourceId) -> bool {
+    Metric::all()[id.0 as usize % Metric::all().len()] != Metric::LoadAverage
+}
 
 /// An empty archive with [`HOSTS`] registered, as a primary and each of
 /// its replicas are built.
@@ -137,13 +149,17 @@ fn journal_replay_equals_the_primary(
     primary.attach_journal(Wal::new());
     // The primary as of each journal length: (fingerprint, revision).
     let mut history = BTreeMap::from([(0, (primary.memory().fingerprint(), 0))]);
+    // Readings the memory refused on forecast series.
     let mut refused = 0;
     for op in build_ops(raw) {
         match op {
             Op::Reading(id, time, value) => {
-                refused += usize::from(!primary.reading(id, time, value).is_stored());
+                let stored = primary.reading(id, time, value).is_stored();
+                refused += usize::from(!stored && forecast(id));
             }
-            Op::Gap(id, time) => primary.gap(id, time),
+            Op::Gap(id, time) => {
+                primary.gap(id, time);
+            }
         }
         let len = primary.journal().expect("attached").len();
         history.insert(len, (primary.memory().fingerprint(), primary.revision()));
@@ -151,7 +167,9 @@ fn journal_replay_equals_the_primary(
     let wal = primary.journal().expect("attached");
 
     let mut whole = registered(config);
-    let scan = replay(wal.bytes(), 0, |rec| whole.apply(rec));
+    let scan = replay(wal.bytes(), 0, |rec| {
+        whole.apply(rec);
+    });
     prop_assert!(scan.error.is_none() && scan.end == wal.len());
     assert_same(&whole, &primary, "whole journal")?;
 
@@ -161,7 +179,9 @@ fn journal_replay_equals_the_primary(
     while offset < wal.len() {
         let chunk = wal.chunk(offset, chunk_max);
         prop_assert!(!chunk.is_empty(), "no progress at {}", offset);
-        replay(chunk, 0, |rec| chunked.apply(rec));
+        replay(chunk, 0, |rec| {
+            chunked.apply(rec);
+        });
         offset += chunk.len();
         let seen = (chunked.memory().fingerprint(), chunked.revision());
         let then = history.get(&offset);
@@ -176,25 +196,28 @@ fn journal_replay_equals_the_primary(
         "apply journaled"
     );
 
-    // The script did exercise the gate: what the memory refused the
-    // forecaster never saw, on either side.
+    // The script did exercise the gate: of the readings on forecast
+    // series, what the memory refused the forecaster never saw.
     let observed: u64 = (0..SERIES)
-        .filter_map(|id| primary.forecasts().forecast(ResourceId(id)))
+        .map(ResourceId)
+        .filter(|&id| forecast(id))
+        .filter_map(|id| primary.forecasts().forecast(id))
         .map(|a| a.observations)
         .sum();
     let readings = build_ops(raw)
         .iter()
-        .filter(|op| matches!(op, Op::Reading(..)))
+        .filter(|op| matches!(op, Op::Reading(id, ..) if forecast(*id)))
         .count();
     prop_assert_eq!(observed as usize + refused, readings);
     Ok(())
 }
 
-/// What the script alone says of one series: its last stored time and
-/// the gaps committed to it.
+/// What the script alone says of one series: its last stored time, the
+/// readings stored and the gaps committed to it.
 #[derive(Debug, Clone, Copy, Default)]
 struct Judged {
     last: Option<f64>,
+    stored: u64,
     gaps: u64,
 }
 
@@ -207,6 +230,7 @@ impl Judged {
             value.is_finite() && time.is_finite() && self.last.is_none_or(|last| time > last);
         if stored {
             self.last = Some(time);
+            self.stored += 1;
         }
         stored
     }
@@ -217,7 +241,9 @@ impl Judged {
 }
 
 /// The archive's staleness, degraded verdict, host rows and per-series
-/// change count agree with the oracle at every `now` probed.
+/// change count agree with the oracle at every `now` probed; a forecast
+/// series has observed every stored reading, and a load-average series
+/// answers no forecast and no horizon.
 fn assert_judged(archive: &Archive, oracle: &[Judged], what: &str) -> Result<(), TestCaseError> {
     let clock = oracle.iter().filter_map(|o| o.last).fold(0.0, f64::max);
     for now in [
@@ -256,17 +282,28 @@ fn assert_judged(archive: &Archive, oracle: &[Judged], what: &str) -> Result<(),
         }
     }
     for (id, judged) in (0..SERIES).map(ResourceId).zip(oracle) {
-        let observed = archive
-            .forecasts()
-            .forecast(id)
-            .map_or(0, |a| a.observations);
         let counted = archive.memory().revision(id);
         prop_assert!(
-            observed + judged.gaps == counted,
-            "{what}: series {}: {observed} + {} != {counted}",
-            id.0,
-            judged.gaps
+            judged.stored + judged.gaps == counted,
+            "{what}: series {}: revision {counted}, oracle {judged:?}",
+            id.0
         );
+        let service = archive.forecasts();
+        if forecast(id) {
+            let observed = service.forecast(id).map_or(0, |a| a.observations);
+            prop_assert!(
+                observed + judged.gaps == counted,
+                "{what}: series {}: {observed} + {} != {counted}",
+                id.0,
+                judged.gaps
+            );
+        } else {
+            prop_assert!(
+                service.forecast(id).is_none() && service.forecast_horizon(id, 8).is_none(),
+                "{what}: series {} is stored only, yet forecast",
+                id.0
+            );
+        }
     }
     Ok(())
 }
@@ -298,7 +335,7 @@ fn staleness_and_gaps_follow_the_memory(
     }
     let mut replica = registered(config);
     replay(primary.journal().expect("attached").bytes(), 0, |rec| {
-        replica.apply(rec)
+        replica.apply(rec);
     });
     assert_judged(&replica, &oracle, "replayed")
 }

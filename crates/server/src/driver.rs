@@ -24,6 +24,8 @@ pub struct TickDriver {
     now_us: u64,
     /// Slots already delivered to the grid.
     ticked: u64,
+    /// The state lock was found poisoned: no slot is delivered again.
+    halted: bool,
 }
 
 impl TickDriver {
@@ -34,6 +36,7 @@ impl TickDriver {
             state,
             now_us: 0,
             ticked: 0,
+            halted: false,
         }
     }
 
@@ -47,21 +50,35 @@ impl TickDriver {
         self.ticked
     }
 
+    /// Whether the driver has stopped ticking: it found the state lock
+    /// poisoned (a thread panicked holding it, so the state may be half
+    /// updated), and from then on [`TickDriver::advance`] delivers
+    /// nothing.
+    pub fn halted(&self) -> bool {
+        self.halted
+    }
+
     /// Advances simulated time by `seconds`, rounded to the driver's
     /// 1 µs resolution, and runs every measurement slot that came due,
     /// in one batch (the state lock is taken once). Returns how many
     /// slots were delivered. Time never runs backwards: a negative or
-    /// non-finite `seconds` advances nothing.
+    /// non-finite `seconds` advances nothing. A poisoned state lock
+    /// halts the driver ([`TickDriver::halted`]): that call and every
+    /// later one deliver nothing and return 0.
     pub fn advance(&mut self, seconds: f64) -> u64 {
         let us = (seconds * 1e6).round();
-        if !(us.is_finite() && us > 0.0) {
+        if self.halted || !(us.is_finite() && us > 0.0) {
             return 0;
         }
         self.now_us = self.now_us.saturating_add(us as u64);
         let due = Cadence::PAPER.slots_in(self.now_us as f64 / 1e6);
         let steps = due.saturating_sub(self.ticked);
         if steps > 0 {
-            self.state.lock().expect("state").tick(steps);
+            let Ok(mut state) = self.state.lock() else {
+                self.halted = true;
+                return 0;
+            };
+            state.tick(steps);
             self.ticked += steps;
         }
         steps
@@ -73,6 +90,7 @@ impl std::fmt::Debug for TickDriver {
         f.debug_struct("TickDriver")
             .field("ticked", &self.ticked)
             .field("now_us", &self.now_us)
+            .field("halted", &self.halted)
             .finish()
     }
 }
@@ -139,5 +157,32 @@ mod tests {
             assert_eq!(d.advance(bad), 0, "advance({bad})");
             assert_eq!(d.advance(10.0), 1, "the clock is intact after {bad}");
         }
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_halts_the_driver_instead_of_panicking() {
+        let state = shared_state();
+        let mut d = TickDriver::virtual_time(Arc::clone(&state));
+        assert_eq!(d.advance(20.0), 2);
+        let held = Arc::clone(&state);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = held.lock();
+            panic!("a thread dies holding the state lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(state.is_poisoned());
+        assert!(!d.halted());
+        assert_eq!(d.advance(5.0), 0, "no slot due yet: the lock is not taken");
+        assert!(!d.halted());
+        assert_eq!(
+            d.advance(10.0),
+            0,
+            "a slot came due and the lock is poisoned"
+        );
+        assert!(d.halted());
+        assert_eq!(d.advance(100.0), 0, "a halted driver stays halted");
+        assert_eq!(d.ticked(), 2);
+        let grid = state.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(grid.grid().slots(), 2);
     }
 }

@@ -27,6 +27,9 @@ pub enum ServeError {
     Remote(ErrorReply),
     /// The server answered with the wrong response variant.
     Unexpected(&'static str),
+    /// The in-memory server's state lock is poisoned: a thread panicked
+    /// holding it, so nothing is dispatched against that state.
+    Poisoned,
 }
 
 impl fmt::Display for ServeError {
@@ -35,6 +38,7 @@ impl fmt::Display for ServeError {
             ServeError::Wire(e) => write!(f, "wire error: {e}"),
             ServeError::Remote(e) => write!(f, "server error {:?}: {}", e.code, e.message),
             ServeError::Unexpected(what) => write!(f, "unexpected response variant: {what}"),
+            ServeError::Poisoned => f.write_str("server state lock poisoned"),
         }
     }
 }
@@ -177,9 +181,7 @@ impl<D: Dispatch> Transport for InMemoryTransport<D> {
             (FrameKind::Response, _) => return Err(WireError::BadKind(1).into()),
         };
         self.back.clear();
-        self.state
-            .lock()
-            .expect("server state poisoned")
+        (self.state.lock().map_err(|_| ServeError::Poisoned)?)
             .dispatch_frame(&decoded, &mut self.back);
         // Client side again: decode the response; its payload is the
         // one copy, because the caller keeps it.
@@ -253,5 +255,23 @@ mod tests {
             let (_, pb) = b.call_raw(&req).expect("b");
             assert_eq!(pa, pb, "payload bytes differ for {req:?}");
         }
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_is_a_typed_error_not_a_panic() {
+        let mut t = warm_transport();
+        assert!(t.stats().is_ok());
+        let held = Arc::clone(t.state());
+        let poisoner = std::thread::spawn(move || {
+            let _guard = held.lock();
+            panic!("a thread dies holding the state lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(t.state().is_poisoned());
+        for _ in 0..2 {
+            assert!(matches!(t.forecast("thing1"), Err(ServeError::Poisoned)));
+        }
+        let err = t.call(&Request::Stats).expect_err("poisoned");
+        assert_eq!(err.to_string(), "server state lock poisoned");
     }
 }

@@ -24,10 +24,13 @@ pub const STEPS: u64 = 120;
 /// session and job arrival its outage had scheduled. The clean served
 /// fingerprint was re-recorded once, when the placement rule began
 /// sending an exact tie to the first host registered instead of the
-/// last.
-pub const GOLDEN_CLEAN_STATE: u64 = 0xaacf_b64a_5e5e_e354;
+/// last. The two state fingerprints were re-recorded once, when the
+/// archive stopped forecasting the raw load average (`cpu.load1`): each
+/// host's fourth forecast line now reads `cold`, while every stored bit
+/// and both served fingerprints stayed as they were.
+pub const GOLDEN_CLEAN_STATE: u64 = 0x9526_4465_7d47_881e;
 pub const GOLDEN_CLEAN_SERVED: u64 = 0xed56_0a6e_2eb9_3e69;
-pub const GOLDEN_FAULT_STATE: u64 = 0xb1e8_4c01_4732_32e6;
+pub const GOLDEN_FAULT_STATE: u64 = 0x35cf_76de_03d9_28c7;
 pub const GOLDEN_FAULT_SERVED: u64 = 0xe01f_b8cb_9086_9436;
 
 /// Hashes every retained measurement bit, gap timestamp, drop count, and
