@@ -11,8 +11,8 @@ use nws_grid::{
     recover_memory_rotated, GridMonitor, GridMonitorConfig, MemoryConfig, RecoverySource, Wal,
 };
 use nws_server::{
-    ClientConfig, FailoverClient, GridState, NwsClient, ReactorConfig, ReactorServer, ReplicaState,
-    ServerConfig, Transport,
+    ClientConfig, GridState, NwsClient, ReactorConfig, ReactorServer, ReplicaState, ServerConfig,
+    Transport,
 };
 use nws_sim::HostProfile;
 use std::fmt::Write as _;
@@ -25,7 +25,7 @@ struct FailoverFixture {
     primary: ReactorServer<GridState>,
     /// `None` while the replica is down.
     replica: Option<ReactorServer<ReplicaState>>,
-    client: FailoverClient,
+    client: NwsClient,
     /// The primary's memory fingerprint, which every replica must reach.
     fingerprint: u64,
 }
@@ -41,7 +41,7 @@ impl FailoverFixture {
         let primary =
             ReactorServer::spawn(GridState::new(gm), server_config()).expect("bind primary");
         let replica = spawn_replica(primary.addr(), fingerprint);
-        let client = FailoverClient::new(
+        let client = NwsClient::over(
             &[primary.addr(), replica.addr()],
             // Fail over at once: one attempt per endpoint, short backoff.
             ClientConfig {

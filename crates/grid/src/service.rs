@@ -15,6 +15,7 @@
 //! count (the memory's revision less the readings absorbed) and the
 //! change counter ([`Archive::revision`](crate::Archive::revision)).
 
+use crate::memory::MAX_SERIES;
 use crate::registry::ResourceId;
 use nws_forecast::{
     ErrorRow, Forecast, IntervalTracker, PanelSpec, PredictionInterval, PredictorBank,
@@ -115,13 +116,15 @@ impl ForecastService {
     /// from them.
     ///
     /// A non-finite `value` carries no measurement: it is treated exactly
-    /// as [`ForecastService::note_gap`].
+    /// as [`ForecastService::note_gap`]. An id at or past [`MAX_SERIES`]
+    /// is refused: nothing grows and nothing is fed.
     pub fn observe(&mut self, id: ResourceId, time: Seconds, value: f64) {
         if !value.is_finite() {
             return self.note_gap(id, time);
         }
-        let idx = id.0 as usize;
-        self.reserve(idx + 1);
+        let Some(idx) = self.ensure(id) else {
+            return;
+        };
         let st = &mut self.rows[idx];
         if let Some(intervals) = self.intervals.get_mut(idx) {
             if let Some(predicted) = st.bank.predicted_value() {
@@ -135,15 +138,28 @@ impl ForecastService {
 
     /// Notes that a slot resolved to a gap for this resource: the panel
     /// ages out stale windows, the confidence degrades, and no
-    /// observation is counted. The slot's time is unused, as in
-    /// [`ForecastService::observe`].
+    /// observation is counted. The slot's time is unused, and an id out
+    /// of range is refused, as in [`ForecastService::observe`].
     pub fn note_gap(&mut self, id: ResourceId, _time: Seconds) {
-        let idx = id.0 as usize;
-        self.reserve(idx + 1);
+        let Some(idx) = self.ensure(id) else {
+            return;
+        };
         let st = &mut self.rows[idx];
         st.bank.note_gap();
         st.gap_ewma += GAP_INTENSITY_GAIN * (1.0 - st.gap_ewma);
         self.refresh(idx);
+    }
+
+    /// Grows the rows to cover `id` and returns its index, or `None` for
+    /// an id at or past [`MAX_SERIES`], which grows nothing: the rows are
+    /// indexed by id, so one huge id would ask for terabytes.
+    fn ensure(&mut self, id: ResourceId) -> Option<usize> {
+        if id.0 >= MAX_SERIES {
+            return None;
+        }
+        let idx = id.0 as usize;
+        self.reserve(idx + 1);
+        Some(idx)
     }
 
     /// Re-reads the standing forecast (the previous one if none is live).
@@ -338,5 +354,20 @@ mod tests {
         svc.note_gap(rid(1), 20.0);
         let a = svc.forecast(rid(1)).expect("live");
         assert_eq!(a.observations, 1);
+    }
+
+    #[test]
+    fn an_id_past_the_series_bound_grows_nothing() {
+        let mut svc = ForecastService::new(0.9);
+        for id in [1 << 40, u64::MAX, MAX_SERIES] {
+            svc.observe(rid(id), 0.0, 0.5);
+            svc.observe(rid(id), 10.0, f64::NAN);
+            svc.note_gap(rid(id), 20.0);
+            assert!(svc.forecast(rid(id)).is_none(), "id {id} answers");
+        }
+        assert!(svc.rows.is_empty() && svc.standing.is_empty() && svc.intervals.is_empty());
+        svc.observe(rid(3), 0.0, 0.5);
+        assert_eq!(svc.rows.len(), 4, "an id in range is fed");
+        assert_eq!(svc.forecast(rid(3)).map(|a| a.observations), Some(1));
     }
 }

@@ -1,21 +1,19 @@
-//! The typed TCP client, with retry-and-reconnect behind capped
-//! exponential backoff.
+//! The typed TCP client: one call loop over a ring of endpoints — a
+//! primary and its replicas, or the one server [`NwsClient::connect`]
+//! dials.
 //!
-//! A forecast query is idempotent, so a failed exchange — the server
-//! idled out the connection, the process restarted, a write hit a dead
-//! socket — is safely retried on a fresh connection. The client
-//! remembers the address, tears down the stream on any wire-level
-//! failure, and redials up to [`ClientConfig::retries`] times before
-//! giving up. Successive retries within one call wait
-//! `min(backoff_cap, backoff_base << attempt)` scaled by a seeded
-//! jitter factor in `[0.5, 1.0)`, so a thundering herd of clients
-//! hammering a restarting server decorrelates deterministically (the
-//! jitter stream is a pure function of [`ClientConfig::backoff_seed`]).
-//! Typed server errors ([`ServeError::Remote`]) are *not* retried: the
-//! exchange worked, the answer just wasn't the happy path.
+//! A forecast query is idempotent, so a failed exchange (an idled-out
+//! connection, a restarted or dead server) is safely resent. A call
+//! makes up to `retries + 1` passes over the ring from the preferred
+//! endpoint, trying each endpoint once per pass. A transport failure or
+//! a typed `Overloaded` refusal counts against the endpoint and moves
+//! on; any other reply, typed errors ([`ServeError::Remote`]) included,
+//! returns at once and makes its endpoint the preferred one. A pass
+//! that no endpoint answers returns its last refusal if it met one, and
+//! is retried otherwise, after the one wait: seeded, capped backoff.
 
 use crate::transport::{ServeError, Transport};
-use nws_wire::{encode_request_frame, read_response, Request, Response, WireError};
+use nws_wire::{encode_request_frame, read_response, ErrorCode, Request, Response, WireError};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -25,9 +23,9 @@ use std::time::Duration;
 pub struct ClientConfig {
     /// Socket read/write deadline per exchange.
     pub io_timeout: Duration,
-    /// Reconnect-and-resend attempts after a failed exchange.
+    /// Further passes over the endpoint ring when no endpoint answers.
     pub retries: u32,
-    /// Delay before the first retry; doubles every attempt after that.
+    /// Delay before the first retry; doubles every retry after that.
     pub backoff_base: Duration,
     /// Ceiling the doubling saturates at.
     pub backoff_cap: Duration,
@@ -53,7 +51,7 @@ impl Default for ClientConfig {
 /// drawn from `[0.5, 1.0)` by an xorshift64* generator. Two schedules
 /// built from the same seed produce identical delays.
 #[derive(Debug, Clone)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
     state: u64,
@@ -62,7 +60,7 @@ pub struct Backoff {
 impl Backoff {
     /// Builds a schedule; a zero seed is remapped so the generator
     /// never sticks at its one fixed point.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
+    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> Self {
         Self {
             base,
             cap,
@@ -72,11 +70,6 @@ impl Backoff {
                 seed
             },
         }
-    }
-
-    /// A schedule from client tunables.
-    pub fn from_config(config: &ClientConfig) -> Self {
-        Self::new(config.backoff_base, config.backoff_cap, config.backoff_seed)
     }
 
     /// The next jitter factor in `[0.5, 1.0)` (xorshift64*).
@@ -92,26 +85,45 @@ impl Backoff {
 
     /// The delay to wait before retry number `attempt` (0-based).
     /// Advances the jitter stream exactly once per call.
-    pub fn delay(&mut self, attempt: u32) -> Duration {
+    pub(crate) fn delay(&mut self, attempt: u32) -> Duration {
         let unjittered = (self.base.as_nanos() as f64) * 2f64.powi(attempt.min(63) as i32);
         let capped = unjittered.min(self.cap.as_nanos() as f64);
         Duration::from_nanos((capped * self.jitter()) as u64)
     }
 }
 
-/// A connected forecast client.
+/// A typed forecast client over a ring of one or more endpoints.
 pub struct NwsClient {
-    addr: SocketAddr,
+    endpoints: Vec<Endpoint>,
     config: ClientConfig,
-    conn: Option<Conn>,
-    /// Exchanges that needed at least one reconnect.
+    /// Index of the endpoint answering calls right now.
+    preferred: usize,
+    /// Calls answered by an endpoint other than the one they started at.
+    failovers: u64,
+    /// Retry passes: each follows a pass no endpoint answered.
     reconnects: u64,
-    /// The retry-delay schedule; its jitter stream persists across
-    /// calls so repeated failures keep decorrelating.
+    /// Retry delays; the jitter stream runs on across calls.
     backoff: Backoff,
-    /// Request frames are encoded into this reusable scratch, so a
-    /// steady stream of queries does not allocate per exchange.
+    /// Reused request-frame buffer: no allocation per exchange.
     scratch: Vec<u8>,
+}
+
+/// One endpoint of the ring and its health.
+struct Endpoint {
+    addr: SocketAddr,
+    conn: Option<Conn>,
+    /// Transport failures and refusals since its last answer.
+    failures: u32,
+}
+
+impl Endpoint {
+    fn new(addr: SocketAddr) -> Self {
+        Self {
+            addr,
+            conn: None,
+            failures: 0,
+        }
+    }
 }
 
 struct Conn {
@@ -120,87 +132,133 @@ struct Conn {
 }
 
 impl NwsClient {
-    /// Dials the server and verifies the connection can be set up.
+    /// Dials one server and verifies the connection can be set up.
     pub fn connect(addr: SocketAddr, config: ClientConfig) -> Result<Self, ServeError> {
-        let mut client = Self {
-            addr,
-            config,
-            conn: None,
-            reconnects: 0,
-            backoff: Backoff::from_config(&config),
-            scratch: Vec::new(),
-        };
-        client.conn = Some(client.dial()?);
+        let mut client = Self::over(&[addr], config);
+        client.endpoints[0].conn = Some(dial(addr, config.io_timeout)?);
         Ok(client)
     }
 
-    /// Reconnect-and-resend cycles performed so far.
+    /// A client over `addrs`, primary first. Nothing is dialed until
+    /// the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addrs` is empty.
+    pub fn over(addrs: &[SocketAddr], config: ClientConfig) -> Self {
+        assert!(!addrs.is_empty(), "a client needs at least one endpoint");
+        Self {
+            endpoints: addrs.iter().map(|&addr| Endpoint::new(addr)).collect(),
+            config,
+            preferred: 0,
+            failovers: 0,
+            reconnects: 0,
+            backoff: Backoff::new(config.backoff_base, config.backoff_cap, config.backoff_seed),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The endpoint currently answering calls.
+    pub fn preferred(&self) -> SocketAddr {
+        self.endpoints[self.preferred].addr
+    }
+
+    /// Calls that had to fail over to another endpoint.
+    pub fn failovers(&self) -> u64 {
+        self.failovers
+    }
+
+    /// Retry passes performed so far, each after a backoff wait.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
 
-    fn dial(&self) -> Result<Conn, ServeError> {
-        let stream =
-            TcpStream::connect(self.addr).map_err(|e| ServeError::Wire(WireError::Io(e)))?;
-        stream
-            .set_read_timeout(Some(self.config.io_timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.config.io_timeout)))
-            .map_err(|e| ServeError::Wire(WireError::Io(e)))?;
-        let reader_stream = stream
-            .try_clone()
-            .map_err(|e| ServeError::Wire(WireError::Io(e)))?;
-        Ok(Conn {
-            reader: BufReader::new(reader_stream),
-            writer: BufWriter::new(stream),
-        })
+    /// Transport failures and refusals recorded against each endpoint
+    /// since its last answer, in constructor order.
+    pub fn health(&self) -> Vec<u32> {
+        self.endpoints.iter().map(|e| e.failures).collect()
     }
 
-    /// One request/response exchange on the current connection. The
-    /// request frame arrives pre-encoded in the caller's scratch buffer.
-    fn exchange(conn: &mut Conn, frame: &[u8]) -> Result<(Response, Vec<u8>), ServeError> {
-        conn.writer.write_all(frame).map_err(WireError::from)?;
-        conn.writer.flush().map_err(WireError::from)?;
-        Ok(read_response(&mut conn.reader)?)
+    /// Repoints endpoint `idx` at a new address — the operator move
+    /// after a replica restarts on a fresh socket. Drops the slot's
+    /// connection and clears its health; the preference order is
+    /// unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range for the ring.
+    pub fn set_endpoint(&mut self, idx: usize, addr: SocketAddr) {
+        self.endpoints[idx] = Endpoint::new(addr);
     }
+}
+
+fn dial(addr: SocketAddr, io_timeout: Duration) -> Result<Conn, ServeError> {
+    let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
+    stream
+        .set_read_timeout(Some(io_timeout))
+        .and_then(|()| stream.set_write_timeout(Some(io_timeout)))
+        .map_err(WireError::Io)?;
+    Ok(Conn {
+        reader: BufReader::new(stream.try_clone().map_err(WireError::Io)?),
+        writer: BufWriter::new(stream),
+    })
+}
+
+/// One request/response exchange of an encoded request frame.
+fn exchange(conn: &mut Conn, frame: &[u8]) -> Result<(Response, Vec<u8>), ServeError> {
+    conn.writer.write_all(frame).map_err(WireError::from)?;
+    conn.writer.flush().map_err(WireError::from)?;
+    Ok(read_response(&mut conn.reader)?)
+}
+
+/// Whether a reply is the accept gate's refusal.
+fn overloaded(resp: &Response) -> bool {
+    matches!(resp, Response::Error(e) if e.code == ErrorCode::Overloaded)
 }
 
 impl Transport for NwsClient {
     fn call_raw(&mut self, req: &Request) -> Result<(Response, Vec<u8>), ServeError> {
         encode_request_frame(&mut self.scratch, req);
-        let mut attempts_left = self.config.retries + 1;
-        // Retry index within this call: the delay doubles with it, but
-        // a later healthy call starts over at the base delay.
-        let mut attempt = 0u32;
+        let (n, start) = (self.endpoints.len(), self.preferred);
+        let timeout = self.config.io_timeout;
+        // The wait after a pass doubles with its index, per call.
+        let mut pass = 0u32;
         loop {
-            attempts_left -= 1;
-            if self.conn.is_none() {
-                match self.dial() {
-                    Ok(c) => self.conn = Some(c),
-                    Err(_) if attempts_left > 0 => {
-                        self.reconnects += 1;
-                        std::thread::sleep(self.backoff.delay(attempt));
-                        attempt += 1;
-                        continue;
+            let mut refusal = None;
+            for step in 0..n {
+                let idx = (start + step) % n;
+                let ep = &mut self.endpoints[idx];
+                let conn = ep.conn.take().map_or_else(|| dial(ep.addr, timeout), Ok);
+                match conn.and_then(|mut conn| Ok((exchange(&mut conn, &self.scratch)?, conn))) {
+                    Ok((reply, conn)) if !overloaded(&reply.0) => {
+                        ep.conn = Some(conn);
+                        ep.failures = 0;
+                        self.failovers += u64::from(idx != start);
+                        self.preferred = idx;
+                        return Ok(reply);
                     }
-                    Err(e) => return Err(e),
+                    // The server is at capacity and closes right after
+                    // its refusal: let the next endpoint absorb the call.
+                    Ok((reply, _)) => {
+                        ep.failures += 1;
+                        refusal = Some(reply);
+                    }
+                    // Down or broken: the connection is dropped. The
+                    // last endpoint's failure ends the last pass.
+                    Err(e) => {
+                        ep.failures += 1;
+                        if pass == self.config.retries && step + 1 == n && refusal.is_none() {
+                            return Err(e);
+                        }
+                    }
                 }
             }
-            let conn = self.conn.as_mut().expect("connection just ensured");
-            match Self::exchange(conn, &self.scratch) {
-                Ok(ok) => return Ok(ok),
-                // Transport-level failure: the connection is suspect.
-                // Drop it and retry on a fresh one if budget remains.
-                Err(ServeError::Wire(_)) if attempts_left > 0 => {
-                    self.conn = None;
-                    self.reconnects += 1;
-                    std::thread::sleep(self.backoff.delay(attempt));
-                    attempt += 1;
-                }
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e);
-                }
+            if let Some(reply) = refusal {
+                return Ok(reply);
             }
+            self.reconnects += 1;
+            std::thread::sleep(self.backoff.delay(pass));
+            pass += 1;
         }
     }
 }
@@ -324,5 +382,208 @@ mod tests {
             }
             Err(e) => panic!("unexpected error variant: {e}"),
         }
+    }
+}
+
+/// The ring over several endpoints.
+#[cfg(test)]
+mod failover {
+    use super::*;
+    use crate::reactor::{ReactorConfig, ReactorServer, ServerConfig};
+    use crate::state::GridState;
+    use nws_grid::{GridMonitor, GridMonitorConfig};
+    use nws_sim::HostProfile;
+    use std::time::Duration;
+
+    fn quick_config() -> ClientConfig {
+        ClientConfig {
+            io_timeout: Duration::from_millis(500),
+            retries: 0,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(5),
+            ..ClientConfig::default()
+        }
+    }
+
+    fn warm_server() -> ReactorServer {
+        let mut grid = GridMonitor::new(
+            &[HostProfile::Thing1, HostProfile::Thing2],
+            31,
+            GridMonitorConfig::default(),
+        );
+        grid.run_steps(40);
+        ReactorServer::spawn(GridState::new(grid), ReactorConfig::default()).expect("bind")
+    }
+
+    #[test]
+    fn healthy_primary_answers_without_failover() {
+        let server = warm_server();
+        let mut client = NwsClient::over(&[server.addr()], quick_config());
+        let fc = client.forecast("thing1").expect("forecast");
+        assert!((0.0..=1.0).contains(&fc.value));
+        assert_eq!(client.failovers(), 0);
+        assert_eq!(client.health(), vec![0]);
+    }
+
+    #[test]
+    fn dead_primary_fails_over_to_the_replica_and_sticks() {
+        let dead = warm_server();
+        let dead_addr = dead.addr();
+        drop(dead); // shut down: the primary is gone
+        std::thread::sleep(Duration::from_millis(50));
+        let replica = warm_server(); // stands in for a caught-up replica
+        let mut client = NwsClient::over(&[dead_addr, replica.addr()], quick_config());
+        let fc = client.forecast("thing1").expect("served by the replica");
+        assert!((0.0..=1.0).contains(&fc.value));
+        assert_eq!(client.failovers(), 1);
+        assert_eq!(client.preferred(), replica.addr());
+        assert!(client.health()[0] >= 1, "primary marked unhealthy");
+        // The next call goes straight to the replica: no new failover.
+        client.stats().expect("stats");
+        assert_eq!(client.failovers(), 1);
+    }
+
+    #[test]
+    fn all_endpoints_dead_is_an_error_not_a_hang() {
+        let (a, b) = {
+            let s1 = warm_server();
+            let s2 = warm_server();
+            (s1.addr(), s2.addr())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        let mut client = NwsClient::over(&[a, b], quick_config());
+        match client.stats() {
+            Err(ServeError::Wire(_)) => {}
+            other => panic!("wrong result: {other:?}"),
+        }
+        assert!(client.health().iter().all(|&f| f >= 1));
+    }
+
+    #[test]
+    fn overloaded_primary_fails_over_to_the_replica() {
+        let mut grid = GridMonitor::new(
+            &[HostProfile::Thing1, HostProfile::Thing2],
+            31,
+            GridMonitorConfig::default(),
+        );
+        grid.run_steps(40);
+        // A primary with no capacity refuses everything with a typed
+        // Overloaded; the client should absorb that on the replica.
+        let primary = ReactorServer::spawn(
+            GridState::new(grid),
+            ReactorConfig {
+                server: ServerConfig {
+                    max_connections: 0,
+                    ..ServerConfig::default()
+                },
+                ..ReactorConfig::default()
+            },
+        )
+        .expect("bind");
+        let replica = warm_server();
+        let mut client = NwsClient::over(&[primary.addr(), replica.addr()], quick_config());
+        let fc = client.forecast("thing1").expect("served by the replica");
+        assert!((0.0..=1.0).contains(&fc.value));
+        assert_eq!(client.failovers(), 1);
+        assert_eq!(client.preferred(), replica.addr());
+    }
+
+    #[test]
+    fn a_repointed_replica_slot_catches_the_next_failover() {
+        let primary = warm_server();
+        let doomed = warm_server();
+        let mut client = NwsClient::over(&[primary.addr(), doomed.addr()], quick_config());
+        client.stats().expect("primary serves");
+        // The replica dies and comes back on a fresh socket; the
+        // operator repoints slot 1 before anything else goes wrong.
+        drop(doomed);
+        let restarted = warm_server();
+        client.set_endpoint(1, restarted.addr());
+        assert_eq!(client.health(), vec![0, 0], "repointing clears health");
+        // Now the primary dies too: the failover must land on the
+        // restarted replica, not the stale address.
+        drop(primary);
+        std::thread::sleep(Duration::from_millis(50));
+        client.stats().expect("served by the restarted replica");
+        assert_eq!(client.failovers(), 1);
+        assert_eq!(client.preferred(), restarted.addr());
+    }
+
+    #[test]
+    fn typed_errors_do_not_trigger_failover() {
+        let s1 = warm_server();
+        let s2 = warm_server();
+        let mut client = NwsClient::over(&[s1.addr(), s2.addr()], quick_config());
+        match client.forecast("nonesuch") {
+            Err(ServeError::Remote(e)) => {
+                assert_eq!(e.code, nws_wire::ErrorCode::UnknownHost)
+            }
+            other => panic!("wrong result: {other:?}"),
+        }
+        assert_eq!(client.failovers(), 0);
+        assert_eq!(client.preferred(), s1.addr());
+    }
+
+    /// A server that refuses every connection with a typed `Overloaded`.
+    fn refusing_server() -> ReactorServer {
+        let mut grid = GridMonitor::new(
+            &[HostProfile::Thing1, HostProfile::Thing2],
+            31,
+            GridMonitorConfig::default(),
+        );
+        grid.run_steps(40);
+        let config = ReactorConfig {
+            server: ServerConfig {
+                max_connections: 0,
+                ..ServerConfig::default()
+            },
+            ..ReactorConfig::default()
+        };
+        ReactorServer::spawn(GridState::new(grid), config).expect("bind")
+    }
+
+    /// Retries on, and each wait between passes at least 1 s.
+    fn slow_backoff() -> ClientConfig {
+        ClientConfig {
+            retries: 2,
+            backoff_base: Duration::from_secs(2),
+            backoff_cap: Duration::from_secs(2),
+            ..quick_config()
+        }
+    }
+
+    #[test]
+    fn a_primary_that_dies_mid_session_fails_over_without_a_wait() {
+        let primary = warm_server();
+        let replica = warm_server();
+        let mut client = NwsClient::over(&[primary.addr(), replica.addr()], slow_backoff());
+        client.stats().expect("primary serves");
+        // The primary dies with the client's connection to it open.
+        drop(primary);
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        client.stats().expect("served by the replica");
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(1), "failover took {waited:?}");
+        assert_eq!(client.failovers(), 1);
+        assert_eq!(client.preferred(), replica.addr());
+        assert_eq!(client.reconnects(), 0, "no retry pass was needed");
+    }
+
+    #[test]
+    fn a_ring_that_refuses_everywhere_answers_the_refusal_after_one_pass() {
+        let a = refusing_server();
+        let b = refusing_server();
+        let mut client = NwsClient::over(&[a.addr(), b.addr()], slow_backoff());
+        let started = std::time::Instant::now();
+        match client.stats() {
+            Err(ServeError::Remote(e)) => assert_eq!(e.code, nws_wire::ErrorCode::Overloaded),
+            other => panic!("wrong result: {other:?}"),
+        }
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(1), "refusal took {waited:?}");
+        assert_eq!(client.health(), vec![1, 1]);
+        assert_eq!(client.reconnects(), 0, "no retry pass");
+        assert_eq!(client.failovers(), 0);
     }
 }

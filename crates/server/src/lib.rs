@@ -31,8 +31,12 @@
 //!   accept gate answers
 //!   connections past the cap (derived from [`nws_runtime`]) with a
 //!   typed `Overloaded`.
-//! - [`NwsClient`] — a typed client with retry-and-reconnect behind
-//!   capped exponential backoff and seeded deterministic jitter.
+//! - [`NwsClient`] — a typed client over an ordered ring of endpoints
+//!   (one server, or a primary and its replicas) with per-endpoint
+//!   health: transport failures and `Overloaded` refusals move to the
+//!   next endpoint, typed server errors do not, and a pass no endpoint
+//!   answers is retried behind capped exponential backoff with seeded
+//!   deterministic jitter.
 //! - [`Transport`] / [`InMemoryTransport`] — the same codec and
 //!   dispatch path without sockets, so tests and the determinism suite
 //!   can compare answers bit for bit against the socket path.
@@ -41,9 +45,6 @@
 //!   streamed over the wire protocol's `WalSince`/`WalChunk` frames,
 //!   plus the replication cursor. It answers through the same request
 //!   policy as the primary, so the two cannot drift apart.
-//! - [`FailoverClient`] — a typed client over an ordered replica set
-//!   with per-endpoint health tracking: transport failures rotate to
-//!   the next endpoint, typed server errors do not.
 //!
 //! [`GridMonitor`]: nws_grid::GridMonitor
 
@@ -52,7 +53,6 @@
 mod cache;
 mod client;
 mod driver;
-mod failover;
 mod policy;
 mod reactor;
 mod replica;
@@ -60,9 +60,8 @@ mod state;
 mod transport;
 
 pub use cache::QueryCache;
-pub use client::{Backoff, ClientConfig, NwsClient};
+pub use client::{ClientConfig, NwsClient};
 pub use driver::TickDriver;
-pub use failover::FailoverClient;
 pub use reactor::{NwsServer, ReactorConfig, ReactorServer, ServerConfig};
 pub use replica::{ReplicaError, ReplicaState};
 pub use state::{Dispatch, GridState};

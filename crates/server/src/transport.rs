@@ -52,8 +52,9 @@ impl From<WireError> for ServeError {
 }
 
 /// A way to exchange one request for one response with a forecast
-/// server. Implemented by [`NwsClient`](crate::NwsClient) (TCP) and
-/// [`InMemoryTransport`] (no sockets).
+/// server. Implemented by [`NwsClient`](crate::NwsClient) (TCP, over
+/// one server or a ring of replicas) and [`InMemoryTransport`] (no
+/// sockets).
 pub trait Transport {
     /// Sends one request and returns the decoded response together
     /// with the raw response payload bytes, for byte-level comparisons

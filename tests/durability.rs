@@ -20,8 +20,8 @@ use nws::grid::{
     RecoverySource, ResourceId, Wal,
 };
 use nws::server::{
-    ClientConfig, FailoverClient, GridState, InMemoryTransport, NwsClient, ReactorConfig,
-    ReactorServer, ReplicaState, Transport,
+    ClientConfig, GridState, InMemoryTransport, NwsClient, ReactorConfig, ReactorServer,
+    ReplicaState, Transport,
 };
 use nws::sim::HostProfile;
 use nws::wire::{ErrorCode, Request, Response};
@@ -296,7 +296,7 @@ fn failover_keeps_serving_through_a_primary_crash() {
     assert_eq!(replica.memory().fingerprint(), GOLDEN_CLEAN_MEMORY);
     let replica_server = ReactorServer::spawn(replica, ReactorConfig::default()).expect("bind");
 
-    let mut client = FailoverClient::new(
+    let mut client = NwsClient::over(
         &[primary.addr(), replica_server.addr()],
         ClientConfig {
             io_timeout: std::time::Duration::from_millis(500),
