@@ -43,11 +43,8 @@ use nws_sensors::{HybridConfig, HybridSensor, LoadAvgSensor, ProbeOutcome, Vmsta
 use nws_sim::{Host, HostProfile, Pid, ProcessSpec, Seconds};
 
 /// Grid monitor configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GridMonitorConfig {
-    /// Most slots the engine buffers per host before committing (the
-    /// bounded event-queue window; output-invariant).
-    pub batch_slots: usize,
     /// Memory retention per series.
     pub memory: MemoryConfig,
     /// Every host's hybrid sensor tunables.
@@ -55,17 +52,6 @@ pub struct GridMonitorConfig {
     /// The ground-truth lane's schedule; `None` (the default) runs no
     /// test process.
     pub ground_truth: Option<TestSchedule>,
-}
-
-impl Default for GridMonitorConfig {
-    fn default() -> Self {
-        Self {
-            batch_slots: EngineConfig::default().batch_slots,
-            memory: MemoryConfig::default(),
-            hybrid: HybridConfig::default(),
-            ground_truth: None,
-        }
-    }
 }
 
 /// The test-process schedule: a run of `duration` seconds launched once
@@ -439,10 +425,9 @@ impl GridMonitor {
                 tests: Vec::new(),
             })
             .collect();
-        let batch_slots = config.batch_slots;
         Self {
             archive,
-            engine: Engine::new(hosts, EngineConfig { batch_slots }),
+            engine: Engine::new(hosts, EngineConfig::default()),
         }
     }
 

@@ -25,9 +25,11 @@
 //! (Eq. 3) — [`nws_sim::Host::run_occupancy_process`] run for
 //! [`TEST_DURATION_SHORT`] or [`TEST_DURATION_MEDIUM`].
 //!
-//! The [`proc`] module applies the same two passive formulas to a live
-//! Linux host via `/proc/loadavg` and `/proc/stat`, so the library is
-//! usable as a real monitor, not only against the simulator.
+//! The two passive sensors read a host through [`HostView`]: a simulated
+//! [`nws_sim::Host`], or a live Linux host's [`proc::Sample`] of
+//! `/proc/stat` and `/proc/loadavg`. Both go through the same equations
+//! and the same smoothing, so the library is usable as a real monitor,
+//! not only against the simulator.
 
 #![forbid(unsafe_code)]
 
@@ -41,6 +43,29 @@ pub use loadavg_sensor::{availability_from_load, LoadAvgSensor};
 pub use vmstat_sensor::{availability_from_vmstat, VmstatReading, VmstatSensor};
 
 use nws_runtime::Cadence;
+use nws_sim::{Accounting, Host};
+
+/// What a passive sensor reads from a host at one instant.
+pub trait HostView {
+    /// The 1-minute load average.
+    fn load_one_minute(&self) -> f64;
+    /// Cumulative user/sys/idle CPU time, in seconds.
+    fn accounting(&self) -> Accounting;
+    /// Instantaneous run-queue length.
+    fn runnable_count(&self) -> usize;
+}
+
+impl HostView for Host {
+    fn load_one_minute(&self) -> f64 {
+        self.load_average().one_minute()
+    }
+    fn accounting(&self) -> Accounting {
+        Host::accounting(self)
+    }
+    fn runnable_count(&self) -> usize {
+        Host::runnable_count(self)
+    }
+}
 
 /// Hybrid probe cadence: once per minute (from [`Cadence::PAPER`]).
 pub const PROBE_PERIOD: f64 = Cadence::PAPER.probe_period;

@@ -1,7 +1,7 @@
 //! The Unix load average sensor (the paper's Eq. 1), for the one-CPU
 //! hosts the paper measured: `load` competitors share a single processor.
 
-use nws_sim::Host;
+use crate::HostView;
 
 /// Converts a 1-minute load average into a CPU availability fraction.
 ///
@@ -39,9 +39,9 @@ impl LoadAvgSensor {
         Self
     }
 
-    /// Takes one availability measurement from a simulated host.
-    pub fn measure(&mut self, host: &Host) -> f64 {
-        availability_from_load(host.load_average().one_minute())
+    /// Takes one availability measurement.
+    pub fn measure<C: HostView + ?Sized>(&mut self, host: &C) -> f64 {
+        availability_from_load(host.load_one_minute())
     }
 }
 

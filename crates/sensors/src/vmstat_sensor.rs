@@ -1,6 +1,7 @@
 //! The `vmstat` sensor (the paper's Eq. 2).
 
-use nws_sim::{Accounting, Host};
+use crate::HostView;
+use nws_sim::Accounting;
 
 /// One interval's worth of `vmstat`-style readings.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,12 +97,12 @@ impl VmstatSensor {
         self.last_reading
     }
 
-    /// Takes one availability measurement from a simulated host.
+    /// Takes one availability measurement.
     ///
     /// The first call primes the counters and reports availability from the
     /// instantaneous run queue only (there is no interval to difference
     /// yet).
-    pub fn measure(&mut self, host: &Host) -> f64 {
+    pub fn measure<C: HostView + ?Sized>(&mut self, host: &C) -> f64 {
         let acct = host.accounting();
         let rp_now = host.runnable_count() as f64;
         self.smoothed_rp = match self.prev {

@@ -52,8 +52,8 @@ pub use kernel::{Accounting, Kernel, ProcessStats, ProcessView};
 pub use loadavg::LoadAverage;
 pub use process::{Pid, ProcessSpec};
 pub use profiles::{
-    synthetic_host_name, synthetic_roster, ucsd_availability_traces, ucsd_hosts, HostProfile,
-    SyntheticHost, UCSD_HOST_NAMES,
+    synthetic_host_name, ucsd_availability_traces, ucsd_hosts, HostProfile, SyntheticHost,
+    UCSD_HOST_NAMES,
 };
 pub use trace::{record_load_trace, LoadTrace, TraceReplay};
 pub use workload::{

@@ -11,7 +11,7 @@
 //! paper quantifies ("Fearing load average to be insensitive to short-term
 //! load variability…").
 
-use crate::{Seconds, LOAD_SAMPLE_PERIOD};
+use crate::LOAD_SAMPLE_PERIOD;
 
 /// The classical 1/5/15-minute exponentially smoothed load averages.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,14 +68,6 @@ impl LoadAverage {
     pub fn fifteen_minute(&self) -> f64 {
         self.fifteen
     }
-
-    /// Approximate time constant after which a step change in load is
-    /// `frac` absorbed into the 1-minute average. Exposed for tests and
-    /// documentation of smoothing lag.
-    pub fn one_minute_settle_time(frac: f64) -> Seconds {
-        assert!((0.0..1.0).contains(&frac));
-        -60.0 * (1.0 - frac).ln()
-    }
 }
 
 #[cfg(test)]
@@ -118,11 +110,9 @@ mod tests {
 
     #[test]
     fn smoothing_lag_matches_time_constant() {
-        // 95% settle time of the 1-minute average is ~3 minutes.
-        let t = LoadAverage::one_minute_settle_time(0.95);
-        assert!((t - 180.0).abs() < 1.0, "t = {t}");
+        // 95% settle time of the 1-minute average is 60·ln 20 ≈ 3 minutes.
         let mut la = LoadAverage::new();
-        settle(&mut la, 1, t);
+        settle(&mut la, 1, 180.0);
         assert!((la.one_minute() - 0.95).abs() < 0.01);
     }
 

@@ -333,13 +333,6 @@ pub fn synthetic_host_name(index: usize) -> String {
     format!("fleet-{index:06}")
 }
 
-/// A synthetic roster of `n` hosts cycling the six profile archetypes.
-pub fn synthetic_roster(n: usize, base_seed: u64) -> Vec<SyntheticHost> {
-    (0..n as u64)
-        .map(|i| SyntheticHost::new(i, base_seed))
-        .collect()
-}
-
 /// Records one availability trace per UCSD profile host: each host is
 /// built from `base_seed`, warmed past its load-average spin-up, sampled
 /// at the paper's 10-second cadence for `samples` slots, and each
@@ -478,9 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_roster_shapes() {
-        let roster = synthetic_roster(13, 7);
-        assert_eq!(roster.len(), 13);
+    fn synthetic_hosts_are_named_and_cycle_the_archetypes() {
         assert_eq!(synthetic_host_name(42), "fleet-000042");
         // Regime anchors cycle the six archetypes: hosts 0 and 6 share a
         // level but not a trajectory.

@@ -10,8 +10,8 @@
 //!   a fresh host by adjusting a pool of CPU-bound processes to match the
 //!   recorded run-queue level at each sample;
 //! - traces persist as `time,level` CSV via [`LoadTrace::save`] /
-//!   [`LoadTrace::load`], so externally recorded data (e.g. from the
-//!   `/proc` sensors) can drive the simulator too.
+//!   [`LoadTrace::load`], so externally recorded data (e.g. the run queue
+//!   of a live host's `/proc` samples) can drive the simulator too.
 //!
 //! Replay reproduces the *run-queue process*, not the exact per-process
 //! interleaving: load averages, availability sensors, and forecasting

@@ -23,16 +23,6 @@ pub fn population_variance(values: &[f64]) -> Option<f64> {
     Some(values.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64)
 }
 
-/// Sample variance (divides by `n − 1`). Returns `None` with fewer than two
-/// values.
-pub fn sample_variance(values: &[f64]) -> Option<f64> {
-    if values.len() < 2 {
-        return None;
-    }
-    let m = mean(values)?;
-    Some(values.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64)
-}
-
 /// Mean absolute deviation of `values` from the paired `references`.
 ///
 /// This is the error form of the paper's Equations 3–5:
@@ -58,15 +48,6 @@ pub fn mean_absolute_pair_error(values: &[f64], references: &[f64]) -> Option<f6
             .sum::<f64>()
             / values.len() as f64,
     )
-}
-
-/// Mean absolute error of a single residual sequence: `mean(|e_i|)`.
-pub fn mean_absolute_error(residuals: &[f64]) -> Option<f64> {
-    if residuals.is_empty() {
-        None
-    } else {
-        Some(residuals.iter().map(|e| e.abs()).sum::<f64>() / residuals.len() as f64)
-    }
 }
 
 /// Sample covariance of two paired sequences (divides by `n`).
@@ -99,15 +80,12 @@ mod tests {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&v), Some(2.5));
         assert_eq!(population_variance(&v), Some(1.25));
-        assert!((sample_variance(&v).unwrap() - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empties() {
         assert_eq!(mean(&[]), None);
         assert_eq!(population_variance(&[]), None);
-        assert_eq!(sample_variance(&[1.0]), None);
-        assert_eq!(mean_absolute_error(&[]), None);
         assert_eq!(mean_absolute_pair_error(&[], &[]), None);
         assert_eq!(covariance(&[], &[]), None);
     }
@@ -125,12 +103,6 @@ mod tests {
     #[should_panic(expected = "equal-length")]
     fn pair_error_length_mismatch_panics() {
         mean_absolute_pair_error(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn mae_is_the_mean_absolute_residual() {
-        let mae = mean_absolute_error(&[0.0, 0.0, -3.0]).unwrap();
-        assert!((mae - 1.0).abs() < 1e-12);
     }
 
     #[test]

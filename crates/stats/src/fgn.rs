@@ -11,9 +11,10 @@
 //!
 //! 1. **Validation** — the Hurst estimators in [`crate::hurst`] are tested
 //!    against fGn with known `H` before being trusted on simulated traces.
-//! 2. **Synthetic load** — an alternative (non-mechanistic) load driver for
-//!    the simulator, exercising forecasting on textbook long-range-dependent
-//!    input.
+//! 2. **Textbook input** — the `forecast_tour` example and the tests run
+//!    the forecasters on long-range-dependent input with no simulator
+//!    behind it. The simulator does not use fGn: its load comes from
+//!    processes.
 //!
 //! Two generators are provided:
 //! - [`Hosking`]: the exact Durbin–Levinson recursion, O(n²) time, O(n)
@@ -223,17 +224,6 @@ impl DaviesHarte {
     }
 }
 
-/// Integrates fGn into fractional Brownian motion: `B_k = Σ_{i<=k} x_i`.
-pub fn fbm_from_fgn(fgn: &[f64]) -> Vec<f64> {
-    let mut acc = 0.0;
-    fgn.iter()
-        .map(|&x| {
-            acc += x;
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,47 +346,5 @@ mod tests {
             .sample(1, &mut Rng::new(3))
             .unwrap();
         assert_eq!(x.len(), 1);
-    }
-
-    #[test]
-    fn fbm_is_cumulative_sum() {
-        let b = fbm_from_fgn(&[1.0, -0.5, 2.0]);
-        assert_eq!(b, vec![1.0, 0.5, 2.5]);
-        assert!(fbm_from_fgn(&[]).is_empty());
-    }
-
-    #[test]
-    fn fbm_selfsimilar_scaling() {
-        // Var(B_n) ~ n^{2H}: compare variance growth over dyadic horizons.
-        let h = 0.8;
-        let n = 16384;
-        // Average over several sample paths to tame estimator noise.
-        let mut ratio_sum = 0.0;
-        let paths = 8;
-        for seed in 0..paths {
-            let x = DaviesHarte::new(h)
-                .unwrap()
-                .sample(n, &mut Rng::new(100 + seed))
-                .unwrap();
-            let b = fbm_from_fgn(&x);
-            // E[B_k^2] = k^{2H}; estimate from disjoint increments at two
-            // scales: var of increments over span s scales like s^{2H}.
-            let var_at = |s: usize| {
-                let incs: Vec<f64> = (0..n / s)
-                    .map(|i| {
-                        let start = if i == 0 { 0.0 } else { b[i * s - 1] };
-                        b[(i + 1) * s - 1] - start
-                    })
-                    .collect();
-                population_variance(&incs).unwrap()
-            };
-            ratio_sum += (var_at(64) / var_at(8)).log2() / 3.0; // log ratio / log(8)
-        }
-        let est_2h = ratio_sum / paths as f64;
-        assert!(
-            (est_2h - 2.0 * h).abs() < 0.2,
-            "estimated 2H = {est_2h}, expected {}",
-            2.0 * h
-        );
     }
 }

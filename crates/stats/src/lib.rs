@@ -38,9 +38,7 @@ pub use acf::{
     autocorrelation, autocovariance, autocovariance_fft, autocovariance_naive,
     clamped_autocorrelation,
 };
-pub use descriptive::{
-    mean, mean_absolute_error, mean_absolute_pair_error, population_variance, sample_variance,
-};
+pub use descriptive::{mean, mean_absolute_pair_error, population_variance};
 pub use dist::{Distribution, Exponential, LogNormal, Normal, Pareto, Uniform};
 pub use fft::{fft_inplace, fft_real, ifft_inplace, next_pow2, periodogram, Complex};
 pub use fgn::{fgn_autocovariance, DaviesHarte, FgnError, Hosking};

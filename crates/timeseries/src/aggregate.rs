@@ -57,82 +57,6 @@ pub fn aggregate_series(series: &Series, m: usize) -> Series {
     out
 }
 
-/// Block means over fixed wall-clock windows rather than fixed counts.
-///
-/// Splits `[t0, t0 + n*window)` into consecutive windows of `window` seconds
-/// and returns the mean of the observations inside each non-empty window,
-/// stamped at the window end. Windows with no observations are skipped.
-/// Useful when a series is irregularly sampled (e.g. a trace with gaps).
-pub fn hourly_block_means(series: &Series, window: f64) -> Series {
-    assert!(window > 0.0, "window must be positive");
-    let mut out = Series::new(format!("{} ({window}s means)", series.name()));
-    if series.is_empty() {
-        return out;
-    }
-    let t0 = series.times()[0];
-    let t_end = series.times()[series.len() - 1];
-    let mut start = t0;
-    while start <= t_end {
-        let end = start + window;
-        if let Some(mean) = series.mean_in_interval(start, end) {
-            out.push(end, mean).expect("window ends are increasing");
-        }
-        start = end;
-    }
-    out
-}
-
-/// Linearly resamples a series onto a regular grid of spacing `dt`
-/// starting at its first timestamp.
-///
-/// Values between observations are linearly interpolated; the grid stops
-/// at the last observation. Useful for bringing irregular external traces
-/// (gappy `/proc` recordings, event logs) onto the fixed cadence the
-/// forecasting and self-similarity analyses assume.
-///
-/// Returns an empty series for inputs with fewer than two points.
-///
-/// # Panics
-///
-/// Panics unless `dt > 0`.
-pub fn resample(series: &Series, dt: f64) -> Series {
-    assert!(dt > 0.0, "resampling interval must be positive");
-    let mut out = Series::new(format!("{} (dt={dt})", series.name()));
-    if series.len() < 2 {
-        return out;
-    }
-    let times = series.times();
-    let values = series.values();
-    let t0 = times[0];
-    let t_end = times[times.len() - 1];
-    let mut idx = 0usize;
-    let mut k = 0u64;
-    loop {
-        let t = t0 + k as f64 * dt;
-        if t > t_end + 1e-9 {
-            break;
-        }
-        // Advance to the segment containing t.
-        while idx + 1 < times.len() && times[idx + 1] < t {
-            idx += 1;
-        }
-        let (ta, va) = (times[idx], values[idx]);
-        let v = if idx + 1 < times.len() {
-            let (tb, vb) = (times[idx + 1], values[idx + 1]);
-            if tb > ta {
-                va + (vb - va) * ((t - ta) / (tb - ta)).clamp(0.0, 1.0)
-            } else {
-                va
-            }
-        } else {
-            va
-        };
-        out.push(t, v).expect("grid is strictly increasing");
-        k += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,55 +97,6 @@ mod tests {
         let s = Series::from_values("a", 0.0, 1.0, [1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
         let agg = aggregate_series(&s, 2);
         assert_eq!(agg.len(), 2);
-    }
-
-    #[test]
-    fn wall_clock_means_skip_empty_windows() {
-        let mut s = Series::new("gappy");
-        s.push(0.0, 1.0).unwrap();
-        s.push(1.0, 3.0).unwrap();
-        // Gap: nothing in [10, 20).
-        s.push(25.0, 5.0).unwrap();
-        let means = hourly_block_means(&s, 10.0);
-        assert_eq!(means.values(), &[2.0, 5.0]);
-        assert_eq!(means.times(), &[10.0, 30.0]);
-    }
-
-    #[test]
-    fn resample_interpolates_linearly() {
-        let mut s = Series::new("irregular");
-        s.push(0.0, 0.0).unwrap();
-        s.push(4.0, 4.0).unwrap();
-        s.push(10.0, 1.0).unwrap();
-        let r = resample(&s, 2.0);
-        assert_eq!(r.times(), &[0.0, 2.0, 4.0, 6.0, 8.0, 10.0]);
-        let v = r.values();
-        assert!((v[1] - 2.0).abs() < 1e-12); // midpoint of 0->4
-        assert!((v[2] - 4.0).abs() < 1e-12); // exact knot
-        assert!((v[3] - 3.0).abs() < 1e-12); // 1/3 of 4->1
-        assert!((v[5] - 1.0).abs() < 1e-12); // endpoint
-    }
-
-    #[test]
-    fn resample_degenerate_inputs() {
-        assert!(resample(&Series::new("e"), 1.0).is_empty());
-        let mut one = Series::new("one");
-        one.push(5.0, 2.0).unwrap();
-        assert!(resample(&one, 1.0).is_empty());
-    }
-
-    #[test]
-    fn resample_identity_on_matching_grid() {
-        let s = Series::from_values("g", 0.0, 10.0, [0.1, 0.2, 0.3]).unwrap();
-        let r = resample(&s, 10.0);
-        assert_eq!(r.values(), s.values());
-        assert_eq!(r.times(), s.times());
-    }
-
-    #[test]
-    #[should_panic(expected = "resampling interval")]
-    fn resample_rejects_zero_dt() {
-        resample(&Series::new("x"), 0.0);
     }
 
     #[test]

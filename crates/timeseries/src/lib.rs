@@ -17,7 +17,7 @@ pub mod csv;
 pub mod series;
 pub mod summary;
 
-pub use aggregate::{aggregate_mean, aggregate_series, hourly_block_means, resample};
+pub use aggregate::{aggregate_mean, aggregate_series};
 pub use series::{Series, SeriesError, TimePoint};
 pub use summary::{summarize, Summary};
 

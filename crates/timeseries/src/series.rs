@@ -198,7 +198,7 @@ impl Series {
     /// This is the lookup the measurement-error protocol uses: *"we use the
     /// measurement taken most immediately before the test process executes"*
     /// (Section 2.2).
-    pub fn index_at_or_before(&self, time: Seconds) -> Option<usize> {
+    fn index_at_or_before(&self, time: Seconds) -> Option<usize> {
         // partition_point returns the count of timestamps <= time.
         let n = self.times.partition_point(|&t| t <= time);
         n.checked_sub(1)
@@ -207,19 +207,6 @@ impl Series {
     /// The observation taken most immediately before (or at) `time`.
     pub fn at_or_before(&self, time: Seconds) -> Option<TimePoint> {
         self.index_at_or_before(time).and_then(|i| self.get(i))
-    }
-
-    /// Mean of the values inside the half-open time interval `[start, end)`.
-    ///
-    /// Returns `None` if no observation falls inside the interval.
-    pub fn mean_in_interval(&self, start: Seconds, end: Seconds) -> Option<f64> {
-        let lo = self.times.partition_point(|&t| t < start);
-        let hi = self.times.partition_point(|&t| t < end);
-        if lo >= hi {
-            return None;
-        }
-        let slice = &self.values[lo..hi];
-        Some(slice.iter().sum::<f64>() / slice.len() as f64)
     }
 
     /// A sub-series restricted to the half-open interval `[start, end)`.
@@ -314,17 +301,6 @@ mod tests {
         assert_eq!(s.at_or_before(-1.0), None);
         // After the last: the last.
         assert_eq!(s.at_or_before(99.0), Some(TimePoint::new(30.0, 0.8)));
-    }
-
-    #[test]
-    fn mean_in_interval_half_open() {
-        let s = sample();
-        // [0, 20) covers t=0 and t=10.
-        assert!((s.mean_in_interval(0.0, 20.0).unwrap() - 0.55).abs() < 1e-12);
-        // Empty interval.
-        assert_eq!(s.mean_in_interval(1.0, 9.0), None);
-        // Whole series.
-        assert!((s.mean_in_interval(0.0, 1e9).unwrap() - 0.65).abs() < 1e-12);
     }
 
     #[test]

@@ -4,16 +4,20 @@
 //! cargo run --release --example live_monitor [n_samples] [interval_secs]
 //! ```
 //!
-//! Applies the paper's Eq. 1 (load average) and Eq. 2 (vmstat) availability
-//! formulas to the machine this program runs on, using `/proc/loadavg` and
-//! `/proc/stat`, feeds the measurements to the NWS forecaster, and prints a
-//! one-step-ahead availability forecast after each sample. This is the
-//! library operating as a real monitor rather than against the simulator.
+//! Applies the paper's Eq. 1 (load average) and Eq. 2 (vmstat) sensors to
+//! the machine this program runs on: each interval it reads one
+//! `/proc/stat` and `/proc/loadavg` `Sample` and runs it through the same
+//! `LoadAvgSensor` and `VmstatSensor`, smoothing included, that measure the
+//! simulator. It feeds the vmstat measurements to the NWS forecaster and
+//! prints a one-step-ahead availability forecast after each sample. This is
+//! the library operating as a real monitor rather than against the
+//! simulator.
 //!
 //! On non-Linux platforms the example explains itself and exits cleanly.
 
 use nws::forecast::PredictorBank;
-use nws::sensors::proc::{ProcLoadAvgSensor, ProcVmstatSensor};
+use nws::sensors::proc::Sample;
+use nws::sensors::{LoadAvgSensor, VmstatSensor};
 use std::thread::sleep;
 use std::time::Duration;
 
@@ -28,16 +32,20 @@ fn main() {
         .map(|s| s.parse().expect("interval must be seconds"))
         .unwrap_or(1.0);
 
-    let load_sensor = ProcLoadAvgSensor::new();
-    let mut vmstat_sensor = ProcVmstatSensor::new();
+    let mut load_sensor = LoadAvgSensor::new();
+    let mut vmstat_sensor = VmstatSensor::new();
 
-    // Probe once to check we can read /proc at all.
-    if let Err(e) = load_sensor.measure() {
-        eprintln!("cannot read /proc/loadavg ({e}); this example needs Linux.");
-        return;
+    // Read once to check we can read /proc at all, and prime the vmstat
+    // counters so the first reported interval is real.
+    match Sample::read() {
+        Ok(first) => {
+            vmstat_sensor.measure(&first);
+        }
+        Err(e) => {
+            eprintln!("cannot read /proc ({e}); this example needs Linux.");
+            return;
+        }
     }
-    // Prime the jiffy counters so the first reported interval is real.
-    let _ = vmstat_sensor.measure();
 
     let mut nws = PredictorBank::nws_default();
     println!(
@@ -46,8 +54,9 @@ fn main() {
     );
     for i in 1..=samples {
         sleep(Duration::from_secs_f64(interval));
-        let load = load_sensor.measure().expect("loadavg readable");
-        let vm = vmstat_sensor.measure().expect("stat readable");
+        let sample = Sample::read().expect("/proc readable");
+        let load = load_sensor.measure(&sample);
+        let vm = vmstat_sensor.measure(&sample);
         // Forecast the vmstat availability series (the more responsive of
         // the two passive methods at second-scale intervals).
         let forecast = nws.update(vm).expect("live after first sample");

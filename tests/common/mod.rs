@@ -154,11 +154,14 @@ pub fn build_grid(faulted: bool, setup: EngineSetup) -> GridMonitor {
     } else {
         FaultPlan::none()
     };
-    let config = GridMonitorConfig {
-        batch_slots: setup.batch_slots,
-        ..GridMonitorConfig::default()
-    };
-    GridMonitor::with_faults(&HostProfile::all(), SEED, config, plan)
+    let mut gm = GridMonitor::with_faults(
+        &HostProfile::all(),
+        SEED,
+        GridMonitorConfig::default(),
+        plan,
+    );
+    gm.set_batch_slots(setup.batch_slots);
+    gm
 }
 
 /// Runs one scenario under a setup: (state fingerprint, served bytes
