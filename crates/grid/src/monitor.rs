@@ -39,7 +39,7 @@ use crate::service::ForecastService;
 use crate::wal::{CheckpointReport, SnapshotStore, Wal, WalError};
 use nws_faults::{DelayLine, FaultPlan, FaultStats, HostFaults, SlotFaults};
 use nws_runtime::{host_seed, Cadence, Engine, EngineConfig, Source, Stage};
-use nws_sensors::{HybridConfig, HybridSensor, LoadAvgSensor, ProbeOutcome, VmstatSensor};
+use nws_sensors::{HybridConfig, HybridSensor, ProbeOutcome};
 use nws_sim::{Host, HostProfile, Pid, ProcessSpec, Seconds};
 
 /// Grid monitor configuration.
@@ -133,11 +133,9 @@ struct PendingDelivery {
     value: f64,
 }
 
-/// One engine shard: a host, its sensors, and its fault stream.
+/// One engine shard: a host, its one sensor set, and its fault stream.
 struct MonitoredHost {
     host: Host,
-    load_sensor: LoadAvgSensor,
-    vmstat_sensor: VmstatSensor,
     hybrid_sensor: HybridSensor,
     ids: [ResourceId; 4], // load, vmstat, hybrid, load1 (registry order)
     /// This host's deterministic fault stream.
@@ -215,7 +213,6 @@ fn measure_host(mh: &mut MonitoredHost, slot: u64) -> SlotRecord {
         // time — boot "now" in that case rather than in the past.)
         mh.host
             .power_cycle_until((target - period).max(mh.host.now()));
-        mh.vmstat_sensor.reset();
         mh.hybrid_sensor.reset();
         // A test in flight died with the kernel: it yields no observation.
         if let Some(lane) = &mut mh.lane {
@@ -225,16 +222,6 @@ fn measure_host(mh: &mut MonitoredHost, slot: u64) -> SlotRecord {
     let test_ended = (mh.lane.as_mut()).and_then(|lane| lane.finish_due(&mut mh.host, target));
     mh.host.advance_to(target);
     let t = mh.host.now();
-    let load_avail = if f.drop_load {
-        None
-    } else {
-        Some(mh.load_sensor.measure(&mh.host))
-    };
-    let vm_avail = if f.drop_vmstat {
-        None
-    } else {
-        Some(mh.vmstat_sensor.measure(&mh.host))
-    };
     let (hybrid_avail, probe, cross_fallback) = if probe_slot {
         // The probe is an independent active measurement; it must finish
         // (including retries and backoff) before the next slot's time.
@@ -254,11 +241,16 @@ fn measure_host(mh: &mut MonitoredHost, slot: u64) -> SlotRecord {
             None => (None, None, false),
         }
     };
+    // The readings the hybrid took this slot. A probe cycle reads both
+    // sources to weigh them against the probe; a dropped one goes unstored.
+    let [load, vmstat] = mh.hybrid_sensor.readings();
+    let load = load.filter(|_| !f.drop_load);
+    let vmstat = vmstat.filter(|_| !f.drop_vmstat);
     let load1 = mh.host.load_average().one_minute();
     let test_started = (mh.lane.as_mut()).and_then(|lane| lane.launch_due(&mut mh.host, slot));
     SlotRecord {
         t,
-        values: [load_avail, vm_avail, hybrid_avail, Some(load1)],
+        values: [load, vmstat, hybrid_avail, Some(load1)],
         faults: f,
         probe,
         cross_fallback,
@@ -407,8 +399,6 @@ impl GridMonitor {
             .iter()
             .map(|p| MonitoredHost {
                 host: p.build(host_seed(base_seed, p.name())),
-                load_sensor: LoadAvgSensor::new(),
-                vmstat_sensor: VmstatSensor::new(),
                 hybrid_sensor: HybridSensor::new(config.hybrid),
                 ids: archive.register_host(p.name()),
                 faults: plan.host_faults(p.name()),
@@ -556,6 +546,7 @@ mod tests {
     use crate::archive::{best_row, HostStatus};
     use crate::registry::Metric;
     use nws_faults::FaultRates;
+    use std::collections::HashMap;
 
     #[test]
     fn registers_four_series_per_host() {
@@ -838,6 +829,67 @@ mod tests {
         // first; with on-time neighbors almost always present, most drop.
         assert!(st.late_delivered + st.late_dropped > 0);
         assert!(gm.memory().total_dropped() >= st.late_dropped);
+    }
+
+    /// Runs the six UCSD hosts for `slots` under a seeded fault plan with
+    /// the bias off, and counts the host-slots where the load, vmstat and
+    /// hybrid readings are all stored, and how many of those store a
+    /// hybrid equal to neither passive reading bit for bit.
+    fn hybrid_off_its_readings(fault_seed: u64, intensity: f64, slots: u64) -> (usize, usize) {
+        let config = GridMonitorConfig {
+            hybrid: HybridConfig {
+                apply_bias: false,
+                ..HybridConfig::default()
+            },
+            ..GridMonitorConfig::default()
+        };
+        let plan = FaultPlan::seeded(fault_seed, FaultRates::uniform(intensity));
+        let mut gm = GridMonitor::with_faults(&HostProfile::all(), 1998, config, plan);
+        gm.run_steps(slots);
+        let (mut all_three, mut off) = (0, 0);
+        for mh in gm.engine.sources() {
+            let [load, vmstat, hybrid] = [0, 1, 2].map(|m| {
+                gm.memory().with_series(mh.ids[m], |times, values| {
+                    let bits = values.iter().map(|v| v.to_bits());
+                    times.map(f64::to_bits).zip(bits).collect::<HashMap<_, _>>()
+                })
+            });
+            for (t, h) in &hybrid {
+                if let (Some(l), Some(v)) = (load.get(t), vmstat.get(t)) {
+                    all_three += 1;
+                    off += usize::from(h != l && h != v);
+                }
+            }
+        }
+        (all_three, off)
+    }
+
+    #[test]
+    fn the_hybrid_stores_one_of_the_passive_readings_stored_beside_it() {
+        // Failed probe attempts and dropped sources at every rate: the
+        // hybrid combines the very readings the memory holds.
+        for (fault_seed, intensity) in [(5, 0.05), (5, 0.2), (11, 0.12)] {
+            let (all_three, off) = hybrid_off_its_readings(fault_seed, intensity, 720);
+            assert!(all_three > 1_000, "{all_three} host-slots");
+            assert_eq!(
+                off, 0,
+                "plan {fault_seed} at {intensity}: {off} of {all_three}"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "wide: 32 fault seeds over a simulated six hours each"]
+    fn the_hybrid_stores_one_of_the_passive_readings_over_32_fault_seeds() {
+        for fault_seed in 0..32 {
+            let intensity = [0.05, 0.1, 0.2, 0.4][fault_seed as usize % 4];
+            let (all_three, off) = hybrid_off_its_readings(fault_seed, intensity, 2_160);
+            assert!(all_three > 0, "plan {fault_seed} at {intensity}");
+            assert_eq!(
+                off, 0,
+                "plan {fault_seed} at {intensity}: {off} of {all_three}"
+            );
+        }
     }
 
     fn lane(period: Seconds, duration: Seconds) -> GridMonitorConfig {

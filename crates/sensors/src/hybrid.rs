@@ -12,6 +12,10 @@
 //!   `nice`-level background processes, which occupy the run queue but
 //!   yield instantly to full-priority work.
 //!
+//! The hybrid is a host's one sensor set: it reads its Eq. 1 and Eq. 2
+//! sensors once per measurement, and [`HybridSensor::readings`] hands
+//! back what they read, so a monitor stores the readings it combined.
+//!
 //! The bias is also the hybrid's Achilles' heel (kongo): when a
 //! *long-running full-priority* job is resident, a 1.5 s probe preempts it
 //! (the job's decayed priority loses to the fresh probe) and measures an
@@ -19,6 +23,7 @@
 
 use crate::loadavg_sensor::LoadAvgSensor;
 use crate::vmstat_sensor::VmstatSensor;
+use nws_runtime::Cadence;
 use nws_sim::Host;
 use std::sync::Arc;
 
@@ -37,7 +42,7 @@ pub enum Method {
 /// still converging on persistent skews (the `nice`-load correction)
 /// within a few minutes — spread across the paper cadence's 5-probe bias
 /// window.
-const BIAS_GAIN: f64 = nws_runtime::Cadence::PAPER.bias_gain();
+const BIAS_GAIN: f64 = Cadence::PAPER.bias_gain();
 
 /// Wall-clock cap on one probe run, in seconds (the probe spins for
 /// `probe_duration` seconds of *CPU*; under contention its wall time
@@ -55,7 +60,8 @@ const PROBE_BACKOFF: f64 = 0.5;
 /// Tunables for the hybrid sensor.
 #[derive(Debug, Clone, Copy)]
 pub struct HybridConfig {
-    /// Probe duration in seconds (paper: 1.5).
+    /// Probe duration in seconds (paper: 1.5), at most one measurement
+    /// period (10 s).
     pub probe_duration: f64,
     /// Whether to apply the probe bias (the paper's design). Disabling it
     /// is the ablation that shows bias rescuing conundrum and sinking
@@ -88,6 +94,8 @@ pub struct HybridSensor {
     config: HybridConfig,
     load: LoadAvgSensor,
     vmstat: VmstatSensor,
+    /// The Eq. 1 and Eq. 2 availabilities the last measurement read.
+    readings: [Option<f64>; 2],
     chosen: Method,
     bias: f64,
     probes_run: u64,
@@ -104,15 +112,23 @@ impl Default for HybridSensor {
 
 impl HybridSensor {
     /// Creates the sensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < probe_duration <= 10` s, one measurement period:
+    /// a NaN or infinite probe would never end.
     pub fn new(config: HybridConfig) -> Self {
+        let period = Cadence::PAPER.measurement_period;
         assert!(
-            config.probe_duration > 0.0,
-            "probe duration must be positive"
+            config.probe_duration > 0.0 && config.probe_duration <= period,
+            "probe duration must be in (0, {period}] s, got {}",
+            config.probe_duration
         );
         Self {
             config,
             load: LoadAvgSensor::new(),
             vmstat: VmstatSensor::new(),
+            readings: [None; 2],
             chosen: Method::default(),
             bias: 0.0,
             probes_run: 0,
@@ -141,11 +157,20 @@ impl HybridSensor {
         self.last_probe_value
     }
 
+    /// The Eq. 1 (load average) and Eq. 2 (vmstat) availabilities the
+    /// last measurement read, in that order: the readings it combined.
+    /// `None` marks a source it did not read — dropped, or nothing
+    /// measured since creation or [`HybridSensor::reset`].
+    pub fn readings(&self) -> [Option<f64>; 2] {
+        self.readings
+    }
+
     /// Forgets all learned state, as after a host reboot: the vmstat
     /// differencing, the method choice, and the probe bias all describe
     /// the pre-reboot workload. The next probe re-anchors the bias.
     pub fn reset(&mut self) {
         self.vmstat.reset();
+        self.readings = [None; 2];
         self.chosen = Method::default();
         self.bias = 0.0;
         self.probes_run = 0;
@@ -155,8 +180,7 @@ impl HybridSensor {
     /// Takes one *passive* measurement (no probe): reads both methods,
     /// reports the chosen one plus bias.
     pub fn measure(&mut self, host: &Host) -> f64 {
-        let l = self.load.measure(host);
-        let v = self.vmstat.measure(host);
+        let (l, v) = self.read(host);
         self.combine(l, v)
     }
 
@@ -175,97 +199,53 @@ impl HybridSensor {
         drop_load: bool,
         drop_vmstat: bool,
     ) -> Option<(f64, bool)> {
-        match (drop_load, drop_vmstat) {
-            (true, true) => None,
-            (false, false) => Some((self.measure(host), false)),
-            (true, false) => {
-                let v = self.vmstat.measure(host);
-                match self.chosen {
-                    Method::Vmstat => Some((self.apply_bias_to(v), false)),
-                    Method::LoadAverage => Some((v.clamp(0.0, 1.0), true)),
-                }
-            }
-            (false, true) => {
-                let l = self.load.measure(host);
-                match self.chosen {
-                    Method::LoadAverage => Some((self.apply_bias_to(l), false)),
-                    Method::Vmstat => Some((l.clamp(0.0, 1.0), true)),
-                }
-            }
-        }
-    }
-
-    /// Runs the probe (advancing the simulation by the probe duration!),
-    /// re-selects the best passive method, refreshes the bias, and returns
-    /// the resulting measurement.
-    pub fn measure_with_probe(&mut self, host: &mut Host) -> f64 {
-        // Passive readings immediately before the probe.
-        let l = self.load.measure(host);
-        let v = self.vmstat.measure(host);
-        let probe = host.run_cpu_limited_probe(
-            Arc::clone(&self.probe_name),
-            self.config.probe_duration,
-            PROBE_MAX_WALL.max(self.config.probe_duration),
-        );
-        self.probes_run += 1;
-        self.last_probe_value = Some(probe);
-        // Adopt whichever method agreed best with the probe.
-        let (method, raw) = if (l - probe).abs() <= (v - probe).abs() {
-            (Method::LoadAverage, l)
-        } else {
-            (Method::Vmstat, v)
+        let l = (!drop_load).then(|| self.load.measure(host));
+        let v = (!drop_vmstat).then(|| self.vmstat.measure(host));
+        self.readings = [l, v];
+        let (chosen, other) = match self.chosen {
+            Method::LoadAverage => (l, v),
+            Method::Vmstat => (v, l),
         };
-        // Anchor the bias outright on the first probe or when the method
-        // choice flips (the stored EWMA belongs to the other method's
-        // skew); otherwise fold the new sample into the EWMA.
-        if self.probes_run == 1 || method != self.chosen {
-            self.bias = probe - raw;
-        } else {
-            self.bias += BIAS_GAIN * ((probe - raw) - self.bias);
+        match (chosen, other) {
+            (Some(raw), _) => Some((self.apply_bias_to(raw), false)),
+            (None, Some(raw)) => Some((raw.clamp(0.0, 1.0), true)),
+            (None, None) => None,
         }
-        self.chosen = method;
-        self.combine(l, v)
     }
 
-    /// Runs one probe cycle under fault injection: the first
-    /// `failing_attempts` probe attempts fail (each consuming
-    /// `probe_duration` of wall-clock, followed by a half-second backoff
-    /// before the retry), bounded by a budget of two retries and by
-    /// `deadline` (absolute simulation time). When the cycle is abandoned — retries
-    /// exhausted or no room left before the deadline — the sensor falls
-    /// back to its passive measurement.
-    ///
-    /// With `failing_attempts == 0` this is exactly
-    /// [`HybridSensor::measure_with_probe`]: no extra time passes and no
-    /// extra state changes.
+    /// One probe cycle with no failing attempt and no deadline: see
+    /// [`HybridSensor::measure_with_probe_retries`].
+    pub fn measure_with_probe(&mut self, host: &mut Host) -> f64 {
+        self.measure_with_probe_retries(host, 0, f64::INFINITY).0
+    }
+
+    /// Runs one probe cycle, advancing the simulation by its wall time:
+    /// reads both passive sensors once, at the slot instant, then lets the
+    /// first `failing_attempts` probe attempts fail (each taking
+    /// `probe_duration` of wall-clock, then a half-second backoff) within
+    /// two retries and `deadline` (absolute simulation time). A probe that
+    /// runs re-selects the reading closest to it and refreshes the bias.
+    /// Returns the chosen slot-instant reading plus bias — for an
+    /// abandoned cycle, the passive measurement.
     pub fn measure_with_probe_retries(
         &mut self,
         host: &mut Host,
         failing_attempts: u32,
         deadline: f64,
     ) -> (f64, ProbeOutcome) {
+        let (l, v) = self.read(host);
         let mut failed = 0u32;
-        loop {
+        let probe = loop {
             if host.now() + self.config.probe_duration > deadline + 1e-9 {
-                // No room for another attempt before the slot deadline.
-                let value = self.measure(host);
-                return (
-                    value,
-                    ProbeOutcome {
-                        failed_attempts: failed,
-                        succeeded: false,
-                    },
-                );
+                // No room for another attempt before the deadline.
+                break None;
             }
             if failed >= failing_attempts {
-                let value = self.measure_with_probe(host);
-                return (
-                    value,
-                    ProbeOutcome {
-                        failed_attempts: failed,
-                        succeeded: true,
-                    },
-                );
+                break Some(host.run_cpu_limited_probe(
+                    Arc::clone(&self.probe_name),
+                    self.config.probe_duration,
+                    PROBE_MAX_WALL.max(self.config.probe_duration),
+                ));
             }
             // This attempt fails: the probe process hangs/dies for its
             // nominal duration before the failure is detected.
@@ -273,17 +253,42 @@ impl HybridSensor {
             failed += 1;
             if failed > PROBE_RETRIES {
                 // Retry budget exhausted — abandon the cycle.
-                let value = self.measure(host);
-                return (
-                    value,
-                    ProbeOutcome {
-                        failed_attempts: failed,
-                        succeeded: false,
-                    },
-                );
+                break None;
             }
             host.advance(PROBE_BACKOFF);
+        };
+        if let Some(probe) = probe {
+            self.probes_run += 1;
+            self.last_probe_value = Some(probe);
+            // Adopt whichever method agreed best with the probe.
+            let (method, raw) = if (l - probe).abs() <= (v - probe).abs() {
+                (Method::LoadAverage, l)
+            } else {
+                (Method::Vmstat, v)
+            };
+            // Anchor the bias outright on the first probe or when the
+            // method choice flips (the stored EWMA belongs to the other
+            // method's skew); otherwise fold the new sample into the EWMA.
+            if self.probes_run == 1 || method != self.chosen {
+                self.bias = probe - raw;
+            } else {
+                self.bias += BIAS_GAIN * ((probe - raw) - self.bias);
+            }
+            self.chosen = method;
         }
+        let outcome = ProbeOutcome {
+            failed_attempts: failed,
+            succeeded: probe.is_some(),
+        };
+        (self.combine(l, v), outcome)
+    }
+
+    /// Reads both passive sensors once and keeps what they read.
+    fn read(&mut self, host: &Host) -> (f64, f64) {
+        let l = self.load.measure(host);
+        let v = self.vmstat.measure(host);
+        self.readings = [Some(l), Some(v)];
+        (l, v)
     }
 
     fn apply_bias_to(&self, raw: f64) -> f64 {
@@ -308,6 +313,7 @@ mod tests {
     use super::*;
     use nws_sim::workload::{LongRunningHog, NiceSoaker};
     use nws_sim::Host;
+    use proptest::prelude::*;
 
     fn settled_host_with_soaker(seed: u64) -> Host {
         let mut h = Host::new("conundrum-like", seed);
@@ -429,6 +435,101 @@ mod tests {
         assert_eq!(s1.bias(), s2.bias());
         assert!(outcome.succeeded);
         assert_eq!(outcome.failed_attempts, 0);
+    }
+
+    proptest! {
+        /// A probe duration outside `(0, 10]` s is refused at construction
+        /// with the documented panic, and one inside runs a probe cycle to
+        /// its end: NaN, ±∞, negatives, zeros, subnormals and huge values
+        /// never reach the simulator's tick-counting probe loop.
+        #[test]
+        fn a_probe_duration_is_refused_at_construction_or_runs(d in prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-1.5),
+            Just(-0.0),
+            Just(0.0),
+            Just(5e-324),
+            Just(f64::MIN_POSITIVE),
+            Just(10.0),
+            Just(10.000_000_000_000_002),
+            Just(1e300),
+            Just(f64::MAX),
+            (1u64..101).prop_map(|tenths| tenths as f64 / 10.0),
+            any::<u64>().prop_map(f64::from_bits),
+        ]) {
+            let valid = d > 0.0 && d <= 10.0;
+            let config = HybridConfig {
+                probe_duration: d,
+                ..HybridConfig::default()
+            };
+            match std::panic::catch_unwind(|| HybridSensor::new(config)) {
+                Ok(mut s) => {
+                    prop_assert!(valid, "accepted {d}");
+                    let mut h = Host::new("edge", 1);
+                    h.advance(60.0);
+                    let v = s.measure_with_probe(&mut h);
+                    prop_assert!((0.0..=1.0).contains(&v), "{d}: {v}");
+                    prop_assert_eq!(s.probes_run(), 1);
+                }
+                Err(panic) => {
+                    prop_assert!(!valid, "refused {d}");
+                    let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+                    prop_assert!(msg.starts_with("probe duration must be in (0, 10] s"), "{msg}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_probe_cycle_keeps_the_slot_instant_readings() {
+        // A twin sensor on a twin host reads at the slot instant; the
+        // probe cycle's failed attempts and backoff move the clock, but
+        // its readings and (when abandoned) its value are the twin's.
+        for failing in [1, 2, 10] {
+            let make = || {
+                let mut h = settled_host_with_soaker(13);
+                let mut s = HybridSensor::default();
+                s.measure(&h);
+                h.advance(10.0);
+                (h, s)
+            };
+            let (mut h, mut s) = make();
+            let (twin_h, mut twin) = make();
+            let passive = twin.measure(&twin_h);
+            let t0 = h.now();
+            let (value, outcome) = s.measure_with_probe_retries(&mut h, failing, t0 + 10.0);
+            assert!(h.now() > t0, "the failed attempts took time");
+            assert_eq!(outcome.failed_attempts, failing.min(1 + PROBE_RETRIES));
+            assert_eq!(outcome.succeeded, failing <= PROBE_RETRIES);
+            assert_eq!(s.readings(), twin.readings(), "{failing} failing");
+            assert!(s.readings().iter().all(Option::is_some));
+            if !outcome.succeeded {
+                assert_eq!(value, passive, "{failing} failing");
+            }
+        }
+    }
+
+    #[test]
+    fn readings_are_what_the_last_measurement_read() {
+        let mut h = settled_host_with_soaker(14);
+        let mut s = HybridSensor::default();
+        assert_eq!(s.readings(), [None, None]);
+        let mut twin = (LoadAvgSensor::new(), VmstatSensor::new());
+        let v = s.measure(&h);
+        let (l, m) = (twin.0.measure(&h), twin.1.measure(&h));
+        assert_eq!(s.readings(), [Some(l), Some(m)]);
+        assert_eq!(v, l.clamp(0.0, 1.0), "the default method, unbiased yet");
+        h.advance(10.0);
+        s.measure_degraded(&h, false, true);
+        assert_eq!(s.readings(), [Some(twin.0.measure(&h)), None]);
+        h.advance(10.0);
+        assert!(s.measure_degraded(&h, true, true).is_none());
+        assert_eq!(s.readings(), [None, None]);
+        s.measure(&h);
+        s.reset();
+        assert_eq!(s.readings(), [None, None]);
     }
 
     #[test]

@@ -45,14 +45,15 @@ pub use vmstat_sensor::{availability_from_vmstat, VmstatReading, VmstatSensor};
 use nws_runtime::Cadence;
 use nws_sim::{Accounting, Host};
 
-/// What a passive sensor reads from a host at one instant.
+/// What a passive sensor reads from a host at one instant. The load and
+/// the run queue are per CPU, so both equations measure a share of one.
 pub trait HostView {
-    /// The 1-minute load average.
+    /// The 1-minute load average, per CPU.
     fn load_one_minute(&self) -> f64;
     /// Cumulative user/sys/idle CPU time, in seconds.
     fn accounting(&self) -> Accounting;
-    /// Instantaneous run-queue length.
-    fn runnable_count(&self) -> usize;
+    /// Instantaneous run-queue length, per CPU.
+    fn run_queue(&self) -> f64;
 }
 
 impl HostView for Host {
@@ -62,8 +63,8 @@ impl HostView for Host {
     fn accounting(&self) -> Accounting {
         Host::accounting(self)
     }
-    fn runnable_count(&self) -> usize {
-        Host::runnable_count(self)
+    fn run_queue(&self) -> f64 {
+        Host::runnable_count(self) as f64
     }
 }
 

@@ -1,5 +1,6 @@
-//! The Unix load average sensor (the paper's Eq. 1), for the one-CPU
-//! hosts the paper measured: `load` competitors share a single processor.
+//! The Unix load average sensor (the paper's Eq. 1). The paper measured
+//! one-CPU hosts, where `load` competitors share a single processor; a
+//! [`HostView`] reports the load per CPU, so the same holds on more.
 
 use crate::HostView;
 

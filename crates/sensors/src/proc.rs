@@ -8,6 +8,8 @@
 //! so a live host goes through the same Eq. 1 and Eq. 2 and the same
 //! smoothing. As `vmstat` reports it, niced time is user time: a `nice`
 //! soaker costs Eq. 2 availability here as it did on the paper's hosts.
+//! The paper's hosts had one CPU; a `Sample` reports the load average and
+//! the run queue per CPU, so both equations measure a share of one CPU.
 //! The parsers are pure functions, testable on any platform.
 
 use crate::HostView;
@@ -59,11 +61,12 @@ pub fn parse_loadavg(text: &str) -> Result<f64, ProcError> {
 const USER_HZ: f64 = 100.0;
 
 /// Parses `/proc/stat`: the aggregate `cpu` line as cumulative seconds,
-/// and the run queue, `procs_running` less the process reading it.
+/// the run queue (`procs_running` less the process reading it), and the
+/// CPU count (the `cpuN` lines; none counts as one).
 ///
 /// User and nice jiffies are user time; system, irq and softirq are sys
 /// time; idle and iowait are idle time. Steal is left out.
-pub fn parse_stat_cpu(text: &str) -> Result<(Accounting, usize), ProcError> {
+pub fn parse_stat_cpu(text: &str) -> Result<(Accounting, usize, usize), ProcError> {
     let line = text
         .lines()
         .find(|l| l.starts_with("cpu ") || *l == "cpu")
@@ -101,16 +104,20 @@ pub fn parse_stat_cpu(text: &str) -> Result<(Accounting, usize), ProcError> {
         sys: secs(&[2, 5, 6]),
         idle: secs(&[3, 4]),
     };
-    Ok((accounting, running.saturating_sub(1)))
+    let cpus = (text.lines())
+        .filter(|l| l.starts_with("cpu") && l.as_bytes().get(3).is_some_and(u8::is_ascii_digit))
+        .count();
+    Ok((accounting, running.saturating_sub(1), cpus.max(1)))
 }
 
 /// What a live Linux host shows a passive sensor at one instant.
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
+    /// The 1-minute load average per CPU.
     load: f64,
     accounting: Accounting,
-    /// Runnable tasks, not counting the reader.
-    runnable: usize,
+    /// Runnable tasks per CPU, not counting the reader.
+    run_queue: f64,
 }
 
 impl Sample {
@@ -121,12 +128,12 @@ impl Sample {
 
     /// Reads the given files in their place (for fixtures or containers).
     pub fn read_from(stat: impl AsRef<Path>, loadavg: impl AsRef<Path>) -> Result<Self, ProcError> {
-        let (accounting, runnable) = parse_stat_cpu(&fs::read_to_string(stat)?)?;
+        let (accounting, runnable, cpus) = parse_stat_cpu(&fs::read_to_string(stat)?)?;
         let load = parse_loadavg(&fs::read_to_string(loadavg)?)?;
         Ok(Self {
-            load,
+            load: load / cpus as f64,
             accounting,
-            runnable,
+            run_queue: runnable as f64 / cpus as f64,
         })
     }
 }
@@ -138,8 +145,8 @@ impl HostView for Sample {
     fn accounting(&self) -> Accounting {
         self.accounting
     }
-    fn runnable_count(&self) -> usize {
-        self.runnable
+    fn run_queue(&self) -> f64 {
+        self.run_queue
     }
 }
 
@@ -176,15 +183,17 @@ mod tests {
         // user nice system idle iowait irq softirq steal guest guest_nice
         let text = "cpu  100 20 30 800 40 5 6 7 0 0\ncpu0 50 10 15 400 20 2 3 0 0 0\n\
                     procs_running 3\n";
-        let (acct, runnable) = parse_stat_cpu(text).unwrap();
+        let (acct, runnable, cpus) = parse_stat_cpu(text).unwrap();
         assert_eq!(acct.user, 1.2, "nice is user time");
         assert_eq!(acct.sys, 0.41, "irq and softirq are sys time");
         assert_eq!(acct.idle, 8.4, "iowait is idle time");
         assert_eq!(acct.total(), 10.01, "steal is left out");
         assert_eq!(runnable, 2, "the reader is not in the run queue");
-        let (_, alone) = parse_stat_cpu("cpu 1 0 0 1\nprocs_running 1\n").unwrap();
+        assert_eq!(cpus, 1, "one cpuN line");
+        let (_, alone, cpus) = parse_stat_cpu("cpu 1 0 0 1\nprocs_running 1\n").unwrap();
         assert_eq!(alone, 0);
-        let (_, none) = parse_stat_cpu("cpu 1 0 0 1\nprocs_running 0\n").unwrap();
+        assert_eq!(cpus, 1, "no cpuN line counts as one CPU");
+        let (_, none, _) = parse_stat_cpu("cpu 1 0 0 1\nprocs_running 0\n").unwrap();
         assert_eq!(none, 0);
         assert!(matches!(
             parse_stat_cpu("cpu 1 0 0 1\nprocs_blocked 0\n"),
@@ -238,6 +247,30 @@ mod tests {
         assert_eq!(load.measure(&first), 0.5);
         assert_eq!(vm.measure(&first), 0.5);
         fs::write(&st, "cpu 0 1100 0 0 0 0 0 0 0 0\nprocs_running 2\n").unwrap();
+        assert_eq!(vm.measure(&Sample::read_from(&st, &la).unwrap()), 0.5);
+        let _ = fs::remove_dir_all(st.parent().unwrap());
+    }
+
+    #[test]
+    fn a_two_cpu_host_reads_a_share_of_one_cpu() {
+        // Both CPUs busy in user time, two tasks beside the reader, load
+        // 2: one competitor per CPU, so each equation reads 0.5.
+        let (st, la) = fixture(
+            "two-cpu",
+            "cpu 0 0 0 0 0 0 0 0 0 0\ncpu0 0 0 0 0 0 0 0 0 0 0\n\
+             cpu1 0 0 0 0 0 0 0 0 0 0\nprocs_running 3\n",
+            "2.00 2.00 2.00 3/100 999\n",
+        );
+        let first = Sample::read_from(&st, &la).unwrap();
+        assert_eq!(LoadAvgSensor::new().measure(&first), 0.5);
+        let mut vm = VmstatSensor::with_gains(1.0, 1.0);
+        assert_eq!(vm.measure(&first), 0.5);
+        fs::write(
+            &st,
+            "cpu 200 0 0 0 0 0 0 0 0 0\ncpu0 100 0 0 0 0 0 0 0 0 0\n\
+             cpu1 100 0 0 0 0 0 0 0 0 0\nprocs_running 3\n",
+        )
+        .unwrap();
         assert_eq!(vm.measure(&Sample::read_from(&st, &la).unwrap()), 0.5);
         let _ = fs::remove_dir_all(st.parent().unwrap());
     }

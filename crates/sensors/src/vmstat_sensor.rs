@@ -50,8 +50,8 @@ pub struct VmstatSensor {
     /// previous set of measurements" so the two methods see comparable
     /// horizons.
     beta: f64,
+    /// The smoothed occupancy split the last measurement reported.
     smoothed: Option<VmstatReading>,
-    last_reading: Option<VmstatReading>,
 }
 
 impl Default for VmstatSensor {
@@ -77,7 +77,6 @@ impl VmstatSensor {
             alpha,
             beta,
             smoothed: None,
-            last_reading: None,
         }
     }
 
@@ -89,12 +88,6 @@ impl VmstatSensor {
         self.prev = None;
         self.smoothed_rp = 0.0;
         self.smoothed = None;
-        self.last_reading = None;
-    }
-
-    /// The most recent interval reading, if a measurement has been taken.
-    pub fn last_reading(&self) -> Option<VmstatReading> {
-        self.last_reading
     }
 
     /// Takes one availability measurement.
@@ -104,7 +97,7 @@ impl VmstatSensor {
     /// yet).
     pub fn measure<C: HostView + ?Sized>(&mut self, host: &C) -> f64 {
         let acct = host.accounting();
-        let rp_now = host.runnable_count() as f64;
+        let rp_now = host.run_queue();
         self.smoothed_rp = match self.prev {
             None => rp_now,
             Some(_) => self.smoothed_rp + self.alpha * (rp_now - self.smoothed_rp),
@@ -115,7 +108,7 @@ impl VmstatSensor {
                 let total = d.total();
                 if total <= 0.0 {
                     // Zero-length interval: reuse the last occupancy split.
-                    self.last_reading.unwrap_or(VmstatReading {
+                    self.smoothed.unwrap_or(VmstatReading {
                         idle: 1.0,
                         user: 0.0,
                         sys: 0.0,
@@ -152,7 +145,6 @@ impl VmstatSensor {
             },
         };
         self.smoothed = Some(sm);
-        self.last_reading = Some(sm);
         availability_from_vmstat(&sm)
     }
 }
@@ -217,7 +209,7 @@ mod tests {
             host.advance(10.0);
             a = s.measure(&host);
         }
-        let r = s.last_reading().unwrap();
+        let r = s.smoothed.unwrap();
         assert!(r.idle < 0.05, "idle = {}", r.idle);
         assert!(r.user > 0.9, "user = {}", r.user);
         assert!((r.smoothed_rp - 1.0).abs() < 0.05, "rp = {}", r.smoothed_rp);
@@ -234,7 +226,7 @@ mod tests {
             host.advance(10.0);
             s.measure(&host);
         }
-        let r = s.last_reading().unwrap();
+        let r = s.smoothed.unwrap();
         assert!((r.smoothed_rp - 2.0).abs() < 0.05, "rp = {}", r.smoothed_rp);
         // Two hogs: a new process gets 1/3 of the user time.
         let a = availability_from_vmstat(&r);

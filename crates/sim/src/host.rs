@@ -192,14 +192,18 @@ impl Host {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < cpu_time <= max_wall`.
+    /// Panics unless `0 < cpu_time <= max_wall < ∞`: the wall bound is
+    /// counted out tick by tick, so an infinite one would never be reached.
     pub fn run_cpu_limited_probe(
         &mut self,
         name: impl Into<std::sync::Arc<str>>,
         cpu_time: Seconds,
         max_wall: Seconds,
     ) -> f64 {
-        assert!(cpu_time > 0.0 && cpu_time <= max_wall, "bad probe budget");
+        assert!(
+            cpu_time > 0.0 && cpu_time <= max_wall && max_wall.is_finite(),
+            "bad probe budget"
+        );
         let pid = self
             .kernel
             .spawn(ProcessSpec::cpu_bound(name).with_cpu_limit(cpu_time));
@@ -281,6 +285,18 @@ mod tests {
             h.advance(0.05);
         }));
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn a_probe_budget_that_is_not_finite_panics_instead_of_counting_forever() {
+        let inf = f64::INFINITY;
+        for (cpu, wall) in [(1.5, inf), (inf, inf), (f64::NAN, 8.0), (1.5, f64::NAN)] {
+            let res = std::panic::catch_unwind(|| {
+                Host::new("x", 1).run_cpu_limited_probe("probe", cpu, wall)
+            });
+            let panic = res.expect_err("a budget that is not finite is refused");
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&"bad probe budget"));
+        }
     }
 
     #[test]

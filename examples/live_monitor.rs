@@ -8,10 +8,11 @@
 //! the machine this program runs on: each interval it reads one
 //! `/proc/stat` and `/proc/loadavg` `Sample` and runs it through the same
 //! `LoadAvgSensor` and `VmstatSensor`, smoothing included, that measure the
-//! simulator. It feeds the vmstat measurements to the NWS forecaster and
-//! prints a one-step-ahead availability forecast after each sample. This is
-//! the library operating as a real monitor rather than against the
-//! simulator.
+//! simulator; on a multi-CPU machine the load average and the run queue
+//! are read per CPU, so both report a share of one CPU. It feeds the
+//! vmstat measurements to the NWS forecaster and prints a one-step-ahead
+//! availability forecast after each sample. This is the library operating
+//! as a real monitor rather than against the simulator.
 //!
 //! On non-Linux platforms the example explains itself and exits cleanly.
 

@@ -27,11 +27,15 @@ pub const STEPS: u64 = 120;
 /// last. The two state fingerprints were re-recorded once, when the
 /// archive stopped forecasting the raw load average (`cpu.load1`): each
 /// host's fourth forecast line now reads `cold`, while every stored bit
-/// and both served fingerprints stayed as they were.
+/// and both served fingerprints stayed as they were. The two fault
+/// fingerprints were re-recorded again when the hybrid sensor became each
+/// host's one sensor set: the monitor stores the passive readings the
+/// hybrid took, which a probe cycle takes at the slot instant, before
+/// any failed attempt, so they no longer drift from the hybrid's own.
 pub const GOLDEN_CLEAN_STATE: u64 = 0x9526_4465_7d47_881e;
 pub const GOLDEN_CLEAN_SERVED: u64 = 0xed56_0a6e_2eb9_3e69;
-pub const GOLDEN_FAULT_STATE: u64 = 0x35cf_76de_03d9_28c7;
-pub const GOLDEN_FAULT_SERVED: u64 = 0xe01f_b8cb_9086_9436;
+pub const GOLDEN_FAULT_STATE: u64 = 0x58a0_d033_63c2_1cf3;
+pub const GOLDEN_FAULT_SERVED: u64 = 0x6c19_5433_9335_fb7c;
 
 /// Hashes every retained measurement bit, gap timestamp, drop count, and
 /// a forecast-CSV line per series, plus the fleet fault stats.

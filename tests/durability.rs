@@ -28,10 +28,12 @@ use nws::wire::{ErrorCode, Request, Response};
 use std::sync::{Arc, Mutex};
 
 /// Memory fingerprints of the reference scenario with a journal
-/// attached, recorded once via `print_durability_goldens` below. Every
-/// recovery path must land exactly here.
+/// attached, recorded via `print_durability_goldens` below. Every
+/// recovery path must land exactly here. The fault fingerprint was
+/// re-recorded when the monitor began storing the passive readings its
+/// hybrid sensor took (see `tests/common`).
 const GOLDEN_CLEAN_MEMORY: u64 = 0x9bd6_a65f_2100_4437;
-const GOLDEN_FAULT_MEMORY: u64 = 0xcc9f_c3f1_89bc_358a;
+const GOLDEN_FAULT_MEMORY: u64 = 0x1d7e_34a5_b887_f70f;
 
 /// The reference scenario with a journal attached from genesis.
 fn journaled_run(faulted: bool, threads: usize) -> (Vec<u8>, GridMonitor) {
