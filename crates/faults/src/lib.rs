@@ -21,6 +21,11 @@ use nws_stats::{host_seed, Rng};
 /// derived from the host name and a base seed.
 const FAULT_SALT: u64 = 0xFA17_5EED_0BAD_CAFE;
 
+/// The longest outage or delivery delay a [`FaultRates`] range may name,
+/// in slots: 2³² ten-second slots is ~1,360 years, and it keeps a drawn
+/// span, added to a slot index, far from overflow.
+const MAX_FAULT_SLOTS: u64 = 1 << 32;
+
 /// Per-slot fault probabilities and duration ranges.
 ///
 /// All probabilities are per measurement slot (one slot = one 10 s
@@ -73,6 +78,21 @@ impl FaultRates {
         }
     }
 
+    /// Whether every probability is in `[0, 1]` and both slot ranges are
+    /// `1 <= lo <= hi <= MAX_FAULT_SLOTS`.
+    fn is_valid(&self) -> bool {
+        let p = [
+            self.sensor_dropout,
+            self.probe_failure,
+            self.outage,
+            self.delay,
+        ];
+        let r = [self.outage_slots, self.delay_slots];
+        p.iter().all(|p| (0.0..=1.0).contains(p))
+            && r.iter()
+                .all(|&(lo, hi)| 1 <= lo && lo <= hi && hi <= MAX_FAULT_SLOTS)
+    }
+
     fn is_zero(&self) -> bool {
         self.sensor_dropout == 0.0
             && self.probe_failure == 0.0
@@ -111,7 +131,19 @@ impl FaultPlan {
 
     /// A seeded plan with the given rates. Zero rates still count as
     /// inert — no RNG is consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every probability is in `[0, 1]` and both slot
+    /// ranges are `1 <= lo <= hi <= MAX_FAULT_SLOTS`: a NaN rate would
+    /// never fire, a rate above 1 would always fire, and an inverted or
+    /// unbounded range would underflow or overflow when a span is drawn.
     pub fn seeded(seed: u64, rates: FaultRates) -> Self {
+        assert!(
+            rates.is_valid(),
+            "fault rates must be in [0, 1] and slot ranges in 1..={MAX_FAULT_SLOTS}, \
+             low end first: {rates:?}"
+        );
         FaultPlan {
             seed,
             rates,
@@ -430,6 +462,7 @@ impl CrashPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn drain(plan: &FaultPlan, host: &str, slots: u64) -> Vec<SlotFaults> {
         let mut hf = plan.host_faults(host);
@@ -562,6 +595,113 @@ mod tests {
     #[should_panic(expected = "fault intensity")]
     fn uniform_rejects_out_of_range() {
         let _ = FaultRates::uniform(1.0);
+    }
+
+    /// A probability edge: NaN, ±∞, negative, 0, subnormal, 1, just
+    /// above 1, huge, or anything in range.
+    fn any_rate() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.5),
+            Just(-5e-324),
+            Just(0.0),
+            Just(5e-324),
+            Just(1.0),
+            Just(1.0 + f64::EPSILON),
+            Just(1e300),
+            0.0f64..=1.0,
+            0.0f64..=1.0,
+        ]
+    }
+
+    /// A slot-range edge: inverted, empty at 0, at or past
+    /// `MAX_FAULT_SLOTS`, up to `u64::MAX`, or anything in range.
+    fn any_range() -> impl Strategy<Value = (u64, u64)> {
+        prop_oneof![
+            Just((5, 2)),
+            Just((0, 0)),
+            Just((0, 3)),
+            Just((0, u64::MAX)),
+            Just((1, u64::MAX)),
+            Just((u64::MAX, u64::MAX)),
+            Just((u64::MAX, 1)),
+            Just((MAX_FAULT_SLOTS, MAX_FAULT_SLOTS)),
+            Just((1, MAX_FAULT_SLOTS + 1)),
+            (1u64..40, 0u64..40).prop_map(|(lo, extra)| (lo, lo + extra)),
+            (1u64..40, 0u64..40).prop_map(|(lo, extra)| (lo, lo + extra)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `FaultPlan::seeded` refuses rates outside `[0, 1]` and ranges
+        /// outside `1 <= lo <= hi <= MAX_FAULT_SLOTS` with its documented
+        /// panic, and a plan it accepts draws outages and delays inside
+        /// its ranges. One field (or none, at `field` 6) takes an edge
+        /// value; the rest are in range.
+        #[test]
+        fn fault_rates_are_refused_at_the_plan_or_drawn_in_range(
+            p in (0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0),
+            lo in (1u64..40, 1u64..6),
+            extra in (0u64..40, 0u64..6),
+            field in 0usize..7,
+            edge_rate in any_rate(),
+            edge_range in any_range(),
+        ) {
+            let mut rates = FaultRates {
+                sensor_dropout: p.0,
+                probe_failure: p.1,
+                outage: p.2,
+                outage_slots: (lo.0, lo.0 + extra.0),
+                delay: p.3,
+                delay_slots: (lo.1, lo.1 + extra.1),
+            };
+            match field {
+                0 => rates.sensor_dropout = edge_rate,
+                1 => rates.probe_failure = edge_rate,
+                2 => rates.outage = edge_rate,
+                3 => rates.delay = edge_rate,
+                4 => rates.outage_slots = edge_range,
+                5 => rates.delay_slots = edge_range,
+                _ => {}
+            }
+            let FaultRates { sensor_dropout, probe_failure, outage, outage_slots, delay, delay_slots } = rates;
+            let p_ok = [sensor_dropout, probe_failure, outage, delay]
+                .iter()
+                .all(|p| !p.is_nan() && *p >= 0.0 && *p <= 1.0);
+            let r_ok = [outage_slots, delay_slots]
+                .iter()
+                .all(|&(lo, hi)| lo >= 1 && hi >= lo && hi <= MAX_FAULT_SLOTS);
+            let plan = match std::panic::catch_unwind(|| FaultPlan::seeded(17, rates)) {
+                Ok(plan) => plan,
+                Err(panic) => {
+                    prop_assert!(!(p_ok && r_ok), "refused {rates:?}");
+                    let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+                    prop_assert!(msg.starts_with("fault rates must be in [0, 1]"), "{msg}");
+                    return Ok(());
+                }
+            };
+            prop_assert!(p_ok && r_ok, "accepted {rates:?}");
+            let mut hf = plan.host_faults("edge");
+            let mut slot = 0;
+            while slot < 400 {
+                let f = hf.slot(slot, slot % 6 == 0);
+                prop_assert!(f.delay_slots == 0 || (delay_slots.0..=delay_slots.1).contains(&f.delay_slots));
+                prop_assert!(f.failed_probe_attempts <= MAX_PROBE_ATTEMPTS);
+                // An outage holds the host down for its whole span: skip
+                // past a long one rather than draw every slot of it.
+                slot = match hf.down_until {
+                    Some(up_at) => {
+                        prop_assert!((outage_slots.0..=outage_slots.1).contains(&(up_at - slot)));
+                        up_at
+                    }
+                    None => slot + 1,
+                };
+            }
+        }
     }
 
     #[test]

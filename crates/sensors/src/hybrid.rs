@@ -24,7 +24,7 @@
 use crate::loadavg_sensor::LoadAvgSensor;
 use crate::vmstat_sensor::VmstatSensor;
 use nws_runtime::Cadence;
-use nws_sim::Host;
+use nws_sim::{Host, TICK};
 use std::sync::Arc;
 
 /// Which passive method the hybrid currently trusts.
@@ -115,14 +115,18 @@ impl HybridSensor {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < probe_duration <= 10` s, one measurement period:
-    /// a NaN or infinite probe would never end.
+    /// Panics unless `0 < probe_duration <= 10` s, one measurement period,
+    /// and a whole number of the simulator's 100 ms ticks: a NaN or
+    /// infinite probe would never end, and a failed attempt advances the
+    /// host by the nominal duration, which [`Host::advance`] takes only
+    /// on the tick grid.
     pub fn new(config: HybridConfig) -> Self {
         let period = Cadence::PAPER.measurement_period;
+        let d = config.probe_duration;
+        let ticks = (d / TICK).round();
         assert!(
-            config.probe_duration > 0.0 && config.probe_duration <= period,
-            "probe duration must be in (0, {period}] s, got {}",
-            config.probe_duration
+            d > 0.0 && d <= period && ticks >= 1.0 && (d - ticks * TICK).abs() < 1e-6,
+            "probe duration must be in (0, {period}] s and a multiple of the {TICK} s tick, got {d}"
         );
         Self {
             config,
@@ -311,6 +315,7 @@ impl HybridSensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nws_faults::MAX_PROBE_ATTEMPTS;
     use nws_sim::workload::{LongRunningHog, NiceSoaker};
     use nws_sim::Host;
     use proptest::prelude::*;
@@ -437,13 +442,10 @@ mod tests {
         assert_eq!(outcome.failed_attempts, 0);
     }
 
-    proptest! {
-        /// A probe duration outside `(0, 10]` s is refused at construction
-        /// with the documented panic, and one inside runs a probe cycle to
-        /// its end: NaN, ±∞, negatives, zeros, subnormals and huge values
-        /// never reach the simulator's tick-counting probe loop.
-        #[test]
-        fn a_probe_duration_is_refused_at_construction_or_runs(d in prop_oneof![
+    /// Probe durations for the construction property: the edges, the
+    /// tick grid, hundredths (nine in ten off the grid) and any bits.
+    fn probe_durations() -> impl Strategy<Value = f64> {
+        prop_oneof![
             Just(f64::NAN),
             Just(f64::INFINITY),
             Just(f64::NEG_INFINITY),
@@ -452,33 +454,75 @@ mod tests {
             Just(0.0),
             Just(5e-324),
             Just(f64::MIN_POSITIVE),
+            Just(0.05),
+            Just(0.25),
+            Just(1.55),
+            Just(1.5 + 1e-5),
+            Just(9.95),
             Just(10.0),
             Just(10.000_000_000_000_002),
             Just(1e300),
             Just(f64::MAX),
             (1u64..101).prop_map(|tenths| tenths as f64 / 10.0),
+            (1u64..1001).prop_map(|hundredths| hundredths as f64 / 100.0),
             any::<u64>().prop_map(f64::from_bits),
-        ]) {
-            let valid = d > 0.0 && d <= 10.0;
-            let config = HybridConfig {
-                probe_duration: d,
-                ..HybridConfig::default()
-            };
-            match std::panic::catch_unwind(|| HybridSensor::new(config)) {
-                Ok(mut s) => {
-                    prop_assert!(valid, "accepted {d}");
-                    let mut h = Host::new("edge", 1);
-                    h.advance(60.0);
-                    let v = s.measure_with_probe(&mut h);
-                    prop_assert!((0.0..=1.0).contains(&v), "{d}: {v}");
-                    prop_assert_eq!(s.probes_run(), 1);
-                }
-                Err(panic) => {
-                    prop_assert!(!valid, "refused {d}");
-                    let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
-                    prop_assert!(msg.starts_with("probe duration must be in (0, 10] s"), "{msg}");
-                }
-            }
+        ]
+    }
+
+    /// A probe duration outside `(0, 10]` s or off the 100 ms tick grid
+    /// is refused at construction with the documented panic, and one
+    /// inside runs a probe cycle to its end with no failed attempt, one,
+    /// and [`MAX_PROBE_ATTEMPTS`]: NaN, ±∞, negatives, zeros, subnormals,
+    /// huge and off-grid values never reach the simulator's tick-counting
+    /// probe loop or its tick-grid advance.
+    fn a_probe_duration_is_refused_or_runs(d: f64) -> TestCaseResult {
+        let tenths = (d * 10.0).round();
+        let valid = d > 0.0 && d <= 10.0 && tenths >= 1.0 && (d - tenths / 10.0).abs() < 1e-6;
+        let config = HybridConfig {
+            probe_duration: d,
+            ..HybridConfig::default()
+        };
+        if let Err(panic) = std::panic::catch_unwind(|| HybridSensor::new(config)) {
+            prop_assert!(!valid, "refused {d}");
+            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+            prop_assert!(
+                msg.starts_with("probe duration must be in (0, 10] s"),
+                "{msg}"
+            );
+            return Ok(());
+        }
+        prop_assert!(valid, "accepted {d}");
+        for failing in [0, 1, MAX_PROBE_ATTEMPTS] {
+            let mut s = HybridSensor::new(config);
+            let mut h = Host::new("edge", 1);
+            h.advance(60.0);
+            let (v, outcome) = s.measure_with_probe_retries(&mut h, failing, f64::INFINITY);
+            prop_assert!((0.0..=1.0).contains(&v), "{d}, {failing} failing: {v}");
+            prop_assert_eq!(outcome.failed_attempts, failing.min(1 + PROBE_RETRIES));
+            prop_assert_eq!(outcome.succeeded, failing <= PROBE_RETRIES);
+            prop_assert_eq!(s.probes_run(), u64::from(outcome.succeeded));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn a_probe_duration_is_refused_at_construction_or_runs(d in probe_durations()) {
+            a_probe_duration_is_refused_or_runs(d)?;
+        }
+    }
+
+    // The construction property at 4,096 cases. Run with
+    // `cargo test --release -p nws-sensors -- --ignored`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        #[ignore = "4,096 cases; run with --ignored"]
+        fn a_probe_duration_is_refused_at_construction_or_runs_at_4096_cases(
+            d in probe_durations(),
+        ) {
+            a_probe_duration_is_refused_or_runs(d)?;
         }
     }
 

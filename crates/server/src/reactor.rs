@@ -274,6 +274,20 @@ const REFUSAL_DEADLINE: Duration = Duration::from_millis(250);
 /// of their due time, and shutdown is seen within one tick.
 const TIMER_TICK: Duration = Duration::from_millis(10);
 
+/// How long an event loop keeps polling past its last event while
+/// traffic is dense, and the longest blocking wait that still counts as
+/// dense. It must exceed the peer's turnaround, from the loop's last
+/// reply to the peer's next request, or the loop stops just before the
+/// next request and sleeps anyway. Measured on a 2-vCPU VM serving the
+/// benchmark's 32-deep loopback pipeline (`serve_socket`), against the
+/// loop that always blocked: 30 µs raised throughput unevenly (+12 to
+/// +27 % over three runs), 50 µs by +17 to +36 % in each of ten, and
+/// 100 µs by +23 to +40 % in each of eight; this is the smallest budget
+/// that held the gain in every run. A constant, not a setting: it
+/// follows the peer's turnaround, which an operator cannot know, and a
+/// loop polls at most this long after each wake that found events.
+const SPIN: Duration = Duration::from_micros(50);
+
 /// Tunables for [`ReactorServer`]: its deadlines and connection cap,
 /// plus the number of event loops.
 #[derive(Debug, Clone, Copy)]
@@ -575,6 +589,50 @@ impl<S: Read + Write> Conn<S> {
     }
 }
 
+/// Whether an event loop blocks in `epoll_wait` or keeps polling.
+/// Traffic is dense when the last blocking wait returned events after
+/// sleeping less than [`SPIN`]; while it is, and less than `SPIN` has
+/// passed since the last event, the loop polls with a zero timeout, so
+/// a peer pipelining requests never waits on the loop's wake-up. In
+/// every other case the loop blocks for up to [`TIMER_TICK`], so an idle
+/// or sparsely fed loop never spins. Like [`Conn`] it never reads the
+/// clock: the loop feeds it every wake.
+#[derive(Debug, Default)]
+struct Pace {
+    /// The last blocking wait returned events after sleeping less than
+    /// `SPIN`.
+    dense: bool,
+    /// When the last wait that returned events woke.
+    last_event: Option<Instant>,
+}
+
+impl Pace {
+    /// The timeout of the next wait at `now`: zero while traffic is
+    /// dense and the last event is less than `SPIN` old, else a tick.
+    fn timeout(&self, now: Instant) -> Duration {
+        let recent = self
+            .last_event
+            .is_some_and(|at| now.saturating_duration_since(at) < SPIN);
+        if self.dense && recent {
+            Duration::ZERO
+        } else {
+            TIMER_TICK
+        }
+    }
+
+    /// A wait woke at `now`, with or without events; `slept` is how long
+    /// a blocking wait slept, `None` for a poll. Only a blocking wait
+    /// decides whether traffic is dense.
+    fn woke(&mut self, now: Instant, slept: Option<Duration>, events: bool) {
+        if let Some(slept) = slept {
+            self.dense = events && slept < SPIN;
+        }
+        if events {
+            self.last_event = Some(now);
+        }
+    }
+}
+
 struct EventLoop<D: Dispatch> {
     poller: Poller,
     /// The one listener, shared by every loop.
@@ -596,17 +654,29 @@ struct EventLoop<D: Dispatch> {
 }
 
 impl<D: Dispatch> EventLoop<D> {
-    /// The shell around the connections: waits on epoll, and reads the
-    /// clock once per wake for every accept, step and sweep in it.
+    /// The shell around the connections: waits on epoll as [`Pace`]
+    /// says, blocking or polling, and reads the clock once per wake for
+    /// every accept, step and sweep in it (and once more before each
+    /// blocking wait, to time its sleep). Shutdown and the sweep are
+    /// checked on every wake, polls included.
     fn run(mut self) {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
-        let tick_ms = TIMER_TICK.as_millis() as i32;
-        let mut next_sweep = Instant::now() + TIMER_TICK;
-        while let Ok(n) = self.poller.wait(&mut events, tick_ms) {
+        let mut pace = Pace::default();
+        let mut now = Instant::now();
+        let mut next_sweep = now + TIMER_TICK;
+        // Checked before each wait too: a flag set during a step must not
+        // wait out a blocking wait's tick.
+        while !self.shutdown.load(Ordering::SeqCst) {
+            let timeout = pace.timeout(now);
+            let blocked_at = (!timeout.is_zero()).then(Instant::now);
+            let Ok(n) = self.poller.wait(&mut events, timeout.as_millis() as i32) else {
+                break;
+            };
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let now = Instant::now();
+            now = Instant::now();
+            pace.woke(now, blocked_at.map(|at| now - at), n > 0);
             for ev in &events[..n] {
                 let (token, bits) = (ev.data, ev.events);
                 if token == LISTENER_TOKEN {
@@ -620,6 +690,9 @@ impl<D: Dispatch> EventLoop<D> {
                 next_sweep = now + TIMER_TICK;
             }
             self.free.append(&mut self.freed);
+            if n == 0 && timeout.is_zero() {
+                std::thread::yield_now();
+            }
         }
         // Shutdown: drop every connection — to clients this looks like
         // a crash.
@@ -817,8 +890,9 @@ impl<D: Dispatch + 'static> ReactorServer<D> {
         self.counters.active.load(Ordering::SeqCst)
     }
 
-    /// Stops the event loops and joins them; each sees the flag within
-    /// one tick, and the listener closes with the last. Open
+    /// Stops the event loops and joins them; each sees the flag before
+    /// its next wait and on every wake, polls included, so within one
+    /// tick, and the listener closes with the last. Open
     /// connections are dropped, so a shutdown looks like a crash to
     /// connected clients.
     pub fn shutdown(&mut self) {
@@ -1129,6 +1203,185 @@ mod tests {
         assert_eq!(server.accepted(), CAP as u64);
         assert_eq!(server.active_connections(), CAP);
         assert_eq!(server.refused(), (CLIENTS - CAP) as u64);
+    }
+
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    #[test]
+    fn a_gap_longer_than_spin_blocks() {
+        let t0 = Instant::now();
+        let mut pace = Pace::default();
+        pace.woke(t0, Some(us(5)), true);
+        assert_eq!(pace.timeout(t0), Duration::ZERO, "dense: poll");
+        // An empty poll keeps the last event's time.
+        pace.woke(t0 + SPIN / 2, None, false);
+        assert_eq!(
+            pace.timeout(t0 + SPIN - Duration::from_nanos(1)),
+            Duration::ZERO
+        );
+        assert_eq!(pace.timeout(t0 + SPIN), TIMER_TICK, "the gap reached SPIN");
+        // The wait that ends the gap slept SPIN: its events are not dense.
+        pace.woke(t0 + SPIN * 2, Some(SPIN), true);
+        assert_eq!(pace.timeout(t0 + SPIN * 2), TIMER_TICK);
+        // A poll that finds events moves the last event on.
+        pace.woke(t0 + SPIN * 3, Some(us(1)), true);
+        pace.woke(t0 + SPIN * 3 + SPIN / 2, None, true);
+        assert_eq!(pace.timeout(t0 + SPIN * 4), Duration::ZERO);
+    }
+
+    /// What [`drive`] saw.
+    #[derive(Debug, Default)]
+    struct Driven {
+        /// Time spent in zero-timeout polls.
+        polling: Duration,
+        /// Blocking waits.
+        blocks: u32,
+        /// Waits that returned events.
+        woke_to_events: u32,
+        /// The latest a poll began after the last event.
+        past_last: Duration,
+    }
+
+    /// One virtual poll: an `epoll_wait` of zero plus a yield.
+    const POLL: Duration = Duration::from_micros(1);
+
+    /// Drives a [`Pace`] as `EventLoop::run` does, in virtual time, over
+    /// events arriving at `arrivals` (ascending offsets from the start)
+    /// until `end`: a poll takes [`POLL`], and a blocking wait wakes at
+    /// the next arrival or when its timeout runs out.
+    fn drive(arrivals: &[Duration], end: Duration) -> Driven {
+        let t0 = Instant::now();
+        let mut pace = Pace::default();
+        let mut driven = Driven::default();
+        let (mut t, mut next, mut last_event) = (Duration::ZERO, 0, None);
+        while t < end {
+            let timeout = pace.timeout(t0 + t);
+            let woke = if timeout.is_zero() {
+                if let Some(last) = last_event {
+                    driven.past_last = driven.past_last.max(t - last);
+                }
+                driven.polling += POLL;
+                t + POLL
+            } else {
+                driven.blocks += 1;
+                arrivals
+                    .get(next)
+                    .map_or(t + timeout, |&at| at.clamp(t, t + timeout))
+            };
+            let mut events = false;
+            while arrivals.get(next).is_some_and(|&at| at <= woke) {
+                next += 1;
+                events = true;
+            }
+            let slept = (!timeout.is_zero()).then(|| woke - t);
+            pace.woke(t0 + woke, slept, events);
+            if events {
+                driven.woke_to_events += 1;
+                last_event = Some(woke);
+            }
+            t = woke;
+        }
+        driven
+    }
+
+    #[test]
+    fn idle_and_sparse_loops_never_poll() {
+        let idle = drive(&[], Duration::from_secs(1));
+        assert_eq!(idle.polling, Duration::ZERO);
+        assert_eq!(idle.blocks, 100, "one wait a tick");
+        // One request every 5 ms.
+        let sparse: Vec<_> = (1..200).map(|i| us(5_000 * i)).collect();
+        let sparse = drive(&sparse, Duration::from_secs(1));
+        assert_eq!(sparse.polling, Duration::ZERO);
+        assert_eq!(sparse.woke_to_events, 199);
+    }
+
+    #[test]
+    fn dense_traffic_spins_at_most_spin_past_the_last_event() {
+        // A peer answering every 10 µs for 10 ms, then silence.
+        let burst: Vec<_> = (1..=1_000).map(|i| us(10 * i)).collect();
+        let driven = drive(&burst, Duration::from_millis(50));
+        assert!(driven.past_last < SPIN, "{driven:?}");
+        // It blocked once to learn the traffic was dense, and once the
+        // burst ended, once a tick: from 10.05 ms to 50 ms, four ticks.
+        assert_eq!(driven.blocks, 1 + 4, "{driven:?}");
+        assert!(driven.polling >= Duration::from_millis(10), "{driven:?}");
+        assert!(
+            driven.polling <= Duration::from_millis(10) + SPIN + POLL,
+            "{driven:?}"
+        );
+    }
+
+    #[test]
+    fn polling_stays_within_spin_of_an_event_over_seeded_schedules() {
+        let mut rng = nws_stats::Rng::new(0x5EED_5B1D);
+        for case in 0..256 {
+            // Runs of gaps around SPIN, between runs of sparse ones.
+            let mut arrivals = Vec::new();
+            let mut at = Duration::ZERO;
+            while at < Duration::from_millis(100) {
+                let scale = [SPIN / 4, SPIN, SPIN * 2, TIMER_TICK][rng.below(4) as usize];
+                for _ in 0..rng.below(40) {
+                    at += Duration::from_nanos(1 + rng.below(scale.as_nanos() as u64));
+                    arrivals.push(at);
+                }
+            }
+            let driven = drive(&arrivals, at + Duration::from_millis(20));
+            assert!(driven.past_last < SPIN, "case {case}: {driven:?}");
+            // Every poll began within SPIN of an event: at most a budget
+            // and one poll of polling per wake that found events.
+            let bound = (SPIN + POLL) * driven.woke_to_events;
+            assert!(driven.polling <= bound, "case {case}: {driven:?}");
+        }
+    }
+
+    #[test]
+    fn shutdown_returns_within_a_tick_and_a_spin_while_a_client_pipelines() {
+        let server = warm_reactor(ReactorConfig {
+            event_loops: 1,
+            ..ReactorConfig::default()
+        });
+        let mut batch = Vec::new();
+        for _ in 0..32 {
+            nws_wire::append_request_frame(&mut batch, &Request::Stats);
+        }
+        let batches = Arc::new(AtomicU64::new(0));
+        let mut raw = TcpStream::connect(server.addr()).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let counted = Arc::clone(&batches);
+        // Pipelines 32 requests at a time until the server drops it.
+        let client = std::thread::spawn(move || loop {
+            if raw.write_all(&batch).is_err() {
+                return;
+            }
+            for _ in 0..32 {
+                if nws_wire::read_response(&mut raw).is_err() {
+                    return;
+                }
+            }
+            counted.fetch_add(1, Ordering::SeqCst);
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while batches.load(Ordering::SeqCst) < 50 {
+            assert!(Instant::now() < deadline, "the client never got going");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Shut down from a thread of its own, so a loop that never
+        // checks the flag fails the test instead of hanging it.
+        let (done, took) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut server = server;
+            let started = Instant::now();
+            server.shutdown();
+            let _ = done.send(started.elapsed());
+        });
+        let took = took
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown returned");
+        assert!(took < TIMER_TICK + SPIN, "shutdown took {took:?}");
+        client.join().expect("the client sees the close");
     }
 
     #[test]
