@@ -23,8 +23,9 @@
 
 use crate::loadavg_sensor::LoadAvgSensor;
 use crate::vmstat_sensor::VmstatSensor;
+use crate::{HostView, ProbeHost};
 use nws_runtime::Cadence;
-use nws_sim::{Host, TICK};
+use nws_sim::TICK;
 use std::sync::Arc;
 
 /// Which passive method the hybrid currently trusts.
@@ -117,9 +118,9 @@ impl HybridSensor {
     ///
     /// Panics unless `0 < probe_duration <= 10` s, one measurement period,
     /// and a whole number of the simulator's 100 ms ticks: a NaN or
-    /// infinite probe would never end, and a failed attempt advances the
-    /// host by the nominal duration, which [`Host::advance`] takes only
-    /// on the tick grid.
+    /// infinite probe would never end, and a failed attempt waits the
+    /// nominal duration, which the simulator's [`ProbeHost::wait`] takes
+    /// only on the tick grid.
     pub fn new(config: HybridConfig) -> Self {
         let period = Cadence::PAPER.measurement_period;
         let d = config.probe_duration;
@@ -181,15 +182,8 @@ impl HybridSensor {
         self.last_probe_value = None;
     }
 
-    /// Takes one *passive* measurement (no probe): reads both methods,
-    /// reports the chosen one plus bias.
-    pub fn measure(&mut self, host: &Host) -> f64 {
-        let (l, v) = self.read(host);
-        self.combine(l, v)
-    }
-
     /// Takes one passive measurement while zero or more passive sources
-    /// are dropped by fault injection.
+    /// are dropped by fault injection (`(false, false)` drops none).
     ///
     /// Returns `None` when both sources are lost — the slot is an
     /// explicit gap. When only the *chosen* method's source is lost, the
@@ -197,69 +191,57 @@ impl HybridSensor {
     /// cross-sensor fallback; the second tuple element is `true`). A
     /// dropped sensor is genuinely not read, so its internal state (the
     /// vmstat differencing interval) spans the outage naturally.
-    pub fn measure_degraded(
+    pub fn measure_degraded<H: HostView + ?Sized>(
         &mut self,
-        host: &Host,
+        host: &H,
         drop_load: bool,
         drop_vmstat: bool,
     ) -> Option<(f64, bool)> {
-        let l = (!drop_load).then(|| self.load.measure(host));
-        let v = (!drop_vmstat).then(|| self.vmstat.measure(host));
-        self.readings = [l, v];
-        let (chosen, other) = match self.chosen {
-            Method::LoadAverage => (l, v),
-            Method::Vmstat => (v, l),
-        };
-        match (chosen, other) {
-            (Some(raw), _) => Some((self.apply_bias_to(raw), false)),
-            (None, Some(raw)) => Some((raw.clamp(0.0, 1.0), true)),
-            (None, None) => None,
-        }
+        self.readings = [
+            (!drop_load).then(|| self.load.measure(host)),
+            (!drop_vmstat).then(|| self.vmstat.measure(host)),
+        ];
+        self.combine()
     }
 
-    /// One probe cycle with no failing attempt and no deadline: see
-    /// [`HybridSensor::measure_with_probe_retries`].
-    pub fn measure_with_probe(&mut self, host: &mut Host) -> f64 {
-        self.measure_with_probe_retries(host, 0, f64::INFINITY).0
-    }
-
-    /// Runs one probe cycle, advancing the simulation by its wall time:
-    /// reads both passive sensors once, at the slot instant, then lets the
-    /// first `failing_attempts` probe attempts fail (each taking
+    /// Runs one probe cycle, letting the host's time pass by its wall
+    /// time: reads both passive sensors once, at the slot instant, then
+    /// lets the first `failing_attempts` probe attempts fail (each taking
     /// `probe_duration` of wall-clock, then a half-second backoff) within
-    /// two retries and `deadline` (absolute simulation time). A probe that
-    /// runs re-selects the reading closest to it and refreshes the bias.
+    /// two retries and `deadline` (absolute host time). A probe that runs
+    /// re-selects the reading closest to it and refreshes the bias.
     /// Returns the chosen slot-instant reading plus bias — for an
-    /// abandoned cycle, the passive measurement.
-    pub fn measure_with_probe_retries(
+    /// abandoned cycle, the passive measurement. `(0, f64::INFINITY)` is
+    /// the plain cycle: no failing attempt and no deadline.
+    pub fn measure_with_probe_retries<H: ProbeHost + ?Sized>(
         &mut self,
-        host: &mut Host,
+        host: &mut H,
         failing_attempts: u32,
         deadline: f64,
     ) -> (f64, ProbeOutcome) {
-        let (l, v) = self.read(host);
+        self.measure_degraded(&*host, false, false);
+        let [Some(l), Some(v)] = self.readings else {
+            unreachable!("a probe cycle reads both sources")
+        };
+        let d = self.config.probe_duration;
         let mut failed = 0u32;
         let probe = loop {
-            if host.now() + self.config.probe_duration > deadline + 1e-9 {
+            if host.now() + d > deadline + 1e-9 {
                 // No room for another attempt before the deadline.
                 break None;
             }
             if failed >= failing_attempts {
-                break Some(host.run_cpu_limited_probe(
-                    Arc::clone(&self.probe_name),
-                    self.config.probe_duration,
-                    PROBE_MAX_WALL.max(self.config.probe_duration),
-                ));
+                break Some(host.probe(&self.probe_name, d, PROBE_MAX_WALL.max(d)));
             }
             // This attempt fails: the probe process hangs/dies for its
             // nominal duration before the failure is detected.
-            host.advance(self.config.probe_duration);
+            host.wait(d);
             failed += 1;
             if failed > PROBE_RETRIES {
                 // Retry budget exhausted — abandon the cycle.
                 break None;
             }
-            host.advance(PROBE_BACKOFF);
+            host.wait(PROBE_BACKOFF);
         };
         if let Some(probe) = probe {
             self.probes_run += 1;
@@ -284,40 +266,36 @@ impl HybridSensor {
             failed_attempts: failed,
             succeeded: probe.is_some(),
         };
-        (self.combine(l, v), outcome)
+        let (value, _) = self.combine().expect("both sources were read above");
+        (value, outcome)
     }
 
-    /// Reads both passive sensors once and keeps what they read.
-    fn read(&mut self, host: &Host) -> (f64, f64) {
-        let l = self.load.measure(host);
-        let v = self.vmstat.measure(host);
-        self.readings = [Some(l), Some(v)];
-        (l, v)
-    }
-
-    fn apply_bias_to(&self, raw: f64) -> f64 {
-        if self.config.apply_bias {
-            (raw + self.bias).clamp(0.0, 1.0)
-        } else {
-            raw.clamp(0.0, 1.0)
-        }
-    }
-
-    fn combine(&self, load_avail: f64, vmstat_avail: f64) -> f64 {
-        let raw = match self.chosen {
-            Method::LoadAverage => load_avail,
-            Method::Vmstat => vmstat_avail,
+    /// The chosen method's last reading plus bias; the other one's, raw,
+    /// when only it was read (`true`); `None` when neither was.
+    fn combine(&self) -> Option<(f64, bool)> {
+        let [l, v] = self.readings;
+        let (chosen, other) = match self.chosen {
+            Method::LoadAverage => (l, v),
+            Method::Vmstat => (v, l),
         };
-        self.apply_bias_to(raw)
+        match (chosen, other) {
+            (Some(raw), _) if self.config.apply_bias => {
+                Some(((raw + self.bias).clamp(0.0, 1.0), false))
+            }
+            (Some(raw), _) => Some((raw.clamp(0.0, 1.0), false)),
+            (None, Some(raw)) => Some((raw.clamp(0.0, 1.0), true)),
+            (None, None) => None,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::availability_from_load;
     use nws_faults::MAX_PROBE_ATTEMPTS;
     use nws_sim::workload::{LongRunningHog, NiceSoaker};
-    use nws_sim::Host;
+    use nws_sim::{Accounting, Host};
     use proptest::prelude::*;
 
     fn settled_host_with_soaker(seed: u64) -> Host {
@@ -328,6 +306,142 @@ mod tests {
         h
     }
 
+    /// One passive measurement with no source dropped.
+    fn passive<H: HostView + ?Sized>(s: &mut HybridSensor, host: &H) -> f64 {
+        s.measure_degraded(host, false, false).expect("both read").0
+    }
+
+    /// One probe cycle with no failing attempt and no deadline.
+    fn probed<H: ProbeHost + ?Sized>(s: &mut HybridSensor, host: &mut H) -> f64 {
+        s.measure_with_probe_retries(host, 0, f64::INFINITY).0
+    }
+
+    /// A host in virtual time whose readings and probe the test sets: the
+    /// load and run queue per CPU are fields, every second that passes is
+    /// user time, and a probe takes `probe_wall` seconds and returns
+    /// `probe`. Waits and probes only add multiples of a quarter second,
+    /// so its clock is exact.
+    #[derive(Debug, Clone)]
+    struct Scripted {
+        now: f64,
+        load: f64,
+        run_queue: f64,
+        probe: f64,
+        probe_wall: f64,
+        probes: u32,
+    }
+
+    impl Scripted {
+        fn new(probe_wall: f64) -> Self {
+            Self {
+                now: 3600.0,
+                load: 1.0,
+                run_queue: 1.0,
+                probe: 0.75,
+                probe_wall,
+                probes: 0,
+            }
+        }
+    }
+
+    impl HostView for Scripted {
+        fn load_one_minute(&self) -> f64 {
+            self.load
+        }
+        fn accounting(&self) -> Accounting {
+            Accounting {
+                user: self.now,
+                sys: 0.0,
+                idle: 0.0,
+            }
+        }
+        fn run_queue(&self) -> f64 {
+            self.run_queue
+        }
+    }
+
+    impl ProbeHost for Scripted {
+        fn now(&self) -> f64 {
+            self.now
+        }
+        fn probe(&mut self, name: &Arc<str>, cpu: f64, max_wall: f64) -> f64 {
+            assert_eq!(&**name, "nws-probe");
+            assert!(cpu <= self.probe_wall && self.probe_wall <= max_wall);
+            self.probes += 1;
+            self.now += self.probe_wall;
+            self.probe
+        }
+        fn wait(&mut self, dt: f64) {
+            self.now += dt;
+        }
+    }
+
+    /// One probe cycle over a [`Scripted`] host: what it shows, the load
+    /// per CPU, the probe's result, the method the cycle adopts, whether
+    /// it anchors the bias (else folds it in at [`BIAS_GAIN`]), and what
+    /// the biased value clamps to, if it does.
+    type Cycle = (&'static str, f64, f64, Method, bool, Option<f64>);
+
+    /// Cycles in order on one sensor, with one competitor in the run
+    /// queue, so Eq. 2 reads 0.5 throughout.
+    const CYCLES: [Cycle; 7] = [
+        // Eq. 1 reads 0.25: 0.05 from the probe against 0.2.
+        ("first probe anchors", 3.0, 0.3, LOAD, true, None),
+        ("same method folds", 3.0, 0.35, LOAD, false, None),
+        // Eq. 1 reads 0.5, as Eq. 2 does.
+        ("a tie goes to load", 1.0, 0.0, LOAD, false, None),
+        // Eq. 1 reads 0.05 and the bias stays below -0.05.
+        ("clamp at 0", 19.0, 0.0, LOAD, false, Some(0.0)),
+        // Eq. 1 reads 1.0: 0.4 from the probe against 0.1.
+        ("flip re-anchors", 0.0, 0.6, VMSTAT, true, None),
+        // Eq. 1 reads 0.8: 0.15 from the probe against 0.45.
+        ("flip back re-anchors", 0.25, 0.95, LOAD, true, None),
+        // Eq. 1 reads 1.0 and the bias stays above 0.
+        ("clamp at 1", 0.0, 1.0, LOAD, false, Some(1.0)),
+    ];
+    const LOAD: Method = Method::LoadAverage;
+    const VMSTAT: Method = Method::Vmstat;
+
+    #[test]
+    fn the_selection_and_bias_rule_over_a_scripted_host() {
+        for apply_bias in [true, false] {
+            let mut s = HybridSensor::new(HybridConfig {
+                apply_bias,
+                ..HybridConfig::default()
+            });
+            let mut h = Scripted::new(1.5);
+            for (what, load, probe, method, anchors, clamp) in CYCLES {
+                (h.load, h.probe) = (load, probe);
+                let before = s.bias();
+                let (value, outcome) = s.measure_with_probe_retries(&mut h, 0, f64::INFINITY);
+                assert!(outcome.succeeded, "{what}");
+                let [Some(l), Some(v)] = s.readings() else {
+                    panic!("{what}: a probe cycle reads both sources");
+                };
+                assert_eq!((l, v), (availability_from_load(load), 0.5), "{what}");
+                let raw = if method == LOAD { l } else { v };
+                let bias = if anchors {
+                    probe - raw
+                } else {
+                    before + BIAS_GAIN * ((probe - raw) - before)
+                };
+                assert_eq!(s.chosen_method(), method, "{what}");
+                assert_eq!(s.bias(), bias, "{what}");
+                assert_eq!(s.last_probe_value(), Some(probe), "{what}");
+                if apply_bias {
+                    let unclamped = raw + bias;
+                    assert_eq!(value, clamp.unwrap_or(unclamped), "{what}: {raw} + {bias}");
+                    assert_eq!(clamp.is_some(), !(0.0..=1.0).contains(&unclamped), "{what}");
+                } else {
+                    assert_eq!(value, raw, "{what}: the bias is not applied");
+                }
+                // A passive read at the same instant reports the same value.
+                assert_eq!(passive(&mut s, &h), value, "{what}");
+            }
+            assert_eq!(s.probes_run(), CYCLES.len() as u64);
+        }
+    }
+
     #[test]
     fn bias_sees_through_nice_load() {
         // The conundrum scenario: passive methods read ~0.5, probe ~1.0,
@@ -335,16 +449,19 @@ mod tests {
         let mut h = settled_host_with_soaker(1);
         let mut s = HybridSensor::default();
         // Warm the vmstat differencing.
-        s.measure(&h);
+        passive(&mut s, &h);
         h.advance(10.0);
-        let passive = s.measure(&h);
-        assert!((passive - 0.5).abs() < 0.1, "passive = {passive}");
-        let with_probe = s.measure_with_probe(&mut h);
+        let passive_value = passive(&mut s, &h);
+        assert!(
+            (passive_value - 0.5).abs() < 0.1,
+            "passive = {passive_value}"
+        );
+        let with_probe = probed(&mut s, &mut h);
         assert!(with_probe > 0.9, "after probe = {with_probe}");
         assert!(s.bias() > 0.35, "bias = {}", s.bias());
         // Subsequent passive measurements carry the bias.
         h.advance(10.0);
-        let next = s.measure(&h);
+        let next = passive(&mut s, &h);
         assert!(next > 0.9, "biased passive = {next}");
     }
 
@@ -355,11 +472,11 @@ mod tests {
             apply_bias: false,
             ..HybridConfig::default()
         });
-        s.measure(&h);
+        passive(&mut s, &h);
         h.advance(10.0);
-        let _ = s.measure_with_probe(&mut h);
+        let _ = probed(&mut s, &mut h);
         h.advance(10.0);
-        let next = s.measure(&h);
+        let next = passive(&mut s, &h);
         // Without bias the hybrid is as blind as the passive methods.
         assert!((next - 0.5).abs() < 0.15, "unbiased = {next}");
     }
@@ -372,9 +489,9 @@ mod tests {
         h.add_workload(Box::new(LongRunningHog::new("res", 0.0, 0.0)));
         h.advance(900.0);
         let mut s = HybridSensor::default();
-        s.measure(&h);
+        passive(&mut s, &h);
         h.advance(10.0);
-        let m = s.measure_with_probe(&mut h);
+        let m = probed(&mut s, &mut h);
         assert!(m > 0.8, "hybrid reads {m} — probe should have been fooled");
         // Ground truth for a 10s test process is ~0.5-0.7: the hybrid is
         // far off, exactly the paper's Table 1 kongo row.
@@ -388,9 +505,9 @@ mod tests {
         let mut h = Host::new("idle", 4);
         h.advance(300.0);
         let mut s = HybridSensor::default();
-        s.measure(&h);
+        passive(&mut s, &h);
         h.advance(10.0);
-        let _ = s.measure_with_probe(&mut h);
+        let _ = probed(&mut s, &mut h);
         assert_eq!(s.probes_run(), 1);
         assert!(s.last_probe_value().unwrap() > 0.9);
         // On an idle machine both methods read ~1.0 and agree with the
@@ -404,11 +521,11 @@ mod tests {
         let mut h = Host::new("idle", 5);
         h.advance(60.0);
         let mut s = HybridSensor::default();
-        s.measure(&h);
+        passive(&mut s, &h);
         h.advance(10.0);
-        let _ = s.measure_with_probe(&mut h);
+        let _ = probed(&mut s, &mut h);
         h.advance(10.0);
-        let m = s.measure(&h);
+        let m = passive(&mut s, &h);
         assert!((0.0..=1.0).contains(&m));
     }
 
@@ -419,27 +536,6 @@ mod tests {
             probe_duration: 0.0,
             ..HybridConfig::default()
         });
-    }
-
-    #[test]
-    fn zero_failing_attempts_is_exactly_measure_with_probe() {
-        let make = |seed| {
-            let mut h = settled_host_with_soaker(seed);
-            let mut s = HybridSensor::default();
-            s.measure(&h);
-            h.advance(10.0);
-            (h, s)
-        };
-        let (mut h1, mut s1) = make(7);
-        let (mut h2, mut s2) = make(7);
-        let a = s1.measure_with_probe(&mut h1);
-        let deadline = h2.now() + 10.0;
-        let (b, outcome) = s2.measure_with_probe_retries(&mut h2, 0, deadline);
-        assert_eq!(a, b);
-        assert_eq!(h1.now(), h2.now());
-        assert_eq!(s1.bias(), s2.bias());
-        assert!(outcome.succeeded);
-        assert_eq!(outcome.failed_attempts, 0);
     }
 
     /// Probe durations for the construction property: the edges, the
@@ -535,13 +631,13 @@ mod tests {
             let make = || {
                 let mut h = settled_host_with_soaker(13);
                 let mut s = HybridSensor::default();
-                s.measure(&h);
+                passive(&mut s, &h);
                 h.advance(10.0);
                 (h, s)
             };
             let (mut h, mut s) = make();
             let (twin_h, mut twin) = make();
-            let passive = twin.measure(&twin_h);
+            let passive = passive(&mut twin, &twin_h);
             let t0 = h.now();
             let (value, outcome) = s.measure_with_probe_retries(&mut h, failing, t0 + 10.0);
             assert!(h.now() > t0, "the failed attempts took time");
@@ -561,7 +657,7 @@ mod tests {
         let mut s = HybridSensor::default();
         assert_eq!(s.readings(), [None, None]);
         let mut twin = (LoadAvgSensor::new(), VmstatSensor::new());
-        let v = s.measure(&h);
+        let v = passive(&mut s, &h);
         let (l, m) = (twin.0.measure(&h), twin.1.measure(&h));
         assert_eq!(s.readings(), [Some(l), Some(m)]);
         assert_eq!(v, l.clamp(0.0, 1.0), "the default method, unbiased yet");
@@ -571,64 +667,150 @@ mod tests {
         h.advance(10.0);
         assert!(s.measure_degraded(&h, true, true).is_none());
         assert_eq!(s.readings(), [None, None]);
-        s.measure(&h);
+        passive(&mut s, &h);
         s.reset();
         assert_eq!(s.readings(), [None, None]);
     }
 
     #[test]
     fn failed_attempts_consume_time_then_retry_succeeds() {
-        let mut h = settled_host_with_soaker(8);
+        let mut h = Scripted::new(2.0);
         let mut s = HybridSensor::default();
-        s.measure(&h);
-        h.advance(10.0);
-        let t0 = h.now();
+        let t0 = h.now;
         let (_, outcome) = s.measure_with_probe_retries(&mut h, 1, t0 + 30.0);
         assert!(outcome.succeeded);
         assert_eq!(outcome.failed_attempts, 1);
-        assert_eq!(s.probes_run(), 1);
-        // One failed attempt (1.5 s) + backoff (0.5 s) + the real probe.
-        assert!(
-            h.now() - t0 >= 1.5 + 0.5 + 1.5 - 1e-9,
-            "t = {}",
-            h.now() - t0
-        );
+        assert_eq!((s.probes_run(), h.probes), (1, 1));
+        // One failed attempt (1.5 s) + backoff (0.5 s) + the probe's wall.
+        assert_eq!(h.now - t0, 1.5 + 0.5 + 2.0);
     }
 
     #[test]
     fn exhausted_retries_abandon_and_fall_back_to_passive() {
-        let mut h = settled_host_with_soaker(9);
+        let mut h = Scripted::new(2.0);
         let mut s = HybridSensor::default();
-        s.measure(&h);
-        h.advance(10.0);
-        let deadline = h.now() + 60.0;
-        let (value, outcome) = s.measure_with_probe_retries(&mut h, 10, deadline);
+        let mut twin = s.clone();
+        let t0 = h.now;
+        let (value, outcome) = s.measure_with_probe_retries(&mut h, 10, t0 + 60.0);
         assert!(!outcome.succeeded);
-        // Budget: initial attempt + PROBE_RETRIES retries, all failed.
+        // Budget: initial attempt + PROBE_RETRIES retries, all failed, the
+        // last without a backoff after it.
         assert_eq!(outcome.failed_attempts, 1 + PROBE_RETRIES);
-        assert_eq!(s.probes_run(), 0, "no probe ever ran");
-        assert!((0.0..=1.0).contains(&value));
+        assert_eq!(h.now - t0, 3.0 * (1.5 + 0.5) - 0.5);
+        assert_eq!((s.probes_run(), h.probes), (0, 0), "no probe ever ran");
+        h.now = t0;
+        assert_eq!(value, passive(&mut twin, &h));
     }
 
     #[test]
     fn deadline_abandons_before_starting_an_attempt() {
-        let mut h = settled_host_with_soaker(10);
+        let mut h = Scripted::new(2.0);
         let mut s = HybridSensor::default();
-        s.measure(&h);
-        h.advance(10.0);
-        let t0 = h.now();
+        let t0 = h.now;
         // Deadline too tight for even one probe attempt.
         let (_, outcome) = s.measure_with_probe_retries(&mut h, 0, t0 + 1.0);
         assert!(!outcome.succeeded);
         assert_eq!(outcome.failed_attempts, 0);
-        assert_eq!(h.now(), t0, "abandoning must not advance time");
+        assert_eq!(h.now, t0, "abandoning must not advance time");
+        assert_eq!(h.probes, 0);
+    }
+
+    /// A probe cycle over a [`Scripted`] host spends exactly its failed
+    /// attempts, each a probe duration and a backoff (less the last
+    /// backoff when the retry budget runs out), plus the probe's wall;
+    /// it starts an attempt only with room for it before the deadline,
+    /// and abandons only when the budget or that room runs out.
+    fn a_probe_cycle_spends_exact_time(
+        d: f64,
+        failing: u32,
+        wall: f64,
+        slack: f64,
+    ) -> TestCaseResult {
+        let mut s = HybridSensor::new(HybridConfig {
+            probe_duration: d,
+            ..HybridConfig::default()
+        });
+        let mut h = Scripted::new(wall);
+        let t0 = h.now;
+        let (value, outcome) = s.measure_with_probe_retries(&mut h, failing, t0 + slack);
+        let (failed, ok) = (outcome.failed_attempts, outcome.succeeded);
+        let exhausted = failed > PROBE_RETRIES;
+        let attempts = f64::from(failed) * (d + PROBE_BACKOFF);
+        let elapsed =
+            attempts - if exhausted { PROBE_BACKOFF } else { 0.0 } + if ok { wall } else { 0.0 };
+        prop_assert!(
+            h.now - t0 == elapsed,
+            "{d} s, {failing} failing, {wall} s wall: {} s",
+            h.now - t0
+        );
+        prop_assert_eq!(h.probes, u32::from(ok));
+        prop_assert_eq!(s.probes_run(), u64::from(ok));
+        prop_assert!((0.0..=1.0).contains(&value));
+        prop_assert!(failed <= failing.min(1 + PROBE_RETRIES));
+        if failed > 0 {
+            // The last failed attempt started with room before the deadline.
+            prop_assert!(attempts - PROBE_BACKOFF <= slack);
+        }
+        if ok {
+            prop_assert_eq!(failed, failing);
+            prop_assert!(attempts + d <= slack);
+        } else if !exhausted {
+            prop_assert!(attempts + d > slack, "abandoned with room left");
+        }
+        if slack == f64::INFINITY {
+            prop_assert_eq!(failed, failing.min(1 + PROBE_RETRIES));
+            prop_assert_eq!(ok, failing <= PROBE_RETRIES);
+        }
+        Ok(())
+    }
+
+    /// Probe durations on the half second in `(0, 10]`, failing attempts
+    /// up to one past [`MAX_PROBE_ATTEMPTS`], a probe wall from the
+    /// duration up to the cap in quarter seconds, and a deadline slack in
+    /// quarter seconds up to 40 s or none.
+    fn probe_cycles() -> impl Strategy<Value = (f64, u32, f64, f64)> {
+        (
+            1u32..21,
+            0..MAX_PROBE_ATTEMPTS + 2,
+            0u32..33,
+            prop_oneof![
+                Just(f64::INFINITY),
+                (0u32..161).prop_map(|q| f64::from(q) * 0.25)
+            ],
+        )
+            .prop_map(|(halves, failing, quarters, slack)| {
+                let d = f64::from(halves) * 0.5;
+                let wall = (d + f64::from(quarters) * 0.25).min(PROBE_MAX_WALL.max(d));
+                (d, failing, wall, slack)
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn probe_cycles_spend_exact_time_over_a_scripted_host(c in probe_cycles()) {
+            a_probe_cycle_spends_exact_time(c.0, c.1, c.2, c.3)?;
+        }
+    }
+
+    // The scripted-host retry property at 4,096 cases. Run with
+    // `cargo test --release -p nws-sensors -- --ignored`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        #[ignore = "4,096 cases; run with --ignored"]
+        fn probe_cycles_spend_exact_time_over_a_scripted_host_at_4096_cases(
+            c in probe_cycles(),
+        ) {
+            a_probe_cycle_spends_exact_time(c.0, c.1, c.2, c.3)?;
+        }
     }
 
     #[test]
     fn degraded_measure_gap_and_cross_fallback() {
         let mut h = settled_host_with_soaker(11);
         let mut s = HybridSensor::default();
-        s.measure(&h);
+        passive(&mut s, &h);
         h.advance(10.0);
         // Both sources lost: explicit gap.
         assert!(s.measure_degraded(&h, true, true).is_none());
@@ -644,21 +826,22 @@ mod tests {
             .expect("vmstat survives");
         assert!(crossed2);
         assert!((0.0..=1.0).contains(&v2));
-        // Nothing dropped behaves exactly like measure().
-        let mut s2 = s.clone();
+        // Nothing dropped reports the chosen method's reading.
         h.advance(10.0);
-        let a = s.measure(&h);
-        let b = s2.measure_degraded(&h, false, false).unwrap();
-        assert_eq!((a, false), b);
+        let (v3, crossed3) = s.measure_degraded(&h, false, false).unwrap();
+        assert_eq!(
+            (v3, crossed3),
+            (s.readings()[0].unwrap().clamp(0.0, 1.0), false)
+        );
     }
 
     #[test]
     fn reset_forgets_bias_and_method() {
         let mut h = settled_host_with_soaker(12);
         let mut s = HybridSensor::default();
-        s.measure(&h);
+        passive(&mut s, &h);
         h.advance(10.0);
-        let _ = s.measure_with_probe(&mut h);
+        let _ = probed(&mut s, &mut h);
         assert!(s.bias().abs() > 0.0);
         s.reset();
         assert_eq!(s.bias(), 0.0);
@@ -667,7 +850,7 @@ mod tests {
         assert!(s.last_probe_value().is_none());
         // The next probe re-anchors the bias outright (first-probe rule).
         h.advance(10.0);
-        let _ = s.measure_with_probe(&mut h);
+        let _ = probed(&mut s, &mut h);
         assert_eq!(s.probes_run(), 1);
     }
 }

@@ -29,7 +29,10 @@
 //! [`nws_sim::Host`], or a live Linux host's [`proc::Sample`] of
 //! `/proc/stat` and `/proc/loadavg`. Both go through the same equations
 //! and the same smoothing, so the library is usable as a real monitor,
-//! not only against the simulator.
+//! not only against the simulator. The hybrid reaches its host only
+//! through [`ProbeHost`], a [`HostView`] that can also tell the time, run
+//! the probe and let time pass; the simulator implements it, and a
+//! scripted host in virtual time tests the hybrid's rule without one.
 
 #![forbid(unsafe_code)]
 
@@ -44,6 +47,7 @@ pub use vmstat_sensor::{availability_from_vmstat, VmstatReading, VmstatSensor};
 
 use nws_runtime::Cadence;
 use nws_sim::{Accounting, Host};
+use std::sync::Arc;
 
 /// What a passive sensor reads from a host at one instant. The load and
 /// the run queue are per CPU, so both equations measure a share of one.
@@ -65,6 +69,31 @@ impl HostView for Host {
     }
     fn run_queue(&self) -> f64 {
         Host::runnable_count(self) as f64
+    }
+}
+
+/// What the hybrid sensor needs of a host beyond a passive reading: a
+/// clock, the probe, and a way to let time pass.
+pub trait ProbeHost: HostView {
+    /// The current time, in seconds.
+    fn now(&self) -> f64;
+    /// Runs a full-priority process named `name` that spins for `cpu`
+    /// seconds of CPU, waiting at most `max_wall` seconds of wall-clock,
+    /// and returns its CPU time over the wall time that passed.
+    fn probe(&mut self, name: &Arc<str>, cpu: f64, max_wall: f64) -> f64;
+    /// Lets `dt` seconds pass: a failed probe attempt or a backoff.
+    fn wait(&mut self, dt: f64);
+}
+
+impl ProbeHost for Host {
+    fn now(&self) -> f64 {
+        Host::now(self)
+    }
+    fn probe(&mut self, name: &Arc<str>, cpu: f64, max_wall: f64) -> f64 {
+        self.run_cpu_limited_probe(Arc::clone(name), cpu, max_wall)
+    }
+    fn wait(&mut self, dt: f64) {
+        self.advance(dt)
     }
 }
 

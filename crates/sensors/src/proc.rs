@@ -46,15 +46,20 @@ impl From<io::Error> for ProcError {
 }
 
 /// Parses the 1-minute load average out of `/proc/loadavg`,
-/// e.g. `"0.52 0.58 0.59 1/467 12345"`.
+/// e.g. `"0.52 0.58 0.59 1/467 12345"`. A load that is not a finite,
+/// non-negative number is a parse error.
 pub fn parse_loadavg(text: &str) -> Result<f64, ProcError> {
     let field = text
         .split_whitespace()
         .next()
         .ok_or_else(|| ProcError::Parse("missing 1-min load".into()))?;
-    field
+    let load = field
         .parse::<f64>()
-        .map_err(|e| ProcError::Parse(format!("bad 1-min load: {e}")))
+        .map_err(|e| ProcError::Parse(format!("bad 1-min load: {e}")))?;
+    if !(load.is_finite() && load >= 0.0) {
+        return Err(ProcError::Parse(format!("bad 1-min load: {field}")));
+    }
+    Ok(load)
 }
 
 /// Jiffies per second as `/proc/stat` reports them (`USER_HZ`).
@@ -65,7 +70,8 @@ const USER_HZ: f64 = 100.0;
 /// CPU count (the `cpuN` lines; none counts as one).
 ///
 /// User and nice jiffies are user time; system, irq and softirq are sys
-/// time; idle and iowait are idle time. Steal is left out.
+/// time; idle and iowait are idle time. Steal is left out. Fields whose
+/// sum overflows a `u64` are a parse error.
 pub fn parse_stat_cpu(text: &str) -> Result<(Accounting, usize, usize), ProcError> {
     let line = text
         .lines()
@@ -86,11 +92,12 @@ pub fn parse_stat_cpu(text: &str) -> Result<(Accounting, usize, usize), ProcErro
         )));
     }
     let secs = |fields: &[usize]| {
-        fields
-            .iter()
-            .map(|&i| nums.get(i).copied().unwrap_or(0))
-            .sum::<u64>() as f64
-            / USER_HZ
+        (fields.iter())
+            .try_fold(0u64, |sum, &i| {
+                sum.checked_add(nums.get(i).copied().unwrap_or(0))
+            })
+            .map(|jiffies| jiffies as f64 / USER_HZ)
+            .ok_or_else(|| ProcError::Parse(format!("cpu fields {fields:?} overflow")))
     };
     let running: usize = text
         .lines()
@@ -100,9 +107,9 @@ pub fn parse_stat_cpu(text: &str) -> Result<(Accounting, usize, usize), ProcErro
         .parse()
         .map_err(|e| ProcError::Parse(format!("bad procs_running: {e}")))?;
     let accounting = Accounting {
-        user: secs(&[0, 1]),
-        sys: secs(&[2, 5, 6]),
-        idle: secs(&[3, 4]),
+        user: secs(&[0, 1])?,
+        sys: secs(&[2, 5, 6])?,
+        idle: secs(&[3, 4])?,
     };
     let cpus = (text.lines())
         .filter(|l| l.starts_with("cpu") && l.as_bytes().get(3).is_some_and(u8::is_ascii_digit))
@@ -231,6 +238,40 @@ mod tests {
             Sample::read_from(st.with_file_name("absent"), &la),
             Err(ProcError::Io(_))
         ));
+        let _ = fs::remove_dir_all(st.parent().unwrap());
+    }
+
+    #[test]
+    fn overflowing_cpu_fields_are_a_parse_error() {
+        // user + nice overflows a u64; each field alone parses.
+        let (st, la) = fixture(
+            "overflow",
+            "cpu 18446744073709551615 1 0 0 0 0 0 0 0 0\nprocs_running 1\n",
+            "0.00 0.00 0.00 1/100 999\n",
+        );
+        let err = Sample::read_from(&st, &la).unwrap_err();
+        assert!(
+            matches!(err, ProcError::Parse(ref m) if m.contains("overflow")),
+            "{err}"
+        );
+        let _ = fs::remove_dir_all(st.parent().unwrap());
+    }
+
+    #[test]
+    fn a_load_that_is_not_a_finite_non_negative_number_is_a_parse_error() {
+        let stat = "cpu 1 0 0 1\nprocs_running 1\n";
+        for load in [
+            "nan", "NaN", "inf", "-inf", "infinity", "-0.5", "-1e300", "1e999",
+        ] {
+            let (st, la) = fixture("bad-load", stat, &format!("{load} 0.00 0.00 1/100 999\n"));
+            let err = Sample::read_from(&st, &la).unwrap_err();
+            assert!(matches!(err, ProcError::Parse(_)), "{load}: {err}");
+        }
+        let (st, la) = fixture("bad-load", stat, "-0 0.00 0.00 1/100 999\n");
+        assert_eq!(
+            LoadAvgSensor::new().measure(&Sample::read_from(&st, &la).unwrap()),
+            1.0
+        );
         let _ = fs::remove_dir_all(st.parent().unwrap());
     }
 

@@ -27,7 +27,14 @@ pub struct VmstatReading {
 /// percentage of system time that is shared fairly is directly proportional
 /// to the percentage of user time, hence the `w` factor" (a gateway host
 /// doing pure packet-interrupt work shares none of it).
+///
+/// The result is clamped into `[0, 1]`; a reading with a field that is
+/// NaN or infinite reads 0.0, as a non-finite load does in Eq. 1.
 pub fn availability_from_vmstat(reading: &VmstatReading) -> f64 {
+    let fields = [reading.idle, reading.user, reading.sys, reading.smoothed_rp];
+    if !fields.iter().all(|f| f.is_finite()) {
+        return 0.0;
+    }
     let rp = reading.smoothed_rp.max(0.0);
     let share = 1.0 / (rp + 1.0);
     let w = reading.user.clamp(0.0, 1.0);
@@ -67,7 +74,11 @@ impl VmstatSensor {
     }
 
     /// Creates the sensor with explicit run-queue (`alpha`) and occupancy
-    /// (`beta`) EWMA gains, both in `(0, 1]`.
+    /// (`beta`) EWMA gains.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both gains are in `(0, 1]`.
     pub fn with_gains(alpha: f64, beta: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
         assert!(beta > 0.0 && beta <= 1.0, "beta must be in (0,1]");
@@ -153,6 +164,7 @@ impl VmstatSensor {
 mod tests {
     use super::*;
     use nws_sim::{Host, ProcessSpec};
+    use proptest::prelude::*;
 
     fn reading(idle: f64, user: f64, sys: f64, rp: f64) -> VmstatReading {
         VmstatReading {
@@ -259,5 +271,64 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn bad_alpha_panics() {
         VmstatSensor::with_gains(0.0, 0.25);
+    }
+
+    /// NaN, ±∞, negatives, zeros, subnormals, huge values, the unit
+    /// interval and any bits.
+    fn edge_values() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-1.0),
+            Just(-f64::MIN_POSITIVE),
+            Just(-0.0),
+            Just(0.0),
+            Just(5e-324),
+            Just(f64::MIN_POSITIVE),
+            Just(1e300),
+            Just(f64::MAX),
+            0.0..=1.0,
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    proptest! {
+        /// Eq. 1 and Eq. 2 read any value into `[0, 1]`, and a sensor
+        /// built with any gains either panics as documented or measures
+        /// into `[0, 1]`.
+        #[test]
+        fn equations_and_gains_read_into_the_unit_interval_or_panic_as_documented(
+            idle in edge_values(),
+            user in edge_values(),
+            sys in edge_values(),
+            rp in edge_values(),
+        ) {
+            let unit = 0.0..=1.0;
+            let load = crate::availability_from_load(idle);
+            prop_assert!(unit.contains(&load), "Eq. 1 of {idle}: {load}");
+            let a = availability_from_vmstat(&reading(idle, user, sys, rp));
+            prop_assert!(unit.contains(&a), "Eq. 2 of {idle} {user} {sys} {rp}: {a}");
+            let (alpha, beta) = (user, sys);
+            let valid = |g: f64| g > 0.0 && g <= 1.0;
+            match std::panic::catch_unwind(|| VmstatSensor::with_gains(alpha, beta)) {
+                Err(panic) => {
+                    let msg = panic.downcast_ref::<&str>().copied().unwrap_or("");
+                    let gain = if valid(alpha) { "beta" } else { "alpha" };
+                    prop_assert!(!(valid(alpha) && valid(beta)), "refused {alpha} {beta}");
+                    prop_assert!(msg == format!("{gain} must be in (0,1]"), "{msg}");
+                }
+                Ok(mut s) => {
+                    prop_assert!(valid(alpha) && valid(beta), "accepted {alpha} {beta}");
+                    let mut host = Host::new("h", 1);
+                    host.kernel_mut().spawn(ProcessSpec::cpu_bound("hog"));
+                    for _ in 0..3 {
+                        host.advance(10.0);
+                        let v = s.measure(&host);
+                        prop_assert!(unit.contains(&v), "gains {alpha} {beta}: {v}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 
 use nws::forecast::PredictorBank;
 use nws::grid::{GridMonitor, GridMonitorConfig, Metric, TestSchedule};
-use nws::sensors::{HybridSensor, LoadAvgSensor, VmstatSensor, TEST_DURATION_SHORT};
+use nws::sensors::{HybridSensor, TEST_DURATION_SHORT};
 use nws::sim::{Host, HostProfile};
 use nws::timeseries::csv::{parse_series, series_to_csv};
 use nws::timeseries::Series;
@@ -29,21 +29,27 @@ fn monitored_series(profile: HostProfile, seed: u64, metric: Metric) -> Series {
 #[test]
 fn manual_monitoring_loop_with_public_api() {
     // A user wiring the pieces manually (without the grid monitor).
+    // The hybrid is the host's one sensor set: it reads Eq. 1 and Eq. 2
+    // itself, every slot, and hands both readings back.
     let mut host = HostProfile::Gremlin.build(31);
     host.advance(600.0);
-    let mut load = LoadAvgSensor::new();
-    let mut vmstat = VmstatSensor::new();
     let mut hybrid = HybridSensor::default();
     let mut series = Series::new("manual");
     for step in 0..60 {
         host.advance(10.0);
-        let _ = load.measure(&host);
-        let _ = vmstat.measure(&host);
         let value = if step % 6 == 0 {
-            hybrid.measure_with_probe(&mut host)
+            hybrid
+                .measure_with_probe_retries(&mut host, 0, f64::INFINITY)
+                .0
         } else {
-            hybrid.measure(&host)
+            let (value, crossed) = hybrid
+                .measure_degraded(&host, false, false)
+                .expect("nothing dropped");
+            assert!(!crossed, "nothing dropped, so no cross-sensor fallback");
+            value
         };
+        let both = hybrid.readings().iter().all(Option::is_some);
+        assert!(both, "step {step}: the hybrid read both sources");
         series.push(host.now(), value).expect("time advances");
     }
     assert_eq!(series.len(), 60);
