@@ -425,12 +425,19 @@ mod failover {
         assert_eq!(client.health(), vec![0]);
     }
 
+    /// A dead endpoint no other server can take: a listener held and
+    /// never accepted on, so the kernel completes the handshake but
+    /// nothing answers, and the exchange fails at the client's
+    /// `io_timeout`. (A server shut down frees its port, which the next
+    /// server bound in the same test binary may be handed.)
+    fn dead_endpoint() -> std::net::TcpListener {
+        std::net::TcpListener::bind("127.0.0.1:0").expect("bind")
+    }
+
     #[test]
     fn dead_primary_fails_over_to_the_replica_and_sticks() {
-        let dead = warm_server();
-        let dead_addr = dead.addr();
-        drop(dead); // shut down: the primary is gone
-        std::thread::sleep(Duration::from_millis(50));
+        let dead = dead_endpoint();
+        let dead_addr = dead.local_addr().expect("an address");
         let replica = warm_server(); // stands in for a caught-up replica
         let mut client = NwsClient::over(&[dead_addr, replica.addr()], quick_config());
         let fc = client.forecast("thing1").expect("served by the replica");
@@ -445,13 +452,9 @@ mod failover {
 
     #[test]
     fn all_endpoints_dead_is_an_error_not_a_hang() {
-        let (a, b) = {
-            let s1 = warm_server();
-            let s2 = warm_server();
-            (s1.addr(), s2.addr())
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        let mut client = NwsClient::over(&[a, b], quick_config());
+        let (a, b) = (dead_endpoint(), dead_endpoint());
+        let addrs = [a.local_addr(), b.local_addr()].map(|addr| addr.expect("an address"));
+        let mut client = NwsClient::over(&addrs, quick_config());
         match client.stats() {
             Err(ServeError::Wire(_)) => {}
             other => panic!("wrong result: {other:?}"),

@@ -11,7 +11,8 @@
 //! - the connection's earliest deadline against the one the deadline
 //!   rules give from what the stream saw: bytes read, replies produced,
 //!   bytes the socket took and push-backs;
-//! - the write buffer's bound.
+//! - the write buffer's bound and the input buffer's, and that every
+//!   complete frame read is answered unless the backlog cap holds it.
 
 use super::*;
 use nws_grid::{GridMonitor, GridMonitorConfig};
@@ -22,6 +23,17 @@ use std::collections::VecDeque;
 use std::io;
 
 const SEED: u64 = 0x5EED_C044;
+
+/// Steps a wake may take beyond one per read its queued fragments
+/// take: one for room the peer gave before the wake (after any step
+/// either nothing is unsent or the socket pushed back), and one for the
+/// read that finds the end of the stream.
+const WAKE_SLACK: usize = 2;
+
+/// Request bytes a flooding peer keeps queued at each wake: more than
+/// a largest frame plus a read, so a step that read until the socket
+/// ran dry would grow the input buffer past its bound.
+const FLOOD: usize = 65 * READ_CHUNK;
 
 /// Seeded cases the default run draws; the ignored run draws more.
 const CASES: u64 = 256;
@@ -53,6 +65,21 @@ struct Window {
     taken_total: u64,
     /// A write met `WouldBlock` since the model last cleared this.
     pushed_back: bool,
+}
+
+impl Window {
+    /// The reads the queued fragments take: one per [`READ_CHUNK`] or
+    /// part of one.
+    fn reads_queued(&self) -> usize {
+        self.incoming
+            .iter()
+            .map(|f| f.len().div_ceil(READ_CHUNK))
+            .sum()
+    }
+
+    fn queued(&self) -> usize {
+        self.incoming.iter().map(Vec::len).sum()
+    }
 }
 
 impl Read for Window {
@@ -307,11 +334,13 @@ impl<'a> Model<'a> {
 
     /// One epoll wake at `at`: a step while the stream is ready for
     /// what the connection waits on (level-triggered: again while it
-    /// stays ready), then the sweep.
+    /// stays ready), then the sweep. A step reads once, so the wake ends
+    /// within the reads its queued fragments take plus [`WAKE_SLACK`].
     fn wake(&mut self, at: Instant) {
         assert!(at >= self.now, "the clock ran backwards");
         self.now = at;
-        for _ in 0..4 {
+        let steps = self.conn.stream.reads_queued() + WAKE_SLACK;
+        for _ in 0..steps {
             if self.closed.is_some() {
                 return;
             }
@@ -320,16 +349,17 @@ impl<'a> Model<'a> {
                 break;
             }
             let conn = &self.conn;
-            if bits & EPOLLIN != 0
-                && conn.reading()
-                && conn.in_pos > COMPACT_THRESHOLD
-                && conn.in_pos < conn.in_end
-            {
+            let moves = conn.in_pos > 0 && conn.in_pos < conn.in_end;
+            if bits & EPOLLIN != 0 && conn.reading() && moves {
                 self.seen.compactions += 1;
             }
             self.act(|m| m.conn.step(bits, m.state, &m.config, &m.shutdown, m.now));
         }
-        assert_eq!(self.ready(), 0, "a step left the stream ready");
+        assert_eq!(
+            self.ready(),
+            0,
+            "a wake left the stream ready after {steps} steps"
+        );
         if self.closed.is_none() && self.conn.earliest_deadline() <= self.now {
             self.close(self.expiry());
         }
@@ -391,11 +421,21 @@ impl<'a> Model<'a> {
             "write buffer holds {} B",
             self.conn.out.len()
         );
+        assert!(
+            self.conn.inbuf.len() < HEADER_LEN + MAX_FRAME + READ_CHUNK,
+            "input buffer holds {} B",
+            self.conn.inbuf.len()
+        );
         if result.is_err() {
             self.close(Closed::Failed);
         } else if self.conn.done() {
             self.close(Closed::Done);
         } else {
+            let unparsed = &self.conn.inbuf[self.conn.in_pos..self.conn.in_end];
+            assert!(
+                !self.conn.reading() || matches!(split_frame(unparsed), Err(WireError::Truncated)),
+                "a complete frame read, unanswered below the backlog cap"
+            );
             assert_eq!(
                 self.conn.earliest_deadline(),
                 self.deadline(),
@@ -495,6 +535,20 @@ impl<'a> Model<'a> {
                 return closed;
             }
             self.wake(self.conn.earliest_deadline().max(self.now));
+        }
+    }
+
+    /// Tops the stream up to `budget` queued bytes of pipelined small
+    /// requests, in fragments of 1 to `cut` bytes.
+    fn flood(&mut self, budget: usize, cut: u64, rng: &mut Rng, vocabulary: &Vocabulary) {
+        let mut queued = self.conn.stream.queued();
+        while queued < budget {
+            let n = (budget - queued).min(1 + rng.below(cut) as usize);
+            while self.unsent_by_peer().len() < n {
+                self.ask(vocabulary.draw(rng, 0.0));
+            }
+            self.send(n);
+            queued += n;
         }
     }
 
@@ -683,7 +737,7 @@ fn seeded_case(
         m.seen.malformed += 1;
     }
     let frames = requests as usize + usize::from(m.owed.is_some());
-    // Hundreds of requests cut anywhere reach input compaction.
+    // Hundreds of requests cut anywhere move partial frames to the front.
     let cut = match requests {
         0..=100 => [0, 64, 4_096][rng.below(3) as usize],
         _ => [64, 4_096][rng.below(2) as usize],
@@ -791,6 +845,36 @@ fn seeded_cases_match_the_twin_and_the_deadline_rules() {
 fn seeded_cases_match_the_twin_and_the_deadline_rules_at_length() {
     let seen = seeded_cases(CASES_LONG);
     assert_eq!(seen.cases, CASES_LONG);
+}
+
+#[test]
+fn a_flooding_peer_gets_one_read_a_step_and_every_frame_answered() {
+    let mut pair = Pair::warm(&[HostProfile::Thing1, HostProfile::Gremlin], 120);
+    let vocabulary = Vocabulary::new(&mut pair);
+    let mut rng = Rng::new(SEED);
+    // A peer that reads every reply, and one whose 64 KiB a wake leave
+    // the backlog at the cap, so reading pauses with the flood queued.
+    for (reads, wakes) in [(usize::MAX, 2), (64 * 1024, 6)] {
+        let mut seen = Seen::default();
+        let config = ServerConfig::default();
+        let mut m = Model::new(&mut pair, config, true, Instant::now(), &mut seen);
+        for wake in 0..wakes {
+            m.flood(FLOOD, 4_096, &mut rng, &vocabulary);
+            m.read(reads);
+            m.wake(m.now);
+            assert_eq!(m.closed, None, "wake {wake}");
+            m.pass(ms(1));
+        }
+        let capped = m.seen.at_cap > 0;
+        assert_eq!(capped, reads != usize::MAX, "the backlog cap");
+        // The flood stops: every request is answered before the close.
+        m.send(usize::MAX);
+        m.half_close();
+        while m.closed.is_none() {
+            m.turn(usize::MAX, ms(1));
+        }
+        assert_eq!(m.closed.map(|(why, _)| why), Some(Closed::Done));
+    }
 }
 
 /// One host warmed a day: 8,640 points per series, so a full tail is a
